@@ -1,14 +1,19 @@
-//! Sequential mixed-precision tile Cholesky and its quality metrics.
+//! Mixed-precision tile Cholesky: its task bodies, the sequential driver,
+//! and its quality metrics.
 //!
-//! This is the algorithmic reference for the task-parallel version in
-//! `exaclim-runtime`: the right-looking tile algorithm of §II.C —
-//! `POTRF(k,k)`; `TRSM(i,k)` down the panel; `SYRK(i,i)`/`GEMM(i,j)` on the
-//! trailing submatrix — where every update runs in the precision of the tile
-//! it touches.
+//! The right-looking tile algorithm of §II.C — `POTRF(k,k)`; `TRSM(i,k)`
+//! down the panel; `SYRK(i,i)`/`GEMM(i,j)` on the trailing submatrix —
+//! where every update runs in the precision of the tile it touches.
+//! [`TileTasks`] is the one implementation of those four tasks;
+//! [`tile_cholesky`] calls them in loop order and the task-parallel version
+//! in `exaclim-runtime` in DAG order, so the two factor bit-identically.
 
-use crate::kernels::{self, NotPositiveDefinite};
+use crate::kernels::{self, NotPositiveDefinite, PackedTile};
 use crate::precision::Precision;
+use crate::tile::Tile;
 use crate::tiled::TiledMatrix;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Execution statistics of one tile Cholesky.
 #[derive(Debug, Clone, PartialEq)]
@@ -26,6 +31,36 @@ pub struct CholeskyStats {
 }
 
 impl CholeskyStats {
+    /// Kernel counts and per-precision flops of factoring `a` (each kernel
+    /// is charged to the precision of the tile it updates, which a
+    /// factorization never changes), with the measured wall time.
+    pub fn for_matrix(a: &TiledMatrix, seconds: f64) -> Self {
+        let (nt, b) = (a.nt(), a.b());
+        let mut counts = (0usize, 0usize, 0usize, 0usize);
+        let mut flops = [0.0f64; 3];
+        for k in 0..nt {
+            counts.0 += 1;
+            flops[bucket(a.tile(k, k).precision())] += kernels::flops::potrf(b);
+            for i in k + 1..nt {
+                counts.1 += 1;
+                flops[bucket(a.tile(i, k).precision())] += kernels::flops::trsm(b);
+                counts.2 += 1;
+                flops[bucket(a.tile(i, i).precision())] += kernels::flops::syrk(b);
+                for j in k + 1..i {
+                    counts.3 += 1;
+                    flops[bucket(a.tile(i, j).precision())] += kernels::flops::gemm(b);
+                }
+            }
+        }
+        Self {
+            n: a.n(),
+            b,
+            kernel_counts: counts,
+            flops_by_precision: flops,
+            seconds: seconds.max(1e-12),
+        }
+    }
+
     /// Total flops across precisions.
     pub fn total_flops(&self) -> f64 {
         self.flops_by_precision.iter().sum()
@@ -45,44 +80,140 @@ fn bucket(p: Precision) -> usize {
     }
 }
 
+/// The four task bodies of the tile Cholesky over one matrix — the single
+/// code path behind both the sequential loop below and the DAG executor in
+/// `exaclim-runtime`.
+///
+/// Tiles sit in lock cells so tasks on different tiles run concurrently
+/// through `&self`; the caller supplies the ordering (the loop nest, or the
+/// dependence edges of `cholesky_graph`): a task may run once every earlier
+/// update of its tile and the `POTRF`/`TRSM` that finish its operands have.
+/// A finished tile is converted and packed once per consumer precision
+/// ([`PackedTile`]), shared by every `TRSM`/`SYRK`/`GEMM` that reads it, and
+/// the packs are freed by the last of them — at most a couple of panels'
+/// worth are alive at any time.
+pub struct TileTasks<'a> {
+    nt: usize,
+    /// Lower triangle, packed like [`TiledMatrix`]'s tiles.
+    cells: Vec<Mutex<&'a mut Tile>>,
+    operands: Vec<Operand>,
+}
+
+/// Packs of one finished tile and the count of tasks still to read it.
+struct Operand {
+    /// One pack per consumer precision `[half, single, double]`, built by
+    /// the first task that asks.
+    packs: Mutex<[Option<Arc<PackedTile>>; 3]>,
+    readers_left: AtomicUsize,
+}
+
+impl<'a> TileTasks<'a> {
+    /// Borrow the tiles of `a` for one factorization.
+    pub fn new(a: &'a mut TiledMatrix) -> Self {
+        let nt = a.nt();
+        // Tile `(i, k)` is read by `SYRK(i,k)` and the `GEMM`s of row and
+        // column `i` of panel `k`, tile `(k, k)` by the panel's `TRSM`s:
+        // `nt − k − 1` readers either way.
+        let operands = (0..nt)
+            .flat_map(|i| (0..=i).map(move |k| nt - k - 1))
+            .map(|readers| Operand {
+                packs: Mutex::default(),
+                readers_left: AtomicUsize::new(readers),
+            })
+            .collect();
+        Self {
+            nt,
+            cells: a.tiles_mut().iter_mut().map(Mutex::new).collect(),
+            operands,
+        }
+    }
+
+    fn idx(&self, i: usize, j: usize) -> usize {
+        assert!(
+            j <= i && i < self.nt,
+            "tile ({i},{j}) outside the lower triangle"
+        );
+        i * (i + 1) / 2 + j
+    }
+
+    fn tile(&self, i: usize, j: usize) -> MutexGuard<'_, &'a mut Tile> {
+        self.cells[self.idx(i, j)]
+            .lock()
+            .expect("a kernel panicked while updating this tile")
+    }
+
+    /// The finished tile `(i, k)` packed for consumers of precision `p`.
+    fn operand(&self, i: usize, k: usize, p: Precision) -> Arc<PackedTile> {
+        let mut packs = self.operands[self.idx(i, k)]
+            .packs
+            .lock()
+            .expect("packing a tile panicked");
+        let pack =
+            packs[bucket(p)].get_or_insert_with(|| Arc::new(PackedTile::new(&self.tile(i, k), p)));
+        Arc::clone(pack)
+    }
+
+    /// One reader of tile `(i, k)` is done; the last one frees its packs.
+    fn release(&self, i: usize, k: usize) {
+        let operand = &self.operands[self.idx(i, k)];
+        if operand.readers_left.fetch_sub(1, Ordering::AcqRel) == 1 {
+            *operand.packs.lock().expect("packing a tile panicked") = Default::default();
+        }
+    }
+
+    /// `POTRF(k)`: factor diagonal tile `(k, k)`.
+    pub fn potrf(&self, k: usize) -> Result<(), NotPositiveDefinite> {
+        kernels::potrf(&mut self.tile(k, k))
+    }
+
+    /// `TRSM(i, k)`: solve panel tile `(i, k)` against `L(k, k)`.
+    pub fn trsm(&self, i: usize, k: usize) {
+        assert!(k < i, "TRSM({i},{k}) is not below the diagonal");
+        let mut x = self.tile(i, k);
+        kernels::trsm(&self.operand(k, k, x.precision()), &mut x);
+        self.release(k, k);
+    }
+
+    /// `SYRK(i, k)`: update diagonal tile `(i, i)` with panel tile `(i, k)`.
+    pub fn syrk(&self, i: usize, k: usize) {
+        assert!(k < i, "SYRK({i},{k}) is not below the diagonal");
+        let mut c = self.tile(i, i);
+        kernels::syrk(&self.operand(i, k, c.precision()), &mut c);
+        self.release(i, k);
+    }
+
+    /// `GEMM(i, j, k)`: update tile `(i, j)` with panel tiles `(i, k)` and
+    /// `(j, k)`.
+    pub fn gemm(&self, i: usize, j: usize, k: usize) {
+        assert!(k < j && j < i, "GEMM({i},{j},{k}) needs k < j < i");
+        let mut c = self.tile(i, j);
+        let p = c.precision();
+        kernels::gemm(&self.operand(i, k, p), &self.operand(j, k, p), &mut c);
+        self.release(i, k);
+        self.release(j, k);
+    }
+}
+
 /// Factor a [`TiledMatrix`] in place: on return the lower triangle of tiles
 /// holds `L` with `A = L Lᵀ` (up to mixed-precision rounding).
 pub fn tile_cholesky(a: &mut TiledMatrix) -> Result<CholeskyStats, NotPositiveDefinite> {
     let start = std::time::Instant::now();
     let nt = a.nt();
-    let b = a.b();
-    let mut counts = (0usize, 0usize, 0usize, 0usize);
-    let mut flops = [0.0f64; 3];
+    let tasks = TileTasks::new(a);
     for k in 0..nt {
-        kernels::potrf(a.tile_mut(k, k))?;
-        counts.0 += 1;
-        flops[bucket(a.tile(k, k).precision())] += kernels::flops::potrf(b);
-        let lkk = a.tile(k, k).clone();
+        tasks.potrf(k)?;
         for i in k + 1..nt {
-            kernels::trsm(&lkk, a.tile_mut(i, k));
-            counts.1 += 1;
-            flops[bucket(a.tile(i, k).precision())] += kernels::flops::trsm(b);
+            tasks.trsm(i, k);
         }
         for i in k + 1..nt {
-            let aik = a.tile(i, k).clone();
-            kernels::syrk(&aik, a.tile_mut(i, i));
-            counts.2 += 1;
-            flops[bucket(a.tile(i, i).precision())] += kernels::flops::syrk(b);
+            tasks.syrk(i, k);
             for j in k + 1..i {
-                let ajk = a.tile(j, k).clone();
-                kernels::gemm(&aik, &ajk, a.tile_mut(i, j));
-                counts.3 += 1;
-                flops[bucket(a.tile(i, j).precision())] += kernels::flops::gemm(b);
+                tasks.gemm(i, j, k);
             }
         }
     }
-    Ok(CholeskyStats {
-        n: a.n(),
-        b,
-        kernel_counts: counts,
-        flops_by_precision: flops,
-        seconds: start.elapsed().as_secs_f64().max(1e-12),
-    })
+    drop(tasks);
+    Ok(CholeskyStats::for_matrix(a, start.elapsed().as_secs_f64()))
 }
 
 /// Relative factorization residual `‖A − L Lᵀ‖_F / ‖A‖_F` given the original
@@ -162,6 +293,35 @@ mod tests {
         // And the magnitudes track unit roundoffs (loose factors).
         assert!(r_sp < 1e-4, "sp residual too large: {r_sp}");
         assert!(r_hp < 0.05, "hp residual too large: {r_hp}");
+    }
+
+    #[test]
+    fn packs_live_from_first_to_last_reader() {
+        let n = 32;
+        let a = exp_covariance(n, 4.0, 1e-3);
+        let mut tm = TiledMatrix::from_dense(&a, n, 8, &PrecisionPolicy::dp_sp_hp(4));
+        let tasks = TileTasks::new(&mut tm);
+        let live = |i: usize, k: usize| {
+            let packs = tasks.operands[tasks.idx(i, k)].packs.lock().unwrap();
+            packs.iter().flatten().count()
+        };
+        tasks.potrf(0).unwrap();
+        for i in 1..4 {
+            tasks.trsm(i, 0);
+        }
+        // Three TRSMs in two precisions read L(0,0): two packs, both gone
+        // with the third reader.
+        assert_eq!(live(0, 0), 0);
+        tasks.syrk(3, 0);
+        tasks.gemm(3, 1, 0);
+        // Read so far for a DP tile (3,3) and an HP tile (3,1): a pack each.
+        assert_eq!(live(3, 0), 2);
+        assert_eq!(live(1, 0), 1);
+        tasks.gemm(3, 2, 0);
+        assert_eq!(live(3, 0), 0, "all nt − k − 1 = 3 readers are done");
+        tasks.syrk(1, 0);
+        tasks.gemm(2, 1, 0);
+        assert_eq!(live(1, 0), 0);
     }
 
     #[test]

@@ -5,9 +5,17 @@
 //! successor's precision). Half-precision updates follow tensor-core MMA
 //! semantics: operands quantized to binary16, products and sums accumulated
 //! in f32, one rounding on store.
+//!
+//! The kernels are register-blocked — an `MR × NR` block of accumulators,
+//! operands read from [`PackedTile`]s — but every output element still runs
+//! its own chain of the same operations in ascending `k`, so a result does
+//! not depend on the block shape: the one-accumulator loops these replaced
+//! are kept as the `#[cfg(test)]` reference and must agree bit for bit.
+//! ARCHITECTURE.md ("Tile kernels") states the contract.
 
+use crate::f16::Half;
 use crate::precision::Precision;
-use crate::tile::Tile;
+use crate::tile::{Tile, TileData};
 
 /// Error raised when a diagonal tile is not positive definite.
 #[derive(Debug, Clone, PartialEq)]
@@ -31,10 +39,11 @@ impl std::fmt::Display for NotPositiveDefinite {
 impl std::error::Error for NotPositiveDefinite {}
 
 /// Internal scalar abstraction so the f64 and f32 kernel bodies are written
-/// once. Half tiles run the f32 body on quantized operands.
+/// once. Half tiles run the f32 body on quantized operands. The methods are
+/// the exact expressions of the summation-order contract: nothing here may
+/// fuse, reassociate or drop the `0 +` that normalizes a `−0` product.
 trait Real: Copy + PartialOrd {
     const ZERO: Self;
-    fn from_f64(x: f64) -> Self;
     fn to_f64(self) -> f64;
     fn sqrt(self) -> Self;
     fn mul_add_acc(self, a: Self, b: Self) -> Self;
@@ -44,10 +53,6 @@ trait Real: Copy + PartialOrd {
 
 impl Real for f64 {
     const ZERO: f64 = 0.0;
-    #[inline(always)]
-    fn from_f64(x: f64) -> f64 {
-        x
-    }
     #[inline(always)]
     fn to_f64(self) -> f64 {
         self
@@ -73,10 +78,6 @@ impl Real for f64 {
 impl Real for f32 {
     const ZERO: f32 = 0.0;
     #[inline(always)]
-    fn from_f64(x: f64) -> f32 {
-        x as f32
-    }
-    #[inline(always)]
     fn to_f64(self) -> f64 {
         self as f64
     }
@@ -98,185 +99,332 @@ impl Real for f32 {
     }
 }
 
-/// In-place lower Cholesky of a `b × b` buffer; the strict upper triangle is
-/// zeroed so the result is exactly `L`.
-fn potrf_buf<T: Real>(a: &mut [f64], b: usize) -> Result<(), NotPositiveDefinite> {
-    // Work in T's arithmetic but keep the staging buffer in f64 for I/O.
-    let mut w: Vec<T> = a.iter().map(|&x| T::from_f64(x)).collect();
-    for k in 0..b {
-        let mut d = w[k * b + k];
-        for p in 0..k {
-            let l = w[k * b + p];
-            d = d.sub(T::ZERO.mul_add_acc(l, l));
-        }
-        if d.to_f64() <= 0.0 || !d.to_f64().is_finite() {
-            return Err(NotPositiveDefinite {
-                pivot: k,
-                value: d.to_f64(),
-            });
-        }
-        let dk = d.sqrt();
-        w[k * b + k] = dk;
-        for i in k + 1..b {
-            let mut s = w[i * b + k];
-            for p in 0..k {
-                s = s.sub(T::ZERO.mul_add_acc(w[i * b + p], w[k * b + p]));
-            }
-            w[i * b + k] = s.div(dk);
-        }
-        for j in k + 1..b {
-            w[k * b + j] = T::ZERO;
+/// Rows of the register block every micro-kernel accumulates at once.
+const MR: usize = 4;
+/// Columns of the f64 register block: `MR × NR64` accumulators are eight
+/// 128-bit registers, half of what the SSE2 baseline has.
+const NR64: usize = 4;
+/// Columns of the f32 register block (the same eight registers).
+const NR32: usize = 8;
+
+/// A finished tile converted **once** to the compute precision of the tiles
+/// that consume it and repacked `k`-major — the paper's "reshape on the
+/// sender's edge". A consumer tile of precision
+///
+/// * `Double` reads the source widened to f64 (exact),
+/// * `Single` reads it as f32 (rounds a DP source, widens an HP one),
+/// * `Half` reads it quantized to binary16 and widened to f32 — tensor-core
+///   operands, quantized here instead of in every GEMM that reads them.
+///
+/// Layout: the source's rows are cut into panels of `NR` (the register
+/// block width of the compute type); panel `p` holds
+/// `data[(p·b + k)·NR + c] = src[p·NR + c][k]`, zero past row `b`. A
+/// micro-kernel therefore streams one contiguous `NR`-vector per `k` for
+/// either operand and never sees a partial block.
+#[derive(Debug, Clone)]
+pub struct PackedTile {
+    b: usize,
+    consumer: Precision,
+    data: PackData,
+}
+
+#[derive(Debug, Clone)]
+enum PackData {
+    F64(Vec<f64>),
+    F32(Vec<f32>),
+}
+
+fn pack<S: Copy, T: Real>(src: &[S], b: usize, nr: usize, conv: impl Fn(S) -> T) -> Vec<T> {
+    let mut out = vec![T::ZERO; b.div_ceil(nr) * b * nr];
+    for (r, row) in src.chunks_exact(b).enumerate() {
+        let panel = &mut out[(r / nr) * b * nr..][..b * nr];
+        for (lane, &v) in panel[r % nr..].iter_mut().step_by(nr).zip(row) {
+            *lane = conv(v);
         }
     }
-    for (d, s) in a.iter_mut().zip(&w) {
-        *d = s.to_f64();
+    out
+}
+
+impl PackedTile {
+    /// Convert and pack `src` for consumer tiles of precision `consumer`.
+    pub fn new(src: &Tile, consumer: Precision) -> Self {
+        let b = src.b();
+        let data = match consumer {
+            Precision::Double => PackData::F64(match src.data() {
+                TileData::F64(v) => pack(v, b, NR64, |x| x),
+                TileData::F32(v) => pack(v, b, NR64, |x| x as f64),
+                TileData::F16(v) => pack(v, b, NR64, |h| Half(h).to_f64()),
+            }),
+            Precision::Single => PackData::F32(match src.data() {
+                TileData::F64(v) => pack(v, b, NR32, |x| x as f32),
+                TileData::F32(v) => pack(v, b, NR32, |x| x),
+                TileData::F16(v) => pack(v, b, NR32, |h| Half(h).to_f32()),
+            }),
+            Precision::Half => PackData::F32(match src.data() {
+                TileData::F64(v) => pack(v, b, NR32, |x| Half::from_f64(x).to_f32()),
+                TileData::F32(v) => pack(v, b, NR32, |x| Half::from_f32(x).to_f32()),
+                TileData::F16(v) => pack(v, b, NR32, |h| Half(h).to_f32()),
+            }),
+        };
+        Self { b, consumer, data }
+    }
+
+    fn check(&self, c: &Tile) {
+        assert_eq!(self.b, c.b(), "tile sizes must match");
+        assert_eq!(
+            self.consumer,
+            c.precision(),
+            "operand was packed for tiles of another precision"
+        );
+    }
+
+    fn f64s(&self) -> &[f64] {
+        match &self.data {
+            PackData::F64(v) => v,
+            PackData::F32(_) => unreachable!("a Double consumer's pack holds f64"),
+        }
+    }
+
+    fn f32s(&self) -> &[f32] {
+        match &self.data {
+            PackData::F32(v) => v,
+            PackData::F64(_) => unreachable!("a Single or Half consumer's pack holds f32"),
+        }
+    }
+}
+
+/// Run a kernel body on `c`'s payload: in place for F64 and F32 storage; an
+/// F16 tile is widened to an f32 scratch (exact) and rounded once on store.
+fn update<R>(
+    c: &mut Tile,
+    dp: impl FnOnce(&mut [f64]) -> R,
+    sp: impl FnOnce(&mut [f32]) -> R,
+) -> R {
+    match c.data_mut() {
+        TileData::F64(v) => dp(v),
+        TileData::F32(v) => sp(v),
+        TileData::F16(h) => {
+            let mut w: Vec<f32> = h.iter().map(|&x| Half(x).to_f32()).collect();
+            let r = sp(&mut w);
+            for (d, s) in h.iter_mut().zip(w) {
+                *d = Half::from_f32(s).0;
+            }
+            r
+        }
+    }
+}
+
+/// `acc[i][j] = Σ_k a[off+i][k] · b[j][k]` over one panel of each operand:
+/// `MR × NR` independent accumulators, each summing its own element in
+/// ascending `k` as `acc + a·b`.
+#[inline(always)]
+fn dot_block<T: Real, const NR: usize>(ap: &[T], off: usize, bp: &[T]) -> [[T; NR]; MR] {
+    assert!(off + MR <= NR);
+    let mut acc = [[T::ZERO; NR]; MR];
+    for (ak, bk) in ap.chunks_exact(NR).zip(bp.chunks_exact(NR)) {
+        let ak = &ak[off..off + MR];
+        for i in 0..MR {
+            for j in 0..NR {
+                acc[i][j] = acc[i][j].mul_add_acc(ak[i], bk[j]);
+            }
+        }
+    }
+    acc
+}
+
+/// `C := C − A · Bᵀ`, one register block at a time; with `lower`, only the
+/// elements `j ≤ i` (blocks that straddle the diagonal are computed whole
+/// and stored clipped).
+fn gemm_body<T: Real, const NR: usize>(a: &[T], bt: &[T], c: &mut [T], b: usize, lower: bool) {
+    for (jp, bp) in bt.chunks_exact(b * NR).enumerate() {
+        let j0 = jp * NR;
+        // `MR` divides `NR`, so `j0` starts a row block.
+        let first = if lower { j0 } else { 0 };
+        for i0 in (first..b).step_by(MR) {
+            let ap = &a[(i0 / NR) * b * NR..][..b * NR];
+            let acc = dot_block::<T, NR>(ap, i0 % NR, bp);
+            for (i, acc_row) in acc.iter().enumerate().take(b - i0) {
+                let end = if lower { i0 + i + 1 } else { b };
+                let crow = &mut c[(i0 + i) * b + j0..][..NR.min(end - j0)];
+                for (cv, &s) in crow.iter_mut().zip(acc_row) {
+                    *cv = cv.sub(s);
+                }
+            }
+        }
+    }
+}
+
+/// GEMM: `C := C − A · Bᵀ`, computed in `c`'s precision.
+pub fn gemm(a: &PackedTile, bt: &PackedTile, c: &mut Tile) {
+    a.check(c);
+    bt.check(c);
+    let b = c.b();
+    update(
+        c,
+        |cw| gemm_body::<f64, NR64>(a.f64s(), bt.f64s(), cw, b, false),
+        |cw| gemm_body::<f32, NR32>(a.f32s(), bt.f32s(), cw, b, false),
+    );
+}
+
+fn syrk_body<T: Real, const NR: usize>(a: &[T], c: &mut [T], b: usize) {
+    // C := C − A Aᵀ on the lower triangle, then mirrored (C stays
+    // symmetric).
+    gemm_body::<T, NR>(a, a, c, b, true);
+    for i in 0..b {
+        for j in 0..i {
+            c[j * b + i] = c[i * b + j];
+        }
+    }
+}
+
+/// SYRK: `C := C − A · Aᵀ` on a diagonal tile, in `c`'s precision.
+pub fn syrk(a: &PackedTile, c: &mut Tile) {
+    a.check(c);
+    let b = c.b();
+    update(
+        c,
+        |cw| syrk_body::<f64, NR64>(a.f64s(), cw, b),
+        |cw| syrk_body::<f32, NR32>(a.f32s(), cw, b),
+    );
+}
+
+/// The shared step of TRSM and POTRF on rows `r0..r0+mr`, columns
+/// `j0..j0+nr` of `x` (row-major, side `b`), given the `k`-major panel `lp`
+/// of rows `j0..` of `L`: every element runs its own chain
+/// `s := s − (0 + x[r][k]·l[j][k])` in ascending `k` over the finished
+/// columns `k < j0`; with `solve` the chain continues through the block's
+/// own columns and ends in `/ l[j][j]`.
+fn chain_block<T: Real, const NR: usize>(
+    x: &mut [T],
+    b: usize,
+    (r0, mr): (usize, usize),
+    (j0, nr): (usize, usize),
+    lp: &[T],
+    solve: bool,
+) {
+    let mut s = [[T::ZERO; NR]; MR];
+    for i in 0..mr {
+        s[i][..nr].copy_from_slice(&x[(r0 + i) * b + j0..][..nr]);
+    }
+    {
+        // Rows past `mr` repeat the last one; their lanes are never stored.
+        let rows: [&[T]; MR] = std::array::from_fn(|i| &x[(r0 + i.min(mr - 1)) * b..][..j0]);
+        for (k, lk) in lp[..j0 * NR].chunks_exact(NR).enumerate() {
+            for i in 0..MR {
+                let xv = rows[i][k];
+                for j in 0..NR {
+                    s[i][j] = s[i][j].sub(T::ZERO.mul_add_acc(xv, lk[j]));
+                }
+            }
+        }
+    }
+    if solve {
+        for j in 0..nr {
+            for k in 0..j {
+                let l = lp[(j0 + k) * NR + j];
+                for row in s.iter_mut().take(mr) {
+                    row[j] = row[j].sub(T::ZERO.mul_add_acc(row[k], l));
+                }
+            }
+            let d = lp[(j0 + j) * NR + j];
+            for row in s.iter_mut().take(mr) {
+                row[j] = row[j].div(d);
+            }
+        }
+    }
+    for i in 0..mr {
+        x[(r0 + i) * b + j0..][..nr].copy_from_slice(&s[i][..nr]);
+    }
+}
+
+fn trsm_body<T: Real, const NR: usize>(l: &[T], x: &mut [T], b: usize) {
+    // Solve X Lᵀ = B: column blocks in order, row blocks independent.
+    for (jp, lp) in l.chunks_exact(b * NR).enumerate() {
+        let j0 = jp * NR;
+        let cols = (j0, NR.min(b - j0));
+        for r0 in (0..b).step_by(MR) {
+            chain_block::<T, NR>(x, b, (r0, MR.min(b - r0)), cols, lp, true);
+        }
+    }
+}
+
+/// TRSM: `B := B · L^{-T}` with `L` the lower factor of the panel's
+/// diagonal tile, packed for `bt`'s precision. Updates `bt` in place.
+pub fn trsm(l: &PackedTile, bt: &mut Tile) {
+    l.check(bt);
+    let b = bt.b();
+    update(
+        bt,
+        |x| trsm_body::<f64, NR64>(l.f64s(), x, b),
+        |x| trsm_body::<f32, NR32>(l.f32s(), x, b),
+    );
+}
+
+/// In-place lower Cholesky of a `b × b` buffer, blocked by `NR` columns;
+/// the strict upper triangle is zeroed so the result is exactly `L`.
+/// Left-looking, so every element sees its products in ascending `k`
+/// exactly as an unblocked column sweep would.
+fn potrf_body<T: Real, const NR: usize>(w: &mut [T], b: usize) -> Result<(), NotPositiveDefinite> {
+    // `k`-major copy of the current block's rows (one panel of a pack).
+    let mut lp = vec![T::ZERO; b * NR];
+    for j0 in (0..b).step_by(NR) {
+        let nr = NR.min(b - j0);
+        if nr < NR {
+            lp.fill(T::ZERO);
+        }
+        for j in 0..nr {
+            let row = &w[(j0 + j) * b..][..j0];
+            for (lane, &v) in lp[j..].iter_mut().step_by(NR).zip(row) {
+                *lane = v;
+            }
+        }
+        // Diagonal block: apply the finished columns, then factor it.
+        for r0 in (j0..j0 + nr).step_by(MR) {
+            let rows = (r0, MR.min(j0 + nr - r0));
+            chain_block::<T, NR>(w, b, rows, (j0, nr), &lp, false);
+        }
+        for r in j0..j0 + nr {
+            for j in j0..=r {
+                let mut s = w[r * b + j];
+                for k in j0..j {
+                    s = s.sub(T::ZERO.mul_add_acc(w[r * b + k], w[j * b + k]));
+                }
+                if j < r {
+                    w[r * b + j] = s.div(w[j * b + j]);
+                } else {
+                    let d = s.to_f64();
+                    if d <= 0.0 || !d.is_finite() {
+                        return Err(NotPositiveDefinite { pivot: r, value: d });
+                    }
+                    w[r * b + r] = s.sqrt();
+                }
+            }
+            w[r * b + r + 1..(r + 1) * b].fill(T::ZERO);
+        }
+        // Rows below finish their chains against the factored block.
+        for j in 0..nr {
+            for k in 0..=j {
+                lp[(j0 + k) * NR + j] = w[(j0 + j) * b + j0 + k];
+            }
+        }
+        for r0 in (j0 + nr..b).step_by(MR) {
+            chain_block::<T, NR>(w, b, (r0, MR.min(b - r0)), (j0, nr), &lp, true);
+        }
     }
     Ok(())
 }
 
 /// POTRF: factor a diagonal tile in place, `A = L Lᵀ`, storing `L`.
 /// Computation runs in the tile's own precision (half tiles use f32
-/// arithmetic on quantized values, rounded on store).
+/// arithmetic on quantized values, rounded on store). On error the tile is
+/// left partially factored.
 pub fn potrf(a: &mut Tile) -> Result<(), NotPositiveDefinite> {
     let b = a.b();
-    let mut buf = a.to_f64();
-    match a.precision() {
-        Precision::Double => potrf_buf::<f64>(&mut buf, b)?,
-        Precision::Single | Precision::Half => potrf_buf::<f32>(&mut buf, b)?,
-    }
-    a.store_f64(&buf);
-    Ok(())
-}
-
-fn trsm_body<T: Real>(l: &[T], x: &mut [T], b: usize) {
-    // Solve X Lᵀ = B row by row (forward substitution over columns).
-    for r in 0..b {
-        let row = &mut x[r * b..(r + 1) * b];
-        for j in 0..b {
-            let mut s = row[j];
-            for k in 0..j {
-                s = s.sub(T::ZERO.mul_add_acc(row[k], l[j * b + k]));
-            }
-            row[j] = s.div(l[j * b + j]);
-        }
-    }
-}
-
-/// TRSM: `B := B · L^{-T}` with `L` the lower factor of the panel's
-/// diagonal tile. Updates `bt` in its own precision; `l` is converted in.
-pub fn trsm(l: &Tile, bt: &mut Tile) {
-    let b = bt.b();
-    assert_eq!(l.b(), b, "tile sizes must match");
-    match bt.precision() {
-        Precision::Double => {
-            let lw = l.to_f64();
-            let mut x = bt.to_f64();
-            trsm_body::<f64>(&lw, &mut x, b);
-            bt.store_f64(&x);
-        }
-        Precision::Single => {
-            let lw = l.to_f32();
-            let mut x = bt.to_f32();
-            trsm_body::<f32>(&lw, &mut x, b);
-            bt.store_f32(&x);
-        }
-        Precision::Half => {
-            // Quantize operands to binary16 first (what arrives on an HP
-            // tile's input edge), then solve in f32.
-            let lw = l.convert(Precision::Half).to_f32();
-            let mut x = bt.to_f32();
-            trsm_body::<f32>(&lw, &mut x, b);
-            bt.store_f32(&x);
-        }
-    }
-}
-
-fn gemm_body<T: Real>(a: &[T], bt: &[T], c: &mut [T], b: usize) {
-    // C := C − A · Bᵀ ; both inner vectors are contiguous rows.
-    for i in 0..b {
-        let arow = &a[i * b..(i + 1) * b];
-        for j in 0..b {
-            let brow = &bt[j * b..(j + 1) * b];
-            let mut acc = T::ZERO;
-            for k in 0..b {
-                acc = acc.mul_add_acc(arow[k], brow[k]);
-            }
-            c[i * b + j] = c[i * b + j].sub(acc);
-        }
-    }
-}
-
-/// GEMM: `C := C − A · Bᵀ`, computed in `c`'s precision.
-pub fn gemm(a: &Tile, bt: &Tile, c: &mut Tile) {
-    let b = c.b();
-    assert!(a.b() == b && bt.b() == b, "tile sizes must match");
-    match c.precision() {
-        Precision::Double => {
-            let (aw, bw) = (a.to_f64(), bt.to_f64());
-            let mut cw = c.to_f64();
-            gemm_body::<f64>(&aw, &bw, &mut cw, b);
-            c.store_f64(&cw);
-        }
-        Precision::Single => {
-            let (aw, bw) = (a.to_f32(), bt.to_f32());
-            let mut cw = c.to_f32();
-            gemm_body::<f32>(&aw, &bw, &mut cw, b);
-            c.store_f32(&cw);
-        }
-        Precision::Half => {
-            // Tensor-core semantics: binary16 operands, f32 accumulate,
-            // rounded once on store.
-            let aw = a.convert(Precision::Half).to_f32();
-            let bw = bt.convert(Precision::Half).to_f32();
-            let mut cw = c.to_f32();
-            gemm_body::<f32>(&aw, &bw, &mut cw, b);
-            c.store_f32(&cw);
-        }
-    }
-}
-
-fn syrk_body<T: Real>(a: &[T], c: &mut [T], b: usize) {
-    // C := C − A Aᵀ, updating the full square (C stays symmetric).
-    for i in 0..b {
-        let arow_i = &a[i * b..(i + 1) * b];
-        for j in 0..=i {
-            let arow_j = &a[j * b..(j + 1) * b];
-            let mut acc = T::ZERO;
-            for k in 0..b {
-                acc = acc.mul_add_acc(arow_i[k], arow_j[k]);
-            }
-            c[i * b + j] = c[i * b + j].sub(acc);
-            if i != j {
-                c[j * b + i] = c[i * b + j];
-            }
-        }
-    }
-}
-
-/// SYRK: `C := C − A · Aᵀ` on a diagonal tile, in `c`'s precision.
-pub fn syrk(a: &Tile, c: &mut Tile) {
-    let b = c.b();
-    assert_eq!(a.b(), b, "tile sizes must match");
-    match c.precision() {
-        Precision::Double => {
-            let aw = a.to_f64();
-            let mut cw = c.to_f64();
-            syrk_body::<f64>(&aw, &mut cw, b);
-            c.store_f64(&cw);
-        }
-        Precision::Single => {
-            let aw = a.to_f32();
-            let mut cw = c.to_f32();
-            syrk_body::<f32>(&aw, &mut cw, b);
-            c.store_f32(&cw);
-        }
-        Precision::Half => {
-            let aw = a.convert(Precision::Half).to_f32();
-            let mut cw = c.to_f32();
-            syrk_body::<f32>(&aw, &mut cw, b);
-            c.store_f32(&cw);
-        }
-    }
+    update(
+        a,
+        |w| potrf_body::<f64, NR64>(w, b),
+        |w| potrf_body::<f32, NR32>(w, b),
+    )
 }
 
 /// Flop counts of the four kernels for a tile side `b` (standard LAPACK
@@ -305,6 +453,170 @@ pub mod flops {
     /// Total Cholesky flops for matrix size `n` (n³/3 to leading order).
     pub fn cholesky(n: f64) -> f64 {
         n * n * n / 3.0
+    }
+}
+
+/// The kernels this module replaced, kept as the bit-exact oracle: one
+/// accumulator per element, operands cloned and converted on every call.
+#[cfg(test)]
+mod reference {
+    use super::{NotPositiveDefinite, Real};
+    use crate::precision::Precision;
+    use crate::tile::Tile;
+
+    fn potrf_buf<T: Real>(w: &mut [T], b: usize) -> Result<(), NotPositiveDefinite> {
+        for k in 0..b {
+            let mut d = w[k * b + k];
+            for p in 0..k {
+                let l = w[k * b + p];
+                d = d.sub(T::ZERO.mul_add_acc(l, l));
+            }
+            if d.to_f64() <= 0.0 || !d.to_f64().is_finite() {
+                return Err(NotPositiveDefinite {
+                    pivot: k,
+                    value: d.to_f64(),
+                });
+            }
+            let dk = d.sqrt();
+            w[k * b + k] = dk;
+            for i in k + 1..b {
+                let mut s = w[i * b + k];
+                for p in 0..k {
+                    s = s.sub(T::ZERO.mul_add_acc(w[i * b + p], w[k * b + p]));
+                }
+                w[i * b + k] = s.div(dk);
+            }
+            for j in k + 1..b {
+                w[k * b + j] = T::ZERO;
+            }
+        }
+        Ok(())
+    }
+
+    pub fn potrf(a: &mut Tile) -> Result<(), NotPositiveDefinite> {
+        let b = a.b();
+        match a.precision() {
+            Precision::Double => {
+                let mut w = a.to_f64();
+                potrf_buf(&mut w, b)?;
+                a.store_f64(&w);
+            }
+            Precision::Single | Precision::Half => {
+                let mut w = a.to_f32();
+                potrf_buf(&mut w, b)?;
+                a.store_f32(&w);
+            }
+        }
+        Ok(())
+    }
+
+    fn trsm_body<T: Real>(l: &[T], x: &mut [T], b: usize) {
+        for r in 0..b {
+            let row = &mut x[r * b..(r + 1) * b];
+            for j in 0..b {
+                let mut s = row[j];
+                for k in 0..j {
+                    s = s.sub(T::ZERO.mul_add_acc(row[k], l[j * b + k]));
+                }
+                row[j] = s.div(l[j * b + j]);
+            }
+        }
+    }
+
+    pub fn trsm(l: &Tile, bt: &mut Tile) {
+        let b = bt.b();
+        match bt.precision() {
+            Precision::Double => {
+                let mut x = bt.to_f64();
+                trsm_body(&l.to_f64(), &mut x, b);
+                bt.store_f64(&x);
+            }
+            Precision::Single => {
+                let mut x = bt.to_f32();
+                trsm_body(&l.to_f32(), &mut x, b);
+                bt.store_f32(&x);
+            }
+            Precision::Half => {
+                let mut x = bt.to_f32();
+                trsm_body(&l.convert(Precision::Half).to_f32(), &mut x, b);
+                bt.store_f32(&x);
+            }
+        }
+    }
+
+    fn gemm_body<T: Real>(a: &[T], bt: &[T], c: &mut [T], b: usize) {
+        for i in 0..b {
+            let arow = &a[i * b..(i + 1) * b];
+            for j in 0..b {
+                let brow = &bt[j * b..(j + 1) * b];
+                let mut acc = T::ZERO;
+                for k in 0..b {
+                    acc = acc.mul_add_acc(arow[k], brow[k]);
+                }
+                c[i * b + j] = c[i * b + j].sub(acc);
+            }
+        }
+    }
+
+    pub fn gemm(a: &Tile, bt: &Tile, c: &mut Tile) {
+        let b = c.b();
+        match c.precision() {
+            Precision::Double => {
+                let mut cw = c.to_f64();
+                gemm_body(&a.to_f64(), &bt.to_f64(), &mut cw, b);
+                c.store_f64(&cw);
+            }
+            Precision::Single => {
+                let mut cw = c.to_f32();
+                gemm_body(&a.to_f32(), &bt.to_f32(), &mut cw, b);
+                c.store_f32(&cw);
+            }
+            Precision::Half => {
+                let aw = a.convert(Precision::Half).to_f32();
+                let bw = bt.convert(Precision::Half).to_f32();
+                let mut cw = c.to_f32();
+                gemm_body(&aw, &bw, &mut cw, b);
+                c.store_f32(&cw);
+            }
+        }
+    }
+
+    fn syrk_body<T: Real>(a: &[T], c: &mut [T], b: usize) {
+        for i in 0..b {
+            let arow_i = &a[i * b..(i + 1) * b];
+            for j in 0..=i {
+                let arow_j = &a[j * b..(j + 1) * b];
+                let mut acc = T::ZERO;
+                for k in 0..b {
+                    acc = acc.mul_add_acc(arow_i[k], arow_j[k]);
+                }
+                c[i * b + j] = c[i * b + j].sub(acc);
+                if i != j {
+                    c[j * b + i] = c[i * b + j];
+                }
+            }
+        }
+    }
+
+    pub fn syrk(a: &Tile, c: &mut Tile) {
+        let b = c.b();
+        match c.precision() {
+            Precision::Double => {
+                let mut cw = c.to_f64();
+                syrk_body(&a.to_f64(), &mut cw, b);
+                c.store_f64(&cw);
+            }
+            Precision::Single => {
+                let mut cw = c.to_f32();
+                syrk_body(&a.to_f32(), &mut cw, b);
+                c.store_f32(&cw);
+            }
+            Precision::Half => {
+                let mut cw = c.to_f32();
+                syrk_body(&a.convert(Precision::Half).to_f32(), &mut cw, b);
+                c.store_f32(&cw);
+            }
+        }
     }
 }
 
@@ -398,7 +710,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(4);
         let bv: Vec<f64> = (0..b * b).map(|_| rng.gen_range(-1.0..1.0)).collect();
         let mut x = Tile::from_f64(b, &bv, Precision::Double);
-        trsm(&l, &mut x);
+        trsm(&PackedTile::new(&l, Precision::Double), &mut x);
         // Check X · Lᵀ == B.
         let xw = x.to_f64();
         let lw = l.to_f64();
@@ -423,7 +735,8 @@ mod tests {
         let a = Tile::from_f64(b, &av, Precision::Double);
         let bt = Tile::from_f64(b, &bv, Precision::Double);
         let mut c = Tile::from_f64(b, &cv, Precision::Double);
-        gemm(&a, &bt, &mut c);
+        let pack = |t| PackedTile::new(t, Precision::Double);
+        gemm(&pack(&a), &pack(&bt), &mut c);
         for i in 0..b {
             for j in 0..b {
                 let mut s = cv[i * b + j];
@@ -445,7 +758,8 @@ mod tests {
         let a = Tile::from_f64(b, &av, Precision::Double);
         let bt = Tile::from_f64(b, &bv, Precision::Double);
         let mut c = Tile::zeros(b, Precision::Half);
-        gemm(&a, &bt, &mut c);
+        let pack = |t| PackedTile::new(t, Precision::Half);
+        gemm(&pack(&a), &pack(&bt), &mut c);
         // Quantized operand is exactly 1.0 in f16, so C = −b·1·1 = −4 exactly:
         // f32 accumulation of 4 identical products has no extra error here.
         for i in 0..b {
@@ -462,7 +776,7 @@ mod tests {
         let av: Vec<f64> = (0..b * b).map(|_| rng.gen_range(-1.0..1.0)).collect();
         let (mut c, _) = spd_tile(b, 8, Precision::Double);
         let a = Tile::from_f64(b, &av, Precision::Double);
-        syrk(&a, &mut c);
+        syrk(&PackedTile::new(&a, Precision::Double), &mut c);
         for i in 0..b {
             for j in 0..b {
                 assert_eq!(c.get(i, j), c.get(j, i), "symmetry at ({i},{j})");
@@ -490,6 +804,7 @@ mod tests {
         let a = Tile::from_f64(b, &av, Precision::Double);
         let mut c1 = Tile::from_f64(b, &cv, Precision::Double);
         let mut c2 = Tile::from_f64(b, &cv, Precision::Double);
+        let a = PackedTile::new(&a, Precision::Double);
         syrk(&a, &mut c1);
         gemm(&a, &a, &mut c2);
         for i in 0..b {
@@ -497,6 +812,118 @@ mod tests {
                 assert!((c1.get(i, j) - c2.get(i, j)).abs() < 1e-12);
             }
         }
+    }
+
+    const PRECISIONS: [Precision; 3] = [Precision::Double, Precision::Single, Precision::Half];
+    /// Tile sides of the bit-identity sweep: mostly not multiples of the
+    /// register block.
+    const SIDES: [usize; 8] = [1, 2, 3, 5, 8, 13, 32, 128];
+
+    /// Random values in (−1, 1) salted with both signed zeros and an
+    /// operand binary16 cannot represent.
+    fn salted(rng: &mut StdRng, n: usize) -> Vec<f64> {
+        (0..n)
+            .map(|_| match rng.gen_range(0..12) {
+                0 => 0.0,
+                1 => -0.0,
+                2 => 1.0 + 1.0 / 4096.0,
+                _ => rng.gen_range(-1.0..1.0),
+            })
+            .collect()
+    }
+
+    fn bits(t: &Tile) -> Vec<u64> {
+        t.to_f64().iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn gemm_and_syrk_equal_reference_bitwise() {
+        let mut rng = StdRng::seed_from_u64(0x6e44);
+        for b in SIDES {
+            for pc in PRECISIONS {
+                for pa in PRECISIONS {
+                    for pb in PRECISIONS {
+                        let a = Tile::from_f64(b, &salted(&mut rng, b * b), pa);
+                        let bt = Tile::from_f64(b, &salted(&mut rng, b * b), pb);
+                        let c0 = Tile::from_f64(b, &salted(&mut rng, b * b), pc);
+                        let (mut want, mut got) = (c0.clone(), c0.clone());
+                        reference::gemm(&a, &bt, &mut want);
+                        gemm(
+                            &PackedTile::new(&a, pc),
+                            &PackedTile::new(&bt, pc),
+                            &mut got,
+                        );
+                        assert_eq!(bits(&got), bits(&want), "gemm b={b} {pc:?}←{pa:?}·{pb:?}");
+                        // SYRK on a start that is not even symmetric.
+                        let (mut want, mut got) = (c0.clone(), c0);
+                        reference::syrk(&a, &mut want);
+                        syrk(&PackedTile::new(&a, pc), &mut got);
+                        assert_eq!(bits(&got), bits(&want), "syrk b={b} {pc:?}←{pa:?}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn trsm_equals_reference_bitwise() {
+        let mut rng = StdRng::seed_from_u64(0x7253);
+        for b in SIDES {
+            for px in PRECISIONS {
+                for pl in PRECISIONS {
+                    // Unit-scale diagonal, zeros sprinkled below it, junk
+                    // above it (which neither implementation may read).
+                    let mut lv = salted(&mut rng, b * b);
+                    for i in 0..b {
+                        lv[i * b + i] = rng.gen_range(1.0..2.0);
+                        for j in 0..i {
+                            lv[i * b + j] /= b as f64;
+                        }
+                    }
+                    let l = Tile::from_f64(b, &lv, pl);
+                    let x0 = Tile::from_f64(b, &salted(&mut rng, b * b), px);
+                    let (mut want, mut got) = (x0.clone(), x0);
+                    reference::trsm(&l, &mut want);
+                    trsm(&PackedTile::new(&l, px), &mut got);
+                    assert_eq!(bits(&got), bits(&want), "trsm b={b} {px:?}←{pl:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn potrf_equals_reference_bitwise() {
+        for b in SIDES {
+            for p in PRECISIONS {
+                let (t0, _) = spd_tile(b, 40 + b as u64, p);
+                let (mut want, mut got) = (t0.clone(), t0);
+                reference::potrf(&mut want).unwrap();
+                potrf(&mut got).unwrap();
+                assert_eq!(bits(&got), bits(&want), "potrf b={b} {p:?}");
+            }
+        }
+        // The first bad pivot is reported with the same value, wherever in
+        // a column block it falls.
+        for bad in [0usize, 3, 4, 9, 12] {
+            let b = 13;
+            let (_, mut a) = spd_tile(b, 60, Precision::Double);
+            a[bad * b + bad] = -1.0;
+            for p in PRECISIONS {
+                let t = Tile::from_f64(b, &a, p);
+                let want = reference::potrf(&mut t.clone()).unwrap_err();
+                let got = potrf(&mut t.clone()).unwrap_err();
+                assert_eq!(got.pivot, want.pivot, "bad={bad} {p:?}");
+                assert_eq!(got.value.to_bits(), want.value.to_bits(), "bad={bad} {p:?}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "another precision")]
+    fn pack_for_the_wrong_precision_is_rejected() {
+        let a = Tile::zeros(4, Precision::Double);
+        let mut c = Tile::zeros(4, Precision::Single);
+        syrk(&PackedTile::new(&a, Precision::Double), &mut c);
     }
 
     #[test]

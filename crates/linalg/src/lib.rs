@@ -12,10 +12,12 @@
 //!   norm-adaptive tile assignment,
 //! * [`tile`] / [`tiled`] — square tiles in one of three storage precisions
 //!   and the 2D tiled symmetric matrix they compose,
-//! * [`kernels`] — POTRF/TRSM/SYRK/GEMM on tiles, computed in the precision
-//!   of the updated tile,
-//! * [`cholesky`] — sequential right-looking mixed-precision tile Cholesky
-//!   plus dense references and forward-error metrics,
+//! * [`kernels`] — register-blocked POTRF/TRSM/SYRK/GEMM on tiles, computed
+//!   in the precision of the updated tile from operands converted and
+//!   packed once per consumer precision,
+//! * [`cholesky`] — the four task bodies of the right-looking
+//!   mixed-precision tile Cholesky, its sequential driver, and the
+//!   factorization residual,
 //! * [`dense`] — small dense helpers (matmul, Cholesky, triangular and OLS
 //!   solves) for the statistics layer.
 
@@ -27,7 +29,7 @@ pub mod precision;
 pub mod tile;
 pub mod tiled;
 
-pub use cholesky::{tile_cholesky, CholeskyStats};
+pub use cholesky::{tile_cholesky, CholeskyStats, TileTasks};
 pub use dense::Matrix;
 pub use f16::Half;
 pub use precision::{Precision, PrecisionPolicy};

@@ -123,7 +123,7 @@ impl PrecisionPolicy {
             PrecisionPolicy::Band { dp_band, sp_band } => {
                 if dist < dp_band {
                     Precision::Double
-                } else if sp_band == usize::MAX || dist < dp_band + sp_band {
+                } else if dist < dp_band.saturating_add(sp_band) {
                     Precision::Single
                 } else {
                     Precision::Half
@@ -205,6 +205,22 @@ mod tests {
         assert_eq!(p.assign(9, 7, 1.0), Precision::Single);
         assert_eq!(p.assign(10, 7, 1.0), Precision::Half);
         assert_eq!(p.label(), "DP/SP/HP");
+    }
+
+    #[test]
+    fn band_widths_saturate_instead_of_overflowing() {
+        // `dp_band + sp_band` overflowed (a panic in debug builds) for any
+        // huge `sp_band` other than the `usize::MAX` sentinel of DP/SP.
+        let p = PrecisionPolicy::Band {
+            dp_band: 2,
+            sp_band: usize::MAX - 1,
+        };
+        assert_eq!(p.assign(1, 0, 1.0), Precision::Double);
+        assert_eq!(p.assign(9, 0, 1.0), Precision::Single);
+        assert_eq!(
+            PrecisionPolicy::dp_sp().assign(9, 0, 1.0),
+            Precision::Single
+        );
     }
 
     #[test]

@@ -36,10 +36,29 @@ impl Tile {
     /// Build from row-major f64 values, rounding to the target precision.
     pub fn from_f64(b: usize, values: &[f64], p: Precision) -> Self {
         assert_eq!(values.len(), b * b, "tile payload must be b²");
+        Self::from_rows(b, std::iter::once(values), p)
+    }
+
+    /// Build from `b²` f64 values handed over in row-major pieces (the rows
+    /// of a block of a larger matrix), rounding to the target precision.
+    pub fn from_rows<'a>(b: usize, rows: impl Iterator<Item = &'a [f64]>, p: Precision) -> Self {
+        fn gather<'a, T>(
+            n: usize,
+            rows: impl Iterator<Item = &'a [f64]>,
+            conv: impl Fn(f64) -> T + Copy,
+        ) -> Vec<T> {
+            let mut v = Vec::with_capacity(n);
+            for row in rows {
+                v.extend(row.iter().map(|&x| conv(x)));
+            }
+            assert_eq!(v.len(), n, "tile payload must be b²");
+            v
+        }
+        let n = b * b;
         let data = match p {
-            Precision::Double => TileData::F64(values.to_vec()),
-            Precision::Single => TileData::F32(values.iter().map(|&x| x as f32).collect()),
-            Precision::Half => TileData::F16(values.iter().map(|&x| Half::from_f64(x).0).collect()),
+            Precision::Double => TileData::F64(gather(n, rows, |x| x)),
+            Precision::Single => TileData::F32(gather(n, rows, |x| x as f32)),
+            Precision::Half => TileData::F16(gather(n, rows, |x| Half::from_f64(x).0)),
         };
         Self { b, data }
     }
@@ -56,6 +75,14 @@ impl Tile {
             TileData::F32(_) => Precision::Single,
             TileData::F16(_) => Precision::Half,
         }
+    }
+
+    pub(crate) fn data(&self) -> &TileData {
+        &self.data
+    }
+
+    pub(crate) fn data_mut(&mut self) -> &mut TileData {
+        &mut self.data
     }
 
     /// Bytes occupied by the payload.
@@ -113,6 +140,25 @@ impl Tile {
             TileData::F16(v) => {
                 for (d, &s) in v.iter_mut().zip(values) {
                     *d = Half::from_f32(s).0;
+                }
+            }
+        }
+    }
+
+    /// Widen the first `out.len()` elements of row `r` into `out`.
+    pub fn widen_row(&self, r: usize, out: &mut [f64]) {
+        assert!(r < self.b && out.len() <= self.b);
+        let at = r * self.b;
+        match &self.data {
+            TileData::F64(v) => out.copy_from_slice(&v[at..at + out.len()]),
+            TileData::F32(v) => {
+                for (d, &s) in out.iter_mut().zip(&v[at..]) {
+                    *d = s as f64;
+                }
+            }
+            TileData::F16(v) => {
+                for (d, &h) in out.iter_mut().zip(&v[at..]) {
+                    *d = Half(h).to_f64();
                 }
             }
         }

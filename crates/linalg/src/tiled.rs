@@ -31,37 +31,16 @@ impl TiledMatrix {
             "tile size must divide n (n={n}, b={b})"
         );
         let nt = n / b;
-        // Pass 1: tile Frobenius norms for the adaptive policy.
-        let mut norms = vec![0.0f64; nt * (nt + 1) / 2];
-        let mut max_norm = 0.0f64;
-        for i in 0..nt {
-            for j in 0..=i {
-                let mut s = 0.0;
-                for r in 0..b {
-                    let row = (i * b + r) * n + j * b;
-                    for c in 0..b {
-                        let v = dense[row + c];
-                        s += v * v;
-                    }
-                }
-                let nrm = s.sqrt();
-                norms[i * (i + 1) / 2 + j] = nrm;
-                max_norm = max_norm.max(nrm);
-            }
-        }
-        let max_norm = max_norm.max(f64::MIN_POSITIVE);
-        // Pass 2: build tiles.
+        // Only the adaptive policy looks at tile norms; the others skip the
+        // extra pass over `dense`.
+        let rel_norms = matches!(policy, PrecisionPolicy::Adaptive { .. })
+            .then(|| relative_tile_norms(dense, n, b));
         let mut tiles = Vec::with_capacity(nt * (nt + 1) / 2);
-        let mut buf = vec![0.0f64; b * b];
         for i in 0..nt {
             for j in 0..=i {
-                for r in 0..b {
-                    let src = (i * b + r) * n + j * b;
-                    buf[r * b..(r + 1) * b].copy_from_slice(&dense[src..src + b]);
-                }
-                let rel = norms[i * (i + 1) / 2 + j] / max_norm;
-                let p = policy.assign(i, j, rel);
-                tiles.push(Tile::from_f64(b, &buf, p));
+                let rel = rel_norms.as_ref().map_or(1.0, |r| r[tiles.len()]);
+                let rows = (0..b).map(|r| &dense[(i * b + r) * n + j * b..][..b]);
+                tiles.push(Tile::from_rows(b, rows, policy.assign(i, j, rel)));
             }
         }
         Self { n, b, nt, tiles }
@@ -99,22 +78,19 @@ impl TiledMatrix {
         &mut self.tiles[k]
     }
 
+    /// All tiles, packed as described on the struct.
+    pub(crate) fn tiles_mut(&mut self) -> &mut [Tile] {
+        &mut self.tiles
+    }
+
     /// Reassemble the full symmetric dense matrix (upper mirrored from
     /// lower).
     pub fn to_dense(&self) -> Vec<f64> {
         let n = self.n;
-        let b = self.b;
-        let mut out = vec![0.0f64; n * n];
-        for i in 0..self.nt {
-            for j in 0..=i {
-                let t = self.tile(i, j);
-                for r in 0..b {
-                    for c in 0..b {
-                        let v = t.get(r, c);
-                        out[(i * b + r) * n + (j * b + c)] = v;
-                        out[(j * b + c) * n + (i * b + r)] = v;
-                    }
-                }
+        let mut out = self.to_dense_lower();
+        for gr in 0..n {
+            for gc in 0..gr {
+                out[gc * n + gr] = out[gr * n + gc];
             }
         }
         out
@@ -130,12 +106,9 @@ impl TiledMatrix {
             for j in 0..=i {
                 let t = self.tile(i, j);
                 for r in 0..b {
-                    for c in 0..b {
-                        let (gr, gc) = (i * b + r, j * b + c);
-                        if gc <= gr {
-                            out[gr * n + gc] = t.get(r, c);
-                        }
-                    }
+                    let at = (i * b + r) * n + j * b;
+                    let len = if i == j { r + 1 } else { b };
+                    t.widen_row(r, &mut out[at..at + len]);
                 }
             }
         }
@@ -160,6 +133,29 @@ impl TiledMatrix {
         }
         c
     }
+}
+
+/// Frobenius norm of every lower-triangle tile (packed like
+/// [`TiledMatrix`]'s tiles) relative to the largest.
+fn relative_tile_norms(dense: &[f64], n: usize, b: usize) -> Vec<f64> {
+    let nt = n / b;
+    let mut norms = Vec::with_capacity(nt * (nt + 1) / 2);
+    for i in 0..nt {
+        for j in 0..=i {
+            let mut s = 0.0;
+            for r in 0..b {
+                for v in &dense[(i * b + r) * n + j * b..][..b] {
+                    s += v * v;
+                }
+            }
+            norms.push(s.sqrt());
+        }
+    }
+    let max_norm = norms.iter().fold(f64::MIN_POSITIVE, |m, &x| m.max(x));
+    for x in &mut norms {
+        *x /= max_norm;
+    }
+    norms
 }
 
 /// Build the dense exponential covariance matrix
@@ -191,6 +187,35 @@ mod tests {
         let back = tm.to_dense();
         for (x, y) in a.iter().zip(&back) {
             assert_eq!(x, y, "DP tiling must be lossless");
+        }
+    }
+
+    #[test]
+    fn dense_views_equal_elementwise_access_in_every_precision() {
+        let (n, b) = (15, 5);
+        let a = exp_covariance(n, 3.0, 0.01);
+        let policy = PrecisionPolicy::Band {
+            dp_band: 1,
+            sp_band: 1,
+        };
+        let mut tm = TiledMatrix::from_dense(&a, n, b, &policy);
+        assert_eq!(tm.precision_census(), [1, 2, 3]);
+        // Factoring zeroes the upper half of the diagonal tiles, so the
+        // second pass also shows `to_dense` mirrors the lower triangle.
+        for pass in 0..2 {
+            let (lower, full) = (tm.to_dense_lower(), tm.to_dense());
+            for gr in 0..n {
+                for gc in 0..=gr {
+                    let v = tm.tile(gr / b, gc / b).get(gr % b, gc % b);
+                    assert_eq!(lower[gr * n + gc].to_bits(), v.to_bits(), "pass {pass}");
+                    assert_eq!(full[gr * n + gc].to_bits(), v.to_bits(), "pass {pass}");
+                    assert_eq!(full[gc * n + gr].to_bits(), v.to_bits(), "pass {pass}");
+                    if gc < gr {
+                        assert_eq!(lower[gc * n + gr], 0.0, "pass {pass}");
+                    }
+                }
+            }
+            crate::cholesky::tile_cholesky(&mut tm).unwrap();
         }
     }
 

@@ -8,105 +8,36 @@
 use crate::executor::{ExecError, Executor, SchedulerKind};
 use crate::graph::{cholesky_graph, TaskKind};
 use crate::trace::TraceReport;
-use exaclim_linalg::cholesky::CholeskyStats;
-use exaclim_linalg::kernels;
-use exaclim_linalg::precision::Precision;
-use exaclim_linalg::tile::Tile;
+use exaclim_linalg::cholesky::{CholeskyStats, TileTasks};
 use exaclim_linalg::tiled::TiledMatrix;
-use parking_lot::Mutex;
 use std::time::Instant;
 
 /// Factor `a` in place using `workers` threads under `scheduler`.
 ///
 /// Returns the same [`CholeskyStats`] as the sequential path plus the
-/// executor's [`TraceReport`].
+/// executor's [`TraceReport`]. The tasks update `a`'s tiles where they
+/// are, so a failed factorization leaves `a` partially factored, as the
+/// sequential one does.
 pub fn parallel_tile_cholesky(
     a: &mut TiledMatrix,
     workers: usize,
     scheduler: SchedulerKind,
 ) -> Result<(CholeskyStats, TraceReport), ExecError> {
     let start = Instant::now();
-    let nt = a.nt();
-    let b = a.b();
-    // Move tiles into lock cells for shared-memory task execution.
-    let cells: Vec<Mutex<Tile>> = {
-        let mut v = Vec::with_capacity(nt * (nt + 1) / 2);
-        for i in 0..nt {
-            for j in 0..=i {
-                v.push(Mutex::new(a.tile(i, j).clone()));
-            }
-        }
-        v
-    };
-    let at = |i: usize, j: usize| -> &Mutex<Tile> { &cells[i * (i + 1) / 2 + j] };
-
-    let graph = cholesky_graph(nt);
-    let exec = Executor::new(workers, scheduler);
-    let trace = exec.run(&graph, |_, kind| {
+    let graph = cholesky_graph(a.nt());
+    let tasks = TileTasks::new(a);
+    let trace = Executor::new(workers, scheduler).run(&graph, |_, kind| {
         match *kind {
-            TaskKind::Potrf { k } => {
-                let mut t = at(k, k).lock();
-                kernels::potrf(&mut t).map_err(|e| e.to_string())?;
-            }
-            TaskKind::Trsm { i, k } => {
-                // Clone the read operand under a short lock to avoid holding
-                // two locks at once (deadlock-free by construction).
-                let lkk = at(k, k).lock().clone();
-                let mut t = at(i, k).lock();
-                kernels::trsm(&lkk, &mut t);
-            }
-            TaskKind::Syrk { i, k } => {
-                let aik = at(i, k).lock().clone();
-                let mut t = at(i, i).lock();
-                kernels::syrk(&aik, &mut t);
-            }
-            TaskKind::Gemm { i, j, k } => {
-                let aik = at(i, k).lock().clone();
-                let ajk = at(j, k).lock().clone();
-                let mut t = at(i, j).lock();
-                kernels::gemm(&aik, &ajk, &mut t);
-            }
+            TaskKind::Potrf { k } => tasks.potrf(k).map_err(|e| e.to_string())?,
+            TaskKind::Trsm { i, k } => tasks.trsm(i, k),
+            TaskKind::Syrk { i, k } => tasks.syrk(i, k),
+            TaskKind::Gemm { i, j, k } => tasks.gemm(i, j, k),
             TaskKind::Generic(_) => unreachable!("cholesky graph has no generic tasks"),
         }
         Ok(())
     })?;
-
-    // Write results back and account flops by tile precision.
-    let mut flops = [0.0f64; 3];
-    let bucket = |p: Precision| match p {
-        Precision::Half => 0usize,
-        Precision::Single => 1,
-        Precision::Double => 2,
-    };
-    let mut counts = (0usize, 0usize, 0usize, 0usize);
-    for k in 0..nt {
-        counts.0 += 1;
-        flops[bucket(a.tile(k, k).precision())] += kernels::flops::potrf(b);
-        for i in k + 1..nt {
-            counts.1 += 1;
-            flops[bucket(a.tile(i, k).precision())] += kernels::flops::trsm(b);
-            counts.2 += 1;
-            flops[bucket(a.tile(i, i).precision())] += kernels::flops::syrk(b);
-            for j in k + 1..i {
-                counts.3 += 1;
-                flops[bucket(a.tile(i, j).precision())] += kernels::flops::gemm(b);
-            }
-        }
-    }
-    let mut idx = 0usize;
-    for i in 0..nt {
-        for j in 0..=i {
-            *a.tile_mut(i, j) = cells[idx].lock().clone();
-            idx += 1;
-        }
-    }
-    let stats = CholeskyStats {
-        n: a.n(),
-        b,
-        kernel_counts: counts,
-        flops_by_precision: flops,
-        seconds: start.elapsed().as_secs_f64().max(1e-12),
-    };
+    drop(tasks);
+    let stats = CholeskyStats::for_matrix(a, start.elapsed().as_secs_f64());
     Ok((stats, trace))
 }
 

@@ -63,9 +63,11 @@ fn main() {
         assert!(res < 0.05, "{}: residual {res}", policy.label());
     }
     println!(
-        "(DP reference time: {:.4}s — on CPUs all precisions run at similar\n\
-         rates; the *memory* shrinks by 4×, and the GPU-rate speedups are\n\
-         modeled by exaclim-cluster, see `cargo run -p exaclim-bench --bin fig6`)",
+        "(DP reference time: {:.4}s — on this CPU an SP tile runs at up to twice\n\
+         the DP rate (twice the lanes per vector) and an HP tile pays for\n\
+         software binary16 rounding; the *memory* shrinks by up to 4×, and the\n\
+         GPU-rate speedups are modeled by exaclim-cluster, see\n\
+         `cargo run -p exaclim-bench --bin fig6`)",
         dp_seconds.unwrap()
     );
 }
