@@ -9,7 +9,7 @@ use exaclim_sht::{analysis_batch, synthesis_batch, HarmonicCoeffs, ShtPlan};
 use exaclim_stats::covariance::{empirical_covariance, ensure_spd};
 use exaclim_stats::emulate::CoefficientSampler;
 use exaclim_stats::forcing::ForcingSeries;
-use exaclim_stats::trend::{fit_grid, TrendConfig, TrendModel};
+use exaclim_stats::trend::{fit_grid, MeanBasis, TrendConfig, TrendFit, TrendModel};
 use exaclim_stats::var::{fit_diagonal_var, DiagonalVar};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -147,19 +147,16 @@ impl ClimateEmulator {
             rho_grid: config.rho_grid.clone(),
             start_year: first.start_year,
         };
-        let fit = fit_grid(&mean_data, t_max, npoints, &trend_cfg, &forcing);
-        let mut models = fit.models;
-        let means: Vec<Vec<f64>> = models
-            .par_iter()
-            .map(|m| m.mean_series(&trend_cfg, &forcing, t_max))
-            .collect();
+        let TrendFit {
+            mut models, means, ..
+        } = fit_grid(&mean_data, t_max, npoints, &trend_cfg, &forcing);
         // Pooled σ per location.
         let mut sig2 = vec![0.0f64; npoints];
         for m in members {
             for t in 0..t_max {
                 let row = &m.data[t * npoints..(t + 1) * npoints];
                 for (p, (v, s)) in row.iter().zip(sig2.iter_mut()).enumerate() {
-                    let d = v - means[p][t];
+                    let d = v - means[p * t_max + t];
                     *s += d * d;
                 }
             }
@@ -180,7 +177,7 @@ impl ClimateEmulator {
                 .enumerate()
                 .for_each(|(t, row)| {
                     for (p, r) in row.iter_mut().enumerate() {
-                        *r = (m.data[t * npoints + p] - means[p][t]) / models[p].sigma;
+                        *r = (m.data[t * npoints + p] - means[p * t_max + t]) / models[p].sigma;
                     }
                 });
             let coeff_sets = analysis_batch(&plan, &residuals, t_max);
@@ -251,11 +248,13 @@ impl ClimateEmulator {
             rho_grid: config.rho_grid.clone(),
             start_year: data.start_year,
         };
-        let fit = fit_grid(&data.data, data.t_max, npoints, &trend_cfg, &forcing);
+        let TrendFit {
+            models, residuals, ..
+        } = fit_grid(&data.data, data.t_max, npoints, &trend_cfg, &forcing);
 
         // Stage 2: forward SHT of every residual slice.
         let plan = ShtPlan::equiangular(config.lmax, data.ntheta, data.nphi);
-        let coeff_sets = analysis_batch(&plan, &fit.residuals, data.t_max);
+        let coeff_sets = analysis_batch(&plan, &residuals, data.t_max);
         let series: Vec<Vec<f64>> = coeff_sets
             .par_iter()
             .map(HarmonicCoeffs::to_real_vector)
@@ -265,7 +264,7 @@ impl ClimateEmulator {
         let recon = synthesis_batch(&plan, &coeff_sets);
         let mut v2 = vec![0.0f64; npoints];
         for t in 0..data.t_max {
-            let z = &fit.residuals[t * npoints..(t + 1) * npoints];
+            let z = &residuals[t * npoints..(t + 1) * npoints];
             let r = &recon[t * npoints..(t + 1) * npoints];
             for p in 0..npoints {
                 let d = z[p] - r[p];
@@ -294,7 +293,7 @@ impl ClimateEmulator {
             ntheta: data.ntheta,
             nphi: data.nphi,
             start_year: data.start_year,
-            trend: fit.models,
+            trend: models,
             var,
             factor,
             v2,
@@ -339,11 +338,17 @@ impl TrainedEmulator {
             rho_grid: cfg.rho_grid.clone(),
             start_year: self.start_year,
         };
-        let means: Vec<Vec<f64>> = self
-            .trend
-            .par_iter()
-            .map(|m| m.mean_series(&trend_cfg, &self.forcing, t_max))
-            .collect();
+        let basis = MeanBasis::new(
+            &trend_cfg,
+            &self.forcing,
+            t_max,
+            self.trend.iter().map(|m| m.rho),
+        );
+        let mut means = vec![0.0f64; npoints * t_max];
+        means
+            .par_chunks_mut(t_max)
+            .zip(self.trend.par_iter())
+            .for_each(|(mean, model)| basis.mean_into(model, mean));
 
         // Assemble y = m + σ (Z̃ + ε).
         let mut sn = StandardNormal::new();
@@ -353,7 +358,7 @@ impl TrainedEmulator {
             let row = &mut data[t * npoints..(t + 1) * npoints];
             for p in 0..npoints {
                 let eps = sn.sample(&mut rng) * self.v2[p].sqrt();
-                row[p] = means[p][t] + self.trend[p].sigma * (zrow[p] + eps);
+                row[p] = means[p * t_max + t] + self.trend[p].sigma * (zrow[p] + eps);
             }
         }
         Ok(Dataset {

@@ -6,8 +6,7 @@
 //! weather realizations point for point. This module quantifies that.
 
 use exaclim_climate::generator::Dataset;
-use exaclim_mathkit::stats::{acf, correlation, mean, variance};
-use rayon::prelude::*;
+use exaclim_mathkit::stats::{acf, correlation, quantile_sorted, sort_for_quantiles, variance};
 use serde::{Deserialize, Serialize};
 
 /// Summary of simulation-vs-emulation statistical agreement.
@@ -44,8 +43,28 @@ impl ConsistencyReport {
     }
 }
 
-fn location_series(d: &Dataset, p: usize) -> Vec<f64> {
-    (0..d.t_max).map(|t| d.data[t * d.npoints + p]).collect()
+/// Time mean and standard deviation of every location's series — `mean`
+/// and `variance(..).sqrt()` of [`exaclim_mathkit::stats`] per location,
+/// accumulated for all locations at once, one field (row) at a time. Each
+/// location's sums still run over ascending `t` from `−0.0`, as
+/// `Iterator::sum` would over its gathered series.
+fn location_moments(d: &Dataset) -> (Vec<f64>, Vec<f64>) {
+    let mut means = vec![-0.0f64; d.npoints];
+    for t in 0..d.t_max {
+        for (m, v) in means.iter_mut().zip(d.field(t)) {
+            *m += v;
+        }
+    }
+    means.iter_mut().for_each(|m| *m /= d.t_max as f64);
+    let mut stds = vec![-0.0f64; d.npoints];
+    for t in 0..d.t_max {
+        for ((s, m), v) in stds.iter_mut().zip(&means).zip(d.field(t)) {
+            *s += (v - m) * (v - m);
+        }
+    }
+    stds.iter_mut()
+        .for_each(|s| *s = (*s / (d.t_max - 1) as f64).sqrt());
+    (means, stds)
 }
 
 fn global_mean_series(d: &Dataset) -> Vec<f64> {
@@ -53,21 +72,18 @@ fn global_mean_series(d: &Dataset) -> Vec<f64> {
 }
 
 /// Compare an emulation against its training simulation.
+///
+/// Non-finite input does not panic: NaN or ±∞ anywhere in either dataset
+/// propagates into the report's fields, and [`ConsistencyReport::passes`]
+/// is then false.
 pub fn validate_consistency(simulation: &Dataset, emulation: &Dataset) -> ConsistencyReport {
     assert_eq!(simulation.npoints, emulation.npoints, "grids must match");
-    let np = simulation.npoints;
-    let stats: Vec<(f64, f64, f64, f64)> = (0..np)
-        .into_par_iter()
-        .map(|p| {
-            let s = location_series(simulation, p);
-            let e = location_series(emulation, p);
-            (mean(&s), mean(&e), variance(&s).sqrt(), variance(&e).sqrt())
-        })
-        .collect();
-    let sim_means: Vec<f64> = stats.iter().map(|s| s.0).collect();
-    let emu_means: Vec<f64> = stats.iter().map(|s| s.1).collect();
-    let sim_stds: Vec<f64> = stats.iter().map(|s| s.2).collect();
-    let emu_stds: Vec<f64> = stats.iter().map(|s| s.3).collect();
+    assert!(
+        simulation.t_max >= 2 && emulation.t_max >= 2,
+        "need at least two time steps per dataset"
+    );
+    let (sim_means, sim_stds) = location_moments(simulation);
+    let (emu_means, emu_stds) = location_moments(emulation);
 
     let spatial_scale = variance(&sim_means).sqrt().max(1e-12);
     let mean_rmse = exaclim_mathkit::stats::rmse(&sim_means, &emu_means);
@@ -78,7 +94,7 @@ pub fn validate_consistency(simulation: &Dataset, emulation: &Dataset) -> Consis
         .filter(|(s, _)| **s > 1e-9)
         .map(|(s, e)| e / s)
         .collect();
-    ratios.sort_by(|a, b| a.partial_cmp(b).unwrap());
+    sort_for_quantiles(&mut ratios);
     let std_ratio_median = if ratios.is_empty() {
         1.0
     } else {
@@ -96,22 +112,26 @@ pub fn validate_consistency(simulation: &Dataset, emulation: &Dataset) -> Consis
     let anomalies = |d: &Dataset, means: &[f64]| -> Vec<f64> {
         let mut a = Vec::with_capacity(d.data.len());
         for t in 0..d.t_max {
-            for p in 0..d.npoints {
-                a.push(d.data[t * d.npoints + p] - means[p]);
-            }
+            a.extend(d.field(t).iter().zip(means).map(|(v, m)| v - m));
         }
         a
     };
-    let sim_anom = anomalies(simulation, &sim_means);
-    let emu_anom = anomalies(emulation, &emu_means);
+    let mut sim_anom = anomalies(simulation, &sim_means);
+    let mut emu_anom = anomalies(emulation, &emu_means);
     let anom_scale = variance(&sim_anom).sqrt().max(1e-12);
+    // One sort per pooled vector (the two side by side), then every
+    // quantile is a read of the sorted slice.
+    exaclim_runtime::pool::global().join(
+        || sort_for_quantiles(&mut sim_anom),
+        || sort_for_quantiles(&mut emu_anom),
+    );
     let mut max_gap = 0.0f64;
     for q in [0.01, 0.05, 0.25, 0.5, 0.75, 0.95, 0.99] {
-        let gap = (exaclim_mathkit::stats::quantile(&sim_anom, q)
-            - exaclim_mathkit::stats::quantile(&emu_anom, q))
-        .abs()
-            / anom_scale;
-        max_gap = max_gap.max(gap);
+        let gap =
+            (quantile_sorted(&sim_anom, q) - quantile_sorted(&emu_anom, q)).abs() / anom_scale;
+        if gap > max_gap || gap.is_nan() {
+            max_gap = gap;
+        }
     }
 
     ConsistencyReport {
@@ -169,6 +189,25 @@ mod tests {
         }
         let r = validate_consistency(&d, &bad);
         assert!(!r.passes(), "shifted climate must fail: {r:?}");
+    }
+
+    #[test]
+    fn non_finite_data_fails_without_panicking() {
+        let gen = SyntheticEra5::new(SyntheticEra5Config::small_daily(12));
+        let d = gen.generate_member(0, 120);
+        assert!(validate_consistency(&d, &d).passes());
+        for poison in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut bad = d.clone();
+            bad.data[37 * d.npoints + 5] = poison;
+            for r in [
+                validate_consistency(&d, &bad),
+                validate_consistency(&bad, &d),
+                validate_consistency(&bad, &bad),
+            ] {
+                assert!(!r.passes(), "{poison} must fail: {r:?}");
+                assert!(!r.mean_nrmse.is_finite(), "{poison}: {r:?}");
+            }
+        }
     }
 
     #[test]

@@ -16,7 +16,7 @@ pub mod plan;
 pub mod real;
 
 pub use plan::Fft;
-pub use real::{irfft, rfft};
+pub use real::{irfft, irfft_into, real_scratch_len, rfft, rfft_into};
 
 use exaclim_mathkit::Complex64;
 

@@ -8,7 +8,8 @@ const MAX_DIRECT_PRIME: usize = 37;
 
 /// A reusable FFT plan for a fixed length. Construction precomputes all
 /// twiddle factors; execution allocates a scratch buffer per call (callers
-/// with tight loops can reuse via [`Fft::forward_with_scratch`]).
+/// with tight loops can reuse via [`Fft::forward_with_scratch`] and
+/// [`Fft::inverse_with_scratch`]).
 #[derive(Debug, Clone)]
 pub struct Fft {
     n: usize,
@@ -102,11 +103,18 @@ impl Fft {
     /// Inverse transform in place, scaled by `1/n`.
     pub fn inverse(&self, data: &mut [Complex64]) {
         assert_eq!(data.len(), self.n, "data length must match the plan");
+        let mut scratch = vec![Complex64::ZERO; self.scratch_len()];
+        self.inverse_with_scratch(data, &mut scratch);
+    }
+
+    /// Inverse transform using caller-provided scratch (len ≥
+    /// [`Fft::scratch_len`]), scaled by `1/n`.
+    pub fn inverse_with_scratch(&self, data: &mut [Complex64], scratch: &mut [Complex64]) {
         // inverse(x) = conj(forward(conj(x))) / n
         for z in data.iter_mut() {
             *z = z.conj();
         }
-        self.forward(data);
+        self.forward_with_scratch(data, scratch);
         let s = 1.0 / self.n as f64;
         for z in data.iter_mut() {
             *z = z.conj().scale(s);

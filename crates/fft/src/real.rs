@@ -7,31 +7,68 @@
 use crate::Fft;
 use exaclim_mathkit::Complex64;
 
+/// Scratch length [`rfft_into`] and [`irfft_into`] need for `plan`: the
+/// complex working copy of the signal plus the plan's own scratch.
+pub fn real_scratch_len(plan: &Fft) -> usize {
+    plan.len() + plan.scratch_len()
+}
+
 /// Forward FFT of a real signal; returns the `n/2 + 1` non-redundant bins.
 pub fn rfft(plan: &Fft, input: &[f64]) -> Vec<Complex64> {
-    assert_eq!(input.len(), plan.len());
-    let mut buf: Vec<Complex64> = input.iter().map(|&x| Complex64::real(x)).collect();
-    plan.forward(&mut buf);
-    buf.truncate(plan.len() / 2 + 1);
-    buf
+    let mut out = vec![Complex64::ZERO; plan.len() / 2 + 1];
+    let mut scratch = vec![Complex64::ZERO; real_scratch_len(plan)];
+    rfft_into(plan, input, &mut out, &mut scratch);
+    out
+}
+
+/// [`rfft`] without allocating: writes the first `out.len() ≤ n/2 + 1`
+/// bins, working in `scratch` (len ≥ [`real_scratch_len`]).
+pub fn rfft_into(plan: &Fft, input: &[f64], out: &mut [Complex64], scratch: &mut [Complex64]) {
+    let n = plan.len();
+    assert_eq!(input.len(), n);
+    assert!(out.len() <= n / 2 + 1, "a real signal has n/2+1 bins");
+    let (buf, rest) = scratch.split_at_mut(n);
+    for (z, &x) in buf.iter_mut().zip(input) {
+        *z = Complex64::real(x);
+    }
+    plan.forward_with_scratch(buf, rest);
+    out.copy_from_slice(&buf[..out.len()]);
 }
 
 /// Inverse of [`rfft`]: reconstruct the length-`n` real signal from its
 /// `n/2 + 1` non-redundant bins.
 pub fn irfft(plan: &Fft, half_spectrum: &[Complex64]) -> Vec<f64> {
+    let mut out = vec![0.0; plan.len()];
+    let mut scratch = vec![Complex64::ZERO; real_scratch_len(plan)];
+    irfft_into(plan, half_spectrum, &mut out, &mut scratch);
+    out
+}
+
+/// [`irfft`] without allocating: writes the signal into `out` (len `n`),
+/// working in `scratch` (len ≥ [`real_scratch_len`]).
+pub fn irfft_into(
+    plan: &Fft,
+    half_spectrum: &[Complex64],
+    out: &mut [f64],
+    scratch: &mut [Complex64],
+) {
     let n = plan.len();
     assert_eq!(
         half_spectrum.len(),
         n / 2 + 1,
         "need n/2+1 bins for length {n}"
     );
-    let mut buf = vec![Complex64::ZERO; n];
+    assert_eq!(out.len(), n);
+    let (buf, rest) = scratch.split_at_mut(n);
+    // The bins and their conjugate mirror cover every index of `buf`.
     buf[..half_spectrum.len()].copy_from_slice(half_spectrum);
     for k in 1..n.div_ceil(2) {
         buf[n - k] = half_spectrum[k].conj();
     }
-    plan.inverse(&mut buf);
-    buf.into_iter().map(|z| z.re).collect()
+    plan.inverse_with_scratch(buf, rest);
+    for (x, z) in out.iter_mut().zip(buf.iter()) {
+        *x = z.re;
+    }
 }
 
 #[cfg(test)]

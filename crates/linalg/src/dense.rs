@@ -190,22 +190,30 @@ impl Matrix {
     }
 }
 
-/// Ordinary least squares: minimize `‖Xβ − y‖₂` via the normal equations
-/// (with a tiny ridge fallback if `XᵀX` is numerically singular).
-pub fn ols_solve(x: &Matrix, y: &[f64]) -> Vec<f64> {
-    assert_eq!(x.rows(), y.len(), "design/response size mismatch");
-    let xt = x.transpose();
+/// Lower Cholesky factor of the normal matrix `XᵀX` (`xt` is `Xᵀ`), with a
+/// tiny ridge added when `XᵀX` is numerically singular. It depends on the
+/// design alone, so callers fitting many responses against one design
+/// factor once and reuse it.
+pub fn normal_equations_factor(xt: &Matrix, x: &Matrix) -> Matrix {
     let mut xtx = xt.matmul(x);
-    let xty = xt.matvec(y);
-    match xtx.solve_spd(&xty) {
-        Ok(beta) => beta,
+    match xtx.cholesky_lower() {
+        Ok(l) => l,
         Err(_) => {
             let scale = xtx.frobenius_norm().max(1.0);
             xtx.add_diagonal(1e-10 * scale);
-            xtx.solve_spd(&xty)
+            xtx.cholesky_lower()
                 .expect("ridge-regularized normal equations are SPD")
         }
     }
+}
+
+/// Ordinary least squares: minimize `‖Xβ − y‖₂` via the normal equations
+/// (factored by [`normal_equations_factor`]).
+pub fn ols_solve(x: &Matrix, y: &[f64]) -> Vec<f64> {
+    assert_eq!(x.rows(), y.len(), "design/response size mismatch");
+    let xt = x.transpose();
+    let l = normal_equations_factor(&xt, x);
+    l.solve_lower_transpose(&l.solve_lower(&xt.matvec(y)))
 }
 
 #[cfg(test)]

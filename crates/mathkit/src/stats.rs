@@ -151,21 +151,43 @@ pub fn correlation(xs: &[f64], ys: &[f64]) -> f64 {
     sxy / (sxx * syy).sqrt()
 }
 
-/// Quantile by linear interpolation on the sorted copy (`q ∈ [0,1]`).
-pub fn quantile(xs: &[f64], q: f64) -> f64 {
-    assert!(!xs.is_empty());
+/// Sort `xs` ascending for [`quantile_sorted`], by the IEEE total order
+/// ([`f64::total_cmp`]): negative NaNs, `−∞`, the finite values (`−0.0`
+/// before `+0.0`), `+∞`, positive NaNs. Never panics, whatever the input.
+pub fn sort_for_quantiles(xs: &mut [f64]) {
+    xs.sort_unstable_by(f64::total_cmp);
+}
+
+/// Quantile by linear interpolation between the two nearest order
+/// statistics of an already sorted slice (`q ∈ [0,1]`; see
+/// [`sort_for_quantiles`]). Reading several quantiles of one sample costs
+/// one sort this way.
+///
+/// Non-finite input is not rejected: an infinity is an ordinary extreme
+/// value and a NaN sorts to an end of the slice, so the result is
+/// non-finite exactly when an order statistic it interpolates is.
+pub fn quantile_sorted(sorted: &[f64], q: f64) -> f64 {
+    assert!(!sorted.is_empty());
     assert!((0.0..=1.0).contains(&q));
-    let mut s = xs.to_vec();
-    s.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    let pos = q * (s.len() - 1) as f64;
+    let pos = q * (sorted.len() - 1) as f64;
     let lo = pos.floor() as usize;
     let hi = pos.ceil() as usize;
     if lo == hi {
-        s[lo]
+        sorted[lo]
     } else {
         let w = pos - lo as f64;
-        s[lo] * (1.0 - w) + s[hi] * w
+        sorted[lo] * (1.0 - w) + sorted[hi] * w
     }
+}
+
+/// Quantile by linear interpolation on a sorted copy (`q ∈ [0,1]`): one
+/// [`sort_for_quantiles`] and one [`quantile_sorted`], with the latter's
+/// non-finite behaviour. Callers reading more than one quantile of the same
+/// sample sort once and call [`quantile_sorted`] themselves.
+pub fn quantile(xs: &[f64], q: f64) -> f64 {
+    let mut s = xs.to_vec();
+    sort_for_quantiles(&mut s);
+    quantile_sorted(&s, q)
 }
 
 /// Root-mean-square error between two slices.
@@ -285,6 +307,32 @@ mod tests {
         assert_eq!(quantile(&xs, 0.0), 1.0);
         assert_eq!(quantile(&xs, 1.0), 4.0);
         assert!((quantile(&xs, 0.5) - 2.5).abs() < 1e-12);
+    }
+
+    #[test]
+    fn sorted_quantiles_equal_one_shot_quantiles() {
+        let xs: Vec<f64> = lcg_noise(1001, 5).iter().map(|u| u - 0.3).collect();
+        let mut s = xs.clone();
+        sort_for_quantiles(&mut s);
+        for q in [0.0, 0.01, 0.05, 0.25, 0.37, 0.5, 0.75, 0.95, 0.99, 1.0] {
+            assert_eq!(quantile_sorted(&s, q).to_bits(), quantile(&xs, q).to_bits());
+        }
+    }
+
+    #[test]
+    fn quantile_of_non_finite_input_does_not_panic() {
+        // NaN sorts above +∞: only quantiles that touch the top see it.
+        let xs = [2.0, f64::NAN, 1.0, 3.0, 4.0];
+        assert_eq!(quantile(&xs, 0.0), 1.0);
+        assert_eq!(quantile(&xs, 0.5), 3.0);
+        assert!(quantile(&xs, 1.0).is_nan());
+        assert!(quantile(&xs, 0.9).is_nan());
+        // Infinities are ordinary extremes.
+        let ys = [f64::NEG_INFINITY, 0.0, 1.0, f64::INFINITY];
+        assert_eq!(quantile(&ys, 0.0), f64::NEG_INFINITY);
+        assert_eq!(quantile(&ys, 0.5), 0.5);
+        assert_eq!(quantile(&ys, 0.9), f64::INFINITY);
+        assert!(quantile(&[f64::NEG_INFINITY, f64::INFINITY], 0.5).is_nan());
     }
 
     #[test]

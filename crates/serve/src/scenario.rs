@@ -36,7 +36,7 @@ use crate::error::ServeError;
 use crate::product::{ProductData, ProductDescriptor, ProductSource, ProductStat, ScenarioSpec};
 use crate::server::{Response, Server};
 use exaclim_stats::forcing::ForcingSeries;
-use exaclim_stats::trend::{fit_location, TrendConfig};
+use exaclim_stats::trend::{TrendConfig, TrendPlan};
 use exaclim_stats::tukey::{fit_tukey_gh, inverse_normal_cdf};
 use exaclim_stats::var::fit_diagonal_var_multi;
 use exaclim_store::MemberKind;
@@ -532,16 +532,18 @@ impl Server {
         out
     }
 
-    /// Per-location trend fit ([`exaclim_stats::trend::fit_location`]) on
-    /// the ensemble-mean series: planes `[β₀, β₁, β₂, ρ, σ]`. The
-    /// regression sees calendar years starting at the *window*, so a
-    /// re-sliced source fits the years it actually covers.
+    /// Per-location trend fit (one [`exaclim_stats::trend::TrendPlan`] per
+    /// request, applied to every location) on the ensemble-mean series:
+    /// planes `[β₀, β₁, β₂, ρ, σ]`. The regression sees calendar years
+    /// starting at the *window*, so a re-sliced source fits the years it
+    /// actually covers.
     fn trend_planes(&self, plan: &ProductPlan, block: &[f64]) -> Vec<f64> {
         let start_year = plan.start_year + (plan.time.start / plan.tau as u64) as i64;
         let cfg = trend_config(plan.tau, start_year);
         let t_len = plan.t_len();
         let end_year = cfg.year_of(t_len);
         let forcing = ForcingSeries::historical_like(start_year, end_year, 30);
+        let trend_plan = TrendPlan::new(&cfg, &forcing, t_len);
         let n_r = plan.realizations as usize;
         let inv = 1.0 / n_r as f64;
         self.per_location(plan, block, 5, move |samples, out| {
@@ -550,7 +552,7 @@ impl Server {
             let y: Vec<f64> = (0..t_len)
                 .map(|t| (0..n_r).map(|r| samples[r * t_len + t]).sum::<f64>() * inv)
                 .collect();
-            let fit = fit_location(&y, &cfg, &forcing);
+            let fit = trend_plan.fit(&y);
             out.copy_from_slice(&[fit.beta0, fit.beta1, fit.beta2, fit.rho, fit.sigma]);
         })
     }

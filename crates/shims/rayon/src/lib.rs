@@ -94,6 +94,26 @@ pub trait ParallelIterator: Sized + Sync {
         });
     }
 
+    /// Consume every item in parallel with a per-lane state: `init` runs
+    /// once per contiguous index range a pool lane takes, and `op` gets that
+    /// state along with each item — scratch buffers are made once per lane,
+    /// not once per item. (Real rayon may call `init` more often; results
+    /// must not depend on how items share a state.)
+    fn for_each_init<T, INIT, F>(self, init: INIT, op: F)
+    where
+        INIT: Fn() -> T + Sync,
+        F: Fn(&mut T, Self::Item) + Sync,
+    {
+        let it = &self;
+        pool::global().parallel_for(self.len(), |range| {
+            let mut state = init();
+            for i in range {
+                // SAFETY: the pool hands each index to exactly one range.
+                op(&mut state, unsafe { it.item(i) });
+            }
+        });
+    }
+
     /// Collect into a container, preserving input order.
     fn collect<C>(self) -> C
     where

@@ -14,20 +14,22 @@ use rayon::prelude::*;
 pub fn analysis_batch(plan: &ShtPlan, data: &[f64], t: usize) -> Vec<HarmonicCoeffs> {
     let n = plan.field_len();
     assert_eq!(data.len(), n * t, "expected {t} fields of {n} values");
-    data.par_chunks(n)
-        .map(|field| plan.analysis(field))
-        .collect()
+    let mut out = vec![HarmonicCoeffs::zeros(plan.lmax()); t];
+    out.par_iter_mut().zip(data.par_chunks(n)).for_each_init(
+        || plan.scratch(),
+        |scratch, (coeffs, field)| plan.analysis_into(field, coeffs, scratch),
+    );
+    out
 }
 
 /// Inverse-transform a batch of coefficient sets into back-to-back fields.
 pub fn synthesis_batch(plan: &ShtPlan, coeffs: &[HarmonicCoeffs]) -> Vec<f64> {
     let n = plan.field_len();
     let mut out = vec![0.0f64; n * coeffs.len()];
-    out.par_chunks_mut(n)
-        .zip(coeffs.par_iter())
-        .for_each(|(chunk, c)| {
-            chunk.copy_from_slice(&plan.synthesis(c));
-        });
+    out.par_chunks_mut(n).zip(coeffs.par_iter()).for_each_init(
+        || plan.scratch(),
+        |scratch, (chunk, c)| plan.synthesis_into(c, chunk, scratch),
+    );
     out
 }
 

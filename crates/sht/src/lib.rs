@@ -8,14 +8,17 @@
 //! * [`ShtPlan::gauss_legendre`] — classic Gauss–Legendre quadrature,
 //!   exact for band-limited fields on GL grids; the baseline oracle.
 //! * [`ShtPlan::equiangular`] — the paper's FFT/Wigner-d method
-//!   (eqs. 4–8): FFT along longitude, parity extension and FFT along
-//!   co-latitude, then contraction with precomputed `d^ℓ(π/2)` tensors and
-//!   the analytic integrals `I(q)`. Exact on ERA5-style equiangular grids
-//!   whenever `Nθ > L` and `Nϕ ≥ 2L−1`, where plain quadrature is *not*.
+//!   (eqs. 4–8): FFT along longitude, then per order `m` one co-latitude
+//!   operator `A_m` — the parity extension and DFT along co-latitude, the
+//!   analytic integrals `I(q)` and the contraction with the `d^ℓ(π/2)`
+//!   tensors, multiplied out once per plan on its first analysis. Exact on
+//!   ERA5-style equiangular grids whenever `Nθ > L` and `Nϕ ≥ 2L−1`, where
+//!   plain quadrature is *not*.
 //!
 //! Synthesis (inverse) is shared: Legendre recombination per ring plus an
 //! inverse real FFT along longitude. All plans are `Send + Sync`; batched
-//! entry points parallelize over time slices with rayon, reproducing the
+//! entry points parallelize over time slices with rayon (one
+//! [`ShtScratch`] per pool lane, no allocation per field), reproducing the
 //! paper's "O(L) parallel time for T slices" claim at CPU scale.
 
 pub mod batch;
@@ -25,7 +28,7 @@ pub mod regrid;
 
 pub use batch::{analysis_batch, synthesis_batch};
 pub use coeffs::HarmonicCoeffs;
-pub use plan::{AnalysisEngine, ShtPlan};
+pub use plan::{AnalysisEngine, ShtPlan, ShtScratch};
 pub use regrid::{change_bandlimit, regrid};
 
 #[cfg(test)]

@@ -1,12 +1,13 @@
 //! SHT plans: precomputation and the forward/inverse transform kernels.
 
 use crate::coeffs::HarmonicCoeffs;
-use exaclim_fft::Fft;
+use exaclim_fft::{irfft_into, real_scratch_len, rfft_into, Fft};
 use exaclim_mathkit::Complex64;
 use exaclim_sphere::grid::{EquiangularGrid, GaussLegendreGrid, Grid};
 use exaclim_sphere::harmonics::integral_iq;
 use exaclim_sphere::legendre::{idx, packed_len, LegendreTable};
 use exaclim_sphere::wigner::WignerPiHalf;
+use std::sync::OnceLock;
 
 /// Which forward-transform algorithm a plan uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -23,21 +24,26 @@ enum GridKind {
     GaussLegendre(GaussLegendreGrid),
 }
 
-/// Precomputed data for the paper's equiangular forward transform.
-struct WignerData {
-    /// FFT over the extended co-latitude circle, length `2Nθ − 2`.
-    fft_theta: Fft,
-    /// All `d^ℓ(π/2)` matrices for `ℓ < L`.
-    delta: WignerPiHalf,
-    /// `I(q)` for `q ∈ [−(2L−2), 2L−2]`, index `q + 2L − 2`.
-    iq: Vec<Complex64>,
+/// Caller-owned working memory of one transform at a time on one plan
+/// ([`ShtPlan::scratch`]); reusing it across fields keeps
+/// [`ShtPlan::analysis_into`] and [`ShtPlan::synthesis_into`] free of
+/// allocation.
+pub struct ShtScratch {
+    /// Half spectrum of one ring, `Nϕ/2 + 1` bins.
+    half: Vec<Complex64>,
+    /// Working memory of the real longitude FFT.
+    fft: Vec<Complex64>,
+    /// `G_m(θ_i)` of one field, order-major (`m · Nθ + i`).
+    gm: Vec<Complex64>,
 }
 
 /// A reusable spherical-harmonic transform plan for one grid and band-limit.
 ///
-/// Precomputes per-ring normalized Legendre values (`O(Nθ L²)` memory), the
-/// longitude FFT plan, and — for the equiangular engine — the Wigner-d(π/2)
-/// tensor (`O(L³)` memory, as the paper's pre-computation strategy).
+/// Precomputes per-ring normalized Legendre values (`O(Nθ L²)` memory) and
+/// the longitude FFT plan. The equiangular engine adds, on the first
+/// analysis, the co-latitude operators `A_m` (≈ `L²Nθ/2` complex values,
+/// built from the Wigner-d(π/2) tensor of the paper's pre-computation
+/// strategy); plans that only ever synthesize never build them.
 pub struct ShtPlan {
     lmax: usize,
     grid: GridKind,
@@ -45,7 +51,9 @@ pub struct ShtPlan {
     /// `legendre[i][idx(l, m)] = λ_ℓ^m(cos θ_i)`.
     legendre: Vec<Vec<f64>>,
     fft_phi: Fft,
-    wigner: Option<WignerData>,
+    /// Equiangular engine only: `theta_operator[m]` is the `(L−m) × Nθ`
+    /// row-major matrix `A_m` with `z_{ℓm} = Σ_i A_m[ℓ−m, i] · G_m(θ_i)`.
+    theta_operator: OnceLock<Vec<Vec<Complex64>>>,
 }
 
 impl ShtPlan {
@@ -61,7 +69,7 @@ impl ShtPlan {
             engine: AnalysisEngine::GaussLegendre,
             legendre,
             fft_phi,
-            wigner: None,
+            theta_operator: OnceLock::new(),
         }
     }
 
@@ -80,22 +88,13 @@ impl ShtPlan {
         let grid = EquiangularGrid::new(ntheta, nphi);
         let legendre = ring_legendre(&grid, lmax);
         let fft_phi = Fft::new(nphi);
-        let next = 2 * ntheta - 2;
-        let iq = (-(2 * lmax as i64 - 2)..=(2 * lmax as i64 - 2))
-            .map(integral_iq)
-            .collect();
-        let wigner = Some(WignerData {
-            fft_theta: Fft::new(next),
-            delta: WignerPiHalf::new(lmax - 1),
-            iq,
-        });
         Self {
             lmax,
             grid: GridKind::Equiangular(grid),
             engine: AnalysisEngine::WignerFft,
             legendre,
             fft_phi,
-            wigner,
+            theta_operator: OnceLock::new(),
         }
     }
 
@@ -122,12 +121,34 @@ impl ShtPlan {
         self.grid().len()
     }
 
+    /// Working memory for this plan's `*_into` transforms.
+    pub fn scratch(&self) -> ShtScratch {
+        let g = self.grid();
+        ShtScratch {
+            half: vec![Complex64::ZERO; g.nphi() / 2 + 1],
+            fft: vec![Complex64::ZERO; real_scratch_len(&self.fft_phi)],
+            gm: vec![Complex64::ZERO; g.ntheta() * self.lmax],
+        }
+    }
+
     /// Forward transform (analysis): field → coefficients.
     pub fn analysis(&self, field: &[f64]) -> HarmonicCoeffs {
-        assert_eq!(field.len(), self.field_len(), "field size mismatch");
+        let mut coeffs = HarmonicCoeffs::zeros(self.lmax);
+        self.analysis_into(field, &mut coeffs, &mut self.scratch());
+        coeffs
+    }
+
+    /// [`ShtPlan::analysis`] into existing coefficients (overwritten),
+    /// working in `scratch`.
+    pub fn analysis_into(
+        &self,
+        field: &[f64],
+        coeffs: &mut HarmonicCoeffs,
+        scratch: &mut ShtScratch,
+    ) {
         match self.engine {
-            AnalysisEngine::GaussLegendre => self.analysis_weights(field),
-            AnalysisEngine::WignerFft => self.analysis_wigner(field),
+            AnalysisEngine::GaussLegendre => self.analysis_weights(field, coeffs, scratch),
+            AnalysisEngine::WignerFft => self.analysis_wigner(field, coeffs, scratch),
         }
     }
 
@@ -135,83 +156,255 @@ impl ShtPlan {
     /// engine. On equiangular grids near critical sampling this is
     /// *inexact* — kept as the baseline the paper's method improves on.
     pub fn analysis_quadrature(&self, field: &[f64]) -> HarmonicCoeffs {
-        assert_eq!(field.len(), self.field_len(), "field size mismatch");
-        self.analysis_weights(field)
+        let mut coeffs = HarmonicCoeffs::zeros(self.lmax);
+        self.analysis_weights(field, &mut coeffs, &mut self.scratch());
+        coeffs
     }
 
     /// Inverse transform (synthesis): coefficients → field (row-major
     /// `Nθ × Nϕ`).
     pub fn synthesis(&self, coeffs: &HarmonicCoeffs) -> Vec<f64> {
+        let mut out = vec![0.0f64; self.field_len()];
+        self.synthesis_into(coeffs, &mut out, &mut self.scratch());
+        out
+    }
+
+    /// [`ShtPlan::synthesis`] into an existing field buffer (overwritten),
+    /// working in `scratch`.
+    pub fn synthesis_into(
+        &self,
+        coeffs: &HarmonicCoeffs,
+        out: &mut [f64],
+        scratch: &mut ShtScratch,
+    ) {
         assert_eq!(coeffs.lmax(), self.lmax, "band-limit mismatch");
-        let g = self.grid();
-        let (nt, np) = (g.ntheta(), g.nphi());
-        let mut out = vec![0.0f64; nt * np];
-        let nbins = np / 2 + 1;
-        let mut half = vec![Complex64::ZERO; nbins];
-        for i in 0..nt {
-            let lam = &self.legendre[i];
+        assert_eq!(out.len(), self.field_len(), "field size mismatch");
+        let np = self.grid().nphi();
+        let half = &mut scratch.half;
+        for (lam, row) in self.legendre.iter().zip(out.chunks_exact_mut(np)) {
             for z in half.iter_mut() {
                 *z = Complex64::ZERO;
             }
-            for m in 0..self.lmax.min(nbins) {
+            for m in 0..self.lmax.min(half.len()) {
                 let mut acc = Complex64::ZERO;
                 for l in m..self.lmax {
                     acc += coeffs.as_slice()[idx(l, m)] * lam[idx(l, m)];
                 }
                 half[m] = acc * np as f64;
             }
-            let row = exaclim_fft::irfft(&self.fft_phi, &half);
-            out[i * np..(i + 1) * np].copy_from_slice(&row);
+            irfft_into(&self.fft_phi, half, row, &mut scratch.fft);
         }
-        out
     }
 
-    /// Ring-weight quadrature analysis shared by the GL engine and the
-    /// inexact equiangular baseline.
-    fn analysis_weights(&self, field: &[f64]) -> HarmonicCoeffs {
+    /// Step 1 of both engines: `G_m(θ_i) = ∫ Z e^{-imφ} dφ` for `m < L` via
+    /// the longitude FFT of every ring, into `scratch.gm`.
+    fn longitude_spectra(&self, field: &[f64], scratch: &mut ShtScratch) {
+        assert_eq!(field.len(), self.field_len(), "field size mismatch");
         let g = self.grid();
         let (nt, np) = (g.ntheta(), g.nphi());
         let dphi = 2.0 * std::f64::consts::PI / np as f64;
-        let mut coeffs = HarmonicCoeffs::zeros(self.lmax);
-        // F_m(θ_i) = ∫ Z e^{-imφ} dφ via the longitude FFT.
-        let mut fm = vec![Complex64::ZERO; nt * self.lmax];
-        for i in 0..nt {
-            let spec = exaclim_fft::rfft(&self.fft_phi, &field[i * np..(i + 1) * np]);
-            for m in 0..self.lmax.min(spec.len()) {
-                fm[i * self.lmax + m] = spec[m] * dphi;
+        let bins = self.lmax.min(scratch.half.len());
+        scratch.gm.fill(Complex64::ZERO);
+        for (i, ring) in field.chunks_exact(np).enumerate() {
+            let spec = &mut scratch.half[..bins];
+            rfft_into(&self.fft_phi, ring, spec, &mut scratch.fft);
+            for (m, z) in spec.iter().enumerate() {
+                scratch.gm[m * nt + i] = *z * dphi;
             }
         }
-        // z_{ℓm} = Σ_i w_i λ_ℓ^m(θ_i) F_m(θ_i).
+    }
+
+    /// Ring-weight quadrature analysis shared by the GL engine and the
+    /// inexact equiangular baseline:
+    /// `z_{ℓm} = Σ_i w_i λ_ℓ^m(θ_i) G_m(θ_i)`.
+    fn analysis_weights(
+        &self,
+        field: &[f64],
+        coeffs: &mut HarmonicCoeffs,
+        scratch: &mut ShtScratch,
+    ) {
+        assert_eq!(coeffs.lmax(), self.lmax, "band-limit mismatch");
+        self.longitude_spectra(field, scratch);
+        let g = self.grid();
+        let nt = g.ntheta();
         let data = coeffs.as_mut_slice();
+        data.fill(Complex64::ZERO);
         for i in 0..nt {
             let w = g.ring_weight(i);
             let lam = &self.legendre[i];
             for m in 0..self.lmax {
-                let f = fm[i * self.lmax + m] * w;
+                let f = scratch.gm[m * nt + i] * w;
                 for l in m..self.lmax {
                     data[idx(l, m)] += f * lam[idx(l, m)];
                 }
             }
         }
-        coeffs
     }
 
-    /// The paper's exact equiangular analysis (eqs. 4–8).
-    fn analysis_wigner(&self, field: &[f64]) -> HarmonicCoeffs {
-        let wd = self
-            .wigner
-            .as_ref()
-            .expect("wigner data on equiangular plans");
-        let g = self.grid();
+    /// The paper's exact equiangular analysis (eqs. 4–8). Past the
+    /// longitude FFT every step — parity extension and FFT along θ, the
+    /// `I(q)` convolution, the Wigner contraction — is linear in `G_m` and
+    /// the same for every field, so the plan holds their product `A_m` and
+    /// a field costs one `(L−m) × Nθ` matrix–vector product per order.
+    fn analysis_wigner(
+        &self,
+        field: &[f64],
+        coeffs: &mut HarmonicCoeffs,
+        scratch: &mut ShtScratch,
+    ) {
+        assert_eq!(coeffs.lmax(), self.lmax, "band-limit mismatch");
+        self.longitude_spectra(field, scratch);
+        let nt = self.grid().ntheta();
+        let operator = self
+            .theta_operator
+            .get_or_init(|| theta_operator(self.lmax, nt));
+        let data = coeffs.as_mut_slice();
+        for (m, a_m) in operator.iter().enumerate() {
+            let g_m = &scratch.gm[m * nt..(m + 1) * nt];
+            for (k, row) in a_m.chunks_exact(nt).enumerate() {
+                let mut acc = Complex64::ZERO;
+                for (a, g) in row.iter().zip(g_m) {
+                    acc += *a * *g;
+                }
+                data[idx(m + k, m)] = acc;
+            }
+        }
+    }
+}
+
+/// Build the co-latitude operators of eqs. 4–8 for band-limit `lmax` on
+/// `nt` equiangular rings: for every order `m`
+///
+/// `A_m[ℓ, i] = i^{−m} √((2ℓ+1)/4π) Σ_{m''} Δ^ℓ_{m''0} Δ^ℓ_{m''m} B_m[m'', i]`,
+/// `B_m[m'', i] = 1/(2Nθ−2) Σ_{m'} I(m'+m'') c_i(m')`,
+///
+/// where `c_i(m') = e^{−im'θ_i} ± e^{+im'θ_i}` is ring `i`'s column of the
+/// parity-extended θ-DFT (`+` for even `m`, `−` for odd; the pole rings
+/// have no mirror image and keep the first term only). `B` depends on `m`
+/// through its parity alone, so it is built twice, and each `A_m` row is a
+/// real combination of `2ℓ+1` rows of `B` — small dense products, no FFT.
+fn theta_operator(lmax: usize, nt: usize) -> Vec<Vec<Complex64>> {
+    let li = lmax as i64;
+    let width = 2 * lmax - 1; // m', m'' ∈ [−(L−1), L−1]
+    let next = (2 * nt - 2) as i64;
+    let delta = WignerPiHalf::new(lmax - 1);
+
+    // b[parity][(m'' + L−1) · nt + i]
+    let b: Vec<Vec<Complex64>> = [1.0, -1.0]
+        .iter()
+        .map(|&sign| {
+            // c[(m' + L−1) · nt + i]
+            let mut c = vec![Complex64::ZERO; width * nt];
+            for (row, mp) in c.chunks_exact_mut(nt).zip(-(li - 1)..) {
+                for (i, z) in row.iter_mut().enumerate() {
+                    let turns = (i as i64 * mp).rem_euclid(next) as f64 / next as f64;
+                    let e = Complex64::cis(-2.0 * std::f64::consts::PI * turns);
+                    *z = if i == 0 || i == nt - 1 {
+                        e
+                    } else {
+                        e + e.conj() * sign
+                    };
+                }
+            }
+            let mut b = vec![Complex64::ZERO; width * nt];
+            for (brow, mpp) in b.chunks_exact_mut(nt).zip(-(li - 1)..) {
+                for (crow, mp) in c.chunks_exact(nt).zip(-(li - 1)..) {
+                    let iq = integral_iq(mp + mpp);
+                    if iq == Complex64::ZERO {
+                        continue;
+                    }
+                    let w = iq / next as f64;
+                    for (bz, cz) in brow.iter_mut().zip(crow) {
+                        *bz += w * *cz;
+                    }
+                }
+            }
+            b
+        })
+        .collect();
+
+    (0..lmax)
+        .map(|m| {
+            let phase = Complex64::i_pow(-(m as i64));
+            let b = &b[m % 2];
+            let mut a_m = vec![Complex64::ZERO; (lmax - m) * nt];
+            for (row, deg) in a_m.chunks_exact_mut(nt).zip(m..) {
+                let di = deg as i64;
+                for mpp in -di..=di {
+                    let wgt = delta.get(deg, mpp, 0) * delta.get(deg, mpp, m as i64);
+                    if wgt == 0.0 {
+                        // Δ^ℓ_{m''0} vanishes whenever ℓ + m'' is odd.
+                        continue;
+                    }
+                    let brow = &b[(mpp + li - 1) as usize * nt..][..nt];
+                    for (z, bz) in row.iter_mut().zip(brow) {
+                        *z += *bz * wgt;
+                    }
+                }
+                let norm = ((2.0 * deg as f64 + 1.0) / (4.0 * std::f64::consts::PI)).sqrt();
+                for z in row.iter_mut() {
+                    *z = phase * *z * norm;
+                }
+            }
+            a_m
+        })
+        .collect()
+}
+
+/// Evaluate the normalized Legendre table at every ring of a grid.
+fn ring_legendre<G: Grid>(grid: &G, lmax: usize) -> Vec<Vec<f64>> {
+    let table = LegendreTable::new(lmax - 1);
+    (0..grid.ntheta())
+        .map(|i| {
+            let theta = grid.theta(i);
+            let mut v = vec![0.0; packed_len(lmax - 1)];
+            table.eval_into(theta.cos(), theta.sin(), &mut v);
+            v
+        })
+        .collect()
+}
+
+/// The per-field θ-stage the operators `A_m` replaced — eqs. 4–8 step by
+/// step, for every field and order: parity extension, FFT along θ, `I(q)`
+/// convolution, Wigner contraction. Kept as the oracle the operator
+/// analysis is checked against.
+#[cfg(test)]
+pub(crate) mod reference {
+    use super::*;
+    use exaclim_fft::rfft;
+
+    /// What an equiangular plan used to precompute for the θ-stage.
+    pub struct WignerData {
+        fft_theta: Fft,
+        delta: WignerPiHalf,
+        /// `I(q)` for `q ∈ [−(2L−2), 2L−2]`, index `q + 2L − 2`.
+        iq: Vec<Complex64>,
+    }
+
+    impl WignerData {
+        pub fn new(lmax: usize, ntheta: usize) -> Self {
+            let iq = (-(2 * lmax as i64 - 2)..=(2 * lmax as i64 - 2))
+                .map(integral_iq)
+                .collect();
+            Self {
+                fft_theta: Fft::new(2 * ntheta - 2),
+                delta: WignerPiHalf::new(lmax - 1),
+                iq,
+            }
+        }
+    }
+
+    pub fn analysis_wigner(plan: &ShtPlan, wd: &WignerData, field: &[f64]) -> HarmonicCoeffs {
+        let g = plan.grid();
         let (nt, np) = (g.ntheta(), g.nphi());
         let next = 2 * nt - 2;
         let dphi = 2.0 * std::f64::consts::PI / np as f64;
-        let l = self.lmax;
+        let l = plan.lmax;
         let li = l as i64;
         // Step 1: G_m(θ_i) for m ∈ [0, L).
         let mut gm = vec![Complex64::ZERO; nt * l];
         for i in 0..nt {
-            let spec = exaclim_fft::rfft(&self.fft_phi, &field[i * np..(i + 1) * np]);
+            let spec = rfft(&plan.fft_phi, &field[i * np..(i + 1) * np]);
             for m in 0..l.min(spec.len()) {
                 gm[i * l + m] = spec[m] * dphi;
             }
@@ -262,22 +455,134 @@ impl ShtPlan {
     }
 }
 
-/// Evaluate the normalized Legendre table at every ring of a grid.
-fn ring_legendre<G: Grid>(grid: &G, lmax: usize) -> Vec<Vec<f64>> {
-    let table = LegendreTable::new(lmax - 1);
-    (0..grid.ntheta())
-        .map(|i| {
-            let theta = grid.theta(i);
-            let mut v = vec![0.0; packed_len(lmax - 1)];
-            table.eval_into(theta.cos(), theta.sin(), &mut v);
-            v
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::{rngs::StdRng, Rng, SeedableRng};
+
+    #[test]
+    fn operator_analysis_matches_the_per_field_wigner_routine() {
+        for (case, (l, nt, np)) in [
+            (4usize, 6usize, 8usize),
+            (8, 9, 16),
+            (16, 18, 33),
+            (24, 25, 48),
+            (6, 25, 64),
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            let plan = ShtPlan::equiangular(l, nt, np);
+            let wd = reference::WignerData::new(l, nt);
+            let mut rng = StdRng::seed_from_u64(900 + case as u64);
+            for _ in 0..3 {
+                // A random band-limited field …
+                let mut c = HarmonicCoeffs::zeros(l);
+                for deg in 0..l {
+                    for m in 0..=deg {
+                        let re = rng.gen_range(-1.0..1.0);
+                        let im = rng.gen_range(-1.0..1.0);
+                        c.set(deg, m, Complex64::new(re, im));
+                    }
+                }
+                let field = plan.synthesis(&c);
+                let got = plan.analysis(&field);
+                let want = reference::analysis_wigner(&plan, &wd, &field);
+                let err = got.max_abs_diff(&want);
+                assert!(
+                    err <= 1e-12,
+                    "L={l} ({nt}x{np}): operator vs reference {err}"
+                );
+            }
+            // … and plain noise: the operator is the same linear map on
+            // every input, band-limited or not.
+            let noise: Vec<f64> = (0..nt * np).map(|_| rng.gen_range(-1.0..1.0)).collect();
+            let got = plan.analysis(&noise);
+            let want = reference::analysis_wigner(&plan, &wd, &noise);
+            let err = got.max_abs_diff(&want);
+            assert!(
+                err <= 1e-12,
+                "L={l} ({nt}x{np}), noise: operator vs reference {err}"
+            );
+        }
+    }
+
+    #[test]
+    fn synthesis_only_plans_never_build_the_theta_operator() {
+        let plan = ShtPlan::equiangular(8, 10, 16);
+        let mut c = HarmonicCoeffs::zeros(8);
+        c.set(3, 2, Complex64::new(0.5, -0.25));
+        let field = plan.synthesis(&c);
+        assert!(
+            plan.theta_operator.get().is_none(),
+            "synthesis built the operator"
+        );
+        let _ = plan.analysis_quadrature(&field);
+        assert!(
+            plan.theta_operator.get().is_none(),
+            "quadrature built the operator"
+        );
+        let _ = plan.analysis(&field);
+        let operator = plan.theta_operator.get().expect("analysis builds it");
+        assert_eq!(operator.len(), 8);
+        assert_eq!(operator[3].len(), (8 - 3) * 10);
+    }
+
+    #[test]
+    fn building_the_operator_costs_within_5x_of_the_old_plan_build() {
+        // What `equiangular(64, 65, 127)` used to build, against what it
+        // builds now plus the operator the first analysis adds. Best of
+        // five each, back to back, so a slow spell hits both sides.
+        let (l, nt, np) = (64usize, 65usize, 127usize);
+        let best_of_5 = |f: &dyn Fn()| {
+            (0..5)
+                .map(|_| {
+                    let t = std::time::Instant::now();
+                    f();
+                    t.elapsed().as_secs_f64()
+                })
+                .fold(f64::INFINITY, f64::min)
+        };
+        let old = best_of_5(&|| {
+            let plan = ShtPlan::equiangular(l, nt, np);
+            std::hint::black_box((plan, reference::WignerData::new(l, nt)));
+        });
+        let new = best_of_5(&|| {
+            let plan = ShtPlan::equiangular(l, nt, np);
+            plan.theta_operator.get_or_init(|| theta_operator(l, nt));
+            std::hint::black_box(plan);
+        });
+        eprintln!(
+            "old plan build {:.2} ms, new plan + operator {:.2} ms",
+            old * 1e3,
+            new * 1e3
+        );
+        assert!(
+            new <= 5.0 * old,
+            "plan + operator build {:.1} ms vs {:.1} ms for the old plan",
+            new * 1e3,
+            old * 1e3
+        );
+    }
+
+    #[test]
+    fn into_transforms_reuse_scratch_without_carrying_state() {
+        // One scratch across different fields gives what fresh calls give.
+        let plan = ShtPlan::equiangular(6, 8, 12);
+        let mut scratch = plan.scratch();
+        let mut rng = StdRng::seed_from_u64(4);
+        let mut coeffs = HarmonicCoeffs::zeros(6);
+        let mut field = vec![0.0; plan.field_len()];
+        for _ in 0..3 {
+            let noise: Vec<f64> = (0..plan.field_len())
+                .map(|_| rng.gen_range(-1.0..1.0))
+                .collect();
+            plan.analysis_into(&noise, &mut coeffs, &mut scratch);
+            assert_eq!(coeffs, plan.analysis(&noise));
+            plan.synthesis_into(&coeffs, &mut field, &mut scratch);
+            assert_eq!(field, plan.synthesis(&coeffs));
+        }
+    }
 
     #[test]
     fn plan_reports_geometry() {

@@ -1,14 +1,71 @@
 //! Empirical innovation covariance (eq. 9) and its SPD repair.
 
 use exaclim_linalg::dense::Matrix;
+use rayon::prelude::*;
+use std::collections::VecDeque;
+
+/// Rows of `Û` accumulated together while one sample is in cache.
+const ROW_BLOCK: usize = 16;
 
 /// Empirical covariance of innovation samples:
 /// `Û = 1/(R(T−P)) Σ_r Σ_t ξ_t^{(r)} ξ_t^{(r)ᵀ}` — eq. (9). `samples`
 /// holds all `R(T−P)` innovation vectors from every ensemble member.
+///
+/// Only the lower triangle is accumulated (blocks of rows in parallel on
+/// the shared pool) and then mirrored: every element is still the sum of
+/// `sᵢ·sⱼ` over the samples in their given order, and `sᵢ·sⱼ = sⱼ·sᵢ`, so
+/// the result is the full accumulation's, bit for bit, at any thread count.
 pub fn empirical_covariance(samples: &[Vec<f64>]) -> Matrix {
     assert!(!samples.is_empty(), "need at least one innovation sample");
     let dim = samples[0].len();
     assert!(samples.iter().all(|s| s.len() == dim), "ragged samples");
+    let mut u = Matrix::zeros(dim, dim);
+    // Row `i` costs `i + 1` products per sample: hand out the row blocks
+    // alternately from both ends so each pool lane's contiguous share of
+    // the list carries the same work.
+    let mut blocks: VecDeque<(usize, &mut [f64])> = u
+        .as_mut_slice()
+        .chunks_mut(ROW_BLOCK * dim.max(1))
+        .enumerate()
+        .collect();
+    let mut ends_inward = Vec::with_capacity(blocks.len());
+    while let Some(front) = blocks.pop_front() {
+        ends_inward.push(front);
+        ends_inward.extend(blocks.pop_back());
+    }
+    let scale = 1.0 / samples.len() as f64;
+    ends_inward.par_iter_mut().for_each(|(b, rows)| {
+        let first = *b * ROW_BLOCK;
+        for s in samples {
+            for (k, row) in rows.chunks_mut(dim).enumerate() {
+                let i = first + k;
+                let si = s[i];
+                if si == 0.0 {
+                    continue;
+                }
+                for (r, &sj) in row[..=i].iter_mut().zip(&s[..=i]) {
+                    *r += si * sj;
+                }
+            }
+        }
+        for v in rows.iter_mut() {
+            *v *= scale;
+        }
+    });
+    for i in 0..dim {
+        for j in i + 1..dim {
+            let v = u.get(j, i);
+            u.set(i, j, v);
+        }
+    }
+    u
+}
+
+/// The full-matrix accumulation [`empirical_covariance`] replaced, kept as
+/// the oracle its bits are checked against.
+#[cfg(test)]
+fn empirical_covariance_reference(samples: &[Vec<f64>]) -> Matrix {
+    let dim = samples[0].len();
     let mut u = Matrix::zeros(dim, dim);
     let data = u.as_mut_slice();
     for s in samples {
@@ -69,6 +126,25 @@ mod tests {
         assert!((u.get(1, 1) - 1.0).abs() < 0.02);
         assert!((u.get(0, 1) - 0.8).abs() < 0.02);
         assert_eq!(u.get(0, 1), u.get(1, 0));
+    }
+
+    #[test]
+    fn lower_triangle_accumulation_is_bit_identical_to_the_full_matrix() {
+        let mut rng = StdRng::seed_from_u64(17);
+        let mut sn = StandardNormal::new();
+        // Dimensions on, below and across the row-block boundary; samples
+        // with exact zeros (skipped rows) and negative zeros.
+        for (dim, n) in [(1usize, 3usize), (5, 40), (16, 9), (37, 120), (64, 70)] {
+            let mut samples: Vec<Vec<f64>> = (0..n).map(|_| sn.sample_vec(&mut rng, dim)).collect();
+            for (k, s) in samples.iter_mut().enumerate() {
+                s[k % dim] = if k % 2 == 0 { 0.0 } else { -0.0 };
+            }
+            let got = empirical_covariance(&samples);
+            let want = empirical_covariance_reference(&samples);
+            for (i, (a, b)) in got.as_slice().iter().zip(want.as_slice()).enumerate() {
+                assert_eq!(a.to_bits(), b.to_bits(), "dim {dim}, element {i}");
+            }
+        }
     }
 
     #[test]

@@ -5,11 +5,20 @@
 //! `     + Σ_{k=1..K} a_k cos(2πtk/τ) + b_k sin(2πtk/τ)`,
 //! plus the scale `σ` of the remaining stochastic component. Parameters are
 //! estimated by per-location OLS (the 1-D MLE of the paper, O(T) per
-//! location) with a profile grid search over `ρ ∈ [0,1)`; locations are
-//! independent, so the grid fit parallelizes with rayon.
+//! location) with a profile grid search over `ρ ∈ [0,1)`.
+//!
+//! Nothing on the right-hand side but the coefficients depends on the
+//! location, so the regressors are tabulated once ([`MeanBasis`]) and the
+//! normal equations factored once per candidate `ρ` ([`TrendPlan`]); a
+//! location then costs `Xᵀy`, two triangular solves and one residual pass
+//! per `ρ`. Locations are independent, so the grid fit parallelizes with
+//! rayon. A single location ([`fit_location`], [`TrendModel::mean_series`])
+//! is a plan of one — there is no second code path, and the per-location
+//! arithmetic (every sum in ascending `t`, `c` or `k`, started from `−0.0`
+//! like `Iterator::sum`) is the contract that keeps fits bit-reproducible.
 
 use crate::forcing::ForcingSeries;
-use exaclim_linalg::dense::{ols_solve, Matrix};
+use exaclim_linalg::dense::{normal_equations_factor, Matrix};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
@@ -76,98 +85,215 @@ pub struct TrendModel {
 }
 
 impl TrendModel {
-    /// Evaluate the mean `m_t` for `t = 1..=t_max`.
+    /// Evaluate the mean `m_t` for `t = 1..=t_max` (a [`MeanBasis`] of this
+    /// model's `ρ` alone; evaluate many models through one shared basis).
     pub fn mean_series(
         &self,
         cfg: &TrendConfig,
         forcing: &ForcingSeries,
         t_max: usize,
     ) -> Vec<f64> {
-        let years: Vec<i64> = (1..=t_max).map(|t| cfg.year_of(t)).collect();
-        let lag = forcing.lagged_series(years[0], years[t_max - 1], self.rho);
-        let y0 = years[0];
-        (1..=t_max)
-            .map(|t| {
-                let y = cfg.year_of(t);
-                let xc = forcing.at(y);
-                let xl = (1.0 - self.rho) * lag[(y - y0) as usize];
-                let mut m = self.beta0 + self.beta1 * xc + self.beta2 * xl;
-                for (k, (a, b)) in self.harmonics.iter().enumerate() {
-                    let w =
-                        2.0 * std::f64::consts::PI * (t as f64) * (k as f64 + 1.0) / cfg.tau as f64;
-                    m += a * w.cos() + b * w.sin();
+        let mut out = vec![0.0; t_max];
+        MeanBasis::new(cfg, forcing, t_max, [self.rho]).mean_into(self, &mut out);
+        out
+    }
+}
+
+/// The location-independent regressors of eq. (2) over steps `1..=t_max`:
+/// the current forcing per step, the `T × 2K` cos/sin table, and one lagged
+/// forcing series per distinct `ρ`. `T·(1 + 2K + |ρ|)` values.
+#[derive(Debug, Clone)]
+pub struct MeanBasis {
+    /// `x_{⌈t/τ⌉}` per step.
+    x_year: Vec<f64>,
+    /// Row `t−1`: `cos(2πtk/τ), sin(2πtk/τ)` for `k = 1..=K`.
+    harmonics: Vec<f64>,
+    k_harmonics: usize,
+    /// `(ρ, (1−ρ)·Lag_ρ(⌈t/τ⌉) per step)` for each distinct `ρ`.
+    lags: Vec<(f64, Vec<f64>)>,
+}
+
+impl MeanBasis {
+    /// Tabulate the regressors for `t_max ≥ 1` steps and every `ρ` in
+    /// `rhos` (duplicates are stored once).
+    pub fn new(
+        cfg: &TrendConfig,
+        forcing: &ForcingSeries,
+        t_max: usize,
+        rhos: impl IntoIterator<Item = f64>,
+    ) -> Self {
+        assert!(t_max >= 1, "need at least one time step");
+        let y_first = cfg.year_of(1);
+        let y_last = cfg.year_of(t_max);
+        let x_year = (1..=t_max).map(|t| forcing.at(cfg.year_of(t))).collect();
+        let mut harmonics = Vec::with_capacity(t_max * 2 * cfg.k_harmonics);
+        for t in 1..=t_max {
+            for k in 1..=cfg.k_harmonics {
+                let w = 2.0 * std::f64::consts::PI * (t as f64) * k as f64 / cfg.tau as f64;
+                harmonics.push(w.cos());
+                harmonics.push(w.sin());
+            }
+        }
+        let mut lags: Vec<(f64, Vec<f64>)> = Vec::new();
+        for rho in rhos {
+            if lags.iter().any(|(r, _)| r.to_bits() == rho.to_bits()) {
+                continue;
+            }
+            let annual = forcing.lagged_series(y_first, y_last, rho);
+            let per_step = (1..=t_max)
+                .map(|t| (1.0 - rho) * annual[(cfg.year_of(t) - y_first) as usize])
+                .collect();
+            lags.push((rho, per_step));
+        }
+        Self {
+            x_year,
+            harmonics,
+            k_harmonics: cfg.k_harmonics,
+            lags,
+        }
+    }
+
+    /// Number of tabulated steps.
+    pub fn t_max(&self) -> usize {
+        self.x_year.len()
+    }
+
+    /// The lagged-forcing column of `rho`, which must be one of the values
+    /// the basis was built for.
+    fn lag(&self, rho: f64) -> &[f64] {
+        self.lags
+            .iter()
+            .find(|(r, _)| r.to_bits() == rho.to_bits())
+            .map(|(_, lag)| lag.as_slice())
+            .unwrap_or_else(|| panic!("mean basis holds no lag series for ρ = {rho}"))
+    }
+
+    /// Write `m_t` of `model` for `t = 1..=out.len()` (at most
+    /// [`MeanBasis::t_max`] steps).
+    pub fn mean_into(&self, model: &TrendModel, out: &mut [f64]) {
+        assert!(out.len() <= self.t_max(), "basis covers too few steps");
+        assert!(
+            model.harmonics.len() <= self.k_harmonics,
+            "model has more harmonic pairs than the basis"
+        );
+        let lag = self.lag(model.rho);
+        let width = 2 * self.k_harmonics;
+        for (t, m) in out.iter_mut().enumerate() {
+            let mut acc = model.beta0 + model.beta1 * self.x_year[t] + model.beta2 * lag[t];
+            let cs = &self.harmonics[t * width..(t + 1) * width];
+            for (k, (a, b)) in model.harmonics.iter().enumerate() {
+                acc += a * cs[2 * k] + b * cs[2 * k + 1];
+            }
+            *m = acc;
+        }
+    }
+}
+
+/// Everything of the profile OLS fit that does not depend on the response:
+/// per candidate `ρ` the `T × ncols` design matrix and the Cholesky factor
+/// of its normal matrix (ridge fallback already decided), over a shared
+/// [`MeanBasis`]. `|ρ|·T·ncols` values; built once per grid, applied to
+/// every location.
+#[derive(Debug, Clone)]
+pub struct TrendPlan {
+    basis: MeanBasis,
+    /// `(ρ, X, chol(XᵀX))` in `rho_grid` order.
+    designs: Vec<(f64, Matrix, Matrix)>,
+}
+
+impl TrendPlan {
+    /// Plan the fit of `t_max`-step series under `cfg`.
+    pub fn new(cfg: &TrendConfig, forcing: &ForcingSeries, t_max: usize) -> Self {
+        assert!(t_max > cfg.ncols(), "need more time steps than parameters");
+        assert!(!cfg.rho_grid.is_empty(), "non-empty rho grid");
+        let basis = MeanBasis::new(cfg, forcing, t_max, cfg.rho_grid.iter().copied());
+        let ncols = cfg.ncols();
+        let width = 2 * cfg.k_harmonics;
+        let designs = cfg
+            .rho_grid
+            .iter()
+            .map(|&rho| {
+                let lag = basis.lag(rho);
+                let mut x = Vec::with_capacity(t_max * ncols);
+                for t in 0..t_max {
+                    x.push(1.0);
+                    x.push(basis.x_year[t]);
+                    x.push(lag[t]);
+                    x.extend_from_slice(&basis.harmonics[t * width..(t + 1) * width]);
                 }
-                m
+                let x = Matrix::from_vec(t_max, ncols, x);
+                let chol = normal_equations_factor(&x.transpose(), &x);
+                (rho, x, chol)
             })
-            .collect()
+            .collect();
+        Self { basis, designs }
     }
-}
 
-/// Build the `T × ncols` design matrix for one candidate `ρ`.
-fn design_matrix(cfg: &TrendConfig, forcing: &ForcingSeries, t_max: usize, rho: f64) -> Matrix {
-    let y_first = cfg.year_of(1);
-    let y_last = cfg.year_of(t_max);
-    let lag = forcing.lagged_series(y_first, y_last, rho);
-    let ncols = cfg.ncols();
-    let mut x = Vec::with_capacity(t_max * ncols);
-    for t in 1..=t_max {
-        let y = cfg.year_of(t);
-        x.push(1.0);
-        x.push(forcing.at(y));
-        x.push((1.0 - rho) * lag[(y - y_first) as usize]);
-        for k in 1..=cfg.k_harmonics {
-            let w = 2.0 * std::f64::consts::PI * (t as f64) * k as f64 / cfg.tau as f64;
-            x.push(w.cos());
-            x.push(w.sin());
+    /// Fit one location's series `y[t-1]`, `t = 1..=T`: OLS per candidate
+    /// `ρ`, keeping the first `ρ` with the smallest residual sum of squares.
+    pub fn fit(&self, y: &[f64]) -> TrendModel {
+        let t_max = self.basis.t_max();
+        assert_eq!(y.len(), t_max, "series length differs from the plan's");
+        let mut best: Option<(f64, f64, Vec<f64>)> = None; // (sse, rho, beta)
+        for (rho, x, chol) in &self.designs {
+            let ncols = x.cols();
+            let rows = x.as_slice().chunks_exact(ncols);
+            // Xᵀy, all columns at once: per column the same ascending-t sum
+            // a row of Xᵀ dotted with y gives.
+            let mut xty = vec![-0.0f64; ncols];
+            for (row, &v) in rows.clone().zip(y) {
+                for (acc, &a) in xty.iter_mut().zip(row) {
+                    *acc += a * v;
+                }
+            }
+            let beta = chol.solve_lower_transpose(&chol.solve_lower(&xty));
+            let mut err = -0.0f64;
+            for (row, &v) in rows.zip(y) {
+                let mut fit = -0.0f64;
+                for (&a, &b) in row.iter().zip(&beta) {
+                    fit += a * b;
+                }
+                err += (fit - v) * (fit - v);
+            }
+            if best.as_ref().is_none_or(|(b, _, _)| err < *b) {
+                best = Some((err, *rho, beta));
+            }
+        }
+        let (err, rho, beta) = best.expect("non-empty rho grid");
+        TrendModel {
+            beta0: beta[0],
+            beta1: beta[1],
+            beta2: beta[2],
+            rho,
+            harmonics: beta[3..].chunks_exact(2).map(|ab| (ab[0], ab[1])).collect(),
+            sigma: (err / t_max as f64).sqrt().max(1e-12),
         }
     }
-    Matrix::from_vec(t_max, ncols, x)
 }
 
-fn sse(x: &Matrix, beta: &[f64], y: &[f64]) -> f64 {
-    let fit = x.matvec(beta);
-    fit.iter().zip(y).map(|(f, v)| (f - v) * (f - v)).sum()
-}
-
-/// Fit one location's series `y[t-1]`, `t = 1..=T`.
+/// Fit one location's series `y[t-1]`, `t = 1..=T` (a [`TrendPlan`] applied
+/// once; fit many series of one length through one shared plan).
 pub fn fit_location(y: &[f64], cfg: &TrendConfig, forcing: &ForcingSeries) -> TrendModel {
-    let t_max = y.len();
-    assert!(t_max > cfg.ncols(), "need more time steps than parameters");
-    let mut best: Option<(f64, f64, Vec<f64>)> = None; // (sse, rho, beta)
-    for &rho in &cfg.rho_grid {
-        let x = design_matrix(cfg, forcing, t_max, rho);
-        let beta = ols_solve(&x, y);
-        let err = sse(&x, &beta, y);
-        if best.as_ref().is_none_or(|(b, _, _)| err < *b) {
-            best = Some((err, rho, beta));
-        }
-    }
-    let (err, rho, beta) = best.expect("non-empty rho grid");
-    let harmonics = (0..cfg.k_harmonics)
-        .map(|k| (beta[3 + 2 * k], beta[4 + 2 * k]))
-        .collect();
-    TrendModel {
-        beta0: beta[0],
-        beta1: beta[1],
-        beta2: beta[2],
-        rho,
-        harmonics,
-        sigma: (err / t_max as f64).sqrt().max(1e-12),
-    }
+    TrendPlan::new(cfg, forcing, y.len()).fit(y)
 }
 
-/// Trend models for every grid point plus the standardized residuals.
+/// Trend models for every grid point plus their means and the standardized
+/// residuals.
 #[derive(Debug, Clone)]
 pub struct TrendFit {
     /// One model per location.
     pub models: Vec<TrendModel>,
+    /// Fitted mean `m_t` of every location, location-major
+    /// (`p · t_max + t`).
+    pub means: Vec<f64>,
     /// Standardized stochastic component `Z_t = (y_t − m_t)/σ`, time-major
     /// (`t · npoints + p`).
     pub residuals: Vec<f64>,
 }
 
 /// Fit the whole grid. `data` is time-major: `data[t·npoints + p]` for
-/// `t = 0..t_max`, location `p`. Locations are fitted in parallel.
+/// `t = 0..t_max`, location `p`. Locations are fitted in parallel through
+/// one [`TrendPlan`].
 pub fn fit_grid(
     data: &[f64],
     t_max: usize,
@@ -176,11 +302,19 @@ pub fn fit_grid(
     forcing: &ForcingSeries,
 ) -> TrendFit {
     assert_eq!(data.len(), t_max * npoints);
-    let models: Vec<TrendModel> = (0..npoints)
-        .into_par_iter()
-        .map(|p| {
-            let series: Vec<f64> = (0..t_max).map(|t| data[t * npoints + p]).collect();
-            fit_location(&series, cfg, forcing)
+    let plan = TrendPlan::new(cfg, forcing, t_max);
+    let mut means = vec![0.0f64; npoints * t_max];
+    let models: Vec<TrendModel> = means
+        .par_chunks_mut(t_max)
+        .enumerate()
+        .map(|(p, mean)| {
+            // The location's slot holds its series until the model is known.
+            for (t, v) in mean.iter_mut().enumerate() {
+                *v = data[t * npoints + p];
+            }
+            let model = plan.fit(mean);
+            plan.basis.mean_into(&model, mean);
+            model
         })
         .collect();
     let mut residuals = vec![0.0f64; t_max * npoints];
@@ -189,23 +323,14 @@ pub fn fit_grid(
         .enumerate()
         .for_each(|(t, row)| {
             for (p, r) in row.iter_mut().enumerate() {
-                *r = data[t * npoints + p];
+                *r = (data[t * npoints + p] - means[p * t_max + t]) / models[p].sigma;
             }
         });
-    // Subtract means column-wise (per location, over its own ρ lag series).
-    let means: Vec<Vec<f64>> = models
-        .par_iter()
-        .map(|m| m.mean_series(cfg, forcing, t_max))
-        .collect();
-    residuals
-        .par_chunks_mut(npoints)
-        .enumerate()
-        .for_each(|(t, row)| {
-            for (p, r) in row.iter_mut().enumerate() {
-                *r = (*r - means[p][t]) / models[p].sigma;
-            }
-        });
-    TrendFit { models, residuals }
+    TrendFit {
+        models,
+        means,
+        residuals,
+    }
 }
 
 #[cfg(test)]
@@ -219,9 +344,9 @@ mod tests {
         ((*state >> 11) as f64 / (1u64 << 53) as f64) - 0.5
     }
 
-    /// Sequential reference for [`fit_grid`]: the same per-location math
-    /// driven by plain loops. The pool-backed rayon shim must reproduce
-    /// this bit-for-bit, whatever the thread count.
+    /// Sequential reference for [`fit_grid`]: a plan of one per location,
+    /// driven by plain loops. The shared plan on the pool-backed rayon shim
+    /// must reproduce this bit-for-bit, whatever the thread count.
     fn fit_grid_sequential(
         data: &[f64],
         t_max: usize,
@@ -235,18 +360,22 @@ mod tests {
                 fit_location(&series, cfg, forcing)
             })
             .collect();
-        let means: Vec<Vec<f64>> = models
+        let means: Vec<f64> = models
             .iter()
-            .map(|m| m.mean_series(cfg, forcing, t_max))
+            .flat_map(|m| m.mean_series(cfg, forcing, t_max))
             .collect();
         let mut residuals = vec![0.0f64; t_max * npoints];
         for t in 0..t_max {
             for p in 0..npoints {
                 residuals[t * npoints + p] =
-                    (data[t * npoints + p] - means[p][t]) / models[p].sigma;
+                    (data[t * npoints + p] - means[p * t_max + t]) / models[p].sigma;
             }
         }
-        TrendFit { models, residuals }
+        TrendFit {
+            models,
+            means,
+            residuals,
+        }
     }
 
     #[test]
@@ -276,6 +405,9 @@ mod tests {
         }
         for (i, (a, b)) in par.residuals.iter().zip(&seq.residuals).enumerate() {
             assert_eq!(a.to_bits(), b.to_bits(), "residual at {i}");
+        }
+        for (i, (a, b)) in par.means.iter().zip(&seq.means).enumerate() {
+            assert_eq!(a.to_bits(), b.to_bits(), "mean at {i}");
         }
     }
 

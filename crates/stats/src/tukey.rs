@@ -99,7 +99,9 @@ pub fn fit_tukey_gh(samples: &[f64]) -> TukeyGH {
         samples.len() >= 32,
         "need a reasonable sample for quantile fitting"
     );
-    let q = |p: f64| exaclim_mathkit::stats::quantile(samples, p);
+    let mut sorted = samples.to_vec();
+    exaclim_mathkit::stats::sort_for_quantiles(&mut sorted);
+    let q = |p: f64| exaclim_mathkit::stats::quantile_sorted(&sorted, p);
     let median = q(0.5);
     let zp = |p: f64| inverse_normal_cdf(p);
     // g from the 0.9 quantile pair.

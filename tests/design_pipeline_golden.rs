@@ -1,0 +1,132 @@
+//! Golden values of the design pipeline on the benchmark's data (member 0
+//! of `small_daily(16)`, two years of daily fields), recorded from the build
+//! *before* the trend fit, the consistency check and the covariance were
+//! rearranged into plan-once/apply-many form. The trend fit and the
+//! consistency report are pinned bit for bit — their per-location
+//! arithmetic is a contract (see ARCHITECTURE.md, "Design pipeline: what is
+//! planned once"). Anything downstream of the SHT analysis is pinned to a
+//! tolerance only: the θ-stage operator sums the same terms in a different
+//! order.
+
+use exaclim::{validate_consistency, ClimateEmulator, ConsistencyReport, EmulatorConfig};
+use exaclim_climate::{Dataset, SyntheticEra5, SyntheticEra5Config};
+use exaclim_stats::trend::{fit_grid, TrendConfig};
+use exaclim_stats::ForcingSeries;
+
+const LMAX: usize = 16;
+const T_MAX: usize = 730;
+
+fn member(k: u64) -> Dataset {
+    SyntheticEra5::new(SyntheticEra5Config::small_daily(LMAX)).generate_member(k, T_MAX)
+}
+
+/// FNV-1a over the little-endian bytes of every value's bit pattern.
+fn hash(values: impl IntoIterator<Item = f64>) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325_u64;
+    for v in values {
+        for b in v.to_bits().to_le_bytes() {
+            h ^= b as u64;
+            h = h.wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+    h
+}
+
+fn report_fields(r: &ConsistencyReport) -> [f64; 6] {
+    [
+        r.mean_nrmse,
+        r.std_ratio_median,
+        r.mean_field_correlation,
+        r.std_field_correlation,
+        r.acf1_abs_diff,
+        r.max_quantile_gap,
+    ]
+}
+
+#[test]
+fn fit_grid_models_and_residuals_keep_their_bits() {
+    let data = member(0);
+    let cfg = EmulatorConfig::small(LMAX);
+    // The trend stage exactly as `ClimateEmulator::train` sets it up.
+    let years = (data.t_max / data.tau + 2) as i64;
+    let forcing = ForcingSeries::historical_like(data.start_year, data.start_year + years, 30);
+    let trend_cfg = TrendConfig {
+        k_harmonics: cfg.k_harmonics,
+        tau: data.tau,
+        rho_grid: cfg.rho_grid,
+        start_year: data.start_year,
+    };
+    let fit = fit_grid(&data.data, T_MAX, data.npoints, &trend_cfg, &forcing);
+
+    let m = &fit.models[297];
+    assert_eq!(m.beta0.to_bits(), 0x4071_6796_3182_36ea);
+    assert_eq!(m.beta1.to_bits(), 0x404b_bcf7_77da_a570);
+    assert_eq!(m.beta2.to_bits(), 0xc048_c7fa_1e0e_1386);
+    assert_eq!(m.rho.to_bits(), 0x3fec_cccc_cccc_cccd);
+    assert_eq!(m.sigma.to_bits(), 0x3fe6_0468_563a_6fa8);
+    assert_eq!(m.harmonics[0].0.to_bits(), 0xbff1_b71a_a373_2e98);
+    assert_eq!(m.harmonics[0].1.to_bits(), 0xbfb6_be1d_bd11_a5b4);
+
+    let models = fit.models.iter().flat_map(|m| {
+        [m.beta0, m.beta1, m.beta2, m.rho, m.sigma]
+            .into_iter()
+            .chain(m.harmonics.iter().flat_map(|&(a, b)| [a, b]))
+    });
+    assert_eq!(hash(models), 0x4d3c_9d6e_3786_b942, "trend models moved");
+    assert_eq!(
+        hash(fit.residuals.iter().copied()),
+        0x77e2_91d6_e995_2a61,
+        "standardized residuals moved"
+    );
+    // The means are what the residuals were standardized against.
+    let (p, t) = (297, 411);
+    let mean = fit.means[p * T_MAX + t];
+    let z = (data.data[t * data.npoints + p] - mean) / fit.models[p].sigma;
+    assert_eq!(z.to_bits(), fit.residuals[t * data.npoints + p].to_bits());
+}
+
+#[test]
+fn consistency_report_keeps_its_bits() {
+    // Two realizations of one climate: a pair the SHT analysis has no part
+    // in, so every field of the report is reproducible to the bit.
+    let report = validate_consistency(&member(0), &member(1));
+    assert_eq!(
+        report_fields(&report).map(f64::to_bits),
+        [
+            0x3f83_5343_dce3_ea95,
+            0x3ff0_2b4f_2924_05f8,
+            0x3fef_ffe1_3fbc_560b,
+            0x3fef_f462_53e0_8a29,
+            0x3fa2_2128_2b01_b110,
+            0x3fa0_5cb8_e919_c3e2,
+        ],
+        "{report:?}"
+    );
+}
+
+#[test]
+fn benchmark_op_report_stays_within_tolerance_of_the_recorded_one() {
+    // Op 0 of the `emulator_design` workload: train on member 0, emulate
+    // with the benchmark's seed for op 0, validate the pair.
+    let training = member(0);
+    let mut config = EmulatorConfig::small(LMAX);
+    config.workers = 2;
+    let model = ClimateEmulator::train(&training, config).unwrap();
+    let emulation = model.emulate(T_MAX, 16_049_541_622_874_547_473).unwrap();
+    let report = validate_consistency(&training, &emulation);
+    assert!(report.passes(), "{report:?}");
+    let recorded = [
+        0.0030339176710109743,
+        0.9979574601442563,
+        0.9999966673339036,
+        0.9997849592347638,
+        0.0045177463261424355,
+        0.028668732688335283,
+    ];
+    for (got, want) in report_fields(&report).into_iter().zip(recorded) {
+        assert!(
+            (got - want).abs() <= 1e-9 * want.abs(),
+            "{got} vs recorded {want}: {report:?}"
+        );
+    }
+}

@@ -13,6 +13,8 @@ use exaclim_serve::{
     Catalog, Client, NetConfig, NetServer, ProductDescriptor, ProductSource, ProductStat, Request,
     Response, ScenarioSpec, ServeConfig, Server, SliceRequest,
 };
+use exaclim_stats::trend::{fit_location, TrendConfig};
+use exaclim_stats::ForcingSeries;
 use exaclim_store::{open_file_source, ArchiveWriter, Codec, FieldMeta};
 use std::io::Cursor;
 use std::sync::{Arc, Barrier};
@@ -323,5 +325,36 @@ fn derived_statistics_match_ground_truth() {
         let std = exaclim_mathkit::stats::variance(&samples).sqrt();
         assert_eq!(ms.row(0, 0)[j], mean, "mean at location {j}");
         assert_eq!(ms.row(0, 1)[j], std, "std at location {j}");
+    }
+
+    // The trend product's one shared plan gives, bit for bit, what a
+    // per-location `fit_location` under the protocol's fixed regression
+    // (2 harmonic pairs, ρ ∈ {0, 0.4, 0.8}) gives.
+    let Ok(Response::Product(trend)) =
+        server.handle(&Request::Product(member_product("t2m", ProductStat::Trend)))
+    else {
+        panic!("trend failed");
+    };
+    assert_eq!((trend.rows, trend.values_per_row), (5, VPS as u64));
+    let cfg = TrendConfig {
+        k_harmonics: 2,
+        tau: 365,
+        rho_grid: vec![0.0, 0.4, 0.8],
+        start_year: 2000,
+    };
+    let forcing = ForcingSeries::historical_like(2000, cfg.year_of(T_MAX as usize), 30);
+    for j in 0..VPS {
+        let samples: Vec<f64> = (0..T_MAX as usize)
+            .map(|t| full.values[t * VPS + j])
+            .collect();
+        let fit = fit_location(&samples, &cfg, &forcing);
+        let want = [fit.beta0, fit.beta1, fit.beta2, fit.rho, fit.sigma];
+        for (plane, w) in want.iter().enumerate() {
+            assert_eq!(
+                trend.row(0, plane as u64)[j].to_bits(),
+                w.to_bits(),
+                "trend plane {plane} at location {j}"
+            );
+        }
     }
 }
