@@ -324,12 +324,17 @@ impl TrainedEmulator {
         let mut rng = StdRng::seed_from_u64(seed);
         let path = sampler.sample_path(t_max, &mut rng);
 
-        // Inverse SHT of every slice.
+        // Inverse SHT of every slice, straight into the output buffer: it
+        // holds Z̃ until the assembly below overwrites it with y. Each
+        // intermediate is freed as soon as the next one exists, so the
+        // high-water mark is two field-sized buffers, not five.
         let coeff_sets: Vec<HarmonicCoeffs> = path
             .par_iter()
             .map(|f| HarmonicCoeffs::from_real_vector(cfg.lmax, f))
             .collect();
-        let z = synthesis_batch(&plan, &coeff_sets);
+        drop(path);
+        let mut data = synthesis_batch(&plan, &coeff_sets);
+        drop(coeff_sets);
 
         // Mean series per location.
         let trend_cfg = TrendConfig {
@@ -350,15 +355,13 @@ impl TrainedEmulator {
             .zip(self.trend.par_iter())
             .for_each(|(mean, model)| basis.mean_into(model, mean));
 
-        // Assemble y = m + σ (Z̃ + ε).
+        // Assemble y = m + σ (Z̃ + ε) in place, ε drawn time-major.
         let mut sn = StandardNormal::new();
-        let mut data = vec![0.0f64; t_max * npoints];
-        for t in 0..t_max {
-            let zrow = &z[t * npoints..(t + 1) * npoints];
-            let row = &mut data[t * npoints..(t + 1) * npoints];
-            for p in 0..npoints {
-                let eps = sn.sample(&mut rng) * self.v2[p].sqrt();
-                row[p] = means[p * t_max + t] + self.trend[p].sigma * (zrow[p] + eps);
+        let nugget_sd: Vec<f64> = self.v2.iter().map(|v| v.sqrt()).collect();
+        for (t, row) in data.chunks_exact_mut(npoints).enumerate() {
+            for (p, y) in row.iter_mut().enumerate() {
+                let eps = sn.sample(&mut rng) * nugget_sd[p];
+                *y = means[p * t_max + t] + self.trend[p].sigma * (*y + eps);
             }
         }
         Ok(Dataset {

@@ -134,8 +134,10 @@ enum PackData {
     F32(Vec<f32>),
 }
 
+/// Pack the rows of length `b` in `src` (`b` of them for a tile) into
+/// `k`-major panels of `nr` rows, zero past the last row.
 fn pack<S: Copy, T: Real>(src: &[S], b: usize, nr: usize, conv: impl Fn(S) -> T) -> Vec<T> {
-    let mut out = vec![T::ZERO; b.div_ceil(nr) * b * nr];
+    let mut out = vec![T::ZERO; (src.len() / b).div_ceil(nr) * b * nr];
     for (r, row) in src.chunks_exact(b).enumerate() {
         let panel = &mut out[(r / nr) * b * nr..][..b * nr];
         for (lane, &v) in panel[r % nr..].iter_mut().step_by(nr).zip(row) {
@@ -427,6 +429,78 @@ pub fn potrf(a: &mut Tile) -> Result<(), NotPositiveDefinite> {
     )
 }
 
+/// A dense lower-triangular f64 factor `L` (`n × n`) packed once for
+/// [`PackedLower::mul_rows`]: row panels of `MR`, `k`-major, each panel
+/// only as long as its last row's support.
+#[derive(Debug, Clone)]
+pub struct PackedLower {
+    n: usize,
+    /// Panel `p` (rows `MR·p..`) starts at `MR·NR64·p(p+1)/2` and holds
+    /// `data[.. + k·NR64 + i] = L[MR·p + i][k]` for `k < min(MR·(p+1), n)`,
+    /// zero past the diagonal and past row `n`.
+    data: Vec<f64>,
+}
+
+impl PackedLower {
+    /// Pack the lower triangle of the row-major `n × n` matrix `l`; entries
+    /// above the diagonal are never read.
+    pub fn new(l: &[f64], n: usize) -> Self {
+        assert_eq!(l.len(), n * n, "factor must be n²");
+        let mut data = Vec::with_capacity(n.div_ceil(MR) * (n + MR) * NR64 / 2);
+        for i0 in (0..n).step_by(MR) {
+            for k in 0..(i0 + MR).min(n) {
+                data.extend(
+                    (i0..i0 + MR).map(|i| if k <= i && i < n { l[i * n + k] } else { 0.0 }),
+                );
+            }
+        }
+        Self { n, data }
+    }
+
+    /// Side `n` of the factor.
+    pub fn dim(&self) -> usize {
+        self.n
+    }
+
+    /// `out[s] = L · h[s]` for every length-`n` row `s` of `h` (both
+    /// row-major, `h.len() / n` rows): each element is
+    /// `0 + Σ_{k ≤ i} L[i][k] · h[s][k]` summed in ascending `k` — the
+    /// chain of the one-accumulator loop, with no terms past the diagonal —
+    /// computed `MR` rows of `L` by `NR64` rows of `h` at a time.
+    pub fn mul_rows(&self, h: &[f64], out: &mut [f64]) {
+        let n = self.n;
+        assert_eq!(h.len(), out.len(), "one output row per input row");
+        if n == 0 {
+            return;
+        }
+        assert_eq!(h.len() % n, 0, "rows of length n");
+        let hp = pack(h, n, NR64, |x| x);
+        for (p, i0) in (0..n).step_by(MR).enumerate() {
+            let k_end = (i0 + MR).min(n);
+            let ap = &self.data[MR * NR64 * p * (p + 1) / 2..][..k_end * NR64];
+            for (sp, bp) in hp.chunks_exact(n * NR64).enumerate() {
+                // Columns `k ≤ i0` belong to every row of the block …
+                let mut acc = dot_block::<f64, NR64>(&ap[..(i0 + 1) * NR64], 0, bp);
+                // … the rest of the panel only to the rows at or below them.
+                for k in i0 + 1..k_end {
+                    let (ak, bk) = (&ap[k * NR64..][..NR64], &bp[k * NR64..][..NR64]);
+                    for i in k - i0..MR {
+                        for j in 0..NR64 {
+                            acc[i][j] = acc[i][j].mul_add_acc(ak[i], bk[j]);
+                        }
+                    }
+                }
+                let s0 = sp * NR64;
+                for (j, o) in out[s0 * n..].chunks_mut(n).take(NR64).enumerate() {
+                    for (i, v) in o[i0..k_end].iter_mut().enumerate() {
+                        *v = acc[i][j];
+                    }
+                }
+            }
+        }
+    }
+}
+
 /// Flop counts of the four kernels for a tile side `b` (standard LAPACK
 /// accounting, used by benches and the cluster simulator).
 pub mod flops {
@@ -656,6 +730,51 @@ mod tests {
             }
         }
         out
+    }
+
+    #[test]
+    fn packed_lower_mul_rows_matches_the_one_accumulator_loop_bit_for_bit() {
+        let mut rng = StdRng::seed_from_u64(17);
+        for n in [1usize, 2, 3, 4, 5, 7, 8, 9, 17, 64, 66] {
+            // ±0 entries, an all-zero row, and NaN above the diagonal, which
+            // must never be read.
+            let mut l = vec![f64::NAN; n * n];
+            for i in 0..n {
+                for k in 0..=i {
+                    l[i * n + k] = match rng.gen_range(0..6u32) {
+                        0 => 0.0,
+                        1 => -0.0,
+                        _ => rng.gen_range(-1.0..1.0),
+                    };
+                }
+            }
+            l[(n / 2) * n..(n / 2) * n + n / 2 + 1].fill(0.0);
+            let packed = PackedLower::new(&l, n);
+            for rows in [1usize, 3, 4, 5, 9] {
+                let h: Vec<f64> = (0..rows * n)
+                    .map(|_| match rng.gen_range(0..5u32) {
+                        0 => -0.0,
+                        1 => 5e-324,
+                        _ => rng.gen_range(-3.0..3.0),
+                    })
+                    .collect();
+                let mut out = vec![f64::NAN; rows * n];
+                packed.mul_rows(&h, &mut out);
+                for s in 0..rows {
+                    for i in 0..n {
+                        let mut acc = 0.0;
+                        for k in 0..=i {
+                            acc += l[i * n + k] * h[s * n + k];
+                        }
+                        assert_eq!(
+                            out[s * n + i].to_bits(),
+                            acc.to_bits(),
+                            "n={n} row {s} i={i}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -1,17 +1,23 @@
 //! Golden values of the design pipeline on the benchmark's data (member 0
-//! of `small_daily(16)`, two years of daily fields), recorded from the build
-//! *before* the trend fit, the consistency check and the covariance were
-//! rearranged into plan-once/apply-many form. The trend fit and the
-//! consistency report are pinned bit for bit — their per-location
-//! arithmetic is a contract (see ARCHITECTURE.md, "Design pipeline: what is
-//! planned once"). Anything downstream of the SHT analysis is pinned to a
-//! tolerance only: the θ-stage operator sums the same terms in a different
-//! order.
+//! of `small_daily(16)`, two years of daily fields).
+//!
+//! The trend fit and the consistency report were recorded from the build
+//! *before* they were rearranged into plan-once/apply-many form (PR 15);
+//! their per-location arithmetic is a contract (see ARCHITECTURE.md,
+//! "Design pipeline: what is planned once"). Everything from the generator
+//! through the SHT batches, the factor, the sampled coefficient path and
+//! the benchmark op's report was recorded from the build *before* the FFT
+//! gathered its twiddles at plan time and the sampler became a blocked
+//! triangular product (PR 21): those two rewrites keep every operation, so
+//! every value here is pinned bit for bit.
 
 use exaclim::{validate_consistency, ClimateEmulator, ConsistencyReport, EmulatorConfig};
 use exaclim_climate::{Dataset, SyntheticEra5, SyntheticEra5Config};
+use exaclim_sht::{analysis_batch, synthesis_batch, ShtPlan};
 use exaclim_stats::trend::{fit_grid, TrendConfig};
-use exaclim_stats::ForcingSeries;
+use exaclim_stats::{CoefficientSampler, ForcingSeries};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 const LMAX: usize = 16;
 const T_MAX: usize = 730;
@@ -105,28 +111,81 @@ fn consistency_report_keeps_its_bits() {
 }
 
 #[test]
-fn benchmark_op_report_stays_within_tolerance_of_the_recorded_one() {
+fn generator_members_keep_their_bits() {
+    // The `emulator_design` training member and the serve workloads'
+    // archive member: the generator synthesizes every field by SHT.
+    assert_eq!(
+        hash(member(0).data),
+        0x745a_e57b_ffb5_b742,
+        "small_daily(16) member 0 moved"
+    );
+    let archive = SyntheticEra5::new(SyntheticEra5Config::small_daily(32)).generate_member(0, 2048);
+    assert_eq!(
+        hash(archive.data),
+        0x6695_bbce_829e_0785,
+        "small_daily(32) member 0 moved"
+    );
+}
+
+#[test]
+fn sht_batches_keep_their_bits() {
+    let data = member(0);
+    let plan = ShtPlan::equiangular(LMAX, data.ntheta, data.nphi);
+    let coeffs = analysis_batch(&plan, &data.data, T_MAX);
+    let values = coeffs
+        .iter()
+        .flat_map(|c| c.as_slice().iter().flat_map(|z| [z.re, z.im]));
+    assert_eq!(hash(values), 0xdf2a_a3a7_b7ed_8dc3, "analysis_batch moved");
+    let fields = synthesis_batch(&plan, &coeffs);
+    assert_eq!(hash(fields), 0x45ac_311e_26b1_5659, "synthesis_batch moved");
+}
+
+#[test]
+fn benchmark_op_keeps_its_bits() {
     // Op 0 of the `emulator_design` workload: train on member 0, emulate
     // with the benchmark's seed for op 0, validate the pair.
     let training = member(0);
     let mut config = EmulatorConfig::small(LMAX);
     config.workers = 2;
     let model = ClimateEmulator::train(&training, config).unwrap();
+    assert_eq!(
+        hash(model.factor.iter().copied()),
+        0xef3e_172e_28d7_98f8,
+        "factor moved"
+    );
+    assert_eq!(
+        hash(model.v2.iter().copied()),
+        0xeaff_4f47_7e7d_dd4b,
+        "v2 moved"
+    );
+
+    let dim = model.config.coeff_dim();
+    let sampler = CoefficientSampler::new(model.var.clone(), model.factor.clone(), dim);
+    let path = sampler.sample_path(T_MAX, &mut StdRng::seed_from_u64(3));
+    assert_eq!(
+        hash(path.into_iter().flatten()),
+        0x6ea9_2dde_f206_f9fe,
+        "sample_path moved"
+    );
+
     let emulation = model.emulate(T_MAX, 16_049_541_622_874_547_473).unwrap();
+    assert_eq!(
+        hash(emulation.data.iter().copied()),
+        0x3401_450c_15ff_a05f,
+        "emulate moved"
+    );
     let report = validate_consistency(&training, &emulation);
     assert!(report.passes(), "{report:?}");
-    let recorded = [
-        0.0030339176710109743,
-        0.9979574601442563,
-        0.9999966673339036,
-        0.9997849592347638,
-        0.0045177463261424355,
-        0.028668732688335283,
-    ];
-    for (got, want) in report_fields(&report).into_iter().zip(recorded) {
-        assert!(
-            (got - want).abs() <= 1e-9 * want.abs(),
-            "{got} vs recorded {want}: {report:?}"
-        );
-    }
+    assert_eq!(
+        report_fields(&report).map(f64::to_bits),
+        [
+            0x3f68_da96_259f_bbb6,
+            0x3fef_ef44_7bc3_cd3f,
+            0x3fef_fff9_02c9_dc05,
+            0x3fef_fe3d_06de_45a7,
+            0x3f72_8133_4b8e_fb00,
+            0x3f9d_5b56_1541_b4c9,
+        ],
+        "{report:?}"
+    );
 }
