@@ -597,8 +597,6 @@ mod tests {
 
     #[test]
     fn balanced_four_shard_placement_scales_near_linearly() {
-        // The CI target: a flat 4-shard layout must predict ≥ 2.5× a
-        // single shard (the v7 bench validator pins this).
         let spec = MachineSpec::of(Machine::Frontier);
         let cfg = PlacementConfig {
             shard_loads: vec![1.0, 1.05, 0.97, 1.02],

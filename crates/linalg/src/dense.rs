@@ -178,12 +178,6 @@ impl Matrix {
         x
     }
 
-    /// Solve the SPD system `self · x = b` via Cholesky.
-    pub fn solve_spd(&self, b: &[f64]) -> Result<Vec<f64>, crate::kernels::NotPositiveDefinite> {
-        let l = self.cholesky_lower()?;
-        Ok(l.solve_lower_transpose(&l.solve_lower(b)))
-    }
-
     /// Frobenius norm.
     pub fn frobenius_norm(&self) -> f64 {
         self.data.iter().map(|x| x * x).sum::<f64>().sqrt()
@@ -260,15 +254,6 @@ mod tests {
     fn cholesky_rejects_indefinite() {
         let a = Matrix::from_vec(2, 2, vec![1.0, 3.0, 3.0, 1.0]);
         assert!(a.cholesky_lower().is_err());
-    }
-
-    #[test]
-    fn spd_solve_matches_direct() {
-        let a = Matrix::from_vec(2, 2, vec![4.0, 1.0, 1.0, 3.0]);
-        let x = a.solve_spd(&[1.0, 2.0]).unwrap();
-        // 4x + y = 1; x + 3y = 2 → x = 1/11, y = 7/11.
-        assert!((x[0] - 1.0 / 11.0).abs() < 1e-12);
-        assert!((x[1] - 7.0 / 11.0).abs() < 1e-12);
     }
 
     #[test]
