@@ -22,9 +22,6 @@
 //!   in `exaclim-store`) with token-based registration, a deadline wheel,
 //!   and a cross-thread wakeup fd; the serving layer multiplexes its
 //!   nonblocking connection state machines over it,
-//! * [`sync`] — small shared synchronization primitives (a counting
-//!   semaphore with RAII permits, used to bound accept-side concurrency in
-//!   the serving layer's network front end),
 //! * [`trace`] — per-task timelines, worker utilization, and critical-path
 //!   statistics used by the scaling ablations,
 //! * [`cholesky_par`] — the task-parallel mixed-precision tile Cholesky,
@@ -41,7 +38,6 @@ pub mod faults;
 pub mod graph;
 pub mod pool;
 pub mod reactor;
-pub mod sync;
 pub mod trace;
 
 pub use cholesky_par::parallel_tile_cholesky;
@@ -50,10 +46,9 @@ pub use executor::{ExecError, Executor, SchedulerKind};
 pub use faults::{FaultAction, FaultPlan};
 pub use graph::{cholesky_graph, TaskGraph, TaskId};
 pub use pool::WorkerPool;
-pub use reactor::{reactor_enabled, Event, Interest, Mode, Token, REACTOR_SUPPORTED};
 #[cfg(unix)]
 pub use reactor::{Backend, Reactor, Waker};
-pub use sync::{Permit, Semaphore};
+pub use reactor::{Event, Interest, Mode, Token};
 pub use trace::TraceReport;
 
 /// Serializes the wall-clock speedup tests of this crate: libtest runs

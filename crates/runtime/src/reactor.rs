@@ -1,11 +1,11 @@
 //! A dependency-free readiness reactor (unix).
 //!
-//! The serving layer's network front end historically pinned one OS
-//! thread per connection — fine for tens of sockets, fatal for the
-//! ROADMAP's mostly-idle keep-alive fleets. This module supplies the
-//! missing primitive: a single-threaded event loop core that watches
-//! many file descriptors at once and reports *readiness*, so one thread
-//! can multiplex thousands of connection state machines.
+//! One OS thread per connection is fine for tens of sockets and fatal
+//! for the serving layer's mostly-idle keep-alive fleets. This module
+//! supplies the primitive that avoids it: a single-threaded event loop
+//! core that watches many file descriptors at once and reports
+//! *readiness*, so one thread can multiplex thousands of connection state
+//! machines.
 //!
 //! The container has no registry access, so — in the spirit of the raw
 //! `mmap` FFI in `exaclim-store` — the reactor carries its own minimal
@@ -34,29 +34,10 @@
 //!   (completion queues, shutdown). The wake pipe is internal: it never
 //!   appears among returned events.
 //!
-//! The escape hatch mirrors `EXACLIM_MMAP`: `EXACLIM_REACTOR=0` (see
-//! [`reactor_enabled`]) tells reactor *consumers* — the serving layer's
-//! `NetServer` — to fall back to their thread-backed path, for A/B
-//! comparisons and CI coverage of the fallback. The reactor itself stays
-//! usable either way.
-
-/// True when this build target has a reactor backend at all (unix);
-/// other targets always take the thread-backed fallback in reactor
-/// consumers, whatever `EXACLIM_REACTOR` says.
-pub const REACTOR_SUPPORTED: bool = cfg!(unix);
-
-/// True unless `EXACLIM_REACTOR=0` opts out of the event-driven network
-/// path (useful to force the thread-per-connection fallback for A/B
-/// comparisons and CI coverage).
-pub fn reactor_enabled() -> bool {
-    reactor_flag(std::env::var_os("EXACLIM_REACTOR").as_deref())
-}
-
-/// Policy behind [`reactor_enabled`], split out for direct testing: only
-/// the literal value `0` opts out.
-fn reactor_flag(var: Option<&std::ffi::OsStr>) -> bool {
-    var.is_none_or(|v| v != "0")
-}
+//! The serving layer's `NetServer` runs on this reactor and has no other
+//! server path, so it is unix-only because this module is. Off unix only
+//! the portable types ([`Token`], [`Interest`], [`Mode`], [`Event`])
+//! exist.
 
 /// Caller-chosen identity of one registered file descriptor; returned in
 /// every [`Event`] and expired-deadline report. `u64::MAX` is reserved
@@ -898,23 +879,5 @@ mod unix {
             let (events, _, _) = poll_once(&mut r, 1000);
             assert_eq!(events.len(), 1);
         }
-    }
-}
-
-#[cfg(test)]
-mod policy_tests {
-    use super::*;
-
-    #[test]
-    fn reactor_flag_parses() {
-        assert!(reactor_flag(None));
-        assert!(reactor_flag(Some(std::ffi::OsStr::new("1"))));
-        assert!(reactor_flag(Some(std::ffi::OsStr::new(""))));
-        assert!(!reactor_flag(Some(std::ffi::OsStr::new("0"))));
-    }
-
-    #[test]
-    fn support_matches_target() {
-        assert_eq!(REACTOR_SUPPORTED, cfg!(unix));
     }
 }

@@ -50,9 +50,9 @@
 //!   over the [`exaclim_runtime::reactor`] (thread count constant in the
 //!   connection count, per-connection back-pressure with memory bounded
 //!   by about one stream fragment, idle reaping, graceful drain via the
-//!   wakeup fd — with a thread-per-connection fallback off unix or
-//!   under `EXACLIM_REACTOR=0`), and a blocking [`net::Client`] with
-//!   connection reuse, pipelining, and transparent stream reassembly,
+//!   wakeup fd; unix-only, like the reactor), and a blocking, portable
+//!   [`net::Client`] with connection reuse, pipelining, and transparent
+//!   stream reassembly,
 //! * [`router`] — the scale-out front end: a [`router::Router`] speaks
 //!   ECN1 on both sides, placing `(archive, member)` keys on N backend
 //!   [`net::NetServer`] shards via a seeded consistent-hash ring with
@@ -133,9 +133,9 @@ pub use cache::{
 };
 pub use catalog::{ByteSource, Catalog, ServedArchive, ServedEmulator};
 pub use error::{ServeError, WireError};
-pub use net::{
-    Client, ClientConfig, ClientStats, NetConfig, NetServer, NetServerHandle, NetStats, RetryPolicy,
-};
+pub use net::{Client, ClientConfig, ClientStats, NetConfig, NetStats, RetryPolicy};
+#[cfg(unix)]
+pub use net::{NetServer, NetServerHandle};
 pub use placement::{assign_primaries, emulator_weight, plan_layout, KeyWeight, PlacementPlan};
 pub use product::{
     ProductData, ProductDescriptor, ProductKey, ProductSource, ProductStat, ScenarioSpec,

@@ -1,15 +1,15 @@
 //! The network front end: a framed-TCP server and client over
 //! [`Server::handle_batch`], speaking the [`crate::wire`] protocol.
 //!
-//! ## Connection lifecycle (event-driven path)
+//! ## Connection lifecycle
 //!
-//! [`NetServer::bind`] opens a listener; [`NetServer::spawn`] starts the
-//! server and returns a [`NetServerHandle`]. On unix (unless
-//! `EXACLIM_REACTOR=0` — see [`exaclim_runtime::reactor::reactor_enabled`]
-//! — or [`NetConfig::reactor`] opts out) the server is **event-driven**:
-//! one reactor thread multiplexes every connection as a nonblocking
-//! frame state machine over an [`exaclim_runtime::reactor::Reactor`]
-//! (raw `epoll`/`poll(2)` FFI, no dependencies):
+//! [`NetServer::bind`] opens a nonblocking listener and registers it with
+//! a fresh [`exaclim_runtime::reactor::Reactor`] (raw `epoll`/`poll(2)`
+//! FFI, no dependencies); [`NetServer::spawn`] starts the server and
+//! returns a [`NetServerHandle`]. The server is **event-driven** and,
+//! like the reactor, unix-only ([`Client`] is portable): one reactor
+//! thread multiplexes every connection as a nonblocking frame state
+//! machine:
 //!
 //! * **header-scan** — bytes accumulate until the fixed 24-byte `ECN1`
 //!   header is present and valid (bad magic/version/kind/cap frames are
@@ -37,10 +37,10 @@
 //! half-open, and slowloris connections are reaped when
 //! [`NetConfig::idle_timeout`] passes without a complete frame (counted
 //! in [`NetStats::reaped_idle`]); connections queued past
-//! [`NetConfig::max_connections`] wait in the listener backlog exactly
-//! as before. Because buffered bytes are re-parsed each time a response
-//! finishes, a client may **pipeline**: write several request frames
-//! before reading the first response — responses come back in order.
+//! [`NetConfig::max_connections`] wait in the listener backlog. Because
+//! buffered bytes are re-parsed each time a response finishes, a client
+//! may **pipeline**: write several request frames before reading the
+//! first response — responses come back in order.
 //!
 //! Transport-level failures (bad magic, version mismatch, oversized or
 //! corrupt frames) are answered best-effort with an error frame and then
@@ -53,19 +53,6 @@
 //! fd: the listener closes, idle connections close, connections with a
 //! dispatched batch or a partially-written response drain first, and
 //! every thread is joined before `shutdown` returns.
-//!
-//! ## Thread-per-connection fallback
-//!
-//! Off unix, when the reactor cannot start, or when `EXACLIM_REACTOR=0`
-//! / [`NetConfig::reactor`]` = Some(false)` pins it, the server runs the
-//! original thread-per-connection loop: an accept thread admits at most
-//! [`NetConfig::max_connections`] concurrent connections (one
-//! [`exaclim_runtime::sync::Semaphore`] permit each — a flood queues in
-//! the listener backlog) and each connection gets one blocking handler
-//! thread. The same idle deadline applies (enforced via socket read
-//! timeouts), a handler-spawn failure rejects that connection gracefully
-//! ([`NetStats::rejected`]) instead of killing the listener, and the
-//! wire behavior is bit-identical to the event-driven path.
 //!
 //! ## Example
 //!
@@ -105,51 +92,47 @@
 
 use crate::error::{ServeError, WireError};
 use crate::product::{ProductData, ProductDescriptor, ScenarioSpec};
-use crate::router::Router;
-use crate::server::{Request, Response, ServeBackend, ServeStats, Server};
-use crate::wire::{self, FrameKind, HEADER_LEN};
-use exaclim_runtime::sync::Semaphore;
-use parking_lot::Mutex;
+use crate::server::{Request, Response, ServeStats};
+use crate::wire::{self, FrameKind};
 use std::collections::VecDeque;
-use std::io::{BufReader, BufWriter, Read, Write};
-use std::net::{
-    IpAddr, Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs,
+use std::io::{BufReader, BufWriter, Write};
+use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
+use std::time::Duration;
+#[cfg(unix)]
+use {
+    crate::router::Router,
+    crate::server::{ServeBackend, Server},
+    exaclim_runtime::reactor::{Reactor, Waker},
+    std::net::TcpListener,
+    std::sync::atomic::{AtomicBool, AtomicU64, Ordering},
+    std::sync::Arc,
 };
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 /// Tuning knobs of a [`NetServer`].
 #[derive(Debug, Clone)]
 pub struct NetConfig {
     /// Maximum concurrently open connections; further clients queue in
-    /// the listener backlog until a slot frees up. On the event-driven
-    /// path a connection costs a registration, not a thread, so this is
-    /// cheap to raise far beyond the old thread-per-connection default.
+    /// the listener backlog until a slot frees up. A connection costs a
+    /// reactor registration, not a thread, so this is cheap to raise.
     pub max_connections: usize,
     /// Reap a connection that goes this long without completing a frame
     /// (while idle or dribbling — slowloris) or without draining any
     /// response bytes (dead peer). `None` disables reaping. Connections
     /// whose batch is still executing are never reaped.
     pub idle_timeout: Option<Duration>,
-    /// Dispatch workers that execute decoded batches on the event-driven
-    /// path (each batch still fans out over the shared worker pool).
-    /// `0` sizes automatically from the pool's thread count.
+    /// Dispatch workers that execute decoded batches (each batch still
+    /// fans out over the shared worker pool). `0` sizes automatically
+    /// from the pool's thread count.
     pub dispatch_threads: usize,
-    /// Force the event-driven reactor path on (`Some(true)`) or off
-    /// (`Some(false)`); `None` follows the platform and the
-    /// `EXACLIM_REACTOR` escape hatch. Unsupported targets always take
-    /// the thread-per-connection fallback.
-    pub reactor: Option<bool>,
     /// Payload bytes per streamed response fragment. Responses larger
     /// than this go to version-3 peers as a sequence of CRC-checked
     /// stream frames instead of one monolithic frame, which is what
     /// bounds per-connection server memory; `0` disables streaming
     /// (every response is a single frame, as in wire version 2).
     pub stream_chunk_bytes: usize,
-    /// Overload protection (event-driven path): when this many batches
-    /// are already queued for the dispatch workers, new request frames
-    /// are **shed** — answered immediately with one retryable
+    /// Overload protection: when this many batches are already queued
+    /// for the dispatch workers, new request frames are **shed** —
+    /// answered immediately with one retryable
     /// [`ServeError::Overloaded`] per request instead of joining a queue
     /// they would time out in. The connection stays open; a client with
     /// a [`RetryPolicy`] backs off and resubmits. `0` disables shedding.
@@ -161,14 +144,13 @@ pub struct NetConfig {
 
 impl Default for NetConfig {
     /// 4096 connections, 60 s idle deadline, auto-sized dispatch,
-    /// platform-default reactor policy, 256 KiB stream fragments,
-    /// shedding past 1024 queued batches with a 25 ms retry hint.
+    /// 256 KiB stream fragments, shedding past 1024 queued batches with
+    /// a 25 ms retry hint.
     fn default() -> Self {
         Self {
             max_connections: 4096,
             idle_timeout: Some(Duration::from_secs(60)),
             dispatch_threads: 0,
-            reactor: None,
             stream_chunk_bytes: 256 << 10,
             max_dispatch_backlog: 1024,
             shed_retry_after_ms: 25,
@@ -206,8 +188,9 @@ pub struct NetStats {
     /// Connections reaped by the [`NetConfig::idle_timeout`] deadline
     /// (idle keep-alives, half-open peers, slowloris dribblers).
     pub reaped_idle: u64,
-    /// Connections accepted but rejected before service (fd or thread
-    /// exhaustion); the accept loop survives and keeps serving.
+    /// Accept errors (fd exhaustion, a reset mid-handshake) plus accepted
+    /// connections that could not be made nonblocking or registered with
+    /// the reactor; each is dropped and the listener keeps serving.
     pub rejected: u64,
     /// Responses that left as a sequence of stream fragments instead of
     /// one monolithic frame (see [`NetConfig::stream_chunk_bytes`]).
@@ -234,6 +217,7 @@ pub struct NetStats {
     pub faults_injected: u64,
 }
 
+#[cfg(unix)]
 #[derive(Default)]
 struct NetStatCells {
     connections: AtomicU64,
@@ -257,6 +241,7 @@ struct NetStatCells {
 
 /// Histogram bucket of a frames-per-response count: 1, 2, 3–4, 5–8,
 /// 9–16, 17–32, 33–64, 65+.
+#[cfg(unix)]
 fn frames_bucket(frames: u32) -> usize {
     match frames {
         0 | 1 => 0,
@@ -270,6 +255,7 @@ fn frames_bucket(frames: u32) -> usize {
     }
 }
 
+#[cfg(unix)]
 impl NetStatCells {
     fn snapshot(&self) -> NetStats {
         NetStats {
@@ -295,38 +281,11 @@ impl NetStatCells {
             faults_injected: exaclim_runtime::faults::injected(),
         }
     }
-
-    /// One response fully written: bucket its frame count, and when it
-    /// streamed, count the response and its fragments.
-    fn response_written(&self, frames: u32, streamed: bool) {
-        self.frames_per_response[frames_bucket(frames)].fetch_add(1, Ordering::Relaxed);
-        if streamed {
-            self.streamed_responses.fetch_add(1, Ordering::Relaxed);
-            self.stream_frames_out
-                .fetch_add(u64::from(frames), Ordering::Relaxed);
-        }
-    }
-
-    /// Raise the per-connection owned-bytes high-water mark.
-    fn note_conn_buffered(&self, owned: usize) {
-        self.peak_conn_buffered_bytes
-            .fetch_max(owned as u64, Ordering::Relaxed);
-    }
-
-    /// One connection admitted: bump the gauge and the high-water mark.
-    fn conn_opened(&self) {
-        let now = self.open_connections.fetch_add(1, Ordering::Relaxed) + 1;
-        self.peak_connections.fetch_max(now, Ordering::Relaxed);
-    }
-
-    /// One connection closed: drop the gauge.
-    fn conn_closed(&self) {
-        self.open_connections.fetch_sub(1, Ordering::Relaxed);
-    }
 }
 
-/// State shared between the serving threads (reactor + dispatch workers,
-/// or accept loop + connection handlers) and the [`NetServerHandle`].
+/// State shared between the serving threads (reactor + dispatch workers)
+/// and the [`NetServerHandle`].
+#[cfg(unix)]
 struct NetShared {
     /// What decoded batches execute on: an in-process [`Server`]
     /// ([`NetServer::bind`]) or a [`Router`] scatter-gathering over
@@ -336,36 +295,24 @@ struct NetShared {
     /// (`None` behind [`NetServer::bind_router`]).
     server: Option<Arc<Server>>,
     stats: NetStatCells,
-    /// Set when shutdown begins. The event-driven path observes it on
-    /// the next wakeup; the threaded path sets and re-checks it under
-    /// the `open_conns` lock so no connection slips past the drain.
+    /// Set when shutdown begins; the reactor observes it on the wakeup
+    /// that [`NetServerHandle::shutdown`] sends right after.
     shutdown: AtomicBool,
-    /// Threaded path only: one `(token, clone)` per open connection, so
-    /// shutdown can unblock handlers parked in a read. Tokens are
-    /// accept-loop sequence numbers: handlers deregister by token, never
-    /// by address (peer addresses can be unreadable on already-reset
-    /// sockets).
-    open_conns: Mutex<Vec<(u64, TcpStream)>>,
 }
 
-impl NetShared {
-    /// Drop one connection's registry entry when its handler exits.
-    fn forget_conn(&self, token: u64) {
-        let mut conns = self.open_conns.lock();
-        if let Some(i) = conns.iter().position(|(t, _)| *t == token) {
-            conns.swap_remove(i);
-        }
-    }
-}
-
-/// A bound-but-not-yet-serving network front end over a [`Server`].
+/// A bound-but-not-yet-serving network front end over a [`Server`]: the
+/// listener is open and registered with its reactor, so clients queue in
+/// the backlog until [`NetServer::spawn`].
+#[cfg(unix)]
 pub struct NetServer {
     listener: TcpListener,
+    reactor: Reactor,
     addr: SocketAddr,
     shared: Arc<NetShared>,
     config: NetConfig,
 }
 
+#[cfg(unix)]
 impl std::fmt::Debug for NetServer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("NetServer")
@@ -375,6 +322,7 @@ impl std::fmt::Debug for NetServer {
     }
 }
 
+#[cfg(unix)]
 impl NetServer {
     /// Bind a listener on `addr` (use port 0 for an ephemeral port) over
     /// an existing in-process server.
@@ -406,6 +354,9 @@ impl NetServer {
         Self::bind_backend(addr, router, None, config)
     }
 
+    /// Open the listener, make it nonblocking and register it with a
+    /// fresh reactor. Any failure is an error from `bind`, so a server
+    /// that cannot accept never hands out a handle.
     fn bind_backend(
         addr: impl ToSocketAddrs,
         backend: Arc<dyn ServeBackend>,
@@ -414,15 +365,18 @@ impl NetServer {
     ) -> std::io::Result<Self> {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
+        listener.set_nonblocking(true)?;
+        let mut reactor = Reactor::new()?;
+        event::listen(&mut reactor, &listener)?;
         Ok(Self {
             listener,
+            reactor,
             addr,
             shared: Arc::new(NetShared {
                 backend,
                 server,
                 stats: NetStatCells::default(),
                 shutdown: AtomicBool::new(false),
-                open_conns: Mutex::new(Vec::new()),
             }),
             config,
         })
@@ -433,62 +387,26 @@ impl NetServer {
         self.addr
     }
 
-    /// Start serving and return the controlling handle. Prefers the
-    /// event-driven reactor path (see the module docs); falls back to
-    /// thread-per-connection off unix, under `EXACLIM_REACTOR=0`, when
-    /// [`NetConfig::reactor`] pins it, or if the reactor cannot start.
+    /// Start serving and return the controlling handle: the reactor
+    /// thread plus [`NetConfig::dispatch_threads`] dispatch workers (see
+    /// the module docs).
     pub fn spawn(self) -> NetServerHandle {
-        #[cfg(unix)]
-        {
-            let want = self
-                .config
-                .reactor
-                .unwrap_or_else(exaclim_runtime::reactor::reactor_enabled);
-            if want {
-                if let Ok(reactor) = exaclim_runtime::reactor::Reactor::new() {
-                    if self.listener.set_nonblocking(true).is_ok() {
-                        return event::spawn_event(self, reactor);
-                    }
-                }
-            }
-        }
-        self.spawn_threaded()
-    }
-
-    /// The thread-per-connection fallback: a dedicated accept thread,
-    /// one handler thread per admitted connection.
-    fn spawn_threaded(self) -> NetServerHandle {
-        // The listener may have been flipped nonblocking while probing
-        // the reactor path; the blocking accept loop needs it blocking.
-        let _ = self.listener.set_nonblocking(false);
-        let shared = Arc::clone(&self.shared);
-        let addr = self.addr;
-        let accept_thread = std::thread::Builder::new()
-            .name("exaclim-net-accept".to_string())
-            .spawn(move || accept_loop(self.listener, self.shared, self.config))
-            .expect("spawn accept thread");
-        NetServerHandle {
-            addr,
-            shared,
-            threads: vec![accept_thread],
-            #[cfg(unix)]
-            waker: None,
-        }
+        event::spawn_event(self)
     }
 }
 
 /// Controlling handle of a running [`NetServer`]: address, transport
 /// stats, graceful shutdown. Dropping the handle shuts the server down.
+#[cfg(unix)]
 pub struct NetServerHandle {
     addr: SocketAddr,
     shared: Arc<NetShared>,
     threads: Vec<std::thread::JoinHandle<()>>,
-    /// `Some` on the event-driven path: shutdown nudges the reactor
-    /// through its wakeup fd instead of draining a registry.
-    #[cfg(unix)]
-    waker: Option<exaclim_runtime::reactor::Waker>,
+    /// Nudges the parked reactor when shutdown begins.
+    waker: Waker,
 }
 
+#[cfg(unix)]
 impl std::fmt::Debug for NetServerHandle {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("NetServerHandle")
@@ -497,6 +415,7 @@ impl std::fmt::Debug for NetServerHandle {
     }
 }
 
+#[cfg(unix)]
 impl NetServerHandle {
     /// Address clients connect to.
     pub fn addr(&self) -> SocketAddr {
@@ -521,87 +440,56 @@ impl NetServerHandle {
     }
 
     /// Stop accepting, drain every open connection, and join all
-    /// threads. Idempotent; also runs on drop.
-    pub fn shutdown(mut self) {
-        self.shutdown_inner();
+    /// threads. Dropping the handle does the same.
+    pub fn shutdown(self) {
+        drop(self);
     }
+}
 
-    fn shutdown_inner(&mut self) {
-        let threads = std::mem::take(&mut self.threads);
-        if threads.is_empty() {
-            return;
-        }
-        #[cfg(unix)]
-        if let Some(waker) = self.waker.take() {
-            // Event-driven path: flag, nudge the parked reactor through
-            // the wakeup fd, and join. The reactor closes the listener,
-            // closes idle connections, lets dispatched batches and
-            // half-written responses drain, then stops the dispatch
-            // workers.
-            self.shared.shutdown.store(true, Ordering::SeqCst);
-            waker.wake();
-            for t in threads {
-                let _ = t.join();
-            }
-            return;
-        }
-        // Threaded path. Flag and drain under the registry lock: the
-        // accept loop registers new connections under the same lock
-        // after re-checking the flag, so every connection is either
-        // drained here or closed by the loop itself — none can slip
-        // between flag and drain and leave shutdown joining a handler
-        // nobody will ever unblock.
-        let drained: Vec<TcpStream> = {
-            let mut conns = self.shared.open_conns.lock();
-            self.shared.shutdown.store(true, Ordering::SeqCst);
-            conns.drain(..).map(|(_, stream)| stream).collect()
-        };
-        // Unblock handlers parked in a frame read: their next read
-        // returns EOF and the handler exits, releasing its permit.
-        for conn in drained {
-            let _ = conn.shutdown(Shutdown::Both);
-        }
-        // Unblock the accept call itself with a wake-up connection. A
-        // listener bound to an unspecified address (0.0.0.0 / ::) is not
-        // connectable everywhere; aim the wake-up at loopback instead.
-        let wake = if self.addr.ip().is_unspecified() {
-            let ip: IpAddr = match self.addr {
-                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
-                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
-            };
-            SocketAddr::new(ip, self.addr.port())
-        } else {
-            self.addr
-        };
-        let _ = TcpStream::connect(wake);
-        for t in threads {
+/// Flag, nudge the parked reactor through the wakeup fd, and join. The
+/// reactor closes the listener, closes idle connections, lets dispatched
+/// batches and half-written responses drain, then stops the dispatch
+/// workers.
+#[cfg(unix)]
+impl Drop for NetServerHandle {
+    fn drop(&mut self) {
+        self.shared.shutdown.store(true, Ordering::SeqCst);
+        self.waker.wake();
+        for t in self.threads.drain(..) {
             let _ = t.join();
         }
     }
 }
 
-impl Drop for NetServerHandle {
-    fn drop(&mut self) {
-        self.shutdown_inner();
-    }
-}
-
 // ---------------------------------------------------------------------------
-// Event-driven path: nonblocking frame state machines over the reactor
+// Nonblocking frame state machines over the reactor
 // ---------------------------------------------------------------------------
 
 #[cfg(unix)]
 mod event {
     use super::*;
-    use exaclim_runtime::reactor::{Interest, Mode, Reactor, Token, Waker};
+    use crate::wire::HEADER_LEN;
+    use exaclim_runtime::reactor::{Interest, Mode, Token};
     use exaclim_store::crc32;
-    use parking_lot::Condvar;
+    use parking_lot::{Condvar, Mutex};
     use std::collections::HashMap;
-    use std::io::ErrorKind;
+    use std::io::{ErrorKind, Read};
+    use std::net::Shutdown;
     use std::os::unix::io::AsRawFd;
+    use std::time::Instant;
 
     /// The listener's reactor token; connections count up from 1.
     const LISTENER: Token = Token(0);
+
+    /// Arm (or re-arm) the listener's level-triggered read interest.
+    pub(super) fn listen(reactor: &mut Reactor, listener: &TcpListener) -> std::io::Result<()> {
+        reactor.register(
+            listener.as_raw_fd(),
+            LISTENER,
+            Interest::READABLE,
+            Mode::Level,
+        )
+    }
 
     /// A decoded request batch on its way to a dispatch worker.
     struct Job {
@@ -731,7 +619,7 @@ mod event {
         /// The staged frame and how many of its bytes have left.
         cur: Option<(wire::OutFrame, usize)>,
         /// Response frames count toward `frames_out`/`bytes_out`;
-        /// error frames do not (blocking-path parity).
+        /// error frames do not.
         is_response: bool,
     }
 
@@ -817,9 +705,10 @@ mod event {
 
     /// Launch the event-driven server: dispatch workers plus the reactor
     /// thread, all joined by [`NetServerHandle::shutdown`].
-    pub(super) fn spawn_event(server: NetServer, reactor: Reactor) -> NetServerHandle {
+    pub(super) fn spawn_event(server: NetServer) -> NetServerHandle {
         let NetServer {
             listener,
+            reactor,
             addr,
             shared,
             config,
@@ -855,7 +744,8 @@ mod event {
                     let mut el = EventLoop {
                         reactor,
                         listener: Some(listener),
-                        accepting: false,
+                        // `NetServer::bind` registered the listener.
+                        accepting: true,
                         conns: HashMap::new(),
                         next_token: 1,
                         scratch: vec![0u8; 64 * 1024],
@@ -875,27 +765,12 @@ mod event {
             addr,
             shared,
             threads,
-            waker: Some(waker),
+            waker,
         }
     }
 
     impl EventLoop {
         fn run(&mut self) {
-            if let Some(listener) = &self.listener {
-                if self
-                    .reactor
-                    .register(
-                        listener.as_raw_fd(),
-                        LISTENER,
-                        Interest::READABLE,
-                        Mode::Level,
-                    )
-                    .is_err()
-                {
-                    return;
-                }
-                self.accepting = true;
-            }
             let mut events = Vec::new();
             let mut expired = Vec::new();
             loop {
@@ -965,8 +840,8 @@ mod event {
                     // for a readiness round trip.
                     self.conn_write(completion.token);
                 }
-                // Response over the payload cap: close, the same outcome
-                // the blocking path's failed encode had.
+                // Response over the payload cap: nothing valid can be
+                // sent, so close.
                 Err(_) => self.close_conn(completion.token),
             }
         }
@@ -1013,18 +888,7 @@ mod event {
                 return;
             }
             if let Some(listener) = &self.listener {
-                if self
-                    .reactor
-                    .register(
-                        listener.as_raw_fd(),
-                        LISTENER,
-                        Interest::READABLE,
-                        Mode::Level,
-                    )
-                    .is_ok()
-                {
-                    self.accepting = true;
-                }
+                self.accepting = listen(&mut self.reactor, listener).is_ok();
             }
         }
 
@@ -1066,11 +930,10 @@ mod event {
                             self.shared.stats.rejected.fetch_add(1, Ordering::Relaxed);
                             continue;
                         }
-                        self.shared
-                            .stats
-                            .connections
-                            .fetch_add(1, Ordering::Relaxed);
-                        self.shared.stats.conn_opened();
+                        let stats = &self.shared.stats;
+                        stats.connections.fetch_add(1, Ordering::Relaxed);
+                        let open = stats.open_connections.fetch_add(1, Ordering::Relaxed) + 1;
+                        stats.peak_connections.fetch_max(open, Ordering::Relaxed);
                         self.conns.insert(token, Conn::new(stream));
                         self.reset_deadline(token);
                     }
@@ -1168,8 +1031,8 @@ mod event {
                 }
             }
             if failed {
-                // Socket-level read failure (reset mid-frame, say): the
-                // blocking path counted it as a wire error and closed.
+                // Socket-level read failure (reset mid-frame, say): a
+                // wire error, and the connection closes.
                 self.shared
                     .stats
                     .wire_errors
@@ -1326,9 +1189,9 @@ mod event {
                 if out.cur.is_none() {
                     match out.stream.next_frame() {
                         Some(frame) => {
-                            self.shared
-                                .stats
-                                .note_conn_buffered(frame.owned_len(out.stream.body()));
+                            let owned = frame.owned_len(out.stream.body()) as u64;
+                            let peak = &self.shared.stats.peak_conn_buffered_bytes;
+                            peak.fetch_max(owned, Ordering::Relaxed);
                             out.cur = Some((frame, 0));
                         }
                         None => {
@@ -1399,8 +1262,8 @@ mod event {
                 }
             }
             if failed {
-                // Write failures closed the blocking path without a wire
-                // error; keep the same books here.
+                // A failed write closes the connection without counting
+                // a wire error: the peer, not the framing, went away.
                 self.close_conn(token);
                 return;
             }
@@ -1424,9 +1287,17 @@ mod event {
             };
             let out = conn.write.take().expect("finish_write without a write");
             if out.is_response {
-                self.shared
-                    .stats
-                    .response_written(out.stream.frames_emitted(), out.stream.is_streamed());
+                // Bucket the frame count; a streamed response also counts
+                // itself and its fragments.
+                let stats = &self.shared.stats;
+                let frames = out.stream.frames_emitted();
+                stats.frames_per_response[frames_bucket(frames)].fetch_add(1, Ordering::Relaxed);
+                if out.stream.is_streamed() {
+                    stats.streamed_responses.fetch_add(1, Ordering::Relaxed);
+                    stats
+                        .stream_frames_out
+                        .fetch_add(frames.into(), Ordering::Relaxed);
+                }
             }
             if conn.close_after {
                 self.close_conn(token);
@@ -1509,7 +1380,8 @@ mod event {
             if let Some(conn) = self.conns.remove(&token) {
                 let _ = self.reactor.deregister(Token(token));
                 let _ = conn.stream.shutdown(Shutdown::Both);
-                self.shared.stats.conn_closed();
+                let open = &self.shared.stats.open_connections;
+                open.fetch_sub(1, Ordering::Relaxed);
             }
         }
     }
@@ -1517,8 +1389,7 @@ mod event {
     /// Pure frame parser over the head of a connection's buffer. Splits
     /// cleanly from the event loop so the counting/bookkeeping above
     /// stays free of byte-level detail. Counts `frames_in`/`bytes_in`
-    /// itself (on complete, checksum-valid request frames), matching the
-    /// blocking path's `read_frame` bookkeeping exactly.
+    /// itself, on complete, checksum-valid request frames.
     fn parse_head(conn: &mut Conn, stats: &NetStatCells) -> Parsed {
         if conn.buf.len() < HEADER_LEN {
             return if conn.eof {
@@ -1595,328 +1466,6 @@ mod event {
             },
         }
     }
-}
-
-// ---------------------------------------------------------------------------
-// Thread-per-connection fallback
-// ---------------------------------------------------------------------------
-
-/// Accept until shutdown; each accepted connection takes a semaphore
-/// permit and a handler thread.
-fn accept_loop(listener: TcpListener, shared: Arc<NetShared>, config: NetConfig) {
-    let admission = Semaphore::new(config.max_connections);
-    let mut handlers: Vec<std::thread::JoinHandle<()>> = Vec::new();
-    let mut next_token = 0u64;
-    loop {
-        // Hold a permit *before* accepting: when all permits are out the
-        // loop parks here and the kernel backlog queues new clients —
-        // admission back-pressure without a thread per waiter.
-        let permit = admission.acquire();
-        if shared.shutdown.load(Ordering::SeqCst) {
-            break;
-        }
-        let stream = match listener.accept() {
-            Ok((stream, _)) => stream,
-            Err(_) => {
-                if shared.shutdown.load(Ordering::SeqCst) {
-                    break;
-                }
-                continue;
-            }
-        };
-        let token = next_token;
-        next_token += 1;
-        // Register under the lock that shutdown drains under, re-checking
-        // the flag there: either this connection lands in the registry
-        // before the drain, or shutdown already ran and we close it here.
-        {
-            let mut conns = shared.open_conns.lock();
-            if shared.shutdown.load(Ordering::SeqCst) {
-                drop(conns);
-                let _ = stream.shutdown(Shutdown::Both);
-                break; // often the wake-up connection from shutdown()
-            }
-            if let Ok(clone) = stream.try_clone() {
-                conns.push((token, clone));
-            }
-        }
-        handlers.retain(|h| !h.is_finished());
-        let conn_shared = Arc::clone(&shared);
-        let idle_timeout = config.idle_timeout;
-        let stream_chunk = config.stream_chunk_bytes;
-        let spawned = std::thread::Builder::new()
-            .name("exaclim-net-conn".to_string())
-            .spawn(move || {
-                handle_connection(&conn_shared, stream, token, idle_timeout, stream_chunk);
-                drop(permit);
-            });
-        match spawned {
-            Ok(handler) => handlers.push(handler),
-            Err(_) => {
-                // Thread (or fd) exhaustion: reject this connection —
-                // the dropped closure closes the stream and releases the
-                // permit — but the accept loop must survive to serve the
-                // connections that already got in.
-                shared.stats.rejected.fetch_add(1, Ordering::Relaxed);
-                shared.forget_conn(token);
-            }
-        }
-    }
-    for h in handlers {
-        let _ = h.join();
-    }
-}
-
-/// A [`TcpStream`] reader that enforces an absolute per-frame deadline
-/// through socket read timeouts: every read blocks at most until the
-/// deadline, so a slowloris peer dribbling one byte per poll still hits
-/// the wall. The handler re-arms the deadline after each complete frame.
-struct DeadlineStream {
-    stream: TcpStream,
-    idle_timeout: Option<Duration>,
-    deadline: Option<Instant>,
-    timed_out: bool,
-}
-
-impl DeadlineStream {
-    fn new(stream: TcpStream, idle_timeout: Option<Duration>) -> Self {
-        let deadline = idle_timeout.map(|d| Instant::now() + d);
-        Self {
-            stream,
-            idle_timeout,
-            deadline,
-            timed_out: false,
-        }
-    }
-
-    /// A complete frame arrived: the peer is live, start a fresh window.
-    fn rearm(&mut self) {
-        self.deadline = self.idle_timeout.map(|d| Instant::now() + d);
-    }
-}
-
-impl Read for DeadlineStream {
-    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        if let Some(deadline) = self.deadline {
-            let now = Instant::now();
-            if now >= deadline {
-                self.timed_out = true;
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::TimedOut,
-                    "idle deadline exceeded",
-                ));
-            }
-            let _ = self.stream.set_read_timeout(Some(deadline - now));
-        }
-        match self.stream.read(buf) {
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::TimedOut | std::io::ErrorKind::WouldBlock
-                ) =>
-            {
-                self.timed_out = true;
-                Err(e)
-            }
-            other => other,
-        }
-    }
-}
-
-/// Serve one connection until EOF, socket error, idle deadline, or a
-/// transport-level protocol violation.
-fn handle_connection(
-    shared: &NetShared,
-    stream: TcpStream,
-    token: u64,
-    idle_timeout: Option<Duration>,
-    stream_chunk: usize,
-) {
-    // Admission is counted here, not in the accept loop: the handler can
-    // finish (and decrement the open-connections gauge) before the accept
-    // loop's next instruction runs, so the open/close pair must live on
-    // one thread.
-    shared.stats.connections.fetch_add(1, Ordering::Relaxed);
-    shared.stats.conn_opened();
-    // Frames are explicit flush points; Nagle only adds latency here.
-    let _ = stream.set_nodelay(true);
-    let reader_stream = match stream.try_clone() {
-        Ok(s) => s,
-        Err(_) => {
-            shared.forget_conn(token);
-            shared.stats.conn_closed();
-            return;
-        }
-    };
-    let mut reader = BufReader::new(DeadlineStream::new(reader_stream, idle_timeout));
-    // Responses go straight to the socket via a gathered write — one
-    // `writev` per frame — so there is no BufWriter (and no flush) on
-    // the response path.
-    let mut writer = stream;
-    let stats = &shared.stats;
-    // Error frames mirror the version of the peer's last good frame.
-    let mut peer_version = wire::VERSION;
-    loop {
-        // Fault site `net.read` (threaded realization): delays stall
-        // this connection's read; Reset drops the connection as a peer
-        // reset would. Short reads and EINTR are absorbed by the
-        // blocking `BufReader` below, so those actions degrade to no-ops
-        // here — the reactor path realizes them byte-exactly.
-        if let Some(action) = exaclim_runtime::faults::check("net.read") {
-            use exaclim_runtime::FaultAction;
-            match action {
-                FaultAction::Delay(dur) | FaultAction::Stall(dur) => std::thread::sleep(dur),
-                FaultAction::Reset => {
-                    stats.wire_errors.fetch_add(1, Ordering::Relaxed);
-                    break;
-                }
-                _ => {}
-            }
-        }
-        match wire::read_frame(&mut reader) {
-            Ok((header, payload)) if header.kind == FrameKind::Request => {
-                stats.frames_in.fetch_add(1, Ordering::Relaxed);
-                stats
-                    .bytes_in
-                    .fetch_add((HEADER_LEN + payload.len()) as u64, Ordering::Relaxed);
-                reader.get_mut().rearm();
-                peer_version = header.version;
-                let received = Instant::now();
-                match wire::decode_request_batch(&payload) {
-                    Ok(requests) => {
-                        stats
-                            .requests
-                            .fetch_add(requests.len() as u64, Ordering::Relaxed);
-                        // Same fault site and panic containment as the
-                        // reactor's dispatch workers: a panic answers
-                        // every request with a typed retryable
-                        // `Internal` error and the connection survives.
-                        let backend = &shared.backend;
-                        let reqs = &requests;
-                        let replies =
-                            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                if let Some(action) = exaclim_runtime::faults::check("dispatch") {
-                                    use exaclim_runtime::FaultAction;
-                                    match action {
-                                        FaultAction::Delay(dur) | FaultAction::Stall(dur) => {
-                                            std::thread::sleep(dur)
-                                        }
-                                        FaultAction::Panic => panic!("injected dispatch fault"),
-                                        _ => {}
-                                    }
-                                }
-                                backend.batch_replies_from(reqs, received)
-                            }))
-                            .unwrap_or_else(|_| {
-                                requests
-                                    .iter()
-                                    .map(|_| {
-                                        crate::server::Reply::Full(Err(ServeError::Internal(
-                                            "request execution panicked".to_string(),
-                                        )))
-                                    })
-                                    .collect()
-                            });
-                        let body = wire::encode_reply_batch(replies);
-                        let Ok(mut out) = wire::FrameStream::response(
-                            body,
-                            header.id,
-                            header.version,
-                            stream_chunk,
-                        ) else {
-                            break; // response over the payload cap
-                        };
-                        // Fault site `net.write` (threaded realization).
-                        if let Some(action) = exaclim_runtime::faults::check("net.write") {
-                            use exaclim_runtime::FaultAction;
-                            match action {
-                                FaultAction::Delay(dur) | FaultAction::Stall(dur) => {
-                                    std::thread::sleep(dur)
-                                }
-                                FaultAction::Reset => break,
-                                _ => {}
-                            }
-                        }
-                        let report = match wire::write_stream(&mut writer, &mut out) {
-                            Ok(report) => report,
-                            Err(_) => break,
-                        };
-                        stats
-                            .frames_out
-                            .fetch_add(u64::from(report.frames), Ordering::Relaxed);
-                        stats.bytes_out.fetch_add(report.bytes, Ordering::Relaxed);
-                        stats.response_written(report.frames, out.is_streamed());
-                        stats.note_conn_buffered(report.owned_peak);
-                    }
-                    Err(e) => {
-                        // The framing was intact but the payload wasn't:
-                        // report and close — the stream may be desynced.
-                        stats.wire_errors.fetch_add(1, Ordering::Relaxed);
-                        let _ = write_reply(
-                            &mut writer,
-                            peer_version,
-                            FrameKind::Error,
-                            header.id,
-                            &wire::encode_error_payload(&e.to_string()),
-                        );
-                        break;
-                    }
-                }
-            }
-            Ok((header, _)) => {
-                // A client must only send request frames.
-                stats.wire_errors.fetch_add(1, Ordering::Relaxed);
-                let _ = write_reply(
-                    &mut writer,
-                    header.version,
-                    FrameKind::Error,
-                    header.id,
-                    &wire::encode_error_payload(&format!(
-                        "unexpected frame kind {} from client",
-                        header.kind.id()
-                    )),
-                );
-                break;
-            }
-            Err(WireError::ConnectionClosed { .. }) => break,
-            Err(_) if reader.get_ref().timed_out => {
-                // The idle deadline fired mid-wait (or mid-dribble):
-                // reaped, not a wire error — the peer sent nothing wrong,
-                // it just stopped being worth a thread.
-                stats.reaped_idle.fetch_add(1, Ordering::Relaxed);
-                break;
-            }
-            Err(e) => {
-                // Bad magic, version mismatch, oversized claim, checksum
-                // failure, truncation, socket error: best-effort report,
-                // then close.
-                stats.wire_errors.fetch_add(1, Ordering::Relaxed);
-                let _ = write_reply(
-                    &mut writer,
-                    peer_version,
-                    FrameKind::Error,
-                    0,
-                    &wire::encode_error_payload(&e.to_string()),
-                );
-                break;
-            }
-        }
-    }
-    shared.forget_conn(token);
-    shared.stats.conn_closed();
-}
-
-/// Write one reply frame with a single gathered syscall: header and
-/// payload leave in one `writev` instead of two buffered writes plus a
-/// flush, so a response never waits on a half-flushed header.
-fn write_reply(
-    writer: &mut TcpStream,
-    version: u8,
-    kind: FrameKind,
-    id: u64,
-    payload: &[u8],
-) -> Result<(), WireError> {
-    wire::write_frame_vectored_v(writer, version, kind, id, payload)
 }
 
 /// Capped exponential backoff with decorrelated jitter and a retry

@@ -579,7 +579,7 @@ impl OutFrame {
     }
 
     /// Materialize the whole frame contiguously (tests and diagnostics;
-    /// the write paths gather instead).
+    /// the server's write-drain gathers instead).
     pub fn to_bytes(&self, body: &ResponseBody) -> Vec<u8> {
         let mut out = Vec::with_capacity(self.total_len());
         out.extend_from_slice(&self.head);
@@ -806,72 +806,6 @@ impl FrameStream {
             last,
         })
     }
-}
-
-/// What [`write_stream`] put on the wire.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StreamWriteReport {
-    /// Frames written.
-    pub frames: u32,
-    /// Total bytes written (headers + payloads).
-    pub bytes: u64,
-    /// Largest single-frame owned footprint (see [`OutFrame::owned_len`]).
-    pub owned_peak: usize,
-}
-
-/// Drain a [`FrameStream`] to a blocking writer, each frame going out
-/// through gathered `writev` calls resumed across partial writes (the
-/// multi-slice generalization of [`write_frame_vectored`]). The caller
-/// is responsible for flushing.
-pub fn write_stream(
-    w: &mut impl Write,
-    s: &mut FrameStream,
-) -> Result<StreamWriteReport, WireError> {
-    let mut report = StreamWriteReport {
-        frames: 0,
-        bytes: 0,
-        owned_peak: 0,
-    };
-    while let Some(frame) = s.next_frame() {
-        let total = frame.total_len();
-        report.owned_peak = report.owned_peak.max(frame.owned_len(s.body()));
-        let mut written = 0usize;
-        let mut bufs: Vec<IoSlice<'_>> = Vec::new();
-        while written < total {
-            bufs.clear();
-            frame.remaining_slices(s.body(), written, &mut bufs, MAX_WRITE_IOV);
-            match w.write_vectored(&bufs) {
-                Ok(0) => {
-                    return Err(WireError::from(std::io::Error::new(
-                        std::io::ErrorKind::WriteZero,
-                        "frame write made no progress",
-                    )))
-                }
-                Ok(n) => written += n,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                Err(e) => return Err(WireError::from(e)),
-            }
-        }
-        report.frames += 1;
-        report.bytes += total as u64;
-        // Fault site `net.write.frame`: between stream fragments, where
-        // a stall holds the peer mid-reassembly and a reset leaves it
-        // with a truncated stream. Skipped after the FIN frame — the
-        // stream is already complete.
-        if !frame.last {
-            if let Some(action) = exaclim_runtime::faults::check("net.write.frame") {
-                use exaclim_runtime::FaultAction;
-                match action {
-                    FaultAction::Delay(d) | FaultAction::Stall(d) => std::thread::sleep(d),
-                    FaultAction::Reset => {
-                        return Err(WireError::Io("injected mid-stream reset".to_string()))
-                    }
-                    _ => {}
-                }
-            }
-        }
-    }
-    Ok(report)
 }
 
 /// Receiver-side reassembly of a streamed response: fragments must
@@ -2671,8 +2605,12 @@ mod tests {
         assert_eq!(frame.to_bytes(s.body()), expect.unwrap());
     }
 
+    /// Drives the server's write-drain loop — gather a frame's unwritten
+    /// tail with `remaining_slices`, `write_vectored` it, repeat until
+    /// `total_len` — through a one-byte-per-call writer, so a segmented
+    /// body is resumed at every byte offset.
     #[test]
-    fn write_stream_survives_trickle_and_matches_to_bytes() {
+    fn remaining_slices_resume_under_trickle_and_match_to_bytes() {
         let batch = sample_responses();
         let expect: Vec<u8> = {
             let mut s =
@@ -2694,14 +2632,33 @@ mod tests {
             )
             .unwrap();
             let mut trickle = TrickleWriter(Vec::new());
-            let report = write_stream(&mut trickle, &mut s).unwrap();
-            assert_eq!(report.frames, s.frames_emitted());
-            assert_eq!(report.bytes as usize, trickle.0.len());
+            let mut owned_peak = 0;
+            while let Some(frame) = s.next_frame() {
+                owned_peak = owned_peak.max(frame.owned_len(s.body()));
+                let total = frame.total_len();
+                let mut written = 0;
+                let mut bufs = Vec::new();
+                while written < total {
+                    bufs.clear();
+                    frame.remaining_slices(s.body(), written, &mut bufs, MAX_WRITE_IOV);
+                    written += trickle.write_vectored(&bufs).unwrap();
+                }
+            }
             // Every frame's owned footprint stays below header + small
             // metadata runs — far below the payload itself.
-            assert!(report.owned_peak < report.bytes as usize);
+            assert!(owned_peak < trickle.0.len());
             if chunk == 100 {
+                assert!(s.is_streamed());
                 assert_eq!(trickle.0, expect);
+            } else {
+                assert_eq!(s.frames_emitted(), 1);
+                let single = encode_frame_v(
+                    VERSION,
+                    FrameKind::Response,
+                    3,
+                    &encode_response_batch(&batch),
+                );
+                assert_eq!(trickle.0, single.unwrap());
             }
         }
     }

@@ -7,8 +7,7 @@
 //! shedding must turn a saturated dispatch backlog into typed
 //! retryable [`ServeError::Overloaded`] hints instead of unbounded
 //! queues, and a graceful shutdown that lands mid-stream must surface
-//! as a typed [`WireError::StreamTruncated`] at the client, never a
-//! hang — on both the reactor and thread-per-connection paths.
+//! as a typed [`WireError::StreamTruncated`] at the client, never a hang.
 
 use exaclim_runtime::{faults, FaultAction, FaultPlan};
 use exaclim_serve::{
@@ -110,108 +109,96 @@ fn mixed_batch(i: u64) -> Vec<Request> {
     ]
 }
 
-/// The tentpole acceptance run: 8 clients × both server paths, under a
-/// seeded plan injecting short reads, EINTR, resets, read/write delays,
-/// dispatch-queue delays, decode corruption, product failures, and
-/// exactly one worker panic. Every batch a retrying client submits must
-/// come back bit-identical to the in-process `handle_batch` answer —
-/// the chaos shows up only in the resilience counters.
+/// The tentpole acceptance run: 8 clients under a seeded plan injecting
+/// short reads, EINTR, resets, read/write delays, dispatch-queue delays,
+/// decode corruption, product failures, and exactly one worker panic.
+/// Every batch a retrying client submits must come back bit-identical to
+/// the in-process `handle_batch` answer — the chaos shows up only in the
+/// resilience counters.
 #[test]
 fn chaos_workload_completes_bit_identical_under_seeded_faults() {
     let _guard = fault_guard();
-    for reactor in [true, false] {
-        let (server, handle) = spawn_with(NetConfig {
-            reactor: Some(reactor),
-            ..NetConfig::default()
-        });
-        let addr = handle.addr();
+    let (server, handle) = spawn_with(NetConfig::default());
+    let addr = handle.addr();
 
-        // Expected answers are computed in-process with faults disarmed:
-        // the ground truth the chaos run must reproduce exactly.
-        let expected: Arc<Vec<Vec<Result<Response, ServeError>>>> = Arc::new(
-            (0..8)
-                .map(|i| server.handle_batch(&mixed_batch(i)))
-                .collect(),
-        );
+    // Expected answers are computed in-process with faults disarmed:
+    // the ground truth the chaos run must reproduce exactly.
+    let expected: Arc<Vec<Vec<Result<Response, ServeError>>>> = Arc::new(
+        (0..8)
+            .map(|i| server.handle_batch(&mixed_batch(i)))
+            .collect(),
+    );
 
-        let injected_before = faults::injected();
-        faults::install(
-            FaultPlan::seeded(0xC0FFEE + u64::from(reactor))
-                .rule("net.read", FaultAction::ShortRead, 0.05)
-                .rule("net.read", FaultAction::Interrupt, 0.05)
-                .rule(
-                    "net.read",
-                    FaultAction::Delay(Duration::from_millis(1)),
-                    0.05,
-                )
-                .rule("net.read", FaultAction::Reset, 0.02)
-                .rule(
-                    "net.write",
-                    FaultAction::Delay(Duration::from_millis(1)),
-                    0.05,
-                )
-                .rule("net.write", FaultAction::Reset, 0.02)
-                .rule("decode", FaultAction::Corrupt, 0.04)
-                .rule("product", FaultAction::Error, 0.04)
-                .rule(
-                    "dispatch",
-                    FaultAction::Delay(Duration::from_millis(1)),
-                    0.1,
-                )
-                .rule_max("dispatch", FaultAction::Panic, 1.0, 1),
-        );
+    let injected_before = faults::injected();
+    faults::install(
+        FaultPlan::seeded(0xC0FFEE + 1)
+            .rule("net.read", FaultAction::ShortRead, 0.05)
+            .rule("net.read", FaultAction::Interrupt, 0.05)
+            .rule(
+                "net.read",
+                FaultAction::Delay(Duration::from_millis(1)),
+                0.05,
+            )
+            .rule("net.read", FaultAction::Reset, 0.02)
+            .rule(
+                "net.write",
+                FaultAction::Delay(Duration::from_millis(1)),
+                0.05,
+            )
+            .rule("net.write", FaultAction::Reset, 0.02)
+            .rule("decode", FaultAction::Corrupt, 0.04)
+            .rule("product", FaultAction::Error, 0.04)
+            .rule(
+                "dispatch",
+                FaultAction::Delay(Duration::from_millis(1)),
+                0.1,
+            )
+            .rule_max("dispatch", FaultAction::Panic, 1.0, 1),
+    );
 
-        let workers: Vec<_> = (0..8u64)
-            .map(|i| {
-                let expected = Arc::clone(&expected);
-                std::thread::spawn(move || {
-                    let mut client = Client::connect_with(
-                        addr,
-                        ClientConfig {
-                            connect_timeout: Some(Duration::from_secs(5)),
-                            read_timeout: Some(Duration::from_secs(5)),
-                            write_timeout: Some(Duration::from_secs(5)),
-                            retry: Some(RetryPolicy {
-                                max_retries: 16,
-                                base_delay: Duration::from_millis(2),
-                                max_delay: Duration::from_millis(50),
-                                seed: i,
-                            }),
-                            ..ClientConfig::default()
-                        },
-                    )
-                    .expect("chaos client connect");
-                    let batch = mixed_batch(i);
-                    for round in 0..12 {
-                        let got = client
-                            .batch(&batch)
-                            .unwrap_or_else(|e| panic!("client {i} round {round}: {e}"));
-                        assert_eq!(got, expected[i as usize], "client {i} round {round}");
-                    }
-                    client.client_stats()
-                })
+    let workers: Vec<_> = (0..8u64)
+        .map(|i| {
+            let expected = Arc::clone(&expected);
+            std::thread::spawn(move || {
+                let mut client = Client::connect_with(
+                    addr,
+                    ClientConfig {
+                        connect_timeout: Some(Duration::from_secs(5)),
+                        read_timeout: Some(Duration::from_secs(5)),
+                        write_timeout: Some(Duration::from_secs(5)),
+                        retry: Some(RetryPolicy {
+                            max_retries: 16,
+                            base_delay: Duration::from_millis(2),
+                            max_delay: Duration::from_millis(50),
+                            seed: i,
+                        }),
+                        ..ClientConfig::default()
+                    },
+                )
+                .expect("chaos client connect");
+                let batch = mixed_batch(i);
+                for round in 0..12 {
+                    let got = client
+                        .batch(&batch)
+                        .unwrap_or_else(|e| panic!("client {i} round {round}: {e}"));
+                    assert_eq!(got, expected[i as usize], "client {i} round {round}");
+                }
+                client.client_stats()
             })
-            .collect();
-        let client_stats: Vec<_> = workers.into_iter().map(|w| w.join().unwrap()).collect();
+        })
+        .collect();
+    let client_stats: Vec<_> = workers.into_iter().map(|w| w.join().unwrap()).collect();
 
-        let leg = format!("reactor={reactor}");
-        assert!(
-            faults::injected() > injected_before,
-            "{leg}: no faults fired"
-        );
-        let net = handle.net_stats();
-        assert!(net.faults_injected > 0, "{leg}: {net:?}");
-        // The one guaranteed-retryable event is the capped worker panic:
-        // some client saw its batch come back `Internal` and retried.
-        let retries: u64 = client_stats.iter().map(|s| s.retries).sum();
-        assert!(
-            retries > 0,
-            "{leg}: no client ever retried: {client_stats:?}"
-        );
-        assert!(server.stats().errors > 0, "{leg}: panic never surfaced");
-        handle.shutdown();
-        faults::clear();
-    }
+    assert!(faults::injected() > injected_before, "no faults fired");
+    let net = handle.net_stats();
+    assert!(net.faults_injected > 0, "{net:?}");
+    // The one guaranteed-retryable event is the capped worker panic:
+    // some client saw its batch come back `Internal` and retried.
+    let retries: u64 = client_stats.iter().map(|s| s.retries).sum();
+    assert!(retries > 0, "no client ever retried: {client_stats:?}");
+    assert!(server.stats().errors > 0, "panic never surfaced");
+    handle.shutdown();
+    faults::clear();
 }
 
 /// Satellite: a dispatch-worker panic must become a typed
@@ -221,33 +208,27 @@ fn chaos_workload_completes_bit_identical_under_seeded_faults() {
 #[test]
 fn worker_panic_becomes_typed_internal_error_and_server_survives() {
     let _guard = fault_guard();
-    for reactor in [true, false] {
-        let (server, handle) = spawn_with(NetConfig {
-            reactor: Some(reactor),
-            ..NetConfig::default()
-        });
-        let batch = vec![slice("t2m", 0..12), slice("u10", 3..9)];
-        let expected = server.handle_batch(&batch);
+    let (server, handle) = spawn_with(NetConfig::default());
+    let batch = vec![slice("t2m", 0..12), slice("u10", 3..9)];
+    let expected = server.handle_batch(&batch);
 
-        faults::install(FaultPlan::seeded(7).rule_max("dispatch", FaultAction::Panic, 1.0, 1));
-        let mut client = Client::connect(handle.addr()).unwrap();
-        let poisoned = client.batch(&batch).unwrap();
-        assert_eq!(poisoned.len(), batch.len(), "reactor={reactor}");
-        for reply in &poisoned {
-            assert_eq!(
-                reply,
-                &Err(ServeError::Internal(
-                    "request execution panicked".to_string()
-                )),
-                "reactor={reactor}"
-            );
-        }
-        // Same connection, next batch: the panic was contained.
-        assert_eq!(client.batch(&batch).unwrap(), expected, "reactor={reactor}");
-        assert!(handle.net_stats().faults_injected > 0, "reactor={reactor}");
-        handle.shutdown();
-        faults::clear();
+    faults::install(FaultPlan::seeded(7).rule_max("dispatch", FaultAction::Panic, 1.0, 1));
+    let mut client = Client::connect(handle.addr()).unwrap();
+    let poisoned = client.batch(&batch).unwrap();
+    assert_eq!(poisoned.len(), batch.len());
+    for reply in &poisoned {
+        assert_eq!(
+            reply,
+            &Err(ServeError::Internal(
+                "request execution panicked".to_string()
+            ))
+        );
     }
+    // Same connection, next batch: the panic was contained.
+    assert_eq!(client.batch(&batch).unwrap(), expected);
+    assert!(handle.net_stats().faults_injected > 0);
+    handle.shutdown();
+    faults::clear();
 }
 
 /// Acceptance: with the dispatch backlog saturated (one slow worker, a
@@ -259,7 +240,6 @@ fn worker_panic_becomes_typed_internal_error_and_server_survives() {
 fn overload_sheds_typed_retryable_errors_and_retrying_client_succeeds() {
     let _guard = fault_guard();
     let (server, handle) = spawn_with(NetConfig {
-        reactor: Some(true),
         dispatch_threads: 1,
         max_dispatch_backlog: 1,
         shed_retry_after_ms: 5,
@@ -334,56 +314,53 @@ fn overload_sheds_typed_retryable_errors_and_retrying_client_succeeds() {
 /// Satellite: a graceful shutdown landing while a fragmented v3
 /// response is half-written must surface as a typed
 /// [`WireError::StreamTruncated`] at the client — never a hang and
-/// never a silent partial result — on both server paths. A
-/// between-fragments stall fault pins the response mid-stream so the
-/// shutdown deterministically lands inside it.
+/// never a silent partial result. A between-fragments stall fault pins
+/// the response mid-stream so the shutdown deterministically lands
+/// inside it.
 #[test]
 fn shutdown_mid_stream_surfaces_typed_stream_truncated() {
     let _guard = fault_guard();
-    for reactor in [true, false] {
-        // One 2 MiB member cut into 32 KiB fragments: 64 stream frames.
-        let mut catalog = Catalog::new();
-        catalog
-            .open_archive_bytes("a", archive_bytes(2048, 128, 32))
-            .unwrap();
-        let server = Arc::new(Server::new(catalog, ServeConfig::default()));
-        let handle = NetServer::bind(
-            "127.0.0.1:0",
-            Arc::clone(&server),
-            NetConfig {
-                reactor: Some(reactor),
-                stream_chunk_bytes: 32 << 10,
-                idle_timeout: Some(Duration::from_millis(300)),
-                ..NetConfig::default()
-            },
-        )
-        .unwrap()
-        .spawn();
-        let addr = handle.addr();
+    // One 2 MiB member cut into 32 KiB fragments: 64 stream frames.
+    let mut catalog = Catalog::new();
+    catalog
+        .open_archive_bytes("a", archive_bytes(2048, 128, 32))
+        .unwrap();
+    let server = Arc::new(Server::new(catalog, ServeConfig::default()));
+    let handle = NetServer::bind(
+        "127.0.0.1:0",
+        Arc::clone(&server),
+        NetConfig {
+            stream_chunk_bytes: 32 << 10,
+            idle_timeout: Some(Duration::from_millis(300)),
+            ..NetConfig::default()
+        },
+    )
+    .unwrap()
+    .spawn();
+    let addr = handle.addr();
 
-        // 25 ms between fragments ⇒ the full stream takes ~1.6 s; the
-        // shutdown below lands a few fragments in, mid-reassembly.
-        faults::install(FaultPlan::seeded(11).rule(
-            "net.write.frame",
-            FaultAction::Stall(Duration::from_millis(25)),
-            1.0,
-        ));
+    // 25 ms between fragments ⇒ the full stream takes ~1.6 s; the
+    // shutdown below lands a few fragments in, mid-reassembly.
+    faults::install(FaultPlan::seeded(11).rule(
+        "net.write.frame",
+        FaultAction::Stall(Duration::from_millis(25)),
+        1.0,
+    ));
 
-        let (tx, rx) = std::sync::mpsc::channel();
-        let reader = std::thread::spawn(move || {
-            let mut client = Client::connect(addr).unwrap();
-            let _ = tx.send(client.batch(&[slice("t2m", 0..128)]));
-        });
-        std::thread::sleep(Duration::from_millis(250));
-        handle.shutdown();
-        let got = rx
-            .recv_timeout(Duration::from_secs(20))
-            .expect("client hung after mid-stream shutdown");
-        match got {
-            Err(WireError::StreamTruncated) => {}
-            other => panic!("reactor={reactor}: expected StreamTruncated, got {other:?}"),
-        }
-        reader.join().unwrap();
-        faults::clear();
+    let (tx, rx) = std::sync::mpsc::channel();
+    let reader = std::thread::spawn(move || {
+        let mut client = Client::connect(addr).unwrap();
+        let _ = tx.send(client.batch(&[slice("t2m", 0..128)]));
+    });
+    std::thread::sleep(Duration::from_millis(250));
+    handle.shutdown();
+    let got = rx
+        .recv_timeout(Duration::from_secs(20))
+        .expect("client hung after mid-stream shutdown");
+    match got {
+        Err(WireError::StreamTruncated) => {}
+        other => panic!("expected StreamTruncated, got {other:?}"),
     }
+    reader.join().unwrap();
+    faults::clear();
 }

@@ -1,9 +1,8 @@
-//! Event-driven network core at scale: the reactor path must hold
+//! Event-driven network core at scale: the server must hold
 //! hundreds of mostly-idle keep-alive connections with a thread count
 //! that is a constant (reactor + dispatch + pool), not a function of
 //! connection count; idle, half-open, and slowloris peers must be reaped
-//! by the deadline without disturbing live clients — on both the reactor
-//! path and the thread-per-connection fallback.
+//! by the deadline without disturbing live clients.
 #![cfg(unix)]
 
 use exaclim_serve::{
@@ -110,7 +109,6 @@ fn idle_fleet_of_512_served_by_a_bounded_thread_count() {
     raise_fd_limit(4096);
     let (server, handle) = spawn_with(NetConfig {
         max_connections: 2048,
-        reactor: Some(true),
         ..NetConfig::default()
     });
     let addr = handle.addr();
@@ -180,13 +178,12 @@ fn idle_fleet_of_512_served_by_a_bounded_thread_count() {
 }
 
 /// Slowloris (dribbling bytes), half-open (silent), and a live client,
-/// all at once on the reactor path: the deadline reaps the first two
+/// all at once: the deadline reaps the first two
 /// while the live client keeps getting served, before and after.
 #[test]
 fn reactor_reaps_slowloris_and_half_open_peers() {
     let (server, handle) = spawn_with(NetConfig {
         idle_timeout: Some(Duration::from_millis(200)),
-        reactor: Some(true),
         ..NetConfig::default()
     });
     let addr = handle.addr();
@@ -236,51 +233,12 @@ fn reactor_reaps_slowloris_and_half_open_peers() {
     handle.shutdown();
 }
 
-/// The same reaping contract on the thread-per-connection fallback: a
-/// handler thread parked in a read gets a deadline too (enforced through
-/// socket read timeouts), so half-open peers cannot pin threads and
-/// admission permits forever.
-#[test]
-fn threaded_fallback_reaps_idle_connections() {
-    let (server, handle) = spawn_with(NetConfig {
-        idle_timeout: Some(Duration::from_millis(200)),
-        reactor: Some(false),
-        ..NetConfig::default()
-    });
-    let addr = handle.addr();
-
-    let _half_open = TcpStream::connect(addr).unwrap();
-    let mut slowloris = TcpStream::connect(addr).unwrap();
-    slowloris.write_all(b"ECN1").unwrap();
-
-    let mut live = Client::connect(addr).unwrap();
-    let batch = vec![slice("t2m", 0..12)];
-    let expected = server.handle_batch(&batch);
-    assert_eq!(live.batch(&batch).unwrap(), expected);
-
-    // As above: keep the live connection's deadline re-arming while the
-    // broken peers run theirs out.
-    assert!(
-        eventually(Duration::from_secs(5), || {
-            assert_eq!(live.batch(&batch).unwrap(), expected);
-            handle.net_stats().reaped_idle >= 2
-        }),
-        "fallback never reaped: {:?}",
-        handle.net_stats()
-    );
-    assert_eq!(live.batch(&batch).unwrap(), expected);
-    handle.shutdown();
-}
-
-/// Graceful shutdown on the reactor path with a standing idle fleet:
+/// Graceful shutdown with a standing idle fleet:
 /// `shutdown()` must drain and join promptly — the wakeup-fd nudge, not a
 /// timeout, unblocks the parked reactor.
 #[test]
 fn reactor_shutdown_drains_idle_fleet_promptly() {
-    let (_server, handle) = spawn_with(NetConfig {
-        reactor: Some(true),
-        ..NetConfig::default()
-    });
+    let (_server, handle) = spawn_with(NetConfig::default());
     let addr = handle.addr();
     let mut clients = Vec::new();
     for _ in 0..32 {

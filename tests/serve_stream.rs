@@ -1,8 +1,8 @@
 //! Streaming conformance: the zero-copy streamed wire path must be a
 //! *transparent* optimization. For every op type, over both file
-//! backends and both server paths, a streamed response must reassemble
-//! bit-identical to the non-streamed response a version-2 peer gets —
-//! and to the in-process answer. Mid-stream failures (error frames,
+//! backends, a streamed response must reassemble bit-identical to the
+//! non-streamed response a version-2 peer gets — and to the in-process
+//! answer. Mid-stream failures (error frames,
 //! desyncs, hard closes) must surface as typed errors, and a server
 //! draining a response orders of magnitude larger than its stream
 //! fragment must never own more than about one fragment per connection.
@@ -101,8 +101,7 @@ fn every_op_batch() -> Vec<Request> {
 
 /// The conformance matrix: every op type, streamed (version 3, tiny
 /// fragments so even catalog answers fragment) and non-streamed
-/// (version 2), over both `EXACLIM_MMAP` file backends × both server
-/// paths (reactor and thread-per-connection fallback). All four answers
+/// (version 2), over both `EXACLIM_MMAP` file backends. All four answers
 /// must equal the in-process answer — per-request errors included.
 #[test]
 fn streamed_responses_reassemble_bit_identical_for_every_op() {
@@ -110,64 +109,61 @@ fn streamed_responses_reassemble_bit_identical_for_every_op() {
         std::env::temp_dir().join(format!("exaclim_stream_test_{}.eca1", std::process::id()));
     std::fs::write(&path, archive_bytes()).unwrap();
     for use_mmap in [false, true] {
-        for reactor in [true, false] {
-            let leg = format!("mmap={use_mmap} reactor={reactor}");
-            let mut catalog = Catalog::new();
-            catalog
-                .open_archive_source("a", open_file_source(&path, use_mmap).unwrap())
-                .unwrap();
-            catalog.register_emulator("em", train_emulator()).unwrap();
-            let server = Arc::new(Server::new(catalog, ServeConfig::default()));
-            let config = NetConfig {
-                reactor: Some(reactor),
-                // Tiny fragments: every response — even a member-info
-                // answer — crosses several stream frames.
-                stream_chunk_bytes: 64,
-                ..NetConfig::default()
-            };
-            let handle = NetServer::bind("127.0.0.1:0", Arc::clone(&server), config)
-                .unwrap()
-                .spawn();
-            let batch = every_op_batch();
-            let in_process = server.handle_batch(&batch);
-            let mut v3 = Client::connect(handle.addr()).unwrap();
-            let mut v2 = Client::connect_with_version(handle.addr(), 2).unwrap();
-            assert_eq!(v3.batch(&batch).unwrap(), in_process, "streamed leg {leg}");
-            assert_eq!(
-                v2.batch(&batch).unwrap(),
-                in_process,
-                "single-frame leg {leg}"
-            );
+        let leg = format!("mmap={use_mmap}");
+        let mut catalog = Catalog::new();
+        catalog
+            .open_archive_source("a", open_file_source(&path, use_mmap).unwrap())
+            .unwrap();
+        catalog.register_emulator("em", train_emulator()).unwrap();
+        let server = Arc::new(Server::new(catalog, ServeConfig::default()));
+        let config = NetConfig {
+            // Tiny fragments: every response — even a member-info
+            // answer — crosses several stream frames.
+            stream_chunk_bytes: 64,
+            ..NetConfig::default()
+        };
+        let handle = NetServer::bind("127.0.0.1:0", Arc::clone(&server), config)
+            .unwrap()
+            .spawn();
+        let batch = every_op_batch();
+        let in_process = server.handle_batch(&batch);
+        let mut v3 = Client::connect(handle.addr()).unwrap();
+        let mut v2 = Client::connect_with_version(handle.addr(), 2).unwrap();
+        assert_eq!(v3.batch(&batch).unwrap(), in_process, "streamed leg {leg}");
+        assert_eq!(
+            v2.batch(&batch).unwrap(),
+            in_process,
+            "single-frame leg {leg}"
+        );
 
-            // Stats streams and reassembles too (its counters move with
-            // every batch, so monotonicity is the invariant, not value
-            // equality with the snapshots above).
-            let a = v3.stats().unwrap();
-            let b = v3.stats().unwrap();
-            assert!(b.batches > a.batches, "{leg}");
+        // Stats streams and reassembles too (its counters move with
+        // every batch, so monotonicity is the invariant, not value
+        // equality with the snapshots above).
+        let a = v3.stats().unwrap();
+        let b = v3.stats().unwrap();
+        assert!(b.batches > a.batches, "{leg}");
 
-            // The last response's counters land after the client has
-            // already reassembled it; give the server a moment to settle.
-            let mut stats = handle.net_stats();
-            for _ in 0..200 {
-                if stats.frames_per_response.iter().sum::<u64>() >= 4 {
-                    break;
-                }
-                std::thread::sleep(std::time::Duration::from_millis(5));
-                stats = handle.net_stats();
+        // The last response's counters land after the client has
+        // already reassembled it; give the server a moment to settle.
+        let mut stats = handle.net_stats();
+        for _ in 0..200 {
+            if stats.frames_per_response.iter().sum::<u64>() >= 4 {
+                break;
             }
-            assert!(stats.streamed_responses >= 2, "{leg}: {stats:?}");
-            assert!(
-                stats.stream_frames_out > stats.streamed_responses,
-                "{leg}: fragments must outnumber streamed responses: {stats:?}"
-            );
-            assert!(
-                stats.frames_per_response.iter().sum::<u64>() >= 4,
-                "{leg}: histogram not populated: {stats:?}"
-            );
-            assert_eq!(stats.wire_errors, 0, "{leg}");
-            handle.shutdown();
+            std::thread::sleep(std::time::Duration::from_millis(5));
+            stats = handle.net_stats();
         }
+        assert!(stats.streamed_responses >= 2, "{leg}: {stats:?}");
+        assert!(
+            stats.stream_frames_out > stats.streamed_responses,
+            "{leg}: fragments must outnumber streamed responses: {stats:?}"
+        );
+        assert!(
+            stats.frames_per_response.iter().sum::<u64>() >= 4,
+            "{leg}: histogram not populated: {stats:?}"
+        );
+        assert_eq!(stats.wire_errors, 0, "{leg}");
+        handle.shutdown();
     }
     std::fs::remove_file(&path).ok();
 }
@@ -297,7 +293,7 @@ fn out_of_order_fragment_is_a_typed_sequence_error() {
 /// than one stream fragment drains through a 1-byte-per-read trickle
 /// client, and the server's per-connection owned bytes (header + copied
 /// metadata — the `peak_conn_buffered_bytes` gauge) never exceed one
-/// fragment plus small change. On both server paths.
+/// fragment plus small change.
 #[test]
 fn per_connection_memory_is_bounded_by_one_fragment_under_trickle() {
     const BIG_VPS: usize = 256;
@@ -318,75 +314,68 @@ fn per_connection_memory_is_bounded_by_one_fragment_under_trickle() {
     .unwrap();
     let bytes = w.finish().unwrap().0.into_inner();
 
-    for reactor in [true, false] {
-        let mut catalog = Catalog::new();
-        catalog.open_archive_bytes("a", bytes.clone()).unwrap();
-        let server = Arc::new(Server::new(catalog, ServeConfig::default()));
-        let config = NetConfig {
-            reactor: Some(reactor),
-            stream_chunk_bytes: FRAGMENT,
-            ..NetConfig::default()
-        };
-        let handle = NetServer::bind("127.0.0.1:0", Arc::clone(&server), config)
-            .unwrap()
-            .spawn();
+    let mut catalog = Catalog::new();
+    catalog.open_archive_bytes("a", bytes.clone()).unwrap();
+    let server = Arc::new(Server::new(catalog, ServeConfig::default()));
+    let config = NetConfig {
+        stream_chunk_bytes: FRAGMENT,
+        ..NetConfig::default()
+    };
+    let handle = NetServer::bind("127.0.0.1:0", Arc::clone(&server), config)
+        .unwrap()
+        .spawn();
 
-        let request = Request::Slice(SliceRequest {
-            archive: "a".to_string(),
-            member: "big".to_string(),
-            range: 0..BIG_T,
-        });
-        let payload = wire::encode_request_batch(std::slice::from_ref(&request));
-        let frame = wire::encode_frame(FrameKind::Request, 1, &payload).unwrap();
-        let mut stream = TcpStream::connect(handle.addr()).unwrap();
-        stream.write_all(&frame).unwrap();
-        stream.flush().unwrap();
+    let request = Request::Slice(SliceRequest {
+        archive: "a".to_string(),
+        member: "big".to_string(),
+        range: 0..BIG_T,
+    });
+    let payload = wire::encode_request_batch(std::slice::from_ref(&request));
+    let frame = wire::encode_frame(FrameKind::Request, 1, &payload).unwrap();
+    let mut stream = TcpStream::connect(handle.addr()).unwrap();
+    stream.write_all(&frame).unwrap();
+    stream.flush().unwrap();
 
-        // Trickle: one byte per read. The response is ~512 KiB — far
-        // beyond every socket buffer — so the server spends most of this
-        // blocked on a slow consumer, exactly when unbounded buffering
-        // would show up.
-        let mut one = [0u8; 1];
-        let mut read_byte = |stream: &mut TcpStream| -> u8 {
-            stream.read_exact(&mut one).unwrap();
-            one[0]
-        };
-        let mut reasm = wire::StreamReassembler::new();
-        let reassembled = loop {
-            let mut head = [0u8; HEADER_LEN];
-            for b in head.iter_mut() {
-                *b = read_byte(&mut stream);
-            }
-            let header = wire::FrameHeader::decode(&head).unwrap();
-            assert_eq!(header.kind, FrameKind::Stream, "big slice must stream");
-            let mut payload = vec![0u8; header.len as usize];
-            for b in payload.iter_mut() {
-                *b = read_byte(&mut stream);
-            }
-            if let Some(done) = reasm.push(&header, &payload).unwrap() {
-                break done;
-            }
-        };
-        let decoded = wire::decode_response_batch(&reassembled).unwrap();
-        assert_eq!(
-            decoded,
-            server.handle_batch(std::slice::from_ref(&request)),
-            "reactor={reactor}"
-        );
+    // Trickle: one byte per read. The response is ~512 KiB — far
+    // beyond every socket buffer — so the server spends most of this
+    // blocked on a slow consumer, exactly when unbounded buffering
+    // would show up.
+    let mut one = [0u8; 1];
+    let mut read_byte = |stream: &mut TcpStream| -> u8 {
+        stream.read_exact(&mut one).unwrap();
+        one[0]
+    };
+    let mut reasm = wire::StreamReassembler::new();
+    let reassembled = loop {
+        let mut head = [0u8; HEADER_LEN];
+        for b in head.iter_mut() {
+            *b = read_byte(&mut stream);
+        }
+        let header = wire::FrameHeader::decode(&head).unwrap();
+        assert_eq!(header.kind, FrameKind::Stream, "big slice must stream");
+        let mut payload = vec![0u8; header.len as usize];
+        for b in payload.iter_mut() {
+            *b = read_byte(&mut stream);
+        }
+        if let Some(done) = reasm.push(&header, &payload).unwrap() {
+            break done;
+        }
+    };
+    let decoded = wire::decode_response_batch(&reassembled).unwrap();
+    assert_eq!(decoded, server.handle_batch(std::slice::from_ref(&request)));
 
-        let stats = handle.net_stats();
-        let bound = (FRAGMENT + HEADER_LEN + 512) as u64;
-        assert!(
-            stats.peak_conn_buffered_bytes <= bound,
-            "reactor={reactor}: owned {} bytes exceeds one-fragment bound {bound}",
-            stats.peak_conn_buffered_bytes
-        );
-        assert!(stats.streamed_responses >= 1, "reactor={reactor}");
-        assert!(
-            stats.stream_frames_out as usize >= (BIG_VPS * BIG_T as usize * 8) / FRAGMENT,
-            "reactor={reactor}: {stats:?}"
-        );
-        drop(stream);
-        handle.shutdown();
-    }
+    let stats = handle.net_stats();
+    let bound = (FRAGMENT + HEADER_LEN + 512) as u64;
+    assert!(
+        stats.peak_conn_buffered_bytes <= bound,
+        "owned {} bytes exceeds one-fragment bound {bound}",
+        stats.peak_conn_buffered_bytes
+    );
+    assert!(stats.streamed_responses >= 1);
+    assert!(
+        stats.stream_frames_out as usize >= (BIG_VPS * BIG_T as usize * 8) / FRAGMENT,
+        "{stats:?}"
+    );
+    drop(stream);
+    handle.shutdown();
 }
