@@ -1,8 +1,13 @@
-//! Software IEEE 754 binary16 ("half precision").
+//! IEEE 754 binary16 ("half precision").
 //!
 //! The offline crate list has no `half`, so the conversion pair is
 //! implemented here: `f32 → f16` with round-to-nearest-even (the rounding
 //! GPUs use when writing HP tiles) and the exact `f16 → f32` widening.
+//! [`f32_to_f16_bits`]/[`f16_bits_to_f32`] are the scalar reference and the
+//! single-value path; the slice converters [`widen_into`]/[`narrow_into`]
+//! run 8 lanes per F16C instruction where the CPU has it and give the same
+//! bits for every input. Every binary16 conversion of a tile goes through
+//! the slice pair.
 //! Arithmetic is *not* implemented on `Half` itself: kernels widen to `f32`,
 //! accumulate there, and round once on store — exactly the tensor-core MMA
 //! contract the paper's DP/HP variant relies on.
@@ -30,8 +35,12 @@ impl Half {
         Half(f32_to_f16_bits(x))
     }
 
-    /// Convert from `f64` (via `f64 → f32 → f16`; double rounding is
-    /// harmless here because f32 keeps 13 extra mantissa bits).
+    /// Convert from `f64` by rounding twice, `f64 → f32 → f16`, each step
+    /// to nearest-even. This is not always the binary16 nearest to `x`: for
+    /// `x = 1 + 2⁻¹¹ + 2⁻⁴⁰` the f32 step drops the `2⁻⁴⁰` and leaves a tie
+    /// that rounds to `1.0` (`0x3C00`), where direct rounding gives
+    /// `1 + 2⁻¹⁰` (`0x3C01`). It is what HP tiles have always stored, and
+    /// every HP golden was recorded with it.
     #[inline]
     pub fn from_f64(x: f64) -> Half {
         Half(f32_to_f16_bits(x as f32))
@@ -122,10 +131,58 @@ pub fn f16_bits_to_f32(h: u16) -> f32 {
     f32::from_bits(sign | ((exp as u32 + 112) << 23) | (mant << 13))
 }
 
+/// Widen binary16 bit patterns: `dst[i] = f16_bits_to_f32(src[i])`, bit
+/// for bit, NaN payloads included.
+pub fn widen_into(src: &[u16], dst: &mut [f32]) {
+    assert_eq!(src.len(), dst.len(), "one output per binary16 value");
+    crate::isa::widen(src, dst)
+}
+
+/// Round to binary16: `dst[i] = f32_to_f16_bits(src[i])`, bit for bit,
+/// NaN payloads included.
+pub fn narrow_into(src: &[f32], dst: &mut [u16]) {
+    assert_eq!(src.len(), dst.len(), "one binary16 value per input");
+    crate::isa::narrow(src, dst)
+}
+
+/// Elements per stack buffer of the f64 ↔ binary16 helpers below.
+const CHUNK: usize = 128;
+
+/// `dst[i] = Half(src[i]).to_f64()`, through an f32 stack buffer.
+pub(crate) fn widen_f64_into(src: &[u16], dst: &mut [f64]) {
+    assert_eq!(src.len(), dst.len(), "one output per binary16 value");
+    let mut buf = [0.0f32; CHUNK];
+    for (s, d) in src.chunks(CHUNK).zip(dst.chunks_mut(CHUNK)) {
+        let w = &mut buf[..s.len()];
+        widen_into(s, w);
+        for (d, &x) in d.iter_mut().zip(w.iter()) {
+            *d = f64::from(x);
+        }
+    }
+}
+
+/// `dst[i] = Half::from_f64(src[i]).0` (`as f32`, then to nearest binary16),
+/// through an f32 stack buffer.
+pub(crate) fn narrow_f64_into(src: &[f64], dst: &mut [u16]) {
+    assert_eq!(src.len(), dst.len(), "one binary16 value per input");
+    let mut buf = [0.0f32; CHUNK];
+    for (s, d) in src.chunks(CHUNK).zip(dst.chunks_mut(CHUNK)) {
+        let w = &mut buf[..s.len()];
+        for (w, &x) in w.iter_mut().zip(s) {
+            *w = x as f32;
+        }
+        narrow_into(w, d);
+    }
+}
+
 /// Quantize a whole slice to binary16 and back — the "stored at HP" view of
 /// data used when a tile is demoted.
 pub fn quantize_slice(xs: &[f64]) -> Vec<f64> {
-    xs.iter().map(|&x| Half::from_f64(x).to_f64()).collect()
+    let mut h = vec![0u16; xs.len()];
+    narrow_f64_into(xs, &mut h);
+    let mut out = vec![0.0; xs.len()];
+    widen_f64_into(&h, &mut out);
+    out
 }
 
 #[cfg(test)]
@@ -197,6 +254,81 @@ mod tests {
             let h = Half::from_f64(x).to_f64();
             let rel = ((h - x) / x).abs();
             assert!(rel <= Half::UNIT_ROUNDOFF * 1.0001, "x={x}: rel={rel}");
+        }
+    }
+
+    #[test]
+    fn from_f64_rounds_twice() {
+        let x = 1.0 + 2f64.powi(-11) + 2f64.powi(-40);
+        // The binary16 nearest to x is 1 + 2⁻¹⁰ …
+        let (below, above) = (1.0, 1.0 + 2f64.powi(-10));
+        assert!(above - x < x - below);
+        assert_eq!(Half(0x3C01).to_f64(), above);
+        // … but x as f32 is the tie 1 + 2⁻¹¹, which rounds to even.
+        assert_eq!(x as f32, 1.0 + (-11f32).exp2());
+        assert_eq!(Half::from_f64(x).0, 0x3C00);
+        assert_eq!(quantize_slice(&[x]), [1.0]);
+    }
+
+    #[test]
+    fn widen_into_matches_the_scalar_widening_on_every_pattern() {
+        let all: Vec<u16> = (0..=u16::MAX).collect();
+        let mut out = vec![0.0f32; all.len()];
+        widen_into(&all, &mut out);
+        for (&h, w) in all.iter().zip(&out) {
+            assert_eq!(w.to_bits(), f16_bits_to_f32(h).to_bits(), "{h:#06x}");
+        }
+    }
+
+    /// Signalling NaNs (quiet bit clear), which F16C would quiet, and f32
+    /// NaNs whose payload F16C would partly keep.
+    const F16_SNANS: [u16; 3] = [0x7C01, 0xFD55, 0x7DFF];
+    const F32_NANS: [u32; 3] = [0x7F80_2001, 0xFFC0_4000, 0x7FBF_FFFF];
+
+    #[test]
+    fn nan_lanes_and_ragged_tails_match_the_scalar_converters() {
+        for len in [0usize, 1, 7, 8, 9, 15, 16, 17, 35] {
+            // One NaN among finite values at every third index; none at all
+            // when `nan_at == len`.
+            for nan_at in (0..=len).step_by(3) {
+                let mut h: Vec<u16> = (0..len as u16).map(|i| 0x3C00 + 37 * i).collect();
+                if let Some(v) = h.get_mut(nan_at) {
+                    *v = F16_SNANS[nan_at % 3];
+                }
+                let mut w = vec![0.0f32; len];
+                widen_into(&h, &mut w);
+                for (&h, w) in h.iter().zip(&w) {
+                    assert_eq!(w.to_bits(), f16_bits_to_f32(h).to_bits(), "len {len}");
+                }
+                let mut x: Vec<f32> = (0..len).map(|i| i as f32 * 0.37 - 3.0).collect();
+                if let Some(v) = x.get_mut(nan_at) {
+                    *v = f32::from_bits(F32_NANS[nan_at % 3]);
+                }
+                let mut n = vec![0u16; len];
+                narrow_into(&x, &mut n);
+                for (&x, &n) in x.iter().zip(&n) {
+                    assert_eq!(n, f32_to_f16_bits(x), "len {len}");
+                }
+            }
+        }
+    }
+
+    /// Every f32 bit pattern through `narrow_into` (≈ 10 s at release):
+    /// `cargo test --release -p exaclim-linalg -- --include-ignored`.
+    #[test]
+    #[ignore = "exhaustive 2³² sweep; CI runs it at release"]
+    fn narrow_into_matches_the_scalar_rounding_on_every_pattern() {
+        const BLOCK: u32 = 1 << 16;
+        let mut x = vec![0.0f32; BLOCK as usize];
+        let mut h = vec![0u16; BLOCK as usize];
+        for hi in 0..=u32::MAX / BLOCK {
+            for (lo, v) in x.iter_mut().enumerate() {
+                *v = f32::from_bits(hi * BLOCK + lo as u32);
+            }
+            narrow_into(&x, &mut h);
+            for (&x, &h) in x.iter().zip(&h) {
+                assert_eq!(h, f32_to_f16_bits(x), "{:#010x}", x.to_bits());
+            }
         }
     }
 

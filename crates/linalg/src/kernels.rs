@@ -12,8 +12,13 @@
 //! not depend on the block shape: the one-accumulator loops these replaced
 //! are kept as the `#[cfg(test)]` reference and must agree bit for bit.
 //! ARCHITECTURE.md ("Tile kernels") states the contract.
+//!
+//! The bodies are compiled twice: for the baseline target and, behind a
+//! runtime AVX2 check in `crate::isa`, for 256-bit lanes without FMA. Both
+//! run the same chains, so both give the same bits.
 
-use crate::f16::Half;
+use crate::f16::{narrow_f64_into, narrow_into, widen_f64_into, widen_into};
+use crate::isa::Isa;
 use crate::precision::Precision;
 use crate::tile::{Tile, TileData};
 
@@ -42,7 +47,7 @@ impl std::error::Error for NotPositiveDefinite {}
 /// once. Half tiles run the f32 body on quantized operands. The methods are
 /// the exact expressions of the summation-order contract: nothing here may
 /// fuse, reassociate or drop the `0 +` that normalizes a `−0` product.
-trait Real: Copy + PartialOrd {
+pub(crate) trait Real: Copy + PartialOrd {
     const ZERO: Self;
     fn to_f64(self) -> f64;
     fn sqrt(self) -> Self;
@@ -102,9 +107,10 @@ impl Real for f32 {
 /// Rows of the register block every micro-kernel accumulates at once.
 const MR: usize = 4;
 /// Columns of the f64 register block: `MR × NR64` accumulators are eight
-/// 128-bit registers, half of what the SSE2 baseline has.
+/// 128-bit registers, half of what the SSE2 baseline has (four of the
+/// sixteen 256-bit registers under AVX2).
 const NR64: usize = 4;
-/// Columns of the f32 register block (the same eight registers).
+/// Columns of the f32 register block (the same registers).
 const NR32: usize = 8;
 
 /// A finished tile converted **once** to the compute precision of the tiles
@@ -135,16 +141,33 @@ enum PackData {
 }
 
 /// Pack the rows of length `b` in `src` (`b` of them for a tile) into
-/// `k`-major panels of `nr` rows, zero past the last row.
-fn pack<S: Copy, T: Real>(src: &[S], b: usize, nr: usize, conv: impl Fn(S) -> T) -> Vec<T> {
+/// `k`-major panels of `nr` rows, zero past the last row; `conv` converts
+/// each source row into one reused row buffer.
+fn pack<S, T: Real>(
+    src: &[S],
+    b: usize,
+    nr: usize,
+    mut conv: impl FnMut(&[S], &mut [T]),
+) -> Vec<T> {
     let mut out = vec![T::ZERO; (src.len() / b).div_ceil(nr) * b * nr];
-    for (r, row) in src.chunks_exact(b).enumerate() {
+    let mut row = vec![T::ZERO; b];
+    for (r, s) in src.chunks_exact(b).enumerate() {
+        conv(s, &mut row);
         let panel = &mut out[(r / nr) * b * nr..][..b * nr];
-        for (lane, &v) in panel[r % nr..].iter_mut().step_by(nr).zip(row) {
-            *lane = conv(v);
+        for (lane, &v) in panel[r % nr..].iter_mut().step_by(nr).zip(&row) {
+            *lane = v;
         }
     }
     out
+}
+
+/// A row converter for [`pack`] that applies `f` to each element.
+fn each<S: Copy, T>(f: impl Fn(S) -> T) -> impl FnMut(&[S], &mut [T]) {
+    move |src, dst| {
+        for (d, &s) in dst.iter_mut().zip(src) {
+            *d = f(s);
+        }
+    }
 }
 
 impl PackedTile {
@@ -153,20 +176,31 @@ impl PackedTile {
         let b = src.b();
         let data = match consumer {
             Precision::Double => PackData::F64(match src.data() {
-                TileData::F64(v) => pack(v, b, NR64, |x| x),
-                TileData::F32(v) => pack(v, b, NR64, |x| x as f64),
-                TileData::F16(v) => pack(v, b, NR64, |h| Half(h).to_f64()),
+                TileData::F64(v) => pack(v, b, NR64, each(|x| x)),
+                TileData::F32(v) => pack(v, b, NR64, each(f64::from)),
+                TileData::F16(v) => pack(v, b, NR64, widen_f64_into),
             }),
             Precision::Single => PackData::F32(match src.data() {
-                TileData::F64(v) => pack(v, b, NR32, |x| x as f32),
-                TileData::F32(v) => pack(v, b, NR32, |x| x),
-                TileData::F16(v) => pack(v, b, NR32, |h| Half(h).to_f32()),
+                TileData::F64(v) => pack(v, b, NR32, each(|x| x as f32)),
+                TileData::F32(v) => pack(v, b, NR32, each(|x| x)),
+                TileData::F16(v) => pack(v, b, NR32, widen_into),
             }),
-            Precision::Half => PackData::F32(match src.data() {
-                TileData::F64(v) => pack(v, b, NR32, |x| Half::from_f64(x).to_f32()),
-                TileData::F32(v) => pack(v, b, NR32, |x| Half::from_f32(x).to_f32()),
-                TileData::F16(v) => pack(v, b, NR32, |h| Half(h).to_f32()),
-            }),
+            // Round to binary16 and widen back: `Half::from_f64(x).to_f32()`
+            // and `Half::from_f32(x).to_f32()`, a row at a time.
+            Precision::Half => {
+                let mut h = vec![0u16; b];
+                PackData::F32(match src.data() {
+                    TileData::F64(v) => pack(v, b, NR32, |s, d| {
+                        narrow_f64_into(s, &mut h);
+                        widen_into(&h, d);
+                    }),
+                    TileData::F32(v) => pack(v, b, NR32, |s, d| {
+                        narrow_into(s, &mut h);
+                        widen_into(&h, d);
+                    }),
+                    TileData::F16(v) => pack(v, b, NR32, widen_into),
+                })
+            }
         };
         Self { b, consumer, data }
     }
@@ -206,11 +240,10 @@ fn update<R>(
         TileData::F64(v) => dp(v),
         TileData::F32(v) => sp(v),
         TileData::F16(h) => {
-            let mut w: Vec<f32> = h.iter().map(|&x| Half(x).to_f32()).collect();
+            let mut w = vec![0.0f32; h.len()];
+            widen_into(h, &mut w);
             let r = sp(&mut w);
-            for (d, s) in h.iter_mut().zip(w) {
-                *d = Half::from_f32(s).0;
-            }
+            narrow_into(&w, h);
             r
         }
     }
@@ -237,7 +270,14 @@ fn dot_block<T: Real, const NR: usize>(ap: &[T], off: usize, bp: &[T]) -> [[T; N
 /// `C := C − A · Bᵀ`, one register block at a time; with `lower`, only the
 /// elements `j ≤ i` (blocks that straddle the diagonal are computed whole
 /// and stored clipped).
-fn gemm_body<T: Real, const NR: usize>(a: &[T], bt: &[T], c: &mut [T], b: usize, lower: bool) {
+#[inline(always)]
+pub(crate) fn gemm_body<T: Real, const NR: usize>(
+    a: &[T],
+    bt: &[T],
+    c: &mut [T],
+    b: usize,
+    lower: bool,
+) {
     for (jp, bp) in bt.chunks_exact(b * NR).enumerate() {
         let j0 = jp * NR;
         // `MR` divides `NR`, so `j0` starts a row block.
@@ -258,17 +298,22 @@ fn gemm_body<T: Real, const NR: usize>(a: &[T], bt: &[T], c: &mut [T], b: usize,
 
 /// GEMM: `C := C − A · Bᵀ`, computed in `c`'s precision.
 pub fn gemm(a: &PackedTile, bt: &PackedTile, c: &mut Tile) {
+    gemm_with(Isa::detected(), a, bt, c)
+}
+
+fn gemm_with(isa: Isa, a: &PackedTile, bt: &PackedTile, c: &mut Tile) {
     a.check(c);
     bt.check(c);
     let b = c.b();
     update(
         c,
-        |cw| gemm_body::<f64, NR64>(a.f64s(), bt.f64s(), cw, b, false),
-        |cw| gemm_body::<f32, NR32>(a.f32s(), bt.f32s(), cw, b, false),
+        |cw| isa.gemm::<f64, NR64>(a.f64s(), bt.f64s(), cw, b, false),
+        |cw| isa.gemm::<f32, NR32>(a.f32s(), bt.f32s(), cw, b, false),
     );
 }
 
-fn syrk_body<T: Real, const NR: usize>(a: &[T], c: &mut [T], b: usize) {
+#[inline(always)]
+pub(crate) fn syrk_body<T: Real, const NR: usize>(a: &[T], c: &mut [T], b: usize) {
     // C := C − A Aᵀ on the lower triangle, then mirrored (C stays
     // symmetric).
     gemm_body::<T, NR>(a, a, c, b, true);
@@ -281,12 +326,16 @@ fn syrk_body<T: Real, const NR: usize>(a: &[T], c: &mut [T], b: usize) {
 
 /// SYRK: `C := C − A · Aᵀ` on a diagonal tile, in `c`'s precision.
 pub fn syrk(a: &PackedTile, c: &mut Tile) {
+    syrk_with(Isa::detected(), a, c)
+}
+
+fn syrk_with(isa: Isa, a: &PackedTile, c: &mut Tile) {
     a.check(c);
     let b = c.b();
     update(
         c,
-        |cw| syrk_body::<f64, NR64>(a.f64s(), cw, b),
-        |cw| syrk_body::<f32, NR32>(a.f32s(), cw, b),
+        |cw| isa.syrk::<f64, NR64>(a.f64s(), cw, b),
+        |cw| isa.syrk::<f32, NR32>(a.f32s(), cw, b),
     );
 }
 
@@ -296,6 +345,7 @@ pub fn syrk(a: &PackedTile, c: &mut Tile) {
 /// `s := s − (0 + x[r][k]·l[j][k])` in ascending `k` over the finished
 /// columns `k < j0`; with `solve` the chain continues through the block's
 /// own columns and ends in `/ l[j][j]`.
+#[inline(always)]
 fn chain_block<T: Real, const NR: usize>(
     x: &mut [T],
     b: usize,
@@ -339,7 +389,8 @@ fn chain_block<T: Real, const NR: usize>(
     }
 }
 
-fn trsm_body<T: Real, const NR: usize>(l: &[T], x: &mut [T], b: usize) {
+#[inline(always)]
+pub(crate) fn trsm_body<T: Real, const NR: usize>(l: &[T], x: &mut [T], b: usize) {
     // Solve X Lᵀ = B: column blocks in order, row blocks independent.
     for (jp, lp) in l.chunks_exact(b * NR).enumerate() {
         let j0 = jp * NR;
@@ -353,12 +404,16 @@ fn trsm_body<T: Real, const NR: usize>(l: &[T], x: &mut [T], b: usize) {
 /// TRSM: `B := B · L^{-T}` with `L` the lower factor of the panel's
 /// diagonal tile, packed for `bt`'s precision. Updates `bt` in place.
 pub fn trsm(l: &PackedTile, bt: &mut Tile) {
+    trsm_with(Isa::detected(), l, bt)
+}
+
+fn trsm_with(isa: Isa, l: &PackedTile, bt: &mut Tile) {
     l.check(bt);
     let b = bt.b();
     update(
         bt,
-        |x| trsm_body::<f64, NR64>(l.f64s(), x, b),
-        |x| trsm_body::<f32, NR32>(l.f32s(), x, b),
+        |x| isa.trsm::<f64, NR64>(l.f64s(), x, b),
+        |x| isa.trsm::<f32, NR32>(l.f32s(), x, b),
     );
 }
 
@@ -366,7 +421,11 @@ pub fn trsm(l: &PackedTile, bt: &mut Tile) {
 /// the strict upper triangle is zeroed so the result is exactly `L`.
 /// Left-looking, so every element sees its products in ascending `k`
 /// exactly as an unblocked column sweep would.
-fn potrf_body<T: Real, const NR: usize>(w: &mut [T], b: usize) -> Result<(), NotPositiveDefinite> {
+#[inline(always)]
+pub(crate) fn potrf_body<T: Real, const NR: usize>(
+    w: &mut [T],
+    b: usize,
+) -> Result<(), NotPositiveDefinite> {
     // `k`-major copy of the current block's rows (one panel of a pack).
     let mut lp = vec![T::ZERO; b * NR];
     for j0 in (0..b).step_by(NR) {
@@ -421,11 +480,15 @@ fn potrf_body<T: Real, const NR: usize>(w: &mut [T], b: usize) -> Result<(), Not
 /// arithmetic on quantized values, rounded on store). On error the tile is
 /// left partially factored.
 pub fn potrf(a: &mut Tile) -> Result<(), NotPositiveDefinite> {
+    potrf_with(Isa::detected(), a)
+}
+
+fn potrf_with(isa: Isa, a: &mut Tile) -> Result<(), NotPositiveDefinite> {
     let b = a.b();
     update(
         a,
-        |w| potrf_body::<f64, NR64>(w, b),
-        |w| potrf_body::<f32, NR32>(w, b),
+        |w| isa.potrf::<f64, NR64>(w, b),
+        |w| isa.potrf::<f32, NR32>(w, b),
     )
 }
 
@@ -474,7 +537,7 @@ impl PackedLower {
             return;
         }
         assert_eq!(h.len() % n, 0, "rows of length n");
-        let hp = pack(h, n, NR64, |x| x);
+        let hp = pack(h, n, NR64, each(|x| x));
         for (p, i0) in (0..n).step_by(MR).enumerate() {
             let k_end = (i0 + MR).min(n);
             let ap = &self.data[MR * NR64 * p * (p + 1) / 2..][..k_end * NR64];
@@ -955,6 +1018,9 @@ mod tests {
         t.to_f64().iter().map(|x| x.to_bits()).collect()
     }
 
+    // The three sweeps below run every compilation of the kernel bodies
+    // this CPU has (`Isa::all`): the baseline always, AVX2 where detected.
+
     #[test]
     fn gemm_and_syrk_equal_reference_bitwise() {
         let mut rng = StdRng::seed_from_u64(0x6e44);
@@ -965,19 +1031,28 @@ mod tests {
                         let a = Tile::from_f64(b, &salted(&mut rng, b * b), pa);
                         let bt = Tile::from_f64(b, &salted(&mut rng, b * b), pb);
                         let c0 = Tile::from_f64(b, &salted(&mut rng, b * b), pc);
-                        let (mut want, mut got) = (c0.clone(), c0.clone());
+                        let (ap, bp) = (PackedTile::new(&a, pc), PackedTile::new(&bt, pc));
+                        let mut want = c0.clone();
                         reference::gemm(&a, &bt, &mut want);
-                        gemm(
-                            &PackedTile::new(&a, pc),
-                            &PackedTile::new(&bt, pc),
-                            &mut got,
-                        );
-                        assert_eq!(bits(&got), bits(&want), "gemm b={b} {pc:?}←{pa:?}·{pb:?}");
                         // SYRK on a start that is not even symmetric.
-                        let (mut want, mut got) = (c0.clone(), c0);
-                        reference::syrk(&a, &mut want);
-                        syrk(&PackedTile::new(&a, pc), &mut got);
-                        assert_eq!(bits(&got), bits(&want), "syrk b={b} {pc:?}←{pa:?}");
+                        let mut want_syrk = c0.clone();
+                        reference::syrk(&a, &mut want_syrk);
+                        for isa in Isa::all() {
+                            let mut got = c0.clone();
+                            gemm_with(isa, &ap, &bp, &mut got);
+                            assert_eq!(
+                                bits(&got),
+                                bits(&want),
+                                "gemm b={b} {pc:?}←{pa:?}·{pb:?} {isa:?}"
+                            );
+                            let mut got = c0.clone();
+                            syrk_with(isa, &ap, &mut got);
+                            assert_eq!(
+                                bits(&got),
+                                bits(&want_syrk),
+                                "syrk b={b} {pc:?}←{pa:?} {isa:?}"
+                            );
+                        }
                     }
                 }
             }
@@ -1001,10 +1076,14 @@ mod tests {
                     }
                     let l = Tile::from_f64(b, &lv, pl);
                     let x0 = Tile::from_f64(b, &salted(&mut rng, b * b), px);
-                    let (mut want, mut got) = (x0.clone(), x0);
+                    let mut want = x0.clone();
                     reference::trsm(&l, &mut want);
-                    trsm(&PackedTile::new(&l, px), &mut got);
-                    assert_eq!(bits(&got), bits(&want), "trsm b={b} {px:?}←{pl:?}");
+                    let lp = PackedTile::new(&l, px);
+                    for isa in Isa::all() {
+                        let mut got = x0.clone();
+                        trsm_with(isa, &lp, &mut got);
+                        assert_eq!(bits(&got), bits(&want), "trsm b={b} {px:?}←{pl:?} {isa:?}");
+                    }
                 }
             }
         }
@@ -1015,10 +1094,13 @@ mod tests {
         for b in SIDES {
             for p in PRECISIONS {
                 let (t0, _) = spd_tile(b, 40 + b as u64, p);
-                let (mut want, mut got) = (t0.clone(), t0);
+                let mut want = t0.clone();
                 reference::potrf(&mut want).unwrap();
-                potrf(&mut got).unwrap();
-                assert_eq!(bits(&got), bits(&want), "potrf b={b} {p:?}");
+                for isa in Isa::all() {
+                    let mut got = t0.clone();
+                    potrf_with(isa, &mut got).unwrap();
+                    assert_eq!(bits(&got), bits(&want), "potrf b={b} {p:?} {isa:?}");
+                }
             }
         }
         // The first bad pivot is reported with the same value, wherever in
@@ -1030,9 +1112,15 @@ mod tests {
             for p in PRECISIONS {
                 let t = Tile::from_f64(b, &a, p);
                 let want = reference::potrf(&mut t.clone()).unwrap_err();
-                let got = potrf(&mut t.clone()).unwrap_err();
-                assert_eq!(got.pivot, want.pivot, "bad={bad} {p:?}");
-                assert_eq!(got.value.to_bits(), want.value.to_bits(), "bad={bad} {p:?}");
+                for isa in Isa::all() {
+                    let got = potrf_with(isa, &mut t.clone()).unwrap_err();
+                    assert_eq!(got.pivot, want.pivot, "bad={bad} {p:?} {isa:?}");
+                    assert_eq!(
+                        got.value.to_bits(),
+                        want.value.to_bits(),
+                        "bad={bad} {p:?} {isa:?}"
+                    );
+                }
             }
         }
     }

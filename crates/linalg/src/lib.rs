@@ -4,9 +4,10 @@
 //! the paper accelerates on GPUs (§III.C–D), reproduced here with CPU
 //! kernels whose *rounding semantics* match the hardware ones:
 //!
-//! * [`mod@f16`] — software IEEE binary16 with round-to-nearest-even; half
-//!   precision tiles store `u16` payloads and multiply–accumulate in `f32`,
-//!   mirroring tensor-core MMA behaviour,
+//! * [`mod@f16`] — IEEE binary16 with round-to-nearest-even (slice
+//!   conversions on F16C where the CPU has it, bit-equal to the software
+//!   reference); half precision tiles store `u16` payloads and
+//!   multiply–accumulate in `f32`, mirroring tensor-core MMA behaviour,
 //! * [`precision`] — the DP/SP/HP lattice and the paper's four variant
 //!   policies (DP, DP/SP, DP/SP/HP, DP/HP) via band-distance or
 //!   norm-adaptive tile assignment,
@@ -14,7 +15,8 @@
 //!   and the 2D tiled symmetric matrix they compose,
 //! * [`kernels`] — register-blocked POTRF/TRSM/SYRK/GEMM on tiles, computed
 //!   in the precision of the updated tile from operands converted and
-//!   packed once per consumer precision,
+//!   packed once per consumer precision; compiled a second time for AVX2
+//!   (no FMA, same bits) and chosen at run time,
 //! * [`cholesky`] — the four task bodies of the right-looking
 //!   mixed-precision tile Cholesky, its sequential driver, and the
 //!   factorization residual,
@@ -24,6 +26,7 @@
 pub mod cholesky;
 pub mod dense;
 pub mod f16;
+mod isa;
 pub mod kernels;
 pub mod precision;
 pub mod tile;

@@ -1,6 +1,6 @@
 //! Square matrix tiles in one of three storage precisions.
 
-use crate::f16::Half;
+use crate::f16::{narrow_f64_into, narrow_into, widen_f64_into, widen_into, Half};
 use crate::precision::Precision;
 
 /// Payload of a tile, in its storage precision.
@@ -45,20 +45,26 @@ impl Tile {
         fn gather<'a, T>(
             n: usize,
             rows: impl Iterator<Item = &'a [f64]>,
-            conv: impl Fn(f64) -> T + Copy,
+            conv: impl Fn(&[f64], &mut Vec<T>),
         ) -> Vec<T> {
             let mut v = Vec::with_capacity(n);
             for row in rows {
-                v.extend(row.iter().map(|&x| conv(x)));
+                conv(row, &mut v);
             }
             assert_eq!(v.len(), n, "tile payload must be b²");
             v
         }
         let n = b * b;
         let data = match p {
-            Precision::Double => TileData::F64(gather(n, rows, |x| x)),
-            Precision::Single => TileData::F32(gather(n, rows, |x| x as f32)),
-            Precision::Half => TileData::F16(gather(n, rows, |x| Half::from_f64(x).0)),
+            Precision::Double => TileData::F64(gather(n, rows, |r, v| v.extend_from_slice(r))),
+            Precision::Single => TileData::F32(gather(n, rows, |r, v| {
+                v.extend(r.iter().map(|&x| x as f32))
+            })),
+            Precision::Half => TileData::F16(gather(n, rows, |r, v| {
+                let at = v.len();
+                v.resize(at + r.len(), 0);
+                narrow_f64_into(r, &mut v[at..]);
+            })),
         };
         Self { b, data }
     }
@@ -95,7 +101,11 @@ impl Tile {
         match &self.data {
             TileData::F64(v) => v.clone(),
             TileData::F32(v) => v.iter().map(|&x| x as f64).collect(),
-            TileData::F16(v) => v.iter().map(|&h| Half(h).to_f64()).collect(),
+            TileData::F16(v) => {
+                let mut out = vec![0.0; v.len()];
+                widen_f64_into(v, &mut out);
+                out
+            }
         }
     }
 
@@ -104,7 +114,11 @@ impl Tile {
         match &self.data {
             TileData::F64(v) => v.iter().map(|&x| x as f32).collect(),
             TileData::F32(v) => v.clone(),
-            TileData::F16(v) => v.iter().map(|&h| Half(h).to_f32()).collect(),
+            TileData::F16(v) => {
+                let mut out = vec![0.0; v.len()];
+                widen_into(v, &mut out);
+                out
+            }
         }
     }
 
@@ -119,11 +133,7 @@ impl Tile {
                     *d = s as f32;
                 }
             }
-            TileData::F16(v) => {
-                for (d, &s) in v.iter_mut().zip(values) {
-                    *d = Half::from_f64(s).0;
-                }
-            }
+            TileData::F16(v) => narrow_f64_into(values, v),
         }
     }
 
@@ -137,11 +147,7 @@ impl Tile {
                 }
             }
             TileData::F32(v) => v.copy_from_slice(values),
-            TileData::F16(v) => {
-                for (d, &s) in v.iter_mut().zip(values) {
-                    *d = Half::from_f32(s).0;
-                }
-            }
+            TileData::F16(v) => narrow_into(values, v),
         }
     }
 
@@ -156,11 +162,7 @@ impl Tile {
                     *d = s as f64;
                 }
             }
-            TileData::F16(v) => {
-                for (d, &h) in out.iter_mut().zip(&v[at..]) {
-                    *d = Half(h).to_f64();
-                }
-            }
+            TileData::F16(v) => widen_f64_into(&v[at..at + out.len()], out),
         }
     }
 
