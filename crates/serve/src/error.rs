@@ -99,9 +99,9 @@ impl From<EmulationError> for ServeError {
 /// Transport-level errors of the framed-TCP wire protocol.
 ///
 /// A [`WireError`] means the *connection* failed — framing, checksums,
-/// version negotiation, socket I/O — as opposed to a [`ServeError`],
+/// version mismatch, socket I/O — as opposed to a [`ServeError`],
 /// which is a per-request failure that travels inside a well-formed
-/// response frame. Decode errors are typed so hostile input is rejected,
+/// response. Decode errors are typed so hostile input is rejected,
 /// never trusted: the decoder checks every length against what is
 /// actually present before allocating.
 #[derive(Debug, Clone, PartialEq, Eq)]

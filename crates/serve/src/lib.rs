@@ -40,10 +40,10 @@
 //!   [`exaclim_runtime::pool`] worker pool (`EXACLIM_THREADS` bounds serve
 //!   concurrency exactly as it bounds compute),
 //! * [`wire`] — the dependency-free `ECN1` framed wire protocol:
-//!   versioned 24-byte headers, CRC32-protected length-capped payloads,
-//!   a full request/response codec whose round trip is bit-identical,
-//!   and (v3) a zero-copy streaming encoder that cuts large responses
-//!   into sequenced, FIN-terminated stream fragments whose payload
+//!   24-byte headers of one protocol version, CRC32-protected
+//!   length-capped payloads, a full request/response codec whose round
+//!   trip is bit-identical, and a zero-copy streaming encoder that cuts
+//!   every response into sequenced, FIN-terminated fragments whose payload
 //!   bytes are borrowed straight from the chunk cache's value buffers,
 //! * [`net`] — the TCP front end over [`wire`]: a [`net::NetServer`]
 //!   whose connections are nonblocking frame state machines multiplexed

@@ -124,11 +124,10 @@ pub struct NetConfig {
     /// fans out over the shared worker pool). `0` sizes automatically
     /// from the pool's thread count.
     pub dispatch_threads: usize,
-    /// Payload bytes per streamed response fragment. Responses larger
-    /// than this go to version-3 peers as a sequence of CRC-checked
-    /// stream frames instead of one monolithic frame, which is what
-    /// bounds per-connection server memory; `0` disables streaming
-    /// (every response is a single frame, as in wire version 2).
+    /// Payload bytes per response fragment. Responses larger than this
+    /// go out as a sequence of CRC-checked stream fragments, which is
+    /// what bounds per-connection server memory; smaller ones (and every
+    /// response when this is `0`) go out as one fragment.
     pub stream_chunk_bytes: usize,
     /// Overload protection: when this many batches are already queued
     /// for the dispatch workers, new request frames are **shed** —
@@ -470,7 +469,6 @@ mod event {
     use super::*;
     use crate::wire::HEADER_LEN;
     use exaclim_runtime::reactor::{Interest, Mode, Token};
-    use exaclim_store::crc32;
     use parking_lot::{Condvar, Mutex};
     use std::collections::HashMap;
     use std::io::{ErrorKind, Read};
@@ -495,9 +493,6 @@ mod event {
     struct Job {
         token: u64,
         id: u64,
-        /// Wire version of the request frame; replies mirror it, and it
-        /// decides whether the response may stream.
-        version: u8,
         requests: Vec<Request>,
         /// When the request frame was parsed off the socket. Per-request
         /// deadline budgets ([`Request::WithDeadline`]) count from here,
@@ -512,7 +507,6 @@ mod event {
     struct Completion {
         token: u64,
         id: u64,
-        version: u8,
         body: wire::ResponseBody,
     }
 
@@ -593,7 +587,6 @@ mod event {
             d.completions.lock().push(Completion {
                 token: job.token,
                 id: job.id,
-                version: job.version,
                 body,
             });
             d.waker.wake();
@@ -644,9 +637,6 @@ mod event {
         /// there will ever be.
         eof: bool,
         interest: Interest,
-        /// Wire version of the peer's last request frame; replies mirror
-        /// it. Starts at our own version until the first frame arrives.
-        peer_version: u8,
         /// Last time this connection completed a frame in or pushed
         /// response bytes out. The idle wheel is re-armed lazily from
         /// this on expiry instead of on every frame (hot connections
@@ -664,7 +654,6 @@ mod event {
                 close_after: false,
                 eof: false,
                 interest: Interest::READABLE,
-                peer_version: wire::VERSION,
                 last_activity: Instant::now(),
             }
         }
@@ -683,7 +672,6 @@ mod event {
         /// this batch.
         Request {
             id: u64,
-            version: u8,
             total: usize,
             requests: Vec<Request>,
         },
@@ -825,7 +813,6 @@ mod event {
             match wire::FrameStream::response(
                 completion.body,
                 completion.id,
-                completion.version,
                 self.config.stream_chunk_bytes,
             ) {
                 Ok(stream) => {
@@ -1058,7 +1045,6 @@ mod event {
                 Parsed::Fail { id, msg } => self.fail_conn(token, id, &msg),
                 Parsed::Request {
                     id,
-                    version,
                     total,
                     requests,
                 } => {
@@ -1068,7 +1054,6 @@ mod event {
                         .fetch_add(requests.len() as u64, Ordering::Relaxed);
                     let conn = self.conns.get_mut(&token).expect("conn just parsed");
                     conn.buf.drain(..total);
-                    conn.peer_version = version;
                     // A complete frame arrived: this peer is live.
                     conn.last_activity = Instant::now();
                     // Overload protection: past the dispatch backlog
@@ -1079,7 +1064,7 @@ mod event {
                     // the retry.
                     let backlog = self.config.max_dispatch_backlog;
                     if backlog > 0 && self.dispatch.jobs.lock().0.len() >= backlog {
-                        self.shed(token, id, version, requests.len());
+                        self.shed(token, id, requests.len());
                         return;
                     }
                     conn.phase = Phase::Dispatched;
@@ -1087,7 +1072,6 @@ mod event {
                     self.dispatch.push(Job {
                         token,
                         id,
-                        version,
                         requests,
                         received: Instant::now(),
                     });
@@ -1099,7 +1083,7 @@ mod event {
         /// [`ServeError::Overloaded`] per request, staged on the
         /// write-drain like any other response. The connection stays
         /// open — shedding is back-pressure, not punishment.
-        fn shed(&mut self, token: u64, id: u64, version: u8, n_requests: usize) {
+        fn shed(&mut self, token: u64, id: u64, n_requests: usize) {
             self.shared
                 .stats
                 .shed
@@ -1112,7 +1096,7 @@ mod event {
             let Some(conn) = self.conns.get_mut(&token) else {
                 return;
             };
-            match wire::FrameStream::response(body, id, version, self.config.stream_chunk_bytes) {
+            match wire::FrameStream::response(body, id, self.config.stream_chunk_bytes) {
                 Ok(stream) => {
                     conn.write = Some(Outgoing {
                         stream,
@@ -1136,7 +1120,7 @@ mod event {
                 return;
             };
             let body = wire::ResponseBody::from_payload(wire::encode_error_payload(msg));
-            match wire::FrameStream::single(FrameKind::Error, conn.peer_version, id, body) {
+            match wire::FrameStream::single(FrameKind::Error, id, body) {
                 Ok(stream) => {
                     conn.close_after = true;
                     conn.write = Some(Outgoing {
@@ -1391,27 +1375,33 @@ mod event {
     /// stays free of byte-level detail. Counts `frames_in`/`bytes_in`
     /// itself, on complete, checksum-valid request frames.
     fn parse_head(conn: &mut Conn, stats: &NetStatCells) -> Parsed {
-        if conn.buf.len() < HEADER_LEN {
-            return if conn.eof {
-                if conn.buf.is_empty() {
-                    Parsed::CleanClose
-                } else {
-                    Parsed::Fail {
+        // A bad header is rejected as soon as its 24 bytes are here,
+        // before any payload is buffered.
+        let total = match conn.buf.get(..HEADER_LEN) {
+            Some(head) => match wire::FrameHeader::decode(head.try_into().expect("header slice")) {
+                Ok(header) => HEADER_LEN + header.len as usize,
+                Err(e) => {
+                    return Parsed::Fail {
                         id: 0,
-                        msg: WireError::Truncated {
-                            context: "frame header",
-                        }
-                        .to_string(),
+                        msg: e.to_string(),
                     }
                 }
-            } else {
-                Parsed::NeedMore
-            };
+            },
+            None => HEADER_LEN,
+        };
+        if conn.buf.len() < total {
+            if !conn.eof {
+                conn.buf.reserve(total - conn.buf.len());
+                return Parsed::NeedMore;
+            }
+            if conn.buf.is_empty() {
+                return Parsed::CleanClose;
+            }
+            // EOF mid-frame: `decode_frame` below reports the typed
+            // truncation of whichever part is missing.
         }
-        let header_bytes: [u8; HEADER_LEN] =
-            conn.buf[..HEADER_LEN].try_into().expect("header slice");
-        let header = match wire::FrameHeader::decode(&header_bytes) {
-            Ok(header) => header,
+        let (header, payload) = match wire::decode_frame(&conn.buf[..total.min(conn.buf.len())]) {
+            Ok(frame) => frame,
             Err(e) => {
                 return Parsed::Fail {
                     id: 0,
@@ -1419,32 +1409,6 @@ mod event {
                 }
             }
         };
-        let total = HEADER_LEN + header.len as usize;
-        if conn.buf.len() < total {
-            if conn.eof {
-                return Parsed::Fail {
-                    id: 0,
-                    msg: WireError::Truncated {
-                        context: "frame payload",
-                    }
-                    .to_string(),
-                };
-            }
-            conn.buf.reserve(total - conn.buf.len());
-            return Parsed::NeedMore;
-        }
-        let payload = &conn.buf[HEADER_LEN..total];
-        let actual = crc32(payload);
-        if actual != header.crc {
-            return Parsed::Fail {
-                id: 0,
-                msg: WireError::ChecksumMismatch {
-                    expected: header.crc,
-                    actual,
-                }
-                .to_string(),
-            };
-        }
         if header.kind != FrameKind::Request {
             return Parsed::Fail {
                 id: header.id,
@@ -1456,7 +1420,6 @@ mod event {
         match wire::decode_request_batch(payload) {
             Ok(requests) => Parsed::Request {
                 id: header.id,
-                version: header.version,
                 total,
                 requests,
             },
@@ -1507,10 +1470,6 @@ impl Default for RetryPolicy {
 /// [`Client::connect_with`]).
 #[derive(Debug, Clone, Default)]
 pub struct ClientConfig {
-    /// Wire version announced in request frames, within
-    /// [`crate::wire::MIN_VERSION`]`..=`[`crate::wire::VERSION`].
-    /// `0` (the `Default`) means the current [`crate::wire::VERSION`].
-    pub version: u8,
     /// Bound on establishing the TCP connection, applied per resolved
     /// address; `None` blocks on the OS default (which against a
     /// dead-but-routable address can be minutes).
@@ -1555,11 +1514,9 @@ pub struct ClientStats {
 /// [`Client::recv`] split the round trip: several batches may be in
 /// flight on the connection at once, and responses arrive in send order.
 ///
-/// Requests announce [`crate::wire::VERSION`] by default, so large
-/// responses arrive as CRC-checked stream fragments which [`Client::recv`]
-/// reassembles transparently — the result is bit-identical to the
-/// single-frame response a version-2 peer (see
-/// [`Client::connect_with_version`]) would get.
+/// Responses arrive as CRC-checked stream fragments which [`Client::recv`]
+/// reassembles transparently — the result is bit-identical to
+/// [`Server::handle_batch`]'s.
 ///
 /// With a [`RetryPolicy`] armed ([`ClientConfig::retry`]) the client
 /// **self-heals**: retryable transport failures (resets, truncated
@@ -1594,47 +1551,20 @@ impl std::fmt::Debug for Client {
             .field("peer", &self.peer)
             .field("next_id", &self.next_id)
             .field("in_flight", &self.in_flight.len())
-            .field("version", &self.config.version)
             .field("retries", &self.stats.retries)
             .finish()
     }
 }
 
 impl Client {
-    /// Connect to a [`NetServer`], speaking the current wire version,
-    /// with no timeouts and no retry policy.
+    /// Connect to a [`NetServer`] with no timeouts and no retry policy.
     pub fn connect(addr: impl ToSocketAddrs) -> Result<Self, WireError> {
-        Self::connect_with_version(addr, wire::VERSION)
-    }
-
-    /// Connect announcing a specific wire version (within
-    /// [`crate::wire::MIN_VERSION`]`..=`[`crate::wire::VERSION`]).
-    /// Announcing version 2 opts out of streamed responses — every
-    /// response arrives as one monolithic frame, byte-identical to what
-    /// a version-2 build of this client would receive.
-    pub fn connect_with_version(addr: impl ToSocketAddrs, version: u8) -> Result<Self, WireError> {
-        Self::connect_with(
-            addr,
-            ClientConfig {
-                version,
-                ..ClientConfig::default()
-            },
-        )
+        Self::connect_with(addr, ClientConfig::default())
     }
 
     /// Connect with explicit [`ClientConfig`] — timeouts and, when
     /// [`ClientConfig::retry`] is `Some`, self-healing.
     pub fn connect_with(addr: impl ToSocketAddrs, config: ClientConfig) -> Result<Self, WireError> {
-        let mut config = config;
-        if config.version == 0 {
-            config.version = wire::VERSION;
-        }
-        if !(wire::MIN_VERSION..=wire::VERSION).contains(&config.version) {
-            return Err(WireError::Version {
-                got: config.version,
-                want: wire::VERSION,
-            });
-        }
         let addrs: Vec<SocketAddr> = addr.to_socket_addrs().map_err(WireError::from)?.collect();
         if addrs.is_empty() {
             return Err(WireError::Io("address resolved to nothing".to_string()));
@@ -1747,13 +1677,7 @@ impl Client {
             let id = self.next_id;
             self.next_id += 1;
             let payload = wire::encode_request_batch(&entry.1);
-            wire::write_frame_vectored_v(
-                &mut self.writer,
-                self.config.version,
-                FrameKind::Request,
-                id,
-                &payload,
-            )?;
+            wire::write_frame(&mut self.writer, FrameKind::Request, id, &payload)?;
             entry.0 = id;
         }
         self.writer.flush().map_err(WireError::from)?;
@@ -1765,13 +1689,7 @@ impl Client {
         let id = self.next_id;
         self.next_id += 1;
         let payload = wire::encode_request_batch(requests);
-        wire::write_frame_vectored_v(
-            &mut self.writer,
-            self.config.version,
-            FrameKind::Request,
-            id,
-            &payload,
-        )?;
+        wire::write_frame(&mut self.writer, FrameKind::Request, id, &payload)?;
         self.writer.flush().map_err(WireError::from)?;
         Ok(id)
     }
@@ -1811,13 +1729,11 @@ impl Client {
     }
 
     /// Receive the response batch for the oldest in-flight
-    /// [`Client::send`], reassembling streamed responses transparently:
-    /// the read loop accepts stream fragments (in sequence order, on the
-    /// expected frame id) until the `FIN` fragment lands, and decodes
-    /// the reassembled payload exactly as it would a single response
-    /// frame. An error frame is honored even mid-stream; a connection
-    /// close or stray response frame mid-stream is
-    /// [`WireError::StreamTruncated`]. With a retry policy armed, a
+    /// [`Client::send`]: the read loop accepts stream fragments (in
+    /// sequence order, on the expected frame id) until the `FIN`
+    /// fragment lands, then decodes the reassembled payload. An error
+    /// frame is honored even mid-stream; a connection close mid-stream
+    /// is [`WireError::StreamTruncated`]. With a retry policy armed, a
     /// retryable transport failure reconnects, replays every in-flight
     /// batch, and resumes waiting.
     pub fn recv(&mut self) -> Result<Vec<Result<Response, ServeError>>, WireError> {
@@ -1872,22 +1788,9 @@ impl Client {
                             got: header.id,
                         });
                     }
-                    match reasm.push(&header, &payload)? {
-                        Some(done) => return wire::decode_response_batch(&done),
-                        None => continue,
+                    if let Some(done) = reasm.push(&header, payload)? {
+                        return wire::decode_response_batch(&done);
                     }
-                }
-                FrameKind::Response => {
-                    if reasm.in_progress() {
-                        return Err(WireError::StreamTruncated);
-                    }
-                    if header.id != expected {
-                        return Err(WireError::IdMismatch {
-                            expected,
-                            got: header.id,
-                        });
-                    }
-                    return wire::decode_response_batch(&payload);
                 }
                 FrameKind::Error => {
                     return Err(WireError::Remote(wire::decode_error_payload(&payload)?))

@@ -1,5 +1,5 @@
-//! The ECN1 wire protocol: framed, checksummed, versioned request/response
-//! encoding for the network front end.
+//! The ECN1 wire protocol: framed, checksummed request/response encoding
+//! for the network front end.
 //!
 //! The protocol is deliberately dependency-free (plain `std`, no serde on
 //! the wire) and mirrors the hostile-input discipline of the `ECA1`
@@ -17,10 +17,10 @@
 //! ```text
 //! offset  size  field
 //! 0       4     magic, the literal bytes "ECN1"
-//! 4       1     protocol version (2–4; this build speaks 4)
-//! 5       1     frame kind: 1 = request batch, 2 = response batch,
-//!               3 = error, 4 = stream fragment (version ≥ 3)
-//! 6       2     kinds 1–3: reserved, must be zero
+//! 4       1     protocol version (always VERSION = 4)
+//! 5       1     frame kind: 1 = request batch, 3 = error,
+//!               4 = response fragment (id 2 is retired)
+//! 6       2     kinds 1 and 3: reserved, must be zero
 //!               kind 4: stream position — bits 0..15 are the fragment
 //!               sequence number, bit 15 is the FIN flag
 //! 8       8     frame id (echoed verbatim in the matching response)
@@ -29,39 +29,22 @@
 //! 24      …     payload
 //! ```
 //!
-//! Version 2 added the scenario-engine ops — product and ensemble
-//! requests ([`crate::ProductDescriptor`], [`crate::ScenarioSpec`]) and
-//! the product response block — plus the product-cache counters in the
-//! stats reply. Version 3 added **streaming responses**: one request id
-//! may be answered by several `Stream` fragments instead of a single
-//! `Response` frame. The two previously-reserved header bytes carry each
-//! fragment's position ([`StreamPos`]): a 15-bit sequence number
-//! starting at 0 and a FIN flag on the final fragment. Concatenating the
-//! fragments' CRC-checked payloads in sequence order yields **exactly**
-//! the payload the same batch would produce as one `Response` frame —
-//! streaming is a transport framing, invisible above
-//! [`decode_response_batch`]. Version 4 added the resilience machinery:
-//! an optional **per-request deadline** wrapper
-//! ([`Request::WithDeadline`]) that lets the server skip work whose
-//! budget already expired, and the overload/deadline/internal error
-//! codes ([`ServeError::Overloaded`], [`ServeError::DeadlineExpired`],
-//! [`ServeError::Internal`]) that make the retryable-vs-fatal taxonomy
-//! explicit on the wire.
-//!
-//! Version negotiation is per connection and server-mirrored: the server
-//! answers at the version of the request frame it is answering, and only
-//! streams to version ≥ 3 peers. A version-2 peer keeps getting single
-//! `Response` frames, byte-identical to the old wire; versions outside
-//! `MIN_VERSION..=VERSION` are rejected with [`WireError::Version`]
-//! before any payload is read.
+//! There is one protocol version: a header carrying any other version is
+//! rejected with [`WireError::Version`] before any payload is read.
 //!
 //! A **request** frame's payload is a batch: a `u32` count followed by
-//! that many encoded [`Request`]s. The matching **response** frame echoes
-//! the frame id and carries one encoded `Result<Response, ServeError>`
-//! per request, in request order — the wire analogue of
-//! [`crate::Server::handle_batch`]. An **error** frame reports a
-//! transport-level failure (malformed frame, version mismatch) and is
-//! terminal for the connection.
+//! that many encoded [`Request`]s. The **response** echoes the frame id
+//! and carries one encoded `Result<Response, ServeError>` per request, in
+//! request order — the wire analogue of [`crate::Server::handle_batch`].
+//! Every response is a **stream** of one or more `Stream` fragments. The
+//! header's position word ([`StreamPos`]) carries a 15-bit sequence
+//! number starting at 0 and a FIN flag on the final fragment; a response
+//! that fits one fragment is a single frame at seq 0 with FIN set.
+//! Concatenating the fragments' CRC-checked payloads in sequence order
+//! yields **exactly** the [`encode_response_batch`] payload — the
+//! fragmentation is invisible above [`decode_response_batch`]. An
+//! **error** frame reports a transport-level failure (malformed frame,
+//! version mismatch) and is terminal for the connection.
 //!
 //! Frame ids are chosen by the client (monotonically increasing in
 //! [`crate::net::Client`]) and let requests pipeline: a client may write
@@ -121,17 +104,11 @@ use std::sync::Arc;
 /// Frame magic: the literal bytes `ECN1` at offset 0 of every frame.
 pub const MAGIC: [u8; 4] = *b"ECN1";
 
-/// Protocol version this build speaks (header byte 4). Version 2 added
-/// the scenario-engine ops; version 3 added streaming responses
-/// ([`FrameKind::Stream`]); version 4 added per-request deadlines
-/// ([`Request::WithDeadline`]) and the overload/deadline/internal error
-/// codes.
+/// The one protocol version this build speaks and accepts (header byte
+/// 4). Clients of the earlier negotiating wire announce 4 and already
+/// reassemble a one-fragment [`FrameKind::Stream`] response, so they
+/// interoperate unchanged.
 pub const VERSION: u8 = 4;
-
-/// Oldest protocol version this build still accepts. Version-2 peers
-/// negotiate down transparently: the server mirrors the request frame's
-/// version in its replies and never streams to them.
-pub const MIN_VERSION: u8 = 2;
 
 /// Largest stream-fragment sequence number (15 bits; bit 15 of the
 /// on-wire position word is the FIN flag).
@@ -158,23 +135,21 @@ pub const MAX_STR_LEN: u32 = 1 << 16;
 pub enum FrameKind {
     /// A batch of [`Request`]s (client → server).
     Request,
-    /// The batch's `Result<Response, ServeError>`s (server → client).
-    Response,
     /// A terminal transport-level error report (either direction).
     Error,
-    /// One fragment of a streamed response (server → client, wire
-    /// version ≥ 3). The header's reserved bytes carry a [`StreamPos`];
-    /// fragment payloads concatenate, in sequence order, to exactly the
-    /// payload a [`FrameKind::Response`] frame would have carried.
+    /// One fragment of a response (server → client). The header's
+    /// reserved bytes carry a [`StreamPos`]; fragment payloads
+    /// concatenate, in sequence order, to exactly the batch's
+    /// [`encode_response_batch`] payload.
     Stream,
 }
 
 impl FrameKind {
-    /// Wire id of this kind (header byte 5).
+    /// Wire id of this kind (header byte 5). Id 2, the retired
+    /// single-frame response, decodes as [`WireError::BadFrameKind`].
     pub fn id(self) -> u8 {
         match self {
             FrameKind::Request => 1,
-            FrameKind::Response => 2,
             FrameKind::Error => 3,
             FrameKind::Stream => 4,
         }
@@ -184,7 +159,6 @@ impl FrameKind {
     pub fn from_id(id: u8) -> Result<Self, WireError> {
         match id {
             1 => Ok(FrameKind::Request),
-            2 => Ok(FrameKind::Response),
             3 => Ok(FrameKind::Error),
             4 => Ok(FrameKind::Stream),
             other => Err(WireError::BadFrameKind(other)),
@@ -221,10 +195,6 @@ impl StreamPos {
 /// The decoded fixed-size frame header.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FrameHeader {
-    /// Protocol version of the frame (`MIN_VERSION..=VERSION`). The
-    /// server mirrors this in its replies so version-2 peers keep
-    /// receiving version-2 frames.
-    pub version: u8,
     /// Frame kind.
     pub kind: FrameKind,
     /// Stream position; `Some` exactly when `kind` is
@@ -243,7 +213,7 @@ impl FrameHeader {
     pub fn encode(&self) -> [u8; HEADER_LEN] {
         let mut h = [0u8; HEADER_LEN];
         h[0..4].copy_from_slice(&MAGIC);
-        h[4] = self.version;
+        h[4] = VERSION;
         h[5] = self.kind.id();
         // Bytes 6..8: reserved-zero, except a stream fragment's position.
         if let Some(pos) = self.stream {
@@ -256,27 +226,21 @@ impl FrameHeader {
     }
 
     /// Parse and validate the fixed 24-byte wire form: magic, version
-    /// (`MIN_VERSION..=VERSION` accepted), kind, reserved/stream bytes,
-    /// and the [`MAX_FRAME_PAYLOAD`] cap.
+    /// (exactly [`VERSION`]), kind, reserved/stream bytes, and the
+    /// [`MAX_FRAME_PAYLOAD`] cap.
     pub fn decode(bytes: &[u8; HEADER_LEN]) -> Result<Self, WireError> {
         if bytes[0..4] != MAGIC {
             return Err(WireError::BadMagic([
                 bytes[0], bytes[1], bytes[2], bytes[3],
             ]));
         }
-        let version = bytes[4];
-        if !(MIN_VERSION..=VERSION).contains(&version) {
+        if bytes[4] != VERSION {
             return Err(WireError::Version {
-                got: version,
+                got: bytes[4],
                 want: VERSION,
             });
         }
         let kind = FrameKind::from_id(bytes[5])?;
-        if kind == FrameKind::Stream && version < 3 {
-            // Version 2 had no stream frames; a v2 header with kind 4 is
-            // as unknown as kind 9.
-            return Err(WireError::BadFrameKind(4));
-        }
         let stream = if kind == FrameKind::Stream {
             Some(StreamPos::from_wire(u16::from_le_bytes(
                 bytes[6..8].try_into().expect("2 bytes"),
@@ -300,7 +264,6 @@ impl FrameHeader {
         }
         let crc = u32::from_le_bytes(bytes[20..24].try_into().expect("4 bytes"));
         Ok(Self {
-            version,
             kind,
             stream,
             id,
@@ -308,39 +271,41 @@ impl FrameHeader {
             crc,
         })
     }
+
+    /// The header of one whole frame carrying `payload` (see
+    /// [`encode_frame`]).
+    fn whole(kind: FrameKind, id: u64, payload: &[u8]) -> Result<Self, WireError> {
+        check_payload_cap(payload.len())?;
+        Ok(Self {
+            kind,
+            stream: (kind == FrameKind::Stream).then_some(StreamPos { seq: 0, fin: true }),
+            id,
+            len: payload.len() as u32,
+            crc: crc32(payload),
+        })
+    }
 }
 
-/// Assemble one complete frame (header + payload) in memory.
+/// [`WireError::FrameTooLarge`] unless `len` fits [`MAX_FRAME_PAYLOAD`].
+fn check_payload_cap(len: usize) -> Result<(), WireError> {
+    if len as u64 > u64::from(MAX_FRAME_PAYLOAD) {
+        return Err(WireError::FrameTooLarge {
+            len: len as u64,
+            max: u64::from(MAX_FRAME_PAYLOAD),
+        });
+    }
+    Ok(())
+}
+
+/// Assemble one complete frame (header + payload) in memory. A
+/// [`FrameKind::Stream`] frame built this way is a complete one-fragment
+/// response (seq 0, FIN).
 ///
 /// Fails with [`WireError::FrameTooLarge`] if `payload` exceeds
 /// [`MAX_FRAME_PAYLOAD`] — the sender enforces the same cap the receiver
 /// does, so an over-long batch is rejected before it ties up the socket.
 pub fn encode_frame(kind: FrameKind, id: u64, payload: &[u8]) -> Result<Vec<u8>, WireError> {
-    encode_frame_v(VERSION, kind, id, payload)
-}
-
-/// [`encode_frame`] with an explicit protocol version — the server uses
-/// this to mirror a version-2 peer's version in its replies.
-pub fn encode_frame_v(
-    version: u8,
-    kind: FrameKind,
-    id: u64,
-    payload: &[u8],
-) -> Result<Vec<u8>, WireError> {
-    if payload.len() as u64 > u64::from(MAX_FRAME_PAYLOAD) {
-        return Err(WireError::FrameTooLarge {
-            len: payload.len() as u64,
-            max: u64::from(MAX_FRAME_PAYLOAD),
-        });
-    }
-    let header = FrameHeader {
-        version,
-        kind,
-        stream: None,
-        id,
-        len: payload.len() as u32,
-        crc: crc32(payload),
-    };
+    let header = FrameHeader::whole(kind, id, payload)?;
     let mut frame = Vec::with_capacity(HEADER_LEN + payload.len());
     frame.extend_from_slice(&header.encode());
     frame.extend_from_slice(payload);
@@ -385,99 +350,18 @@ pub fn decode_frame(bytes: &[u8]) -> Result<(FrameHeader, &[u8]), WireError> {
     Ok((header, payload))
 }
 
-/// Write one frame to a stream (header, then payload). The caller is
-/// responsible for flushing.
+/// Write one frame to a stream (header, then payload) — the streaming
+/// twin of [`encode_frame`], byte for byte. The caller is responsible
+/// for flushing; behind a `BufWriter`, a frame that fits its buffer
+/// leaves in one syscall at the flush.
 pub fn write_frame(
     w: &mut impl Write,
     kind: FrameKind,
     id: u64,
     payload: &[u8],
 ) -> Result<(), WireError> {
-    if payload.len() as u64 > u64::from(MAX_FRAME_PAYLOAD) {
-        return Err(WireError::FrameTooLarge {
-            len: payload.len() as u64,
-            max: u64::from(MAX_FRAME_PAYLOAD),
-        });
-    }
-    let header = FrameHeader {
-        version: VERSION,
-        kind,
-        stream: None,
-        id,
-        len: payload.len() as u32,
-        crc: crc32(payload),
-    };
-    w.write_all(&header.encode())?;
+    w.write_all(&FrameHeader::whole(kind, id, payload)?.encode())?;
     w.write_all(payload)?;
-    Ok(())
-}
-
-/// Write one frame with a single gathered syscall where the stream
-/// supports it: header and payload go out through `write_vectored`
-/// instead of two sequential writes, so a small response frame reaches
-/// the socket in one `writev` and never straddles two TCP segments just
-/// because the header was flushed alone.
-///
-/// Byte-for-byte identical on the wire to [`write_frame`]; partial
-/// vectored writes are resumed until the header is fully out, then any
-/// payload remainder is completed with `write_all`.
-pub fn write_frame_vectored(
-    w: &mut impl Write,
-    kind: FrameKind,
-    id: u64,
-    payload: &[u8],
-) -> Result<(), WireError> {
-    write_frame_vectored_v(w, VERSION, kind, id, payload)
-}
-
-/// [`write_frame_vectored`] with an explicit protocol version — the
-/// [`crate::net::Client`] uses this to send frames at its negotiated
-/// version when speaking to an older server.
-pub fn write_frame_vectored_v(
-    w: &mut impl Write,
-    version: u8,
-    kind: FrameKind,
-    id: u64,
-    payload: &[u8],
-) -> Result<(), WireError> {
-    if payload.len() as u64 > u64::from(MAX_FRAME_PAYLOAD) {
-        return Err(WireError::FrameTooLarge {
-            len: payload.len() as u64,
-            max: u64::from(MAX_FRAME_PAYLOAD),
-        });
-    }
-    let header = FrameHeader {
-        version,
-        kind,
-        stream: None,
-        id,
-        len: payload.len() as u32,
-        crc: crc32(payload),
-    }
-    .encode();
-    // `write_all_vectored` is unstable, so resume partial writes by hand:
-    // while any header byte is unwritten, gather the header tail and the
-    // whole payload; once the cursor passes the header, finish the
-    // payload tail with plain `write_all`.
-    let mut written = 0usize;
-    while written < HEADER_LEN {
-        let bufs = [IoSlice::new(&header[written..]), IoSlice::new(payload)];
-        match w.write_vectored(&bufs) {
-            Ok(0) => {
-                return Err(WireError::from(std::io::Error::new(
-                    std::io::ErrorKind::WriteZero,
-                    "frame write made no progress",
-                )))
-            }
-            Ok(n) => written += n,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(WireError::from(e)),
-        }
-    }
-    let payload_written = written - HEADER_LEN;
-    if payload_written < payload.len() {
-        w.write_all(&payload[payload_written..])?;
-    }
     Ok(())
 }
 
@@ -551,8 +435,7 @@ pub struct OutFrame {
     head: [u8; HEADER_LEN],
     parts: Vec<(usize, Range<usize>)>,
     payload_len: usize,
-    /// True for the final frame of the response (the `FIN` fragment, or
-    /// the sole frame of a non-streamed response).
+    /// True for the final frame (the `FIN` fragment, or an error frame).
     pub last: bool,
 }
 
@@ -622,19 +505,18 @@ impl OutFrame {
     }
 }
 
-/// Cuts a [`ResponseBody`] into wire frames: one [`FrameKind::Response`]
-/// frame when the peer is version 2 or the body fits the stream chunk,
-/// otherwise a sequence of [`FrameKind::Stream`] fragments whose
-/// payloads concatenate to exactly the single-frame payload. Each frame
-/// carries its own CRC (computed incrementally across the scattered
-/// segments), so corruption is detected per fragment, not per response.
+/// Cuts a [`ResponseBody`] into wire frames: [`FrameKind::Stream`]
+/// fragments whose payloads concatenate to exactly the response payload
+/// (one FIN fragment when the body fits the stream chunk), or the single
+/// frame of any other kind. Each frame carries its own CRC (computed
+/// incrementally across the scattered segments), so corruption is
+/// detected per fragment, not per response.
 pub struct FrameStream {
     body: ResponseBody,
     kind: FrameKind,
-    version: u8,
     id: u64,
     total: usize,
-    /// Fragment payload size; `0` means a single non-streamed frame.
+    /// Fragment payload size; `0` means the whole body in one frame.
     chunk: usize,
     offset: usize,
     seg: usize,
@@ -645,37 +527,35 @@ pub struct FrameStream {
 }
 
 impl FrameStream {
-    /// Stage a response for a peer speaking `peer_version`. Streams
-    /// (fragments of ≈`stream_chunk` payload bytes) when the peer is
-    /// version ≥ 3, streaming is enabled (`stream_chunk > 0`), and the
-    /// body exceeds one chunk; otherwise emits the classic single
-    /// response frame. Fails up front if the body exceeds
-    /// [`MAX_FRAME_PAYLOAD`] — the cap bounds the *reassembled* payload,
-    /// streamed or not, so both sides agree on what is too large.
-    pub fn response(
-        body: ResponseBody,
-        id: u64,
-        peer_version: u8,
-        stream_chunk: usize,
-    ) -> Result<Self, WireError> {
+    /// Stage a response as fragments of ≈`stream_chunk` payload bytes
+    /// when the body exceeds one chunk, otherwise (or when `stream_chunk`
+    /// is 0) as one fragment at seq 0 with FIN set. Fails up front if the
+    /// body exceeds [`MAX_FRAME_PAYLOAD`] — the cap bounds the
+    /// *reassembled* payload, however many fragments carry it, so both
+    /// sides agree on what is too large.
+    pub fn response(body: ResponseBody, id: u64, stream_chunk: usize) -> Result<Self, WireError> {
         let total = body.total_len();
-        if total as u64 > u64::from(MAX_FRAME_PAYLOAD) {
-            return Err(WireError::FrameTooLarge {
-                len: total as u64,
-                max: u64::from(MAX_FRAME_PAYLOAD),
-            });
-        }
-        let chunk = if peer_version >= 3 && stream_chunk > 0 && total > stream_chunk {
+        let chunk = if stream_chunk > 0 && total > stream_chunk {
             // Never emit more fragments than the 15-bit sequence space
             // holds — widen the fragment instead of overflowing seq.
             stream_chunk.max(total.div_ceil(usize::from(STREAM_SEQ_MAX) + 1))
         } else {
             0
         };
+        Self::new(FrameKind::Stream, id, body, chunk)
+    }
+
+    /// Stage a single frame of any kind (error frames use this).
+    pub fn single(kind: FrameKind, id: u64, body: ResponseBody) -> Result<Self, WireError> {
+        Self::new(kind, id, body, 0)
+    }
+
+    fn new(kind: FrameKind, id: u64, body: ResponseBody, chunk: usize) -> Result<Self, WireError> {
+        let total = body.total_len();
+        check_payload_cap(total)?;
         Ok(Self {
             body,
-            kind: FrameKind::Response,
-            version: peer_version,
+            kind,
             id,
             total,
             chunk,
@@ -688,38 +568,7 @@ impl FrameStream {
         })
     }
 
-    /// Stage a single non-streamed frame of any kind (error frames use
-    /// this).
-    pub fn single(
-        kind: FrameKind,
-        version: u8,
-        id: u64,
-        body: ResponseBody,
-    ) -> Result<Self, WireError> {
-        let total = body.total_len();
-        if total as u64 > u64::from(MAX_FRAME_PAYLOAD) {
-            return Err(WireError::FrameTooLarge {
-                len: total as u64,
-                max: u64::from(MAX_FRAME_PAYLOAD),
-            });
-        }
-        Ok(Self {
-            body,
-            kind,
-            version,
-            id,
-            total,
-            chunk: 0,
-            offset: 0,
-            seg: 0,
-            seg_off: 0,
-            next_seq: 0,
-            frames: 0,
-            done: false,
-        })
-    }
-
-    /// Whether this response goes out as stream fragments.
+    /// Whether this response goes out as more than one fragment.
     pub fn is_streamed(&self) -> bool {
         self.chunk != 0
     }
@@ -746,18 +595,17 @@ impl FrameStream {
         if self.done {
             return None;
         }
-        let (len, stream_pos) = if self.chunk == 0 {
-            (self.total, None)
+        let len = if self.chunk == 0 {
+            self.total
         } else {
-            let len = self.chunk.min(self.total - self.offset);
-            let fin = self.offset + len == self.total;
-            let pos = StreamPos {
-                seq: self.next_seq,
-                fin,
-            };
-            self.next_seq += 1;
-            (len, Some(pos))
+            self.chunk.min(self.total - self.offset)
         };
+        let last = self.offset + len == self.total;
+        let stream = (self.kind == FrameKind::Stream).then_some(StreamPos {
+            seq: self.next_seq,
+            fin: last,
+        });
+        self.next_seq += 1;
         // Walk segments from the cursor, collecting `len` payload bytes
         // and folding them into the fragment's CRC as they pass.
         let mut parts = Vec::new();
@@ -780,19 +628,10 @@ impl FrameStream {
             }
         }
         self.offset += len;
-        let last = stream_pos.is_none_or(|p| p.fin);
-        if last {
-            self.done = true;
-        }
-        let kind = if stream_pos.is_some() {
-            FrameKind::Stream
-        } else {
-            self.kind
-        };
+        self.done = last;
         let head = FrameHeader {
-            version: self.version,
-            kind,
-            stream: stream_pos,
+            kind: self.kind,
+            stream,
             id: self.id,
             len: len as u32,
             crc: crc_state ^ 0xFFFF_FFFF,
@@ -808,9 +647,9 @@ impl FrameStream {
     }
 }
 
-/// Receiver-side reassembly of a streamed response: fragments must
-/// arrive in sequence order on one frame id, and the payload collected
-/// when `FIN` lands is bit-identical to the single-frame encoding. One
+/// Receiver-side reassembly of a response: fragments must arrive in
+/// sequence order on one frame id, and the payload collected when `FIN`
+/// lands is bit-identical to [`encode_response_batch`]'s. One
 /// reassembler serves a whole connection — it resets itself after each
 /// completed stream.
 #[derive(Debug, Default)]
@@ -832,21 +671,18 @@ impl StreamReassembler {
         self.id.is_some()
     }
 
-    /// Frame id of the stream being reassembled, if any.
-    pub fn stream_id(&self) -> Option<u64> {
-        self.id
-    }
-
     /// Accept one CRC-verified stream frame. Returns the complete
     /// response payload when the `FIN` fragment lands, `None` while the
     /// stream continues, and a typed error for any sequencing violation:
     /// a first fragment not at seq 0, a duplicate/skipped/reordered seq,
     /// a foreign frame id spliced mid-stream, or reassembled growth past
-    /// [`MAX_FRAME_PAYLOAD`].
+    /// [`MAX_FRAME_PAYLOAD`]. The first fragment's vector is kept as the
+    /// buffer rather than copied, so a one-fragment response comes back
+    /// as the very allocation that was pushed.
     pub fn push(
         &mut self,
         header: &FrameHeader,
-        payload: &[u8],
+        payload: Vec<u8>,
     ) -> Result<Option<Vec<u8>>, WireError> {
         let pos = header.stream.ok_or_else(|| {
             WireError::Malformed("stream frame without a stream position".to_string())
@@ -883,7 +719,11 @@ impl StreamReassembler {
                 max: u64::from(MAX_FRAME_PAYLOAD),
             });
         }
-        self.buf.extend_from_slice(payload);
+        if self.buf.is_empty() {
+            self.buf = payload;
+        } else {
+            self.buf.extend_from_slice(&payload);
+        }
         // Saturate past the seq space: a 0x8000th fragment can only
         // mismatch (seq maxes at STREAM_SEQ_MAX), which is the right
         // outcome for a stream that long.
@@ -1002,8 +842,8 @@ impl ResponseBody {
         self.segments.iter().map(Segment::len).sum()
     }
 
-    /// Materialize the contiguous payload (copies; the legacy
-    /// single-frame path and tests use this).
+    /// Materialize the contiguous payload (copies; the contiguous
+    /// encoders and tests use this).
     pub fn to_payload(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(self.total_len());
         for s in &self.segments {
@@ -1229,7 +1069,7 @@ const CQ_LIST_MEMBERS: u8 = 2;
 const CQ_MEMBER_INFO: u8 = 3;
 const CQ_LIST_EMULATORS: u8 = 4;
 
-// Scenario-engine tags (wire version 2): product sources and statistics.
+// Scenario-engine tags: product sources and statistics.
 const PS_MEMBER: u8 = 1;
 const PS_ENSEMBLE: u8 = 2;
 
@@ -2265,52 +2105,33 @@ mod tests {
     #[test]
     fn version_mismatch_is_rejected() {
         let mut frame = encode_frame(FrameKind::Request, 0, b"xy").unwrap();
-        frame[4] = VERSION + 1;
-        assert_eq!(
-            decode_frame(&frame).unwrap_err(),
-            WireError::Version {
-                got: VERSION + 1,
-                want: VERSION
-            }
-        );
-        // Below the negotiation floor is equally rejected…
-        frame[4] = MIN_VERSION - 1;
-        assert!(matches!(
-            decode_frame(&frame).unwrap_err(),
-            WireError::Version { .. }
-        ));
-        // …but the previous protocol version still decodes.
-        frame[4] = MIN_VERSION;
-        let (header, _) = decode_frame(&frame).unwrap();
-        assert_eq!(header.version, MIN_VERSION);
+        // The retired versions and the next one alike: one version only.
+        for got in [2, 3, 5] {
+            frame[4] = got;
+            assert_eq!(
+                decode_frame(&frame).unwrap_err(),
+                WireError::Version { got, want: 4 }
+            );
+        }
     }
 
     #[test]
-    fn stream_frames_require_version_3() {
-        let body = ResponseBody::from_responses(sample_responses());
-        let mut s = FrameStream::response(body, 7, VERSION, 64).unwrap();
-        assert!(s.is_streamed());
-        let mut frame = {
-            let f = s.next_frame().unwrap();
-            f.to_bytes(s.body())
-        };
-        // The fragment decodes as-is…
-        let (header, _) = decode_frame(&frame).unwrap();
-        assert_eq!(header.kind, FrameKind::Stream);
-        assert_eq!(header.stream, Some(StreamPos { seq: 0, fin: false }));
-        // …but the same bytes claiming version 2 are an unknown kind:
-        // version-2 peers never negotiated stream frames.
-        frame[4] = 2;
+    fn retired_response_kind_is_a_bad_frame_kind() {
+        let payload = encode_response_batch(&sample_responses());
+        let mut frame = encode_frame(FrameKind::Stream, 7, &payload).unwrap();
+        assert!(decode_frame(&frame).is_ok());
+        // Kind 2 was the single-frame response; every response is a
+        // stream now, so the id is as unknown as kind 9.
+        frame[5] = 2;
         assert_eq!(
             decode_frame(&frame).unwrap_err(),
-            WireError::BadFrameKind(4)
+            WireError::BadFrameKind(2)
         );
     }
 
     #[test]
     fn oversized_length_claim_is_rejected_before_reading() {
         let mut header = FrameHeader {
-            version: VERSION,
             kind: FrameKind::Request,
             stream: None,
             id: 0,
@@ -2491,8 +2312,8 @@ mod tests {
         }
     }
 
-    /// Writer that accepts at most one byte per call, forcing
-    /// `write_frame_vectored` through every partial-write resume path.
+    /// Writer that accepts at most one byte per call, forcing the
+    /// write-drain through every partial-write resume path.
     struct TrickleWriter(Vec<u8>);
 
     impl Write for TrickleWriter {
@@ -2517,30 +2338,6 @@ mod tests {
     }
 
     #[test]
-    fn vectored_write_is_byte_identical_to_sequential() {
-        let payload = encode_response_batch(&sample_responses());
-        let mut sequential = Vec::new();
-        write_frame(&mut sequential, FrameKind::Response, 77, &payload).unwrap();
-
-        // Vec<u8> takes the whole gather in one call…
-        let mut gathered = Vec::new();
-        write_frame_vectored(&mut gathered, FrameKind::Response, 77, &payload).unwrap();
-        assert_eq!(gathered, sequential);
-
-        // …and a one-byte-at-a-time writer exercises every resume point.
-        let mut trickle = TrickleWriter(Vec::new());
-        write_frame_vectored(&mut trickle, FrameKind::Response, 77, &payload).unwrap();
-        assert_eq!(trickle.0, sequential);
-
-        // An empty payload must not index past the header.
-        let mut empty = Vec::new();
-        write_frame_vectored(&mut empty, FrameKind::Request, 1, &[]).unwrap();
-        let mut expect = Vec::new();
-        write_frame(&mut expect, FrameKind::Request, 1, &[]).unwrap();
-        assert_eq!(empty, expect);
-    }
-
-    #[test]
     fn error_payload_round_trips() {
         let payload = encode_error_payload("unsupported wire version 3");
         assert_eq!(
@@ -2562,10 +2359,10 @@ mod tests {
         let batch = sample_responses();
         let expect = encode_response_batch(&batch);
         // Sweep fragment sizes across the awkward boundaries: 1 byte,
-        // primes, exactly-total, larger-than-total (single frame).
-        for chunk in [1usize, 7, 64, 333, expect.len() - 1, expect.len()] {
+        // primes, exactly-total, larger-than-total and 0 (one fragment).
+        for chunk in [1usize, 7, 64, 333, expect.len() - 1, expect.len(), 0] {
             let body = ResponseBody::from_responses(batch.clone());
-            let mut s = FrameStream::response(body, 99, VERSION, chunk).unwrap();
+            let mut s = FrameStream::response(body, 99, chunk).unwrap();
             let mut reasm = StreamReassembler::new();
             let mut got = None;
             let mut frames = 0u32;
@@ -2573,36 +2370,43 @@ mod tests {
                 frames += 1;
                 let bytes = frame.to_bytes(s.body());
                 let (header, payload) = decode_frame(&bytes).unwrap();
-                assert_eq!(header.id, 99);
+                assert_eq!((header.kind, header.id), (FrameKind::Stream, 99));
                 if s.is_streamed() {
-                    assert_eq!(header.kind, FrameKind::Stream);
-                    assert!(payload.len() <= chunk.max(1), "fragment over chunk");
-                    if let Some(done) = reasm.push(&header, payload).unwrap() {
-                        got = Some(done);
-                    }
-                } else {
-                    assert_eq!(header.kind, FrameKind::Response);
-                    got = Some(payload.to_vec());
+                    assert!(payload.len() <= chunk, "fragment over chunk");
+                }
+                if let Some(done) = reasm.push(&header, payload.to_vec()).unwrap() {
+                    got = Some(done);
                 }
             }
             assert_eq!(frames, s.frames_emitted());
+            assert_eq!(s.is_streamed(), frames > 1, "chunk {chunk}");
             assert_eq!(got.as_deref(), Some(&expect[..]), "chunk {chunk}");
         }
     }
 
     #[test]
-    fn version_2_peers_get_a_single_response_frame() {
+    fn small_response_is_one_fin_fragment() {
         let batch = sample_responses();
-        let body = ResponseBody::from_responses(batch.clone());
-        // A chunk far smaller than the body would stream to a v3 peer…
-        let mut s = FrameStream::response(body, 5, 2, 16).unwrap();
-        assert!(!s.is_streamed());
-        let frame = s.next_frame().unwrap();
-        assert!(frame.last);
-        assert!(s.next_frame().is_none());
-        // …and the v2 frame is byte-identical to the legacy encoder's.
-        let expect = encode_frame_v(2, FrameKind::Response, 5, &encode_response_batch(&batch));
-        assert_eq!(frame.to_bytes(s.body()), expect.unwrap());
+        let payload = encode_response_batch(&batch);
+        for chunk in [0, payload.len(), payload.len() + 1] {
+            let body = ResponseBody::from_responses(batch.clone());
+            let mut s = FrameStream::response(body, 5, chunk).unwrap();
+            assert!(!s.is_streamed());
+            let frame = s.next_frame().unwrap();
+            assert!(frame.last);
+            assert!(s.next_frame().is_none());
+            // Byte-identical to the whole-frame encoder's stream frame…
+            let bytes = frame.to_bytes(s.body());
+            assert_eq!(bytes, encode_frame(FrameKind::Stream, 5, &payload).unwrap());
+            let (header, got) = decode_frame(&bytes).unwrap();
+            assert_eq!(header.stream, Some(StreamPos { seq: 0, fin: true }));
+            // …and the reassembler hands back the very buffer it was given.
+            let pushed = got.to_vec();
+            let ptr = pushed.as_ptr();
+            let done = StreamReassembler::new().push(&header, pushed).unwrap();
+            assert_eq!(done.as_ref().map(|d| d.as_ptr()), Some(ptr));
+            assert_eq!(done.unwrap(), payload);
+        }
     }
 
     /// Drives the server's write-drain loop — gather a frame's unwritten
@@ -2614,8 +2418,7 @@ mod tests {
         let batch = sample_responses();
         let expect: Vec<u8> = {
             let mut s =
-                FrameStream::response(ResponseBody::from_responses(batch.clone()), 3, VERSION, 100)
-                    .unwrap();
+                FrameStream::response(ResponseBody::from_responses(batch.clone()), 3, 100).unwrap();
             let mut all = Vec::new();
             while let Some(f) = s.next_frame() {
                 all.extend_from_slice(&f.to_bytes(s.body()));
@@ -2623,14 +2426,10 @@ mod tests {
             all
         };
         for chunk in [100usize, 0] {
-            // chunk 0 disables streaming — single frame, same machinery.
-            let mut s = FrameStream::response(
-                ResponseBody::from_responses(batch.clone()),
-                3,
-                VERSION,
-                chunk,
-            )
-            .unwrap();
+            // chunk 0 — one fragment, same machinery.
+            let mut s =
+                FrameStream::response(ResponseBody::from_responses(batch.clone()), 3, chunk)
+                    .unwrap();
             let mut trickle = TrickleWriter(Vec::new());
             let mut owned_peak = 0;
             while let Some(frame) = s.next_frame() {
@@ -2652,12 +2451,7 @@ mod tests {
                 assert_eq!(trickle.0, expect);
             } else {
                 assert_eq!(s.frames_emitted(), 1);
-                let single = encode_frame_v(
-                    VERSION,
-                    FrameKind::Response,
-                    3,
-                    &encode_response_batch(&batch),
-                );
+                let single = encode_frame(FrameKind::Stream, 3, &encode_response_batch(&batch));
                 assert_eq!(trickle.0, single.unwrap());
             }
         }
@@ -2666,8 +2460,7 @@ mod tests {
     #[test]
     fn reassembler_rejects_sequencing_violations() {
         let batch = sample_responses();
-        let mut s =
-            FrameStream::response(ResponseBody::from_responses(batch), 11, VERSION, 64).unwrap();
+        let mut s = FrameStream::response(ResponseBody::from_responses(batch), 11, 64).unwrap();
         let mut frames = Vec::new();
         while let Some(f) = s.next_frame() {
             frames.push(f.to_bytes(s.body()));
@@ -2682,7 +2475,7 @@ mod tests {
         let (h1, p1) = decode(&frames[1]);
         let mut r = StreamReassembler::new();
         assert_eq!(
-            r.push(&h1, &p1).unwrap_err(),
+            r.push(&h1, p1.clone()).unwrap_err(),
             WireError::StreamSequence {
                 expected: 0,
                 got: 1
@@ -2692,9 +2485,9 @@ mod tests {
         // Duplicate seq.
         let (h0, p0) = decode(&frames[0]);
         let mut r = StreamReassembler::new();
-        r.push(&h0, &p0).unwrap();
+        r.push(&h0, p0.clone()).unwrap();
         assert_eq!(
-            r.push(&h0, &p0).unwrap_err(),
+            r.push(&h0, p0.clone()).unwrap_err(),
             WireError::StreamSequence {
                 expected: 1,
                 got: 0
@@ -2704,9 +2497,9 @@ mod tests {
         // Skipped seq.
         let (h2, p2) = decode(&frames[2]);
         let mut r = StreamReassembler::new();
-        r.push(&h0, &p0).unwrap();
+        r.push(&h0, p0.clone()).unwrap();
         assert_eq!(
-            r.push(&h2, &p2).unwrap_err(),
+            r.push(&h2, p2).unwrap_err(),
             WireError::StreamSequence {
                 expected: 1,
                 got: 2
@@ -2715,11 +2508,11 @@ mod tests {
 
         // Foreign id spliced mid-stream.
         let mut r = StreamReassembler::new();
-        r.push(&h0, &p0).unwrap();
+        r.push(&h0, p0).unwrap();
         let mut alien = h1;
         alien.id = 999;
         assert_eq!(
-            r.push(&alien, &p1).unwrap_err(),
+            r.push(&alien, p1).unwrap_err(),
             WireError::StreamInterleaved {
                 expected: 11,
                 got: 999
@@ -2731,7 +2524,7 @@ mod tests {
         let mut done = None;
         for f in &frames {
             let (h, p) = decode(f);
-            if let Some(out) = r.push(&h, &p).unwrap() {
+            if let Some(out) = r.push(&h, p).unwrap() {
                 done = Some(out);
             }
         }

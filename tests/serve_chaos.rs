@@ -311,7 +311,7 @@ fn overload_sheds_typed_retryable_errors_and_retrying_client_succeeds() {
     faults::clear();
 }
 
-/// Satellite: a graceful shutdown landing while a fragmented v3
+/// Satellite: a graceful shutdown landing while a fragmented
 /// response is half-written must surface as a typed
 /// [`WireError::StreamTruncated`] at the client — never a hang and
 /// never a silent partial result. A between-fragments stall fault pins

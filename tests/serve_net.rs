@@ -7,7 +7,7 @@
 
 use exaclim::{ClimateEmulator, EmulatorConfig};
 use exaclim_climate::{SyntheticEra5, SyntheticEra5Config};
-use exaclim_serve::wire::{self, FrameKind, HEADER_LEN, MAX_FRAME_PAYLOAD};
+use exaclim_serve::wire::{self, FrameKind, StreamPos, HEADER_LEN, MAX_FRAME_PAYLOAD};
 use exaclim_serve::{
     Catalog, CatalogQuery, Client, NetConfig, NetServer, NetServerHandle, Request, Response,
     ServeConfig, Server, SliceRequest, WireError,
@@ -277,12 +277,14 @@ fn hostile_frames_are_rejected_and_server_survives() {
         assert!(msg.contains("malformed"), "{msg}");
     }
 
-    // A response frame from a client is a protocol violation.
-    {
-        let frame = wire::encode_frame(FrameKind::Response, 6, &[]).unwrap();
+    // A response fragment from a client is a protocol violation, and the
+    // retired single-frame response kind is no kind at all.
+    for kind_id in [FrameKind::Stream.id(), 2] {
+        let mut frame = wire::encode_frame(FrameKind::Request, 6, &[]).unwrap();
+        frame[5] = kind_id;
         let (kind, msg) = send_raw(addr, &frame).expect("error frame");
         assert_eq!(kind, FrameKind::Error);
-        assert!(msg.contains("frame kind"), "{msg}");
+        assert!(msg.contains(&format!("frame kind {kind_id}")), "{msg}");
     }
 
     assert!(handle.net_stats().wire_errors >= 6);
@@ -317,7 +319,7 @@ fn frame_decoder_survives_random_and_mutated_input() {
         )
         .unwrap(),
         wire::encode_frame(
-            FrameKind::Response,
+            FrameKind::Stream,
             2,
             &wire::encode_response_batch(&responses),
         )
@@ -363,14 +365,15 @@ fn frame_decoder_survives_random_and_mutated_input() {
                     FrameKind::Request => {
                         let _ = wire::decode_request_batch(payload);
                     }
-                    FrameKind::Response => {
-                        let _ = wire::decode_response_batch(payload);
-                    }
                     FrameKind::Error => {
                         let _ = wire::decode_error_payload(payload);
                     }
                     FrameKind::Stream => {
-                        let _ = wire::StreamReassembler::new().push(&header, payload);
+                        if let Ok(Some(done)) =
+                            wire::StreamReassembler::new().push(&header, payload.to_vec())
+                        {
+                            let _ = wire::decode_response_batch(&done);
+                        }
                     }
                 }
             }
@@ -390,7 +393,7 @@ fn stream_frames(id: u64, chunk: usize) -> Vec<Vec<u8>> {
         values,
     }))];
     let body = wire::ResponseBody::from_responses(responses);
-    let mut s = wire::FrameStream::response(body, id, wire::VERSION, chunk).unwrap();
+    let mut s = wire::FrameStream::response(body, id, chunk).unwrap();
     let mut frames = Vec::new();
     while let Some(f) = s.next_frame() {
         frames.push(f.to_bytes(s.body()));
@@ -416,7 +419,7 @@ fn stream_frame_fuzz_is_typed_and_server_survives() {
         let mut done = None;
         for f in &frames {
             let (h, p) = wire::decode_frame(f).unwrap();
-            done = reasm.push(&h, p).unwrap();
+            done = reasm.push(&h, p.to_vec()).unwrap();
         }
         assert!(done.is_some(), "FIN must complete the stream");
     }
@@ -426,7 +429,7 @@ fn stream_frame_fuzz_is_typed_and_server_survives() {
         let mut out = None;
         for &i in order {
             let (h, p) = wire::decode_frame(&frames[i]).unwrap();
-            out = reasm.push(&h, p)?;
+            out = reasm.push(&h, p.to_vec())?;
         }
         Ok(out)
     };
@@ -459,10 +462,10 @@ fn stream_frame_fuzz_is_typed_and_server_survives() {
         let other = stream_frames(99, 64);
         let mut reasm = wire::StreamReassembler::new();
         let (h, p) = wire::decode_frame(&frames[0]).unwrap();
-        reasm.push(&h, p).unwrap();
+        reasm.push(&h, p.to_vec()).unwrap();
         let (h2, p2) = wire::decode_frame(&other[1]).unwrap();
         assert!(matches!(
-            reasm.push(&h2, p2),
+            reasm.push(&h2, p2.to_vec()),
             Err(WireError::StreamInterleaved {
                 expected: 11,
                 got: 99
@@ -471,14 +474,14 @@ fn stream_frame_fuzz_is_typed_and_server_survives() {
     }
 
     // Missing FIN: everything but the last fragment leaves the
-    // reassembler mid-stream — which is what makes a connection close or
-    // a stray non-stream frame surface as `StreamTruncated` in the
-    // client (exercised end-to-end in tests/serve_stream.rs).
+    // reassembler mid-stream — which is what makes a connection close
+    // surface as `StreamTruncated` in the client (exercised end-to-end
+    // in tests/serve_stream.rs).
     {
         let mut reasm = wire::StreamReassembler::new();
         for f in &frames[..frames.len() - 1] {
             let (h, p) = wire::decode_frame(f).unwrap();
-            assert!(reasm.push(&h, p).unwrap().is_none());
+            assert!(reasm.push(&h, p.to_vec()).unwrap().is_none());
         }
         assert!(reasm.in_progress(), "no FIN seen, still reassembling");
     }
@@ -494,7 +497,7 @@ fn stream_frame_fuzz_is_typed_and_server_survives() {
         let byte = rng.gen_range(0..flipped.len());
         flipped[byte] ^= 1 << rng.gen_range(0..8u32);
         if let Ok((h, p)) = wire::decode_frame(&flipped) {
-            let _ = wire::StreamReassembler::new().push(&h, p);
+            let _ = wire::StreamReassembler::new().push(&h, p.to_vec());
         }
     }
 
@@ -506,7 +509,7 @@ fn stream_frame_fuzz_is_typed_and_server_survives() {
         f[6] = rng.gen_range(0..=255u32) as u8;
         f[7] = rng.gen_range(0..=255u32) as u8;
         let (h, p) = wire::decode_frame(&f).unwrap();
-        let _ = wire::StreamReassembler::new().push(&h, p);
+        let _ = wire::StreamReassembler::new().push(&h, p.to_vec());
     }
 
     // A stream frame aimed at the server is a protocol violation the
@@ -580,7 +583,8 @@ fn frame_ids_echo_verbatim() {
         let frame = wire::encode_frame(FrameKind::Request, id, &payload).unwrap();
         stream.write_all(&frame).unwrap();
         let (header, _) = wire::read_frame(&mut stream).unwrap();
-        assert_eq!(header.kind, FrameKind::Response);
+        assert_eq!(header.kind, FrameKind::Stream);
+        assert_eq!(header.stream, Some(StreamPos { seq: 0, fin: true }));
         assert_eq!(header.id, id);
     }
     drop(stream);

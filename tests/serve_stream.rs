@@ -1,8 +1,8 @@
 //! Streaming conformance: the zero-copy streamed wire path must be a
 //! *transparent* optimization. For every op type, over both file
-//! backends, a streamed response must reassemble bit-identical to the
-//! non-streamed response a version-2 peer gets — and to the in-process
-//! answer. Mid-stream failures (error frames,
+//! backends, a response cut into many fragments must reassemble
+//! bit-identical to the same response sent as one fragment — and to the
+//! in-process answer. Mid-stream failures (error frames,
 //! desyncs, hard closes) must surface as typed errors, and a server
 //! draining a response orders of magnitude larger than its stream
 //! fragment must never own more than about one fragment per connection.
@@ -99,10 +99,11 @@ fn every_op_batch() -> Vec<Request> {
     ]
 }
 
-/// The conformance matrix: every op type, streamed (version 3, tiny
-/// fragments so even catalog answers fragment) and non-streamed
-/// (version 2), over both `EXACLIM_MMAP` file backends. All four answers
-/// must equal the in-process answer — per-request errors included.
+/// The conformance matrix: every op type, streamed (tiny fragments so
+/// even catalog answers fragment) and one fragment per response (a
+/// default-chunk server), over both `EXACLIM_MMAP` file backends. All
+/// four answers must equal the in-process answer — per-request errors
+/// included.
 #[test]
 fn streamed_responses_reassemble_bit_identical_for_every_op() {
     let path =
@@ -125,45 +126,66 @@ fn streamed_responses_reassemble_bit_identical_for_every_op() {
         let handle = NetServer::bind("127.0.0.1:0", Arc::clone(&server), config)
             .unwrap()
             .spawn();
+        // Default 256 KiB fragments: every response here is one fragment.
+        let whole = NetServer::bind("127.0.0.1:0", Arc::clone(&server), NetConfig::default())
+            .unwrap()
+            .spawn();
         let batch = every_op_batch();
         let in_process = server.handle_batch(&batch);
-        let mut v3 = Client::connect(handle.addr()).unwrap();
-        let mut v2 = Client::connect_with_version(handle.addr(), 2).unwrap();
-        assert_eq!(v3.batch(&batch).unwrap(), in_process, "streamed leg {leg}");
+        let mut streamed = Client::connect(handle.addr()).unwrap();
+        let mut single = Client::connect(whole.addr()).unwrap();
         assert_eq!(
-            v2.batch(&batch).unwrap(),
+            streamed.batch(&batch).unwrap(),
             in_process,
-            "single-frame leg {leg}"
+            "streamed leg {leg}"
+        );
+        assert_eq!(
+            single.batch(&batch).unwrap(),
+            in_process,
+            "one-fragment leg {leg}"
         );
 
         // Stats streams and reassembles too (its counters move with
         // every batch, so monotonicity is the invariant, not value
         // equality with the snapshots above).
-        let a = v3.stats().unwrap();
-        let b = v3.stats().unwrap();
+        let a = streamed.stats().unwrap();
+        let b = streamed.stats().unwrap();
         assert!(b.batches > a.batches, "{leg}");
 
         // The last response's counters land after the client has
         // already reassembled it; give the server a moment to settle.
-        let mut stats = handle.net_stats();
-        for _ in 0..200 {
-            if stats.frames_per_response.iter().sum::<u64>() >= 4 {
-                break;
+        let settled = |h: &exaclim_serve::NetServerHandle, responses: u64| {
+            let mut stats = h.net_stats();
+            for _ in 0..200 {
+                if stats.frames_per_response.iter().sum::<u64>() >= responses {
+                    break;
+                }
+                std::thread::sleep(std::time::Duration::from_millis(5));
+                stats = h.net_stats();
             }
-            std::thread::sleep(std::time::Duration::from_millis(5));
-            stats = handle.net_stats();
-        }
+            stats
+        };
+        let stats = settled(&handle, 3);
         assert!(stats.streamed_responses >= 2, "{leg}: {stats:?}");
         assert!(
             stats.stream_frames_out > stats.streamed_responses,
             "{leg}: fragments must outnumber streamed responses: {stats:?}"
         );
         assert!(
-            stats.frames_per_response.iter().sum::<u64>() >= 4,
+            stats.frames_per_response.iter().sum::<u64>() >= 3,
             "{leg}: histogram not populated: {stats:?}"
         );
         assert_eq!(stats.wire_errors, 0, "{leg}");
+        // One fragment, counted as one frame and not as a stream.
+        let stats = settled(&whole, 1);
+        assert_eq!(stats.frames_per_response[0], 1, "{leg}: {stats:?}");
+        assert_eq!(
+            (stats.streamed_responses, stats.stream_frames_out),
+            (0, 0),
+            "{leg}"
+        );
         handle.shutdown();
+        whole.shutdown();
     }
     std::fs::remove_file(&path).ok();
 }
@@ -187,7 +209,7 @@ fn fake_stream_frames(id: u64, chunk: usize) -> Vec<Vec<u8>> {
         values,
     }))];
     let body = wire::ResponseBody::from_responses(responses);
-    let mut s = wire::FrameStream::response(body, id, wire::VERSION, chunk).unwrap();
+    let mut s = wire::FrameStream::response(body, id, chunk).unwrap();
     let mut frames = Vec::new();
     while let Some(f) = s.next_frame() {
         frames.push(f.to_bytes(s.body()));
@@ -198,17 +220,18 @@ fn fake_stream_frames(id: u64, chunk: usize) -> Vec<Vec<u8>> {
 
 /// Mid-stream failure modes, forced by a fake raw-socket server (a real
 /// server never emits them): an error frame interrupting a stream is
-/// honored as the remote failure it reports; a response frame mid-stream
-/// and a hard close mid-stream are both `StreamTruncated`.
+/// honored as the remote failure it reports, and a hard close mid-stream
+/// is `StreamTruncated`. A frame of the retired single-response kind 2,
+/// sent in place of the first fragment, is `BadFrameKind(2)`.
 #[test]
 fn mid_stream_errors_and_truncation_are_typed() {
     #[derive(Clone, Copy)]
     enum Fault {
         ErrorFrame,
-        ResponseFrame,
+        KindTwo,
         HardClose,
     }
-    for fault in [Fault::ErrorFrame, Fault::ResponseFrame, Fault::HardClose] {
+    for fault in [Fault::ErrorFrame, Fault::KindTwo, Fault::HardClose] {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let fake = std::thread::spawn(move || {
@@ -216,13 +239,16 @@ fn mid_stream_errors_and_truncation_are_typed() {
             // Consume the client's request; its id keys every reply.
             let (header, _) = wire::read_frame(&mut stream).unwrap();
             let frames = fake_stream_frames(header.id, 8);
-            // Two in-order fragments, FIN withheld…
-            write_all_frames(&mut stream, &frames[..2]);
-            // …then the fault.
             match fault {
+                Fault::KindTwo => {
+                    let mut resp = frames[0].clone();
+                    resp[5] = 2;
+                    stream.write_all(&resp).unwrap();
+                }
                 Fault::ErrorFrame => {
-                    let err = wire::encode_frame_v(
-                        wire::VERSION,
+                    // Two in-order fragments, FIN withheld, then the error.
+                    write_all_frames(&mut stream, &frames[..2]);
+                    let err = wire::encode_frame(
                         FrameKind::Error,
                         header.id,
                         &wire::encode_error_payload("boom mid-stream"),
@@ -230,13 +256,7 @@ fn mid_stream_errors_and_truncation_are_typed() {
                     .unwrap();
                     stream.write_all(&err).unwrap();
                 }
-                Fault::ResponseFrame => {
-                    let resp =
-                        wire::encode_frame_v(wire::VERSION, FrameKind::Response, header.id, &[])
-                            .unwrap();
-                    stream.write_all(&resp).unwrap();
-                }
-                Fault::HardClose => {}
+                Fault::HardClose => write_all_frames(&mut stream, &frames[..2]),
             }
             drop(stream);
         });
@@ -249,7 +269,10 @@ fn mid_stream_errors_and_truncation_are_typed() {
                 };
                 assert!(msg.contains("boom mid-stream"), "{msg}");
             }
-            Fault::ResponseFrame | Fault::HardClose => {
+            Fault::KindTwo => {
+                assert_eq!(err, WireError::BadFrameKind(2));
+            }
+            Fault::HardClose => {
                 assert!(
                     matches!(err, WireError::StreamTruncated),
                     "mid-stream fault must truncate: {err:?}"
@@ -357,7 +380,7 @@ fn per_connection_memory_is_bounded_by_one_fragment_under_trickle() {
         for b in payload.iter_mut() {
             *b = read_byte(&mut stream);
         }
-        if let Some(done) = reasm.push(&header, &payload).unwrap() {
+        if let Some(done) = reasm.push(&header, payload).unwrap() {
             break done;
         }
     };
