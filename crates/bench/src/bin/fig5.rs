@@ -3,17 +3,18 @@
 //!
 //! Two levels of evidence:
 //! 1. the timing model (simulated Summit), reproducing the speedup curves,
-//! 2. the exact message ledger of the in-house runtime's distribution
-//!    simulator: bytes and conversion counts per placement.
+//! 2. the exact message ledger of the distribution simulator
+//!    (`exaclim_cluster::distsim`): bytes and conversion counts per
+//!    placement.
 //!
 //! ```text
 //! cargo run --release -p exaclim-bench --bin fig5
 //! ```
 
+use exaclim_cluster::distsim::{simulate_distribution, ConversionSide, DistConfig};
 use exaclim_cluster::machines::{Machine, MachineSpec};
 use exaclim_cluster::sim::{simulate_cholesky, SimConfig, Variant};
 use exaclim_linalg::precision::PrecisionPolicy;
-use exaclim_runtime::distsim::{simulate_distribution, ConversionSide, DistConfig};
 
 fn main() {
     let spec = MachineSpec::of(Machine::Summit);

@@ -6,13 +6,20 @@
 //! performs the conversion once instead of at every receiving task. This
 //! module replays the Cholesky communication pattern over a 2D block-cyclic
 //! tile distribution and ledgers messages, bytes, and conversions for both
-//! placements. The timing model on top of this ledger lives in
-//! `exaclim-cluster`.
+//! placements. [`ConversionSide`] is also the conversion switch of the
+//! timing model in [`crate::sim`].
+//!
+//! The two models stay separate because they answer at different scales:
+//! this one walks every broadcast of every tile and is exact, which is
+//! affordable only at small `nt`. [`crate::sim`] times whole panels in
+//! closed form so that the paper's matrices, `nt` ≈ 4 000 tiles per side,
+//! simulate in microseconds.
 
 use exaclim_linalg::precision::{Precision, PrecisionPolicy};
+use serde::{Deserialize, Serialize};
 
 /// Where precision conversion happens relative to communication.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum ConversionSide {
     /// Convert at the sender; messages travel at the consumer precision
     /// (the optimization introduced in §V.A).

@@ -11,11 +11,10 @@
 //!   distribution, per-precision GEMM rates, broadcast trees with
 //!   latency-first vs bandwidth-first ordering (§III.C), and sender- vs
 //!   receiver-side precision conversion on the wire (§V.A),
+//! * [`distsim`] — the exact message ledger of the same 2D block-cyclic
+//!   distribution at small tile counts: messages, payload bytes and
+//!   conversions per placement, the second half of Figure 5,
 //! * [`scaling`] — weak- and strong-scaling drivers (Figure 7),
-//! * [`sim::simulate_placement`] — shard-placement validation for the
-//!   serving cluster: the router front end (`exaclim-serve`) scores a
-//!   proposed key→shard layout (load skew, scatter-gather fan-out,
-//!   predicted scaling) against a [`machines`] spec before adopting it,
 //! * [`costmodel`] — the emulator-design cost model of Figure 1
 //!   (`O(L³T + L⁴)` axisymmetric vs `O(L⁴T + L⁶)` anisotropic).
 //!
@@ -24,15 +23,14 @@
 //! efficiencies, who wins where (see EXPERIMENTS.md).
 
 pub mod costmodel;
+pub mod distsim;
 pub mod energy;
 pub mod machines;
 pub mod scaling;
 pub mod sim;
 
 pub use costmodel::{CostModel, EmulatorClass};
+pub use distsim::{simulate_distribution, ConversionSide, DistConfig, MessageLedger};
 pub use energy::{simulate_energy, EnergyModel, EnergyReport};
 pub use machines::{Machine, MachineSpec};
-pub use sim::{
-    simulate_cholesky, simulate_placement, CollectiveOrder, PlacementConfig, PlacementReport,
-    SimConfig, SimResult, Variant, WireConversion,
-};
+pub use sim::{simulate_cholesky, CollectiveOrder, SimConfig, SimResult, Variant};

@@ -19,6 +19,7 @@
 //! configurable residual fraction of the loser leaks into the makespan,
 //! modelling imperfect overlap.
 
+use crate::distsim::ConversionSide;
 use crate::machines::MachineSpec;
 use serde::{Deserialize, Serialize};
 
@@ -84,15 +85,6 @@ impl Variant {
     }
 }
 
-/// Conversion placement on the wire.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum WireConversion {
-    /// New runtime: convert at the sender, transmit at tile precision.
-    Sender,
-    /// Legacy runtime: transmit at canonical DP, reshape at the receiver.
-    Receiver,
-}
-
 /// Collective-communication ordering (§III.C).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum CollectiveOrder {
@@ -113,8 +105,11 @@ pub struct SimConfig {
     pub nodes: usize,
     /// Precision variant.
     pub variant: Variant,
-    /// Conversion placement.
-    pub conversion: WireConversion,
+    /// Conversion placement: [`ConversionSide::Sender`] is the new
+    /// runtime (transmit at tile precision), [`ConversionSide::Receiver`]
+    /// the legacy one (transmit at canonical precision, reshape at the
+    /// receiver).
+    pub conversion: ConversionSide,
     /// Collective ordering.
     pub collectives: CollectiveOrder,
 }
@@ -127,7 +122,7 @@ impl SimConfig {
             tile: 2048,
             nodes,
             variant,
-            conversion: WireConversion::Sender,
+            conversion: ConversionSide::Sender,
             collectives: CollectiveOrder::LatencyFirst,
         }
     }
@@ -135,7 +130,7 @@ impl SimConfig {
     /// Legacy-runtime configuration (Figure 5's "Old").
     pub fn legacy(n: usize, nodes: usize, variant: Variant) -> Self {
         Self {
-            conversion: WireConversion::Receiver,
+            conversion: ConversionSide::Receiver,
             collectives: CollectiveOrder::BandwidthFirst,
             ..Self::new(n, nodes, variant)
         }
@@ -303,11 +298,11 @@ pub fn simulate_cholesky(spec: &MachineSpec, cfg: &SimConfig) -> SimResult {
                 continue;
             }
             let wire = match cfg.conversion {
-                WireConversion::Sender => bucket_bytes[bkt],
+                ConversionSide::Sender => bucket_bytes[bkt],
                 // Legacy runtime: no half-precision wire datatype — HP
                 // tiles travel widened to SP; conversion happens at each
                 // receiver.
-                WireConversion::Receiver => bucket_bytes[bkt].max(4.0),
+                ConversionSide::Receiver => bucket_bytes[bkt].max(4.0),
             };
             panel_bytes += tiles * b * b * wire;
         }
@@ -341,116 +336,6 @@ pub fn simulate_cholesky(spec: &MachineSpec, cfg: &SimConfig) -> SimResult {
         latency_seconds: latency,
         wire_bytes: wire_bytes_total,
         fits_memory: cfg.n <= spec.max_matrix_n(cfg.nodes, avg_bytes_per_element(cfg.variant, nt)),
-    }
-}
-
-/// Shard-placement validation input (see [`simulate_placement`]): the
-/// serving layer's proposed key→shard assignment, reduced to what the
-/// timing model needs — per-shard demand, replication factor, and the
-/// shape of a typical scatter-gathered batch.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct PlacementConfig {
-    /// Relative demand routed to each shard (weighted key load; any
-    /// positive scale). One entry per shard.
-    pub shard_loads: Vec<f64>,
-    /// Replicas per key (1 = no redundancy).
-    pub replication: usize,
-    /// Payload bytes of a typical response.
-    pub avg_request_bytes: f64,
-    /// Requests per incoming batch (scatter-gather width driver).
-    pub requests_per_batch: usize,
-}
-
-/// Verdict of [`simulate_placement`] on one candidate layout.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct PlacementReport {
-    /// Shard count of the evaluated layout.
-    pub shards: usize,
-    /// Load skew: max shard demand over mean shard demand (1.0 = flat).
-    pub skew: f64,
-    /// Expected distinct shards touched per batch
-    /// (`S · (1 − (1 − 1/S)^B)` for B uniform requests over S shards).
-    pub fanout: f64,
-    /// Effective serve bandwidth of one shard, GB/s (NIC-bound, after
-    /// protocol overhead and replication's cache-duplication tax).
-    pub per_shard_gbs: f64,
-    /// Predicted aggregate cluster bandwidth, GB/s: the bottleneck
-    /// (most-loaded) shard saturates first, and every batch pays a
-    /// scatter-gather tail for each extra shard it waits on.
-    pub cluster_gbs: f64,
-    /// `cluster_gbs` over a single shard's un-replicated bandwidth —
-    /// the near-linear-scaling figure CI tracks.
-    pub speedup_vs_single: f64,
-    /// `speedup_vs_single / shards` (1.0 = perfectly linear).
-    pub efficiency: f64,
-    /// Whether the layout is acceptable: skew within
-    /// [`MAX_ACCEPTABLE_SKEW`] and every shard carries some load.
-    pub balanced: bool,
-}
-
-/// A layout whose hottest shard carries more than this multiple of the
-/// mean load is rejected — consistent hashing with enough virtual nodes
-/// stays well under it.
-pub const MAX_ACCEPTABLE_SKEW: f64 = 2.0;
-/// Fraction of raw NIC bandwidth a shard sustains as framed ECN1
-/// payload (protocol overhead is `WIRE_OVERHEAD`).
-const SERVE_NIC_EFFICIENCY: f64 = 0.80;
-/// Cache-duplication tax per extra replica: hot keys decoded on `r`
-/// shards dilute each shard's chunk cache.
-const REPLICA_CACHE_TAX: f64 = 0.05;
-/// Throughput tax per extra shard a batch scatter-gathers over: the
-/// batch completes when its slowest sub-batch does.
-const FANOUT_TAIL_TAX: f64 = 0.03;
-
-/// Validate a proposed key→shard placement before live traffic routes
-/// through it — the serving layer's router calls this (via its
-/// `placement` module) the same way the Cholesky experiments consult
-/// [`simulate_cholesky`] before committing node hours: score in the
-/// model first, adopt only what the model accepts.
-///
-/// The model is deliberately bandwidth-first: climate-slice serving is
-/// NIC-bound long before it is flop-bound, so a shard's capacity is its
-/// node bandwidth derated by protocol overhead and by the cache
-/// duplication replication causes; the cluster's aggregate is set by
-/// the most-loaded shard (skew) and by the scatter-gather tail (every
-/// batch waits for its slowest sub-batch).
-pub fn simulate_placement(spec: &MachineSpec, cfg: &PlacementConfig) -> PlacementReport {
-    let shards = cfg.shard_loads.len().max(1);
-    let total: f64 = cfg.shard_loads.iter().sum();
-    let mean = total / shards as f64;
-    let max = cfg.shard_loads.iter().cloned().fold(0.0f64, f64::max);
-    let skew = if mean > 0.0 {
-        max / mean
-    } else {
-        f64::INFINITY
-    };
-
-    let s = shards as f64;
-    let b = cfg.requests_per_batch.max(1) as f64;
-    let fanout = s * (1.0 - (1.0 - 1.0 / s).powf(b));
-
-    let replication = cfg.replication.clamp(1, shards);
-    let single_gbs = spec.node_bw_gbs * SERVE_NIC_EFFICIENCY / WIRE_OVERHEAD;
-    let per_shard_gbs = single_gbs / (1.0 + REPLICA_CACHE_TAX * (replication - 1) as f64);
-    let tail = 1.0 / (1.0 + FANOUT_TAIL_TAX * (fanout - 1.0).max(0.0));
-    let cluster_gbs = if skew.is_finite() {
-        per_shard_gbs * s / skew * tail
-    } else {
-        0.0
-    };
-    let speedup_vs_single = cluster_gbs / single_gbs;
-
-    PlacementReport {
-        shards,
-        skew,
-        fanout,
-        per_shard_gbs,
-        cluster_gbs,
-        speedup_vs_single,
-        efficiency: speedup_vs_single / s,
-        balanced: skew.is_finite()
-            && skew <= MAX_ACCEPTABLE_SKEW
-            && cfg.shard_loads.iter().all(|&l| l > 0.0),
     }
 }
 
@@ -593,78 +478,6 @@ mod tests {
         );
         // Mixed variant uses all three precisions.
         assert!(r.flops_by_bucket.iter().all(|&f| f > 0.0));
-    }
-
-    #[test]
-    fn balanced_four_shard_placement_scales_near_linearly() {
-        let spec = MachineSpec::of(Machine::Frontier);
-        let cfg = PlacementConfig {
-            shard_loads: vec![1.0, 1.05, 0.97, 1.02],
-            replication: 2,
-            avg_request_bytes: 64.0 * 1024.0,
-            requests_per_batch: 32,
-        };
-        let r = simulate_placement(&spec, &cfg);
-        assert!(r.balanced, "{r:?}");
-        assert!(r.skew < 1.1, "{r:?}");
-        assert!(r.speedup_vs_single >= 2.5, "{r:?}");
-        assert!(r.efficiency <= 1.0, "{r:?}");
-    }
-
-    #[test]
-    fn skewed_placement_is_rejected_and_scales_poorly() {
-        let spec = MachineSpec::of(Machine::Frontier);
-        let flat = PlacementConfig {
-            shard_loads: vec![1.0; 4],
-            replication: 1,
-            avg_request_bytes: 64.0 * 1024.0,
-            requests_per_batch: 32,
-        };
-        let hot = PlacementConfig {
-            // One shard owns 10× the mean: the bottleneck shard caps
-            // the whole cluster near single-shard throughput.
-            shard_loads: vec![10.0, 0.4, 0.3, 0.3],
-            ..flat.clone()
-        };
-        let a = simulate_placement(&spec, &flat);
-        let b = simulate_placement(&spec, &hot);
-        assert!(a.balanced && !b.balanced, "{a:?} vs {b:?}");
-        assert!(b.speedup_vs_single < a.speedup_vs_single / 2.0);
-        assert!(b.speedup_vs_single < 2.0, "{b:?}");
-        // An idle shard is unacceptable even if skew happens to pass.
-        let idle = PlacementConfig {
-            shard_loads: vec![1.4, 1.3, 1.3, 0.0],
-            ..flat
-        };
-        assert!(!simulate_placement(&spec, &idle).balanced);
-    }
-
-    #[test]
-    fn replication_costs_capacity_but_batches_bound_fanout() {
-        let spec = summit();
-        let base = PlacementConfig {
-            shard_loads: vec![1.0; 4],
-            replication: 1,
-            avg_request_bytes: 4096.0,
-            requests_per_batch: 32,
-        };
-        let replicated = PlacementConfig {
-            replication: 3,
-            ..base.clone()
-        };
-        let a = simulate_placement(&spec, &base);
-        let b = simulate_placement(&spec, &replicated);
-        assert!(b.per_shard_gbs < a.per_shard_gbs, "{a:?} vs {b:?}");
-        assert!(b.speedup_vs_single < a.speedup_vs_single);
-        // A 32-request batch over 4 shards almost surely touches all 4;
-        // a 1-request batch touches exactly 1.
-        assert!(a.fanout > 3.9 && a.fanout <= 4.0, "{a:?}");
-        let single = PlacementConfig {
-            requests_per_batch: 1,
-            ..base
-        };
-        let c = simulate_placement(&spec, &single);
-        assert!((c.fanout - 1.0).abs() < 1e-9, "{c:?}");
     }
 
     #[test]

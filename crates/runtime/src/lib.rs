@@ -25,14 +25,12 @@
 //! * [`trace`] — per-task timelines, worker utilization, and critical-path
 //!   statistics used by the scaling ablations,
 //! * [`cholesky_par`] — the task-parallel mixed-precision tile Cholesky,
-//!   numerically identical to the sequential `exaclim_linalg` version,
-//! * [`distsim`] — simulated distributed execution over a 2D block-cyclic
-//!   tile distribution with a message ledger: per-precision payload bytes,
-//!   sender- vs receiver-side conversion placement (§V.A), and broadcast
-//!   trees, feeding the communication ablation of Figure 5.
+//!   numerically identical to the sequential `exaclim_linalg` version.
+//!
+//! The distributed-execution message ledger of Figure 5 lives with the
+//! other machine models in `exaclim_cluster::distsim`.
 
 pub mod cholesky_par;
-pub mod distsim;
 pub mod executor;
 pub mod faults;
 pub mod graph;
@@ -41,7 +39,6 @@ pub mod reactor;
 pub mod trace;
 
 pub use cholesky_par::parallel_tile_cholesky;
-pub use distsim::{simulate_distribution, ConversionSide, DistConfig, MessageLedger};
 pub use executor::{ExecError, Executor, SchedulerKind};
 pub use faults::{FaultAction, FaultPlan};
 pub use graph::{cholesky_graph, TaskGraph, TaskId};

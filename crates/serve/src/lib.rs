@@ -58,12 +58,9 @@
 //!   [`net::NetServer`] shards via a seeded consistent-hash ring with
 //!   configurable replication, scatter-gathering each batch over pooled
 //!   self-healing clients and reassembling responses bit-identical to a
-//!   single server — a dead shard fails over to its keys' replicas,
-//! * [`placement`] — the router's layout brains: candidate ring layouts
-//!   are scored against [`exaclim_cluster::MachineSpec`] machine models
-//!   (emulator keys weighted by the Figure-1 cost model) and validated
-//!   by [`exaclim_cluster::simulate_placement`] — load skew, fan-out,
-//!   predicted scaling — before the router adopts one.
+//!   single server — a dead shard fails over to its keys' replicas; the
+//!   ring is the one its [`router::RouterConfig`] describes, fixed for
+//!   the router's life.
 //!
 //! The serving stack is built to **survive chaos**: a seeded fault plan
 //! ([`exaclim_runtime::faults`], armed via `EXACLIM_FAULTS`) injects
@@ -120,7 +117,6 @@ pub mod cache;
 pub mod catalog;
 pub mod error;
 pub mod net;
-pub mod placement;
 pub mod product;
 pub mod router;
 pub mod scenario;
@@ -136,7 +132,6 @@ pub use error::{ServeError, WireError};
 pub use net::{Client, ClientConfig, ClientStats, NetConfig, NetStats, RetryPolicy};
 #[cfg(unix)]
 pub use net::{NetServer, NetServerHandle};
-pub use placement::{assign_primaries, emulator_weight, plan_layout, KeyWeight, PlacementPlan};
 pub use product::{
     ProductData, ProductDescriptor, ProductKey, ProductSource, ProductStat, ScenarioSpec,
 };

@@ -1,26 +1,23 @@
 //! Sharded-cluster demo: a consistent-hash [`exaclim_serve::Router`]
-//! fronting four backend shards, with cost-model-driven placement, a
-//! mixed workload verified bit-identical against a single in-process
-//! server, and a live shard kill to show replica failover.
+//! fronting four backend shards, a mixed workload verified
+//! bit-identical against a single in-process server, and a live shard
+//! kill to show replica failover.
 //!
 //! ```text
 //! cargo run --release --example cluster_demo
 //! ```
 //!
 //! Flow: four `NetServer` shards open the same catalog on loopback; the
-//! router's layout (virtual nodes, replication) is chosen by
-//! [`exaclim_serve::plan_layout`] — the expected keys are scored against
-//! a Frontier-node machine model via
-//! [`exaclim_cluster::simulate_placement`] before the ring is adopted.
-//! Then one shard dies mid-run and the workload keeps verifying: its
-//! keys fail over to their replicas, bit-identically.
+//! router builds the ring [`RouterConfig::default`] describes (virtual
+//! nodes, replication, seed). Then one shard dies mid-run and the
+//! workload keeps verifying: its keys fail over to their replicas,
+//! bit-identically.
 
 use exaclim::{ClimateEmulator, EmulatorConfig};
 use exaclim_climate::{SyntheticEra5, SyntheticEra5Config};
-use exaclim_cluster::{Machine, MachineSpec};
 use exaclim_serve::{
-    Catalog, CatalogQuery, KeyWeight, NetConfig, NetServer, Request, Router, RouterConfig,
-    ServeConfig, Server, ShardSpec, SliceRequest,
+    Catalog, CatalogQuery, NetConfig, NetServer, Request, Router, RouterConfig, ServeConfig,
+    Server, ShardSpec, SliceRequest,
 };
 use exaclim_store::{ArchiveWriter, Codec, FieldMeta};
 use rand::rngs::StdRng;
@@ -110,28 +107,13 @@ fn main() {
         println!("shard {} at {}", s.label, s.addr);
     }
 
-    // --- Placement: score layouts in the model before adopting one -------
-    let mut keys: Vec<KeyWeight> = (0..256)
-        .map(|i| KeyWeight::unit("a", format!("member-{i}")))
-        .collect();
-    keys.push(KeyWeight::emulator("em", 64, 128));
-    let machine = MachineSpec::of(Machine::Frontier);
-    let (router, report) =
-        Router::connect_placed(specs, &keys, &machine, RouterConfig::default()).expect("router");
+    // --- Router: the ring its config describes ---------------------------
+    let config = RouterConfig::default();
     println!(
-        "placement: {} shards, skew {:.3}, fan-out {:.2}, predicted {:.2}× single-shard \
-         ({:.0}% efficiency){}",
-        report.shards,
-        report.skew,
-        report.fanout,
-        report.speedup_vs_single,
-        100.0 * report.efficiency,
-        if report.balanced {
-            ""
-        } else {
-            "  [NOT balanced]"
-        },
+        "ring: {SHARDS} shards, {} virtual nodes each, replication {}",
+        config.virtual_nodes, config.replication
     );
+    let router = Router::connect(specs, config).expect("router");
 
     // --- Mixed workload, verified against the single server --------------
     let started = Instant::now();

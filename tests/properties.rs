@@ -184,7 +184,7 @@ proptest! {
         p in 1usize..5,
         q in 1usize..5,
     ) {
-        use exaclim_runtime::distsim::{ConversionSide, DistConfig, simulate_distribution};
+        use exaclim_cluster::distsim::{ConversionSide, DistConfig, simulate_distribution};
         for policy in [
             PrecisionPolicy::dp(),
             PrecisionPolicy::dp_sp(),
