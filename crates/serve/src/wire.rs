@@ -5,10 +5,10 @@
 //! the wire) and mirrors the hostile-input discipline of the `ECA1`
 //! container in `exaclim-store`: every frame is length-prefixed **and**
 //! capped ([`MAX_FRAME_PAYLOAD`]), every payload is CRC32-protected (the
-//! same slice-by-8 [`exaclim_store::crc32`] the archives use), and the
-//! decoder validates every length claim against the bytes actually
-//! present *before* allocating — a hostile peer can waste its own
-//! bandwidth, not this process's memory.
+//! same [`exaclim_store::crc32`] the archives use, folded with PCLMULQDQ
+//! where the CPU has it), and the decoder validates every length claim
+//! against the bytes actually present *before* allocating — a hostile
+//! peer can waste its own bandwidth, not this process's memory.
 //!
 //! ## Frame layout
 //!
@@ -2149,16 +2149,29 @@ mod tests {
         ));
     }
 
+    /// A payload long enough for the folding kernel: one flipped bit in
+    /// any byte, folded region or slice-by-8 tail, is a checksum mismatch
+    /// through both the buffer and the stream decoder.
     #[test]
     fn flipped_payload_bit_fails_the_checksum() {
-        let payload = encode_request_batch(&sample_requests());
-        let mut frame = encode_frame(FrameKind::Request, 9, &payload).unwrap();
-        let last = frame.len() - 1;
-        frame[last] ^= 0x40;
-        assert!(matches!(
-            decode_frame(&frame),
-            Err(WireError::ChecksumMismatch { .. })
-        ));
+        let payload = encode_response_batch(&sample_responses());
+        assert!(payload.len() >= 256, "{}", payload.len());
+        let frame = encode_frame(FrameKind::Stream, 9, &payload).unwrap();
+        for at in HEADER_LEN..frame.len() {
+            let mut bad = frame.clone();
+            bad[at] ^= 1 << (at % 8);
+            assert!(
+                matches!(decode_frame(&bad), Err(WireError::ChecksumMismatch { .. })),
+                "byte {at}"
+            );
+            assert!(
+                matches!(
+                    read_frame(&mut bad.as_slice()),
+                    Err(WireError::ChecksumMismatch { .. })
+                ),
+                "byte {at}"
+            );
+        }
     }
 
     #[test]
@@ -2382,6 +2395,36 @@ mod tests {
             assert_eq!(s.is_streamed(), frames > 1, "chunk {chunk}");
             assert_eq!(got.as_deref(), Some(&expect[..]), "chunk {chunk}");
         }
+    }
+
+    /// The frames of a fixed multi-fragment response — headers with their
+    /// per-fragment CRCs, folded across segment seams — pinned to values
+    /// recorded before the checksum kernel last changed.
+    #[test]
+    fn fixed_fragment_stream_bytes_are_pinned() {
+        let mut batch = sample_responses();
+        batch.push(Ok(Response::Slice(SliceData {
+            archive: "era5".to_string(),
+            member: "u10".to_string(),
+            range: 0..30,
+            values_per_slice: 100,
+            values: (0..3000)
+                .map(|i| 250.0 + f64::from(i % 977) / 8.0)
+                .collect(),
+        })));
+        let mut s = FrameStream::response(ResponseBody::from_responses(batch), 42, 1000).unwrap();
+        let mut frames = 0u32;
+        let mut fnv = 0xCBF2_9CE4_8422_2325u64;
+        while let Some(f) = s.next_frame() {
+            frames += 1;
+            for b in f.to_bytes(s.body()) {
+                fnv = (fnv ^ u64::from(b)).wrapping_mul(0x0100_0000_01B3);
+            }
+        }
+        assert_eq!(
+            (frames, s.total_len(), fnv),
+            (26, 25_108, 0x0ed8_1c3a_a19c_a47f)
+        );
     }
 
     #[test]

@@ -1,4 +1,7 @@
-//! ECA1 constants, member kinds, the error type, and CRC32.
+//! ECA1 constants, member kinds, the error type, and CRC32 (the private
+//! `crc` module's slice-by-8 and PCLMULQDQ-folding kernels, re-exported).
+
+pub use crate::crc::{crc32, crc32_update};
 
 /// File magic: the literal bytes `ECA1` at offset 0.
 pub const MAGIC: [u8; 4] = *b"ECA1";
@@ -127,140 +130,9 @@ impl From<std::io::Error> for ArchiveError {
     }
 }
 
-/// CRC32 (IEEE 802.3, reflected, polynomial `0xEDB88320`) — the same
-/// checksum gzip/zip use, computed slice-by-8.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    crc32_update(0xFFFF_FFFF, bytes) ^ 0xFFFF_FFFF
-}
-
-/// The eight lookup tables of the slice-by-8 kernel. `TABLES[0]` is the
-/// classic byte-at-a-time table; `TABLES[k][i]` extends `TABLES[k-1][i]`
-/// by one zero byte, so eight table lookups advance the CRC over eight
-/// input bytes at once.
-fn crc32_tables() -> &'static [[u32; 256]; 8] {
-    static TABLES: std::sync::OnceLock<[[u32; 256]; 8]> = std::sync::OnceLock::new();
-    TABLES.get_or_init(|| {
-        let mut t = [[0u32; 256]; 8];
-        for i in 0..256usize {
-            let mut c = i as u32;
-            for _ in 0..8 {
-                c = if c & 1 != 0 {
-                    0xEDB8_8320 ^ (c >> 1)
-                } else {
-                    c >> 1
-                };
-            }
-            t[0][i] = c;
-        }
-        for k in 1..8 {
-            for i in 0..256usize {
-                let prev = t[k - 1][i];
-                t[k][i] = t[0][(prev & 0xFF) as usize] ^ (prev >> 8);
-            }
-        }
-        t
-    })
-}
-
-/// Streaming form: feed `state` (start from `0xFFFF_FFFF`) through
-/// successive buffers, then XOR with `0xFFFF_FFFF` at the end. Splitting
-/// the input at any byte boundary yields the same state as one call.
-///
-/// The hot loop is **slice-by-8**: eight bytes are folded per iteration
-/// through eight precomputed tables — checksum verification sits on every
-/// chunk fetch of the serving path, so this is worth roughly a 3–5×
-/// speedup over the byte-at-a-time kernel on large chunks.
-pub fn crc32_update(mut state: u32, bytes: &[u8]) -> u32 {
-    let t = crc32_tables();
-    let mut chunks = bytes.chunks_exact(8);
-    for c in &mut chunks {
-        let lo = u32::from_le_bytes(c[0..4].try_into().unwrap()) ^ state;
-        let hi = u32::from_le_bytes(c[4..8].try_into().unwrap());
-        state = t[7][(lo & 0xFF) as usize]
-            ^ t[6][((lo >> 8) & 0xFF) as usize]
-            ^ t[5][((lo >> 16) & 0xFF) as usize]
-            ^ t[4][(lo >> 24) as usize]
-            ^ t[3][(hi & 0xFF) as usize]
-            ^ t[2][((hi >> 8) & 0xFF) as usize]
-            ^ t[1][((hi >> 16) & 0xFF) as usize]
-            ^ t[0][(hi >> 24) as usize];
-    }
-    for &b in chunks.remainder() {
-        state = t[0][((state ^ u32::from(b)) & 0xFF) as usize] ^ (state >> 8);
-    }
-    state
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn crc32_known_vectors() {
-        // Standard check value of CRC-32/ISO-HDLC.
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b""), 0);
-        assert_eq!(crc32(b"exaclim"), crc32(b"exaclim"));
-        assert_ne!(crc32(b"exaclim"), crc32(b"exaclin"));
-    }
-
-    #[test]
-    fn crc32_streams_like_oneshot() {
-        let data = b"chunked, compressed, checksummed";
-        let mut state = 0xFFFF_FFFFu32;
-        for part in data.chunks(7) {
-            state = crc32_update(state, part);
-        }
-        assert_eq!(state ^ 0xFFFF_FFFF, crc32(data));
-    }
-
-    /// Reference byte-at-a-time kernel, kept only to pin the slice-by-8
-    /// implementation to the original definition.
-    fn crc32_bytewise(data: &[u8]) -> u32 {
-        let mut state = 0xFFFF_FFFFu32;
-        for &b in data {
-            state ^= u32::from(b);
-            for _ in 0..8 {
-                state = if state & 1 != 0 {
-                    0xEDB8_8320 ^ (state >> 1)
-                } else {
-                    state >> 1
-                };
-            }
-        }
-        state ^ 0xFFFF_FFFF
-    }
-
-    #[test]
-    fn slice_by_8_matches_bytewise_reference() {
-        // Pseudo-random buffers at every length 0..64 (covering all
-        // remainder sizes) plus a large buffer, and every split point of a
-        // medium one for streaming equivalence.
-        let mut x = 0x2545_F491u32;
-        let mut noise = |n: usize| -> Vec<u8> {
-            (0..n)
-                .map(|_| {
-                    x ^= x << 13;
-                    x ^= x >> 17;
-                    x ^= x << 5;
-                    x as u8
-                })
-                .collect()
-        };
-        for n in 0..64 {
-            let buf = noise(n);
-            assert_eq!(crc32(&buf), crc32_bytewise(&buf), "len {n}");
-        }
-        let big = noise(8192);
-        assert_eq!(crc32(&big), crc32_bytewise(&big));
-        let medium = noise(41);
-        let want = crc32(&medium);
-        for split in 0..=medium.len() {
-            let state = crc32_update(0xFFFF_FFFF, &medium[..split]);
-            let state = crc32_update(state, &medium[split..]);
-            assert_eq!(state ^ 0xFFFF_FFFF, want, "split {split}");
-        }
-    }
 
     #[test]
     fn member_kind_roundtrip() {

@@ -66,7 +66,7 @@
 //! Modules:
 //!
 //! * [`mod@format`] — magic/version constants, error type, CRC32
-//!   (slice-by-8),
+//!   (slice-by-8, or PCLMULQDQ folding where the CPU has it; same bits),
 //! * [`chunk`] — directory model and its binary encoding,
 //! * [`codec`] — payload codecs (`Raw64`, `F32`, `F16`, shuffled+RLE),
 //! * [`writer`] / [`reader`] — streaming append and exclusive-handle
@@ -83,6 +83,7 @@
 pub mod archive;
 pub mod chunk;
 pub mod codec;
+mod crc;
 pub mod format;
 pub mod mmap;
 pub mod reader;

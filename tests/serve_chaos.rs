@@ -15,7 +15,7 @@ use exaclim_serve::{
     ProductDescriptor, ProductSource, ProductStat, Request, Response, RetryPolicy, ServeConfig,
     ServeError, Server, SliceRequest, WireError,
 };
-use exaclim_store::{ArchiveWriter, Codec, FieldMeta};
+use exaclim_store::{Archive, ArchiveError, ArchiveWriter, Codec, FieldMeta};
 use std::io::Cursor;
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::time::Duration;
@@ -229,6 +229,42 @@ fn worker_panic_becomes_typed_internal_error_and_server_survives() {
     assert!(handle.net_stats().faults_injected > 0);
     handle.shutdown();
     faults::clear();
+}
+
+/// The `decode` fault above reports corruption without computing a CRC;
+/// this flips one real bit inside a stored chunk (well past 128 bytes, so
+/// in the region the CRC kernel folds) and checks the served answer — in
+/// process and over the wire — is the typed checksum mismatch for that
+/// chunk, while the other chunks still serve.
+#[test]
+fn flipped_stored_bit_is_a_typed_checksum_mismatch() {
+    let _guard = fault_guard();
+    let mut raw = archive_bytes(VPS, T_MAX, CHUNK_T);
+    let chunk = {
+        let archive = Archive::from_bytes(raw.clone()).unwrap();
+        let u10 = archive.members().iter().find(|m| m.name == "u10").unwrap();
+        u10.chunks[1]
+    };
+    assert!(chunk.stored_len >= 1024, "{}", chunk.stored_len);
+    raw[chunk.offset as usize + 300] ^= 0x08;
+    let mut catalog = Catalog::new();
+    catalog.open_archive_bytes("a", raw).unwrap();
+    let server = Arc::new(Server::new(catalog, ServeConfig::default()));
+    let handle = NetServer::bind("127.0.0.1:0", Arc::clone(&server), NetConfig::default())
+        .unwrap()
+        .spawn();
+
+    let batch = vec![slice("u10", 0..T_MAX), slice("u10", 0..CHUNK_T as u64)];
+    let want = Err(ServeError::Archive(ArchiveError::ChecksumMismatch {
+        member: "u10".to_string(),
+        chunk: 1,
+    }));
+    let local = server.handle_batch(&batch);
+    assert_eq!(local[0], want);
+    assert!(local[1].is_ok());
+    let mut client = Client::connect(handle.addr()).unwrap();
+    assert_eq!(client.batch(&batch).unwrap(), local);
+    handle.shutdown();
 }
 
 /// Acceptance: with the dispatch backlog saturated (one slow worker, a

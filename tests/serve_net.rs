@@ -247,13 +247,27 @@ fn hostile_frames_are_rejected_and_server_survives() {
     assert_eq!(kind, FrameKind::Error);
     assert!(msg.contains("cap"), "{msg}");
 
-    // Bit-flipped payload fails the CRC.
-    let mut bad = good_frame.clone();
-    let last = bad.len() - 1;
-    bad[last] ^= 0x10;
-    let (kind, msg) = send_raw(addr, &bad).expect("error frame");
-    assert_eq!(kind, FrameKind::Error);
-    assert!(msg.contains("checksum"), "{msg}");
+    // Bit-flipped payload fails the CRC: in the last byte of a short
+    // payload, and inside the folded region of one long enough for the
+    // folding kernel.
+    let long_payload =
+        wire::encode_request_batch(&(0..16).map(|t| slice("t2m", t..t + 1)).collect::<Vec<_>>());
+    assert!(long_payload.len() >= 256, "{}", long_payload.len());
+    let long_frame = wire::encode_frame(FrameKind::Request, 2, &long_payload).unwrap();
+    for (frame, at) in [
+        (&good_frame, good_frame.len() - 1),
+        (&long_frame, HEADER_LEN + 100),
+    ] {
+        let mut bad = frame.clone();
+        bad[at] ^= 0x10;
+        assert!(matches!(
+            wire::decode_frame(&bad),
+            Err(WireError::ChecksumMismatch { .. })
+        ));
+        let (kind, msg) = send_raw(addr, &bad).expect("error frame");
+        assert_eq!(kind, FrameKind::Error);
+        assert!(msg.contains("checksum"), "{msg}");
+    }
 
     // Truncated frame: write half, then close the write side.
     {

@@ -158,7 +158,9 @@ fn mmap_and_buffered_reads_are_bit_identical_across_codecs() {
 }
 
 /// Chunk corruption is caught identically through a mapped source: the
-/// CRC check runs on the borrowed view before anything decodes.
+/// CRC check runs on the borrowed view before anything decodes. The chunk
+/// is long enough for the folding CRC kernel and the flipped bit sits in
+/// its first folded block.
 #[test]
 fn mapped_reads_still_verify_checksums() {
     let d = member(1);
@@ -167,6 +169,7 @@ fn mapped_reads_still_verify_checksums() {
         let r = ArchiveReader::new(Cursor::new(raw.clone())).unwrap();
         r.member("field").unwrap().chunks[0]
     };
+    assert!(chunk0.stored_len >= 128, "{}", chunk0.stored_len);
     raw[chunk0.offset as usize + 1] ^= 0x04;
     let path = std::env::temp_dir().join(format!("exaclim_mapped_crc_{}.eca1", std::process::id()));
     std::fs::write(&path, &raw).unwrap();
@@ -364,6 +367,45 @@ fn snapshot_files_roundtrip_and_reject_damage() {
         ),
         "{err}"
     );
+}
+
+/// The bytes of a fixed multi-chunk archive — every chunk CRC and the
+/// directory CRC included — and the CRC32 of the whole container, pinned
+/// to values recorded before the checksum kernel last changed. Any change
+/// to the CRC or the ECA1 layout moves them.
+#[test]
+fn fixed_archive_bytes_and_crc_are_pinned() {
+    let mut x = 0x9E37_79B9_7F4A_7C15u64;
+    let data: Vec<f64> = (0..96 * 40)
+        .map(|_| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            280.0 + (x % 20_000) as f64 * 0.001
+        })
+        .collect();
+    let meta = FieldMeta {
+        ntheta: 8,
+        nphi: 12,
+        start_year: 1990,
+        tau: 365,
+    };
+    let mut w = ArchiveWriter::new(Cursor::new(Vec::new())).unwrap();
+    w.add_field("t2m", Codec::F32Shuffle, meta, 96, 8, &data)
+        .unwrap();
+    w.add_field("u10", Codec::Raw64, meta, 96, 7, &data)
+        .unwrap();
+    w.add_field("v10", Codec::F16, meta, 96, 16, &data).unwrap();
+    let blob: Vec<u8> = (0..5000u32).map(|i| (i * i / 7) as u8).collect();
+    w.add_snapshot("model", 3, ByteCodec::Rle, &blob, 1024)
+        .unwrap();
+    let raw = w.finish().unwrap().0.into_inner();
+    let fnv = raw.iter().fold(0xCBF2_9CE4_8422_2325u64, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01B3)
+    });
+    assert_eq!(raw.len(), 55_972);
+    assert_eq!(fnv, 0xa637_032f_0d0e_8879);
+    assert_eq!(exaclim_store::crc32(&raw), 0x4303_81bf);
 }
 
 #[test]
