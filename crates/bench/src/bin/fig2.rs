@@ -2,9 +2,9 @@
 //! per-field statistics plus the statistical-consistency scorecard.
 //!
 //! The paper plots 24-hour surface-temperature maps from ERA5 and from the
-//! emulator for Jan 1 and Jun 1, 2019. Here the synthetic-ERA5 substitute is
-//! used (DESIGN.md §2) at an hourly cadence; "maps match statistically" is
-//! quantified instead of eyeballed.
+//! emulator for Jan 1 and Jun 1, 2019. Here the synthetic-ERA5 substitute
+//! (`exaclim_climate`'s crate docs) is used at an hourly cadence; "maps
+//! match statistically" is quantified instead of eyeballed.
 //!
 //! ```text
 //! cargo run --release -p exaclim-bench --bin fig2

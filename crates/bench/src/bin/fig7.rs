@@ -73,6 +73,6 @@ fn main() {
         "Shape reproduced: weak scaling flat; strong scaling decays with\n\
          mixed precision retaining more efficiency than would naive DP at\n\
          the same wire volume. The model decays more gently than Summit's\n\
-         measured 55–72% — see EXPERIMENTS.md for the deviation discussion."
+         measured 55–72%."
     );
 }

@@ -2,8 +2,7 @@
 //!
 //! The data substrate of the reproduction. The paper trains on ERA5 surface
 //! temperature (0.25°, 1940–2022) — proprietary-scale data we cannot ship —
-//! so this crate generates a statistically analogous synthetic ensemble
-//! (DESIGN.md §2 documents the substitution):
+//! so this crate generates a statistically analogous synthetic ensemble:
 //!
 //! * [`landsea`] — a smooth procedural land/sea mask (low-order bumps on the
 //!   sphere) driving land–ocean anisotropy,

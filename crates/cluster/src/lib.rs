@@ -20,7 +20,8 @@
 //!
 //! Absolute numbers are calibrated to the published machine peaks; the
 //! claims reproduced are the *relative* ones — variant speedups, scaling
-//! efficiencies, who wins where (see EXPERIMENTS.md).
+//! efficiencies, who wins where (the `calibrate` bin of `exaclim-bench`
+//! prints each beside the paper's number).
 
 pub mod costmodel;
 pub mod distsim;

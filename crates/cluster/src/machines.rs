@@ -4,8 +4,9 @@
 //! peak a large tile GEMM sustains in each precision (DGEMM on these parts
 //! reaches 85–95% of peak; half-precision tensor GEMM sustains a far lower
 //! fraction at Cholesky tile sizes because it turns memory-bound). These
-//! derating factors are the calibration knobs of the model and are recorded
-//! in EXPERIMENTS.md.
+//! derating factors are the calibration knobs of the model; the `calibrate`
+//! bin of `exaclim-bench` prints the model against the paper's anchors they
+//! are tuned to.
 
 use serde::{Deserialize, Serialize};
 

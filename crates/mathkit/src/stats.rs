@@ -151,43 +151,157 @@ pub fn correlation(xs: &[f64], ys: &[f64]) -> f64 {
     sxy / (sxx * syy).sqrt()
 }
 
-/// Sort `xs` ascending for [`quantile_sorted`], by the IEEE total order
-/// ([`f64::total_cmp`]): negative NaNs, `−∞`, the finite values (`−0.0`
-/// before `+0.0`), `+∞`, positive NaNs. Never panics, whatever the input.
-pub fn sort_for_quantiles(xs: &mut [f64]) {
-    xs.sort_unstable_by(f64::total_cmp);
-}
-
-/// Quantile by linear interpolation between the two nearest order
-/// statistics of an already sorted slice (`q ∈ [0,1]`; see
-/// [`sort_for_quantiles`]). Reading several quantiles of one sample costs
-/// one sort this way.
+/// Quantiles of `xs`, one per entry of `qs` (each in `[0,1]`), by linear
+/// interpolation between the two nearest order statistics: for quantile
+/// `q` of `n` values, `pos = q·(n−1)`, and the result is the order
+/// statistic at `pos` when it is whole, else `x₍lo₎·(1−w) + x₍hi₎·w` with
+/// `lo, hi` = `⌊pos⌋, ⌈pos⌉` and `w = pos − lo`.
 ///
+/// Order is the IEEE total order ([`f64::total_cmp`]): negative NaNs,
+/// `−∞`, the finite values (`−0.0` before `+0.0`), `+∞`, positive NaNs.
 /// Non-finite input is not rejected: an infinity is an ordinary extreme
-/// value and a NaN sorts to an end of the slice, so the result is
-/// non-finite exactly when an order statistic it interpolates is.
-pub fn quantile_sorted(sorted: &[f64], q: f64) -> f64 {
-    assert!(!sorted.is_empty());
-    assert!((0.0..=1.0).contains(&q));
-    let pos = q * (sorted.len() - 1) as f64;
-    let lo = pos.floor() as usize;
-    let hi = pos.ceil() as usize;
-    if lo == hi {
-        sorted[lo]
-    } else {
-        let w = pos - lo as f64;
-        sorted[lo] * (1.0 - w) + sorted[hi] * w
-    }
+/// value and a NaN is an end of the order, so a result is non-finite
+/// exactly when an order statistic it interpolates is. Never panics on
+/// any value.
+///
+/// Only the order statistics the quantiles interpolate are found, by a
+/// radix select on the total-order bits; `xs` is left permuted. Read every
+/// quantile of one sample through one call.
+pub fn quantiles(xs: &mut [f64], qs: &[f64]) -> Vec<f64> {
+    assert!(!xs.is_empty(), "quantiles of an empty sample");
+    let last = (xs.len() - 1) as f64;
+    let spans: Vec<(usize, usize, f64)> = qs
+        .iter()
+        .map(|&q| {
+            assert!((0.0..=1.0).contains(&q), "quantile {q} outside [0, 1]");
+            let pos = q * last;
+            let lo = pos.floor() as usize;
+            (lo, pos.ceil() as usize, pos - lo as f64)
+        })
+        .collect();
+    let mut ranks: Vec<usize> = spans.iter().flat_map(|&(lo, hi, _)| [lo, hi]).collect();
+    ranks.sort_unstable();
+    ranks.dedup();
+    let mut values = Vec::with_capacity(ranks.len());
+    select_ranks(xs, &ranks, 0, &mut values);
+    let at = |r: usize| values[ranks.binary_search(&r).expect("rank was selected")];
+    spans
+        .iter()
+        .map(|&(lo, hi, w)| {
+            if lo == hi {
+                at(lo)
+            } else {
+                at(lo) * (1.0 - w) + at(hi) * w
+            }
+        })
+        .collect()
 }
 
-/// Quantile by linear interpolation on a sorted copy (`q ∈ [0,1]`): one
-/// [`sort_for_quantiles`] and one [`quantile_sorted`], with the latter's
-/// non-finite behaviour. Callers reading more than one quantile of the same
-/// sample sort once and call [`quantile_sorted`] themselves.
+/// One quantile of a sample ([`quantiles`] of a copy, `q ∈ [0,1]`).
 pub fn quantile(xs: &[f64], q: f64) -> f64 {
-    let mut s = xs.to_vec();
-    sort_for_quantiles(&mut s);
-    quantile_sorted(&s, q)
+    quantiles(&mut xs.to_vec(), &[q])[0]
+}
+
+/// Bits of the radix digit one selection pass buckets by.
+const BUCKET_BITS: u32 = 16;
+
+/// Up to this many values are sorted whole: cheaper than clearing and
+/// scanning a `2^BUCKET_BITS`-bucket histogram.
+const SORT_WHOLE_MAX: usize = 1 << 12;
+
+/// [`f64::total_cmp`]'s key with its sign bit flipped: ascending as an
+/// unsigned integer exactly when the values ascend in the total order, and
+/// equal exactly when the bits are.
+fn total_order_key(x: f64) -> u64 {
+    let bits = x.to_bits();
+    bits ^ ((((bits as i64) >> 63) as u64) >> 1) ^ (1 << 63)
+}
+
+/// Append to `out` the values of rank `ranks[i]` (ascending, distinct,
+/// each `< xs.len()`) in `xs` under [`f64::total_cmp`]. That order tells
+/// values apart by their bits, so each is the very element a total-order
+/// sort puts at that index. `xs` is left permuted.
+///
+/// A most-significant-digit radix select over [`total_order_key`], whose
+/// top `level` digits every value in `xs` shares. One pass counts the
+/// values per digit; the running counts name the buckets that hold a
+/// wanted rank (at most `ranks.len()` of them); a second pass moves their
+/// members to the front of `xs`, and a third groups them there by bucket.
+/// Each wanted bucket is then selected from alone, by the next digit,
+/// until it is short enough to sort.
+fn select_ranks(xs: &mut [f64], ranks: &[usize], level: u32, out: &mut Vec<f64>) {
+    if ranks.is_empty() {
+        return;
+    }
+    // Below the last digit every value in `xs` has the same bits.
+    if xs.len() <= SORT_WHOLE_MAX || level * BUCKET_BITS == 64 {
+        xs.sort_unstable_by(f64::total_cmp);
+        out.extend(ranks.iter().map(|&r| xs[r]));
+        return;
+    }
+    let digit =
+        |x: f64| ((total_order_key(x) << (level * BUCKET_BITS)) >> (64 - BUCKET_BITS)) as usize;
+    u32::try_from(xs.len()).expect("sample too long for 32-bit bucket counts");
+    let mut counts = vec![0u32; 1 << BUCKET_BITS];
+    for &x in xs.iter() {
+        counts[digit(x)] += 1;
+    }
+    // Per wanted bucket: (digit, rank of its first member, size).
+    let mut wanted: Vec<(usize, usize, usize)> = Vec::with_capacity(ranks.len());
+    let mut next = ranks.iter().peekable();
+    let mut first = 0usize;
+    for (d, &c) in counts.iter().enumerate() {
+        let end = first + c as usize;
+        while next.next_if(|&&r| r < end).is_some() {
+            if wanted.last().is_none_or(|w| w.0 != d) {
+                wanted.push((d, first, c as usize));
+            }
+        }
+        if next.peek().is_none() {
+            break;
+        }
+        first = end;
+    }
+    // `counts` becomes each digit's group: 1 + its index in `wanted`, or 0.
+    counts.fill(0);
+    for (j, &(d, _, _)) in wanted.iter().enumerate() {
+        counts[d] = j as u32 + 1;
+    }
+    let group = |x: f64| counts[digit(x)] as usize;
+    let mut front = 0;
+    for i in 0..xs.len() {
+        if group(xs[i]) != 0 {
+            xs.swap(front, i);
+            front += 1;
+        }
+    }
+    // Group the front by bucket, in bucket order, in place: each swap puts
+    // one value in its bucket's range for good.
+    let ends: Vec<usize> = wanted
+        .iter()
+        .scan(0, |end, w| {
+            *end += w.2;
+            Some(*end)
+        })
+        .collect();
+    let mut heads: Vec<usize> = wanted.iter().zip(&ends).map(|(w, e)| e - w.2).collect();
+    for j in 0..wanted.len() {
+        while heads[j] < ends[j] {
+            let g = group(xs[heads[j]]) - 1;
+            if g != j {
+                xs.swap(heads[j], heads[g]);
+            }
+            heads[g] += 1;
+        }
+    }
+    drop(counts);
+    let mut rest = ranks;
+    for (&(_, first, size), end) in wanted.iter().zip(ends) {
+        let inside = rest.iter().take_while(|&&r| r < first + size).count();
+        let local: Vec<usize> = rest[..inside].iter().map(|r| r - first).collect();
+        select_ranks(&mut xs[end - size..end], &local, level + 1, out);
+        rest = &rest[inside..];
+    }
 }
 
 /// Root-mean-square error between two slices.
@@ -309,14 +423,198 @@ mod tests {
         assert!((quantile(&xs, 0.5) - 2.5).abs() < 1e-12);
     }
 
-    #[test]
-    fn sorted_quantiles_equal_one_shot_quantiles() {
-        let xs: Vec<f64> = lcg_noise(1001, 5).iter().map(|u| u - 0.3).collect();
-        let mut s = xs.clone();
-        sort_for_quantiles(&mut s);
-        for q in [0.0, 0.01, 0.05, 0.25, 0.37, 0.5, 0.75, 0.95, 0.99, 1.0] {
-            assert_eq!(quantile_sorted(&s, q).to_bits(), quantile(&xs, q).to_bits());
+    /// The definition [`quantiles`] must reproduce bit for bit: a full
+    /// total-order sort, then one interpolation per quantile.
+    fn quantile_sorted(sorted: &[f64], q: f64) -> f64 {
+        assert!(!sorted.is_empty());
+        assert!((0.0..=1.0).contains(&q));
+        let pos = q * (sorted.len() - 1) as f64;
+        let lo = pos.floor() as usize;
+        let hi = pos.ceil() as usize;
+        if lo == hi {
+            sorted[lo]
+        } else {
+            let w = pos - lo as f64;
+            sorted[lo] * (1.0 - w) + sorted[hi] * w
         }
+    }
+
+    fn sort_for_quantiles(xs: &mut [f64]) {
+        xs.sort_unstable_by(f64::total_cmp);
+    }
+
+    const QS: [f64; 9] = [0.0, 0.01, 0.05, 0.25, 0.5, 0.75, 0.95, 0.99, 1.0];
+
+    /// `quantiles(xs, QS)` against the sort oracle, bit for bit, and the
+    /// permuted `xs` still holds the same multiset of bit patterns.
+    fn assert_selection_matches_sort(xs: &[f64], what: &str) {
+        let mut sorted = xs.to_vec();
+        sort_for_quantiles(&mut sorted);
+        let mut work = xs.to_vec();
+        let got = quantiles(&mut work, &QS);
+        for (q, g) in QS.iter().zip(&got) {
+            let want = quantile_sorted(&sorted, *q);
+            // Rust leaves unspecified which payload an operation on two
+            // NaNs returns (the compiler may commute the operands), so
+            // where arithmetic meets NaNs only NaN-ness is the contract.
+            let pos = q * (xs.len() - 1) as f64;
+            if pos.fract() != 0.0 && g.is_nan() && want.is_nan() {
+                continue;
+            }
+            assert_eq!(
+                g.to_bits(),
+                want.to_bits(),
+                "{what} (n = {}), q = {q}: {g} vs {want}",
+                xs.len()
+            );
+        }
+        sort_for_quantiles(&mut work);
+        assert!(
+            work.iter()
+                .zip(&sorted)
+                .all(|(a, b)| a.to_bits() == b.to_bits()),
+            "{what}: selection lost or changed a value"
+        );
+    }
+
+    /// Values drawn from a pool that holds ±0, NaNs of both signs (and a
+    /// payload), ±∞, subnormals and ordinary finite values.
+    fn hostile(n: usize, seed: u64) -> Vec<f64> {
+        let specials = [
+            0.0,
+            -0.0,
+            f64::NAN,
+            -f64::NAN,
+            f64::from_bits(0x7ff8_0000_0000_0123),
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::MIN_POSITIVE / 4.0,
+            -f64::MIN_POSITIVE / 4.0,
+            f64::MAX,
+            f64::MIN,
+        ];
+        lcg_noise(2 * n, seed)
+            .chunks_exact(2)
+            .map(|u| {
+                if u[0] < 0.2 {
+                    specials[(u[1] * specials.len() as f64) as usize]
+                } else {
+                    (u[1] - 0.5) * 1e3
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn selection_matches_sort_on_non_finite_and_signed_zero_input() {
+        for (n, seed) in [(57, 1), (4096, 2), (4097, 3), (20_000, 4), (70_001, 5)] {
+            assert_selection_matches_sort(&hostile(n, seed), "hostile");
+        }
+    }
+
+    #[test]
+    fn selection_matches_sort_on_heavy_duplicates() {
+        for n in [100, 5000, 50_000] {
+            // Three distinct values, and one value alone: every wanted rank
+            // falls in one or two crowded buckets.
+            let few: Vec<f64> = lcg_noise(n, 11)
+                .iter()
+                .map(|u| [-1.5, 0.0, 2.25][(u * 3.0) as usize])
+                .collect();
+            assert_selection_matches_sort(&few, "three values");
+            assert_selection_matches_sort(&vec![7.0; n], "constant");
+            assert_selection_matches_sort(&vec![-0.0; n], "all −0");
+        }
+    }
+
+    #[test]
+    fn selection_matches_sort_on_the_shortest_samples() {
+        for xs in [
+            vec![3.0],
+            vec![f64::NAN],
+            vec![-0.0, 0.0],
+            vec![0.0, -0.0],
+            vec![2.0, 1.0],
+            vec![f64::INFINITY, f64::NEG_INFINITY],
+            vec![1.0, f64::NAN, -1.0],
+            vec![-0.0, 5.0, 0.0],
+        ] {
+            assert_selection_matches_sort(&xs, "short");
+        }
+    }
+
+    #[test]
+    fn selection_matches_sort_on_bucket_edges() {
+        // Neighbours in the total order that straddle radix buckets: the
+        // last and first patterns of adjacent buckets at the first digit
+        // (±0 and ±∞ among them) and, inside one first-digit bucket, at
+        // the second and third.
+        let mut edges = Vec::new();
+        for b in [
+            0x3ff0_u64, 0x3ff1, 0x4000, 0x7ff0, 0x0000, 0x8000, 0xbff0, 0xfff0,
+        ] {
+            let base = b << (64 - BUCKET_BITS);
+            for bits in [base, base + 1, base.wrapping_sub(1), base + (1 << 47)] {
+                edges.push(f64::from_bits(bits));
+            }
+        }
+        for shift in [32, 16] {
+            for d in [0x1234_u64, 0x1235, 0x8000] {
+                let base = (0x4071_u64 << 48) | (d << shift);
+                for bits in [base, base + 1, base - 1] {
+                    edges.push(f64::from_bits(bits));
+                    edges.push(-f64::from_bits(bits));
+                }
+            }
+        }
+        let mut xs = Vec::new();
+        for (i, u) in lcg_noise(30_000, 21).iter().enumerate() {
+            xs.push(edges[(u * edges.len() as f64) as usize]);
+            if i % 5 == 0 {
+                xs.push(u - 0.5);
+            }
+        }
+        assert_selection_matches_sort(&xs, "bucket edges");
+        assert_selection_matches_sort(&edges, "bucket edges alone");
+    }
+
+    #[test]
+    fn selection_matches_sort_on_concentrated_samples() {
+        // Kelvin temperatures share their first digit; a narrower spread
+        // shares the second too, and a spread of a few ulps the third:
+        // the wanted buckets are selected from again, digit by digit.
+        for (spread, seed) in [(40.0, 41), (1e-9, 42), (1e-12, 43)] {
+            let xs: Vec<f64> = lcg_noise(50_000, seed)
+                .iter()
+                .map(|u| 280.0 + spread * (u - 0.5))
+                .collect();
+            assert_selection_matches_sort(&xs, "concentrated");
+        }
+    }
+
+    #[test]
+    fn selection_matches_sort_on_a_pooled_anomaly_sized_sample() {
+        // The size of one pooled anomaly vector of the design benchmark:
+        // 594 locations × 730 days of standard-normal values.
+        let mut xs = lcg_noise(433_620, 31);
+        let mut rest = lcg_noise(433_620, 32).into_iter();
+        for u in xs.iter_mut() {
+            let v = rest.next().expect("same length");
+            let r = (-2.0 * (1.0 - *u).ln()).sqrt();
+            *u = r * (2.0 * std::f64::consts::PI * v).cos();
+        }
+        assert_selection_matches_sort(&xs, "normal");
+    }
+
+    #[test]
+    fn quantiles_come_back_in_the_order_asked() {
+        let xs: Vec<f64> = lcg_noise(10_001, 5).iter().map(|u| u - 0.3).collect();
+        let qs = [0.9, 0.1, 0.5, 0.1, 1.0, 0.0];
+        let got = quantiles(&mut xs.clone(), &qs);
+        for (q, g) in qs.iter().zip(&got) {
+            assert_eq!(g.to_bits(), quantile(&xs, *q).to_bits());
+        }
+        assert!(quantiles(&mut xs.clone(), &[]).is_empty());
     }
 
     #[test]
@@ -333,6 +631,19 @@ mod tests {
         assert_eq!(quantile(&ys, 0.5), 0.5);
         assert_eq!(quantile(&ys, 0.9), f64::INFINITY);
         assert!(quantile(&[f64::NEG_INFINITY, f64::INFINITY], 0.5).is_nan());
+    }
+
+    #[test]
+    fn sorted_quantiles_equal_one_shot_quantiles() {
+        // Below and above the length that is sorted whole.
+        for n in [1001, 10_001] {
+            let xs: Vec<f64> = lcg_noise(n, 5).iter().map(|u| u - 0.3).collect();
+            let mut s = xs.clone();
+            sort_for_quantiles(&mut s);
+            for q in [0.0, 0.01, 0.05, 0.25, 0.37, 0.5, 0.75, 0.95, 0.99, 1.0] {
+                assert_eq!(quantile_sorted(&s, q).to_bits(), quantile(&xs, q).to_bits());
+            }
+        }
     }
 
     #[test]

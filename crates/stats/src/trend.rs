@@ -11,9 +11,11 @@
 //! location, so the regressors are tabulated once ([`MeanBasis`]) and the
 //! normal equations factored once per candidate `ρ` ([`TrendPlan`]); a
 //! location then costs `Xᵀy`, two triangular solves and one residual pass
-//! per `ρ`. Locations are independent, so the grid fit parallelizes with
-//! rayon. A single location ([`fit_location`], [`TrendModel::mean_series`])
-//! is a plan of one — there is no second code path, and the per-location
+//! per `ρ`. Locations are independent: the grid fit takes blocks of
+//! adjacent locations in parallel with rayon and fits each block in lanes,
+//! one location per lane, reading the time-major rows directly. A single
+//! location ([`fit_location`], [`TrendModel::mean_series`]) is a block of
+//! one lane — there is no second code path, and the per-location
 //! arithmetic (every sum in ascending `t`, `c` or `k`, started from `−0.0`
 //! like `Iterator::sum`) is the contract that keeps fits bit-reproducible.
 
@@ -171,34 +173,123 @@ impl MeanBasis {
     /// Write `m_t` of `model` for `t = 1..=out.len()` (at most
     /// [`MeanBasis::t_max`] steps).
     pub fn mean_into(&self, model: &TrendModel, out: &mut [f64]) {
-        assert!(out.len() <= self.t_max(), "basis covers too few steps");
+        self.means_into_lanes([model], [out]);
+    }
+
+    /// [`MeanBasis::mean_into`] for `W` models at once, one lane each; every
+    /// `out` has the same length, every model the same number of harmonic
+    /// pairs. Per lane the operations and their order are `mean_into`'s.
+    fn means_into_lanes<const W: usize>(
+        &self,
+        models: [&TrendModel; W],
+        mut outs: [&mut [f64]; W],
+    ) {
+        let n = outs[0].len();
+        assert!(outs.iter().all(|o| o.len() == n), "lanes of unequal length");
+        assert!(n <= self.t_max(), "basis covers too few steps");
+        let k = models[0].harmonics.len();
         assert!(
-            model.harmonics.len() <= self.k_harmonics,
+            models.iter().all(|m| m.harmonics.len() == k),
+            "lanes with unequal harmonic counts"
+        );
+        assert!(
+            k <= self.k_harmonics,
             "model has more harmonic pairs than the basis"
         );
-        let lag = self.lag(model.rho);
+        let lags = models.map(|m| &self.lag(m.rho)[..n]);
+        let (beta0, beta1, beta2) = (
+            models.map(|m| m.beta0),
+            models.map(|m| m.beta1),
+            models.map(|m| m.beta2),
+        );
+        let ab: Vec<[(f64, f64); W]> = (0..k).map(|j| models.map(|m| m.harmonics[j])).collect();
         let width = 2 * self.k_harmonics;
-        for (t, m) in out.iter_mut().enumerate() {
-            let mut acc = model.beta0 + model.beta1 * self.x_year[t] + model.beta2 * lag[t];
+        for t in 0..n {
+            let x = self.x_year[t];
+            let mut acc: [f64; W] =
+                std::array::from_fn(|l| beta0[l] + beta1[l] * x + beta2[l] * lags[l][t]);
             let cs = &self.harmonics[t * width..(t + 1) * width];
-            for (k, (a, b)) in model.harmonics.iter().enumerate() {
-                acc += a * cs[2 * k] + b * cs[2 * k + 1];
+            for (cs, ab) in cs.chunks_exact(2).zip(&ab) {
+                for (acc, &(a, b)) in acc.iter_mut().zip(ab) {
+                    *acc += a * cs[0] + b * cs[1];
+                }
             }
-            *m = acc;
+            for (out, acc) in outs.iter_mut().zip(acc) {
+                out[t] = acc;
+            }
         }
     }
 }
 
 /// Everything of the profile OLS fit that does not depend on the response:
-/// per candidate `ρ` the `T × ncols` design matrix and the Cholesky factor
-/// of its normal matrix (ridge fallback already decided), over a shared
-/// [`MeanBasis`]. `|ρ|·T·ncols` values; built once per grid, applied to
-/// every location.
+/// per candidate `ρ` the Cholesky factor of the normal matrix of its
+/// `T × ncols` design (ridge fallback already decided), over a shared
+/// [`MeanBasis`] whose columns are the design's. `|ρ|·ncols²` values plus
+/// the basis; built once per grid, applied to every location.
 #[derive(Debug, Clone)]
 pub struct TrendPlan {
     basis: MeanBasis,
-    /// `(ρ, X, chol(XᵀX))` in `rho_grid` order.
-    designs: Vec<(f64, Matrix, Matrix)>,
+    /// `(ρ, chol(XᵀX))` in `rho_grid` order.
+    designs: Vec<(f64, Matrix)>,
+}
+
+/// Adjacent locations [`fit_grid`] fits together, one per lane.
+const LANES: usize = 8;
+
+/// `acc[l] += a · x[l]` in every lane.
+#[inline(always)]
+fn lanes_add_scaled<const W: usize>(acc: &mut [f64; W], a: f64, x: &[f64; W]) {
+    for (s, &v) in acc.iter_mut().zip(x) {
+        *s += a * v;
+    }
+}
+
+/// Solve `L·y = b` in place in every lane (`L` lower triangular):
+/// [`Matrix::solve_lower`]'s operations in its order, per lane.
+fn solve_lower_lanes<const W: usize>(l: &Matrix, v: &mut [[f64; W]]) {
+    for i in 0..v.len() {
+        let mut s = v[i];
+        for k in 0..i {
+            let lik = l.get(i, k);
+            for (s, &y) in s.iter_mut().zip(&v[k]) {
+                *s -= lik * y;
+            }
+        }
+        let lii = l.get(i, i);
+        v[i] = s.map(|s| s / lii);
+    }
+}
+
+/// Solve `Lᵀ·x = y` in place in every lane:
+/// [`Matrix::solve_lower_transpose`]'s operations in its order, per lane.
+fn solve_lower_transpose_lanes<const W: usize>(l: &Matrix, v: &mut [[f64; W]]) {
+    for i in (0..v.len()).rev() {
+        let mut s = v[i];
+        for k in i + 1..v.len() {
+            let lki = l.get(k, i);
+            for (s, &x) in s.iter_mut().zip(&v[k]) {
+                *s -= lki * x;
+            }
+        }
+        let lii = l.get(i, i);
+        v[i] = s.map(|s| s / lii);
+    }
+}
+
+/// The design matrix of candidate `ρ`: row `t` is
+/// `1, x_{⌈t/τ⌉}, (1−ρ)·Lag_ρ, cos/sin(2πtk/τ)` for `k = 1..=K`.
+fn design(basis: &MeanBasis, rho: f64) -> Matrix {
+    let t_max = basis.t_max();
+    let width = 2 * basis.k_harmonics;
+    let lag = basis.lag(rho);
+    let mut x = Vec::with_capacity(t_max * (3 + width));
+    for t in 0..t_max {
+        x.push(1.0);
+        x.push(basis.x_year[t]);
+        x.push(lag[t]);
+        x.extend_from_slice(&basis.harmonics[t * width..(t + 1) * width]);
+    }
+    Matrix::from_vec(t_max, 3 + width, x)
 }
 
 impl TrendPlan {
@@ -207,67 +298,111 @@ impl TrendPlan {
         assert!(t_max > cfg.ncols(), "need more time steps than parameters");
         assert!(!cfg.rho_grid.is_empty(), "non-empty rho grid");
         let basis = MeanBasis::new(cfg, forcing, t_max, cfg.rho_grid.iter().copied());
-        let ncols = cfg.ncols();
-        let width = 2 * cfg.k_harmonics;
         let designs = cfg
             .rho_grid
             .iter()
             .map(|&rho| {
-                let lag = basis.lag(rho);
-                let mut x = Vec::with_capacity(t_max * ncols);
-                for t in 0..t_max {
-                    x.push(1.0);
-                    x.push(basis.x_year[t]);
-                    x.push(lag[t]);
-                    x.extend_from_slice(&basis.harmonics[t * width..(t + 1) * width]);
-                }
-                let x = Matrix::from_vec(t_max, ncols, x);
-                let chol = normal_equations_factor(&x.transpose(), &x);
-                (rho, x, chol)
+                let x = design(&basis, rho);
+                (rho, normal_equations_factor(&x.transpose(), &x))
             })
             .collect();
         Self { basis, designs }
     }
 
     /// Fit one location's series `y[t-1]`, `t = 1..=T`: OLS per candidate
-    /// `ρ`, keeping the first `ρ` with the smallest residual sum of squares.
+    /// `ρ`, keeping the first `ρ` with the smallest residual sum of squares
+    /// (a block of one lane).
     pub fn fit(&self, y: &[f64]) -> TrendModel {
-        let t_max = self.basis.t_max();
-        assert_eq!(y.len(), t_max, "series length differs from the plan's");
-        let mut best: Option<(f64, f64, Vec<f64>)> = None; // (sse, rho, beta)
-        for (rho, x, chol) in &self.designs {
-            let ncols = x.cols();
-            let rows = x.as_slice().chunks_exact(ncols);
-            // Xᵀy, all columns at once: per column the same ascending-t sum
-            // a row of Xᵀ dotted with y gives.
-            let mut xty = vec![-0.0f64; ncols];
-            for (row, &v) in rows.clone().zip(y) {
-                for (acc, &a) in xty.iter_mut().zip(row) {
-                    *acc += a * v;
-                }
+        assert_eq!(
+            y.len(),
+            self.basis.t_max(),
+            "series length differs from the plan's"
+        );
+        let [model] = self.fit_lanes::<1>(y, 1);
+        model
+    }
+
+    /// Fit `W` series at once, lane `l` reading step `t` at
+    /// `data[t·stride + l]` — adjacent locations straight from time-major
+    /// rows. Per lane every number is the one a single-location fit
+    /// computes, by the same operations in the same order
+    /// (ARCHITECTURE.md, "Op-order contract"); the lanes only share loads
+    /// and the `Xᵀy` columns every `ρ` has in common.
+    fn fit_lanes<const W: usize>(&self, data: &[f64], stride: usize) -> [TrendModel; W] {
+        let b = &self.basis;
+        let t_max = b.t_max();
+        let width = 2 * b.k_harmonics;
+        let ncols = 3 + width;
+        let row = |t: usize| -> &[f64; W] {
+            data[t * stride..][..W]
+                .try_into()
+                .expect("a row holds W lanes")
+        };
+        let lags: Vec<&[f64]> = self.designs.iter().map(|&(rho, _)| b.lag(rho)).collect();
+        // Xᵀy per column, ascending t from −0.0. Only the lag column (2)
+        // differs between the candidate designs: the others are summed once.
+        let mut shared = vec![[-0.0f64; W]; ncols];
+        let mut lag_xty = vec![[-0.0f64; W]; lags.len()];
+        for t in 0..t_max {
+            let y = row(t);
+            lanes_add_scaled(&mut shared[0], 1.0, y);
+            lanes_add_scaled(&mut shared[1], b.x_year[t], y);
+            for (acc, &a) in shared[3..].iter_mut().zip(&b.harmonics[t * width..]) {
+                lanes_add_scaled(acc, a, y);
             }
-            let beta = chol.solve_lower_transpose(&chol.solve_lower(&xty));
-            let mut err = -0.0f64;
-            for (row, &v) in rows.zip(y) {
-                let mut fit = -0.0f64;
-                for (&a, &b) in row.iter().zip(&beta) {
-                    fit += a * b;
-                }
-                err += (fit - v) * (fit - v);
-            }
-            if best.as_ref().is_none_or(|(b, _, _)| err < *b) {
-                best = Some((err, *rho, beta));
+            for (acc, lag) in lag_xty.iter_mut().zip(&lags) {
+                lanes_add_scaled(acc, lag[t], y);
             }
         }
-        let (err, rho, beta) = best.expect("non-empty rho grid");
-        TrendModel {
-            beta0: beta[0],
-            beta1: beta[1],
-            beta2: beta[2],
-            rho,
-            harmonics: beta[3..].chunks_exact(2).map(|ab| (ab[0], ab[1])).collect(),
-            sigma: (err / t_max as f64).sqrt().max(1e-12),
+        // β per candidate: the two triangular solves with its factor.
+        let mut betas = Vec::with_capacity(lags.len() * ncols);
+        for ((_, chol), lag) in self.designs.iter().zip(&lag_xty) {
+            let at = betas.len();
+            betas.extend_from_slice(&shared);
+            let beta = &mut betas[at..];
+            beta[2] = *lag;
+            solve_lower_lanes(chol, beta);
+            solve_lower_transpose_lanes(chol, beta);
         }
+        // Σ_t (Σ_c x_tc β_c − y_t)², inner sum ascending c, both from −0.0.
+        let mut sse = vec![[-0.0f64; W]; lags.len()];
+        for t in 0..t_max {
+            let y = row(t);
+            let h = &b.harmonics[t * width..(t + 1) * width];
+            for ((err, beta), lag) in sse.iter_mut().zip(betas.chunks_exact(ncols)).zip(&lags) {
+                let mut fit = [-0.0f64; W];
+                lanes_add_scaled(&mut fit, 1.0, &beta[0]);
+                lanes_add_scaled(&mut fit, b.x_year[t], &beta[1]);
+                lanes_add_scaled(&mut fit, lag[t], &beta[2]);
+                for (&a, beta) in h.iter().zip(&beta[3..]) {
+                    lanes_add_scaled(&mut fit, a, beta);
+                }
+                for ((e, f), v) in err.iter_mut().zip(fit).zip(y) {
+                    *e += (f - v) * (f - v);
+                }
+            }
+        }
+        std::array::from_fn(|l| {
+            // The first ρ with the smallest sum.
+            let mut best = 0;
+            for (r, err) in sse.iter().enumerate().skip(1) {
+                if err[l] < sse[best][l] {
+                    best = r;
+                }
+            }
+            let beta: Vec<f64> = betas[best * ncols..(best + 1) * ncols]
+                .iter()
+                .map(|c| c[l])
+                .collect();
+            TrendModel {
+                beta0: beta[0],
+                beta1: beta[1],
+                beta2: beta[2],
+                rho: self.designs[best].0,
+                harmonics: beta[3..].chunks_exact(2).map(|ab| (ab[0], ab[1])).collect(),
+                sigma: (sse[best][l] / t_max as f64).sqrt().max(1e-12),
+            }
+        })
     }
 }
 
@@ -292,8 +427,9 @@ pub struct TrendFit {
 }
 
 /// Fit the whole grid. `data` is time-major: `data[t·npoints + p]` for
-/// `t = 0..t_max`, location `p`. Locations are fitted in parallel through
-/// one [`TrendPlan`].
+/// `t = 0..t_max`, location `p`. Blocks of adjacent locations are fitted in
+/// parallel through one [`TrendPlan`], each block reading the rows it
+/// spans in lanes.
 pub fn fit_grid(
     data: &[f64],
     t_max: usize,
@@ -304,19 +440,32 @@ pub fn fit_grid(
     assert_eq!(data.len(), t_max * npoints);
     let plan = TrendPlan::new(cfg, forcing, t_max);
     let mut means = vec![0.0f64; npoints * t_max];
-    let models: Vec<TrendModel> = means
-        .par_chunks_mut(t_max)
+    let blocks: Vec<Vec<TrendModel>> = means
+        .par_chunks_mut(LANES * t_max)
         .enumerate()
-        .map(|(p, mean)| {
-            // The location's slot holds its series until the model is known.
-            for (t, v) in mean.iter_mut().enumerate() {
-                *v = data[t * npoints + p];
+        .map(|(b, block)| {
+            let p0 = b * LANES;
+            if block.len() == LANES * t_max {
+                let models = plan.fit_lanes::<LANES>(&data[p0..], npoints);
+                let mut rows = block.chunks_exact_mut(t_max);
+                let outs = std::array::from_fn(|_| rows.next().expect("a full block"));
+                plan.basis.means_into_lanes(models.each_ref(), outs);
+                Vec::from(models)
+            } else {
+                // The last block, narrower than the lanes: one at a time.
+                block
+                    .chunks_exact_mut(t_max)
+                    .zip(p0..)
+                    .map(|(mean, p)| {
+                        let [model] = plan.fit_lanes::<1>(&data[p..], npoints);
+                        plan.basis.mean_into(&model, mean);
+                        model
+                    })
+                    .collect()
             }
-            let model = plan.fit(mean);
-            plan.basis.mean_into(&model, mean);
-            model
         })
         .collect();
+    let models: Vec<TrendModel> = blocks.into_iter().flatten().collect();
     let mut residuals = vec![0.0f64; t_max * npoints];
     residuals
         .par_chunks_mut(npoints)
@@ -344,9 +493,73 @@ mod tests {
         ((*state >> 11) as f64 / (1u64 << 53) as f64) - 0.5
     }
 
-    /// Sequential reference for [`fit_grid`]: a plan of one per location,
-    /// driven by plain loops. The shared plan on the pool-backed rayon shim
-    /// must reproduce this bit-for-bit, whatever the thread count.
+    /// The per-location fit before the lanes: per `ρ` one scalar chain
+    /// over the stored design matrix, `Xᵀy` for every column of it.
+    fn fit_location_reference(y: &[f64], cfg: &TrendConfig, forcing: &ForcingSeries) -> TrendModel {
+        let t_max = y.len();
+        let basis = MeanBasis::new(cfg, forcing, t_max, cfg.rho_grid.iter().copied());
+        let mut best: Option<(f64, f64, Vec<f64>)> = None; // (sse, rho, beta)
+        for &rho in &cfg.rho_grid {
+            let x = design(&basis, rho);
+            let chol = normal_equations_factor(&x.transpose(), &x);
+            let ncols = x.cols();
+            let rows = x.as_slice().chunks_exact(ncols);
+            let mut xty = vec![-0.0f64; ncols];
+            for (row, &v) in rows.clone().zip(y) {
+                for (acc, &a) in xty.iter_mut().zip(row) {
+                    *acc += a * v;
+                }
+            }
+            let beta = chol.solve_lower_transpose(&chol.solve_lower(&xty));
+            let mut err = -0.0f64;
+            for (row, &v) in rows.zip(y) {
+                let mut fit = -0.0f64;
+                for (&a, &b) in row.iter().zip(&beta) {
+                    fit += a * b;
+                }
+                err += (fit - v) * (fit - v);
+            }
+            if best.as_ref().is_none_or(|(b, _, _)| err < *b) {
+                best = Some((err, rho, beta));
+            }
+        }
+        let (err, rho, beta) = best.expect("non-empty rho grid");
+        TrendModel {
+            beta0: beta[0],
+            beta1: beta[1],
+            beta2: beta[2],
+            rho,
+            harmonics: beta[3..].chunks_exact(2).map(|ab| (ab[0], ab[1])).collect(),
+            sigma: (err / t_max as f64).sqrt().max(1e-12),
+        }
+    }
+
+    /// The per-location mean before the lanes.
+    fn mean_reference(
+        cfg: &TrendConfig,
+        forcing: &ForcingSeries,
+        model: &TrendModel,
+        t_max: usize,
+    ) -> Vec<f64> {
+        let basis = MeanBasis::new(cfg, forcing, t_max, [model.rho]);
+        let lag = basis.lag(model.rho);
+        let width = 2 * basis.k_harmonics;
+        (0..t_max)
+            .map(|t| {
+                let mut acc = model.beta0 + model.beta1 * basis.x_year[t] + model.beta2 * lag[t];
+                let cs = &basis.harmonics[t * width..(t + 1) * width];
+                for (k, (a, b)) in model.harmonics.iter().enumerate() {
+                    acc += a * cs[2 * k] + b * cs[2 * k + 1];
+                }
+                acc
+            })
+            .collect()
+    }
+
+    /// Sequential reference for [`fit_grid`]: every location gathered
+    /// and fitted alone by the reference loops. The lanes on the
+    /// pool-backed rayon shim must reproduce this bit for bit, whatever
+    /// the thread count and wherever a location falls in its block.
     fn fit_grid_sequential(
         data: &[f64],
         t_max: usize,
@@ -357,12 +570,12 @@ mod tests {
         let models: Vec<TrendModel> = (0..npoints)
             .map(|p| {
                 let series: Vec<f64> = (0..t_max).map(|t| data[t * npoints + p]).collect();
-                fit_location(&series, cfg, forcing)
+                fit_location_reference(&series, cfg, forcing)
             })
             .collect();
         let means: Vec<f64> = models
             .iter()
-            .flat_map(|m| m.mean_series(cfg, forcing, t_max))
+            .flat_map(|m| mean_reference(cfg, forcing, m, t_max))
             .collect();
         let mut residuals = vec![0.0f64; t_max * npoints];
         for t in 0..t_max {
@@ -378,37 +591,74 @@ mod tests {
         }
     }
 
+    fn assert_same_bits(a: &[f64], b: &[f64], what: &str) {
+        assert_eq!(a.len(), b.len(), "{what}: lengths");
+        for (i, (x, y)) in a.iter().zip(b).enumerate() {
+            assert_eq!(x.to_bits(), y.to_bits(), "{what} at {i}: {x} vs {y}");
+        }
+    }
+
     #[test]
     fn parallel_fit_grid_is_bit_identical_to_sequential() {
         let cfg = cfg();
         let forcing = ForcingSeries::historical_like(1950, 1970, 30);
-        let (t_max, npoints) = (8 * cfg.tau, 7);
-        let mut data = vec![0.0f64; t_max * npoints];
-        let mut state = 0x5eed_u64;
-        for (i, v) in data.iter_mut().enumerate() {
-            let p = i % npoints;
-            let t = i / npoints;
-            let seasonal =
-                (2.0 * std::f64::consts::PI * t as f64 / cfg.tau as f64 + p as f64).sin();
-            *v = 280.0 + 3.0 * seasonal + 0.5 * lcg(&mut state);
+        let t_max = 8 * cfg.tau;
+        for npoints in [1, LANES - 1, LANES, LANES + 1, 594] {
+            let mut data = vec![0.0f64; t_max * npoints];
+            let mut state = 0x5eed_u64 + npoints as u64;
+            for (i, v) in data.iter_mut().enumerate() {
+                let p = i % npoints;
+                let t = i / npoints;
+                let seasonal =
+                    (2.0 * std::f64::consts::PI * t as f64 / cfg.tau as f64 + p as f64).sin();
+                let noise = lcg(&mut state);
+                *v = match p % 11 {
+                    // All zero: every sum is a signed zero, every ρ ties at
+                    // a residual sum of zero and the first must win. A sum
+                    // of −0.0 terms stays −0.0 only from a −0.0 start.
+                    1 => 0.0,
+                    3 => -0.0,
+                    // Constant: the fit is exact up to rounding.
+                    2 => 281.5,
+                    _ => 280.0 + 3.0 * seasonal + 0.5 * noise,
+                };
+            }
+            let par = fit_grid(&data, t_max, npoints, &cfg, &forcing);
+            let seq = fit_grid_sequential(&data, t_max, npoints, &cfg, &forcing);
+            assert_eq!(par.models.len(), npoints);
+            for (p, (a, b)) in par.models.iter().zip(&seq.models).enumerate() {
+                let bits = |m: &TrendModel| {
+                    let mut v = vec![m.beta0, m.beta1, m.beta2, m.rho, m.sigma];
+                    v.extend(m.harmonics.iter().flat_map(|&(a, b)| [a, b]));
+                    v
+                };
+                assert_same_bits(&bits(a), &bits(b), &format!("model {p} of {npoints}"));
+                if p % 11 == 1 || p % 11 == 3 {
+                    assert_eq!(a.rho, cfg.rho_grid[0], "the first ρ wins a tie");
+                }
+            }
+            assert_same_bits(&par.means, &seq.means, &format!("means of {npoints}"));
+            assert_same_bits(
+                &par.residuals,
+                &seq.residuals,
+                &format!("residuals of {npoints}"),
+            );
         }
-        let par = fit_grid(&data, t_max, npoints, &cfg, &forcing);
-        let seq = fit_grid_sequential(&data, t_max, npoints, &cfg, &forcing);
-        assert_eq!(par.models.len(), seq.models.len());
-        for (p, (a, b)) in par.models.iter().zip(&seq.models).enumerate() {
-            assert_eq!(a.beta0.to_bits(), b.beta0.to_bits(), "beta0 at {p}");
-            assert_eq!(a.beta1.to_bits(), b.beta1.to_bits(), "beta1 at {p}");
-            assert_eq!(a.beta2.to_bits(), b.beta2.to_bits(), "beta2 at {p}");
-            assert_eq!(a.rho.to_bits(), b.rho.to_bits(), "rho at {p}");
-            assert_eq!(a.sigma.to_bits(), b.sigma.to_bits(), "sigma at {p}");
-            assert_eq!(a.harmonics, b.harmonics, "harmonics at {p}");
-        }
-        for (i, (a, b)) in par.residuals.iter().zip(&seq.residuals).enumerate() {
-            assert_eq!(a.to_bits(), b.to_bits(), "residual at {i}");
-        }
-        for (i, (a, b)) in par.means.iter().zip(&seq.means).enumerate() {
-            assert_eq!(a.to_bits(), b.to_bits(), "mean at {i}");
-        }
+    }
+
+    #[test]
+    fn single_location_fit_is_the_reference_fit() {
+        let cfg = cfg();
+        let forcing = ForcingSeries::historical_like(1950, 1970, 30);
+        let mut state = 7u64;
+        let y: Vec<f64> = (0..8 * cfg.tau).map(|_| 3.0 * lcg(&mut state)).collect();
+        let a = fit_location(&y, &cfg, &forcing);
+        let b = fit_location_reference(&y, &cfg, &forcing);
+        assert_eq!(a.rho.to_bits(), b.rho.to_bits());
+        assert_eq!(a.sigma.to_bits(), b.sigma.to_bits());
+        assert_eq!(a.beta2.to_bits(), b.beta2.to_bits());
+        let m = a.mean_series(&cfg, &forcing, y.len());
+        assert_same_bits(&m, &mean_reference(&cfg, &forcing, &b, y.len()), "mean");
     }
 
     fn cfg() -> TrendConfig {

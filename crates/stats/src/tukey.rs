@@ -99,13 +99,17 @@ pub fn fit_tukey_gh(samples: &[f64]) -> TukeyGH {
         samples.len() >= 32,
         "need a reasonable sample for quantile fitting"
     );
-    let mut sorted = samples.to_vec();
-    exaclim_mathkit::stats::sort_for_quantiles(&mut sorted);
-    let q = |p: f64| exaclim_mathkit::stats::quantile_sorted(&sorted, p);
-    let median = q(0.5);
     let zp = |p: f64| inverse_normal_cdf(p);
     // g from the 0.9 quantile pair.
     let (p1, p2) = (0.90, 0.99);
+    // Every quantile the letter values read, selected in one pass.
+    let levels = [0.5, p1, 1.0 - p1, p2, 1.0 - p2];
+    let found = exaclim_mathkit::stats::quantiles(&mut samples.to_vec(), &levels);
+    let q = |p: f64| {
+        let i = levels.iter().position(|l| l.to_bits() == p.to_bits());
+        found[i.expect("quantile level was selected")]
+    };
+    let median = q(0.5);
     let g_at = |p: f64| {
         let zq = zp(p);
         let upper = q(p) - median;

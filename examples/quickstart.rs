@@ -11,7 +11,7 @@ use exaclim_climate::{SyntheticEra5, SyntheticEra5Config};
 fn main() {
     // 1. A synthetic "simulation archive": 3 years of daily surface
     //    temperature on a small equiangular grid (the stand-in for ERA5 —
-    //    see DESIGN.md §2 for the substitution rationale).
+    //    the `exaclim_climate` crate docs give the substitution rationale).
     let lmax_data = 12;
     let generator = SyntheticEra5::new(SyntheticEra5Config::small_daily(lmax_data));
     let training = generator.generate_member(0, 3 * 365);

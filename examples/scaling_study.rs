@@ -1,6 +1,7 @@
 //! Exascale scaling study on the cluster performance model: the largest
 //! runs of Figure 8 plus weak/strong scaling on Summit (Figure 7), executed
-//! on the simulated machines (DESIGN.md §2 substitution).
+//! on `exaclim_cluster`'s simulated machines, which stand in for the
+//! evaluation hardware (see that crate's docs).
 //!
 //! ```text
 //! cargo run --release --example scaling_study
