@@ -2,9 +2,10 @@
 
 use crate::config::EmulatorConfig;
 use exaclim_climate::generator::Dataset;
+use exaclim_fft::LANES;
 use exaclim_linalg::tiled::TiledMatrix;
 use exaclim_mathkit::rng::StandardNormal;
-use exaclim_runtime::{parallel_tile_cholesky, SchedulerKind};
+use exaclim_runtime::{parallel_tile_cholesky, pool, SchedulerKind};
 use exaclim_sht::{analysis_batch, synthesis_batch, HarmonicCoeffs, ShtPlan};
 use exaclim_stats::covariance::{empirical_covariance, ensure_spd};
 use exaclim_stats::emulate::CoefficientSampler;
@@ -15,6 +16,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 
 /// Errors surfaced by training or emulation.
 #[derive(Debug, Clone)]
@@ -61,6 +63,51 @@ fn check_geometry(data: &Dataset, config: &EmulatorConfig) -> Result<(), Emulati
         return Err(EmulationError::Data("too few time steps".into()));
     }
     Ok(())
+}
+
+/// Reject training data holding ±∞ or NaN, naming where: one bad value
+/// would otherwise reach the trend fit's normal equations and panic there.
+fn check_finite(data: &Dataset, member: usize) -> Result<(), EmulationError> {
+    match data.data.iter().position(|v| !v.is_finite()) {
+        None => Ok(()),
+        Some(at) => Err(EmulationError::Data(format!(
+            "member {member} holds {} at time step {}, location {}",
+            data.data[at],
+            at / data.npoints,
+            at % data.npoints
+        ))),
+    }
+}
+
+/// Slice blocks (`exaclim_fft::LANES` slices each) every pool lane gets
+/// per chunk of the truncation residual's synthesis.
+const RECON_BLOCKS_PER_LANE: usize = 8;
+
+/// `v2[p] += (z_t[p] − synthesis(c_t)[p])²` over every slice `t` in
+/// ascending order, synthesizing the slices in chunks so the
+/// reconstruction never exists whole. A chunk gives every pool lane
+/// [`RECON_BLOCKS_PER_LANE`] blocks, so a wider pool takes fewer, larger
+/// chunks; `v2` is the same for any chunk size.
+fn add_truncation_residuals(
+    plan: &ShtPlan,
+    coeff_sets: &[HarmonicCoeffs],
+    residuals: &[f64],
+    v2: &mut [f64],
+) {
+    let chunk = RECON_BLOCKS_PER_LANE * LANES * pool::global().threads();
+    let npoints = v2.len();
+    for (coeffs, z) in coeff_sets
+        .chunks(chunk)
+        .zip(residuals.chunks(chunk * npoints))
+    {
+        let recon = synthesis_batch(plan, coeffs);
+        for (z_t, r_t) in z.chunks_exact(npoints).zip(recon.chunks_exact(npoints)) {
+            for ((v, z), r) in v2.iter_mut().zip(z_t).zip(r_t) {
+                let d = z - r;
+                *v += d * d;
+            }
+        }
+    }
 }
 
 /// A trained emulator: everything needed to generate emulations, and
@@ -118,15 +165,19 @@ impl ClimateEmulator {
             }
         }
         check_geometry(first, &config)?;
+        for (r, m) in members.iter().enumerate() {
+            check_finite(m, r)?;
+        }
         let npoints = first.npoints;
         let t_max = first.t_max;
         let r_members = members.len();
 
         // Stage 1: trend. With an identical design matrix across members,
         // stacked OLS equals OLS on the ensemble-mean series; σ is then
-        // re-estimated from the pooled residuals of all members.
-        let mean_data: Vec<f64> = if r_members == 1 {
-            first.data.clone()
+        // re-estimated from the pooled residuals of all members. One member
+        // is its own mean: borrowed, not copied.
+        let mean_data: Cow<'_, [f64]> = if r_members == 1 {
+            Cow::Borrowed(&first.data)
         } else {
             let mut acc = vec![0.0f64; t_max * npoints];
             for m in members {
@@ -136,7 +187,7 @@ impl ClimateEmulator {
             }
             let inv = 1.0 / r_members as f64;
             acc.iter_mut().for_each(|a| *a *= inv);
-            acc
+            Cow::Owned(acc)
         };
         let years = (t_max / first.tau + 2) as i64;
         let forcing =
@@ -150,6 +201,7 @@ impl ClimateEmulator {
         let TrendFit {
             mut models, means, ..
         } = fit_grid(&mean_data, t_max, npoints, &trend_cfg, &forcing);
+        drop(mean_data);
         // Pooled σ per location.
         let mut sig2 = vec![0.0f64; npoints];
         for m in members {
@@ -181,34 +233,35 @@ impl ClimateEmulator {
                     }
                 });
             let coeff_sets = analysis_batch(&plan, &residuals, t_max);
-            let recon = synthesis_batch(&plan, &coeff_sets);
-            for t in 0..t_max {
-                for p in 0..npoints {
-                    let d = residuals[t * npoints + p] - recon[t * npoints + p];
-                    v2[p] += d * d;
-                }
-            }
             all_series.push(
                 coeff_sets
                     .par_iter()
                     .map(HarmonicCoeffs::to_real_vector)
                     .collect(),
             );
+            add_truncation_residuals(&plan, &coeff_sets, &residuals, &mut v2);
         }
+        drop(means);
         for v in v2.iter_mut() {
             *v /= denom;
         }
 
         // Stage 3: shared VAR(P) over all members.
-        let refs: Vec<&[Vec<f64>]> = all_series.iter().map(|s| s.as_slice()).collect();
-        let var = exaclim_stats::var::fit_diagonal_var_multi(&refs, config.var_order);
+        let var = {
+            let refs: Vec<&[Vec<f64>]> = all_series.iter().map(|s| s.as_slice()).collect();
+            exaclim_stats::var::fit_diagonal_var_multi(&refs, config.var_order)
+        };
 
-        // Stage 4: eq. (9) — pool every member's innovations.
+        // Stage 4: eq. (9) — pool every member's innovations. Only they
+        // and the models reach it: the series and each member's residual
+        // buffers are gone.
         let mut xi_all = Vec::new();
         for s in &all_series {
             xi_all.extend(var.innovations(s));
         }
+        drop(all_series);
         let mut u = empirical_covariance(&xi_all);
+        drop(xi_all);
         let jitter = ensure_spd(&mut u);
         let dim = config.coeff_dim();
         let mut tiled = TiledMatrix::from_dense(u.as_slice(), dim, config.tile, &config.precision);
@@ -238,6 +291,7 @@ impl ClimateEmulator {
         config.check().map_err(EmulationError::Config)?;
         let npoints = data.npoints;
         check_geometry(data, &config)?;
+        check_finite(data, 0)?;
 
         // Stage 1: mean trend + scale, standardized residuals.
         let years = (data.t_max / data.tau + 2) as i64;
@@ -261,16 +315,9 @@ impl ClimateEmulator {
             .collect();
 
         // Truncation residual variance v² per location.
-        let recon = synthesis_batch(&plan, &coeff_sets);
         let mut v2 = vec![0.0f64; npoints];
-        for t in 0..data.t_max {
-            let z = &residuals[t * npoints..(t + 1) * npoints];
-            let r = &recon[t * npoints..(t + 1) * npoints];
-            for p in 0..npoints {
-                let d = z[p] - r[p];
-                v2[p] += d * d;
-            }
-        }
+        add_truncation_residuals(&plan, &coeff_sets, &residuals, &mut v2);
+        drop((coeff_sets, residuals));
         for v in v2.iter_mut() {
             *v /= data.t_max as f64;
         }
@@ -278,9 +325,12 @@ impl ClimateEmulator {
         // Stage 3: temporal model.
         let var = fit_diagonal_var(&series, config.var_order);
         let xi = var.innovations(&series);
+        drop(series);
 
-        // Stage 4: innovation covariance + mixed-precision Cholesky.
+        // Stage 4: innovation covariance + mixed-precision Cholesky. Of the
+        // buffers above only the innovations reach it.
         let mut u = empirical_covariance(&xi);
+        drop(xi);
         let jitter = ensure_spd(&mut u);
         let dim = config.coeff_dim();
         let mut tiled = TiledMatrix::from_dense(u.as_slice(), dim, config.tile, &config.precision);
@@ -634,6 +684,41 @@ mod tests {
         for (a, b) in single.trend.iter().zip(&ens1.trend) {
             assert!((a.sigma - b.sigma).abs() < 1e-9);
             assert!((a.beta1 - b.beta1).abs() < 1e-9);
+        }
+    }
+
+    #[test]
+    fn non_finite_training_values_are_typed_errors_naming_where() {
+        let gen = SyntheticEra5::new(SyntheticEra5Config::small_daily(8));
+        let clean = gen.generate_member(0, 400);
+        let (t, p) = (123, 17);
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut data = clean.clone();
+            data.data[t * data.npoints + p] = bad;
+            let err = ClimateEmulator::train(&data, EmulatorConfig::small(8)).unwrap_err();
+            let EmulationError::Data(msg) = &err else {
+                panic!("{bad}: {err}");
+            };
+            assert!(
+                msg.contains("member 0")
+                    && msg.contains("time step 123")
+                    && msg.contains("location 17"),
+                "{bad}: {msg}"
+            );
+
+            let other = gen.generate_member(1, 400);
+            let err =
+                ClimateEmulator::train_ensemble(&[&clean, &other, &data], EmulatorConfig::small(8))
+                    .unwrap_err();
+            let EmulationError::Data(msg) = &err else {
+                panic!("{bad}: {err}");
+            };
+            assert!(
+                msg.contains("member 2")
+                    && msg.contains("time step 123")
+                    && msg.contains("location 17"),
+                "{bad}: {msg}"
+            );
         }
     }
 

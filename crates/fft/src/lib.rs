@@ -6,15 +6,22 @@
 //!   small (the SHT grids are `Nϕ` and `2Nθ − 2`, e.g. 1440 = 2⁵·3²·5),
 //! * Bluestein's chirp-z algorithm for sizes with a large prime factor,
 //! * plan objects that precompute twiddles once and are `Send + Sync`, so
-//!   one plan can serve all rayon workers transforming time slices.
+//!   one plan can serve all rayon workers transforming time slices,
+//! * lane groups ([`lanes`]): one plan run on [`LANES`] signals at once,
+//!   structure-of-arrays, bit-identical per lane to the scalar transforms;
+//!   the executor is compiled a second time for AVX2 (no FMA) and chosen at
+//!   run time in the private `isa` module, the crate's only `unsafe`.
 //!
 //! Conventions: `forward` computes `X_k = Σ_j x_j e^{-2πi jk/n}` (no
 //! scaling); `inverse` computes `x_j = (1/n) Σ_k X_k e^{+2πi jk/n}` so that
 //! `inverse(forward(x)) == x`.
 
+mod isa;
+pub mod lanes;
 pub mod plan;
 pub mod real;
 
+pub use lanes::{irfft_lanes, rfft_lanes, LaneScratch, Lanes, LANES};
 pub use plan::Fft;
 pub use real::{irfft, irfft_into, real_scratch_len, rfft, rfft_into};
 

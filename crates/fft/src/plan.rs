@@ -23,11 +23,11 @@ const MAX_DIRECT_PRIME: usize = 37;
 #[derive(Debug, Clone)]
 pub struct Fft {
     n: usize,
-    kind: Kind,
+    pub(crate) kind: Kind,
 }
 
 #[derive(Debug, Clone)]
-enum Kind {
+pub(crate) enum Kind {
     /// n ∈ {0, 1}: nothing to do.
     Trivial,
     /// Recursive mixed-radix Cooley–Tukey: one split level per prime factor
@@ -56,20 +56,20 @@ enum Kind {
 /// read from the master table at exactly the indices the reference
 /// recursion computes (`r·m + r²` values; ≤ 2N over all levels).
 #[derive(Debug, Clone)]
-struct Split {
-    r: usize,
-    m: usize,
-    pre: Vec<Complex64>,
-    butterfly: Vec<Complex64>,
+pub(crate) struct Split {
+    pub(crate) r: usize,
+    pub(crate) m: usize,
+    pub(crate) pre: Vec<Complex64>,
+    pub(crate) butterfly: Vec<Complex64>,
 }
 
 /// The prime base case of length `p` at twiddle stride `ts = N/p`: the DFT
 /// matrix gathered transposed, `table[j·p + k] = w^((j·k mod p)·ts mod N)`
 /// (`p²` values).
 #[derive(Debug, Clone)]
-struct Base {
-    p: usize,
-    table: Vec<Complex64>,
+pub(crate) struct Base {
+    pub(crate) p: usize,
+    pub(crate) table: Vec<Complex64>,
 }
 
 impl Kind {

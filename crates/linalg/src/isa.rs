@@ -142,6 +142,24 @@ impl Isa {
         }
         kernels::potrf_body::<T, NR>(w, b)
     }
+
+    pub(crate) fn mul_rows(self, data: &[f64], n: usize, hp: &[f64], out: &mut [f64]) {
+        #[cfg(target_arch = "x86_64")]
+        if self.avx2 {
+            // SAFETY: `self.avx2` is set only when AVX2 was detected.
+            return unsafe { x86::mul_rows_body(data, n, hp, out) };
+        }
+        kernels::mul_rows_body(data, n, hp, out)
+    }
+
+    pub(crate) fn gram_rows(self, data: &[f64], shape: (usize, usize), p: usize, rows: &mut [f64]) {
+        #[cfg(target_arch = "x86_64")]
+        if self.avx2 {
+            // SAFETY: `self.avx2` is set only when AVX2 was detected.
+            return unsafe { x86::gram_rows_body(data, shape, p, rows) };
+        }
+        kernels::gram_rows_body(data, shape, p, rows)
+    }
 }
 
 /// The `#[target_feature]` functions. Each is safe to call from code
@@ -184,6 +202,16 @@ mod x86 {
         b: usize,
     ) -> Result<(), NotPositiveDefinite> {
         kernels::potrf_body::<T, NR>(w, b)
+    }
+
+    #[target_feature(enable = "avx2")]
+    pub(super) fn mul_rows_body(data: &[f64], n: usize, hp: &[f64], out: &mut [f64]) {
+        kernels::mul_rows_body(data, n, hp, out)
+    }
+
+    #[target_feature(enable = "avx2")]
+    pub(super) fn gram_rows_body(data: &[f64], shape: (usize, usize), p: usize, rows: &mut [f64]) {
+        kernels::gram_rows_body(data, shape, p, rows)
     }
 
     #[target_feature(enable = "avx,f16c")]

@@ -531,6 +531,10 @@ impl PackedLower {
     /// chain of the one-accumulator loop, with no terms past the diagonal —
     /// computed `MR` rows of `L` by `NR64` rows of `h` at a time.
     pub fn mul_rows(&self, h: &[f64], out: &mut [f64]) {
+        self.mul_rows_with(Isa::detected(), h, out)
+    }
+
+    fn mul_rows_with(&self, isa: Isa, h: &[f64], out: &mut [f64]) {
         let n = self.n;
         assert_eq!(h.len(), out.len(), "one output row per input row");
         if n == 0 {
@@ -538,28 +542,108 @@ impl PackedLower {
         }
         assert_eq!(h.len() % n, 0, "rows of length n");
         let hp = pack(h, n, NR64, each(|x| x));
-        for (p, i0) in (0..n).step_by(MR).enumerate() {
-            let k_end = (i0 + MR).min(n);
-            let ap = &self.data[MR * NR64 * p * (p + 1) / 2..][..k_end * NR64];
-            for (sp, bp) in hp.chunks_exact(n * NR64).enumerate() {
-                // Columns `k ≤ i0` belong to every row of the block …
-                let mut acc = dot_block::<f64, NR64>(&ap[..(i0 + 1) * NR64], 0, bp);
-                // … the rest of the panel only to the rows at or below them.
-                for k in i0 + 1..k_end {
-                    let (ak, bk) = (&ap[k * NR64..][..NR64], &bp[k * NR64..][..NR64]);
-                    for i in k - i0..MR {
-                        for j in 0..NR64 {
-                            acc[i][j] = acc[i][j].mul_add_acc(ak[i], bk[j]);
-                        }
-                    }
-                }
-                let s0 = sp * NR64;
-                for (j, o) in out[s0 * n..].chunks_mut(n).take(NR64).enumerate() {
-                    for (i, v) in o[i0..k_end].iter_mut().enumerate() {
-                        *v = acc[i][j];
+        isa.mul_rows(&self.data, n, &hp, out);
+    }
+}
+
+/// [`PackedLower::mul_rows`] on the packed factor `data` (side `n`) and the
+/// rows of `h` packed `k`-major in panels of `NR64` (`hp`).
+#[inline(always)]
+pub(crate) fn mul_rows_body(data: &[f64], n: usize, hp: &[f64], out: &mut [f64]) {
+    for (p, i0) in (0..n).step_by(MR).enumerate() {
+        let k_end = (i0 + MR).min(n);
+        let ap = &data[MR * NR64 * p * (p + 1) / 2..][..k_end * NR64];
+        for (sp, bp) in hp.chunks_exact(n * NR64).enumerate() {
+            // Columns `k ≤ i0` belong to every row of the block …
+            let mut acc = dot_block::<f64, NR64>(&ap[..(i0 + 1) * NR64], 0, bp);
+            // … the rest of the panel only to the rows at or below them.
+            for k in i0 + 1..k_end {
+                let (ak, bk) = (&ap[k * NR64..][..NR64], &bp[k * NR64..][..NR64]);
+                for i in k - i0..MR {
+                    for j in 0..NR64 {
+                        acc[i][j] = acc[i][j].mul_add_acc(ak[i], bk[j]);
                     }
                 }
             }
+            let s0 = sp * NR64;
+            for (j, o) in out[s0 * n..].chunks_mut(n).take(NR64).enumerate() {
+                for (i, v) in o[i0..k_end].iter_mut().enumerate() {
+                    *v = acc[i][j];
+                }
+            }
+        }
+    }
+}
+
+/// Vectors of one length `dim` packed once for their Gram matrix
+/// `G = Σ_s v_s v_sᵀ`: panel `p` holds coordinates `MR·p ..` of every
+/// vector, `k`-major in the vectors' order —
+/// `data[(p·count + s)·MR + c] = v_s[MR·p + c]`, zero past `dim`.
+#[derive(Debug, Clone)]
+pub struct GramPanels {
+    dim: usize,
+    count: usize,
+    data: Vec<f64>,
+}
+
+impl GramPanels {
+    /// Rows of `G` each [`GramPanels::lower_rows`] call produces.
+    pub const PANEL_ROWS: usize = MR;
+
+    /// Pack `vectors` (all of one length).
+    pub fn new(vectors: &[Vec<f64>]) -> Self {
+        let dim = vectors.first().map_or(0, Vec::len);
+        assert!(vectors.iter().all(|v| v.len() == dim), "ragged vectors");
+        let (count, panels) = (vectors.len(), dim.div_ceil(MR));
+        let mut data = vec![0.0; panels * count * MR];
+        for (s, v) in vectors.iter().enumerate() {
+            for (p, chunk) in v.chunks(MR).enumerate() {
+                data[(p * count + s) * MR..][..chunk.len()].copy_from_slice(chunk);
+            }
+        }
+        Self { dim, count, data }
+    }
+
+    /// Row panels of `G`: `dim / PANEL_ROWS`, rounded up.
+    pub fn panels(&self) -> usize {
+        self.dim.div_ceil(MR)
+    }
+
+    /// The lower triangle of `G`'s rows `PANEL_ROWS·p ..` into `rows`
+    /// (row-major, `dim` wide, one row per row of the panel that exists):
+    /// element `(i, j ≤ i)` is `0 + Σ_s v_s[i] · v_s[j]` summed in the
+    /// vectors' order, one `MR × NR64` block per `dot_block`. Entries right
+    /// of the diagonal are left as they were.
+    pub fn lower_rows(&self, p: usize, rows: &mut [f64]) {
+        self.lower_rows_with(Isa::detected(), p, rows)
+    }
+
+    fn lower_rows_with(&self, isa: Isa, p: usize, rows: &mut [f64]) {
+        assert!(p < self.panels(), "panel {p} of {}", self.panels());
+        let height = MR.min(self.dim - MR * p);
+        assert_eq!(rows.len(), height * self.dim, "one row per panel row");
+        isa.gram_rows(&self.data, (self.count, self.dim), p, rows);
+    }
+}
+
+/// [`GramPanels::lower_rows`] on the packed `data` of `count` vectors of
+/// length `dim`.
+#[inline(always)]
+pub(crate) fn gram_rows_body(
+    data: &[f64],
+    (count, dim): (usize, usize),
+    p: usize,
+    rows: &mut [f64],
+) {
+    let panel = count * MR;
+    let ap = &data[p * panel..][..panel];
+    for (jp, bp) in data.chunks_exact(panel).take(p + 1).enumerate() {
+        let acc = dot_block::<f64, NR64>(ap, 0, bp);
+        let j0 = jp * NR64;
+        for (i, (row, acc_row)) in rows.chunks_exact_mut(dim).zip(&acc).enumerate() {
+            // Columns up to the diagonal, and none past `dim`.
+            let end = (MR * p + i + 1).min(j0 + NR64);
+            row[j0..end].copy_from_slice(&acc_row[..end - j0]);
         }
     }
 }
@@ -821,19 +905,82 @@ mod tests {
                         _ => rng.gen_range(-3.0..3.0),
                     })
                     .collect();
-                let mut out = vec![f64::NAN; rows * n];
-                packed.mul_rows(&h, &mut out);
-                for s in 0..rows {
-                    for i in 0..n {
-                        let mut acc = 0.0;
-                        for k in 0..=i {
-                            acc += l[i * n + k] * h[s * n + k];
+                for isa in Isa::all() {
+                    let mut out = vec![f64::NAN; rows * n];
+                    packed.mul_rows_with(isa, &h, &mut out);
+                    for s in 0..rows {
+                        for i in 0..n {
+                            let mut acc = 0.0;
+                            for k in 0..=i {
+                                acc += l[i * n + k] * h[s * n + k];
+                            }
+                            assert_eq!(
+                                out[s * n + i].to_bits(),
+                                acc.to_bits(),
+                                "n={n} row {s} i={i} {isa:?}"
+                            );
                         }
-                        assert_eq!(
-                            out[s * n + i].to_bits(),
-                            acc.to_bits(),
-                            "n={n} row {s} i={i}"
-                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn gram_rows_match_the_one_accumulator_loop_bit_for_bit() {
+        let mut rng = StdRng::seed_from_u64(0x6772);
+        for (dim, count) in [
+            (1usize, 1usize),
+            (3, 5),
+            (4, 4),
+            (5, 9),
+            (9, 2),
+            (17, 33),
+            (64, 70),
+        ] {
+            // ±0 and subnormal coordinates, an all-zero vector and a
+            // coordinate that is zero in every vector.
+            let mut vectors: Vec<Vec<f64>> = (0..count)
+                .map(|_| {
+                    (0..dim)
+                        .map(|_| match rng.gen_range(0..6u32) {
+                            0 => 0.0,
+                            1 => -0.0,
+                            2 => -5e-324,
+                            _ => rng.gen_range(-3.0..3.0),
+                        })
+                        .collect()
+                })
+                .collect();
+            vectors[count / 2].fill(0.0);
+            for v in vectors.iter_mut() {
+                v[dim / 2] = -0.0;
+            }
+            let packed = GramPanels::new(&vectors);
+            assert_eq!(packed.panels(), dim.div_ceil(GramPanels::PANEL_ROWS));
+            for isa in Isa::all() {
+                for p in 0..packed.panels() {
+                    let r0 = p * GramPanels::PANEL_ROWS;
+                    let height = GramPanels::PANEL_ROWS.min(dim - r0);
+                    let mut rows = vec![f64::NAN; height * dim];
+                    packed.lower_rows_with(isa, p, &mut rows);
+                    for (k, row) in rows.chunks_exact(dim).enumerate() {
+                        let i = r0 + k;
+                        for (j, got) in row.iter().enumerate() {
+                            if j > i {
+                                assert!(got.is_nan(), "dim {dim}: ({i}, {j}) was written");
+                                continue;
+                            }
+                            let mut acc = 0.0;
+                            for v in &vectors {
+                                acc += v[i] * v[j];
+                            }
+                            assert_eq!(
+                                got.to_bits(),
+                                acc.to_bits(),
+                                "dim {dim}, count {count}: ({i}, {j}) {isa:?}"
+                            );
+                        }
                     }
                 }
             }

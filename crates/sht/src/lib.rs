@@ -17,9 +17,13 @@
 //!
 //! Synthesis (inverse) is shared: Legendre recombination per ring plus an
 //! inverse real FFT along longitude. All plans are `Send + Sync`; batched
-//! entry points parallelize over time slices with rayon (one
-//! [`ShtScratch`] per pool lane, no allocation per field), reproducing the
-//! paper's "O(L) parallel time for T slices" claim at CPU scale.
+//! entry points parallelize over time slices with rayon, reproducing the
+//! paper's "O(L) parallel time for T slices" claim at CPU scale. A batch
+//! runs in blocks of `exaclim_fft::LANES` consecutive slices: each ring of a
+//! block is one lane group through the longitude FFT and the θ-stage, every
+//! lane running its slice's per-slice chain, so a batch equals
+//! [`ShtPlan::analysis_into`] / [`ShtPlan::synthesis_into`] slice by slice,
+//! bit for bit (one scratch per pool lane, no allocation per block).
 
 pub mod batch;
 pub mod coeffs;

@@ -49,8 +49,8 @@ pub struct ShtPlan {
     grid: GridKind,
     engine: AnalysisEngine,
     /// `legendre[i][idx(l, m)] = λ_ℓ^m(cos θ_i)`.
-    legendre: Vec<Vec<f64>>,
-    fft_phi: Fft,
+    pub(crate) legendre: Vec<Vec<f64>>,
+    pub(crate) fft_phi: Fft,
     /// Equiangular engine only: `theta_operator[m]` is the `(L−m) × Nθ`
     /// row-major matrix `A_m` with `z_{ℓm} = Σ_i A_m[ℓ−m, i] · G_m(θ_i)`.
     theta_operator: OnceLock<Vec<Vec<Complex64>>>,
@@ -214,6 +214,13 @@ impl ShtPlan {
         }
     }
 
+    /// The equiangular engine's `A_m`, built on first use.
+    pub(crate) fn theta_operators(&self) -> &[Vec<Complex64>] {
+        let nt = self.grid().ntheta();
+        self.theta_operator
+            .get_or_init(|| theta_operator(self.lmax, nt))
+    }
+
     /// Ring-weight quadrature analysis shared by the GL engine and the
     /// inexact equiangular baseline:
     /// `z_{ℓm} = Σ_i w_i λ_ℓ^m(θ_i) G_m(θ_i)`.
@@ -255,11 +262,8 @@ impl ShtPlan {
         assert_eq!(coeffs.lmax(), self.lmax, "band-limit mismatch");
         self.longitude_spectra(field, scratch);
         let nt = self.grid().ntheta();
-        let operator = self
-            .theta_operator
-            .get_or_init(|| theta_operator(self.lmax, nt));
         let data = coeffs.as_mut_slice();
-        for (m, a_m) in operator.iter().enumerate() {
+        for (m, a_m) in self.theta_operators().iter().enumerate() {
             let g_m = &scratch.gm[m * nt..(m + 1) * nt];
             for (k, row) in a_m.chunks_exact(nt).enumerate() {
                 let mut acc = Complex64::ZERO;

@@ -1,64 +1,70 @@
 //! Empirical innovation covariance (eq. 9) and its SPD repair.
 
 use exaclim_linalg::dense::Matrix;
+use exaclim_linalg::kernels::GramPanels;
 use rayon::prelude::*;
 use std::collections::VecDeque;
-
-/// Rows of `Û` accumulated together while one sample is in cache.
-const ROW_BLOCK: usize = 16;
 
 /// Empirical covariance of innovation samples:
 /// `Û = 1/(R(T−P)) Σ_r Σ_t ξ_t^{(r)} ξ_t^{(r)ᵀ}` — eq. (9). `samples`
 /// holds all `R(T−P)` innovation vectors from every ensemble member.
 ///
-/// Only the lower triangle is accumulated (blocks of rows in parallel on
-/// the shared pool) and then mirrored: every element is still the sum of
-/// `sᵢ·sⱼ` over the samples in their given order, and `sᵢ·sⱼ = sⱼ·sᵢ`, so
-/// the result is the full accumulation's, bit for bit, at any thread count.
+/// Only the lower triangle is computed — blocks of rows in parallel on the
+/// shared pool, each a register-blocked Gram product over the samples
+/// packed once ([`GramPanels`]) — and then mirrored: every element is
+/// `0 + Σ_s sᵢ·sⱼ` in sample order, times `1/N`, and `sᵢ·sⱼ = sⱼ·sᵢ`, so
+/// the result is the same at any thread count.
+///
+/// The loop this replaced skipped the samples with `sᵢ = 0`. For finite
+/// samples that skip is exact: a skipped term `±0·sⱼ` is a signed zero,
+/// every sum starts at `+0.0`, and a round-to-nearest sum is `−0` only when
+/// both operands are, so no sum is ever `−0` and adding `±0` to it changes
+/// no bit. A non-finite sample propagates (`0·∞` is NaN, as in eq. 9 taken
+/// literally); training rejects such data before it gets here.
 pub fn empirical_covariance(samples: &[Vec<f64>]) -> Matrix {
     assert!(!samples.is_empty(), "need at least one innovation sample");
     let dim = samples[0].len();
     assert!(samples.iter().all(|s| s.len() == dim), "ragged samples");
+    let packed = GramPanels::new(samples);
     let mut u = Matrix::zeros(dim, dim);
-    // Row `i` costs `i + 1` products per sample: hand out the row blocks
-    // alternately from both ends so each pool lane's contiguous share of
-    // the list carries the same work.
-    let mut blocks: VecDeque<(usize, &mut [f64])> = u
-        .as_mut_slice()
-        .chunks_mut(ROW_BLOCK * dim.max(1))
-        .enumerate()
-        .collect();
-    let mut ends_inward = Vec::with_capacity(blocks.len());
-    while let Some(front) = blocks.pop_front() {
-        ends_inward.push(front);
-        ends_inward.extend(blocks.pop_back());
-    }
     let scale = 1.0 / samples.len() as f64;
-    ends_inward.par_iter_mut().for_each(|(b, rows)| {
-        let first = *b * ROW_BLOCK;
-        for s in samples {
+    let panel_len = GramPanels::PANEL_ROWS * dim.max(1);
+    ends_inward(u.as_mut_slice().chunks_mut(panel_len))
+        .par_iter_mut()
+        .for_each(|(p, rows)| {
+            packed.lower_rows(*p, rows);
+            let first = *p * GramPanels::PANEL_ROWS;
             for (k, row) in rows.chunks_mut(dim).enumerate() {
-                let i = first + k;
-                let si = s[i];
-                if si == 0.0 {
-                    continue;
-                }
-                for (r, &sj) in row[..=i].iter_mut().zip(&s[..=i]) {
-                    *r += si * sj;
+                for v in &mut row[..=first + k] {
+                    *v *= scale;
                 }
             }
-        }
-        for v in rows.iter_mut() {
-            *v *= scale;
-        }
-    });
-    for i in 0..dim {
-        for j in i + 1..dim {
+        });
+    mirror_lower(&mut u);
+    u
+}
+
+/// Row block `i` costs about `i + 1` times block 0: hand the blocks out
+/// alternately from both ends so each pool lane's contiguous share of the
+/// list carries the same work.
+fn ends_inward<'a>(blocks: impl Iterator<Item = &'a mut [f64]>) -> Vec<(usize, &'a mut [f64])> {
+    let mut blocks: VecDeque<(usize, &mut [f64])> = blocks.enumerate().collect();
+    let mut out = Vec::with_capacity(blocks.len());
+    while let Some(front) = blocks.pop_front() {
+        out.push(front);
+        out.extend(blocks.pop_back());
+    }
+    out
+}
+
+/// Copy the lower triangle over the upper one.
+fn mirror_lower(u: &mut Matrix) {
+    for i in 0..u.rows() {
+        for j in i + 1..u.rows() {
             let v = u.get(j, i);
             u.set(i, j, v);
         }
     }
-    u
 }
 
 /// The full-matrix accumulation [`empirical_covariance`] replaced, kept as
@@ -128,22 +134,83 @@ mod tests {
         assert_eq!(u.get(0, 1), u.get(1, 0));
     }
 
+    /// Bits, except that every NaN is one key: which NaN a sum of two
+    /// keeps depends on operand order, which the compiler may commute.
+    fn key(x: f64) -> u64 {
+        if x.is_nan() {
+            f64::NAN.to_bits()
+        } else {
+            x.to_bits()
+        }
+    }
+
+    fn assert_same(got: &Matrix, want: &Matrix, case: &str) {
+        for (i, (a, b)) in got.as_slice().iter().zip(want.as_slice()).enumerate() {
+            assert_eq!(key(*a), key(*b), "{case}, element {i}: {a} vs {b}");
+        }
+    }
+
     #[test]
     fn lower_triangle_accumulation_is_bit_identical_to_the_full_matrix() {
         let mut rng = StdRng::seed_from_u64(17);
         let mut sn = StandardNormal::new();
-        // Dimensions on, below and across the row-block boundary; samples
-        // with exact zeros (skipped rows) and negative zeros.
+        // Dimensions on, below and across the register block and the old
+        // row block; samples with exact zeros (the rows the old loop
+        // skipped) and negative zeros, an all-zero sample, and a coordinate
+        // that is −0 in every sample.
         for (dim, n) in [(1usize, 3usize), (5, 40), (16, 9), (37, 120), (64, 70)] {
             let mut samples: Vec<Vec<f64>> = (0..n).map(|_| sn.sample_vec(&mut rng, dim)).collect();
             for (k, s) in samples.iter_mut().enumerate() {
                 s[k % dim] = if k % 2 == 0 { 0.0 } else { -0.0 };
+                s[dim / 2] = -0.0;
+            }
+            samples[n / 2].fill(0.0);
+            let got = empirical_covariance(&samples);
+            assert_same(
+                &got,
+                &empirical_covariance_reference(&samples),
+                &format!("dim {dim}"),
+            );
+        }
+    }
+
+    #[test]
+    fn non_finite_samples_propagate() {
+        // Every element is `0 + Σ_s sᵢ·sⱼ`, unskipped: a zero meeting an ∞
+        // is NaN, where the reference loop skipped the term.
+        let mut rng = StdRng::seed_from_u64(23);
+        let mut sn = StandardNormal::new();
+        for (case, bad) in [
+            vec![(3, 2, f64::INFINITY)],
+            vec![(0, 0, f64::NAN)],
+            vec![(5, 1, f64::INFINITY), (6, 1, f64::NEG_INFINITY)],
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            let mut samples: Vec<Vec<f64>> = (0..9).map(|_| sn.sample_vec(&mut rng, 7)).collect();
+            for s in samples.iter_mut() {
+                s[4] = 0.0;
+            }
+            for &(s, i, v) in &bad {
+                samples[s][i] = v;
             }
             let got = empirical_covariance(&samples);
-            let want = empirical_covariance_reference(&samples);
-            for (i, (a, b)) in got.as_slice().iter().zip(want.as_slice()).enumerate() {
-                assert_eq!(a.to_bits(), b.to_bits(), "dim {dim}, element {i}");
+            let scale = 1.0 / samples.len() as f64;
+            for i in 0..7 {
+                for j in 0..=i {
+                    let mut want = 0.0;
+                    for s in &samples {
+                        want += s[i] * s[j];
+                    }
+                    want *= scale;
+                    let a = got.get(i, j);
+                    assert_eq!(key(a), key(want), "case {case}: ({i}, {j}) {a} vs {want}");
+                    assert_eq!(key(got.get(j, i)), key(a), "case {case}: ({j}, {i})");
+                }
             }
+            let (_, bad_i, _) = bad[0];
+            assert!(got.get(4.max(bad_i), 4.min(bad_i)).is_nan(), "case {case}");
         }
     }
 
