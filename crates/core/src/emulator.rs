@@ -4,7 +4,7 @@ use crate::config::EmulatorConfig;
 use exaclim_climate::generator::Dataset;
 use exaclim_fft::LANES;
 use exaclim_linalg::tiled::TiledMatrix;
-use exaclim_mathkit::rng::StandardNormal;
+use exaclim_mathkit::rng::{ScannedNormals, StandardNormal};
 use exaclim_runtime::{parallel_tile_cholesky, pool, SchedulerKind};
 use exaclim_sht::{analysis_batch, synthesis_batch, HarmonicCoeffs, ShtPlan};
 use exaclim_stats::covariance::{empirical_covariance, ensure_spd};
@@ -17,6 +17,7 @@ use rand::SeedableRng;
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
+use std::sync::Mutex;
 
 /// Errors surfaced by training or emulation.
 #[derive(Debug, Clone)]
@@ -78,6 +79,11 @@ fn check_finite(data: &Dataset, member: usize) -> Result<(), EmulationError> {
         ))),
     }
 }
+
+/// Time rows of an emulation assembled per pool pass: their ε is scanned
+/// during the previous pass, then transformed and assembled. 32 rows of
+/// the benchmark's 594 points hold 223 KiB of accepted pairs.
+const EMULATE_ROWS: usize = 32;
 
 /// Slice blocks (`exaclim_fft::LANES` slices each) every pool lane gets
 /// per chunk of the truncation residual's synthesis.
@@ -364,29 +370,49 @@ impl TrainedEmulator {
         if t_max == 0 {
             return Err(EmulationError::Data("t_max must be positive".into()));
         }
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut data = self.synthesize_noise(t_max, &mut rng);
+        self.assemble(&mut data, t_max, &mut rng);
+        Ok(Dataset {
+            data,
+            t_max,
+            npoints: self.npoints(),
+            ntheta: self.ntheta,
+            nphi: self.nphi,
+            start_year: self.start_year,
+            tau: self.config.tau,
+        })
+    }
+
+    /// The standardized field `Z̃` of `t_max` steps, time-major: a
+    /// coefficient path (ξ = Vη through the VAR recursion) and the inverse
+    /// SHT of every slice, synthesized straight into the buffer `emulate`
+    /// returns. Each intermediate is freed as soon as the next one exists.
+    fn synthesize_noise(&self, t_max: usize, rng: &mut StdRng) -> Vec<f64> {
         let cfg = &self.config;
         let dim = cfg.coeff_dim();
         let plan = ShtPlan::equiangular(cfg.lmax, self.ntheta, self.nphi);
-        let npoints = self.npoints();
-
-        // Coefficient paths: ξ = Vη through the VAR recursion.
         let sampler = CoefficientSampler::new(self.var.clone(), self.factor.clone(), dim);
-        let mut rng = StdRng::seed_from_u64(seed);
-        let path = sampler.sample_path(t_max, &mut rng);
-
-        // Inverse SHT of every slice, straight into the output buffer: it
-        // holds Z̃ until the assembly below overwrites it with y. Each
-        // intermediate is freed as soon as the next one exists, so the
-        // high-water mark is two field-sized buffers, not five.
+        let path = sampler.sample_path(t_max, rng);
         let coeff_sets: Vec<HarmonicCoeffs> = path
             .par_iter()
             .map(|f| HarmonicCoeffs::from_real_vector(cfg.lmax, f))
             .collect();
         drop(path);
-        let mut data = synthesis_batch(&plan, &coeff_sets);
-        drop(coeff_sets);
+        synthesis_batch(&plan, &coeff_sets)
+    }
 
-        // Mean series per location.
+    /// Overwrite `Z̃` in `data` with `y = m + σ(Z̃ + ε·√v²)`, ε drawn
+    /// time-major from `rng`, [`EMULATE_ROWS`] time rows at a time. The
+    /// acceptance scans run block after block in stream order (a block's
+    /// odd spare variate leads the next); while the pool lanes assemble
+    /// block `b`, the first lane to start scans block `b + 1`, then joins
+    /// the others. A lane claims a row, transforms its pairs, evaluates its
+    /// means from the packed trend and assembles it: every element is the
+    /// per-element loop's arithmetic, whichever lane computes it.
+    fn assemble(&self, data: &mut [f64], t_max: usize, rng: &mut StdRng) {
+        let npoints = self.npoints();
+        let cfg = &self.config;
         let trend_cfg = TrendConfig {
             k_harmonics: cfg.k_harmonics,
             tau: cfg.tau,
@@ -399,30 +425,46 @@ impl TrainedEmulator {
             t_max,
             self.trend.iter().map(|m| m.rho),
         );
-        let mut means = vec![0.0f64; npoints * t_max];
-        means
-            .par_chunks_mut(t_max)
-            .zip(self.trend.par_iter())
-            .for_each(|(mean, model)| basis.mean_into(model, mean));
-
-        // Assemble y = m + σ (Z̃ + ε) in place, ε drawn time-major.
-        let mut sn = StandardNormal::new();
+        let means = basis.rows(&self.trend);
+        let sigma: Vec<f64> = self.trend.iter().map(|m| m.sigma).collect();
         let nugget_sd: Vec<f64> = self.v2.iter().map(|v| v.sqrt()).collect();
-        for (t, row) in data.chunks_exact_mut(npoints).enumerate() {
-            for (p, y) in row.iter_mut().enumerate() {
-                let eps = sn.sample(&mut rng) * nugget_sd[p];
-                *y = means[p * t_max + t] + self.trend[p].sigma * (*y + eps);
-            }
+        let pool = pool::global();
+        let mut sn = StandardNormal::new();
+        let (mut eps, mut eps_next) = (ScannedNormals::default(), ScannedNormals::default());
+        let mut blocks = data
+            .chunks_mut(EMULATE_ROWS * npoints)
+            .enumerate()
+            .peekable();
+        if let Some((_, first)) = blocks.peek() {
+            sn.scan(rng, first.len(), &mut eps);
         }
-        Ok(Dataset {
-            data,
-            t_max,
-            npoints,
-            ntheta: self.ntheta,
-            nphi: self.nphi,
-            start_year: self.start_year,
-            tau: cfg.tau,
-        })
+        while let Some((b, block)) = blocks.next() {
+            let next_len = blocks.peek().map_or(0, |(_, next)| next.len());
+            let scan = Mutex::new(Some((&mut sn, &mut *rng, &mut eps_next)));
+            let rows = Mutex::new(block.chunks_mut(npoints).enumerate());
+            let cur = &eps;
+            pool.parallel_for(pool.threads(), |_| {
+                let job = scan.lock().expect("no lane panics while scanning").take();
+                if let Some((sn, rng, next)) = job {
+                    sn.scan(rng, next_len, next);
+                }
+                let (mut m, mut e) = (vec![0.0; npoints], vec![0.0; npoints]);
+                loop {
+                    let Some((r, row)) = rows.lock().expect("no lane panics while claiming").next()
+                    else {
+                        break;
+                    };
+                    means.row_into(b * EMULATE_ROWS + r, &mut m);
+                    cur.transform_into(r * npoints, &mut e);
+                    for ((((y, &m), &e), &sd), &s) in
+                        row.iter_mut().zip(&m).zip(&e).zip(&nugget_sd).zip(&sigma)
+                    {
+                        *y = m + s * (*y + e * sd);
+                    }
+                }
+            });
+            std::mem::swap(&mut eps, &mut eps_next);
+        }
     }
 
     /// Bytes this trained model occupies when serialized as raw f64
@@ -518,12 +560,79 @@ impl TrainedEmulator {
 mod tests {
     use super::*;
     use exaclim_climate::{SyntheticEra5, SyntheticEra5Config};
+    use rand::RngCore;
 
     fn train_small() -> (TrainedEmulator, Dataset) {
         let gen = SyntheticEra5::new(SyntheticEra5Config::small_daily(12));
         let training = gen.generate_member(0, 3 * 365);
         let em = ClimateEmulator::train(&training, EmulatorConfig::small(8)).unwrap();
         (em, training)
+    }
+
+    /// The assembly as it ran before the blocks: a location-major mean
+    /// table, then one `sample` per element in time-major order. The
+    /// oracle of [`TrainedEmulator::assemble`].
+    fn assemble_reference(em: &TrainedEmulator, data: &mut [f64], t_max: usize, rng: &mut StdRng) {
+        let (cfg, npoints) = (&em.config, em.npoints());
+        let trend_cfg = TrendConfig {
+            k_harmonics: cfg.k_harmonics,
+            tau: cfg.tau,
+            rho_grid: cfg.rho_grid.clone(),
+            start_year: em.start_year,
+        };
+        let basis = MeanBasis::new(
+            &trend_cfg,
+            &em.forcing,
+            t_max,
+            em.trend.iter().map(|m| m.rho),
+        );
+        let mut means = vec![0.0f64; npoints * t_max];
+        for (mean, model) in means.chunks_mut(t_max).zip(&em.trend) {
+            basis.mean_into(model, mean);
+        }
+        let mut sn = StandardNormal::new();
+        let nugget_sd: Vec<f64> = em.v2.iter().map(|v| v.sqrt()).collect();
+        for (t, row) in data.chunks_exact_mut(npoints).enumerate() {
+            for (p, y) in row.iter_mut().enumerate() {
+                let eps = sn.sample(rng) * nugget_sd[p];
+                *y = means[p * t_max + t] + em.trend[p].sigma * (*y + eps);
+            }
+        }
+    }
+
+    #[test]
+    fn blocked_assembly_is_the_per_element_loop_bit_for_bit() {
+        // 9 × 15 = 135 points: with an odd row length every other row of a
+        // block starts on the second variate of a pair, and the lane that
+        // takes it shares that pair with the previous row's lane.
+        let gen = SyntheticEra5::new(SyntheticEra5Config::small_daily(7));
+        let training = gen.generate_member(0, 2 * 365);
+        let em = ClimateEmulator::train(&training, EmulatorConfig::small(7)).unwrap();
+        assert_eq!(em.npoints(), 135);
+        // One row, one short block, a block and a row past it, and a
+        // ragged last block after several full ones.
+        for t_max in [1, 3, EMULATE_ROWS + 1, 3 * EMULATE_ROWS + 13] {
+            let seed = 0x5eed + t_max as u64;
+            let mut rng = StdRng::seed_from_u64(seed);
+            let z = em.synthesize_noise(t_max, &mut rng);
+            let (mut blocked, mut rng_blocked) = (z.clone(), rng.clone());
+            em.assemble(&mut blocked, t_max, &mut rng_blocked);
+            let (mut reference, mut rng_reference) = (z, rng);
+            assemble_reference(&em, &mut reference, t_max, &mut rng_reference);
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&blocked), bits(&reference), "t_max = {t_max}");
+            assert_eq!(
+                rng_blocked.next_u64(),
+                rng_reference.next_u64(),
+                "t_max = {t_max}: RNG state after the draws"
+            );
+            let emulated = em.emulate(t_max, seed).unwrap();
+            assert_eq!(
+                bits(&emulated.data),
+                bits(&reference),
+                "emulate, t_max = {t_max}"
+            );
+        }
     }
 
     #[test]

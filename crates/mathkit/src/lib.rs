@@ -17,7 +17,7 @@ pub mod stats;
 
 pub use complex::Complex64;
 pub use quadrature::GaussLegendre;
-pub use rng::{MultivariateNormal, StandardNormal};
+pub use rng::{MultivariateNormal, ScannedNormals, StandardNormal};
 pub use spline::CubicSpline;
 pub use stats::{acf, mean, variance, OnlineStats};
 

@@ -102,15 +102,20 @@ impl Latch {
         }
     }
 
+    /// Count one piece done. The last one notifies *while holding the
+    /// lock*: once `pending` reads 0 the waiting caller may return and pop
+    /// the stack frame this latch lives in, so nothing may touch the latch
+    /// after the guard is released (a `notify_all` after the unlock would
+    /// write to the condvar's futex word in whatever that memory holds
+    /// next). The unlock itself is safe — a mutex release never touches its
+    /// memory once another thread can acquire it.
     fn complete(&self, payload: Option<PanicPayload>) {
         let mut s = self.state.lock();
         s.pending -= 1;
         if s.panic.is_none() {
             s.panic = payload;
         }
-        let done = s.pending == 0;
-        drop(s);
-        if done {
+        if s.pending == 0 {
             self.cv.notify_all();
         }
     }
@@ -273,8 +278,10 @@ impl WorkerPool {
                 latch_ref.complete(r.err());
             });
             // SAFETY: the job borrows `body` and `latch` on this stack
-            // frame; `latch.wait()` below blocks until the job has run, so
-            // the borrows outlive the (lifetime-erased) job.
+            // frame. Its last access is `latch.complete`, which releases
+            // the latch's lock as its final touch of this frame, and
+            // `latch.wait()` below blocks until that release, so the
+            // borrows outlive every use the (lifetime-erased) job makes.
             let job: Job =
                 unsafe { std::mem::transmute::<Box<dyn FnOnce() + Send + '_>, Job>(job) };
             self.submit(job);
@@ -318,8 +325,9 @@ impl WorkerPool {
                     }
                     Err(p) => latch_ref.complete(Some(p)),
                 });
-            // SAFETY: as in `parallel_for` — `latch.wait()` below outlives
-            // the lifetime-erased borrows of `latch` and `slot`.
+            // SAFETY: as in `parallel_for` — the job's last access is the
+            // lock release ending `latch.complete` (after it wrote `slot`),
+            // and `latch.wait()` below blocks until then.
             let job: Job =
                 unsafe { std::mem::transmute::<Box<dyn FnOnce() + Send + '_>, Job>(job) };
             self.submit(job);
@@ -500,6 +508,42 @@ mod tests {
             hits.fetch_add(r.len(), Ordering::Relaxed);
         });
         assert_eq!(hits.load(Ordering::Relaxed), 10);
+    }
+
+    /// Zero a stack buffer in a fresh frame, where the frame of the call
+    /// that just returned lay, give a late write time to land, and report
+    /// whether any word of it changed.
+    #[inline(never)]
+    fn stack_canary_corrupted() -> bool {
+        let mut canary = [0u64; 512];
+        std::hint::black_box(&mut canary);
+        for _ in 0..64 {
+            std::hint::spin_loop();
+        }
+        std::hint::black_box(&canary).iter().any(|&w| w != 0)
+    }
+
+    #[test]
+    fn latch_is_not_touched_after_the_caller_returns() {
+        // A worker that notifies the latch's condvar after releasing its
+        // lock can do so after `parallel_for`/`join` returned, writing into
+        // whatever the popped frame's memory holds next: here, the canary.
+        // It keeps both cores busy, so it stays off the speedup tests.
+        let _timing = crate::TIMING_TEST_LOCK.lock();
+        let pool = WorkerPool::new(2);
+        let mut corrupted = 0usize;
+        for _ in 0..100_000 {
+            pool.parallel_for(2, |r| {
+                std::hint::black_box(r);
+            });
+            corrupted += usize::from(stack_canary_corrupted());
+            pool.join(|| std::hint::black_box(1), || std::hint::black_box(2));
+            corrupted += usize::from(stack_canary_corrupted());
+        }
+        assert_eq!(
+            corrupted, 0,
+            "stack canaries written after the call returned"
+        );
     }
 
     #[test]

@@ -221,6 +221,108 @@ impl MeanBasis {
     }
 }
 
+/// The trend coefficients of a row of locations packed for
+/// [`MeanRows::row_into`]: coefficient-major, each coefficient's values
+/// contiguous over the locations, so a row of means is a few passes of
+/// unit-stride multiply–adds instead of one strided read per location.
+#[derive(Debug, Clone)]
+pub struct MeanRows<'b> {
+    basis: &'b MeanBasis,
+    /// Harmonic pairs every model has.
+    k: usize,
+    /// `β₀, β₁, β₂, a₁, b₁, …, a_K, b_K`, `npoints` values each.
+    coeffs: Vec<f64>,
+    /// Per location, the index of its `ρ` into a row of `lag_rows`.
+    lag_of: Vec<usize>,
+    /// Row `t`: `(1−ρ)·Lag_ρ` of step `t + 1` for every distinct `ρ`
+    /// of the basis, in the basis' order.
+    lag_rows: Vec<f64>,
+}
+
+impl MeanBasis {
+    /// Pack `models` (one per location, all with the same number of
+    /// harmonic pairs, each `ρ` one the basis was built for) for row-wise
+    /// evaluation.
+    pub fn rows(&self, models: &[TrendModel]) -> MeanRows<'_> {
+        let npoints = models.len();
+        let k = models.first().map_or(0, |m| m.harmonics.len());
+        assert!(
+            models.iter().all(|m| m.harmonics.len() == k),
+            "models with unequal harmonic counts"
+        );
+        assert!(
+            k <= self.k_harmonics,
+            "model has more harmonic pairs than the basis"
+        );
+        let mut coeffs = Vec::with_capacity((3 + 2 * k) * npoints);
+        coeffs.extend(models.iter().map(|m| m.beta0));
+        coeffs.extend(models.iter().map(|m| m.beta1));
+        coeffs.extend(models.iter().map(|m| m.beta2));
+        for j in 0..k {
+            coeffs.extend(models.iter().map(|m| m.harmonics[j].0));
+            coeffs.extend(models.iter().map(|m| m.harmonics[j].1));
+        }
+        let lag_of = models
+            .iter()
+            .map(|m| {
+                self.lags
+                    .iter()
+                    .position(|(r, _)| r.to_bits() == m.rho.to_bits())
+                    .unwrap_or_else(|| panic!("mean basis holds no lag series for ρ = {}", m.rho))
+            })
+            .collect();
+        let lag_rows = (0..self.t_max())
+            .flat_map(|t| self.lags.iter().map(move |(_, lag)| lag[t]))
+            .collect();
+        MeanRows {
+            basis: self,
+            k,
+            coeffs,
+            lag_of,
+            lag_rows,
+        }
+    }
+}
+
+impl MeanRows<'_> {
+    /// Write `m_t` of step `t + 1` for every location (`out` holds one
+    /// value per model). Each element is [`MeanBasis::mean_into`]'s
+    /// operations in its order — `β₀ + β₁x + β₂x_lag`, then
+    /// `+= a·cos + b·sin` in ascending `k` — so it has the same bits; only
+    /// the loop order changed, locations inside, harmonics outside.
+    pub fn row_into(&self, t: usize, out: &mut [f64]) {
+        let (basis, n) = (self.basis, self.lag_of.len());
+        assert_eq!(out.len(), n, "one mean per location");
+        assert!(t < basis.t_max(), "basis covers too few steps");
+        if n == 0 {
+            return;
+        }
+        let x = basis.x_year[t];
+        let nlags = basis.lags.len();
+        let lag_t = &self.lag_rows[t * nlags..(t + 1) * nlags];
+        let (beta, harmonics) = self.coeffs.split_at(3 * n);
+        let (beta0, rest) = beta.split_at(n);
+        let (beta1, beta2) = rest.split_at(n);
+        for ((((m, &b0), &b1), &b2), &l) in out
+            .iter_mut()
+            .zip(beta0)
+            .zip(beta1)
+            .zip(beta2)
+            .zip(&self.lag_of)
+        {
+            *m = b0 + b1 * x + b2 * lag_t[l];
+        }
+        let width = 2 * basis.k_harmonics;
+        let cs = &basis.harmonics[t * width..t * width + 2 * self.k];
+        for (cs, ab) in cs.chunks_exact(2).zip(harmonics.chunks_exact(2 * n)) {
+            let (a, b) = ab.split_at(n);
+            for ((m, &a), &b) in out.iter_mut().zip(a).zip(b) {
+                *m += a * cs[0] + b * cs[1];
+            }
+        }
+    }
+}
+
 /// Everything of the profile OLS fit that does not depend on the response:
 /// per candidate `ρ` the Cholesky factor of the normal matrix of its
 /// `T × ncols` design (ridge fallback already decided), over a shared
@@ -659,6 +761,65 @@ mod tests {
         assert_eq!(a.beta2.to_bits(), b.beta2.to_bits());
         let m = a.mean_series(&cfg, &forcing, y.len());
         assert_same_bits(&m, &mean_reference(&cfg, &forcing, &b, y.len()), "mean");
+    }
+
+    #[test]
+    fn mean_rows_are_mean_into_bit_for_bit() {
+        let cfg = cfg();
+        let forcing = ForcingSeries::historical_like(1950, 1970, 30);
+        let t_max = 3 * cfg.tau + 5;
+        let mut state = 0xace_u64;
+        // Every ρ of the grid, in an order that is not the basis' (which is
+        // first-seen), and signed zeros among the coefficients.
+        let models: Vec<TrendModel> = (0..13)
+            .map(|p| TrendModel {
+                beta0: if p == 4 {
+                    -0.0
+                } else {
+                    280.0 + lcg(&mut state)
+                },
+                beta1: if p == 5 { 0.0 } else { 2.0 * lcg(&mut state) },
+                beta2: lcg(&mut state),
+                rho: cfg.rho_grid[(p * 3 + 1) % cfg.rho_grid.len()],
+                harmonics: (0..cfg.k_harmonics)
+                    .map(|_| (lcg(&mut state), -0.5 * lcg(&mut state)))
+                    .collect(),
+                sigma: 1.0,
+            })
+            .collect();
+        let basis = MeanBasis::new(&cfg, &forcing, t_max, models.iter().map(|m| m.rho));
+        let columns: Vec<Vec<f64>> = models
+            .iter()
+            .map(|m| {
+                let mut out = vec![0.0; t_max];
+                basis.mean_into(m, &mut out);
+                out
+            })
+            .collect();
+        let rows = basis.rows(&models);
+        let mut row = vec![f64::NAN; models.len()];
+        for t in 0..t_max {
+            rows.row_into(t, &mut row);
+            let want: Vec<f64> = columns.iter().map(|c| c[t]).collect();
+            assert_same_bits(&row, &want, &format!("row {t}"));
+        }
+        // Fewer harmonic pairs than the basis holds.
+        let short: Vec<TrendModel> = models
+            .iter()
+            .map(|m| TrendModel {
+                harmonics: m.harmonics[..1].to_vec(),
+                ..m.clone()
+            })
+            .collect();
+        let rows = basis.rows(&short);
+        for t in [0, t_max - 1] {
+            rows.row_into(t, &mut row);
+            for (p, m) in short.iter().enumerate() {
+                let mut col = vec![0.0; t + 1];
+                basis.mean_into(m, &mut col);
+                assert_eq!(row[p].to_bits(), col[t].to_bits(), "short model {p} at {t}");
+            }
+        }
     }
 
     fn cfg() -> TrendConfig {
