@@ -74,6 +74,9 @@ impl EmulatorConfig {
                 self.coeff_dim()
             ));
         }
+        if self.tau == 0 {
+            return Err("period τ must be at least one step".into());
+        }
         if self.var_order == 0 {
             return Err("VAR order must be positive".into());
         }
@@ -114,6 +117,13 @@ mod tests {
         let mut c = EmulatorConfig::small(8);
         c.tile = 7;
         assert!(c.check().unwrap_err().contains("divide"));
+    }
+
+    #[test]
+    fn check_catches_zero_period() {
+        let mut c = EmulatorConfig::small(8);
+        c.tau = 0;
+        assert!(c.check().unwrap_err().contains("period"));
     }
 
     #[test]

@@ -10,8 +10,8 @@ use exaclim_sht::{analysis_batch, synthesis_batch, HarmonicCoeffs, ShtPlan};
 use exaclim_stats::covariance::{empirical_covariance, ensure_spd};
 use exaclim_stats::emulate::CoefficientSampler;
 use exaclim_stats::forcing::ForcingSeries;
-use exaclim_stats::trend::{fit_grid, MeanBasis, TrendConfig, TrendFit, TrendModel};
-use exaclim_stats::var::{fit_diagonal_var, DiagonalVar};
+use exaclim_stats::trend::{fit_grid, standardize, MeanBasis, TrendConfig, TrendFit, TrendModel};
+use exaclim_stats::var::{fit_diagonal_var_multi, DiagonalVar};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rayon::prelude::*;
@@ -45,7 +45,7 @@ impl std::error::Error for EmulationError {}
 /// Entry point for training.
 pub struct ClimateEmulator;
 
-/// Grid-vs-config compatibility checks shared by the training entry points.
+/// Data-vs-config compatibility checks of training.
 fn check_geometry(data: &Dataset, config: &EmulatorConfig) -> Result<(), EmulationError> {
     if data.ntheta <= config.lmax {
         return Err(EmulationError::Data(format!(
@@ -58,6 +58,12 @@ fn check_geometry(data: &Dataset, config: &EmulatorConfig) -> Result<(), Emulati
             "grid has {} longitudes; need ≥ 2L−1 = {}",
             data.nphi,
             2 * config.lmax - 1
+        )));
+    }
+    if data.tau != config.tau {
+        return Err(EmulationError::Data(format!(
+            "data has τ = {} steps per period, the configuration τ = {}",
+            data.tau, config.tau
         )));
     }
     if data.t_max <= config.var_order + 2 {
@@ -177,11 +183,13 @@ impl ClimateEmulator {
         let npoints = first.npoints;
         let t_max = first.t_max;
         let r_members = members.len();
+        let denom = (r_members * t_max) as f64;
 
         // Stage 1: trend. With an identical design matrix across members,
         // stacked OLS equals OLS on the ensemble-mean series; σ is then
         // re-estimated from the pooled residuals of all members. One member
-        // is its own mean: borrowed, not copied.
+        // is its own mean (borrowed, not copied), and the fit's own σ and
+        // standardized residuals are the pooled ones: its means go at once.
         let mean_data: Cow<'_, [f64]> = if r_members == 1 {
             Cow::Borrowed(&first.data)
         } else {
@@ -205,39 +213,41 @@ impl ClimateEmulator {
             start_year: first.start_year,
         };
         let TrendFit {
-            mut models, means, ..
+            mut models,
+            mut means,
+            residuals,
         } = fit_grid(&mean_data, t_max, npoints, &trend_cfg, &forcing);
         drop(mean_data);
-        // Pooled σ per location.
-        let mut sig2 = vec![0.0f64; npoints];
-        for m in members {
-            for t in 0..t_max {
-                let row = &m.data[t * npoints..(t + 1) * npoints];
-                for (p, (v, s)) in row.iter().zip(sig2.iter_mut()).enumerate() {
-                    let d = v - means[p * t_max + t];
-                    *s += d * d;
+        let mut fitted_residuals = if r_members == 1 {
+            means = Vec::new();
+            Some(residuals)
+        } else {
+            drop(residuals);
+            let mut sig2 = vec![0.0f64; npoints];
+            for m in members {
+                for t in 0..t_max {
+                    let row = &m.data[t * npoints..(t + 1) * npoints];
+                    for (p, (v, s)) in row.iter().zip(sig2.iter_mut()).enumerate() {
+                        let d = v - means[p * t_max + t];
+                        *s += d * d;
+                    }
                 }
             }
-        }
-        let denom = (r_members * t_max) as f64;
-        for (model, s) in models.iter_mut().zip(&sig2) {
-            model.sigma = (s / denom).sqrt().max(1e-12);
-        }
+            for (model, s) in models.iter_mut().zip(&sig2) {
+                model.sigma = (s / denom).sqrt().max(1e-12);
+            }
+            None
+        };
 
-        // Stage 2: SHT of each member's standardized residuals.
+        // Stage 2: SHT of each member's standardized residuals, and the
+        // truncation residual variance v² per location.
         let plan = ShtPlan::equiangular(config.lmax, first.ntheta, first.nphi);
         let mut all_series: Vec<Vec<Vec<f64>>> = Vec::with_capacity(r_members);
         let mut v2 = vec![0.0f64; npoints];
         for m in members {
-            let mut residuals = vec![0.0f64; t_max * npoints];
-            residuals
-                .par_chunks_mut(npoints)
-                .enumerate()
-                .for_each(|(t, row)| {
-                    for (p, r) in row.iter_mut().enumerate() {
-                        *r = (m.data[t * npoints + p] - means[p * t_max + t]) / models[p].sigma;
-                    }
-                });
+            let residuals = fitted_residuals
+                .take()
+                .unwrap_or_else(|| standardize(&m.data, &means, &models, t_max));
             let coeff_sets = analysis_batch(&plan, &residuals, t_max);
             all_series.push(
                 coeff_sets
@@ -255,19 +265,17 @@ impl ClimateEmulator {
         // Stage 3: shared VAR(P) over all members.
         let var = {
             let refs: Vec<&[Vec<f64>]> = all_series.iter().map(|s| s.as_slice()).collect();
-            exaclim_stats::var::fit_diagonal_var_multi(&refs, config.var_order)
+            fit_diagonal_var_multi(&refs, config.var_order)
         };
 
-        // Stage 4: eq. (9) — pool every member's innovations. Only they
-        // and the models reach it: the series and each member's residual
-        // buffers are gone.
-        let mut xi_all = Vec::new();
-        for s in &all_series {
-            xi_all.extend(var.innovations(s));
-        }
+        // Stage 4: eq. (9) — pool every member's innovations, then the
+        // mixed-precision Cholesky of their covariance. Only they and the
+        // models reach it: the series and each member's residual buffers
+        // are gone.
+        let xi: Vec<Vec<f64>> = all_series.iter().flat_map(|s| var.innovations(s)).collect();
         drop(all_series);
-        let mut u = empirical_covariance(&xi_all);
-        drop(xi_all);
+        let mut u = empirical_covariance(&xi);
+        drop(xi);
         let jitter = ensure_spd(&mut u);
         let dim = config.coeff_dim();
         let mut tiled = TiledMatrix::from_dense(u.as_slice(), dim, config.tile, &config.precision);
@@ -289,73 +297,13 @@ impl ClimateEmulator {
         })
     }
 
-    /// Fit the full emulator on a training dataset.
+    /// Fit the full emulator on one training dataset: the one-member
+    /// ensemble fit, [`ClimateEmulator::train_ensemble`] of `[data]`.
     pub fn train(
         data: &Dataset,
         config: EmulatorConfig,
     ) -> Result<TrainedEmulator, EmulationError> {
-        config.check().map_err(EmulationError::Config)?;
-        let npoints = data.npoints;
-        check_geometry(data, &config)?;
-        check_finite(data, 0)?;
-
-        // Stage 1: mean trend + scale, standardized residuals.
-        let years = (data.t_max / data.tau + 2) as i64;
-        let forcing = ForcingSeries::historical_like(data.start_year, data.start_year + years, 30);
-        let trend_cfg = TrendConfig {
-            k_harmonics: config.k_harmonics,
-            tau: data.tau,
-            rho_grid: config.rho_grid.clone(),
-            start_year: data.start_year,
-        };
-        let TrendFit {
-            models, residuals, ..
-        } = fit_grid(&data.data, data.t_max, npoints, &trend_cfg, &forcing);
-
-        // Stage 2: forward SHT of every residual slice.
-        let plan = ShtPlan::equiangular(config.lmax, data.ntheta, data.nphi);
-        let coeff_sets = analysis_batch(&plan, &residuals, data.t_max);
-        let series: Vec<Vec<f64>> = coeff_sets
-            .par_iter()
-            .map(HarmonicCoeffs::to_real_vector)
-            .collect();
-
-        // Truncation residual variance v² per location.
-        let mut v2 = vec![0.0f64; npoints];
-        add_truncation_residuals(&plan, &coeff_sets, &residuals, &mut v2);
-        drop((coeff_sets, residuals));
-        for v in v2.iter_mut() {
-            *v /= data.t_max as f64;
-        }
-
-        // Stage 3: temporal model.
-        let var = fit_diagonal_var(&series, config.var_order);
-        let xi = var.innovations(&series);
-        drop(series);
-
-        // Stage 4: innovation covariance + mixed-precision Cholesky. Of the
-        // buffers above only the innovations reach it.
-        let mut u = empirical_covariance(&xi);
-        drop(xi);
-        let jitter = ensure_spd(&mut u);
-        let dim = config.coeff_dim();
-        let mut tiled = TiledMatrix::from_dense(u.as_slice(), dim, config.tile, &config.precision);
-        parallel_tile_cholesky(&mut tiled, config.workers, SchedulerKind::PriorityHeap)
-            .map_err(|e| EmulationError::Factorization(e.to_string()))?;
-        let factor = tiled.to_dense_lower();
-
-        Ok(TrainedEmulator {
-            config,
-            ntheta: data.ntheta,
-            nphi: data.nphi,
-            start_year: data.start_year,
-            trend: models,
-            var,
-            factor,
-            v2,
-            forcing,
-            jitter,
-        })
+        Self::train_ensemble(&[data], config)
     }
 }
 
@@ -769,6 +717,53 @@ mod tests {
         cfg.tile = 7;
         let err = ClimateEmulator::train(&training, cfg).unwrap_err();
         assert!(matches!(err, EmulationError::Config(_)));
+        // Data labelled monthly against the daily configuration, and a
+        // τ = 0 label as an untrusted container header can carry.
+        for tau in [12, 0] {
+            let mut data = training.clone();
+            data.tau = tau;
+            let err = ClimateEmulator::train(&data, EmulatorConfig::small(8)).unwrap_err();
+            let EmulationError::Data(msg) = &err else {
+                panic!("τ = {tau}: {err}");
+            };
+            assert!(
+                msg.contains(&format!("τ = {tau} ")) && msg.contains("τ = 365"),
+                "{msg}"
+            );
+        }
+        // A configuration with τ = 0 is rejected before the data is read.
+        let mut cfg = EmulatorConfig::small(8);
+        cfg.tau = 0;
+        let err = ClimateEmulator::train(&training, cfg).unwrap_err();
+        assert!(matches!(err, EmulationError::Config(_)), "{err}");
+    }
+
+    /// The bits of every field training computes, named.
+    fn field_bits(em: &TrainedEmulator) -> Vec<(&'static str, Vec<u64>)> {
+        let bits = |v: &mut dyn Iterator<Item = f64>| v.map(f64::to_bits).collect::<Vec<_>>();
+        let forcing = &em.forcing;
+        vec![
+            (
+                "trend",
+                bits(&mut em.trend.iter().flat_map(|m| {
+                    [m.beta0, m.beta1, m.beta2, m.rho, m.sigma]
+                        .into_iter()
+                        .chain(m.harmonics.iter().flat_map(|&(a, b)| [a, b]))
+                })),
+            ),
+            ("var", bits(&mut em.var.phi.iter().flatten().copied())),
+            ("factor", bits(&mut em.factor.iter().copied())),
+            ("v2", bits(&mut em.v2.iter().copied())),
+            (
+                "forcing",
+                bits(&mut (forcing.first_year()..=forcing.last_year()).map(|y| forcing.at(y))),
+            ),
+            ("jitter", vec![em.jitter.to_bits()]),
+            (
+                "geometry",
+                vec![em.ntheta as u64, em.nphi as u64, em.start_year as u64],
+            ),
+        ]
     }
 
     #[test]
@@ -780,20 +775,10 @@ mod tests {
         let out = em.emulate(365, 3).unwrap();
         let report = crate::validate::validate_consistency(&members[0], &out);
         assert!(report.passes(), "{report:?}");
-        // Single-member path must agree with the R=1 ensemble path.
+        // `train` is the R = 1 ensemble fit, field for field and bit for bit.
         let single = ClimateEmulator::train(&members[0], EmulatorConfig::small(8)).unwrap();
         let ens1 = ClimateEmulator::train_ensemble(&refs[..1], EmulatorConfig::small(8)).unwrap();
-        // Same estimator up to floating-point summation order.
-        for (a, b) in single.factor.iter().zip(&ens1.factor) {
-            assert!(
-                (a - b).abs() < 1e-6,
-                "R=1 ensemble ≡ single-member: {a} vs {b}"
-            );
-        }
-        for (a, b) in single.trend.iter().zip(&ens1.trend) {
-            assert!((a.sigma - b.sigma).abs() < 1e-9);
-            assert!((a.beta1 - b.beta1).abs() < 1e-9);
-        }
+        assert_eq!(field_bits(&single), field_bits(&ens1));
     }
 
     #[test]

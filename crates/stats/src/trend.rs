@@ -568,6 +568,21 @@ pub fn fit_grid(
         })
         .collect();
     let models: Vec<TrendModel> = blocks.into_iter().flatten().collect();
+    let residuals = standardize(data, &means, &models, t_max);
+    TrendFit {
+        models,
+        means,
+        residuals,
+    }
+}
+
+/// Standardized residuals `Z_t = (y_t − m_t)/σ` of time-major `data`
+/// (`t · npoints + p`) against location-major `means` (`p · t_max + t`),
+/// with one σ per model, time-major, rows in parallel.
+pub fn standardize(data: &[f64], means: &[f64], models: &[TrendModel], t_max: usize) -> Vec<f64> {
+    let npoints = models.len();
+    assert_eq!(data.len(), t_max * npoints);
+    assert_eq!(means.len(), t_max * npoints);
     let mut residuals = vec![0.0f64; t_max * npoints];
     residuals
         .par_chunks_mut(npoints)
@@ -577,11 +592,7 @@ pub fn fit_grid(
                 *r = (data[t * npoints + p] - means[p * t_max + t]) / models[p].sigma;
             }
         });
-    TrendFit {
-        models,
-        means,
-        residuals,
-    }
+    residuals
 }
 
 #[cfg(test)]

@@ -9,9 +9,13 @@
 //! the benchmark op's report was recorded from the build *before* the FFT
 //! gathered its twiddles at plan time and the sampler became a blocked
 //! triangular product (PR 21): those two rewrites keep every operation, so
-//! every value here is pinned bit for bit.
+//! every value here is pinned bit for bit. The whole-emulator pins of
+//! `train` and of a three-member `train_ensemble` were recorded from the
+//! build *before* `train` became `train_ensemble` of one member.
 
-use exaclim::{validate_consistency, ClimateEmulator, ConsistencyReport, EmulatorConfig};
+use exaclim::{
+    validate_consistency, ClimateEmulator, ConsistencyReport, EmulatorConfig, TrainedEmulator,
+};
 use exaclim_climate::{Dataset, SyntheticEra5, SyntheticEra5Config};
 use exaclim_sht::{analysis_batch, synthesis_batch, ShtPlan};
 use exaclim_stats::trend::{fit_grid, TrendConfig};
@@ -46,6 +50,30 @@ fn report_fields(r: &ConsistencyReport) -> [f64; 6] {
         r.std_field_correlation,
         r.acf1_abs_diff,
         r.max_quantile_gap,
+    ]
+}
+
+/// One hash per `TrainedEmulator` field that training computes: `trend`
+/// (β₀, β₁, β₂, ρ, σ and harmonics of every location), `var.phi`,
+/// `factor`, `v2`, `forcing` (its years and values) and `jitter`.
+fn emulator_hashes(model: &TrainedEmulator) -> [(&'static str, u64); 6] {
+    let trend = model.trend.iter().flat_map(|m| {
+        [m.beta0, m.beta1, m.beta2, m.rho, m.sigma]
+            .into_iter()
+            .chain(m.harmonics.iter().flat_map(|&(a, b)| [a, b]))
+    });
+    let forcing = &model.forcing;
+    let years = forcing.first_year()..=forcing.last_year();
+    let forcing = [forcing.first_year() as f64, forcing.last_year() as f64]
+        .into_iter()
+        .chain(years.map(|y| forcing.at(y)));
+    [
+        ("trend", hash(trend)),
+        ("var", hash(model.var.phi.iter().flatten().copied())),
+        ("factor", hash(model.factor.iter().copied())),
+        ("v2", hash(model.v2.iter().copied())),
+        ("forcing", hash(forcing)),
+        ("jitter", hash([model.jitter])),
     ]
 }
 
@@ -187,5 +215,43 @@ fn benchmark_op_keeps_its_bits() {
             0x3f9d_5b56_1541_b4c9,
         ],
         "{report:?}"
+    );
+}
+
+#[test]
+fn single_member_training_keeps_its_bits() {
+    // The benchmark op's `train`: member 0, two workers.
+    let mut config = EmulatorConfig::small(LMAX);
+    config.workers = 2;
+    let model = ClimateEmulator::train(&member(0), config).unwrap();
+    assert_eq!(
+        emulator_hashes(&model),
+        [
+            ("trend", 0x4d3c_9d6e_3786_b942),
+            ("var", 0x3494_8d17_3525_44f6),
+            ("factor", 0xef3e_172e_28d7_98f8),
+            ("v2", 0xeaff_4f47_7e7d_dd4b),
+            ("forcing", 0x4111_c1e0_5fbe_cfef),
+            ("jitter", 0xa8c7_f832_281a_39c5),
+        ]
+    );
+}
+
+#[test]
+fn ensemble_training_keeps_its_bits() {
+    // Eq. (9) over members 0–2: pooled σ, shared VAR, pooled innovations.
+    let members: Vec<Dataset> = (0..3).map(member).collect();
+    let refs: Vec<&Dataset> = members.iter().collect();
+    let model = ClimateEmulator::train_ensemble(&refs, EmulatorConfig::small(LMAX)).unwrap();
+    assert_eq!(
+        emulator_hashes(&model),
+        [
+            ("trend", 0x8604_12bc_0d6b_d0e9),
+            ("var", 0x2859_3ed4_5f2a_4428),
+            ("factor", 0xa084_94eb_20cb_5abb),
+            ("v2", 0x8f2e_6531_d235_a9d9),
+            ("forcing", 0x4111_c1e0_5fbe_cfef),
+            ("jitter", 0xa8c7_f832_281a_39c5),
+        ]
     );
 }
