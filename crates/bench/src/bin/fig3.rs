@@ -6,12 +6,11 @@
 //! cargo run --release -p exaclim-bench --bin fig3
 //! ```
 
+use exaclim::{factor_covariance, CovarianceFactor};
 use exaclim_climate::{SyntheticEra5, SyntheticEra5Config};
 use exaclim_linalg::precision::PrecisionPolicy;
-use exaclim_linalg::tiled::TiledMatrix;
-use exaclim_runtime::{parallel_tile_cholesky, SchedulerKind};
 use exaclim_sht::{analysis_batch, synthesis_batch, HarmonicCoeffs, ShtPlan};
-use exaclim_stats::covariance::{empirical_covariance, ensure_spd};
+use exaclim_stats::covariance::empirical_covariance;
 use exaclim_stats::emulate::CoefficientSampler;
 use exaclim_stats::forcing::ForcingSeries;
 use exaclim_stats::trend::{fit_grid, TrendConfig};
@@ -68,26 +67,29 @@ fn main() {
         t0.elapsed().as_secs_f64(),
     );
 
-    // Stage 4: empirical covariance (eq. 9) + SPD repair.
+    // Stage 4: empirical covariance (eq. 9).
     let t0 = Instant::now();
-    let mut u = empirical_covariance(&xi);
-    let jitter = ensure_spd(&mut u);
+    let u = empirical_covariance(&xi);
     stage(
         "4. empirical covariance U (eq. 9)",
         t0.elapsed().as_secs_f64(),
     );
 
-    // Stage 5: mixed-precision tile Cholesky on the task runtime.
+    // Stage 5: mixed-precision tile Cholesky on the task runtime, which is
+    // also the probe of the SPD repair — `train`'s Stage 4.
     let t0 = Instant::now();
     let dim = lmax * lmax;
-    let mut tiled = TiledMatrix::from_dense(u.as_slice(), dim, lmax, &PrecisionPolicy::dp_hp());
-    let (stats, trace) =
-        parallel_tile_cholesky(&mut tiled, 4, SchedulerKind::PriorityHeap).unwrap();
+    let CovarianceFactor {
+        tiles,
+        jitter,
+        stats,
+        trace,
+    } = factor_covariance(u, lmax, &PrecisionPolicy::dp_hp(), 4).unwrap();
     stage(
-        "5. DP/HP tile Cholesky (task DAG)",
+        "5. DP/HP tile Cholesky + SPD repair (task DAG)",
         t0.elapsed().as_secs_f64(),
     );
-    let factor = tiled.to_dense_lower();
+    let factor = tiles.to_dense_lower();
 
     // Stage 6: emulation — sample, VAR forward, inverse SHT.
     let t0 = Instant::now();

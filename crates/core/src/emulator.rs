@@ -3,11 +3,14 @@
 use crate::config::EmulatorConfig;
 use exaclim_climate::generator::Dataset;
 use exaclim_fft::LANES;
+use exaclim_linalg::cholesky::CholeskyStats;
+use exaclim_linalg::dense::Matrix;
+use exaclim_linalg::precision::PrecisionPolicy;
 use exaclim_linalg::tiled::TiledMatrix;
 use exaclim_mathkit::rng::{ScannedNormals, StandardNormal};
-use exaclim_runtime::{parallel_tile_cholesky, pool, SchedulerKind};
+use exaclim_runtime::{parallel_tile_cholesky, pool, SchedulerKind, TaskFailure, TraceReport};
 use exaclim_sht::{analysis_batch, synthesis_batch, HarmonicCoeffs, ShtPlan};
-use exaclim_stats::covariance::{empirical_covariance, ensure_spd};
+use exaclim_stats::covariance::{empirical_covariance, JitterLadder, MAX_RUNGS};
 use exaclim_stats::emulate::CoefficientSampler;
 use exaclim_stats::forcing::ForcingSeries;
 use exaclim_stats::trend::{fit_grid, standardize, MeanBasis, TrendConfig, TrendFit, TrendModel};
@@ -122,6 +125,65 @@ fn add_truncation_residuals(
     }
 }
 
+/// The factored innovation covariance of [`factor_covariance`].
+#[derive(Debug)]
+pub struct CovarianceFactor {
+    /// Lower Cholesky factor of `Û + jitter·I`, in tiles at the policy's
+    /// precisions.
+    pub tiles: TiledMatrix,
+    /// Diagonal jitter added to `Û`: 0, or the rungs of a [`JitterLadder`].
+    pub jitter: f64,
+    /// Kernel counts and flops of the factorization that succeeded.
+    pub stats: CholeskyStats,
+    /// The executor's trace of that factorization.
+    pub trace: TraceReport,
+}
+
+/// Stage 4 of training: factor the innovation covariance `u`, repairing it
+/// to positive definite on the way. The tiled factorization is its own
+/// probe: tile `u` at `policy`, factor the tiles on `workers` threads, and
+/// on a non-positive pivot add the next rung of a [`JitterLadder`] to `u`'s
+/// diagonal, rebuild the tiles and retry. The ladder is sized to the lowest
+/// precision among the tiles built, so an all-DP tiling climbs the rungs of
+/// the dense f64 probe `ensure_spd`.
+///
+/// A pivot still non-positive after the last rung, or a panicking kernel
+/// (returned at once, without a retry), is an
+/// [`EmulationError::Factorization`].
+pub fn factor_covariance(
+    mut u: Matrix,
+    tile: usize,
+    policy: &PrecisionPolicy,
+    workers: usize,
+) -> Result<CovarianceFactor, EmulationError> {
+    let n = u.rows();
+    let mut tiles = TiledMatrix::from_dense(u.as_slice(), n, tile, policy);
+    let mut ladder = JitterLadder::new(&u, tiles.lowest_precision().unit_roundoff());
+    loop {
+        match parallel_tile_cholesky(&mut tiles, workers, SchedulerKind::PriorityHeap) {
+            Ok((stats, trace)) => {
+                return Ok(CovarianceFactor {
+                    tiles,
+                    jitter: ladder.jitter(),
+                    stats,
+                    trace,
+                })
+            }
+            Err(e) if e.cause == TaskFailure::Returned => {
+                if !ladder.climb(&mut u) {
+                    return Err(EmulationError::Factorization(format!(
+                        "not positive definite after {MAX_RUNGS} rungs of diagonal jitter \
+                         (jitter {:e}): {e}",
+                        ladder.jitter()
+                    )));
+                }
+            }
+            Err(e) => return Err(EmulationError::Factorization(e.to_string())),
+        }
+        tiles = TiledMatrix::from_dense(u.as_slice(), n, tile, policy);
+    }
+}
+
 /// A trained emulator: everything needed to generate emulations, and
 /// everything that gets *stored* instead of the raw simulation archive.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -144,7 +206,12 @@ pub struct TrainedEmulator {
     pub v2: Vec<f64>,
     /// Radiative forcing used by the trend (stored for emulation).
     pub forcing: ForcingSeries,
-    /// Diagonal jitter added to make `Û` positive definite (paper §III.A.3).
+    /// Diagonal jitter added to make `Û` positive definite (paper §III.A.3):
+    /// 0 when the tiled factorization succeeds on `Û` itself, else the sum
+    /// of the [`JitterLadder`] rungs it needed. The first rung is
+    /// `max(1e-10, u_low)` times the mean diagonal of `Û`, where `u_low` is
+    /// the unit roundoff of the lowest tile precision, and each next rung
+    /// is ten times the last, up to 40 rungs.
     pub jitter: f64,
 }
 
@@ -269,19 +336,16 @@ impl ClimateEmulator {
         };
 
         // Stage 4: eq. (9) — pool every member's innovations, then the
-        // mixed-precision Cholesky of their covariance. Only they and the
-        // models reach it: the series and each member's residual buffers
-        // are gone.
+        // mixed-precision Cholesky of their covariance, jittered until it
+        // factors. Only they and the models reach it: the series and each
+        // member's residual buffers are gone.
         let xi: Vec<Vec<f64>> = all_series.iter().flat_map(|s| var.innovations(s)).collect();
         drop(all_series);
-        let mut u = empirical_covariance(&xi);
+        let u = empirical_covariance(&xi);
         drop(xi);
-        let jitter = ensure_spd(&mut u);
-        let dim = config.coeff_dim();
-        let mut tiled = TiledMatrix::from_dense(u.as_slice(), dim, config.tile, &config.precision);
-        parallel_tile_cholesky(&mut tiled, config.workers, SchedulerKind::PriorityHeap)
-            .map_err(|e| EmulationError::Factorization(e.to_string()))?;
-        let factor = tiled.to_dense_lower();
+        let CovarianceFactor { tiles, jitter, .. } =
+            factor_covariance(u, config.tile, &config.precision, config.workers)?;
+        let factor = tiles.to_dense_lower();
 
         Ok(TrainedEmulator {
             config,

@@ -13,7 +13,8 @@
 //!    ([`exaclim_stats::var`]),
 //! 4. **Innovation covariance** — empirical `Û` (eq. 9) factorized by the
 //!    task-parallel mixed-precision tile Cholesky
-//!    ([`exaclim_runtime::parallel_tile_cholesky`]),
+//!    ([`exaclim_runtime::parallel_tile_cholesky`]), which is also the
+//!    probe of its diagonal-jitter repair ([`factor_covariance`]),
 //! 5. **Emulation** — sample `ξ = Vη`, run the VAR forward, inverse SHT,
 //!    re-apply `σ` and `m_t` (§III.B).
 //!
@@ -33,7 +34,9 @@ pub mod emulator;
 pub mod validate;
 
 pub use config::EmulatorConfig;
-pub use emulator::{ClimateEmulator, EmulationError, TrainedEmulator};
+pub use emulator::{
+    factor_covariance, ClimateEmulator, CovarianceFactor, EmulationError, TrainedEmulator,
+};
 pub use validate::{validate_consistency, ConsistencyReport};
 
 // Re-export the substrate crates under one roof.

@@ -121,6 +121,15 @@ impl TiledMatrix {
         self.tiles.iter().map(Tile::bytes).sum()
     }
 
+    /// The lowest precision any tile is stored at.
+    pub fn lowest_precision(&self) -> Precision {
+        self.tiles
+            .iter()
+            .map(Tile::precision)
+            .min()
+            .unwrap_or(Precision::Double)
+    }
+
     /// Tiles per precision: `[half, single, double]`.
     pub fn precision_census(&self) -> [usize; 3] {
         let mut c = [0usize; 3];

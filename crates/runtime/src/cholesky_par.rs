@@ -17,7 +17,10 @@ use std::time::Instant;
 /// Returns the same [`CholeskyStats`] as the sequential path plus the
 /// executor's [`TraceReport`]. The tasks update `a`'s tiles where they
 /// are, so a failed factorization leaves `a` partially factored, as the
-/// sequential one does.
+/// sequential one does. Only `POTRF` returns an error — a non-positive
+/// pivot, [`TaskFailure::Returned`](crate::TaskFailure::Returned) — so
+/// any other failure is a panicking kernel,
+/// [`TaskFailure::Panicked`](crate::TaskFailure::Panicked).
 pub fn parallel_tile_cholesky(
     a: &mut TiledMatrix,
     workers: usize,
@@ -111,6 +114,7 @@ mod tests {
         a[0] = -3.0;
         let mut tm = TiledMatrix::from_dense(&a, n, 4, &PrecisionPolicy::dp());
         let err = parallel_tile_cholesky(&mut tm, 4, SchedulerKind::WorkStealing).unwrap_err();
+        assert_eq!(err.cause, crate::TaskFailure::Returned);
         assert!(err.message.contains("positive definite"), "{}", err.message);
     }
 

@@ -21,12 +21,23 @@ pub enum SchedulerKind {
     Fifo,
 }
 
+/// How a task failed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum TaskFailure {
+    /// The task returned `Err`.
+    Returned,
+    /// The task panicked.
+    Panicked,
+}
+
 /// Error carried out of a failing task.
 #[derive(Debug, Clone)]
 pub struct ExecError {
     /// The task that failed first.
     pub task: TaskId,
-    /// Its error message.
+    /// Whether it returned its error or panicked.
+    pub cause: TaskFailure,
+    /// Its error message (`task panicked: …` for a panic).
     pub message: String,
 }
 
@@ -307,14 +318,15 @@ where
             let t0 = self.epoch.elapsed().as_secs_f64();
             // A panicking task must not tear down the whole scope: catch it
             // and report it like an `Err`, attributed to this task.
-            let outcome =
-                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| (self.f)(id, &node.kind)))
-                    .unwrap_or_else(|payload| {
-                        Err(format!(
-                            "task panicked: {}",
-                            panic_message(payload.as_ref())
-                        ))
-                    });
+            let outcome = match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                (self.f)(id, &node.kind)
+            })) {
+                Ok(result) => result.map_err(|message| (TaskFailure::Returned, message)),
+                Err(payload) => Err((
+                    TaskFailure::Panicked,
+                    format!("task panicked: {}", panic_message(payload.as_ref())),
+                )),
+            };
             match outcome {
                 Ok(()) => {
                     let t1 = self.epoch.elapsed().as_secs_f64();
@@ -326,11 +338,15 @@ where
                         end: t1,
                     });
                 }
-                Err(message) => {
+                Err((cause, message)) => {
                     self.cancelled.store(true, Ordering::Release);
                     let mut e = self.error.lock();
                     if e.is_none() {
-                        *e = Some(ExecError { task: id, message });
+                        *e = Some(ExecError {
+                            task: id,
+                            cause,
+                            message,
+                        });
                     }
                 }
             }
@@ -447,6 +463,7 @@ mod tests {
             })
             .unwrap_err();
         assert_eq!(err.task, b);
+        assert_eq!(err.cause, TaskFailure::Returned);
         assert_eq!(err.message, "boom");
         assert_eq!(ran.load(Ordering::Relaxed), 1, "c must not run");
     }
@@ -520,6 +537,7 @@ mod tests {
                 })
                 .unwrap_err();
             assert_eq!(err.task, b, "{sched:?}");
+            assert_eq!(err.cause, TaskFailure::Panicked, "{sched:?}");
             assert!(
                 err.message.contains("task panicked") && err.message.contains("kernel blew up"),
                 "{sched:?}: {}",

@@ -39,7 +39,7 @@ pub mod reactor;
 pub mod trace;
 
 pub use cholesky_par::parallel_tile_cholesky;
-pub use executor::{ExecError, Executor, SchedulerKind};
+pub use executor::{ExecError, Executor, SchedulerKind, TaskFailure};
 pub use faults::{FaultAction, FaultPlan};
 pub use graph::{cholesky_graph, TaskGraph, TaskId};
 pub use pool::WorkerPool;

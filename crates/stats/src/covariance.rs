@@ -2,6 +2,7 @@
 
 use exaclim_linalg::dense::Matrix;
 use exaclim_linalg::kernels::GramPanels;
+use exaclim_linalg::precision::Precision;
 use rayon::prelude::*;
 use std::collections::VecDeque;
 
@@ -93,24 +94,80 @@ fn empirical_covariance_reference(samples: &[Vec<f64>]) -> Matrix {
     u
 }
 
-/// Ensure `u` is positive definite by adding the paper's "minor perturbation
-/// along the diagonal" when a Cholesky probe fails (needed whenever
-/// `R(T−P) < L²` makes `Û` rank-deficient). Returns the jitter used.
-pub fn ensure_spd(u: &mut Matrix) -> f64 {
-    let n = u.rows();
-    let trace: f64 = (0..n).map(|i| u.get(i, i)).sum();
-    let base = (trace / n as f64).max(f64::MIN_POSITIVE);
-    let mut jitter = 0.0f64;
-    let mut step = base * 1e-10;
-    for _ in 0..40 {
-        if u.cholesky_lower().is_ok() {
-            return jitter;
+/// Most rungs a [`JitterLadder`] adds before it gives up.
+pub const MAX_RUNGS: usize = 40;
+
+/// The paper's "minor perturbation along the diagonal" that makes `Û`
+/// positive definite whenever `R(T−P) < L²` leaves it rank-deficient: a
+/// ladder of diagonal jitters for a factorization that probes `u`.
+///
+/// The base is the mean diagonal of `u` (at least `f64::MIN_POSITIVE`).
+/// The first rung is `max(1e-10, u_low)` times the base, where `u_low` is
+/// the unit roundoff the factorization stores `u` at, and every rung is ten
+/// times the last. Each rung is added to the diagonal of the matrix the
+/// previous rungs were added to, so the jitter is their running sum. A
+/// factorization in double precision throughout starts at `1e-10` of the
+/// base; one that rounds `u` to single or half precision starts at that
+/// precision's unit roundoff, below which the rounding of the tiles undoes
+/// the repair.
+#[derive(Debug)]
+pub struct JitterLadder {
+    step: f64,
+    jitter: f64,
+    rungs: usize,
+}
+
+impl JitterLadder {
+    /// A ladder for `u`, factored at unit roundoff `u_low`; no rung added.
+    pub fn new(u: &Matrix, u_low: f64) -> Self {
+        let n = u.rows();
+        let trace: f64 = (0..n).map(|i| u.get(i, i)).sum();
+        let base = (trace / n as f64).max(f64::MIN_POSITIVE);
+        Self {
+            step: base * 1e-10f64.max(u_low),
+            jitter: 0.0,
+            rungs: 0,
         }
-        u.add_diagonal(step);
-        jitter += step;
-        step *= 10.0;
     }
-    panic!("could not repair covariance to SPD after 40 attempts");
+
+    /// Add the next rung to `u`'s diagonal. Returns `false`, and leaves `u`
+    /// as it is, once [`MAX_RUNGS`] rungs have been added.
+    pub fn climb(&mut self, u: &mut Matrix) -> bool {
+        if self.rungs == MAX_RUNGS {
+            return false;
+        }
+        u.add_diagonal(self.step);
+        self.jitter += self.step;
+        self.step *= 10.0;
+        self.rungs += 1;
+        true
+    }
+
+    /// The jitter added so far: the sum of the rungs climbed.
+    pub fn jitter(&self) -> f64 {
+        self.jitter
+    }
+}
+
+/// The [`JitterLadder`] with a dense, unblocked f64 Cholesky as its probe:
+/// climbs until `u.cholesky_lower()` succeeds, and returns the jitter.
+/// Panics if [`MAX_RUNGS`] rungs do not make `u` positive definite.
+///
+/// Training does not call this: `exaclim::emulator::factor_covariance`
+/// probes with the tiled factorization itself, at the policy's
+/// precisions, and keeps the factor it finds. `ensure_spd` stays for the
+/// replay of training's stages in `benchmark/`, which matches `train`
+/// wherever no rung is needed; ROADMAP item 2(b) deletes that replay, and
+/// this function with it.
+pub fn ensure_spd(u: &mut Matrix) -> f64 {
+    let mut ladder = JitterLadder::new(u, Precision::Double.unit_roundoff());
+    while u.cholesky_lower().is_err() {
+        assert!(
+            ladder.climb(u),
+            "could not repair covariance to SPD after {MAX_RUNGS} rungs"
+        );
+    }
+    ladder.jitter()
 }
 
 #[cfg(test)]

@@ -21,7 +21,7 @@ pub mod trend;
 pub mod tukey;
 pub mod var;
 
-pub use covariance::{empirical_covariance, ensure_spd};
+pub use covariance::empirical_covariance;
 pub use emulate::CoefficientSampler;
 pub use forcing::ForcingSeries;
 pub use trend::{TrendFit, TrendModel};
