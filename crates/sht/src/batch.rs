@@ -9,8 +9,7 @@
 //! a block's slices is one lane group (`exaclim_fft::lanes`): it goes
 //! through the longitude FFT once for all of them, then through the
 //! θ-stage — the operator rows `A_m[ℓ−m, ·] · G_m` summed over rings in
-//! ascending order (equiangular analysis), the ring-weight quadrature
-//! (Gauss–Legendre analysis) or the Legendre sums `Σ_ℓ c_ℓm λ_ℓm(θ_i)`
+//! ascending order (analysis) or the Legendre sums `Σ_ℓ c_ℓm λ_ℓm(θ_i)`
 //! in ascending `ℓ` (synthesis) — with one accumulator per slice. Every
 //! lane runs the chain of [`ShtPlan::analysis_into`] or
 //! [`ShtPlan::synthesis_into`] on its slice: same operands, same order, no
@@ -19,7 +18,7 @@
 //! same parallel pass as the blocks.
 
 use crate::coeffs::HarmonicCoeffs;
-use crate::plan::{AnalysisEngine, ShtPlan, ShtScratch};
+use crate::plan::{ShtPlan, ShtScratch};
 use exaclim_fft::{irfft_lanes, rfft_lanes, LaneScratch, Lanes, LANES};
 use exaclim_sphere::legendre::{idx, packed_len};
 use rayon::prelude::*;
@@ -124,43 +123,18 @@ impl ShtPlan {
     ) {
         self.longitude_spectra_block(fields, scratch);
         let nt = self.grid().ntheta();
-        match self.engine() {
-            AnalysisEngine::WignerFft => {
-                // `z_{ℓm} = 0 + Σ_i A_m[ℓ−m, i] · G_m(θ_i)`, ascending `i`.
-                for (m, a_m) in self.theta_operators().iter().enumerate() {
-                    let g_m = &scratch.gm[m * nt..(m + 1) * nt];
-                    for (k, row) in a_m.chunks_exact(nt).enumerate() {
-                        let mut acc = Lanes::ZERO;
-                        for (a, g) in row.iter().zip(g_m) {
-                            for l in 0..LANES {
-                                acc.re[l] += a.re * g.re[l] - a.im * g.im[l];
-                                acc.im[l] += a.re * g.im[l] + a.im * g.re[l];
-                            }
-                        }
-                        scratch.coeffs[idx(m + k, m)] = acc;
+        // `z_{ℓm} = 0 + Σ_i A_m[ℓ−m, i] · G_m(θ_i)`, ascending `i`.
+        for (m, a_m) in self.theta_operators().iter().enumerate() {
+            let g_m = &scratch.gm[m * nt..(m + 1) * nt];
+            for (k, row) in a_m.chunks_exact(nt).enumerate() {
+                let mut acc = Lanes::ZERO;
+                for (a, g) in row.iter().zip(g_m) {
+                    for l in 0..LANES {
+                        acc.re[l] += a.re * g.re[l] - a.im * g.im[l];
+                        acc.im[l] += a.re * g.im[l] + a.im * g.re[l];
                     }
                 }
-            }
-            AnalysisEngine::GaussLegendre => {
-                // `z_{ℓm} = 0 + Σ_i (G_m(θ_i) · w_i) · λ_ℓ^m(θ_i)`,
-                // ascending `i`.
-                let g = self.grid();
-                let lmax = self.lmax();
-                scratch.coeffs.fill(Lanes::ZERO);
-                for (i, lam) in self.legendre.iter().enumerate() {
-                    let w = g.ring_weight(i);
-                    for m in 0..lmax {
-                        let f = scratch.gm[m * nt + i].scale(w);
-                        for deg in m..lmax {
-                            let z = &mut scratch.coeffs[idx(deg, m)];
-                            let lam = lam[idx(deg, m)];
-                            for l in 0..LANES {
-                                z.re[l] += f.re[l] * lam;
-                                z.im[l] += f.im[l] * lam;
-                            }
-                        }
-                    }
-                }
+                scratch.coeffs[idx(m + k, m)] = acc;
             }
         }
         for (l, coeffs) in out.iter_mut().enumerate() {
@@ -277,8 +251,8 @@ mod tests {
     }
 
     /// Block-edge batch sizes on direct and Bluestein `Nϕ` (12, 33 = the
-    /// benchmark's grid, 41 prime) for both engines: every slice of a batch
-    /// equals the per-slice transform bit for bit.
+    /// benchmark's grid, 41 prime): every slice of a batch equals the
+    /// per-slice transform bit for bit.
     #[test]
     fn blocked_batches_equal_the_per_slice_transforms_bit_for_bit() {
         use rand::{rngs::StdRng, Rng, SeedableRng};
@@ -286,18 +260,15 @@ mod tests {
             ShtPlan::equiangular(6, 8, 12),
             ShtPlan::equiangular(16, 18, 33),
             ShtPlan::equiangular(8, 10, 41),
-            ShtPlan::gauss_legendre(5),
-            ShtPlan::gauss_legendre(21),
         ];
         let mut rng = StdRng::seed_from_u64(32);
         for plan in &plans {
             let n = plan.field_len();
             let case = format!(
-                "L={} {}x{} {:?}",
+                "L={} {}x{}",
                 plan.lmax(),
                 plan.grid().ntheta(),
-                plan.grid().nphi(),
-                plan.engine()
+                plan.grid().nphi()
             );
             for t in [0, 1, LANES - 1, LANES, LANES + 1, 730] {
                 // Residual-like values salted with ±0 and subnormals.
@@ -344,7 +315,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "expected")]
     fn batch_rejects_wrong_length() {
-        let plan = ShtPlan::gauss_legendre(4);
+        let plan = ShtPlan::equiangular(4, 5, 8);
         let _ = analysis_batch(&plan, &[0.0; 10], 3);
     }
 }

@@ -3,37 +3,31 @@
 //! Spherical harmonic transforms for real fields on the sphere — the
 //! spectral engine of the climate emulator (paper §III.A.1–2).
 //!
-//! Two forward (analysis) engines are provided:
+//! [`ShtPlan::equiangular`] plans the paper's FFT/Wigner-d method on
+//! ERA5-style equiangular grids (eqs. 4–8). Analysis runs an FFT along
+//! longitude, then per order `m` one co-latitude operator `A_m` — the
+//! parity extension and DFT along co-latitude, the analytic integrals
+//! `I(q)` and the contraction with the `d^ℓ(π/2)` tensors, multiplied out
+//! once per plan on its first analysis. It is exact whenever `Nθ > L` and
+//! `Nϕ ≥ 2L−1`, where plain ring-weight quadrature is *not*.
 //!
-//! * [`ShtPlan::gauss_legendre`] — classic Gauss–Legendre quadrature,
-//!   exact for band-limited fields on GL grids; the baseline oracle.
-//! * [`ShtPlan::equiangular`] — the paper's FFT/Wigner-d method
-//!   (eqs. 4–8): FFT along longitude, then per order `m` one co-latitude
-//!   operator `A_m` — the parity extension and DFT along co-latitude, the
-//!   analytic integrals `I(q)` and the contraction with the `d^ℓ(π/2)`
-//!   tensors, multiplied out once per plan on its first analysis. Exact on
-//!   ERA5-style equiangular grids whenever `Nθ > L` and `Nϕ ≥ 2L−1`, where
-//!   plain quadrature is *not*.
-//!
-//! Synthesis (inverse) is shared: Legendre recombination per ring plus an
-//! inverse real FFT along longitude. All plans are `Send + Sync`; batched
-//! entry points parallelize over time slices with rayon, reproducing the
-//! paper's "O(L) parallel time for T slices" claim at CPU scale. A batch
-//! runs in blocks of `exaclim_fft::LANES` consecutive slices: each ring of a
-//! block is one lane group through the longitude FFT and the θ-stage, every
-//! lane running its slice's per-slice chain, so a batch equals
+//! Synthesis (inverse) is Legendre recombination per ring plus an inverse
+//! real FFT along longitude. All plans are `Send + Sync`; batched entry
+//! points parallelize over time slices with rayon, reproducing the paper's
+//! "O(L) parallel time for T slices" claim at CPU scale. A batch runs in
+//! blocks of `exaclim_fft::LANES` consecutive slices: each ring of a block
+//! is one lane group through the longitude FFT and the θ-stage, every lane
+//! running its slice's per-slice chain, so a batch equals
 //! [`ShtPlan::analysis_into`] / [`ShtPlan::synthesis_into`] slice by slice,
 //! bit for bit (one scratch per pool lane, no allocation per block).
 
 pub mod batch;
 pub mod coeffs;
 pub mod plan;
-pub mod regrid;
 
 pub use batch::{analysis_batch, synthesis_batch};
 pub use coeffs::HarmonicCoeffs;
-pub use plan::{AnalysisEngine, ShtPlan, ShtScratch};
-pub use regrid::{change_bandlimit, regrid};
+pub use plan::{ShtPlan, ShtScratch};
 
 #[cfg(test)]
 mod tests {
@@ -59,18 +53,6 @@ mod tests {
     }
 
     #[test]
-    fn gl_roundtrip_synthesis_analysis() {
-        for l in [4usize, 8, 16, 33] {
-            let plan = ShtPlan::gauss_legendre(l);
-            let c = random_coeffs(l, l as u64);
-            let field = plan.synthesis(&c);
-            let back = plan.analysis(&field);
-            let err = c.max_abs_diff(&back);
-            assert!(err < 1e-10, "L={l}: err={err}");
-        }
-    }
-
-    #[test]
     fn equiangular_roundtrip_synthesis_analysis() {
         for (l, nt, np) in [
             (4usize, 6usize, 8usize),
@@ -88,21 +70,6 @@ mod tests {
     }
 
     #[test]
-    fn engines_agree_on_shared_field() {
-        // Synthesize a band-limited field on both grids from the same
-        // coefficients; both analyses must return those coefficients.
-        let l = 12;
-        let c = random_coeffs(l, 7);
-        let gl = ShtPlan::gauss_legendre(l);
-        let eq = ShtPlan::equiangular(l, l + 2, 2 * l + 1);
-        let f1 = gl.synthesis(&c);
-        let f2 = eq.synthesis(&c);
-        let c1 = gl.analysis(&f1);
-        let c2 = eq.analysis(&f2);
-        assert!(c1.max_abs_diff(&c2) < 1e-9);
-    }
-
-    #[test]
     fn wigner_engine_beats_plain_quadrature_near_critical_sampling() {
         // At Nθ = L + 1 (critical sampling), Clenshaw–Curtis quadrature on
         // the closed grid is inexact for the highest degrees while the
@@ -113,7 +80,7 @@ mod tests {
         let c = random_coeffs(l, 3);
         let field = plan.synthesis(&c);
         let exact = plan.analysis(&field);
-        let quad = plan.analysis_quadrature(&field);
+        let quad = plan::reference::analysis_quadrature(&plan, &field);
         let err_exact = c.max_abs_diff(&exact);
         let err_quad = c.max_abs_diff(&quad);
         assert!(err_exact < 1e-9, "wigner engine err {err_exact}");
@@ -142,7 +109,7 @@ mod tests {
     fn parseval_on_sphere() {
         // ∫ |Z|² dΩ = Σ_{ℓm} |z_{ℓm}|² for band-limited Z.
         let l = 10;
-        let plan = ShtPlan::gauss_legendre(l);
+        let plan = ShtPlan::equiangular(l, 20, 20);
         let c = random_coeffs(l, 21);
         let field = plan.synthesis(&c);
         let g = plan.grid();

@@ -3,26 +3,11 @@
 use crate::coeffs::HarmonicCoeffs;
 use exaclim_fft::{irfft_into, real_scratch_len, rfft_into, Fft};
 use exaclim_mathkit::Complex64;
-use exaclim_sphere::grid::{EquiangularGrid, GaussLegendreGrid, Grid};
+use exaclim_sphere::grid::EquiangularGrid;
 use exaclim_sphere::harmonics::integral_iq;
 use exaclim_sphere::legendre::{idx, packed_len, LegendreTable};
 use exaclim_sphere::wigner::WignerPiHalf;
 use std::sync::OnceLock;
-
-/// Which forward-transform algorithm a plan uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AnalysisEngine {
-    /// Quadrature with Gauss–Legendre ring weights (exact on GL grids).
-    GaussLegendre,
-    /// The paper's FFT + Wigner-d(π/2) method (exact on equiangular grids
-    /// with `Nθ > L`, `Nϕ ≥ 2L−1`; eqs. 4–8).
-    WignerFft,
-}
-
-enum GridKind {
-    Equiangular(EquiangularGrid),
-    GaussLegendre(GaussLegendreGrid),
-}
 
 /// Caller-owned working memory of one transform at a time on one plan
 /// ([`ShtPlan::scratch`]); reusing it across fields keeps
@@ -37,42 +22,26 @@ pub struct ShtScratch {
     gm: Vec<Complex64>,
 }
 
-/// A reusable spherical-harmonic transform plan for one grid and band-limit.
+/// A reusable spherical-harmonic transform plan for one equiangular grid
+/// and band-limit.
 ///
 /// Precomputes per-ring normalized Legendre values (`O(Nθ L²)` memory) and
-/// the longitude FFT plan. The equiangular engine adds, on the first
-/// analysis, the co-latitude operators `A_m` (≈ `L²Nθ/2` complex values,
-/// built from the Wigner-d(π/2) tensor of the paper's pre-computation
-/// strategy); plans that only ever synthesize never build them.
+/// the longitude FFT plan. The first analysis adds the co-latitude
+/// operators `A_m` (≈ `L²Nθ/2` complex values, built from the
+/// Wigner-d(π/2) tensor of the paper's pre-computation strategy); plans
+/// that only ever synthesize never build them.
 pub struct ShtPlan {
     lmax: usize,
-    grid: GridKind,
-    engine: AnalysisEngine,
+    grid: EquiangularGrid,
     /// `legendre[i][idx(l, m)] = λ_ℓ^m(cos θ_i)`.
     pub(crate) legendre: Vec<Vec<f64>>,
     pub(crate) fft_phi: Fft,
-    /// Equiangular engine only: `theta_operator[m]` is the `(L−m) × Nθ`
-    /// row-major matrix `A_m` with `z_{ℓm} = Σ_i A_m[ℓ−m, i] · G_m(θ_i)`.
+    /// `theta_operator[m]` is the `(L−m) × Nθ` row-major matrix `A_m` with
+    /// `z_{ℓm} = Σ_i A_m[ℓ−m, i] · G_m(θ_i)`.
     theta_operator: OnceLock<Vec<Vec<Complex64>>>,
 }
 
 impl ShtPlan {
-    /// Gauss–Legendre plan at band-limit `L`: `L` rings, `2L−1` longitudes.
-    pub fn gauss_legendre(lmax: usize) -> Self {
-        assert!(lmax >= 1);
-        let grid = GaussLegendreGrid::for_bandlimit(lmax);
-        let legendre = ring_legendre(&grid, lmax);
-        let fft_phi = Fft::new(grid.nphi());
-        Self {
-            lmax,
-            grid: GridKind::GaussLegendre(grid),
-            engine: AnalysisEngine::GaussLegendre,
-            legendre,
-            fft_phi,
-            theta_operator: OnceLock::new(),
-        }
-    }
-
     /// Equiangular (ERA5-style) plan at band-limit `L` on an `Nθ × Nϕ`
     /// grid. Exactness requires `Nθ > L` and `Nϕ ≥ 2L − 1`.
     pub fn equiangular(lmax: usize, ntheta: usize, nphi: usize) -> Self {
@@ -90,8 +59,7 @@ impl ShtPlan {
         let fft_phi = Fft::new(nphi);
         Self {
             lmax,
-            grid: GridKind::Equiangular(grid),
-            engine: AnalysisEngine::WignerFft,
+            grid,
             legendre,
             fft_phi,
             theta_operator: OnceLock::new(),
@@ -103,17 +71,9 @@ impl ShtPlan {
         self.lmax
     }
 
-    /// The forward engine this plan uses.
-    pub fn engine(&self) -> AnalysisEngine {
-        self.engine
-    }
-
     /// The underlying grid.
-    pub fn grid(&self) -> &dyn Grid {
-        match &self.grid {
-            GridKind::Equiangular(g) => g,
-            GridKind::GaussLegendre(g) => g,
-        }
+    pub fn grid(&self) -> &EquiangularGrid {
+        &self.grid
     }
 
     /// Number of real values in one field on this plan's grid.
@@ -139,26 +99,32 @@ impl ShtPlan {
     }
 
     /// [`ShtPlan::analysis`] into existing coefficients (overwritten),
-    /// working in `scratch`.
+    /// working in `scratch`: the paper's exact equiangular analysis
+    /// (eqs. 4–8). Past the longitude FFT every step — parity extension and
+    /// FFT along θ, the `I(q)` convolution, the Wigner contraction — is
+    /// linear in `G_m` and the same for every field, so the plan holds their
+    /// product `A_m` and a field costs one `(L−m) × Nθ` matrix–vector
+    /// product per order.
     pub fn analysis_into(
         &self,
         field: &[f64],
         coeffs: &mut HarmonicCoeffs,
         scratch: &mut ShtScratch,
     ) {
-        match self.engine {
-            AnalysisEngine::GaussLegendre => self.analysis_weights(field, coeffs, scratch),
-            AnalysisEngine::WignerFft => self.analysis_wigner(field, coeffs, scratch),
+        assert_eq!(coeffs.lmax(), self.lmax, "band-limit mismatch");
+        self.longitude_spectra(field, scratch);
+        let nt = self.grid().ntheta();
+        let data = coeffs.as_mut_slice();
+        for (m, a_m) in self.theta_operators().iter().enumerate() {
+            let g_m = &scratch.gm[m * nt..(m + 1) * nt];
+            for (k, row) in a_m.chunks_exact(nt).enumerate() {
+                let mut acc = Complex64::ZERO;
+                for (a, g) in row.iter().zip(g_m) {
+                    acc += *a * *g;
+                }
+                data[idx(m + k, m)] = acc;
+            }
         }
-    }
-
-    /// Forward transform by plain ring-weight quadrature regardless of
-    /// engine. On equiangular grids near critical sampling this is
-    /// *inexact* — kept as the baseline the paper's method improves on.
-    pub fn analysis_quadrature(&self, field: &[f64]) -> HarmonicCoeffs {
-        let mut coeffs = HarmonicCoeffs::zeros(self.lmax);
-        self.analysis_weights(field, &mut coeffs, &mut self.scratch());
-        coeffs
     }
 
     /// Inverse transform (synthesis): coefficients → field (row-major
@@ -196,7 +162,7 @@ impl ShtPlan {
         }
     }
 
-    /// Step 1 of both engines: `G_m(θ_i) = ∫ Z e^{-imφ} dφ` for `m < L` via
+    /// Step 1 of analysis: `G_m(θ_i) = ∫ Z e^{-imφ} dφ` for `m < L` via
     /// the longitude FFT of every ring, into `scratch.gm`.
     fn longitude_spectra(&self, field: &[f64], scratch: &mut ShtScratch) {
         assert_eq!(field.len(), self.field_len(), "field size mismatch");
@@ -214,65 +180,11 @@ impl ShtPlan {
         }
     }
 
-    /// The equiangular engine's `A_m`, built on first use.
+    /// The co-latitude operators `A_m`, built on first use.
     pub(crate) fn theta_operators(&self) -> &[Vec<Complex64>] {
         let nt = self.grid().ntheta();
         self.theta_operator
             .get_or_init(|| theta_operator(self.lmax, nt))
-    }
-
-    /// Ring-weight quadrature analysis shared by the GL engine and the
-    /// inexact equiangular baseline:
-    /// `z_{ℓm} = Σ_i w_i λ_ℓ^m(θ_i) G_m(θ_i)`.
-    fn analysis_weights(
-        &self,
-        field: &[f64],
-        coeffs: &mut HarmonicCoeffs,
-        scratch: &mut ShtScratch,
-    ) {
-        assert_eq!(coeffs.lmax(), self.lmax, "band-limit mismatch");
-        self.longitude_spectra(field, scratch);
-        let g = self.grid();
-        let nt = g.ntheta();
-        let data = coeffs.as_mut_slice();
-        data.fill(Complex64::ZERO);
-        for i in 0..nt {
-            let w = g.ring_weight(i);
-            let lam = &self.legendre[i];
-            for m in 0..self.lmax {
-                let f = scratch.gm[m * nt + i] * w;
-                for l in m..self.lmax {
-                    data[idx(l, m)] += f * lam[idx(l, m)];
-                }
-            }
-        }
-    }
-
-    /// The paper's exact equiangular analysis (eqs. 4–8). Past the
-    /// longitude FFT every step — parity extension and FFT along θ, the
-    /// `I(q)` convolution, the Wigner contraction — is linear in `G_m` and
-    /// the same for every field, so the plan holds their product `A_m` and
-    /// a field costs one `(L−m) × Nθ` matrix–vector product per order.
-    fn analysis_wigner(
-        &self,
-        field: &[f64],
-        coeffs: &mut HarmonicCoeffs,
-        scratch: &mut ShtScratch,
-    ) {
-        assert_eq!(coeffs.lmax(), self.lmax, "band-limit mismatch");
-        self.longitude_spectra(field, scratch);
-        let nt = self.grid().ntheta();
-        let data = coeffs.as_mut_slice();
-        for (m, a_m) in self.theta_operators().iter().enumerate() {
-            let g_m = &scratch.gm[m * nt..(m + 1) * nt];
-            for (k, row) in a_m.chunks_exact(nt).enumerate() {
-                let mut acc = Complex64::ZERO;
-                for (a, g) in row.iter().zip(g_m) {
-                    acc += *a * *g;
-                }
-                data[idx(m + k, m)] = acc;
-            }
-        }
     }
 }
 
@@ -355,8 +267,8 @@ fn theta_operator(lmax: usize, nt: usize) -> Vec<Vec<Complex64>> {
         .collect()
 }
 
-/// Evaluate the normalized Legendre table at every ring of a grid.
-fn ring_legendre<G: Grid>(grid: &G, lmax: usize) -> Vec<Vec<f64>> {
+/// Evaluate the normalized Legendre table at every ring of the grid.
+fn ring_legendre(grid: &EquiangularGrid, lmax: usize) -> Vec<Vec<f64>> {
     let table = LegendreTable::new(lmax - 1);
     (0..grid.ntheta())
         .map(|i| {
@@ -371,11 +283,34 @@ fn ring_legendre<G: Grid>(grid: &G, lmax: usize) -> Vec<Vec<f64>> {
 /// The per-field θ-stage the operators `A_m` replaced — eqs. 4–8 step by
 /// step, for every field and order: parity extension, FFT along θ, `I(q)`
 /// convolution, Wigner contraction. Kept as the oracle the operator
-/// analysis is checked against.
+/// analysis is checked against, next to the plain ring-weight quadrature
+/// the paper's method improves on.
 #[cfg(test)]
 pub(crate) mod reference {
     use super::*;
     use exaclim_fft::rfft;
+
+    /// Forward transform by plain ring-weight quadrature,
+    /// `z_{ℓm} = Σ_i w_i λ_ℓ^m(θ_i) G_m(θ_i)`. On equiangular grids near
+    /// critical sampling this is *inexact*.
+    pub fn analysis_quadrature(plan: &ShtPlan, field: &[f64]) -> HarmonicCoeffs {
+        let mut scratch = plan.scratch();
+        plan.longitude_spectra(field, &mut scratch);
+        let g = plan.grid();
+        let nt = g.ntheta();
+        let mut coeffs = HarmonicCoeffs::zeros(plan.lmax);
+        let data = coeffs.as_mut_slice();
+        for (i, lam) in plan.legendre.iter().enumerate() {
+            let w = g.ring_weight(i);
+            for m in 0..plan.lmax {
+                let f = scratch.gm[m * nt + i] * w;
+                for l in m..plan.lmax {
+                    data[idx(l, m)] += f * lam[idx(l, m)];
+                }
+            }
+        }
+        coeffs
+    }
 
     /// What an equiangular plan used to precompute for the θ-stage.
     pub struct WignerData {
@@ -521,7 +456,7 @@ mod tests {
             plan.theta_operator.get().is_none(),
             "synthesis built the operator"
         );
-        let _ = plan.analysis_quadrature(&field);
+        let _ = reference::analysis_quadrature(&plan, &field);
         assert!(
             plan.theta_operator.get().is_none(),
             "quadrature built the operator"
@@ -590,15 +525,10 @@ mod tests {
 
     #[test]
     fn plan_reports_geometry() {
-        let p = ShtPlan::gauss_legendre(8);
-        assert_eq!(p.lmax(), 8);
-        assert_eq!(p.engine(), AnalysisEngine::GaussLegendre);
-        assert_eq!(p.grid().ntheta(), 8);
-        assert_eq!(p.grid().nphi(), 15);
-        assert_eq!(p.field_len(), 120);
-
         let p = ShtPlan::equiangular(8, 10, 16);
-        assert_eq!(p.engine(), AnalysisEngine::WignerFft);
+        assert_eq!(p.lmax(), 8);
+        assert_eq!(p.grid().ntheta(), 10);
+        assert_eq!(p.grid().nphi(), 16);
         assert_eq!(p.field_len(), 160);
     }
 

@@ -1,57 +1,16 @@
-//! Latitude–longitude samplings of the sphere.
+//! The latitude–longitude sampling of the sphere the paper uses: the
+//! **equiangular** grid of ERA5 — `Nθ` co-latitudes `θ_i = iπ/(Nθ−1)`
+//! *including both poles* and `Nϕ` equally spaced longitudes (0.25° ⇒
+//! 721 × 1440, band-limit `L = 720`).
 //!
-//! Two grids appear in the paper:
-//!
-//! * the **equiangular** grid of ERA5 — `Nθ` co-latitudes
-//!   `θ_i = iπ/(Nθ−1)` *including both poles* and `Nϕ` equally spaced
-//!   longitudes (0.25° ⇒ 721 × 1440, band-limit `L = 720`),
-//! * the **Gauss–Legendre** grid — co-latitudes at the roots of `P_{Nθ}`,
-//!   giving exact quadrature for fields band-limited at `L ≤ Nθ`.
-//!
-//! Fields on either grid are stored row-major: index `i * nphi + j` for
-//! co-latitude ring `i` and longitude `j`.
-
-use exaclim_mathkit::GaussLegendre;
-use serde::{Deserialize, Serialize};
-
-/// Common interface over the supported spherical grids.
-pub trait Grid {
-    /// Number of co-latitude rings.
-    fn ntheta(&self) -> usize;
-    /// Number of longitude points.
-    fn nphi(&self) -> usize;
-    /// Co-latitude of ring `i`, in `[0, π]`.
-    fn theta(&self, i: usize) -> f64;
-    /// Longitude of column `j`, in `[0, 2π)`.
-    fn phi(&self, j: usize) -> f64 {
-        2.0 * std::f64::consts::PI * j as f64 / self.nphi() as f64
-    }
-    /// Quadrature weight of ring `i` such that
-    /// `Σ_i w_i f(θ_i) ≈ ∫₀^π f(θ) sinθ dθ` for smooth `f`.
-    fn ring_weight(&self, i: usize) -> f64;
-    /// Total number of grid points.
-    fn len(&self) -> usize {
-        self.ntheta() * self.nphi()
-    }
-    /// True iff the grid has no points.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-    /// Maximum band-limit `L` for which the forward transform on this grid
-    /// is exact (quadrature-wise) for band-limited inputs.
-    fn max_bandlimit(&self) -> usize;
-    /// Solid-angle weight of point `(i, j)`: `ring_weight · 2π/Nϕ`.
-    fn point_weight(&self, i: usize) -> f64 {
-        self.ring_weight(i) * 2.0 * std::f64::consts::PI / self.nphi() as f64
-    }
-}
+//! Fields are stored row-major: index `i * nphi + j` for co-latitude ring
+//! `i` and longitude `j`.
 
 /// ERA5-style equiangular grid including both poles.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct EquiangularGrid {
     ntheta: usize,
     nphi: usize,
-    #[serde(skip)]
     weights: Vec<f64>,
 }
 
@@ -84,23 +43,52 @@ impl EquiangularGrid {
     pub fn dx_km(&self) -> f64 {
         2.0 * std::f64::consts::PI * 6371.0 / self.nphi as f64
     }
-}
 
-impl Grid for EquiangularGrid {
-    fn ntheta(&self) -> usize {
+    /// Number of co-latitude rings.
+    pub fn ntheta(&self) -> usize {
         self.ntheta
     }
-    fn nphi(&self) -> usize {
+
+    /// Number of longitude points.
+    pub fn nphi(&self) -> usize {
         self.nphi
     }
-    fn theta(&self, i: usize) -> f64 {
+
+    /// Total number of grid points.
+    pub fn len(&self) -> usize {
+        self.ntheta * self.nphi
+    }
+
+    /// True iff the grid has no points.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Co-latitude of ring `i`, in `[0, π]`.
+    pub fn theta(&self, i: usize) -> f64 {
         std::f64::consts::PI * i as f64 / (self.ntheta - 1) as f64
     }
-    fn ring_weight(&self, i: usize) -> f64 {
+
+    /// Longitude of column `j`, in `[0, 2π)`.
+    pub fn phi(&self, j: usize) -> f64 {
+        2.0 * std::f64::consts::PI * j as f64 / self.nphi as f64
+    }
+
+    /// Quadrature weight of ring `i` such that
+    /// `Σ_i w_i f(θ_i) ≈ ∫₀^π f(θ) sinθ dθ` for smooth `f`.
+    pub fn ring_weight(&self, i: usize) -> f64 {
         self.weights[i]
     }
-    fn max_bandlimit(&self) -> usize {
-        // Paper §III.A.1: exact recovery requires Nθ > L and Nϕ ≥ 2L − 1.
+
+    /// Solid-angle weight of point `(i, j)`: `ring_weight · 2π/Nϕ`.
+    pub fn point_weight(&self, i: usize) -> f64 {
+        self.ring_weight(i) * 2.0 * std::f64::consts::PI / self.nphi as f64
+    }
+
+    /// Maximum band-limit `L` for which the forward transform on this grid
+    /// is exact for band-limited inputs. Paper §III.A.1: exact recovery
+    /// requires `Nθ > L` and `Nϕ ≥ 2L − 1`.
+    pub fn max_bandlimit(&self) -> usize {
         (self.ntheta - 1).min(self.nphi.div_ceil(2))
     }
 }
@@ -128,62 +116,6 @@ fn clenshaw_curtis_sin_weights(ntheta: usize) -> Vec<f64> {
         *wi = acc * 2.0 / n as f64 * endpoint;
     }
     w
-}
-
-/// Gauss–Legendre grid: `ntheta` rings at the roots of `P_{ntheta}`.
-#[derive(Debug, Clone)]
-pub struct GaussLegendreGrid {
-    nphi: usize,
-    /// Co-latitudes in ascending order (north to south).
-    thetas: Vec<f64>,
-    /// GL weights mapped to θ (already include the sinθ Jacobian).
-    weights: Vec<f64>,
-}
-
-impl GaussLegendreGrid {
-    /// Build with `ntheta` rings and `nphi` longitudes.
-    pub fn new(ntheta: usize, nphi: usize) -> Self {
-        assert!(ntheta >= 1 && nphi >= 1);
-        let rule = GaussLegendre::new(ntheta);
-        // x = cosθ, descending x ⇒ ascending θ.
-        let mut pairs: Vec<(f64, f64)> = rule
-            .nodes
-            .iter()
-            .zip(&rule.weights)
-            .map(|(&x, &w)| (x.acos(), w))
-            .collect();
-        pairs.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap());
-        let (thetas, weights) = pairs.into_iter().unzip();
-        Self {
-            nphi,
-            thetas,
-            weights,
-        }
-    }
-
-    /// Smallest exact grid for band-limit `L`: `L` rings, `2L−1` longitudes.
-    pub fn for_bandlimit(l: usize) -> Self {
-        assert!(l >= 1);
-        Self::new(l, (2 * l - 1).max(4))
-    }
-}
-
-impl Grid for GaussLegendreGrid {
-    fn ntheta(&self) -> usize {
-        self.thetas.len()
-    }
-    fn nphi(&self) -> usize {
-        self.nphi
-    }
-    fn theta(&self, i: usize) -> f64 {
-        self.thetas[i]
-    }
-    fn ring_weight(&self, i: usize) -> f64 {
-        self.weights[i]
-    }
-    fn max_bandlimit(&self) -> usize {
-        self.thetas.len().min(self.nphi.div_ceil(2))
-    }
 }
 
 #[cfg(test)]
@@ -267,38 +199,16 @@ mod tests {
     }
 
     #[test]
-    fn gl_grid_weights_sum_to_two() {
-        let g = GaussLegendreGrid::new(64, 127);
-        let s: f64 = (0..64).map(|i| g.ring_weight(i)).sum();
-        assert!((s - 2.0).abs() < 1e-12);
-        // θ ascending, strictly inside (0, π).
-        for i in 0..63 {
-            assert!(g.theta(i) < g.theta(i + 1));
-        }
-        assert!(g.theta(0) > 0.0 && g.theta(63) < std::f64::consts::PI);
-    }
-
-    #[test]
-    fn gl_for_bandlimit_sizes() {
-        let g = GaussLegendreGrid::for_bandlimit(32);
-        assert_eq!(g.ntheta(), 32);
-        assert_eq!(g.nphi(), 63);
-        assert!(g.max_bandlimit() >= 32);
-    }
-
-    #[test]
     fn point_weights_cover_sphere() {
-        // Σ_{ij} point_weight = 4π on both grids.
+        // Σ_{ij} point_weight = 4π, with the poles and without a ring at
+        // the equator.
         let fourpi = 4.0 * std::f64::consts::PI;
-        let g = EquiangularGrid::new(19, 36);
-        let s: f64 = (0..g.ntheta())
-            .map(|i| g.point_weight(i) * g.nphi() as f64)
-            .sum();
-        assert!((s - fourpi).abs() < 1e-9);
-        let g = GaussLegendreGrid::new(24, 47);
-        let s: f64 = (0..g.ntheta())
-            .map(|i| g.point_weight(i) * g.nphi() as f64)
-            .sum();
-        assert!((s - fourpi).abs() < 1e-9);
+        for (ntheta, nphi) in [(19usize, 36usize), (24, 47)] {
+            let g = EquiangularGrid::new(ntheta, nphi);
+            let s: f64 = (0..g.ntheta())
+                .map(|i| g.point_weight(i) * g.nphi() as f64)
+                .sum();
+            assert!((s - fourpi).abs() < 1e-9, "{ntheta}x{nphi}: {s}");
+        }
     }
 }

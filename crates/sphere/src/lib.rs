@@ -3,9 +3,9 @@
 //! Spherical geometry and special-function machinery shared by the SHT and
 //! the climate-data generator:
 //!
-//! * [`grid`] — the two latitude–longitude samplings used in the paper: the
-//!   ERA5-style equiangular grid (includes both poles, `Nθ × Nϕ`) and the
-//!   Gauss–Legendre grid (exact quadrature for band-limited fields),
+//! * [`grid`] — the paper's latitude–longitude sampling: the ERA5-style
+//!   equiangular grid (includes both poles, `Nθ × Nϕ`) with its
+//!   Clenshaw–Curtis ring weights,
 //! * [`legendre`] — fully normalized associated Legendre functions
 //!   `λ_ℓ^m` with Condon–Shortley phase, via stable three-term recursions,
 //! * [`wigner`] — Wigner-d matrices at `β = π/2`, the precomputed tensor at
@@ -18,7 +18,7 @@ pub mod harmonics;
 pub mod legendre;
 pub mod wigner;
 
-pub use grid::{EquiangularGrid, GaussLegendreGrid, Grid};
+pub use grid::EquiangularGrid;
 pub use harmonics::{integral_iq, ylm};
 pub use legendre::LegendreTable;
 pub use wigner::WignerPiHalf;
