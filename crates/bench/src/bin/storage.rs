@@ -10,28 +10,24 @@ use exaclim_climate::storage::{
     paper_headline_model, StorageModel, CMIP3_BYTES, CMIP5_BYTES, CMIP6_BYTES, DOLLARS_PER_TB_YEAR,
     PB, SCREAM_BYTES_PER_DAY, TB,
 };
-use exaclim_climate::{dataset_to_eca1, encode_dataset, SyntheticEra5, SyntheticEra5Config};
+use exaclim_climate::{dataset_to_eca1, SyntheticEra5, SyntheticEra5Config};
 use exaclim_store::Codec;
 
 /// Measured (not modeled) bytes: write a real synthetic member through
-/// every container/codec and a real trained emulator through the ECA1
+/// every ECA1 codec and a real trained emulator through the ECA1
 /// snapshot path, and report what actually lands on disk.
 fn measured_ledger() {
-    println!("== Measured bytes (L=8 daily, 1 member × 2 yr, synthetic ERA5) ==");
     let generator = SyntheticEra5::new(SyntheticEra5Config::small_daily(12));
     let days = 2 * 365;
     let member = generator.generate_member(0, days);
+    println!(
+        "== Measured bytes ({}×{} daily grid, 1 member × 2 yr, synthetic ERA5; emulator L=8) ==",
+        member.ntheta, member.nphi
+    );
     let raw64 = member.data.len() * 8;
-    let xclm = encode_dataset(&member).len();
     println!(
         "{:<28} {:>12} bytes {:>8}",
         "raw f64 (in memory)", raw64, "1.00×"
-    );
-    println!(
-        "{:<28} {:>12} bytes {:>7.2}×",
-        "XCLM v1 (legacy f32)",
-        xclm,
-        raw64 as f64 / xclm as f64
     );
     let mut f32_archive = 0usize;
     let mut shuffled_archive = 0usize;

@@ -1,169 +1,16 @@
-//! Binary serialization of [`Dataset`]s.
-//!
-//! Two containers are supported:
-//!
-//! * **XCLM v1** (legacy, this module): magic, version, geometry header,
-//!   then the whole field payload as little-endian f32 — no chunking, no
-//!   compression, no checksums. Kept for backward compatibility and as
-//!   the storage-model baseline (the ERA5/CMIP "archive at f32"
-//!   convention).
-//! * **ECA1** (`exaclim-store`): chunked, codec-compressed, per-chunk
-//!   CRC32-checksummed members. [`dataset_to_eca1`]/[`dataset_from_eca1`]
-//!   bridge [`Dataset`] to it, and [`convert_xclm_to_eca1`] migrates
-//!   legacy blobs.
+//! [`Dataset`]s as ECA1 archives (`exaclim-store`): chunked,
+//! codec-compressed, per-chunk CRC32-checksummed field members.
+//! [`dataset_to_eca1`]/[`dataset_from_eca1`] bridge a [`Dataset`] to a
+//! single-member archive.
 
 use crate::generator::Dataset;
-use bytes::{Buf, BufMut, Bytes, BytesMut};
-use exaclim_store::{ArchiveError, ArchiveReader, ArchiveWriter, Codec, FieldMeta, MemberKind};
-
-/// File magic: the literal bytes `XCLM` at offset 0.
-const MAGIC: [u8; 4] = *b"XCLM";
-/// Magic emitted by earlier releases: the intent was `XCLM`, but the
-/// obfuscated constant (`0x584C_434Du32.swap_bytes()` written LE) landed
-/// the bytes on disk as `XLCM`. Decoding accepts both so files written
-/// before the fix stay readable; encoding always writes [`MAGIC`].
-const LEGACY_MAGIC: [u8; 4] = *b"XLCM";
-/// Container version.
-const VERSION: u16 = 1;
+use bytes::Bytes;
+use exaclim_store::{Archive, ArchiveError, ArchiveWriter, Codec, FieldMeta, MemberKind};
 
 /// Member name used for the field when a dataset is stored as ECA1.
 pub const ECA1_FIELD_MEMBER: &str = "field";
 /// Default time steps per ECA1 chunk.
 pub const ECA1_DEFAULT_CHUNK_T: usize = 32;
-
-/// Errors from decoding a dataset container.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum DecodeError {
-    /// Wrong magic bytes.
-    BadMagic,
-    /// Unsupported container version.
-    BadVersion(u16),
-    /// Payload shorter than the header promises.
-    Truncated,
-    /// Bytes left over after the payload the header promises.
-    TrailingBytes(usize),
-}
-
-impl std::fmt::Display for DecodeError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            DecodeError::BadMagic => write!(f, "not an exaclim dataset (bad magic)"),
-            DecodeError::BadVersion(v) => write!(f, "unsupported container version {v}"),
-            DecodeError::Truncated => write!(f, "truncated payload"),
-            DecodeError::TrailingBytes(n) => {
-                write!(f, "{n} trailing bytes after the field payload")
-            }
-        }
-    }
-}
-
-impl std::error::Error for DecodeError {}
-
-/// Encode a dataset into the legacy XCLM container (f32 payload).
-pub fn encode_dataset(d: &Dataset) -> Bytes {
-    let mut buf = BytesMut::with_capacity(40 + d.data.len() * 4);
-    buf.put_slice(&MAGIC);
-    buf.put_u16_le(VERSION);
-    buf.put_u16_le(0); // flags, reserved
-    buf.put_u64_le(d.t_max as u64);
-    buf.put_u32_le(d.ntheta as u32);
-    buf.put_u32_le(d.nphi as u32);
-    buf.put_i64_le(d.start_year);
-    buf.put_u32_le(d.tau as u32);
-    for &v in &d.data {
-        buf.put_f32_le(v as f32);
-    }
-    buf.freeze()
-}
-
-/// Decode an XCLM container back into a [`Dataset`] (values widened to
-/// f64). The container must end exactly at the payload: trailing bytes
-/// are rejected rather than silently ignored.
-pub fn decode_dataset(mut raw: Bytes) -> Result<Dataset, DecodeError> {
-    if raw.remaining() < 36 {
-        return Err(DecodeError::Truncated);
-    }
-    let mut magic = [0u8; 4];
-    raw.copy_to_slice(&mut magic);
-    if magic != MAGIC && magic != LEGACY_MAGIC {
-        return Err(DecodeError::BadMagic);
-    }
-    let version = raw.get_u16_le();
-    if version != VERSION {
-        return Err(DecodeError::BadVersion(version));
-    }
-    let _flags = raw.get_u16_le();
-    let t_max = raw.get_u64_le() as usize;
-    let ntheta = raw.get_u32_le() as usize;
-    let nphi = raw.get_u32_le() as usize;
-    let start_year = raw.get_i64_le();
-    let tau = raw.get_u32_le() as usize;
-    // Header fields are untrusted: size them with checked arithmetic so a
-    // hostile header cannot overflow (debug panic / release wrap-around).
-    let npoints = ntheta.checked_mul(nphi).ok_or(DecodeError::Truncated)?;
-    let need = t_max
-        .checked_mul(npoints)
-        .and_then(|v| v.checked_mul(4))
-        .ok_or(DecodeError::Truncated)?;
-    if raw.remaining() < need {
-        return Err(DecodeError::Truncated);
-    }
-    if raw.remaining() > need {
-        return Err(DecodeError::TrailingBytes(raw.remaining() - need));
-    }
-    let mut data = Vec::with_capacity(t_max * npoints);
-    for _ in 0..t_max * npoints {
-        data.push(raw.get_f32_le() as f64);
-    }
-    Ok(Dataset {
-        data,
-        t_max,
-        npoints,
-        ntheta,
-        nphi,
-        start_year,
-        tau,
-    })
-}
-
-/// Archive size in bytes of a dataset in the XCLM container.
-pub fn encoded_len(d: &Dataset) -> usize {
-    36 + d.data.len() * 4
-}
-
-// ------------------------------------------------------------------ ECA1
-
-/// Errors from converting between containers.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ConvertError {
-    /// The legacy XCLM side failed.
-    Legacy(DecodeError),
-    /// The ECA1 side failed.
-    Archive(ArchiveError),
-}
-
-impl std::fmt::Display for ConvertError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ConvertError::Legacy(e) => write!(f, "XCLM: {e}"),
-            ConvertError::Archive(e) => write!(f, "ECA1: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for ConvertError {}
-
-impl From<DecodeError> for ConvertError {
-    fn from(e: DecodeError) -> Self {
-        ConvertError::Legacy(e)
-    }
-}
-
-impl From<ArchiveError> for ConvertError {
-    fn from(e: ArchiveError) -> Self {
-        ConvertError::Archive(e)
-    }
-}
 
 /// Grid/time metadata of a dataset, as stored in an ECA1 member.
 pub fn dataset_meta(d: &Dataset) -> FieldMeta {
@@ -192,7 +39,7 @@ pub fn dataset_to_eca1(d: &Dataset, codec: Codec) -> Result<Bytes, ArchiveError>
 
 /// Decode the first field member of an ECA1 archive into a [`Dataset`].
 pub fn dataset_from_eca1(raw: Bytes) -> Result<Dataset, ArchiveError> {
-    let mut r = ArchiveReader::new(std::io::Cursor::new(raw))?;
+    let r = Archive::from_reader(std::io::Cursor::new(raw))?;
     let (name, meta, t_max, vps) = {
         let m = r
             .members()
@@ -224,14 +71,6 @@ pub fn dataset_from_eca1(raw: Bytes) -> Result<Dataset, ArchiveError> {
     })
 }
 
-/// Migrate a legacy XCLM blob to ECA1. With an f32-width codec (`F32` /
-/// `F32Shuffle`) the conversion is lossless: XCLM already quantized the
-/// field to f32.
-pub fn convert_xclm_to_eca1(raw: Bytes, codec: Codec) -> Result<Bytes, ConvertError> {
-    let dataset = decode_dataset(raw)?;
-    Ok(dataset_to_eca1(&dataset, codec)?)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -240,110 +79,6 @@ mod tests {
     fn sample() -> Dataset {
         let generator = SyntheticEra5::new(SyntheticEra5Config::small_daily(8));
         generator.generate_member(0, 20)
-    }
-
-    #[test]
-    fn roundtrip_preserves_geometry_and_values_to_f32() {
-        let d = sample();
-        let raw = encode_dataset(&d);
-        assert_eq!(raw.len(), encoded_len(&d));
-        assert_eq!(&raw[..4], b"XCLM", "magic is the literal bytes XCLM");
-        let back = decode_dataset(raw).unwrap();
-        assert_eq!(back.t_max, d.t_max);
-        assert_eq!((back.ntheta, back.nphi), (d.ntheta, d.nphi));
-        assert_eq!(back.start_year, d.start_year);
-        assert_eq!(back.tau, d.tau);
-        for (a, b) in d.data.iter().zip(&back.data) {
-            // f32 storage: relative error ≤ 2^-24.
-            assert!(((a - b) / a).abs() < 1e-6, "{a} vs {b}");
-        }
-    }
-
-    #[test]
-    fn rejects_garbage() {
-        assert_eq!(
-            decode_dataset(Bytes::from_static(
-                b"not a dataset at all....123456789abcdef0"
-            ))
-            .unwrap_err(),
-            DecodeError::BadMagic
-        );
-        assert_eq!(
-            decode_dataset(Bytes::from_static(b"xx")).unwrap_err(),
-            DecodeError::Truncated
-        );
-    }
-
-    #[test]
-    fn accepts_legacy_xlcm_magic() {
-        // Files written before the magic fix start with the bytes `XLCM`
-        // (the old obfuscated constant's actual LE spelling).
-        let d = sample();
-        let mut raw = BytesMut::from(&encode_dataset(&d)[..]);
-        raw[..4].copy_from_slice(b"XLCM");
-        let back = decode_dataset(raw.freeze()).unwrap();
-        assert_eq!(back.t_max, d.t_max);
-        assert_eq!(back.data.len(), d.data.len());
-    }
-
-    #[test]
-    fn rejects_truncated_payload() {
-        let d = sample();
-        let raw = encode_dataset(&d);
-        let cut = raw.slice(0..raw.len() - 10);
-        assert_eq!(decode_dataset(cut).unwrap_err(), DecodeError::Truncated);
-    }
-
-    #[test]
-    fn rejects_overflowing_header_sizes() {
-        // A hostile header whose t_max × npoints × 4 overflows usize must
-        // error, not panic (debug) or wrap (release).
-        let mut raw = BytesMut::new();
-        raw.put_slice(b"XCLM");
-        raw.put_u16_le(1);
-        raw.put_u16_le(0);
-        raw.put_u64_le(u64::MAX / 2); // t_max
-        raw.put_u32_le(u32::MAX); // ntheta
-        raw.put_u32_le(u32::MAX); // nphi
-        raw.put_i64_le(2000);
-        raw.put_u32_le(365);
-        assert_eq!(
-            decode_dataset(raw.freeze()).unwrap_err(),
-            DecodeError::Truncated
-        );
-    }
-
-    #[test]
-    fn rejects_trailing_garbage() {
-        let d = sample();
-        let mut raw = BytesMut::from(&encode_dataset(&d)[..]);
-        raw.put_slice(b"junk");
-        assert_eq!(
-            decode_dataset(raw.freeze()).unwrap_err(),
-            DecodeError::TrailingBytes(4)
-        );
-    }
-
-    #[test]
-    fn rejects_future_version() {
-        let d = sample();
-        let mut raw = BytesMut::from(&encode_dataset(&d)[..]);
-        raw[4] = 99; // version byte (LE)
-        assert_eq!(
-            decode_dataset(raw.freeze()).unwrap_err(),
-            DecodeError::BadVersion(99)
-        );
-    }
-
-    #[test]
-    fn disk_roundtrip() {
-        let d = sample();
-        let path = std::env::temp_dir().join("exaclim_io_test.xclm");
-        std::fs::write(&path, encode_dataset(&d)).unwrap();
-        let raw = Bytes::from(std::fs::read(&path).unwrap());
-        std::fs::remove_file(&path).ok();
-        let back = decode_dataset(raw).unwrap();
-        assert_eq!(back.t_max, d.t_max);
     }
 
     #[test]
@@ -359,28 +94,5 @@ mod tests {
                 assert_eq!(codec.quantize(*a), *b, "{}", codec.label());
             }
         }
-    }
-
-    #[test]
-    fn xclm_to_eca1_conversion_is_lossless_at_f32() {
-        let d = sample();
-        let legacy = encode_dataset(&d);
-        let via_legacy = decode_dataset(legacy.clone()).unwrap();
-        let eca = convert_xclm_to_eca1(legacy, Codec::F32Shuffle).unwrap();
-        let back = dataset_from_eca1(eca).unwrap();
-        // The converted archive must reproduce the legacy decode exactly:
-        // both sides are the same f32 quantization of the original field.
-        assert_eq!(via_legacy.data, back.data);
-        assert_eq!(via_legacy.t_max, back.t_max);
-    }
-
-    #[test]
-    fn conversion_surfaces_legacy_errors() {
-        let err = convert_xclm_to_eca1(
-            Bytes::from_static(b"bogus data............................"),
-            Codec::F32,
-        )
-        .unwrap_err();
-        assert_eq!(err, ConvertError::Legacy(DecodeError::BadMagic));
     }
 }

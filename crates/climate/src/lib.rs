@@ -15,7 +15,9 @@
 //!   "spline interpolation to upscale the data"),
 //! * [`storage`] — the storage-cost accounting behind the paper's
 //!   "saving petabytes" headline: ensemble bytes vs emulator-parameter
-//!   bytes, $/TB/yr, CMIP reference volumes.
+//!   bytes, $/TB/yr, CMIP reference volumes,
+//! * [`io`] — a [`Dataset`] as a single-member ECA1 archive
+//!   (`exaclim-store`).
 
 pub mod generator;
 pub mod io;
@@ -24,8 +26,6 @@ pub mod storage;
 pub mod upsample;
 
 pub use generator::{Dataset, SyntheticEra5, SyntheticEra5Config};
-pub use io::{
-    convert_xclm_to_eca1, dataset_from_eca1, dataset_to_eca1, decode_dataset, encode_dataset,
-};
+pub use io::{dataset_from_eca1, dataset_to_eca1};
 pub use landsea::land_fraction;
 pub use storage::StorageModel;

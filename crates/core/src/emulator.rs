@@ -699,7 +699,7 @@ mod tests {
     fn snapshot_embeds_in_mixed_archive() {
         // An emulator snapshot stored *next to* field members — the layout
         // a serving catalog reads — reloads bit-identically.
-        use exaclim_store::{ArchiveReader, ArchiveWriter, ByteCodec, Codec, FieldMeta};
+        use exaclim_store::{Archive, ArchiveWriter, ByteCodec, Codec, FieldMeta};
         use std::io::Cursor;
         let (em, training) = train_small();
         let snap = em.to_snapshot();
@@ -728,7 +728,7 @@ mod tests {
         )
         .unwrap();
         let (cursor, _) = w.finish().unwrap();
-        let mut r = ArchiveReader::new(cursor).unwrap();
+        let r = Archive::from_reader(cursor).unwrap();
         let (version, payload) = r.read_snapshot(TrainedEmulator::SNAPSHOT_MEMBER).unwrap();
         let back = TrainedEmulator::from_snapshot(&exaclim_store::Snapshot::new(
             TrainedEmulator::SNAPSHOT_MEMBER,

@@ -13,7 +13,7 @@
 //! The plan is deterministic: fetches appear in first-touch order, and
 //! each request records which fetches it consumes, in time order — which
 //! is what makes batched responses bit-identical to sequential
-//! [`exaclim_store::ArchiveReader::read_field_slices`] reads.
+//! [`exaclim_store::Archive::read_field_slices`] reads.
 
 use crate::cache::ChunkKey;
 use crate::catalog::Catalog;
@@ -149,7 +149,7 @@ impl BatchPlan {
     /// Assemble one request's response values from the batch's decoded
     /// chunks (`chunks` aligned with [`BatchPlan::fetches`]). Concatenates
     /// each overlapping chunk's in-range part in time order — exactly what
-    /// [`exaclim_store::ArchiveReader::read_field_slices`] does, hence
+    /// [`exaclim_store::Archive::read_field_slices`] does, hence
     /// bit-identical output.
     pub fn assemble(&self, catalog: &Catalog, plan: &SlicePlan, chunks: &[Arc<[f64]>]) -> Vec<f64> {
         let vps = plan.values_per_slice as usize;

@@ -8,7 +8,7 @@
 //! instantiations serve the server:
 //!
 //! * [`ChunkCache`] — whole decoded chunks, the unit
-//!   [`exaclim_store::ArchiveReader::read_field_chunk`] produces, keyed
+//!   [`exaclim_store::Archive::read_field_chunk`] produces, keyed
 //!   by `(archive, member, chunk)` indices ([`ChunkKey`]),
 //! * [`ProductCache`] — evaluated derived products of the scenario
 //!   engine, keyed by the canonical descriptor hash

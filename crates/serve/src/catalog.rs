@@ -301,7 +301,7 @@ impl Catalog {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use exaclim_store::{ArchiveError, ArchiveReader, ArchiveWriter, ByteCodec, Codec, FieldMeta};
+    use exaclim_store::{Archive, ArchiveError, ArchiveWriter, ByteCodec, Codec, FieldMeta};
     use std::io::Cursor;
 
     fn tiny_archive() -> Vec<u8> {
@@ -349,7 +349,7 @@ mod tests {
         let mut c = Catalog::new();
         c.open_archive_bytes("a", bytes.clone()).unwrap();
         let a = c.archive("a").unwrap();
-        let mut r = ArchiveReader::new(Cursor::new(bytes)).unwrap();
+        let r = Archive::from_reader(Cursor::new(bytes)).unwrap();
         for chunk in 0..a.members()[0].chunks.len() {
             assert_eq!(
                 a.fetch_field_chunk(0, chunk).unwrap(),

@@ -74,7 +74,7 @@
 //! because every serving operation is read-only.
 //!
 //! Served bytes are **bit-identical** to sequential
-//! [`exaclim_store::ArchiveReader`] reads at any thread count and any
+//! [`exaclim_store::Archive`] reads at any thread count and any
 //! cache budget — caching and batching change performance, never values.
 //!
 //! ## Example

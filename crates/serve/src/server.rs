@@ -144,7 +144,7 @@ pub struct SliceData {
     pub values_per_slice: u64,
     /// `(range.end − range.start) × values_per_slice` values, time-major —
     /// bit-identical to a sequential
-    /// [`exaclim_store::ArchiveReader::read_field_slices`] read.
+    /// [`exaclim_store::Archive::read_field_slices`] read.
     pub values: Vec<f64>,
 }
 
@@ -854,7 +854,7 @@ impl Server {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use exaclim_store::{ArchiveReader, ArchiveWriter, FieldMeta};
+    use exaclim_store::{Archive, ArchiveWriter, FieldMeta};
     use std::io::Cursor;
 
     fn archive_bytes(codec: Codec, vps: usize, t_max: usize, chunk_t: usize) -> Vec<u8> {
@@ -896,7 +896,7 @@ mod tests {
     fn batched_slices_match_sequential_reader_bitwise() {
         for codec in Codec::ALL {
             let (server, bytes) = server_with(codec, 1 << 20);
-            let mut reader = ArchiveReader::new(Cursor::new(bytes)).unwrap();
+            let reader = Archive::from_reader(Cursor::new(bytes)).unwrap();
             let ranges = [0..23u64, 2..9, 8..9, 0..4, 20..23, 5..5];
             let batch: Vec<Request> = ranges.iter().map(|r| slice(r.clone())).collect();
             for r in server.handle_batch(&batch).into_iter().zip(&ranges) {
@@ -1013,7 +1013,7 @@ mod tests {
     #[test]
     fn zero_budget_cache_still_serves_correct_bytes() {
         let (server, bytes) = server_with(Codec::F32Shuffle, 0);
-        let mut reader = ArchiveReader::new(Cursor::new(bytes)).unwrap();
+        let reader = Archive::from_reader(Cursor::new(bytes)).unwrap();
         for _ in 0..3 {
             let responses = server.handle_batch(&[slice(3..17)]);
             let Ok(Response::Slice(got)) = &responses[0] else {

@@ -1,9 +1,10 @@
-//! Shared, concurrent archive access over any [`ChunkSource`].
+//! Random-access archive reads over any [`ChunkSource`].
 //!
-//! [`Archive`] is the `&self` counterpart of [`crate::ArchiveReader`]:
-//! the directory is parsed and validated once at open, after which every
-//! read method takes `&self` and may run from any number of threads at
-//! once. How concurrent reads behave is entirely the source's property —
+//! Opening an [`Archive`] reads only the 32-byte header and the
+//! directory, which is parsed and validated once; payload chunks are
+//! fetched (and checksum-verified) on demand, so a `(member, time-range)`
+//! slice touches exactly the chunks that overlap the range. Every read
+//! method takes `&self` and may run from any number of threads at once. How concurrent reads behave is entirely the source's property —
 //! a memory map or in-memory buffer serves borrowed, lock-free views
 //! ([`SourceBytes::Borrowed`]); a wrapped stream serializes reads on its
 //! internal mutex and hands out owned buffers.
@@ -474,17 +475,28 @@ mod tests {
     use crate::writer::ArchiveWriter;
     use std::io::Cursor;
 
-    fn build(codec: Codec) -> (Vec<u8>, Vec<f64>) {
-        let data: Vec<f64> = (0..20 * 17)
+    fn smooth(n: usize) -> Vec<f64> {
+        (0..n)
             .map(|i| 280.0 + 10.0 * (i as f64 * 0.02).sin())
-            .collect();
+            .collect()
+    }
+
+    fn build(codec: Codec) -> (Vec<u8>, Vec<f64>) {
+        let meta = FieldMeta {
+            ntheta: 4,
+            nphi: 5,
+            start_year: 1990,
+            tau: 365,
+        };
+        let data = smooth(20 * 17); // 17 slices of 20 values, chunk_t 5
         let mut w = ArchiveWriter::new(Cursor::new(Vec::new())).unwrap();
-        w.add_field("t2m", codec, FieldMeta::default(), 20, 5, &data)
-            .unwrap();
+        w.add_field("t2m", codec, meta, 20, 5, &data).unwrap();
         w.add_snapshot("model", 3, ByteCodec::Rle, b"{\"k\":[1,2,3]}", 8)
             .unwrap();
-        let (cursor, _) = w.finish().unwrap();
-        (cursor.into_inner(), data)
+        let (cursor, total) = w.finish().unwrap();
+        let raw = cursor.into_inner();
+        assert_eq!(raw.len() as u64, total);
+        (raw, data)
     }
 
     #[test]
@@ -588,5 +600,201 @@ mod tests {
             }
         );
         assert!(archive.verify().is_err());
+    }
+
+    #[test]
+    fn full_and_sliced_reads_roundtrip() {
+        for codec in Codec::ALL {
+            let (raw, data) = build(codec);
+            let r = Archive::from_reader(Cursor::new(raw)).unwrap();
+            let m = r.member("t2m").unwrap();
+            assert_eq!(m.t_max, 17);
+            assert_eq!(m.chunks.len(), 4); // 5+5+5+2
+            let all = r.read_field_all("t2m").unwrap();
+            let expect: Vec<f64> = data.iter().map(|&x| codec.quantize(x)).collect();
+            assert_eq!(all, expect, "{}", codec.label());
+            // A slice crossing a chunk boundary.
+            let part = r.read_field_slices("t2m", 4..11).unwrap();
+            assert_eq!(part, expect[4 * 20..11 * 20]);
+            // Snapshot back.
+            let (version, blob) = r.read_snapshot("model").unwrap();
+            assert_eq!(version, 3);
+            assert_eq!(blob, b"{\"k\":[1,2,3]}");
+            r.verify().unwrap();
+        }
+    }
+
+    #[test]
+    fn bad_magic_and_version_are_detected() {
+        let (mut raw, _) = build(Codec::F32);
+        let pristine = raw.clone();
+        raw[0] = b'X';
+        assert!(matches!(
+            Archive::from_reader(Cursor::new(raw)).unwrap_err(),
+            ArchiveError::BadMagic
+        ));
+        let mut raw = pristine.clone();
+        raw[4] = 99;
+        assert!(matches!(
+            Archive::from_reader(Cursor::new(raw)).unwrap_err(),
+            ArchiveError::BadVersion(99)
+        ));
+        let mut short = pristine.clone();
+        short.truncate(10);
+        assert!(matches!(
+            Archive::from_reader(Cursor::new(short)).unwrap_err(),
+            ArchiveError::Corrupt(_)
+        ));
+    }
+
+    #[test]
+    fn flipped_payload_byte_fails_checksum_only_for_its_chunk() {
+        let (mut raw, _) = build(Codec::F32);
+        // Flip one byte inside the second chunk of `t2m`.
+        let (off, t0) = {
+            let r = Archive::from_reader(Cursor::new(raw.clone())).unwrap();
+            let c = r.member("t2m").unwrap().chunks[1];
+            (c.offset as usize, c.t0)
+        };
+        raw[off + 3] ^= 0x40;
+        let r = Archive::from_reader(Cursor::new(raw)).unwrap();
+        // Chunk 0 still reads fine.
+        let ok = r.read_field_slices("t2m", 0..t0).unwrap();
+        assert_eq!(ok.len() as u64, t0 * 20);
+        // Any read touching chunk 1 reports the checksum failure.
+        let err = r.read_field_all("t2m").unwrap_err();
+        assert_eq!(
+            err,
+            ArchiveError::ChecksumMismatch {
+                member: "t2m".to_string(),
+                chunk: 1
+            }
+        );
+        assert!(r.verify().is_err());
+    }
+
+    #[test]
+    fn overflowing_directory_offsets_are_corrupt() {
+        // dir_offset + dir_len passes a single checked_add but the +4 for
+        // the CRC would overflow: must error, not panic.
+        let mut raw = Vec::new();
+        raw.extend_from_slice(b"ECA1");
+        raw.extend_from_slice(&1u16.to_le_bytes());
+        raw.extend_from_slice(&0u16.to_le_bytes());
+        raw.extend_from_slice(&(u64::MAX - 5).to_le_bytes()); // dir offset
+        raw.extend_from_slice(&2u64.to_le_bytes()); // dir len
+        raw.extend_from_slice(&0u64.to_le_bytes());
+        assert!(matches!(
+            Archive::from_reader(Cursor::new(raw)).unwrap_err(),
+            ArchiveError::Corrupt(_)
+        ));
+    }
+
+    #[test]
+    fn truncated_and_trailing_streams_are_detected() {
+        let (raw, _) = build(Codec::Raw64);
+        let mut long = raw.clone();
+        long.extend_from_slice(b"garbage");
+        assert!(matches!(
+            Archive::from_reader(Cursor::new(long)).unwrap_err(),
+            ArchiveError::TrailingBytes { .. }
+        ));
+        let mut short = raw.clone();
+        short.truncate(raw.len() - 3);
+        assert!(matches!(
+            Archive::from_reader(Cursor::new(short)).unwrap_err(),
+            ArchiveError::Corrupt(_)
+        ));
+    }
+
+    #[test]
+    fn hostile_directories_are_rejected_before_allocation() {
+        use crate::chunk::ChunkEntry;
+        // Writer refuses chunks beyond the decoded-size limit.
+        let mut w = ArchiveWriter::new(Cursor::new(Vec::new())).unwrap();
+        assert!(matches!(
+            w.begin_field("x", Codec::Raw64, FieldMeta::default(), 1 << 27, 1 << 27),
+            Err(ArchiveError::BadRequest(_))
+        ));
+        // A directory claiming huge t_max with no chunks backing it.
+        let phantom = MemberEntry {
+            name: "phantom".to_string(),
+            kind: MemberKind::Field,
+            codec: Codec::Raw64.id(),
+            snapshot_version: 0,
+            meta: crate::chunk::FieldMeta::default(),
+            t_max: 1 << 20,
+            chunk_t: 1,
+            values_per_slice: 1 << 40,
+            chunks: vec![],
+        };
+        assert!(matches!(
+            validate_members(std::slice::from_ref(&phantom), 1000),
+            Err(ArchiveError::Corrupt(_))
+        ));
+        // A self-consistent chunk whose decoded size exceeds the limit.
+        let giant = MemberEntry {
+            t_max: 1,
+            values_per_slice: 1 << 30,
+            chunks: vec![ChunkEntry {
+                offset: 32,
+                stored_len: 10,
+                raw_len: (1u64 << 30) * 8,
+                t0: 0,
+                t_len: 1,
+                crc32: 0,
+            }],
+            ..phantom.clone()
+        };
+        assert!(matches!(
+            validate_members(&[giant], 1000),
+            Err(ArchiveError::Corrupt(_))
+        ));
+        // Non-contiguous chunks (a gap in time coverage).
+        let gappy = MemberEntry {
+            t_max: 4,
+            values_per_slice: 1,
+            chunks: vec![
+                ChunkEntry {
+                    offset: 32,
+                    stored_len: 16,
+                    raw_len: 16,
+                    t0: 0,
+                    t_len: 2,
+                    crc32: 0,
+                },
+                ChunkEntry {
+                    offset: 48,
+                    stored_len: 8,
+                    raw_len: 8,
+                    t0: 3,
+                    t_len: 1,
+                    crc32: 0,
+                },
+            ],
+            ..phantom
+        };
+        assert!(matches!(
+            validate_members(&[gappy], 1000),
+            Err(ArchiveError::Corrupt(_))
+        ));
+    }
+
+    #[test]
+    fn out_of_range_requests_are_bad_requests() {
+        let (raw, _) = build(Codec::F32);
+        let r = Archive::from_reader(Cursor::new(raw)).unwrap();
+        assert!(matches!(
+            r.read_field_slices("t2m", 5..100),
+            Err(ArchiveError::BadRequest(_))
+        ));
+        assert!(matches!(
+            r.read_field_slices("nope", 0..1),
+            Err(ArchiveError::MemberNotFound(_))
+        ));
+        assert!(matches!(
+            r.read_snapshot("t2m"),
+            Err(ArchiveError::BadRequest(_))
+        ));
     }
 }

@@ -22,8 +22,8 @@
 //! The directory lives at the end so [`writer::ArchiveWriter`] can stream
 //! chunks without knowing member sizes up front; the header is patched
 //! with the directory offset on [`writer::ArchiveWriter::finish`].
-//! [`reader::ArchiveReader`] seeks straight to any `(member, time-range)`
-//! slice and decodes only the chunks that overlap it.
+//! [`Archive`] seeks straight to any `(member, time-range)` slice and
+//! decodes only the chunks that overlap it.
 //!
 //! ## Format invariants
 //!
@@ -45,7 +45,7 @@
 //! Write an archive to any `Write + Seek` sink and slice it back:
 //!
 //! ```
-//! use exaclim_store::{ArchiveReader, ArchiveWriter, Codec, FieldMeta};
+//! use exaclim_store::{Archive, ArchiveWriter, Codec, FieldMeta};
 //! use std::io::Cursor;
 //!
 //! let meta = FieldMeta { ntheta: 2, nphi: 3, start_year: 2000, tau: 365 };
@@ -57,7 +57,7 @@
 //!
 //! let bytes = cursor.into_inner();
 //! assert_eq!(bytes.len() as u64, total);
-//! let mut r = ArchiveReader::new(Cursor::new(bytes)).unwrap();
+//! let r = Archive::from_reader(Cursor::new(bytes)).unwrap();
 //! // Steps 3..7 of the field: 4 slices × 6 values, crossing a chunk seam.
 //! let part = r.read_field_slices("t2m", 3..7).unwrap();
 //! assert_eq!(part, data[3 * 6..7 * 6]);
@@ -69,13 +69,12 @@
 //!   (slice-by-8, or PCLMULQDQ folding where the CPU has it; same bits),
 //! * [`chunk`] — directory model and its binary encoding,
 //! * [`codec`] — payload codecs (`Raw64`, `F32`, `F16`, shuffled+RLE),
-//! * [`writer`] / [`reader`] — streaming append and exclusive-handle
-//!   random-access read,
+//! * [`writer`] — streaming append,
 //! * [`mod@source`] / [`mod@mmap`] — byte-source backends: zero-copy
 //!   in-memory and memory-mapped sources, and the mutex-guarded stream
 //!   fallback,
-//! * [`mod@archive`] — shared `&self` reads over any source (the serving
-//!   layer's concurrent fast path),
+//! * [`mod@archive`] — random-access `&self` reads over any source, safe
+//!   to share across threads (the serving layer's concurrent fast path),
 //! * [`snapshot`] — versioned save/load of opaque snapshot blobs.
 
 #![warn(missing_docs)]
@@ -86,7 +85,6 @@ pub mod codec;
 mod crc;
 pub mod format;
 pub mod mmap;
-pub mod reader;
 pub mod snapshot;
 pub mod source;
 pub mod writer;
@@ -96,7 +94,6 @@ pub use chunk::{ChunkEntry, FieldMeta, MemberEntry};
 pub use codec::{ByteCodec, Codec};
 pub use format::{crc32, crc32_update, ArchiveError, MemberKind};
 pub use mmap::{mmap_enabled, open_file_source, MMAP_SUPPORTED};
-pub use reader::ArchiveReader;
 pub use snapshot::{read_snapshot_file, write_snapshot_file, Snapshot};
 pub use source::{ChunkSource, LockedReader, SharedBytes, SourceBytes};
 pub use writer::ArchiveWriter;

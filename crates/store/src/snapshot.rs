@@ -7,9 +7,9 @@
 //! then decide whether they can interpret the payload, so old snapshots
 //! stay loadable as the model evolves.
 
+use crate::archive::Archive;
 use crate::codec::ByteCodec;
 use crate::format::ArchiveError;
-use crate::reader::ArchiveReader;
 use crate::writer::ArchiveWriter;
 
 /// Default chunk size for snapshot payloads (1 MiB).
@@ -56,11 +56,17 @@ pub fn write_snapshot_file(
 }
 
 /// Read the snapshot member `name` from the archive at `path`.
+///
+/// The file is read through a buffered stream, never memory-mapped:
+/// [`write_snapshot_file`] rewrites its path in place (it truncates), and
+/// a mapping of a file truncated under it can raise `SIGBUS` where the
+/// stream returns an [`ArchiveError`] (see [`crate::mmap`]).
 pub fn read_snapshot_file(
     path: impl AsRef<std::path::Path>,
     name: &str,
 ) -> Result<Snapshot, ArchiveError> {
-    let mut r = ArchiveReader::open(path)?;
+    let file = std::fs::File::open(path)?;
+    let r = Archive::from_reader(std::io::BufReader::new(file))?;
     let (version, payload) = r.read_snapshot(name)?;
     Ok(Snapshot {
         name: name.to_string(),

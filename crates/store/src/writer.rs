@@ -29,7 +29,7 @@ struct OpenField {
 /// size:
 ///
 /// ```
-/// use exaclim_store::{ArchiveReader, ArchiveWriter, Codec, FieldMeta};
+/// use exaclim_store::{Archive, ArchiveWriter, Codec, FieldMeta};
 /// use std::io::Cursor;
 ///
 /// let mut w = ArchiveWriter::new(Cursor::new(Vec::new())).unwrap();
@@ -41,7 +41,7 @@ struct OpenField {
 /// w.finish_field().unwrap();
 /// let (cursor, _total) = w.finish().unwrap();
 ///
-/// let mut r = ArchiveReader::new(cursor).unwrap();
+/// let r = Archive::from_reader(cursor).unwrap();
 /// let m = r.member("u10").unwrap();
 /// assert_eq!((m.t_max, m.chunks.len()), (5, 3)); // 2 + 2 + 1 steps
 /// assert_eq!(r.read_field_slices("u10", 4..5).unwrap(), [4.0; 4]);

@@ -7,7 +7,7 @@
 
 use exaclim::{ClimateEmulator, EmulatorConfig, TrainedEmulator};
 use exaclim_climate::{SyntheticEra5, SyntheticEra5Config};
-use exaclim_store::{ArchiveError, ArchiveReader, ArchiveWriter, Codec, FieldMeta};
+use exaclim_store::{Archive, ArchiveError, ArchiveWriter, Codec, FieldMeta};
 
 fn main() {
     let dir = std::env::temp_dir();
@@ -50,7 +50,7 @@ fn main() {
 
     // 3. Read back: full payload must be bit-exact at f32 precision, and a
     //    mid-archive slice must not require reading other chunks.
-    let mut reader = ArchiveReader::open(&archive_path).expect("open archive");
+    let reader = Archive::open(&archive_path).expect("open archive");
     let all = reader.read_field_all("t2m/member0").expect("read all");
     let exact = member
         .data
@@ -76,7 +76,7 @@ fn main() {
     bytes[chunk1.offset as usize + 7] ^= 0x01;
     let corrupted_path = dir.join("exaclim_example_fields_corrupt.eca1");
     std::fs::write(&corrupted_path, &bytes).expect("write corrupted copy");
-    let mut corrupted = ArchiveReader::open(&corrupted_path).expect("directory still intact");
+    let corrupted = Archive::open(&corrupted_path).expect("directory still intact");
     match corrupted.read_field_all("t2m/member0") {
         Err(ArchiveError::ChecksumMismatch { member, chunk }) => {
             println!("corruption detected: member `{member}`, chunk {chunk} ✓");

@@ -1,11 +1,12 @@
-//! Ensemble training and archive I/O: stage an R-member ensemble on disk in
-//! the binary container, load it back, train jointly, and verify the
-//! covariance benefits of pooling (eq. 9 with R > 1).
+//! Ensemble training and archive I/O: stage an R-member ensemble on disk as
+//! ECA1 archives, load it back, train jointly, and verify the covariance
+//! benefits of pooling (eq. 9 with R > 1).
 
 use exaclim::{validate_consistency, ClimateEmulator, EmulatorConfig};
 use exaclim_climate::generator::Dataset;
-use exaclim_climate::io::{decode_dataset, encode_dataset};
+use exaclim_climate::io::{dataset_from_eca1, dataset_to_eca1};
 use exaclim_climate::{SyntheticEra5, SyntheticEra5Config};
+use exaclim_store::Codec;
 
 fn ensemble(r: u64, days: usize) -> Vec<Dataset> {
     let generator = SyntheticEra5::new(SyntheticEra5Config::small_daily(12));
@@ -18,11 +19,11 @@ fn ensemble_roundtrips_through_archive_container() {
     let dir = std::env::temp_dir();
     let mut loaded = Vec::new();
     for (k, m) in members.iter().enumerate() {
-        let path = dir.join(format!("exaclim_ens_{k}.xclm"));
-        std::fs::write(&path, encode_dataset(m)).unwrap();
-        let raw = bytes::Bytes::from(std::fs::read(&path).unwrap());
+        let path = dir.join(format!("exaclim_ens_{k}.eca1"));
+        std::fs::write(&path, dataset_to_eca1(m, Codec::F32).unwrap()).unwrap();
+        let raw = std::fs::read(&path).unwrap();
         std::fs::remove_file(&path).ok();
-        loaded.push(decode_dataset(raw).unwrap());
+        loaded.push(dataset_from_eca1(raw.into()).unwrap());
     }
     for (a, b) in members.iter().zip(&loaded) {
         assert_eq!(a.t_max, b.t_max);

@@ -1,11 +1,11 @@
 //! Concurrent-serving correctness: many threads hammering one server must
-//! observe exactly the bytes a sequential `ArchiveReader` returns —
+//! observe exactly the bytes a sequential `Archive` read returns —
 //! regardless of cache pressure, batch shape, or request interleaving.
 
 use exaclim_serve::{
     Catalog, CatalogAnswer, CatalogQuery, Request, Response, ServeConfig, Server, SliceRequest,
 };
-use exaclim_store::{ArchiveReader, ArchiveWriter, Codec, FieldMeta};
+use exaclim_store::{Archive, ArchiveWriter, Codec, FieldMeta};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::io::Cursor;
@@ -50,9 +50,10 @@ fn slice(member: &str, range: std::ops::Range<u64>) -> Request {
 }
 
 /// Reference values for every request, read sequentially with a fresh
-/// `ArchiveReader` per thread — the ground truth the server must match.
+/// stream-backed `Archive` per thread — the ground truth the server must
+/// match.
 fn expect_slice(bytes: &[u8], member: &str, range: std::ops::Range<u64>) -> Vec<f64> {
-    let mut r = ArchiveReader::new(Cursor::new(bytes.to_vec())).unwrap();
+    let r = Archive::from_reader(Cursor::new(bytes.to_vec())).unwrap();
     r.read_field_slices(member, range).unwrap()
 }
 

@@ -1,17 +1,13 @@
-//! Container round-trips and corruption handling: [`Dataset`]s through the
-//! legacy XCLM container and the chunked ECA1 archive, proptest-style
-//! (seeded generator loop) plus targeted corruption cases asserting the
-//! exact error variant.
+//! Archive round-trips and corruption handling: [`Dataset`]s through the
+//! chunked ECA1 archive, proptest-style (seeded generator loop) plus
+//! targeted corruption cases asserting the exact error variant.
 
 use exaclim_climate::generator::Dataset;
-use exaclim_climate::io::{
-    convert_xclm_to_eca1, dataset_from_eca1, dataset_to_eca1, decode_dataset, encode_dataset,
-    ConvertError, DecodeError,
-};
+use exaclim_climate::io::{dataset_from_eca1, dataset_to_eca1};
 use exaclim_climate::{SyntheticEra5, SyntheticEra5Config};
 use exaclim_store::{
-    read_snapshot_file, write_snapshot_file, Archive, ArchiveError, ArchiveReader, ArchiveWriter,
-    ByteCodec, Codec, FieldMeta, Snapshot,
+    read_snapshot_file, write_snapshot_file, Archive, ArchiveError, ArchiveWriter, ByteCodec,
+    Codec, FieldMeta, Snapshot,
 };
 use std::io::Cursor;
 
@@ -30,23 +26,7 @@ fn member(case: u64) -> Dataset {
 fn seeded_roundtrips_through_both_containers() {
     for case in 0..12u64 {
         let d = member(case);
-        // XCLM: f32 quantization.
-        let back = decode_dataset(encode_dataset(&d)).unwrap();
-        assert_eq!(
-            (
-                back.t_max,
-                back.ntheta,
-                back.nphi,
-                back.start_year,
-                back.tau
-            ),
-            (d.t_max, d.ntheta, d.nphi, d.start_year, d.tau),
-            "case {case}"
-        );
-        for (a, b) in d.data.iter().zip(&back.data) {
-            assert_eq!(((*a as f32) as f64).to_bits(), b.to_bits(), "case {case}");
-        }
-        // ECA1: exact at each codec's precision, cycling codecs by case.
+        // Exact at each codec's precision, cycling codecs by case.
         let codec = Codec::ALL[(case % Codec::ALL.len() as u64) as usize];
         let eca = dataset_to_eca1(&d, codec).unwrap();
         let back = dataset_from_eca1(eca).unwrap();
@@ -59,12 +39,6 @@ fn seeded_roundtrips_through_both_containers() {
                 codec.label()
             );
         }
-        // XCLM → ECA1 conversion agrees with decoding the legacy blob.
-        let converted =
-            dataset_from_eca1(convert_xclm_to_eca1(encode_dataset(&d), Codec::F32).unwrap())
-                .unwrap();
-        let legacy = decode_dataset(encode_dataset(&d)).unwrap();
-        assert_eq!(converted.data, legacy.data, "case {case}");
     }
 }
 
@@ -73,7 +47,7 @@ fn eca1_sliced_reads_match_full_reads() {
     for case in 0..6u64 {
         let d = member(case);
         let eca = dataset_to_eca1(&d, Codec::F32Shuffle).unwrap();
-        let mut r = ArchiveReader::new(Cursor::new(eca.to_vec())).unwrap();
+        let r = Archive::from_reader(Cursor::new(eca.to_vec())).unwrap();
         let full = r.read_field_all("field").unwrap();
         let t = d.t_max as u64;
         for (lo, hi) in [(0, t), (0, 1), (t - 1, t), (t / 3, 2 * t / 3 + 1)] {
@@ -88,9 +62,9 @@ fn eca1_sliced_reads_match_full_reads() {
 }
 
 /// Property sweep over the same seeded fixtures: for every codec, a
-/// memory-mapped open, a buffered (mutex-fallback) open, and the exclusive
-/// `ArchiveReader` must produce bit-identical full reads, sliced reads,
-/// and snapshot payloads. This is the guarantee that lets `EXACLIM_MMAP`
+/// memory-mapped open, a buffered (mutex-fallback) file open, and an
+/// in-memory stream (`Archive::from_reader`) must produce bit-identical
+/// full reads, sliced reads, and snapshot payloads. This is the guarantee that lets `EXACLIM_MMAP`
 /// switch backends without anyone noticing values change.
 #[test]
 fn mmap_and_buffered_reads_are_bit_identical_across_codecs() {
@@ -117,7 +91,7 @@ fn mmap_and_buffered_reads_are_bit_identical_across_codecs() {
         std::fs::write(&path, &raw).unwrap();
         let mapped = Archive::open_with(&path, true).unwrap();
         let buffered = Archive::open_with(&path, false).unwrap();
-        let mut reader = ArchiveReader::new(Cursor::new(raw)).unwrap();
+        let reader = Archive::from_reader(Cursor::new(raw)).unwrap();
         assert_eq!(buffered.backend(), "stream");
         if exaclim_store::MMAP_SUPPORTED {
             assert_eq!(mapped.backend(), "mmap");
@@ -166,7 +140,7 @@ fn mapped_reads_still_verify_checksums() {
     let d = member(1);
     let mut raw = dataset_to_eca1(&d, Codec::F32Shuffle).unwrap().to_vec();
     let chunk0 = {
-        let r = ArchiveReader::new(Cursor::new(raw.clone())).unwrap();
+        let r = Archive::from_reader(Cursor::new(raw.clone())).unwrap();
         r.member("field").unwrap().chunks[0]
     };
     assert!(chunk0.stored_len >= 128, "{}", chunk0.stored_len);
@@ -196,49 +170,6 @@ fn compressed_codec_beats_raw_f32_on_smooth_fields() {
 }
 
 #[test]
-fn xclm_corruption_cases_hit_the_right_variant() {
-    let d = member(0);
-    let good = encode_dataset(&d);
-    // Bad magic.
-    let mut raw = good.to_vec();
-    raw[0] = b'Y';
-    assert_eq!(
-        decode_dataset(bytes::Bytes::from(raw)).unwrap_err(),
-        DecodeError::BadMagic
-    );
-    // Bad version.
-    let mut raw = good.to_vec();
-    raw[4] = 2;
-    assert_eq!(
-        decode_dataset(bytes::Bytes::from(raw)).unwrap_err(),
-        DecodeError::BadVersion(2)
-    );
-    // Truncation, including inside the header.
-    for cut in [0usize, 20, good.len() - 1] {
-        let raw = good.slice(0..cut);
-        assert_eq!(
-            decode_dataset(raw).unwrap_err(),
-            DecodeError::Truncated,
-            "cut {cut}"
-        );
-    }
-    // Trailing garbage.
-    let mut raw = good.to_vec();
-    raw.extend_from_slice(&[0u8; 9]);
-    assert_eq!(
-        decode_dataset(bytes::Bytes::from(raw)).unwrap_err(),
-        DecodeError::TrailingBytes(9)
-    );
-    // Conversion propagates the legacy error.
-    let mut raw = good.to_vec();
-    raw[0] = b'Y';
-    assert_eq!(
-        convert_xclm_to_eca1(bytes::Bytes::from(raw), Codec::F32).unwrap_err(),
-        ConvertError::Legacy(DecodeError::BadMagic)
-    );
-}
-
-#[test]
 fn eca1_corruption_cases_hit_the_right_variant() {
     let d = member(1);
     let good = dataset_to_eca1(&d, Codec::F32).unwrap().to_vec();
@@ -261,7 +192,7 @@ fn eca1_corruption_cases_hit_the_right_variant() {
 
     // Checksum mismatch in a specific chunk: flip one payload byte.
     let chunks = {
-        let r = ArchiveReader::new(Cursor::new(good.clone())).unwrap();
+        let r = Archive::from_reader(Cursor::new(good.clone())).unwrap();
         r.member("field").unwrap().chunks.clone()
     };
     let mut raw = good.clone();
@@ -279,7 +210,7 @@ fn eca1_corruption_cases_hit_the_right_variant() {
     let mut raw = good.clone();
     raw.truncate((last.offset + last.stored_len / 2) as usize);
     assert!(matches!(
-        ArchiveReader::new(Cursor::new(raw)).unwrap_err(),
+        Archive::from_reader(Cursor::new(raw)).unwrap_err(),
         ArchiveError::Corrupt(_)
     ));
 
@@ -316,7 +247,7 @@ fn eca1_corruption_cases_hit_the_right_variant() {
     let crc = exaclim_store::format::crc32(&raw[dir_offset..dir_offset + dir_len]);
     let crc_off = dir_offset + dir_len;
     raw[crc_off..crc_off + 4].copy_from_slice(&crc.to_le_bytes());
-    match ArchiveReader::new(Cursor::new(raw)).unwrap_err() {
+    match Archive::from_reader(Cursor::new(raw)).unwrap_err() {
         ArchiveError::TruncatedChunk { member, chunk } => {
             assert_eq!((member.as_str(), chunk), ("field", 0));
         }
@@ -327,7 +258,7 @@ fn eca1_corruption_cases_hit_the_right_variant() {
     let mut raw = good.clone();
     raw.extend_from_slice(b"tail");
     assert!(matches!(
-        ArchiveReader::new(Cursor::new(raw)).unwrap_err(),
+        Archive::from_reader(Cursor::new(raw)).unwrap_err(),
         ArchiveError::TrailingBytes { .. }
     ));
 
@@ -433,7 +364,7 @@ fn multi_member_archives_keep_members_independent() {
     w.add_snapshot("notes", 1, ByteCodec::Rle, b"ensemble of two", 64)
         .unwrap();
     let (cursor, _) = w.finish().unwrap();
-    let mut r = ArchiveReader::new(Cursor::new(cursor.into_inner())).unwrap();
+    let r = Archive::from_reader(Cursor::new(cursor.into_inner())).unwrap();
     assert_eq!(r.members().len(), 3);
     let a_back = r.read_field_all("member0").unwrap();
     let b_back = r.read_field_all("member1").unwrap();
