@@ -20,7 +20,9 @@ pub struct EmulatorConfig {
     pub precision: PrecisionPolicy,
     /// Tile side of the covariance factorization (must divide `L²`).
     pub tile: usize,
-    /// Worker threads for the task-parallel Cholesky.
+    /// Cap on the lanes of the task-parallel Cholesky. The lanes are the
+    /// shared pool's, so `EXACLIM_THREADS` caps them too. Kept because the
+    /// frozen benchmark sets it (ROADMAP 2(b) drops that use).
     pub workers: usize,
 }
 

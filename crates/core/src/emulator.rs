@@ -141,11 +141,11 @@ pub struct CovarianceFactor {
 
 /// Stage 4 of training: factor the innovation covariance `u`, repairing it
 /// to positive definite on the way. The tiled factorization is its own
-/// probe: tile `u` at `policy`, factor the tiles on `workers` threads, and
-/// on a non-positive pivot add the next rung of a [`JitterLadder`] to `u`'s
-/// diagonal, rebuild the tiles and retry. The ladder is sized to the lowest
-/// precision among the tiles built, so an all-DP tiling climbs the rungs of
-/// the dense f64 probe `ensure_spd`.
+/// probe: tile `u` at `policy`, factor the tiles on at most `workers`
+/// lanes, and on a non-positive pivot add the next rung of a
+/// [`JitterLadder`] to `u`'s diagonal, rebuild the tiles and retry. The
+/// ladder is sized to the lowest precision among the tiles built, so an
+/// all-DP tiling climbs the rungs of the dense f64 probe `ensure_spd`.
 ///
 /// A pivot still non-positive after the last rung, or a panicking kernel
 /// (returned at once, without a retry), is an

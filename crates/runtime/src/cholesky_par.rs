@@ -12,7 +12,10 @@ use exaclim_linalg::cholesky::{CholeskyStats, TileTasks};
 use exaclim_linalg::tiled::TiledMatrix;
 use std::time::Instant;
 
-/// Factor `a` in place using `workers` threads under `scheduler`.
+/// Factor `a` in place on at most `workers` lanes of the shared pool (see
+/// [`Executor::run`]). `_scheduler` is ignored — the priority heap is the
+/// one scheduler; the argument stays because the frozen benchmark passes it
+/// (ROADMAP 2(b) drops that call).
 ///
 /// Returns the same [`CholeskyStats`] as the sequential path plus the
 /// executor's [`TraceReport`]. The tasks update `a`'s tiles where they
@@ -24,12 +27,12 @@ use std::time::Instant;
 pub fn parallel_tile_cholesky(
     a: &mut TiledMatrix,
     workers: usize,
-    scheduler: SchedulerKind,
+    _scheduler: SchedulerKind,
 ) -> Result<(CholeskyStats, TraceReport), ExecError> {
     let start = Instant::now();
     let graph = cholesky_graph(a.nt());
     let tasks = TileTasks::new(a);
-    let trace = Executor::new(workers, scheduler).run(&graph, |_, kind| {
+    let trace = Executor::new(workers).run(&graph, |_, kind| {
         match *kind {
             TaskKind::Potrf { k } => tasks.potrf(k).map_err(|e| e.to_string())?,
             TaskKind::Trsm { i, k } => tasks.trsm(i, k),
@@ -51,13 +54,7 @@ mod tests {
     use exaclim_linalg::precision::PrecisionPolicy;
     use exaclim_linalg::tiled::exp_covariance;
 
-    fn schedulers() -> [SchedulerKind; 3] {
-        [
-            SchedulerKind::WorkStealing,
-            SchedulerKind::PriorityHeap,
-            SchedulerKind::Fifo,
-        ]
-    }
+    const HEAP: SchedulerKind = SchedulerKind::PriorityHeap;
 
     #[test]
     fn matches_sequential_bitwise_dp() {
@@ -65,12 +62,10 @@ mod tests {
         let a = exp_covariance(n, 5.0, 1e-3);
         let mut seq = TiledMatrix::from_dense(&a, n, 8, &PrecisionPolicy::dp());
         tile_cholesky(&mut seq).unwrap();
-        for sched in schedulers() {
-            let mut par = TiledMatrix::from_dense(&a, n, 8, &PrecisionPolicy::dp());
-            parallel_tile_cholesky(&mut par, 4, sched).unwrap();
-            let (s, p) = (seq.to_dense_lower(), par.to_dense_lower());
-            assert_eq!(s, p, "bitwise mismatch under {sched:?}");
-        }
+        let mut par = TiledMatrix::from_dense(&a, n, 8, &PrecisionPolicy::dp());
+        parallel_tile_cholesky(&mut par, 4, HEAP).unwrap();
+        let (s, p) = (seq.to_dense_lower(), par.to_dense_lower());
+        assert_eq!(s, p, "bitwise mismatch");
     }
 
     #[test]
@@ -85,7 +80,7 @@ mod tests {
             let mut seq = TiledMatrix::from_dense(&a, n, 8, &policy);
             tile_cholesky(&mut seq).unwrap();
             let mut par = TiledMatrix::from_dense(&a, n, 8, &policy);
-            parallel_tile_cholesky(&mut par, 6, SchedulerKind::PriorityHeap).unwrap();
+            parallel_tile_cholesky(&mut par, 6, HEAP).unwrap();
             assert_eq!(
                 seq.to_dense_lower(),
                 par.to_dense_lower(),
@@ -96,12 +91,30 @@ mod tests {
     }
 
     #[test]
+    fn inside_a_pool_join_arm_matches_sequential_bitwise() {
+        // One arm runs on the caller (its lanes go to the pool), the other
+        // inside pool work (one inline lane); both give the sequential bits.
+        let n = 48;
+        let a = exp_covariance(n, 5.0, 1e-3);
+        let policy = PrecisionPolicy::dp_hp();
+        let mut seq = TiledMatrix::from_dense(&a, n, 8, &policy);
+        tile_cholesky(&mut seq).unwrap();
+        let factor = || {
+            let mut par = TiledMatrix::from_dense(&a, n, 8, &policy);
+            parallel_tile_cholesky(&mut par, 4, HEAP).unwrap();
+            par.to_dense_lower()
+        };
+        let (x, y) = crate::pool::global().join(factor, factor);
+        assert_eq!(x, seq.to_dense_lower(), "caller arm");
+        assert_eq!(y, seq.to_dense_lower(), "pool arm");
+    }
+
+    #[test]
     fn residual_small_in_parallel() {
         let n = 64;
         let a = exp_covariance(n, 8.0, 1e-3);
         let mut tm = TiledMatrix::from_dense(&a, n, 16, &PrecisionPolicy::dp());
-        let (stats, trace) =
-            parallel_tile_cholesky(&mut tm, 4, SchedulerKind::WorkStealing).unwrap();
+        let (stats, trace) = parallel_tile_cholesky(&mut tm, 4, HEAP).unwrap();
         assert!(factorization_residual(&a, &tm) < 1e-13);
         assert_eq!(stats.kernel_counts.0, 4);
         assert_eq!(trace.spans.len(), crate::graph::cholesky_task_count(4));
@@ -113,7 +126,7 @@ mod tests {
         let mut a = exp_covariance(n, 2.0, 0.0);
         a[0] = -3.0;
         let mut tm = TiledMatrix::from_dense(&a, n, 4, &PrecisionPolicy::dp());
-        let err = parallel_tile_cholesky(&mut tm, 4, SchedulerKind::WorkStealing).unwrap_err();
+        let err = parallel_tile_cholesky(&mut tm, 4, HEAP).unwrap_err();
         assert_eq!(err.cause, crate::TaskFailure::Returned);
         assert!(err.message.contains("positive definite"), "{}", err.message);
     }
@@ -124,8 +137,8 @@ mod tests {
         let a = exp_covariance(n, 4.0, 1e-3);
         let mut one = TiledMatrix::from_dense(&a, n, 8, &PrecisionPolicy::dp_hp());
         let mut many = TiledMatrix::from_dense(&a, n, 8, &PrecisionPolicy::dp_hp());
-        parallel_tile_cholesky(&mut one, 1, SchedulerKind::Fifo).unwrap();
-        parallel_tile_cholesky(&mut many, 8, SchedulerKind::WorkStealing).unwrap();
+        parallel_tile_cholesky(&mut one, 1, HEAP).unwrap();
+        parallel_tile_cholesky(&mut many, 8, HEAP).unwrap();
         assert_eq!(one.to_dense_lower(), many.to_dense_lower());
     }
 }

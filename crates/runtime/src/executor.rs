@@ -1,24 +1,33 @@
-//! Multi-threaded DAG executor with pluggable scheduling policies.
+//! The DAG executor: lanes of the shared worker pool drain one ready queue,
+//! a max-heap on task priority — the paper's critical-path priorities.
+//!
+//! [`Executor::run`] starts `min(workers, pool threads)` lanes as the pieces
+//! of one [`WorkerPool::parallel_for`], the caller's own piece included, and
+//! each lane pops ready tasks until the queue closes after the last task.
+//! The executor spawns no thread, so the task-parallel Cholesky is bounded
+//! by `EXACLIM_THREADS` like every other parallel loop.
+//!
+//! Invariant: every lane runs its task bodies with nested pool calls forced
+//! inline (`pool::InlineNested`). Without it, a task on the caller's lane
+//! that calls the pool (the rayon shim does) could pick up a queued lane job
+//! of its own run while it waits; that lane would then block in the queue's
+//! `pop` under the suspended task, and the run would deadlock.
 
 use crate::graph::{TaskGraph, TaskId, TaskKind};
+use crate::pool::{self, InlineNested, WorkerPool};
 use crate::trace::{TaskSpan, TraceReport};
-use crossbeam_deque::{Injector, Steal, Stealer, Worker};
 use parking_lot::{Condvar, Mutex};
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::time::Instant;
 
-/// Scheduling policy of the executor.
+/// Scheduling policy of the executor; there is one. Kept only because the
+/// frozen benchmark names it (ROADMAP 2(b) drops that use); nothing reads it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SchedulerKind {
-    /// Per-worker LIFO deques with random stealing (data-locality-friendly,
-    /// ignores priorities) — crossbeam's classic Chase–Lev setup.
-    WorkStealing,
     /// Single global max-heap ordered by task priority — models PaRSEC's
     /// priority-aware scheduling that keeps the Cholesky critical path hot.
     PriorityHeap,
-    /// Single global FIFO — the naive baseline.
-    Fifo,
 }
 
 /// How a task failed.
@@ -49,58 +58,49 @@ impl std::fmt::Display for ExecError {
 
 impl std::error::Error for ExecError {}
 
-/// A DAG executor over a fixed worker count.
+/// A DAG executor running at most `workers` lanes of a worker pool.
 #[derive(Debug, Clone)]
 pub struct Executor {
     workers: usize,
-    scheduler: SchedulerKind,
 }
 
-/// Shared queue behind the global-queue schedulers. Idle workers block in
-/// [`GlobalQueue::pop`] on the condition variable — an idle executor burns
-/// no CPU — and are released either by a push or by [`GlobalQueue::close`],
-/// the shutdown broadcast issued once the run's last task has completed.
+/// A run's ready queue: a max-heap on `(priority, task id)`. Idle lanes
+/// block in [`GlobalQueue::pop`] on the condition variable — an idle lane
+/// burns no CPU — and are released either by a push or by
+/// [`GlobalQueue::close`], the shutdown broadcast issued once the run's last
+/// task has completed.
 struct GlobalQueue {
     state: Mutex<QueueState>,
     cv: Condvar,
 }
 
 struct QueueState {
-    queue: QueueImpl,
+    heap: BinaryHeap<(i64, usize)>,
     closed: bool,
 }
 
-enum QueueImpl {
-    Heap(BinaryHeap<(i64, usize)>),
-    Fifo(VecDeque<usize>),
-}
-
-impl QueueImpl {
-    fn take(&mut self) -> Option<usize> {
-        match self {
-            QueueImpl::Heap(h) => h.pop().map(|(_, id)| id),
-            QueueImpl::Fifo(f) => f.pop_front(),
+impl GlobalQueue {
+    fn new() -> Self {
+        Self {
+            state: Mutex::new(QueueState {
+                heap: BinaryHeap::new(),
+                closed: false,
+            }),
+            cv: Condvar::new(),
         }
     }
-}
 
-impl GlobalQueue {
     fn push(&self, prio: i64, id: usize) {
-        let mut s = self.state.lock();
-        match &mut s.queue {
-            QueueImpl::Heap(h) => h.push((prio, id)),
-            QueueImpl::Fifo(f) => f.push_back(id),
-        }
-        drop(s);
+        self.state.lock().heap.push((prio, id));
         self.cv.notify_one();
     }
 
     /// Block until a task is available (`Some`) or the queue has been
-    /// closed and drained (`None`, the worker-exit signal).
+    /// closed and drained (`None`, the lane-exit signal).
     fn pop(&self) -> Option<usize> {
         let mut s = self.state.lock();
         loop {
-            if let Some(id) = s.queue.take() {
+            if let Some((_, id)) = s.heap.pop() {
                 return Some(id);
             }
             if s.closed {
@@ -110,192 +110,105 @@ impl GlobalQueue {
         }
     }
 
-    /// Shutdown broadcast: wake every blocked worker so it can observe the
+    /// Shutdown broadcast: wake every blocked lane so it can observe the
     /// closed queue and exit. Idempotent.
     fn close(&self) {
-        let mut s = self.state.lock();
-        s.closed = true;
-        drop(s);
+        self.state.lock().closed = true;
         self.cv.notify_all();
     }
 }
 
 impl Executor {
-    /// Build an executor with `workers ≥ 1` threads and a scheduler.
-    pub fn new(workers: usize, scheduler: SchedulerKind) -> Self {
+    /// Build an executor running at most `workers ≥ 1` lanes.
+    pub fn new(workers: usize) -> Self {
         assert!(workers >= 1);
-        Self { workers, scheduler }
+        Self { workers }
     }
 
-    /// Worker count.
+    /// Lane cap.
     pub fn workers(&self) -> usize {
         self.workers
     }
 
-    /// Execute every task of `graph`, calling `f(task_id, kind)` when its
-    /// dependences are met. Returns the execution trace, or the first error
-    /// (remaining tasks are cancelled, not run).
+    /// Execute every task of `graph` on the process-wide [`pool::global`],
+    /// calling `f(task_id, kind)` when its dependences are met. Returns the
+    /// execution trace, or the first error (remaining tasks are cancelled,
+    /// not run).
     pub fn run<F>(&self, graph: &TaskGraph, f: F) -> Result<TraceReport, ExecError>
     where
         F: Fn(TaskId, &TaskKind) -> Result<(), String> + Sync,
     {
+        self.run_on(pool::global(), graph, f)
+    }
+
+    /// [`Executor::run`] on `pool`: `min(workers, pool.threads())` lanes, or
+    /// one when called from inside pool work (where pool calls run inline).
+    /// The trace's `workers` is that lane count.
+    pub fn run_on<F>(
+        &self,
+        pool: &WorkerPool,
+        graph: &TaskGraph,
+        f: F,
+    ) -> Result<TraceReport, ExecError>
+    where
+        F: Fn(TaskId, &TaskKind) -> Result<(), String> + Sync,
+    {
+        let lanes = if pool::in_pool_worker() {
+            1
+        } else {
+            self.workers.min(pool.threads())
+        };
         let n = graph.len();
         if n == 0 {
-            return Ok(TraceReport::new(Vec::new(), 0.0, self.workers));
+            return Ok(TraceReport::new(Vec::new(), 0.0, lanes));
         }
-        let indegree: Vec<AtomicUsize> = graph
-            .nodes()
-            .iter()
-            .map(|t| AtomicUsize::new(t.indegree))
-            .collect();
-        let remaining = AtomicUsize::new(n);
-        let cancelled = AtomicBool::new(false);
-        let error: Mutex<Option<ExecError>> = Mutex::new(None);
+        let ctx = Ctx {
+            graph,
+            indegree: graph
+                .nodes()
+                .iter()
+                .map(|t| AtomicUsize::new(t.indegree))
+                .collect(),
+            remaining: AtomicUsize::new(n),
+            cancelled: AtomicBool::new(false),
+            error: Mutex::new(None),
+            queue: GlobalQueue::new(),
+            f: &f,
+            epoch: Instant::now(),
+        };
+        for r in graph.roots() {
+            ctx.queue.push(graph.node(r).priority, r);
+        }
         let spans: Mutex<Vec<TaskSpan>> = Mutex::new(Vec::with_capacity(n));
-        let spans_ref = &spans;
-        let epoch = Instant::now();
+        // `lanes ≤ pool.threads()`, so each piece is one lane. Each runs
+        // under the module's invariant: nested pool calls run inline.
+        pool.parallel_for(lanes, |lane| {
+            let _inline = InlineNested::enter();
+            let mine = ctx.drain(lane.start);
+            spans.lock().extend(mine);
+        });
 
-        match self.scheduler {
-            SchedulerKind::WorkStealing => {
-                let injector = Injector::new();
-                for r in graph.roots() {
-                    injector.push(r);
-                }
-                let locals: Vec<Worker<usize>> =
-                    (0..self.workers).map(|_| Worker::new_lifo()).collect();
-                let stealers: Vec<Stealer<usize>> = locals.iter().map(Worker::stealer).collect();
-                std::thread::scope(|scope| {
-                    for (wid, local) in locals.into_iter().enumerate() {
-                        let injector = &injector;
-                        let stealers = &stealers;
-                        let ctx = Ctx {
-                            graph,
-                            indegree: &indegree,
-                            remaining: &remaining,
-                            cancelled: &cancelled,
-                            error: &error,
-                            f: &f,
-                            epoch,
-                        };
-                        scope.spawn(move || {
-                            let mut local_spans = Vec::new();
-                            // Misses since the last successful pop/steal;
-                            // drives the idle back-off below.
-                            let mut misses = 0u32;
-                            loop {
-                                if ctx.remaining.load(Ordering::Acquire) == 0 {
-                                    break;
-                                }
-                                let task = local.pop().or_else(|| {
-                                    std::iter::repeat_with(|| {
-                                        injector.steal_batch_and_pop(&local).or_else(|| {
-                                            stealers
-                                                .iter()
-                                                .map(|s| s.steal())
-                                                .collect::<Steal<usize>>()
-                                        })
-                                    })
-                                    .find(|s| !s.is_retry())
-                                    .and_then(|s| s.success())
-                                });
-                                match task {
-                                    Some(id) => {
-                                        misses = 0;
-                                        ctx.execute(id, wid, &mut local_spans, |succ| {
-                                            local.push(succ)
-                                        });
-                                    }
-                                    None => {
-                                        // Brief yields first (a ready task is
-                                        // usually moments away), then sleep
-                                        // with exponential back-off. The cap
-                                        // stays low (320 µs): enough to stop
-                                        // an idle worker burning its core,
-                                        // small enough that a sleeper picks
-                                        // up a fresh fan-out of ~1 ms tile
-                                        // kernels without serializing them.
-                                        misses += 1;
-                                        if misses < 16 {
-                                            std::thread::yield_now();
-                                        } else {
-                                            let exp = (misses - 16).min(4);
-                                            std::thread::sleep(std::time::Duration::from_micros(
-                                                20 << exp,
-                                            ));
-                                        }
-                                    }
-                                }
-                            }
-                            spans_ref.lock().extend(local_spans);
-                        });
-                    }
-                });
-            }
-            SchedulerKind::PriorityHeap | SchedulerKind::Fifo => {
-                let q = GlobalQueue {
-                    state: Mutex::new(QueueState {
-                        queue: match self.scheduler {
-                            SchedulerKind::PriorityHeap => QueueImpl::Heap(BinaryHeap::new()),
-                            _ => QueueImpl::Fifo(VecDeque::new()),
-                        },
-                        closed: false,
-                    }),
-                    cv: Condvar::new(),
-                };
-                for r in graph.roots() {
-                    q.push(graph.node(r).priority, r);
-                }
-                std::thread::scope(|scope| {
-                    for wid in 0..self.workers {
-                        let q = &q;
-                        let ctx = Ctx {
-                            graph,
-                            indegree: &indegree,
-                            remaining: &remaining,
-                            cancelled: &cancelled,
-                            error: &error,
-                            f: &f,
-                            epoch,
-                        };
-                        scope.spawn(move || {
-                            let mut local_spans = Vec::new();
-                            // `pop` blocks on the queue's condvar; `None`
-                            // means the queue was closed after the last task.
-                            while let Some(id) = q.pop() {
-                                ctx.execute(id, wid, &mut local_spans, |succ| {
-                                    q.push(ctx.graph.node(succ).priority, succ)
-                                });
-                                if ctx.remaining.load(Ordering::Acquire) == 0 {
-                                    q.close();
-                                }
-                            }
-                            spans_ref.lock().extend(local_spans);
-                        });
-                    }
-                });
-            }
-        }
-
-        if let Some(e) = error.into_inner() {
+        if let Some(e) = ctx.error.into_inner() {
             return Err(e);
         }
         let mut spans = spans.into_inner();
         spans.sort_by(|a, b| a.start.partial_cmp(&b.start).unwrap());
         Ok(TraceReport::new(
             spans,
-            epoch.elapsed().as_secs_f64(),
-            self.workers,
+            ctx.epoch.elapsed().as_secs_f64(),
+            lanes,
         ))
     }
 }
 
-/// Shared per-run context captured by every worker.
+/// Per-run state shared by every lane.
 struct Ctx<'a, F> {
     graph: &'a TaskGraph,
-    indegree: &'a [AtomicUsize],
-    remaining: &'a AtomicUsize,
-    cancelled: &'a AtomicBool,
-    error: &'a Mutex<Option<ExecError>>,
+    indegree: Vec<AtomicUsize>,
+    remaining: AtomicUsize,
+    cancelled: AtomicBool,
+    error: Mutex<Option<ExecError>>,
+    queue: GlobalQueue,
     f: &'a F,
     epoch: Instant,
 }
@@ -304,20 +217,24 @@ impl<'a, F> Ctx<'a, F>
 where
     F: Fn(TaskId, &TaskKind) -> Result<(), String> + Sync,
 {
-    /// Run one task (unless cancelled), record its span, and release its
-    /// successors through `push_ready`.
-    fn execute<P: FnMut(usize)>(
-        &self,
-        id: usize,
-        worker: usize,
-        local_spans: &mut Vec<TaskSpan>,
-        mut push_ready: P,
-    ) {
+    /// Lane `lane`: run ready tasks until the queue closes; returns the
+    /// lane's spans.
+    fn drain(&self, lane: usize) -> Vec<TaskSpan> {
+        let mut spans = Vec::new();
+        while let Some(id) = self.queue.pop() {
+            self.execute(id, lane, &mut spans);
+        }
+        spans
+    }
+
+    /// Run one task (unless cancelled), record its span, queue its ready
+    /// successors, and close the queue after the run's last task.
+    fn execute(&self, id: usize, lane: usize, spans: &mut Vec<TaskSpan>) {
         let node = self.graph.node(id);
         if !self.cancelled.load(Ordering::Acquire) {
             let t0 = self.epoch.elapsed().as_secs_f64();
-            // A panicking task must not tear down the whole scope: catch it
-            // and report it like an `Err`, attributed to this task.
+            // A panicking task must not tear down its lane: catch it and
+            // report it like an `Err`, attributed to this task.
             let outcome = match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 (self.f)(id, &node.kind)
             })) {
@@ -330,10 +247,10 @@ where
             match outcome {
                 Ok(()) => {
                     let t1 = self.epoch.elapsed().as_secs_f64();
-                    local_spans.push(TaskSpan {
+                    spans.push(TaskSpan {
                         task: id,
                         kind: node.kind,
-                        worker,
+                        worker: lane,
                         start: t0,
                         end: t1,
                     });
@@ -351,13 +268,15 @@ where
                 }
             }
         }
-        // Propagate completion even when cancelled so all workers terminate.
+        // Propagate completion even when cancelled so every lane terminates.
         for &s in &node.successors {
             if self.indegree[s].fetch_sub(1, Ordering::AcqRel) == 1 {
-                push_ready(s);
+                self.queue.push(self.graph.node(s).priority, s);
             }
         }
-        self.remaining.fetch_sub(1, Ordering::AcqRel);
+        if self.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
+            self.queue.close();
+        }
     }
 }
 
@@ -378,72 +297,58 @@ mod tests {
     use crate::graph::{cholesky_graph, TaskGraph, TaskKind};
     use std::sync::atomic::{AtomicUsize, Ordering};
 
-    fn all_schedulers() -> [SchedulerKind; 3] {
-        [
-            SchedulerKind::WorkStealing,
-            SchedulerKind::PriorityHeap,
-            SchedulerKind::Fifo,
-        ]
-    }
-
     #[test]
     fn runs_every_task_exactly_once() {
-        for sched in all_schedulers() {
-            let g = cholesky_graph(6);
-            let count = AtomicUsize::new(0);
-            let exec = Executor::new(4, sched);
-            let trace = exec
-                .run(&g, |_, _| {
-                    count.fetch_add(1, Ordering::Relaxed);
-                    Ok(())
-                })
-                .unwrap();
-            assert_eq!(count.load(Ordering::Relaxed), g.len(), "{sched:?}");
-            assert_eq!(trace.spans.len(), g.len());
-        }
+        let g = cholesky_graph(6);
+        let count = AtomicUsize::new(0);
+        let exec = Executor::new(4);
+        let trace = exec
+            .run(&g, |_, _| {
+                count.fetch_add(1, Ordering::Relaxed);
+                Ok(())
+            })
+            .unwrap();
+        assert_eq!(count.load(Ordering::Relaxed), g.len());
+        assert_eq!(trace.spans.len(), g.len());
     }
 
     #[test]
     fn respects_dependence_order() {
-        for sched in all_schedulers() {
-            let mut g = TaskGraph::new();
-            let mut prev = g.add(TaskKind::Generic(0), 0, &[]);
-            for i in 1..50u64 {
-                prev = g.add(TaskKind::Generic(i), 0, &[prev]);
-            }
-            let next_expected = AtomicUsize::new(0);
-            let exec = Executor::new(4, sched);
-            exec.run(&g, |id, _| {
-                let e = next_expected.fetch_add(1, Ordering::SeqCst);
-                if e != id {
-                    return Err(format!("expected {e}, ran {id}"));
-                }
-                Ok(())
-            })
-            .unwrap_or_else(|e| panic!("{sched:?}: {e}"));
+        let mut g = TaskGraph::new();
+        let mut prev = g.add(TaskKind::Generic(0), 0, &[]);
+        for i in 1..50u64 {
+            prev = g.add(TaskKind::Generic(i), 0, &[prev]);
         }
+        let next_expected = AtomicUsize::new(0);
+        let exec = Executor::new(4);
+        exec.run(&g, |id, _| {
+            let e = next_expected.fetch_add(1, Ordering::SeqCst);
+            if e != id {
+                return Err(format!("expected {e}, ran {id}"));
+            }
+            Ok(())
+        })
+        .unwrap_or_else(|e| panic!("{e}"));
     }
 
     #[test]
     fn diamond_dependences_block_join() {
-        for sched in all_schedulers() {
-            let mut g = TaskGraph::new();
-            let a = g.add(TaskKind::Generic(0), 0, &[]);
-            let b = g.add(TaskKind::Generic(1), 0, &[a]);
-            let c = g.add(TaskKind::Generic(2), 0, &[a]);
-            let d = g.add(TaskKind::Generic(3), 0, &[b, c]);
-            let done = Mutex::new(Vec::new());
-            Executor::new(3, sched)
-                .run(&g, |id, _| {
-                    done.lock().push(id);
-                    Ok(())
-                })
-                .unwrap();
-            let order = done.into_inner();
-            let pos = |x: usize| order.iter().position(|&v| v == x).unwrap();
-            assert!(pos(a) < pos(b) && pos(a) < pos(c));
-            assert!(pos(d) > pos(b) && pos(d) > pos(c), "{sched:?}: {order:?}");
-        }
+        let mut g = TaskGraph::new();
+        let a = g.add(TaskKind::Generic(0), 0, &[]);
+        let b = g.add(TaskKind::Generic(1), 0, &[a]);
+        let c = g.add(TaskKind::Generic(2), 0, &[a]);
+        let d = g.add(TaskKind::Generic(3), 0, &[b, c]);
+        let done = Mutex::new(Vec::new());
+        Executor::new(3)
+            .run(&g, |id, _| {
+                done.lock().push(id);
+                Ok(())
+            })
+            .unwrap();
+        let order = done.into_inner();
+        let pos = |x: usize| order.iter().position(|&v| v == x).unwrap();
+        assert!(pos(a) < pos(b) && pos(a) < pos(c));
+        assert!(pos(d) > pos(b) && pos(d) > pos(c), "{order:?}");
     }
 
     #[test]
@@ -453,7 +358,7 @@ mod tests {
         let b = g.add(TaskKind::Generic(1), 0, &[a]);
         let _c = g.add(TaskKind::Generic(2), 0, &[b]);
         let ran = AtomicUsize::new(0);
-        let err = Executor::new(2, SchedulerKind::PriorityHeap)
+        let err = Executor::new(2)
             .run(&g, |id, _| {
                 if id == b {
                     return Err("boom".into());
@@ -473,7 +378,8 @@ mod tests {
         // 64 independent ~1 ms tasks: N workers must beat 1 worker by a
         // margin scaled to the parallelism actually available. Meaningless
         // on a single-core host (CI containers sometimes are), so skip
-        // there instead of asserting.
+        // there instead of asserting. The run owns its pool, so no other
+        // test's pool work can hold one of its lanes.
         let cores = std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(1);
@@ -483,6 +389,7 @@ mod tests {
         }
         let _timing = crate::TIMING_TEST_LOCK.lock();
         let workers = cores.min(8);
+        let pool = WorkerPool::new(workers);
         let mut g = TaskGraph::new();
         for i in 0..64u64 {
             g.add(TaskKind::Generic(i), 0, &[]);
@@ -494,16 +401,16 @@ mod tests {
             }
         };
         let t1 = {
-            let e = Executor::new(1, SchedulerKind::WorkStealing);
-            let tr = e.run(&g, |_, _| {
+            let e = Executor::new(1);
+            let tr = e.run_on(&pool, &g, |_, _| {
                 work();
                 Ok(())
             });
             tr.unwrap().wall
         };
         let tn = {
-            let e = Executor::new(workers, SchedulerKind::WorkStealing);
-            let tr = e.run(&g, |_, _| {
+            let e = Executor::new(workers);
+            let tr = e.run_on(&pool, &g, |_, _| {
                 work();
                 Ok(())
             });
@@ -520,31 +427,61 @@ mod tests {
     }
 
     #[test]
-    fn panicking_task_becomes_error_with_attribution() {
-        for sched in all_schedulers() {
-            let mut g = TaskGraph::new();
-            let a = g.add(TaskKind::Generic(0), 0, &[]);
-            let b = g.add(TaskKind::Generic(1), 0, &[a]);
-            let _c = g.add(TaskKind::Generic(2), 0, &[b]);
-            let ran = AtomicUsize::new(0);
-            let err = Executor::new(2, sched)
-                .run(&g, |id, _| {
-                    if id == b {
-                        panic!("kernel blew up");
+    fn tasks_run_on_the_caller_or_the_pool_workers() {
+        // The executor spawns no thread: every task runs on the calling
+        // thread or on a worker of the pool, one thread per lane at most,
+        // and the trace counts the lanes.
+        let pool = WorkerPool::new(3);
+        let caller = std::thread::current().id();
+        for workers in [1, 2, 5] {
+            let lanes = workers.min(pool.threads());
+            let g = cholesky_graph(6);
+            let threads = Mutex::new(std::collections::HashSet::new());
+            let trace = Executor::new(workers)
+                .run_on(&pool, &g, |_, _| {
+                    let me = std::thread::current();
+                    let pooled = me.name().is_some_and(|n| n.starts_with("exaclim-pool-"));
+                    if me.id() != caller && !pooled {
+                        return Err(format!("task ran on thread {:?}", me.name()));
                     }
-                    ran.fetch_add(1, Ordering::Relaxed);
+                    threads.lock().insert(me.id());
+                    // Long enough for every lane to pick up tasks, without
+                    // burning the cores the speedup tests time.
+                    std::thread::sleep(std::time::Duration::from_micros(200));
                     Ok(())
                 })
-                .unwrap_err();
-            assert_eq!(err.task, b, "{sched:?}");
-            assert_eq!(err.cause, TaskFailure::Panicked, "{sched:?}");
-            assert!(
-                err.message.contains("task panicked") && err.message.contains("kernel blew up"),
-                "{sched:?}: {}",
-                err.message
-            );
-            assert_eq!(ran.load(Ordering::Relaxed), 1, "{sched:?}: c must not run");
+                .unwrap_or_else(|e| panic!("workers={workers}: {e}"));
+            let threads = threads.into_inner().len();
+            assert!(threads <= lanes, "workers={workers}: {threads} threads");
+            assert_eq!(trace.workers, lanes, "workers={workers}");
+            assert!(trace.spans.iter().all(|s| s.worker < lanes));
         }
+    }
+
+    #[test]
+    fn panicking_task_becomes_error_with_attribution() {
+        let mut g = TaskGraph::new();
+        let a = g.add(TaskKind::Generic(0), 0, &[]);
+        let b = g.add(TaskKind::Generic(1), 0, &[a]);
+        let _c = g.add(TaskKind::Generic(2), 0, &[b]);
+        let ran = AtomicUsize::new(0);
+        let err = Executor::new(2)
+            .run(&g, |id, _| {
+                if id == b {
+                    panic!("kernel blew up");
+                }
+                ran.fetch_add(1, Ordering::Relaxed);
+                Ok(())
+            })
+            .unwrap_err();
+        assert_eq!(err.task, b);
+        assert_eq!(err.cause, TaskFailure::Panicked);
+        assert!(
+            err.message.contains("task panicked") && err.message.contains("kernel blew up"),
+            "{}",
+            err.message
+        );
+        assert_eq!(ran.load(Ordering::Relaxed), 1, "c must not run");
     }
 
     #[test]
@@ -552,13 +489,7 @@ mod tests {
         use std::sync::mpsc;
         use std::time::Duration;
 
-        let q = std::sync::Arc::new(GlobalQueue {
-            state: Mutex::new(QueueState {
-                queue: QueueImpl::Fifo(VecDeque::new()),
-                closed: false,
-            }),
-            cv: Condvar::new(),
-        });
+        let q = std::sync::Arc::new(GlobalQueue::new());
         // Two waiters: one will receive the pushed task, the other the
         // shutdown broadcast. Neither may return while the queue is open
         // and empty (the old implementation returned `None` immediately,
@@ -595,11 +526,9 @@ mod tests {
 
     #[test]
     fn empty_graph_completes() {
-        for sched in all_schedulers() {
-            let g = TaskGraph::new();
-            let trace = Executor::new(4, sched).run(&g, |_, _| Ok(())).unwrap();
-            assert!(trace.spans.is_empty(), "{sched:?}");
-        }
+        let g = TaskGraph::new();
+        let trace = Executor::new(4).run(&g, |_, _| Ok(())).unwrap();
+        assert!(trace.spans.is_empty());
     }
 
     #[test]
@@ -611,7 +540,7 @@ mod tests {
             g.add(TaskKind::Generic(i), (i as i64 * 37) % 101, &[]);
         }
         let order = Mutex::new(Vec::new());
-        Executor::new(1, SchedulerKind::PriorityHeap)
+        Executor::new(1)
             .run(&g, |id, _| {
                 order.lock().push(id);
                 Ok(())
@@ -627,13 +556,11 @@ mod tests {
     #[test]
     fn trace_spans_are_consistent() {
         let g = cholesky_graph(4);
-        let trace = Executor::new(3, SchedulerKind::WorkStealing)
-            .run(&g, |_, _| Ok(()))
-            .unwrap();
-        assert_eq!(trace.workers, 3);
+        let trace = Executor::new(3).run(&g, |_, _| Ok(())).unwrap();
+        assert_eq!(trace.workers, 3.min(pool::global().threads()));
         for s in &trace.spans {
             assert!(s.end >= s.start);
-            assert!(s.worker < 3);
+            assert!(s.worker < trace.workers);
             assert!(s.end <= trace.wall + 1e-3);
         }
     }

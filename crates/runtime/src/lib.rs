@@ -1,14 +1,13 @@
 //! # exaclim-runtime
 //!
 //! A PaRSEC-style dynamic task runtime (paper §II.D, §III.C), built from
-//! scratch on `crossbeam` and `parking_lot`:
+//! scratch on `parking_lot`, with one set of threads — the [`pool`]:
 //!
 //! * [`graph`] — task DAGs with explicit dependences and priorities,
 //!   including the parametrized tile-Cholesky graph (the PTG the paper's
 //!   DSL would generate),
-//! * [`executor`] — a multi-threaded executor with three scheduling
-//!   policies: work-stealing LIFO deques, a global priority heap (the
-//!   paper's critical-path priorities), and plain FIFO,
+//! * [`executor`] — the DAG executor: the pool's lanes drain a global
+//!   priority heap (the paper's critical-path priorities),
 //! * [`faults`] — deterministic, seeded fault injection (`EXACLIM_FAULTS`
 //!   env + programmatic [`faults::FaultPlan`] API, zero-cost when
 //!   disabled); the serving layer threads its injection points through
@@ -16,7 +15,8 @@
 //!   machinery can be qualified under a reproducible failure schedule,
 //! * [`pool`] — the shared worker pool for flat data parallelism
 //!   (`parallel_for`, `join`, mutable chunk splits); the rayon shim routes
-//!   every `par_iter`/`par_chunks` call site through it,
+//!   every `par_iter`/`par_chunks` call site through it, and the executor
+//!   runs its lanes on it,
 //! * [`reactor`] — a dependency-free readiness reactor (raw
 //!   `epoll`/`poll(2)` FFI, unix-gated, in the spirit of the raw-mmap FFI
 //!   in `exaclim-store`) with token-based registration, a deadline wheel,

@@ -1,11 +1,10 @@
 //! Shared worker pool for data-parallel loops.
 //!
-//! The executor in [`crate::executor`] schedules *task graphs*; this module
-//! provides the complementary primitive: flat data parallelism over index
-//! ranges and mutable chunk splits, shared process-wide through [`global`].
-//! The rayon shim (`crates/shims/rayon`) routes every `par_iter` /
-//! `par_chunks` entry point through this pool, which is what restores real
-//! data parallelism to the training and emulation hot paths.
+//! Flat data parallelism over index ranges and mutable chunk splits,
+//! shared process-wide through [`global`]. It is the one set of threads:
+//! the rayon shim (`crates/shims/rayon`) routes every `par_iter` /
+//! `par_chunks` entry point through this pool, and the task-graph executor
+//! in [`crate::executor`] runs its lanes on it as `parallel_for` pieces.
 //!
 //! Design notes:
 //!
@@ -20,9 +19,10 @@
 //!   `EXACLIM_THREADS=N` pool applies exactly `N`-way parallelism with
 //!   `N − 1` resident workers.
 //! * Nested calls from inside a pool worker run inline (sequentially).
-//!   Workers therefore never block on the pool, which makes nesting — and
-//!   rayon-shim calls made from inside executor tasks — deadlock-free by
-//!   construction.
+//!   Workers therefore never block on the pool, which makes nesting
+//!   deadlock-free by construction. The executor's lanes, the caller's
+//!   included, run their tasks under the same mark (`InlineNested`), so
+//!   rayon-shim calls made from inside executor tasks run inline too.
 //! * Idle workers block on a condition variable; an idle pool consumes no
 //!   CPU.
 //! * Panics inside loop bodies are caught, the remaining pieces are allowed
@@ -45,8 +45,31 @@ type PanicPayload = Box<dyn Any + Send + 'static>;
 
 thread_local! {
     /// True on threads owned by a [`WorkerPool`] (and on any thread while it
-    /// helps run queued jobs). Used to force nested calls inline.
+    /// helps run queued jobs, or holds an [`InlineNested`]). Used to force
+    /// nested calls inline.
     static IN_POOL_WORKER: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Marks the current thread as running pool work, so pool calls made on it
+/// run inline, until dropped; the drop restores the previous mark.
+pub(crate) struct InlineNested(bool);
+
+impl InlineNested {
+    pub(crate) fn enter() -> Self {
+        Self(IN_POOL_WORKER.with(|flag| flag.replace(true)))
+    }
+}
+
+impl Drop for InlineNested {
+    fn drop(&mut self) {
+        IN_POOL_WORKER.with(|flag| flag.set(self.0));
+    }
+}
+
+/// Whether the current thread runs pool work: pool calls made here run
+/// inline.
+pub(crate) fn in_pool_worker() -> bool {
+    IN_POOL_WORKER.with(Cell::get)
 }
 
 /// Queue state guarded by the pool mutex.
@@ -138,12 +161,8 @@ impl Latch {
 /// their own `catch_unwind`; this is a backstop so a worker thread can
 /// never die to an unwind).
 fn run_flagged(job: Job) {
-    IN_POOL_WORKER.with(|flag| {
-        let prev = flag.get();
-        flag.set(true);
-        let _ = panic::catch_unwind(AssertUnwindSafe(job));
-        flag.set(prev);
-    });
+    let _inline = InlineNested::enter();
+    let _ = panic::catch_unwind(AssertUnwindSafe(job));
 }
 
 fn worker_main(shared: Arc<Shared>) {
@@ -259,7 +278,7 @@ impl WorkerPool {
             return;
         }
         let pieces = self.threads.min(n);
-        if pieces <= 1 || IN_POOL_WORKER.with(Cell::get) {
+        if pieces <= 1 || in_pool_worker() {
             body(0..n);
             return;
         }
@@ -309,7 +328,7 @@ impl WorkerPool {
         RA: Send,
         RB: Send,
     {
-        if self.threads <= 1 || IN_POOL_WORKER.with(Cell::get) {
+        if self.threads <= 1 || in_pool_worker() {
             return (a(), b());
         }
         let latch = Latch::new(1);

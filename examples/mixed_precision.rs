@@ -14,17 +14,18 @@ use exaclim_runtime::{parallel_tile_cholesky, SchedulerKind};
 fn main() {
     let n = 768;
     let b = 64;
+    // Ask for every core; the runtime caps the lanes at `EXACLIM_THREADS`.
     let workers = std::thread::available_parallelism()
         .map(|v| v.get())
         .unwrap_or(4);
     let a = exp_covariance(n, 24.0, 1e-3);
     println!(
-        "matrix: exponential covariance, n = {n}, tile = {b} ({} tiles), {workers} workers",
+        "matrix: exponential covariance, n = {n}, tile = {b} ({} tiles)",
         (n / b) * (n / b + 1) / 2
     );
     println!(
-        "{:<10} {:>10} {:>14} {:>12} {:>10} {:>12}",
-        "variant", "bytes", "residual", "seconds", "GFlop/s", "census H/S/D"
+        "{:<10} {:>10} {:>14} {:>12} {:>10} {:>6} {:>12}",
+        "variant", "bytes", "residual", "seconds", "GFlop/s", "lanes", "census H/S/D"
     );
 
     let nt = n / b;
@@ -43,12 +44,13 @@ fn main() {
             .expect("SPD covariance");
         let res = factorization_residual(&a, &tm);
         println!(
-            "{:<10} {:>10} {:>14.3e} {:>12.4} {:>10.2} {:>4}/{}/{}",
+            "{:<10} {:>10} {:>14.3e} {:>12.4} {:>10.2} {:>6} {:>4}/{}/{}",
             policy.label(),
             bytes,
             res,
             stats.seconds,
             stats.gflops(),
+            trace.workers,
             census[0],
             census[1],
             census[2],

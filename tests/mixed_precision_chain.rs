@@ -15,7 +15,7 @@ use rand::SeedableRng;
 fn chain_error(n: usize, b: usize, policy: PrecisionPolicy, samples: usize) -> (f64, f64) {
     let a = exp_covariance(n, n as f64 / 8.0, 1e-4);
     let mut tm = TiledMatrix::from_dense(&a, n, b, &policy);
-    parallel_tile_cholesky(&mut tm, 4, SchedulerKind::WorkStealing).expect("SPD");
+    parallel_tile_cholesky(&mut tm, 4, SchedulerKind::PriorityHeap).expect("SPD");
     let residual = factorization_residual(&a, &tm);
     let l = tm.to_dense_lower();
     let mut mvn = MultivariateNormal::from_lower_factor(vec![0.0; n], &l, n);

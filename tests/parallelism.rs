@@ -4,41 +4,74 @@
 
 use exaclim::{ClimateEmulator, EmulatorConfig};
 use exaclim_climate::{SyntheticEra5, SyntheticEra5Config};
-use exaclim_runtime::{Executor, SchedulerKind, TaskGraph};
+use exaclim_runtime::graph::TaskKind;
+use exaclim_runtime::{cholesky_graph, Executor, TaskGraph};
 use parking_lot::Mutex;
 use rayon::prelude::*;
+use std::sync::Barrier;
 
 /// Rayon-shim calls from inside executor tasks must complete without
-/// deadlock: executor workers block on the pool's completion latches while
-/// pool workers (which never block on the pool — nested calls run inline)
-/// crunch the data-parallel pieces.
+/// deadlock: every executor lane, the caller's included, runs its task
+/// bodies with nested pool calls forced inline, so a task never waits on
+/// the pool and never picks up a queued lane of its own run.
 #[test]
 fn rayon_shim_inside_executor_tasks_completes() {
-    for sched in [
-        SchedulerKind::WorkStealing,
-        SchedulerKind::PriorityHeap,
-        SchedulerKind::Fifo,
-    ] {
-        let ntasks = 16usize;
-        let mut g = TaskGraph::new();
-        for i in 0..ntasks as u64 {
-            g.add(exaclim_runtime::graph::TaskKind::Generic(i), 0, &[]);
-        }
-        let results = Mutex::new(vec![0u64; ntasks]);
-        Executor::new(4, sched)
-            .run(&g, |id, _| {
-                // Data-parallel work nested inside a task-parallel task.
-                let data: Vec<u64> = (0..512).into_par_iter().map(|i| (i + id) as u64).collect();
-                let total: u64 = data.par_chunks(64).map(|c| c.iter().sum::<u64>()).sum();
-                results.lock()[id] = total;
-                Ok(())
-            })
-            .unwrap_or_else(|e| panic!("{sched:?}: {e}"));
-        for (id, &total) in results.lock().iter().enumerate() {
-            let expect: u64 = (0..512u64).map(|i| i + id as u64).sum();
-            assert_eq!(total, expect, "{sched:?}: task {id}");
-        }
+    let ntasks = 16usize;
+    let mut g = TaskGraph::new();
+    for i in 0..ntasks as u64 {
+        g.add(TaskKind::Generic(i), 0, &[]);
     }
+    let results = Mutex::new(vec![0u64; ntasks]);
+    Executor::new(4)
+        .run(&g, |id, _| {
+            // Data-parallel work nested inside a task-parallel task.
+            let data: Vec<u64> = (0..512).into_par_iter().map(|i| (i + id) as u64).collect();
+            let total: u64 = data.par_chunks(64).map(|c| c.iter().sum::<u64>()).sum();
+            results.lock()[id] = total;
+            Ok(())
+        })
+        .unwrap_or_else(|e| panic!("{e}"));
+    for (id, &total) in results.lock().iter().enumerate() {
+        let expect: u64 = (0..512u64).map(|i| i + id as u64).sum();
+        assert_eq!(total, expect, "task {id}");
+    }
+}
+
+/// Four plain threads run task graphs on the shared pool at the same time,
+/// every task making a nested rayon-shim call: each run completes, and every
+/// task's result is right, while the callers' waits run each other's queued
+/// lanes. A nested call that waited on the pool could hang here.
+#[test]
+fn concurrent_executor_runs_with_nested_pool_calls_complete() {
+    let callers = 4u64;
+    let start = Barrier::new(callers as usize);
+    std::thread::scope(|s| {
+        for caller in 0..callers {
+            let start = &start;
+            s.spawn(move || {
+                start.wait();
+                for round in 0..8u64 {
+                    let g = cholesky_graph(6);
+                    let results = Mutex::new(vec![0u64; g.len()]);
+                    let seed = caller * 1000 + round;
+                    Executor::new(4)
+                        .run(&g, |id, _| {
+                            let total: u64 = (0..256usize)
+                                .into_par_iter()
+                                .map(|i| i as u64 * seed + id as u64)
+                                .sum();
+                            results.lock()[id] = total;
+                            Ok(())
+                        })
+                        .unwrap_or_else(|e| panic!("caller {caller}: {e}"));
+                    for (id, &total) in results.lock().iter().enumerate() {
+                        let expect: u64 = (0..256u64).map(|i| i * seed + id as u64).sum();
+                        assert_eq!(total, expect, "caller {caller}, round {round}, task {id}");
+                    }
+                }
+            });
+        }
+    });
 }
 
 /// Training and emulation run the rayon shim across every stage (trend fit,

@@ -6,7 +6,7 @@ use exaclim_linalg::precision::{Precision, PrecisionPolicy};
 use exaclim_linalg::tile::Tile;
 use exaclim_mathkit::{Complex64, CubicSpline};
 use exaclim_runtime::graph::{TaskGraph, TaskKind};
-use exaclim_runtime::{Executor, SchedulerKind};
+use exaclim_runtime::Executor;
 use exaclim_sht::HarmonicCoeffs;
 use proptest::prelude::*;
 
@@ -222,7 +222,7 @@ proptest! {
         prop_assert!(g.validate());
         let ran = std::sync::Mutex::new(vec![false; n_tasks]);
         let order = std::sync::Mutex::new(Vec::new());
-        Executor::new(workers, SchedulerKind::WorkStealing)
+        Executor::new(workers)
             .run(&g, |id, _| {
                 let mut r = ran.lock().unwrap();
                 if r[id] {
