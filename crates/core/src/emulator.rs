@@ -17,7 +17,6 @@ use exaclim_stats::trend::{fit_grid, standardize, MeanBasis, TrendConfig, TrendF
 use exaclim_stats::var::{fit_diagonal_var_multi, DiagonalVar};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
 use std::sync::Mutex;
@@ -316,12 +315,8 @@ impl ClimateEmulator {
                 .take()
                 .unwrap_or_else(|| standardize(&m.data, &means, &models, t_max));
             let coeff_sets = analysis_batch(&plan, &residuals, t_max);
-            all_series.push(
-                coeff_sets
-                    .par_iter()
-                    .map(HarmonicCoeffs::to_real_vector)
-                    .collect(),
-            );
+            all_series
+                .push(pool::global().map(coeff_sets.len(), |t| coeff_sets[t].to_real_vector()));
             add_truncation_residuals(&plan, &coeff_sets, &residuals, &mut v2);
         }
         drop(means);
@@ -406,10 +401,9 @@ impl TrainedEmulator {
         let plan = ShtPlan::equiangular(cfg.lmax, self.ntheta, self.nphi);
         let sampler = CoefficientSampler::new(self.var.clone(), self.factor.clone(), dim);
         let path = sampler.sample_path(t_max, rng);
-        let coeff_sets: Vec<HarmonicCoeffs> = path
-            .par_iter()
-            .map(|f| HarmonicCoeffs::from_real_vector(cfg.lmax, f))
-            .collect();
+        let coeff_sets = pool::global().map(path.len(), |t| {
+            HarmonicCoeffs::from_real_vector(cfg.lmax, &path[t])
+        });
         drop(path);
         synthesis_batch(&plan, &coeff_sets)
     }

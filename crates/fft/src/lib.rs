@@ -6,7 +6,7 @@
 //!   small (the SHT grids are `Nϕ` and `2Nθ − 2`, e.g. 1440 = 2⁵·3²·5),
 //! * Bluestein's chirp-z algorithm for sizes with a large prime factor,
 //! * plan objects that precompute twiddles once and are `Send + Sync`, so
-//!   one plan can serve all rayon workers transforming time slices,
+//!   one plan can serve every pool lane transforming time slices,
 //! * lane groups ([`lanes`]): one plan run on [`LANES`] signals at once,
 //!   structure-of-arrays, bit-identical per lane to the scalar transforms;
 //!   the executor is compiled a second time for AVX2 (no FMA) and chosen at

@@ -9,9 +9,9 @@
 //!
 //! Invariant: every lane runs its task bodies with nested pool calls forced
 //! inline (`pool::InlineNested`). Without it, a task on the caller's lane
-//! that calls the pool (the rayon shim does) could pick up a queued lane job
-//! of its own run while it waits; that lane would then block in the queue's
-//! `pop` under the suspended task, and the run would deadlock.
+//! that calls the pool could pick up a queued lane job of its own run while
+//! it waits; that lane would then block in the queue's `pop` under the
+//! suspended task, and the run would deadlock.
 
 use crate::graph::{TaskGraph, TaskId, TaskKind};
 use crate::pool::{self, InlineNested, WorkerPool};

@@ -1,10 +1,11 @@
 //! Shared worker pool for data-parallel loops.
 //!
-//! Flat data parallelism over index ranges and mutable chunk splits,
-//! shared process-wide through [`global`]. It is the one set of threads:
-//! the rayon shim (`crates/shims/rayon`) routes every `par_iter` /
-//! `par_chunks` entry point through this pool, and the task-graph executor
-//! in [`crate::executor`] runs its lanes on it as `parallel_for` pieces.
+//! Flat data parallelism over index ranges, mutable chunk splits and
+//! ordered maps, shared process-wide through [`global`]. It is the one set
+//! of threads and the one data-parallel API: the design pipeline (trend
+//! fit, SHT batches, VAR fit, covariance, emulation) and the serve layer
+//! call it directly, and the task-graph executor in [`crate::executor`]
+//! runs its lanes on it as `parallel_for` pieces.
 //!
 //! Design notes:
 //!
@@ -22,7 +23,7 @@
 //!   Workers therefore never block on the pool, which makes nesting
 //!   deadlock-free by construction. The executor's lanes, the caller's
 //!   included, run their tasks under the same mark (`InlineNested`), so
-//!   rayon-shim calls made from inside executor tasks run inline too.
+//!   pool calls made from inside executor tasks run inline too.
 //! * Idle workers block on a condition variable; an idle pool consumes no
 //!   CPU.
 //! * Panics inside loop bodies are caught, the remaining pieces are allowed
@@ -367,11 +368,7 @@ impl WorkerPool {
 
     /// Split `data` into chunks of `chunk_len` elements (the last may be
     /// shorter) and run `body(chunk_index, chunk)` on each, in parallel.
-    ///
-    /// The rayon shim's `ChunksMut` iterator performs the same raw-pointer
-    /// disjoint split per index (it needs per-index access to compose with
-    /// `zip`/`enumerate`); if the splitting or capture logic here changes,
-    /// mirror it there.
+    /// The chunk indices split over the lanes as in [`Self::parallel_for`].
     pub fn parallel_chunks_mut<T, F>(&self, data: &mut [T], chunk_len: usize, body: F)
     where
         T: Send,
@@ -394,6 +391,22 @@ impl WorkerPool {
                 body(i, chunk);
             }
         });
+    }
+
+    /// `(0..n).map(f).collect()`, with the indices split over the lanes as
+    /// in [`Self::parallel_for`]: the results come back in index order,
+    /// each computed once, whatever the pool size.
+    pub fn map<T, F>(&self, n: usize, f: F) -> Vec<T>
+    where
+        T: Send,
+        F: Fn(usize) -> T + Sync,
+    {
+        let mut slots: Vec<Option<T>> = std::iter::repeat_with(|| None).take(n).collect();
+        self.parallel_chunks_mut(&mut slots, 1, |i, slot| slot[0] = Some(f(i)));
+        slots
+            .into_iter()
+            .map(|v| v.expect("every index was mapped"))
+            .collect()
     }
 }
 
@@ -467,12 +480,30 @@ mod tests {
         for (len, chunk) in [(0usize, 3usize), (5, 100), (97, 8), (4096, 13)] {
             let mut data = vec![0u64; len];
             pool.parallel_chunks_mut(&mut data, chunk, |ci, c| {
+                // Every chunk is full but a ragged last one.
+                assert_eq!(
+                    c.len(),
+                    chunk.min(len - ci * chunk),
+                    "len={len}, chunk={chunk}"
+                );
                 for (off, v) in c.iter_mut().enumerate() {
                     *v = (ci * chunk + off) as u64 + 1;
                 }
             });
             for (i, v) in data.iter().enumerate() {
                 assert_eq!(*v, i as u64 + 1, "len={len}, chunk={chunk}");
+            }
+        }
+    }
+
+    #[test]
+    fn map_returns_results_in_index_order() {
+        for threads in [1, 2, 4, 7] {
+            let pool = WorkerPool::new(threads);
+            for n in [0, 1, threads - 1, threads + 1, 10_000] {
+                let v = pool.map(n, |i| i.wrapping_mul(31));
+                let want: Vec<usize> = (0..n).map(|i| i.wrapping_mul(31)).collect();
+                assert_eq!(v, want, "threads={threads}, n={n}");
             }
         }
     }
@@ -499,6 +530,11 @@ mod tests {
             }
         });
         assert_eq!(total.load(Ordering::Relaxed), 8 * 16);
+        // A map inside a map gives the sequential answer.
+        let sums = pool.map(8, |k| pool.map(100, |i| i + k).iter().sum::<usize>());
+        for (k, s) in sums.iter().enumerate() {
+            assert_eq!(*s, 99 * 100 / 2 + 100 * k);
+        }
     }
 
     #[test]

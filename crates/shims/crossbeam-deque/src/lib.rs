@@ -1,300 +1,7 @@
-//! Offline shim for `crossbeam-deque`.
+//! Placeholder for the `crossbeam-deque` package name; it has no items.
 //!
-//! Provides the Chase–Lev work-stealing *interface* — [`Worker`],
-//! [`Stealer`], [`Injector`], [`Steal`] — with mutex-protected `VecDeque`
-//! storage instead of a lock-free deque. Semantics match what the executor
-//! relies on: LIFO worker pops, FIFO steals from the opposite end, and a
-//! global FIFO injector whose `steal_batch_and_pop` migrates a batch into
-//! the caller's local queue.
-
-use std::collections::VecDeque;
-use std::sync::{Arc, Mutex};
-
-/// Result of a steal attempt.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Steal<T> {
-    /// The source was observed empty.
-    Empty,
-    /// One task was stolen.
-    Success(T),
-    /// The attempt lost a race and should be retried.
-    Retry,
-}
-
-impl<T> Steal<T> {
-    /// True iff the attempt should be retried.
-    pub fn is_retry(&self) -> bool {
-        matches!(self, Steal::Retry)
-    }
-
-    /// True iff the source was empty.
-    pub fn is_empty(&self) -> bool {
-        matches!(self, Steal::Empty)
-    }
-
-    /// True iff a task was obtained.
-    pub fn is_success(&self) -> bool {
-        matches!(self, Steal::Success(_))
-    }
-
-    /// The stolen task, if any.
-    pub fn success(self) -> Option<T> {
-        match self {
-            Steal::Success(t) => Some(t),
-            _ => None,
-        }
-    }
-
-    /// If this attempt failed, try `f`; `Retry` from either side wins over
-    /// `Empty` so the caller knows to spin again.
-    pub fn or_else<F: FnOnce() -> Steal<T>>(self, f: F) -> Steal<T> {
-        match self {
-            Steal::Success(t) => Steal::Success(t),
-            Steal::Empty => f(),
-            Steal::Retry => match f() {
-                Steal::Success(t) => Steal::Success(t),
-                _ => Steal::Retry,
-            },
-        }
-    }
-}
-
-impl<T> FromIterator<Steal<T>> for Steal<T> {
-    /// First `Success` wins; any `Retry` seen without a success yields
-    /// `Retry`; otherwise `Empty` (the crossbeam contract).
-    fn from_iter<I: IntoIterator<Item = Steal<T>>>(iter: I) -> Steal<T> {
-        let mut retry = false;
-        for s in iter {
-            match s {
-                Steal::Success(t) => return Steal::Success(t),
-                Steal::Retry => retry = true,
-                Steal::Empty => {}
-            }
-        }
-        if retry {
-            Steal::Retry
-        } else {
-            Steal::Empty
-        }
-    }
-}
-
-type Shared<T> = Arc<Mutex<VecDeque<T>>>;
-
-fn locked<T>(q: &Shared<T>) -> std::sync::MutexGuard<'_, VecDeque<T>> {
-    match q.lock() {
-        Ok(g) => g,
-        Err(poisoned) => poisoned.into_inner(),
-    }
-}
-
-/// The owner side of a worker queue.
-pub struct Worker<T> {
-    queue: Shared<T>,
-    lifo: bool,
-}
-
-impl<T> Worker<T> {
-    /// A LIFO worker queue (pops the most recently pushed task).
-    pub fn new_lifo() -> Self {
-        Self {
-            queue: Arc::new(Mutex::new(VecDeque::new())),
-            lifo: true,
-        }
-    }
-
-    /// A FIFO worker queue.
-    pub fn new_fifo() -> Self {
-        Self {
-            queue: Arc::new(Mutex::new(VecDeque::new())),
-            lifo: false,
-        }
-    }
-
-    /// Push a task onto the owner end.
-    pub fn push(&self, task: T) {
-        locked(&self.queue).push_back(task);
-    }
-
-    /// Pop from the owner end (back for LIFO, front for FIFO).
-    pub fn pop(&self) -> Option<T> {
-        let mut q = locked(&self.queue);
-        if self.lifo {
-            q.pop_back()
-        } else {
-            q.pop_front()
-        }
-    }
-
-    /// True iff no tasks are queued.
-    pub fn is_empty(&self) -> bool {
-        locked(&self.queue).is_empty()
-    }
-
-    /// A handle other threads can steal from.
-    pub fn stealer(&self) -> Stealer<T> {
-        Stealer {
-            queue: Arc::clone(&self.queue),
-        }
-    }
-}
-
-/// The thief side of a worker queue; steals from the front (opposite the
-/// LIFO owner end), preserving the locality heuristic of Chase–Lev.
-pub struct Stealer<T> {
-    queue: Shared<T>,
-}
-
-impl<T> Clone for Stealer<T> {
-    fn clone(&self) -> Self {
-        Self {
-            queue: Arc::clone(&self.queue),
-        }
-    }
-}
-
-impl<T> Stealer<T> {
-    /// Steal one task.
-    pub fn steal(&self) -> Steal<T> {
-        match locked(&self.queue).pop_front() {
-            Some(t) => Steal::Success(t),
-            None => Steal::Empty,
-        }
-    }
-}
-
-/// A global FIFO queue every worker can push to and steal from.
-#[derive(Default)]
-pub struct Injector<T> {
-    queue: Mutex<VecDeque<T>>,
-}
-
-impl<T> Injector<T> {
-    /// New empty injector.
-    pub fn new() -> Self {
-        Self {
-            queue: Mutex::new(VecDeque::new()),
-        }
-    }
-
-    /// Enqueue a task at the back.
-    pub fn push(&self, task: T) {
-        match self.queue.lock() {
-            Ok(mut g) => g.push_back(task),
-            Err(poisoned) => poisoned.into_inner().push_back(task),
-        }
-    }
-
-    /// Steal up to half the queue (at least one task) into `dest`, and pop
-    /// one task for the caller.
-    pub fn steal_batch_and_pop(&self, dest: &Worker<T>) -> Steal<T> {
-        let mut q = match self.queue.lock() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        let first = match q.pop_front() {
-            Some(t) => t,
-            None => return Steal::Empty,
-        };
-        let batch = (q.len() / 2).min(32);
-        if batch > 0 {
-            let mut dst = locked(&dest.queue);
-            for _ in 0..batch {
-                match q.pop_front() {
-                    Some(t) => dst.push_back(t),
-                    None => break,
-                }
-            }
-        }
-        Steal::Success(first)
-    }
-
-    /// True iff no tasks are queued.
-    pub fn is_empty(&self) -> bool {
-        match self.queue.lock() {
-            Ok(g) => g.is_empty(),
-            Err(poisoned) => poisoned.into_inner().is_empty(),
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn worker_is_lifo_stealer_is_fifo() {
-        let w = Worker::new_lifo();
-        let s = w.stealer();
-        w.push(1);
-        w.push(2);
-        w.push(3);
-        assert_eq!(w.pop(), Some(3), "owner pops newest");
-        assert_eq!(s.steal(), Steal::Success(1), "thief steals oldest");
-        assert_eq!(w.pop(), Some(2));
-        assert_eq!(w.pop(), None);
-        assert_eq!(s.steal(), Steal::Empty);
-    }
-
-    #[test]
-    fn injector_batch_pop_moves_work() {
-        let inj = Injector::new();
-        for i in 0..10 {
-            inj.push(i);
-        }
-        let w = Worker::new_lifo();
-        assert_eq!(inj.steal_batch_and_pop(&w), Steal::Success(0));
-        assert!(!w.is_empty(), "a batch migrated to the local queue");
-        let mut got = Vec::new();
-        while let Some(t) = w.pop() {
-            got.push(t);
-        }
-        while let Steal::Success(t) = inj.steal_batch_and_pop(&w) {
-            got.push(t);
-            while let Some(t) = w.pop() {
-                got.push(t);
-            }
-        }
-        got.sort_unstable();
-        assert_eq!(got, (1..10).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn collect_steal_prefers_success_then_retry() {
-        let all: Steal<i32> = [Steal::Empty, Steal::Retry, Steal::Success(5)]
-            .into_iter()
-            .collect();
-        assert_eq!(all, Steal::Success(5));
-        let retry: Steal<i32> = [Steal::Empty, Steal::Retry].into_iter().collect();
-        assert_eq!(retry, Steal::Retry);
-        let empty: Steal<i32> = [Steal::Empty, Steal::Empty].into_iter().collect();
-        assert_eq!(empty, Steal::Empty);
-    }
-
-    #[test]
-    fn concurrent_steals_deliver_every_task_once() {
-        let inj = Injector::new();
-        let n = 1000;
-        for i in 0..n {
-            inj.push(i);
-        }
-        let seen = Mutex::new(vec![0u8; n]);
-        std::thread::scope(|scope| {
-            for _ in 0..4 {
-                let inj = &inj;
-                let seen = &seen;
-                scope.spawn(move || {
-                    let w = Worker::new_lifo();
-                    loop {
-                        let task = w.pop().or_else(|| inj.steal_batch_and_pop(&w).success());
-                        match task {
-                            Some(t) => seen.lock().unwrap()[t] += 1,
-                            None => break,
-                        }
-                    }
-                });
-            }
-        });
-        assert!(seen.lock().unwrap().iter().all(|&c| c == 1));
-    }
-}
+//! Nothing imports it: the task-graph executor drains one priority heap on
+//! the shared worker pool's lanes. `exaclim-runtime` keeps its dependency
+//! on this package only because the frozen `benchmark/Cargo.lock` records
+//! it; the next benchmark change (ROADMAP 2(b)) drops the edge and deletes
+//! this package.

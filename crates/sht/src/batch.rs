@@ -1,4 +1,4 @@
-//! Batched transforms over time slices, parallelized with rayon.
+//! Batched transforms over time slices, parallel on the shared pool.
 //!
 //! The paper notes (§III.A.2) that the SHT "offers a linear computational
 //! complexity of O(L) for computing SHT for different time points
@@ -18,10 +18,9 @@
 //! same parallel pass as the blocks.
 
 use crate::coeffs::HarmonicCoeffs;
-use crate::plan::{ShtPlan, ShtScratch};
+use crate::plan::ShtPlan;
 use exaclim_fft::{irfft_lanes, rfft_lanes, LaneScratch, Lanes, LANES};
 use exaclim_sphere::legendre::{idx, packed_len};
-use rayon::prelude::*;
 
 /// Forward-transform `t` consecutive fields stored back-to-back in `data`
 /// (each of length [`ShtPlan::field_len`]).
@@ -29,15 +28,19 @@ pub fn analysis_batch(plan: &ShtPlan, data: &[f64], t: usize) -> Vec<HarmonicCoe
     let n = plan.field_len();
     assert_eq!(data.len(), n * t, "expected {t} fields of {n} values");
     let mut out = vec![HarmonicCoeffs::zeros(plan.lmax()); t];
-    work_items(&mut out, 1, data, n)
-        .par_iter_mut()
-        .for_each_init(
-            || (plan.scratch(), None),
-            |scratch, (coeffs, fields)| match coeffs {
-                [c] => plan.analysis_into(fields, c, &mut scratch.0),
-                _ => plan.analysis_block(fields, coeffs, block_scratch(plan, scratch)),
-            },
-        );
+    per_lane(work_items(&mut out, 1, data, n), |items| {
+        let (mut scratch, mut block) = (plan.scratch(), None);
+        for (coeffs, fields) in items {
+            match coeffs {
+                [c] => plan.analysis_into(fields, c, &mut scratch),
+                _ => plan.analysis_block(
+                    fields,
+                    coeffs,
+                    block.get_or_insert_with(|| BlockScratch::new(plan)),
+                ),
+            }
+        }
+    });
     out
 }
 
@@ -45,16 +48,31 @@ pub fn analysis_batch(plan: &ShtPlan, data: &[f64], t: usize) -> Vec<HarmonicCoe
 pub fn synthesis_batch(plan: &ShtPlan, coeffs: &[HarmonicCoeffs]) -> Vec<f64> {
     let n = plan.field_len();
     let mut out = vec![0.0f64; n * coeffs.len()];
-    work_items(&mut out, n, coeffs, 1)
-        .par_iter_mut()
-        .for_each_init(
-            || (plan.scratch(), None),
-            |scratch, (fields, c)| match c {
-                [c] => plan.synthesis_into(c, fields, &mut scratch.0),
-                _ => plan.synthesis_block(c, fields, block_scratch(plan, scratch)),
-            },
-        );
+    per_lane(work_items(&mut out, n, coeffs, 1), |items| {
+        let (mut scratch, mut block) = (plan.scratch(), None);
+        for (fields, c) in items {
+            match c {
+                [c] => plan.synthesis_into(c, fields, &mut scratch),
+                _ => plan.synthesis_block(
+                    c,
+                    fields,
+                    block.get_or_insert_with(|| BlockScratch::new(plan)),
+                ),
+            }
+        }
+    });
     out
+}
+
+/// Run `body` on contiguous runs of `items`, at most one run per pool lane,
+/// so each lane makes its working memory once: the per-slice scratch, and
+/// the block scratch at its first block (a batch of fewer than [`LANES`]
+/// slices never needs one). A run holds `⌈len / threads⌉` items, the
+/// longest share `parallel_for` gives a lane.
+fn per_lane<T: Send>(mut items: Vec<T>, body: impl Fn(&mut [T]) + Sync) {
+    let pool = rayon::pool::global();
+    let run = items.len().div_ceil(pool.threads()).max(1);
+    pool.parallel_chunks_mut(&mut items, run, |_, items| body(items));
 }
 
 /// One batch's work items, each the output and input of some slices
@@ -75,15 +93,6 @@ fn work_items<'a, O, I>(
         .zip(in_head.chunks(LANES * in_per))
         .chain(out_tail.chunks_mut(out_per).zip(in_tail.chunks(in_per)))
         .collect()
-}
-
-/// A pool lane's working memory: the per-slice transforms' scratch for a
-/// batch's last slices, and the block scratch, made at the lane's first
-/// block (a batch of fewer than [`LANES`] slices never needs one).
-type BatchScratch = (ShtScratch, Option<BlockScratch>);
-
-fn block_scratch<'a>(plan: &ShtPlan, scratch: &'a mut BatchScratch) -> &'a mut BlockScratch {
-    scratch.1.get_or_insert_with(|| BlockScratch::new(plan))
 }
 
 /// Working memory of one block of [`LANES`] slices on one plan.

@@ -13,7 +13,8 @@
 //!
 //! Synthesis (inverse) is Legendre recombination per ring plus an inverse
 //! real FFT along longitude. All plans are `Send + Sync`; batched entry
-//! points parallelize over time slices with rayon, reproducing the paper's
+//! points parallelize over time slices on the shared worker pool
+//! (`exaclim_runtime::pool`), reproducing the paper's
 //! "O(L) parallel time for T slices" claim at CPU scale. A batch runs in
 //! blocks of `exaclim_fft::LANES` consecutive slices: each ring of a block
 //! is one lane group through the longitude FFT and the θ-stage, every lane

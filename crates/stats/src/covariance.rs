@@ -3,7 +3,6 @@
 use exaclim_linalg::dense::Matrix;
 use exaclim_linalg::kernels::GramPanels;
 use exaclim_linalg::precision::Precision;
-use rayon::prelude::*;
 use std::collections::VecDeque;
 
 /// Empirical covariance of innovation samples:
@@ -30,17 +29,17 @@ pub fn empirical_covariance(samples: &[Vec<f64>]) -> Matrix {
     let mut u = Matrix::zeros(dim, dim);
     let scale = 1.0 / samples.len() as f64;
     let panel_len = GramPanels::PANEL_ROWS * dim.max(1);
-    ends_inward(u.as_mut_slice().chunks_mut(panel_len))
-        .par_iter_mut()
-        .for_each(|(p, rows)| {
-            packed.lower_rows(*p, rows);
-            let first = *p * GramPanels::PANEL_ROWS;
-            for (k, row) in rows.chunks_mut(dim).enumerate() {
-                for v in &mut row[..=first + k] {
-                    *v *= scale;
-                }
+    let mut blocks = ends_inward(u.as_mut_slice().chunks_mut(panel_len));
+    rayon::pool::global().parallel_chunks_mut(&mut blocks, 1, |_, item| {
+        let (p, rows) = &mut item[0];
+        packed.lower_rows(*p, rows);
+        let first = *p * GramPanels::PANEL_ROWS;
+        for (k, row) in rows.chunks_mut(dim).enumerate() {
+            for v in &mut row[..=first + k] {
+                *v *= scale;
             }
-        });
+        }
+    });
     mirror_lower(&mut u);
     u
 }

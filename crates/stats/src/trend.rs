@@ -12,16 +12,15 @@
 //! normal equations factored once per candidate `ρ` ([`TrendPlan`]); a
 //! location then costs `Xᵀy`, two triangular solves and one residual pass
 //! per `ρ`. Locations are independent: the grid fit takes blocks of
-//! adjacent locations in parallel with rayon and fits each block in lanes,
-//! one location per lane, reading the time-major rows directly. A single
-//! location ([`fit_location`], [`TrendModel::mean_series`]) is a block of
-//! one lane — there is no second code path, and the per-location
+//! adjacent locations in parallel on the shared pool and fits each block
+//! in lanes, one location per lane, reading the time-major rows directly.
+//! A single location ([`fit_location`], [`TrendModel::mean_series`]) is a
+//! block of one lane — there is no second code path, and the per-location
 //! arithmetic (every sum in ascending `t`, `c` or `k`, started from `−0.0`
 //! like `Iterator::sum`) is the contract that keeps fits bit-reproducible.
 
 use crate::forcing::ForcingSeries;
 use exaclim_linalg::dense::{normal_equations_factor, Matrix};
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 /// Configuration of the trend model.
@@ -542,32 +541,30 @@ pub fn fit_grid(
     assert_eq!(data.len(), t_max * npoints);
     let plan = TrendPlan::new(cfg, forcing, t_max);
     let mut means = vec![0.0f64; npoints * t_max];
-    let blocks: Vec<Vec<TrendModel>> = means
-        .par_chunks_mut(LANES * t_max)
-        .enumerate()
-        .map(|(b, block)| {
-            let p0 = b * LANES;
-            if block.len() == LANES * t_max {
-                let models = plan.fit_lanes::<LANES>(&data[p0..], npoints);
-                let mut rows = block.chunks_exact_mut(t_max);
-                let outs = std::array::from_fn(|_| rows.next().expect("a full block"));
-                plan.basis.means_into_lanes(models.each_ref(), outs);
-                Vec::from(models)
-            } else {
-                // The last block, narrower than the lanes: one at a time.
-                block
-                    .chunks_exact_mut(t_max)
-                    .zip(p0..)
-                    .map(|(mean, p)| {
-                        let [model] = plan.fit_lanes::<1>(&data[p..], npoints);
-                        plan.basis.mean_into(&model, mean);
-                        model
-                    })
-                    .collect()
-            }
-        })
+    // One item per block: its rows of `means` and the models fitted there.
+    let mut blocks: Vec<(&mut [f64], Vec<TrendModel>)> = means
+        .chunks_mut(LANES * t_max)
+        .map(|block| (block, Vec::new()))
         .collect();
-    let models: Vec<TrendModel> = blocks.into_iter().flatten().collect();
+    rayon::pool::global().parallel_chunks_mut(&mut blocks, 1, |b, item| {
+        let (block, models) = &mut item[0];
+        let p0 = b * LANES;
+        if block.len() == LANES * t_max {
+            let lanes = plan.fit_lanes::<LANES>(&data[p0..], npoints);
+            let mut rows = block.chunks_exact_mut(t_max);
+            let outs = std::array::from_fn(|_| rows.next().expect("a full block"));
+            plan.basis.means_into_lanes(lanes.each_ref(), outs);
+            *models = Vec::from(lanes);
+        } else {
+            // The last block, narrower than the lanes: one at a time.
+            for (mean, p) in block.chunks_exact_mut(t_max).zip(p0..) {
+                let [model] = plan.fit_lanes::<1>(&data[p..], npoints);
+                plan.basis.mean_into(&model, mean);
+                models.push(model);
+            }
+        }
+    });
+    let models: Vec<TrendModel> = blocks.into_iter().flat_map(|(_, m)| m).collect();
     let residuals = standardize(data, &means, &models, t_max);
     TrendFit {
         models,
@@ -584,14 +581,11 @@ pub fn standardize(data: &[f64], means: &[f64], models: &[TrendModel], t_max: us
     assert_eq!(data.len(), t_max * npoints);
     assert_eq!(means.len(), t_max * npoints);
     let mut residuals = vec![0.0f64; t_max * npoints];
-    residuals
-        .par_chunks_mut(npoints)
-        .enumerate()
-        .for_each(|(t, row)| {
-            for (p, r) in row.iter_mut().enumerate() {
-                *r = (data[t * npoints + p] - means[p * t_max + t]) / models[p].sigma;
-            }
-        });
+    rayon::pool::global().parallel_chunks_mut(&mut residuals, npoints, |t, row| {
+        for (p, r) in row.iter_mut().enumerate() {
+            *r = (data[t * npoints + p] - means[p * t_max + t]) / models[p].sigma;
+        }
+    });
     residuals
 }
 
@@ -670,9 +664,9 @@ mod tests {
     }
 
     /// Sequential reference for [`fit_grid`]: every location gathered
-    /// and fitted alone by the reference loops. The lanes on the
-    /// pool-backed rayon shim must reproduce this bit for bit, whatever
-    /// the thread count and wherever a location falls in its block.
+    /// and fitted alone by the reference loops. The lanes on the shared
+    /// pool must reproduce this bit for bit, whatever the thread count and
+    /// wherever a location falls in its block.
     fn fit_grid_sequential(
         data: &[f64],
         t_max: usize,

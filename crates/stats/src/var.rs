@@ -8,7 +8,6 @@
 //! problems — embarrassingly parallel over channels.
 
 use exaclim_linalg::dense::{ols_solve, Matrix};
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 /// Fitted diagonal VAR(P): `phi[c][p]` is the lag-(p+1) coefficient of
@@ -72,29 +71,30 @@ impl DiagonalVar {
 pub fn fit_diagonal_var_multi(members: &[&[Vec<f64>]], order: usize) -> DiagonalVar {
     assert!(!members.is_empty(), "need at least one ensemble member");
     assert!(order >= 1, "order must be positive");
+    assert!(
+        members.iter().all(|m| m.len() > order + 1),
+        "each member needs more than P+1 steps"
+    );
     let dim = members[0][0].len();
-    for m in members {
-        assert!(m.len() > order + 1, "each member needs more than P+1 steps");
-        assert!(m.iter().all(|f| f.len() == dim), "ragged series");
-    }
+    assert!(
+        members.iter().copied().flatten().all(|f| f.len() == dim),
+        "ragged series"
+    );
     let rows: usize = members.iter().map(|m| m.len() - order).sum();
-    let phi: Vec<Vec<f64>> = (0..dim)
-        .into_par_iter()
-        .map(|c| {
-            let mut x = Vec::with_capacity(rows * order);
-            let mut y = Vec::with_capacity(rows);
-            for member in members {
-                for t in order..member.len() {
-                    for p in 1..=order {
-                        x.push(member[t - p][c]);
-                    }
-                    y.push(member[t][c]);
+    let phi = rayon::pool::global().map(dim, |c| {
+        let mut x = Vec::with_capacity(rows * order);
+        let mut y = Vec::with_capacity(rows);
+        for member in members {
+            for t in order..member.len() {
+                for p in 1..=order {
+                    x.push(member[t - p][c]);
                 }
+                y.push(member[t][c]);
             }
-            let design = Matrix::from_vec(rows, order, x);
-            ols_solve(&design, &y)
-        })
-        .collect();
+        }
+        let design = Matrix::from_vec(rows, order, x);
+        ols_solve(&design, &y)
+    });
     DiagonalVar { order, phi }
 }
 
@@ -134,8 +134,8 @@ mod tests {
 
     #[test]
     fn parallel_fit_is_bit_identical_to_sequential() {
-        // The per-channel OLS regressions run through the pool-backed rayon
-        // shim; each channel's math is independent, so the result must be
+        // The per-channel OLS regressions run on the shared pool; each
+        // channel's math is independent, so the result must be
         // bit-for-bit the sequential answer regardless of thread count.
         // `fit_diagonal_var` is `fit_diagonal_var_multi` of one member, so
         // this pins the ensemble estimator's R = 1 case too.
@@ -161,6 +161,13 @@ mod tests {
                 assert_eq!(a.to_bits(), b.to_bits(), "channel {c}, lag {p}");
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "each member needs more than P+1 steps")]
+    fn empty_first_member_is_rejected_by_the_length_check() {
+        let long = vec![vec![0.0; 2]; 8];
+        fit_diagonal_var_multi(&[&[], &long], 1);
     }
 
     #[test]
