@@ -251,16 +251,18 @@ fn update<R>(
 
 /// `acc[i][j] = Σ_k a[off+i][k] · b[j][k]` over one panel of each operand:
 /// `MR × NR` independent accumulators, each summing its own element in
-/// ascending `k` as `acc + a·b`.
+/// ascending `k` as `acc + a·b`. Fixed-size operands and a row-by-row update
+/// are what make each row one full-width vector op (ARCHITECTURE.md, "Tile
+/// kernels"); [`subtract_steps`] keeps the same shape.
 #[inline(always)]
 fn dot_block<T: Real, const NR: usize>(ap: &[T], off: usize, bp: &[T]) -> [[T; NR]; MR] {
     assert!(off + MR <= NR);
     let mut acc = [[T::ZERO; NR]; MR];
-    for (ak, bk) in ap.chunks_exact(NR).zip(bp.chunks_exact(NR)) {
-        let ak = &ak[off..off + MR];
-        for i in 0..MR {
-            for j in 0..NR {
-                acc[i][j] = acc[i][j].mul_add_acc(ak[i], bk[j]);
+    for (ak, bk) in ap.as_chunks::<NR>().0.iter().zip(bp.as_chunks::<NR>().0) {
+        let ak: &[T; MR] = ak[off..off + MR].try_into().unwrap();
+        for (row, &a) in acc.iter_mut().zip(ak) {
+            for (v, &b) in row.iter_mut().zip(bk) {
+                *v = v.mul_add_acc(a, b);
             }
         }
     }
@@ -315,11 +317,17 @@ fn gemm_with(isa: Isa, a: &PackedTile, bt: &PackedTile, c: &mut Tile) {
 #[inline(always)]
 pub(crate) fn syrk_body<T: Real, const NR: usize>(a: &[T], c: &mut [T], b: usize) {
     // C := C − A Aᵀ on the lower triangle, then mirrored (C stays
-    // symmetric).
+    // symmetric) in 8 × 8 blocks, so that the strided writes stay within a
+    // few cache lines: mirrored a column at a time, they took a fifth of an
+    // f64 SYRK at b = 128.
     gemm_body::<T, NR>(a, a, c, b, true);
-    for i in 0..b {
-        for j in 0..i {
-            c[j * b + i] = c[i * b + j];
+    for i0 in (0..b).step_by(8) {
+        for j0 in (0..=i0).step_by(8) {
+            for i in i0..(i0 + 8).min(b) {
+                for j in j0..(j0 + 8).min(i) {
+                    c[j * b + i] = c[i * b + j];
+                }
+            }
         }
     }
 }
@@ -339,64 +347,102 @@ fn syrk_with(isa: Isa, a: &PackedTile, c: &mut Tile) {
     );
 }
 
+/// `s[i][j] := s[i][j] − (0 + x_k[i] · l_k[j])` for every `k`-step in
+/// ascending `k`: `xs` holds a row block's finished columns `k`-major (`MR`
+/// lanes a step), `lp` the rows of `L` they meet (`NR` lanes a step).
+#[inline(always)]
+fn subtract_steps<T: Real, const NR: usize>(
+    mut s: [[T; NR]; MR],
+    xs: &[T],
+    lp: &[T],
+) -> [[T; NR]; MR] {
+    for (xk, lk) in xs.as_chunks::<MR>().0.iter().zip(lp.as_chunks::<NR>().0) {
+        for (row, &xv) in s.iter_mut().zip(xk) {
+            for (v, &l) in row.iter_mut().zip(lk) {
+                *v = v.sub(T::ZERO.mul_add_acc(xv, l));
+            }
+        }
+    }
+    s
+}
+
 /// The shared step of TRSM and POTRF on rows `r0..r0+mr`, columns
-/// `j0..j0+nr` of `x` (row-major, side `b`), given the `k`-major panel `lp`
-/// of rows `j0..` of `L`: every element runs its own chain
+/// `j0..j0+nr` of `x` (row-major, side `b`). `xs` holds the row block's
+/// finished columns `k < j0` `k`-major, `MR` lanes a step, and `lp` is the
+/// `k`-major panel of rows `j0..` of `L`: every element runs its own chain
 /// `s := s − (0 + x[r][k]·l[j][k])` in ascending `k` over the finished
-/// columns `k < j0`; with `solve` the chain continues through the block's
-/// own columns and ends in `/ l[j][j]`.
+/// columns; with `solve` the chain continues through the block's own columns
+/// and ends in `/ l[j][j]`, and the solved columns are appended to `xs`.
 #[inline(always)]
 fn chain_block<T: Real, const NR: usize>(
     x: &mut [T],
     b: usize,
     (r0, mr): (usize, usize),
     (j0, nr): (usize, usize),
+    xs: &mut [T],
     lp: &[T],
     solve: bool,
 ) {
+    // The same code twice: a whole block's sizes are the constants `MR` and
+    // `NR`, so its accumulators stay in registers through the in-block
+    // solve; only an edge block indexes them at run time.
+    if (mr, nr) == (MR, NR) {
+        chain_block_sized::<T, NR>(x, b, (r0, MR), (j0, NR), xs, lp, solve)
+    } else {
+        chain_block_sized::<T, NR>(x, b, (r0, mr), (j0, nr), xs, lp, solve)
+    }
+}
+
+#[inline(always)]
+fn chain_block_sized<T: Real, const NR: usize>(
+    x: &mut [T],
+    b: usize,
+    (r0, mr): (usize, usize),
+    (j0, nr): (usize, usize),
+    xs: &mut [T],
+    lp: &[T],
+    solve: bool,
+) {
+    // Rows past `mr` start at zero; their lanes are never stored.
     let mut s = [[T::ZERO; NR]; MR];
-    for i in 0..mr {
-        s[i][..nr].copy_from_slice(&x[(r0 + i) * b + j0..][..nr]);
+    for (i, row) in s.iter_mut().enumerate().take(mr) {
+        row[..nr].copy_from_slice(&x[(r0 + i) * b + j0..][..nr]);
     }
-    {
-        // Rows past `mr` repeat the last one; their lanes are never stored.
-        let rows: [&[T]; MR] = std::array::from_fn(|i| &x[(r0 + i.min(mr - 1)) * b..][..j0]);
-        for (k, lk) in lp[..j0 * NR].chunks_exact(NR).enumerate() {
-            for i in 0..MR {
-                let xv = rows[i][k];
-                for j in 0..NR {
-                    s[i][j] = s[i][j].sub(T::ZERO.mul_add_acc(xv, lk[j]));
-                }
-            }
-        }
-    }
+    s = subtract_steps(s, &xs[..j0 * MR], lp);
     if solve {
         for j in 0..nr {
             for k in 0..j {
                 let l = lp[(j0 + k) * NR + j];
-                for row in s.iter_mut().take(mr) {
+                for row in s.iter_mut() {
                     row[j] = row[j].sub(T::ZERO.mul_add_acc(row[k], l));
                 }
             }
             let d = lp[(j0 + j) * NR + j];
-            for row in s.iter_mut().take(mr) {
+            for row in s.iter_mut() {
                 row[j] = row[j].div(d);
             }
         }
+        for (j, xk) in xs[j0 * MR..].chunks_exact_mut(MR).take(nr).enumerate() {
+            for (v, row) in xk.iter_mut().zip(&s) {
+                *v = row[j];
+            }
+        }
     }
-    for i in 0..mr {
-        x[(r0 + i) * b + j0..][..nr].copy_from_slice(&s[i][..nr]);
+    for (i, row) in s.iter().enumerate().take(mr) {
+        x[(r0 + i) * b + j0..][..nr].copy_from_slice(&row[..nr]);
     }
 }
 
 #[inline(always)]
 pub(crate) fn trsm_body<T: Real, const NR: usize>(l: &[T], x: &mut [T], b: usize) {
-    // Solve X Lᵀ = B: column blocks in order, row blocks independent.
-    for (jp, lp) in l.chunks_exact(b * NR).enumerate() {
-        let j0 = jp * NR;
-        let cols = (j0, NR.min(b - j0));
-        for r0 in (0..b).step_by(MR) {
-            chain_block::<T, NR>(x, b, (r0, MR.min(b - r0)), cols, lp, true);
+    // Solve X Lᵀ = B: row blocks independent, column blocks in order; `xs`
+    // keeps the current row block's solved columns `k`-major.
+    let mut xs = vec![T::ZERO; b * MR];
+    for r0 in (0..b).step_by(MR) {
+        let rows = (r0, MR.min(b - r0));
+        for (jp, lp) in l.chunks_exact(b * NR).enumerate() {
+            let cols = (jp * NR, NR.min(b - jp * NR));
+            chain_block::<T, NR>(x, b, rows, cols, &mut xs, lp, true);
         }
     }
 }
@@ -428,6 +474,9 @@ pub(crate) fn potrf_body<T: Real, const NR: usize>(
 ) -> Result<(), NotPositiveDefinite> {
     // `k`-major copy of the current block's rows (one panel of a pack).
     let mut lp = vec![T::ZERO; b * NR];
+    // Each row block's finished columns, `k`-major: block `p` holds
+    // `xt[(p·b + k)·MR + i] = w[p·MR + i][k]`.
+    let mut xt = vec![T::ZERO; b.div_ceil(MR) * b * MR];
     for j0 in (0..b).step_by(NR) {
         let nr = NR.min(b - j0);
         if nr < NR {
@@ -442,7 +491,8 @@ pub(crate) fn potrf_body<T: Real, const NR: usize>(
         // Diagonal block: apply the finished columns, then factor it.
         for r0 in (j0..j0 + nr).step_by(MR) {
             let rows = (r0, MR.min(j0 + nr - r0));
-            chain_block::<T, NR>(w, b, rows, (j0, nr), &lp, false);
+            let xs = &mut xt[(r0 / MR) * b * MR..][..b * MR];
+            chain_block::<T, NR>(w, b, rows, (j0, nr), xs, &lp, false);
         }
         for r in j0..j0 + nr {
             for j in j0..=r {
@@ -469,7 +519,8 @@ pub(crate) fn potrf_body<T: Real, const NR: usize>(
             }
         }
         for r0 in (j0 + nr..b).step_by(MR) {
-            chain_block::<T, NR>(w, b, (r0, MR.min(b - r0)), (j0, nr), &lp, true);
+            let xs = &mut xt[(r0 / MR) * b * MR..][..b * MR];
+            chain_block::<T, NR>(w, b, (r0, MR.min(b - r0)), (j0, nr), xs, &lp, true);
         }
     }
     Ok(())
@@ -882,7 +933,7 @@ mod tests {
     #[test]
     fn packed_lower_mul_rows_matches_the_one_accumulator_loop_bit_for_bit() {
         let mut rng = StdRng::seed_from_u64(17);
-        for n in [1usize, 2, 3, 4, 5, 7, 8, 9, 17, 64, 66] {
+        for n in [1usize, 2, 3, 4, 5, 7, 8, 9, 17, 33, 64, 66] {
             // ±0 entries, an all-zero row, and NaN above the diagonal, which
             // must never be read.
             let mut l = vec![f64::NAN; n * n];
@@ -935,7 +986,10 @@ mod tests {
             (4, 4),
             (5, 9),
             (9, 2),
+            (9, 17),
             (17, 33),
+            (17, 9),
+            (33, 9),
             (64, 70),
         ] {
             // ±0 and subnormal coordinates, an all-zero vector and a
@@ -1145,8 +1199,9 @@ mod tests {
 
     const PRECISIONS: [Precision; 3] = [Precision::Double, Precision::Single, Precision::Half];
     /// Tile sides of the bit-identity sweep: mostly not multiples of the
-    /// register block.
-    const SIDES: [usize; 8] = [1, 2, 3, 5, 8, 13, 32, 128];
+    /// register block. 9, 17 and 33 leave a one-lane tail panel at either
+    /// pack width (`NR64` = 4, `NR32` = 8).
+    const SIDES: [usize; 11] = [1, 2, 3, 5, 8, 9, 13, 17, 32, 33, 128];
 
     /// Random values in (−1, 1) salted with both signed zeros and an
     /// operand binary16 cannot represent.
