@@ -374,56 +374,24 @@ mod tests {
     }
 
     #[test]
-    fn parallel_speedup_on_wide_graph() {
-        // 64 independent ~1 ms tasks: N workers must beat 1 worker by a
-        // margin scaled to the parallelism actually available. Meaningless
-        // on a single-core host (CI containers sometimes are), so skip
-        // there instead of asserting. The run owns its pool, so no other
-        // test's pool work can hold one of its lanes.
-        let cores = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        if cores < 2 {
-            eprintln!("skipping speedup assertion on {cores}-core host");
-            return;
-        }
-        let _timing = crate::TIMING_TEST_LOCK.lock();
-        let workers = cores.min(8);
-        let pool = WorkerPool::new(workers);
+    fn independent_tasks_run_concurrently() {
+        // Two independent tasks on two lanes, each waiting for the other:
+        // this passes only if the executor runs them at the same time.
+        let pool = WorkerPool::new(2);
         let mut g = TaskGraph::new();
-        for i in 0..64u64 {
+        for i in 0..2u64 {
             g.add(TaskKind::Generic(i), 0, &[]);
         }
-        let work = || {
-            let t = std::time::Instant::now();
-            while t.elapsed().as_micros() < 1000 {
-                std::hint::spin_loop();
-            }
-        };
-        let t1 = {
-            let e = Executor::new(1);
-            let tr = e.run_on(&pool, &g, |_, _| {
-                work();
-                Ok(())
-            });
-            tr.unwrap().wall
-        };
-        let tn = {
-            let e = Executor::new(workers);
-            let tr = e.run_on(&pool, &g, |_, _| {
-                work();
-                Ok(())
-            });
-            tr.unwrap().wall
-        };
-        // Expect at least ~30% parallel efficiency per extra worker — loose
-        // enough for noisy shared CI hosts, tight enough to catch a
-        // sequentialized executor.
-        let min_speedup = 1.0 + 0.3 * (workers as f64 - 1.0);
-        assert!(
-            t1 / tn > min_speedup,
-            "workers={workers}: t1={t1}, tn={tn}, want ≥ {min_speedup}×"
-        );
+        let rendezvous = crate::Rendezvous::new(2, std::time::Duration::from_secs(20));
+        Executor::new(2)
+            .run_on(&pool, &g, |id, _| {
+                if rendezvous.meet() {
+                    Ok(())
+                } else {
+                    Err(format!("task {id:?} ran alone"))
+                }
+            })
+            .unwrap();
     }
 
     #[test]
@@ -446,7 +414,7 @@ mod tests {
                     }
                     threads.lock().insert(me.id());
                     // Long enough for every lane to pick up tasks, without
-                    // burning the cores the speedup tests time.
+                    // burning a core.
                     std::thread::sleep(std::time::Duration::from_micros(200));
                     Ok(())
                 })

@@ -48,16 +48,47 @@ pub use reactor::{Backend, Reactor, Waker};
 pub use reactor::{Event, Interest, Mode, Token};
 pub use trace::TraceReport;
 
-/// Serializes the wall-clock speedup tests of this crate: libtest runs
-/// tests concurrently within a binary, and two overlapping spin-timing
-/// measurements would skew each other's ratios on small CI hosts.
+/// A barrier of `parties` threads with a deadline, for the tests that
+/// assert pool work runs concurrently. `std::sync::Barrier` has no
+/// timeout, so a pool that ran its pieces one after another would hang
+/// on one; here the first piece gives up after `timeout` and the test
+/// fails instead.
 #[cfg(test)]
-pub(crate) static TIMING_TEST_LOCK: parking_lot::Mutex<()> = parking_lot::Mutex::new(());
+pub(crate) struct Rendezvous {
+    parties: usize,
+    timeout: std::time::Duration,
+    arrived: std::sync::Mutex<usize>,
+    all_here: std::sync::Condvar,
+}
+
+#[cfg(test)]
+impl Rendezvous {
+    pub(crate) fn new(parties: usize, timeout: std::time::Duration) -> Self {
+        Self {
+            parties,
+            timeout,
+            arrived: std::sync::Mutex::new(0),
+            all_here: std::sync::Condvar::new(),
+        }
+    }
+
+    /// Arrive and wait for every other party; false if the deadline
+    /// passed first.
+    pub(crate) fn meet(&self) -> bool {
+        let mut arrived = self.arrived.lock().unwrap();
+        *arrived += 1;
+        self.all_here.notify_all();
+        let (_arrived, wait) = self
+            .all_here
+            .wait_timeout_while(arrived, self.timeout, |n| *n < self.parties)
+            .unwrap();
+        !wait.timed_out()
+    }
+}
 
 /// The process-wide pool as the design pipeline calls it: ordered maps,
 /// mutable chunk splits and nesting on [`pool::global`], sized by
-/// `EXACLIM_THREADS`. The tests that keep every lane busy hold
-/// [`TIMING_TEST_LOCK`] so they do not skew the speedup measurements.
+/// `EXACLIM_THREADS`.
 #[cfg(test)]
 mod tests {
     use crate::pool;
@@ -82,7 +113,6 @@ mod tests {
 
     #[test]
     fn collect_preserves_input_order_at_scale() {
-        let _timing = crate::TIMING_TEST_LOCK.lock();
         // Large enough to split across every pool lane many times over.
         let n = 100_000usize;
         let v = pool::global().map(n, |i| i.wrapping_mul(31));
@@ -94,7 +124,6 @@ mod tests {
 
     #[test]
     fn par_chunks_mut_stress_disjoint_under_real_threads() {
-        let _timing = crate::TIMING_TEST_LOCK.lock();
         // Concurrency stress: many rounds over a buffer whose chunk size
         // does not divide its length; every element must be written exactly
         // once per round with its own chunk's value.
@@ -133,7 +162,6 @@ mod tests {
 
     #[test]
     fn nested_par_calls_complete() {
-        let _timing = crate::TIMING_TEST_LOCK.lock();
         // Inner calls run inline on pool workers, in parallel on the caller
         // lane. Either way this must terminate and produce the sequential
         // answer.
@@ -145,46 +173,18 @@ mod tests {
     }
 
     #[test]
-    fn par_chunks_speedup_gated() {
-        // Same style as the executor's gated speedup assertion: only
-        // meaningful when the pool has ≥ 2 lanes AND the host has ≥ 2
-        // cores (EXACLIM_THREADS may exceed the hardware).
-        let lanes = pool::global().threads();
-        let cores = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        let effective = lanes.min(cores).min(8);
-        if effective < 2 {
-            eprintln!("skipping par_chunks speedup assertion (lanes={lanes}, cores={cores})");
+    fn par_chunks_run_on_every_lane_at_once() {
+        // One chunk per lane, and every chunk waits for all the others:
+        // this passes only if the global pool runs them concurrently. A
+        // one-lane pool (EXACLIM_THREADS=1) runs inline by design.
+        let p = pool::global();
+        let lanes = p.threads();
+        if lanes < 2 {
             return;
         }
-        let _timing = crate::TIMING_TEST_LOCK.lock();
-        let spin = |chunk: &mut [u64]| {
-            let t = std::time::Instant::now();
-            while t.elapsed().as_micros() < 1000 {
-                std::hint::spin_loop();
-            }
-            chunk[0] = chunk[0].wrapping_add(1);
-        };
-        let n_chunks = 64usize;
-        let mut buf = vec![0u64; n_chunks];
-        let t_seq = {
-            let t = std::time::Instant::now();
-            for c in buf.chunks_mut(1) {
-                spin(c);
-            }
-            t.elapsed().as_secs_f64()
-        };
-        let t_par = {
-            let t = std::time::Instant::now();
-            pool::global().parallel_chunks_mut(&mut buf, 1, |_, c| spin(c));
-            t.elapsed().as_secs_f64()
-        };
-        assert!(buf.iter().all(|&v| v == 2), "every chunk ran once per pass");
-        let min_speedup = 1.0 + 0.3 * (effective as f64 - 1.0);
-        assert!(
-            t_seq / t_par > min_speedup,
-            "lanes={lanes}, cores={cores}: t_seq={t_seq}, t_par={t_par}, want ≥ {min_speedup}×"
-        );
+        let rendezvous = crate::Rendezvous::new(lanes, std::time::Duration::from_secs(20));
+        let mut met = vec![false; lanes];
+        p.parallel_chunks_mut(&mut met, 1, |_, chunk| chunk[0] = rendezvous.meet());
+        assert_eq!(met, vec![true; lanes], "lanes={lanes}");
     }
 }

@@ -471,16 +471,6 @@ impl<K: CacheKey> ValueCache<K> {
         }
     }
 
-    /// Drop every entry, keeping the lifetime counters. Benches use this
-    /// to re-measure the cold path on a warmed server.
-    pub fn clear(&self) {
-        for shard in &self.shards {
-            let mut s = shard.lock();
-            s.map.clear();
-            s.bytes = 0;
-        }
-    }
-
     /// Current counters.
     pub fn stats(&self) -> CacheStats {
         let mut resident_bytes = 0u64;

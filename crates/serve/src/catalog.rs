@@ -23,8 +23,8 @@
 use crate::error::ServeError;
 use exaclim::TrainedEmulator;
 use exaclim_store::{
-    mmap_enabled, open_file_source, Archive, ChunkSource, LockedReader, MemberEntry, MemberKind,
-    SharedBytes, Snapshot, SourceBytes,
+    open_file_source, Archive, ChunkSource, LockedReader, MemberEntry, MemberKind, SharedBytes,
+    Snapshot, SourceBytes,
 };
 use std::io::{Read, Seek};
 use std::sync::Arc;
@@ -192,16 +192,17 @@ impl Catalog {
     }
 
     /// Open an archive file at `path` under catalog name `name`,
-    /// memory-mapping it for lock-free zero-copy fetches when the
-    /// platform supports it and `EXACLIM_MMAP` does not opt out
-    /// ([`exaclim_store::mmap_enabled`]); otherwise the file serves
-    /// through a buffered reader behind a mutex.
+    /// memory-mapping it for lock-free zero-copy fetches where the
+    /// platform supports it ([`exaclim_store::MMAP_SUPPORTED`]);
+    /// elsewhere the file serves through a buffered reader behind a
+    /// mutex. To serve a file through the buffered reader anywhere, pass
+    /// a `BufReader<File>` to [`Catalog::open_archive`].
     pub fn open_archive_file(
         &mut self,
         name: impl Into<String>,
         path: impl AsRef<std::path::Path>,
     ) -> Result<&ServedArchive, ServeError> {
-        let source = open_file_source(path, mmap_enabled())?;
+        let source = open_file_source(path)?;
         self.open_archive_source(name, source)
     }
 
@@ -385,7 +386,7 @@ mod tests {
         std::fs::write(&path, &bytes).unwrap();
         c.open_archive_file("file", &path).unwrap();
         let file = c.archive("file").unwrap();
-        let want = if exaclim_store::MMAP_SUPPORTED && exaclim_store::mmap_enabled() {
+        let want = if exaclim_store::MMAP_SUPPORTED {
             "mmap"
         } else {
             "stream"

@@ -408,11 +408,6 @@ impl Router {
         })
     }
 
-    /// Number of backend shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
     /// Liveness snapshot of every shard.
     pub fn shard_health(&self) -> Vec<ShardHealth> {
         self.shards

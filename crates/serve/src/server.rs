@@ -449,13 +449,6 @@ impl Server {
         self.product_cache.stats()
     }
 
-    /// Drop every cached chunk and product (counters survive). Benches
-    /// use this to re-measure cold reads on a warmed server.
-    pub fn clear_cache(&self) {
-        self.cache.clear();
-        self.product_cache.clear();
-    }
-
     /// Current serving counters.
     pub fn stats(&self) -> ServeStats {
         ServeStats {

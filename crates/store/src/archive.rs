@@ -18,7 +18,7 @@ use crate::codec::{ByteCodec, Codec};
 use crate::format::{
     crc32, ArchiveError, MemberKind, HEADER_LEN, MAGIC, MAX_CHUNK_RAW_LEN, VERSION,
 };
-use crate::mmap::{mmap_enabled, open_file_source};
+use crate::mmap::open_file_source;
 use crate::source::{ChunkSource, LockedReader, SharedBytes, SourceBytes};
 use bytes::{Buf, Bytes};
 use std::ops::Range;
@@ -105,7 +105,7 @@ pub(crate) fn validate_members(
 }
 
 /// A boxed source, for archives whose backend is chosen at run time
-/// (mmap vs. buffered file, per [`mmap_enabled`]).
+/// (mapped file, buffered stream or in-memory bytes).
 pub type DynSource = Box<dyn ChunkSource + Send + Sync>;
 
 /// An ECA1 archive opened for shared (`&self`) reads over a
@@ -145,20 +145,13 @@ impl<S: ChunkSource> std::fmt::Debug for Archive<S> {
 }
 
 impl Archive<DynSource> {
-    /// Open the archive file at `path`, memory-mapping it when the
-    /// platform supports it and `EXACLIM_MMAP` does not opt out, and
-    /// falling back to a buffered reader behind a mutex otherwise.
+    /// Open the archive file at `path`, memory-mapping it where the
+    /// platform supports it ([`crate::MMAP_SUPPORTED`]) and reading it
+    /// through a buffered reader behind a mutex elsewhere. For the
+    /// buffered path on any platform, hand a `BufReader<File>` to
+    /// [`Archive::from_reader`].
     pub fn open(path: impl AsRef<std::path::Path>) -> Result<Self, ArchiveError> {
-        Self::open_with(path, mmap_enabled())
-    }
-
-    /// [`Archive::open`] with the mmap decision made by the caller
-    /// (benches and tests compare the two backends directly).
-    pub fn open_with(
-        path: impl AsRef<std::path::Path>,
-        use_mmap: bool,
-    ) -> Result<Self, ArchiveError> {
-        Self::from_source(open_file_source(path, use_mmap)?)
+        Self::from_source(open_file_source(path)?)
     }
 
     /// Open an in-memory archive (zero-copy, lock-free reads).
@@ -567,8 +560,10 @@ mod tests {
         let path =
             std::env::temp_dir().join(format!("exaclim_archive_open_{}.eca1", std::process::id()));
         std::fs::write(&path, &raw).unwrap();
-        let mapped = Archive::open_with(&path, true).unwrap();
-        let buffered = Archive::open_with(&path, false).unwrap();
+        let mapped = Archive::open(&path).unwrap();
+        let buffered =
+            Archive::from_reader(std::io::BufReader::new(std::fs::File::open(&path).unwrap()))
+                .unwrap();
         assert_eq!(mapped.backend(), "mmap");
         assert_eq!(buffered.backend(), "stream");
         assert_eq!(

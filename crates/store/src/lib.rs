@@ -93,7 +93,7 @@ pub use archive::{Archive, DynSource};
 pub use chunk::{ChunkEntry, FieldMeta, MemberEntry};
 pub use codec::{ByteCodec, Codec};
 pub use format::{crc32, crc32_update, ArchiveError, MemberKind};
-pub use mmap::{mmap_enabled, open_file_source, MMAP_SUPPORTED};
+pub use mmap::{open_file_source, MMAP_SUPPORTED};
 pub use snapshot::{read_snapshot_file, write_snapshot_file, Snapshot};
 pub use source::{ChunkSource, LockedReader, SharedBytes, SourceBytes};
 pub use writer::ArchiveWriter;

@@ -25,47 +25,33 @@
 //! write-once artifacts); replace archives by renaming a new file into
 //! place and reopening, never by editing in place.
 //!
-//! On other targets (or when the `EXACLIM_MMAP=0` escape hatch is set —
-//! see [`mmap_enabled`]) file-backed archives fall back to the buffered
+//! On other targets file-backed archives fall back to the buffered
 //! [`crate::source::LockedReader`] path; [`open_file_source`] encapsulates
-//! that policy.
+//! that policy. A caller that wants the buffered path on a mapping target
+//! opens the file itself and hands a `BufReader` to
+//! [`crate::Archive::from_reader`].
 
 use crate::format::ArchiveError;
-use crate::source::{ChunkSource, LockedReader, SourceBytes};
+use crate::source::{ChunkSource, SourceBytes};
 use std::path::Path;
 
 /// True when this build target has the memory-mapped backend at all
 /// (64-bit unix); other targets always serve files through the buffered
-/// fallback, whatever `EXACLIM_MMAP` says.
+/// fallback.
 pub const MMAP_SUPPORTED: bool = cfg!(all(unix, target_pointer_width = "64"));
 
-/// True unless `EXACLIM_MMAP=0` disables memory-mapped archive reads
-/// (useful to force the portable buffered path for A/B comparisons and
-/// CI coverage of the fallback).
-pub fn mmap_enabled() -> bool {
-    mmap_flag(std::env::var_os("EXACLIM_MMAP").as_deref())
-}
-
-/// Policy behind [`mmap_enabled`], split out for direct testing: only the
-/// literal value `0` opts out.
-fn mmap_flag(var: Option<&std::ffi::OsStr>) -> bool {
-    var.is_none_or(|v| v != "0")
-}
-
-/// Open the archive file at `path` as a boxed [`ChunkSource`], preferring
-/// a memory map when `use_mmap` is set and the platform supports it, and
-/// falling back to a buffered reader behind a mutex otherwise.
+/// Open the archive file at `path` as a boxed [`ChunkSource`]: a memory
+/// map where [`MMAP_SUPPORTED`], a buffered reader behind a mutex
+/// elsewhere.
 pub fn open_file_source(
     path: impl AsRef<Path>,
-    use_mmap: bool,
 ) -> Result<Box<dyn ChunkSource + Send + Sync>, ArchiveError> {
     let file = std::fs::File::open(path.as_ref())?;
     #[cfg(all(unix, target_pointer_width = "64"))]
-    if use_mmap {
-        return Ok(Box::new(Mmap::map(&file)?));
-    }
-    let _ = use_mmap; // unsupported target: the flag has nothing to select
-    Ok(Box::new(LockedReader::new(std::io::BufReader::new(file))?))
+    let source = Mmap::map(&file)?;
+    #[cfg(not(all(unix, target_pointer_width = "64")))]
+    let source = crate::source::LockedReader::new(std::io::BufReader::new(file))?;
+    Ok(Box::new(source))
 }
 
 #[cfg(all(unix, target_pointer_width = "64"))]
@@ -209,14 +195,6 @@ mod unix {
 mod tests {
     use super::*;
 
-    #[test]
-    fn mmap_flag_parses() {
-        assert!(mmap_flag(None));
-        assert!(mmap_flag(Some(std::ffi::OsStr::new("1"))));
-        assert!(mmap_flag(Some(std::ffi::OsStr::new(""))));
-        assert!(!mmap_flag(Some(std::ffi::OsStr::new("0"))));
-    }
-
     #[cfg(all(unix, target_pointer_width = "64"))]
     #[test]
     fn mapped_file_reads_back_bit_identically() {
@@ -250,18 +228,15 @@ mod tests {
     }
 
     #[test]
-    fn file_source_respects_the_mmap_switch() {
+    fn file_source_maps_where_supported() {
         let path = std::env::temp_dir().join(format!("exaclim_srcsel_{}.bin", std::process::id()));
         std::fs::write(&path, b"0123456789").unwrap();
-        let buffered = open_file_source(&path, false).unwrap();
-        assert_eq!(buffered.backend(), "stream");
-        assert_eq!(&buffered.read_at(2, 3).unwrap()[..], b"234");
-        let preferred = open_file_source(&path, true).unwrap();
+        let source = open_file_source(&path).unwrap();
         assert_eq!(
-            preferred.backend(),
+            source.backend(),
             if MMAP_SUPPORTED { "mmap" } else { "stream" }
         );
-        assert_eq!(&preferred.read_at(2, 3).unwrap()[..], b"234");
+        assert_eq!(&source.read_at(2, 3).unwrap()[..], b"234");
         std::fs::remove_file(&path).ok();
     }
 }

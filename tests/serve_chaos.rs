@@ -1,204 +1,29 @@
-//! Chaos conformance: the serving stack must *survive* injected
-//! failure, not merely report it. Under a seeded fault plan — socket
-//! resets, short reads, EINTR, queue delays, decode corruption, a
-//! worker panic — a multi-client mixed workload must still complete
-//! with every response bit-identical to the in-process answer, the
-//! self-healing [`Client`] absorbing every retryable failure. Overload
-//! shedding must turn a saturated dispatch backlog into typed
-//! retryable [`ServeError::Overloaded`] hints instead of unbounded
-//! queues, and a graceful shutdown that lands mid-stream must surface
-//! as a typed [`WireError::StreamTruncated`] at the client, never a hang.
+//! Chaos: under a seeded fault plan, retrying clients get exactly the
+//! oracle's answers (the conformance table's chaos row); a worker panic becomes a typed
+//! `ServeError::Internal` and the server survives; a flipped stored bit is
+//! a typed checksum mismatch; overload shedding turns a saturated dispatch
+//! backlog into typed retryable `ServeError::Overloaded` hints instead of
+//! unbounded queues; and a graceful shutdown that lands mid-stream
+//! surfaces as a typed `WireError::StreamTruncated`, never a hang.
 
+mod common;
+
+use common::*;
 use exaclim_runtime::{faults, FaultAction, FaultPlan};
 use exaclim_serve::{
-    Catalog, CatalogQuery, Client, ClientConfig, NetConfig, NetServer, NetServerHandle,
-    ProductDescriptor, ProductSource, ProductStat, Request, Response, RetryPolicy, ServeConfig,
-    ServeError, Server, SliceRequest, WireError,
+    Catalog, Client, ClientConfig, NetConfig, RetryPolicy, ServeConfig, ServeError, Server,
+    WireError,
 };
-use exaclim_store::{Archive, ArchiveError, ArchiveWriter, Codec, FieldMeta};
-use std::io::Cursor;
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
+use exaclim_store::{Archive, ArchiveError, Codec};
+use std::sync::Arc;
 use std::time::Duration;
 
-const VPS: usize = 48;
-const T_MAX: u64 = 96;
-const CHUNK_T: usize = 17;
-
-/// Fault plans are process-global: every test that installs one holds
-/// this lock for its whole run so plans never bleed across tests.
-fn fault_lock() -> &'static Mutex<()> {
-    static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-    LOCK.get_or_init(|| Mutex::new(()))
-}
-
-/// Holds the global fault lock; disarms whatever plan is installed on
-/// drop (including on panic) so a failing test cannot poison the rest.
-struct FaultGuard(#[allow(dead_code)] MutexGuard<'static, ()>);
-
-impl Drop for FaultGuard {
-    fn drop(&mut self) {
-        faults::clear();
-    }
-}
-
-fn fault_guard() -> FaultGuard {
-    let guard = fault_lock().lock().unwrap_or_else(|p| p.into_inner());
-    faults::clear();
-    FaultGuard(guard)
-}
-
-fn archive_bytes(vps: usize, t_max: u64, chunk_t: usize) -> Vec<u8> {
-    let mut w = ArchiveWriter::new(Cursor::new(Vec::new())).unwrap();
-    for (name, phase, codec) in [("t2m", 0.0, Codec::F32Shuffle), ("u10", 2.3, Codec::Raw64)] {
-        let data: Vec<f64> = (0..vps * t_max as usize)
-            .map(|i| 260.0 + 25.0 * (i as f64 * 0.017 + phase).sin())
-            .collect();
-        w.add_field(name, codec, FieldMeta::default(), vps, chunk_t, &data)
-            .unwrap();
-    }
-    w.finish().unwrap().0.into_inner()
-}
-
-fn spawn_with(config: NetConfig) -> (Arc<Server>, NetServerHandle) {
-    let mut catalog = Catalog::new();
-    catalog
-        .open_archive_bytes("a", archive_bytes(VPS, T_MAX, CHUNK_T))
-        .unwrap();
-    let server = Arc::new(Server::new(catalog, ServeConfig::default()));
-    let handle = NetServer::bind("127.0.0.1:0", Arc::clone(&server), config)
-        .unwrap()
-        .spawn();
-    (server, handle)
-}
-
-fn slice(member: &str, range: std::ops::Range<u64>) -> Request {
-    Request::Slice(SliceRequest {
-        archive: "a".to_string(),
-        member: member.to_string(),
-        range,
-    })
-}
-
-/// A deterministic mixed batch, varied per client so the workload
-/// exercises cross-client cache sharing and distinct chunk sets. Every
-/// request's answer is a pure function of the batch (no `Stats`), so
-/// responses can be compared bit-for-bit against the in-process answer.
-fn mixed_batch(i: u64) -> Vec<Request> {
-    vec![
-        slice("t2m", i..T_MAX - i),
-        slice("u10", (i * 3) % 40..T_MAX),
-        slice("missing", 0..1),
-        Request::WithDeadline {
-            budget_ms: 60_000,
-            request: Box::new(slice("t2m", 0..(8 + i))),
-        },
-        Request::WithDeadline {
-            budget_ms: 0,
-            request: Box::new(slice("u10", 0..4)),
-        },
-        Request::Product(ProductDescriptor {
-            source: ProductSource::Member {
-                archive: "a".to_string(),
-                member: "t2m".to_string(),
-            },
-            stat: ProductStat::MeanStd,
-            time: Some(i..T_MAX - 2),
-            space: None,
-        }),
-        Request::Catalog(CatalogQuery::ListArchives),
-    ]
-}
-
-/// The tentpole acceptance run: 8 clients under a seeded plan injecting
-/// short reads, EINTR, resets, read/write delays, dispatch-queue delays,
-/// decode corruption, product failures, and exactly one worker panic.
-/// Every batch a retrying client submits must come back bit-identical to
-/// the in-process `handle_batch` answer — the chaos shows up only in the
-/// resilience counters.
+/// Short reads, EINTR, resets, delays, decode corruption, product
+/// failures and one worker panic: 8 retrying clients still receive the
+/// oracle's answers, and the faults show only in the counters.
 #[test]
 fn chaos_workload_completes_bit_identical_under_seeded_faults() {
-    let _guard = fault_guard();
-    let (server, handle) = spawn_with(NetConfig::default());
-    let addr = handle.addr();
-
-    // Expected answers are computed in-process with faults disarmed:
-    // the ground truth the chaos run must reproduce exactly.
-    let expected: Arc<Vec<Vec<Result<Response, ServeError>>>> = Arc::new(
-        (0..8)
-            .map(|i| server.handle_batch(&mixed_batch(i)))
-            .collect(),
-    );
-
-    let injected_before = faults::injected();
-    faults::install(
-        FaultPlan::seeded(0xC0FFEE + 1)
-            .rule("net.read", FaultAction::ShortRead, 0.05)
-            .rule("net.read", FaultAction::Interrupt, 0.05)
-            .rule(
-                "net.read",
-                FaultAction::Delay(Duration::from_millis(1)),
-                0.05,
-            )
-            .rule("net.read", FaultAction::Reset, 0.02)
-            .rule(
-                "net.write",
-                FaultAction::Delay(Duration::from_millis(1)),
-                0.05,
-            )
-            .rule("net.write", FaultAction::Reset, 0.02)
-            .rule("decode", FaultAction::Corrupt, 0.04)
-            .rule("product", FaultAction::Error, 0.04)
-            .rule(
-                "dispatch",
-                FaultAction::Delay(Duration::from_millis(1)),
-                0.1,
-            )
-            .rule_max("dispatch", FaultAction::Panic, 1.0, 1),
-    );
-
-    let workers: Vec<_> = (0..8u64)
-        .map(|i| {
-            let expected = Arc::clone(&expected);
-            std::thread::spawn(move || {
-                let mut client = Client::connect_with(
-                    addr,
-                    ClientConfig {
-                        connect_timeout: Some(Duration::from_secs(5)),
-                        read_timeout: Some(Duration::from_secs(5)),
-                        write_timeout: Some(Duration::from_secs(5)),
-                        retry: Some(RetryPolicy {
-                            max_retries: 16,
-                            base_delay: Duration::from_millis(2),
-                            max_delay: Duration::from_millis(50),
-                            seed: i,
-                        }),
-                        ..ClientConfig::default()
-                    },
-                )
-                .expect("chaos client connect");
-                let batch = mixed_batch(i);
-                for round in 0..12 {
-                    let got = client
-                        .batch(&batch)
-                        .unwrap_or_else(|e| panic!("client {i} round {round}: {e}"));
-                    assert_eq!(got, expected[i as usize], "client {i} round {round}");
-                }
-                client.client_stats()
-            })
-        })
-        .collect();
-    let client_stats: Vec<_> = workers.into_iter().map(|w| w.join().unwrap()).collect();
-
-    assert!(faults::injected() > injected_before, "no faults fired");
-    let net = handle.net_stats();
-    assert!(net.faults_injected > 0, "{net:?}");
-    // The one guaranteed-retryable event is the capped worker panic:
-    // some client saw its batch come back `Internal` and retried.
-    let retries: u64 = client_stats.iter().map(|s| s.retries).sum();
-    assert!(retries > 0, "no client ever retried: {client_stats:?}");
-    assert!(server.stats().errors > 0, "panic never surfaced");
-    handle.shutdown();
-    faults::clear();
+    conformance::run(|row| row.chaos);
 }
 
 /// Satellite: a dispatch-worker panic must become a typed
@@ -208,7 +33,7 @@ fn chaos_workload_completes_bit_identical_under_seeded_faults() {
 #[test]
 fn worker_panic_becomes_typed_internal_error_and_server_survives() {
     let _guard = fault_guard();
-    let (server, handle) = spawn_with(NetConfig::default());
+    let (server, handle) = spawn_fixture(NetConfig::default());
     let batch = vec![slice("t2m", 0..12), slice("u10", 3..9)];
     let expected = server.handle_batch(&batch);
 
@@ -239,7 +64,9 @@ fn worker_panic_becomes_typed_internal_error_and_server_survives() {
 #[test]
 fn flipped_stored_bit_is_a_typed_checksum_mismatch() {
     let _guard = fault_guard();
-    let mut raw = archive_bytes(VPS, T_MAX, CHUNK_T);
+    const T: u64 = 96;
+    const CHUNK: u64 = 17;
+    let mut raw = build_archive(48, T, CHUNK as usize, [Codec::F32Shuffle, Codec::Raw64]);
     let chunk = {
         let archive = Archive::from_bytes(raw.clone()).unwrap();
         let u10 = archive.members().iter().find(|m| m.name == "u10").unwrap();
@@ -248,13 +75,11 @@ fn flipped_stored_bit_is_a_typed_checksum_mismatch() {
     assert!(chunk.stored_len >= 1024, "{}", chunk.stored_len);
     raw[chunk.offset as usize + 300] ^= 0x08;
     let mut catalog = Catalog::new();
-    catalog.open_archive_bytes("a", raw).unwrap();
+    catalog.open_archive_bytes(ARCHIVE, raw).unwrap();
     let server = Arc::new(Server::new(catalog, ServeConfig::default()));
-    let handle = NetServer::bind("127.0.0.1:0", Arc::clone(&server), NetConfig::default())
-        .unwrap()
-        .spawn();
+    let handle = spawn(&server, NetConfig::default());
 
-    let batch = vec![slice("u10", 0..T_MAX), slice("u10", 0..CHUNK_T as u64)];
+    let batch = vec![slice("u10", 0..T), slice("u10", 0..CHUNK)];
     let want = Err(ServeError::Archive(ArchiveError::ChecksumMismatch {
         member: "u10".to_string(),
         chunk: 1,
@@ -275,7 +100,7 @@ fn flipped_stored_bit_is_a_typed_checksum_mismatch() {
 #[test]
 fn overload_sheds_typed_retryable_errors_and_retrying_client_succeeds() {
     let _guard = fault_guard();
-    let (server, handle) = spawn_with(NetConfig {
+    let (server, handle) = spawn_fixture(NetConfig {
         dispatch_threads: 1,
         max_dispatch_backlog: 1,
         shed_retry_after_ms: 5,
@@ -358,21 +183,17 @@ fn shutdown_mid_stream_surfaces_typed_stream_truncated() {
     let _guard = fault_guard();
     // One 2 MiB member cut into 32 KiB fragments: 64 stream frames.
     let mut catalog = Catalog::new();
-    catalog
-        .open_archive_bytes("a", archive_bytes(2048, 128, 32))
-        .unwrap();
+    let wide = build_archive(2048, 128, 32, [Codec::F32Shuffle, Codec::Raw64]);
+    catalog.open_archive_bytes(ARCHIVE, wide).unwrap();
     let server = Arc::new(Server::new(catalog, ServeConfig::default()));
-    let handle = NetServer::bind(
-        "127.0.0.1:0",
-        Arc::clone(&server),
+    let handle = spawn(
+        &server,
         NetConfig {
             stream_chunk_bytes: 32 << 10,
             idle_timeout: Some(Duration::from_millis(300)),
             ..NetConfig::default()
         },
-    )
-    .unwrap()
-    .spawn();
+    );
     let addr = handle.addr();
 
     // 25 ms between fragments ⇒ the full stream takes ~1.6 s; the

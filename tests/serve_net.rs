@@ -1,184 +1,59 @@
-//! Network front-end correctness: the framed-TCP wire must be a
-//! transparent transport. Responses served over loopback must be
-//! bit-identical to in-process `Server::handle_batch` answers — per-request
-//! errors included — under concurrent clients and on both byte-source
-//! backends; and hostile bytes on the socket must surface as typed errors,
-//! never a panic, a desynced response, or a dead server.
+//! Network front-end cases the conformance matrix cannot express: hostile
+//! bytes on the socket must surface as typed errors, never a panic, a
+//! desynced response or a dead server; pipelined frames answer in order;
+//! shedding, admission, shutdown and where a batch runs (reactor or
+//! worker) behave as documented. Loopback answers on every backend are
+//! the oracle's: the conformance table's `NetServer` rows.
 
-use exaclim::{ClimateEmulator, EmulatorConfig};
-use exaclim_climate::{SyntheticEra5, SyntheticEra5Config};
+mod common;
+
+use common::conformance::Front;
+use common::*;
 use exaclim_serve::wire::{self, FrameKind, StreamPos, HEADER_LEN, MAX_FRAME_PAYLOAD};
 use exaclim_serve::{
-    Catalog, CatalogQuery, Client, ClientConfig, NetConfig, NetServer, NetServerHandle, Request,
-    Response, ServeConfig, ServeError, Server, SliceRequest, WireError,
+    CatalogQuery, Client, ClientConfig, NetConfig, NetServerHandle, Request, Response, ServeConfig,
+    ServeError, Server, SliceRequest, WireError,
 };
-use exaclim_store::{open_file_source, ArchiveError, ArchiveWriter, Codec, FieldMeta};
+use exaclim_store::{ArchiveError, Codec};
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
 use std::io::{Cursor, Read, Write};
 use std::net::TcpStream;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
-const VPS: usize = 10;
-const T_MAX: u64 = 64;
-const CHUNK_T: usize = 9;
-
-fn archive_bytes() -> Vec<u8> {
-    let mut w = ArchiveWriter::new(Cursor::new(Vec::new())).unwrap();
-    for (name, phase, codec) in [("t2m", 0.0, Codec::F32Shuffle), ("u10", 2.3, Codec::Raw64)] {
-        let data: Vec<f64> = (0..VPS * T_MAX as usize)
-            .map(|i| 260.0 + 25.0 * (i as f64 * 0.017 + phase).sin())
-            .collect();
-        w.add_field(name, codec, FieldMeta::default(), VPS, CHUNK_T, &data)
-            .unwrap();
-    }
-    w.finish().unwrap().0.into_inner()
-}
-
-/// A server over an in-memory copy of the test archive.
-fn spawn_server() -> (Arc<Server>, NetServerHandle) {
-    let mut catalog = Catalog::new();
-    catalog.open_archive_bytes("a", archive_bytes()).unwrap();
-    let server = Arc::new(Server::new(catalog, ServeConfig::default()));
-    let handle = NetServer::bind("127.0.0.1:0", Arc::clone(&server), NetConfig::default())
-        .unwrap()
-        .spawn();
-    (server, handle)
-}
-
-fn slice(member: &str, range: std::ops::Range<u64>) -> Request {
-    Request::Slice(SliceRequest {
-        archive: "a".to_string(),
-        member: member.to_string(),
-        range,
-    })
-}
-
-/// A mixed batch with deterministic answers: slices, catalog queries, and
-/// requests that must fail (bad member, bad range, unknown emulator).
-fn mixed_batch(seed: u64) -> Vec<Request> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut batch = Vec::new();
-    for _ in 0..5 {
-        let member = if rng.gen_bool(0.5) { "t2m" } else { "u10" };
-        let t0 = rng.gen_range(0..T_MAX - 5);
-        let t1 = rng.gen_range(t0..=T_MAX);
-        batch.push(slice(member, t0..t1));
-    }
-    batch.push(Request::Catalog(CatalogQuery::ListArchives));
-    batch.push(Request::Catalog(CatalogQuery::MemberInfo {
-        archive: "a".to_string(),
-        member: "u10".to_string(),
-    }));
-    batch.push(slice("missing", 0..1));
-    batch.push(slice("t2m", 10..9999));
-    batch.push(Request::Emulate {
-        emulator: "nope".to_string(),
-        t_max: 5,
-        seed: 1,
-    });
-    batch
-}
-
-/// ≥4 concurrent clients over loopback: every response — successes *and*
-/// typed per-request errors — must equal the in-process answer for the
-/// same batch.
+/// 4 concurrent clients over in-memory bytes, at default and 64-byte
+/// fragments, with mixed and reactor-resident batches, get exactly the
+/// in-process answers.
 #[test]
 fn loopback_matches_in_process_bit_identically_under_concurrency() {
-    let (server, handle) = spawn_server();
-    let addr = handle.addr();
-    std::thread::scope(|scope| {
-        for thread in 0..5u64 {
-            let server = &server;
-            scope.spawn(move || {
-                let mut client = Client::connect(addr).unwrap();
-                for round in 0..6 {
-                    let batch = mixed_batch(thread * 100 + round);
-                    let over_wire = client.batch(&batch).unwrap();
-                    let in_process = server.handle_batch(&batch);
-                    assert_eq!(over_wire, in_process, "thread {thread} round {round}");
-                }
-            });
-        }
+    conformance::run(|row| {
+        matches!(row.front, Front::Net(_)) && row.backend == "bytes" && !row.chaos
     });
-    assert_eq!(handle.net_stats().wire_errors, 0);
-    handle.shutdown();
 }
 
-/// The same equivalence over file-backed archives, on both `EXACLIM_MMAP`
-/// backends: the wire must not care where the bytes live.
+/// The same over a mapped and a buffered file: the wire must not care
+/// where the bytes live.
 #[test]
 fn loopback_matches_in_process_on_both_file_backends() {
-    let path = std::env::temp_dir().join(format!("exaclim_net_test_{}.eca1", std::process::id()));
-    std::fs::write(&path, archive_bytes()).unwrap();
-    for use_mmap in [false, true] {
-        let mut catalog = Catalog::new();
-        catalog
-            .open_archive_source("a", open_file_source(&path, use_mmap).unwrap())
-            .unwrap();
-        let server = Arc::new(Server::new(catalog, ServeConfig::default()));
-        let handle = NetServer::bind("127.0.0.1:0", Arc::clone(&server), NetConfig::default())
-            .unwrap()
-            .spawn();
-        let addr = handle.addr();
-        std::thread::scope(|scope| {
-            for thread in 0..4u64 {
-                let server = &server;
-                scope.spawn(move || {
-                    let mut client = Client::connect(addr).unwrap();
-                    let batch = mixed_batch(7000 + thread);
-                    assert_eq!(
-                        client.batch(&batch).unwrap(),
-                        server.handle_batch(&batch),
-                        "mmap={use_mmap} thread {thread}"
-                    );
-                });
-            }
-        });
-        handle.shutdown();
-    }
-    std::fs::remove_file(&path).ok();
+    conformance::run(|row| matches!(row.front, Front::Net(_)) && row.backend.ends_with("-file"));
 }
 
-/// Emulation responses round-trip the wire bit-identically too (f64
-/// payload with full precision preserved).
+/// Emulations (and every other op) in mixed batches round-trip the wire
+/// with full f64 precision.
 #[test]
 fn emulate_over_the_wire_is_bit_identical() {
-    let generator = SyntheticEra5::new(SyntheticEra5Config::small_daily(12));
-    let training = generator.generate_member(0, 2 * 365);
-    let emulator = ClimateEmulator::train(&training, EmulatorConfig::small(8)).unwrap();
-    let reference = emulator.emulate(20, 42).unwrap();
-
-    let mut catalog = Catalog::new();
-    catalog.open_archive_bytes("a", archive_bytes()).unwrap();
-    catalog.register_emulator("em", emulator).unwrap();
-    let server = Arc::new(Server::new(catalog, ServeConfig::default()));
-    let handle = NetServer::bind("127.0.0.1:0", server, NetConfig::default())
-        .unwrap()
-        .spawn();
-
-    let mut client = Client::connect(handle.addr()).unwrap();
-    let response = client
-        .request(&Request::Emulate {
-            emulator: "em".to_string(),
-            t_max: 20,
-            seed: 42,
-        })
-        .unwrap();
-    let Ok(Response::Emulate(ds)) = response else {
-        panic!("emulate failed: {response:?}");
-    };
-    assert_eq!(ds, reference, "wire dataset diverged from direct emulate");
-    handle.shutdown();
+    conformance::run(|row| matches!(row.front, Front::Net(_)) && !row.warm_slices && !row.chaos);
 }
 
 /// Pipelining: several request frames in flight on one connection;
 /// responses come back in send order, each matching its own batch.
 #[test]
 fn pipelined_batches_answer_in_order() {
-    let (server, handle) = spawn_server();
+    let (server, handle) = spawn_fixture(NetConfig::default());
     let mut client = Client::connect(handle.addr()).unwrap();
-    let batches: Vec<Vec<Request>> = (0..4).map(|i| mixed_batch(9000 + i)).collect();
+    let batches: Vec<Vec<Request>> = (0..4).map(|i| workload(9000 + i)).collect();
     for batch in &batches {
         client.send(batch).unwrap();
     }
@@ -191,7 +66,7 @@ fn pipelined_batches_answer_in_order() {
 /// The stats op over the wire reflects the serving counters.
 #[test]
 fn stats_op_counts_served_requests() {
-    let (_, handle) = spawn_server();
+    let (_, handle) = spawn_fixture(NetConfig::default());
     let mut client = Client::connect(handle.addr()).unwrap();
     client
         .batch(&[slice("t2m", 0..10), slice("u10", 5..20)])
@@ -202,22 +77,23 @@ fn stats_op_counts_served_requests() {
     handle.shutdown();
 }
 
-/// Raw-socket helper: write `bytes`, then read one frame back (the
-/// server's error report), returning its kind and message.
-fn send_raw(addr: std::net::SocketAddr, bytes: &[u8]) -> Option<(FrameKind, String)> {
+/// Write `bytes` on a raw socket and assert the server answers with an
+/// error frame whose message contains `needle`.
+fn assert_rejected(addr: std::net::SocketAddr, bytes: &[u8], needle: &str) {
     let mut stream = TcpStream::connect(addr).unwrap();
     stream.write_all(bytes).unwrap();
     stream.flush().unwrap();
-    let (header, payload) = wire::read_frame(&mut stream).ok()?;
-    let msg = wire::decode_error_payload(&payload).ok()?;
-    Some((header.kind, msg))
+    let (header, payload) = wire::read_frame(&mut stream).expect("error frame");
+    assert_eq!(header.kind, FrameKind::Error);
+    let msg = wire::decode_error_payload(&payload).expect("error frame");
+    assert!(msg.contains(needle), "{msg}");
 }
 
 /// Malformed, truncated, oversized, and wrong-version frames each draw a
 /// typed error report (or a clean close) and never take the server down.
 #[test]
 fn hostile_frames_are_rejected_and_server_survives() {
-    let (server, handle) = spawn_server();
+    let (server, handle) = spawn_fixture(NetConfig::default());
     let addr = handle.addr();
     let good_payload = wire::encode_request_batch(&[slice("t2m", 0..4)]);
     let good_frame = wire::encode_frame(FrameKind::Request, 1, &good_payload).unwrap();
@@ -228,24 +104,18 @@ fn hostile_frames_are_rejected_and_server_survives() {
     // Bad magic.
     let mut bad = empty_frame.clone();
     bad[0] = b'Z';
-    let (kind, msg) = send_raw(addr, &bad).expect("error frame");
-    assert_eq!(kind, FrameKind::Error);
-    assert!(msg.contains("magic"), "{msg}");
+    assert_rejected(addr, &bad, "magic");
 
     // Wrong protocol version.
     let mut bad = empty_frame.clone();
     bad[4] = 9;
-    let (kind, msg) = send_raw(addr, &bad).expect("error frame");
-    assert_eq!(kind, FrameKind::Error);
-    assert!(msg.contains("version 9"), "{msg}");
+    assert_rejected(addr, &bad, "version 9");
 
     // Oversized payload claim — rejected from the header alone, before
     // any payload is read or buffered.
     let mut bad = empty_frame.clone();
     bad[16..20].copy_from_slice(&(MAX_FRAME_PAYLOAD + 1).to_le_bytes());
-    let (kind, msg) = send_raw(addr, &bad).expect("error frame");
-    assert_eq!(kind, FrameKind::Error);
-    assert!(msg.contains("cap"), "{msg}");
+    assert_rejected(addr, &bad, "cap");
 
     // Bit-flipped payload fails the CRC: in the last byte of a short
     // payload, and inside the folded region of one long enough for the
@@ -264,9 +134,7 @@ fn hostile_frames_are_rejected_and_server_survives() {
             wire::decode_frame(&bad),
             Err(WireError::ChecksumMismatch { .. })
         ));
-        let (kind, msg) = send_raw(addr, &bad).expect("error frame");
-        assert_eq!(kind, FrameKind::Error);
-        assert!(msg.contains("checksum"), "{msg}");
+        assert_rejected(addr, &bad, "checksum");
     }
 
     // Truncated frame: write half, then close the write side.
@@ -286,9 +154,7 @@ fn hostile_frames_are_rejected_and_server_survives() {
         let mut garbage = vec![0xFFu8; 32];
         garbage[0] = 200; // impossible request count
         let frame = wire::encode_frame(FrameKind::Request, 5, &garbage).unwrap();
-        let (kind, msg) = send_raw(addr, &frame).expect("error frame");
-        assert_eq!(kind, FrameKind::Error);
-        assert!(msg.contains("malformed"), "{msg}");
+        assert_rejected(addr, &frame, "malformed");
     }
 
     // A response fragment from a client is a protocol violation, and the
@@ -296,9 +162,7 @@ fn hostile_frames_are_rejected_and_server_survives() {
     for kind_id in [FrameKind::Stream.id(), 2] {
         let mut frame = wire::encode_frame(FrameKind::Request, 6, &[]).unwrap();
         frame[5] = kind_id;
-        let (kind, msg) = send_raw(addr, &frame).expect("error frame");
-        assert_eq!(kind, FrameKind::Error);
-        assert!(msg.contains(&format!("frame kind {kind_id}")), "{msg}");
+        assert_rejected(addr, &frame, &format!("frame kind {kind_id}"));
     }
 
     assert!(handle.net_stats().wire_errors >= 6);
@@ -318,13 +182,8 @@ fn hostile_frames_are_rejected_and_server_survives() {
 #[test]
 fn frame_decoder_survives_random_and_mutated_input() {
     let mut rng = StdRng::seed_from_u64(0xECF1);
-    let requests = mixed_batch(1);
-    let responses: Vec<_> = vec![
-        Ok(Response::Catalog(exaclim_serve::CatalogAnswer::Archives(
-            vec![],
-        ))),
-        Err(exaclim_serve::ServeError::BadRequest("x".to_string())),
-    ];
+    let requests = workload(1);
+    let responses = oracle().handle_batch(&requests);
     let valid_frames = [
         wire::encode_frame(
             FrameKind::Request,
@@ -395,24 +254,10 @@ fn frame_decoder_survives_random_and_mutated_input() {
     }
 }
 
-/// Cut a real response into raw streamed frame byte vectors by driving
-/// the server-side [`wire::FrameStream`] with a small fragment size.
-fn stream_frames(id: u64, chunk: usize) -> Vec<Vec<u8>> {
-    let values: Vec<f64> = (0..2048).map(|i| i as f64 * 0.25).collect();
-    let responses = vec![Ok(Response::Slice(exaclim_serve::SliceData {
-        archive: "a".to_string(),
-        member: "t2m".to_string(),
-        range: 0..values.len() as u64 / VPS as u64,
-        values_per_slice: VPS as u64,
-        values,
-    }))];
-    let body = wire::ResponseBody::from_responses(responses);
-    let mut s = wire::FrameStream::response(body, id, chunk).unwrap();
-    let mut frames = Vec::new();
-    while let Some(f) = s.next_frame() {
-        frames.push(f.to_bytes(s.body()));
-    }
-    frames
+/// A workload batch's answers cut into 64-byte stream fragments of frame
+/// `id`.
+fn stream_frames(id: u64) -> Vec<Vec<u8>> {
+    response_frames(oracle().handle_batch(&workload(2)), id, 64)
 }
 
 /// Streamed-frame hostility, the same way the store fuzzes its container:
@@ -424,7 +269,7 @@ fn stream_frames(id: u64, chunk: usize) -> Vec<Vec<u8>> {
 #[test]
 fn stream_frame_fuzz_is_typed_and_server_survives() {
     let mut rng = StdRng::seed_from_u64(0x57EA);
-    let frames = stream_frames(11, 64);
+    let frames = stream_frames(11);
     assert!(frames.len() >= 4, "test body must actually stream");
 
     // The happy path reassembles (sanity check for everything below).
@@ -473,7 +318,7 @@ fn stream_frame_fuzz_is_typed_and_server_survives() {
 
     // A fragment of a different response spliced mid-stream.
     {
-        let other = stream_frames(99, 64);
+        let other = stream_frames(99);
         let mut reasm = wire::StreamReassembler::new();
         let (h, p) = wire::decode_frame(&frames[0]).unwrap();
         reasm.push(&h, p.to_vec()).unwrap();
@@ -528,11 +373,9 @@ fn stream_frame_fuzz_is_typed_and_server_survives() {
 
     // A stream frame aimed at the server is a protocol violation the
     // server reports and survives.
-    let (server, handle) = spawn_server();
+    let (server, handle) = spawn_fixture(NetConfig::default());
     let addr = handle.addr();
-    let (kind, msg) = send_raw(addr, &frames[0]).expect("error frame");
-    assert_eq!(kind, FrameKind::Error);
-    assert!(msg.contains("frame kind 4"), "{msg}");
+    assert_rejected(addr, &frames[0], "frame kind 4");
     let mut client = Client::connect(addr).unwrap();
     let batch = vec![slice("t2m", 0..4)];
     assert_eq!(client.batch(&batch).unwrap(), server.handle_batch(&batch));
@@ -544,7 +387,7 @@ fn stream_frame_fuzz_is_typed_and_server_survives() {
 /// hanging.
 #[test]
 fn graceful_shutdown_unblocks_clients() {
-    let (server, handle) = spawn_server();
+    let (server, handle) = spawn_fixture(NetConfig::default());
     let addr = handle.addr();
     let mut client = Client::connect(addr).unwrap();
     let batch = vec![slice("t2m", 0..8)];
@@ -566,16 +409,10 @@ fn graceful_shutdown_unblocks_clients() {
 /// served once a slot frees up, and sequential clients always get in.
 #[test]
 fn admission_is_bounded_but_fair() {
-    let mut catalog = Catalog::new();
-    catalog.open_archive_bytes("a", archive_bytes()).unwrap();
-    let server = Arc::new(Server::new(catalog, ServeConfig::default()));
-    let config = NetConfig {
+    let (_, handle) = spawn_fixture(NetConfig {
         max_connections: 1,
         ..NetConfig::default()
-    };
-    let handle = NetServer::bind("127.0.0.1:0", server, config)
-        .unwrap()
-        .spawn();
+    });
     let addr = handle.addr();
     for i in 0..3 {
         let mut client = Client::connect(addr).unwrap();
@@ -590,7 +427,7 @@ fn admission_is_bounded_but_fair() {
 /// Frame ids echo verbatim, even at the extremes.
 #[test]
 fn frame_ids_echo_verbatim() {
-    let (_, handle) = spawn_server();
+    let (_, handle) = spawn_fixture(NetConfig::default());
     let mut stream = TcpStream::connect(handle.addr()).unwrap();
     let payload = wire::encode_request_batch(&[Request::Stats]);
     for id in [0u64, 1, u64::MAX] {
@@ -655,23 +492,15 @@ fn inline_wakeups(handle: &NetServerHandle, client: &mut Client, batch: &[Reques
 /// Every answer equals the in-process one either way.
 #[test]
 fn resident_slice_batches_never_wake_the_reactor() {
-    // A second archive with one 512 KiB-per-read member.
-    let wide: Vec<f64> = (0..4096 * 16).map(|i| f64::from(i) * 0.25).collect();
-    let mut w = ArchiveWriter::new(Cursor::new(Vec::new())).unwrap();
-    w.add_field("f", Codec::Raw64, FieldMeta::default(), 4096, 8, &wide)
-        .unwrap();
-    let mut catalog = Catalog::new();
-    catalog.open_archive_bytes("a", archive_bytes()).unwrap();
-    catalog
-        .open_archive_bytes("wide", w.finish().unwrap().0.into_inner())
-        .unwrap();
+    // A second archive with 512 KiB-per-read members.
+    let mut catalog = catalog();
+    let wide = build_archive(4096, 16, 8, [Codec::Raw64; 2]);
+    catalog.open_archive_bytes("wide", wide).unwrap();
     let server = Arc::new(Server::new(catalog, ServeConfig::default()));
-    let handle = NetServer::bind("127.0.0.1:0", Arc::clone(&server), NetConfig::default())
-        .unwrap()
-        .spawn();
+    let handle = spawn(&server, NetConfig::default());
     let wide_slice = Request::Slice(SliceRequest {
         archive: "wide".to_string(),
-        member: "f".to_string(),
+        member: "t2m".to_string(),
         range: 0..16,
     });
     // Every chunk of t2m and of the wide member resident; u10 cold.
@@ -756,7 +585,7 @@ fn pipeline(
     let stream = TcpStream::connect(addr).unwrap();
     // A stalled burst fails the test instead of hanging it.
     stream
-        .set_read_timeout(Some(std::time::Duration::from_secs(30)))
+        .set_read_timeout(Some(Duration::from_secs(30)))
         .unwrap();
     let mut writer = stream.try_clone().unwrap();
     let write = std::thread::spawn(move || writer.write_all(&bytes).unwrap());
@@ -785,7 +614,7 @@ fn one_step(id: u64) -> Vec<Request> {
 /// is over a megabyte and the client writes it as fast as it can.
 #[test]
 fn pipelined_burst_answers_in_order_without_starving_a_neighbour() {
-    let (server, handle) = spawn_server();
+    let (server, handle) = spawn_fixture(NetConfig::default());
     let addr = handle.addr();
     let expected: Arc<Vec<_>> = Arc::new(
         (0..T_MAX)
@@ -806,11 +635,11 @@ fn pipelined_burst_answers_in_order_without_starving_a_neighbour() {
                     let got = client.batch(&one_step(k)).unwrap();
                     assert_eq!(got, expected[(k % T_MAX) as usize], "round trip {k}");
                 }
-                std::time::Instant::now()
+                Instant::now()
             }));
         }
     });
-    let burst_done = std::time::Instant::now();
+    let burst_done = Instant::now();
     let neighbour_done = neighbour.unwrap().join().unwrap();
     assert!(
         neighbour_done < burst_done,
@@ -828,7 +657,7 @@ fn pipelined_burst_answers_in_order_without_starving_a_neighbour() {
 struct Gate {
     shut: std::sync::Mutex<bool>,
     opened: std::sync::Condvar,
-    parked: std::sync::atomic::AtomicUsize,
+    parked: AtomicUsize,
 }
 
 impl Gate {
@@ -841,8 +670,7 @@ impl Gate {
     fn pass(&self) {
         let mut shut = self.shut.lock().unwrap();
         if *shut {
-            self.parked
-                .fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+            self.parked.fetch_add(1, Ordering::SeqCst);
             while *shut {
                 shut = self.opened.wait(shut).unwrap();
             }
@@ -888,8 +716,7 @@ impl std::io::Seek for GatedSource {
 #[test]
 fn shed_burst_is_answered_frame_by_frame() {
     let gate = Arc::new(Gate::default());
-    let mut catalog = Catalog::new();
-    catalog.open_archive_bytes("a", archive_bytes()).unwrap();
+    let mut catalog = catalog();
     catalog
         .open_archive(
             "gated",
@@ -906,9 +733,7 @@ fn shed_burst_is_answered_frame_by_frame() {
         ..NetConfig::default()
     };
     let retry_after_ms = config.shed_retry_after_ms;
-    let handle = NetServer::bind("127.0.0.1:0", Arc::clone(&server), config)
-        .unwrap()
-        .spawn();
+    let handle = spawn(&server, config);
     let addr = handle.addr();
     let _release = OpenOnDrop(Arc::clone(&gate));
     server.handle_batch(&[slice("t2m", 0..T_MAX)]);
@@ -925,17 +750,12 @@ fn shed_burst_is_answered_frame_by_frame() {
     gate.set(true);
     let mut held = Client::connect(addr).unwrap();
     held.send(&gated("t2m")).unwrap();
-    let parked = || gate.parked.load(std::sync::atomic::Ordering::SeqCst) >= 1;
-    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
-    while !parked() && std::time::Instant::now() < deadline {
-        std::thread::sleep(std::time::Duration::from_millis(5));
-    }
-    assert!(parked(), "the worker never reached the gated fetch");
+    let parked = || gate.parked.load(Ordering::SeqCst) >= 1;
+    let reached = eventually(Duration::from_secs(10), parked);
+    assert!(reached, "the worker never reached the gated fetch");
     let mut queued = Client::connect(addr).unwrap();
     queued.send(&gated("u10")).unwrap();
-    while handle.net_stats().requests < 2 && std::time::Instant::now() < deadline {
-        std::thread::sleep(std::time::Duration::from_millis(5));
-    }
+    eventually(Duration::from_secs(10), || handle.net_stats().requests >= 2);
     assert_eq!(handle.net_stats().requests, 2);
 
     let overloaded = vec![Err(ServeError::Overloaded { retry_after_ms })];
@@ -960,7 +780,7 @@ fn shed_burst_is_answered_frame_by_frame() {
 /// held.
 #[test]
 fn resident_batches_never_wait_on_the_worker_pool() {
-    let (server, handle) = spawn_server();
+    let (server, handle) = spawn_fixture(NetConfig::default());
     let addr = handle.addr();
     let batch = vec![
         slice("t2m", 0..9),
@@ -987,15 +807,12 @@ fn resident_batches_never_wait_on_the_worker_pool() {
         })
         .collect();
     // Both callers and every pool worker parked.
-    let parked = || gate.parked.load(std::sync::atomic::Ordering::SeqCst) > lanes;
-    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
-    while !parked() && std::time::Instant::now() < deadline {
-        std::thread::sleep(std::time::Duration::from_millis(5));
-    }
-    assert!(parked(), "the gated pool work never parked");
+    let parked = || gate.parked.load(Ordering::SeqCst) > lanes;
+    let reached = eventually(Duration::from_secs(10), parked);
+    assert!(reached, "the gated pool work never parked");
 
     let config = ClientConfig {
-        read_timeout: Some(std::time::Duration::from_secs(5)),
+        read_timeout: Some(Duration::from_secs(5)),
         ..ClientConfig::default()
     };
     // Under an ambient `EXACLIM_FAULTS` plan a batch may draw a

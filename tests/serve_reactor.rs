@@ -5,60 +5,13 @@
 //! by the deadline without disturbing live clients.
 #![cfg(unix)]
 
-use exaclim_serve::{
-    Catalog, Client, NetConfig, NetServer, NetServerHandle, Request, ServeConfig, Server,
-    SliceRequest,
-};
-use exaclim_store::{ArchiveWriter, Codec, FieldMeta};
-use std::io::{Cursor, Read, Write};
+mod common;
+
+use common::*;
+use exaclim_serve::{Client, NetConfig};
+use std::io::{Read, Write};
 use std::net::TcpStream;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-const VPS: usize = 10;
-const T_MAX: u64 = 64;
-
-fn archive_bytes() -> Vec<u8> {
-    let mut w = ArchiveWriter::new(Cursor::new(Vec::new())).unwrap();
-    for (name, phase, codec) in [("t2m", 0.0, Codec::F32Shuffle), ("u10", 2.3, Codec::Raw64)] {
-        let data: Vec<f64> = (0..VPS * T_MAX as usize)
-            .map(|i| 260.0 + 25.0 * (i as f64 * 0.017 + phase).sin())
-            .collect();
-        w.add_field(name, codec, FieldMeta::default(), VPS, 9, &data)
-            .unwrap();
-    }
-    w.finish().unwrap().0.into_inner()
-}
-
-fn spawn_with(config: NetConfig) -> (Arc<Server>, NetServerHandle) {
-    let mut catalog = Catalog::new();
-    catalog.open_archive_bytes("a", archive_bytes()).unwrap();
-    let server = Arc::new(Server::new(catalog, ServeConfig::default()));
-    let handle = NetServer::bind("127.0.0.1:0", Arc::clone(&server), config)
-        .unwrap()
-        .spawn();
-    (server, handle)
-}
-
-fn slice(member: &str, range: std::ops::Range<u64>) -> Request {
-    Request::Slice(SliceRequest {
-        archive: "a".to_string(),
-        member: member.to_string(),
-        range,
-    })
-}
-
-/// Spin until `pred` holds or `timeout` passes; returns whether it held.
-fn eventually(timeout: Duration, mut pred: impl FnMut() -> bool) -> bool {
-    let deadline = Instant::now() + timeout;
-    while Instant::now() < deadline {
-        if pred() {
-            return true;
-        }
-        std::thread::sleep(Duration::from_millis(10));
-    }
-    pred()
-}
 
 /// This process's current thread count (linux only; `None` elsewhere, so
 /// the bound simply isn't asserted there).
@@ -107,7 +60,7 @@ fn raise_fd_limit(want: u64) {
 #[test]
 fn idle_fleet_of_512_served_by_a_bounded_thread_count() {
     raise_fd_limit(4096);
-    let (server, handle) = spawn_with(NetConfig {
+    let (server, handle) = spawn_fixture(NetConfig {
         max_connections: 2048,
         ..NetConfig::default()
     });
@@ -182,7 +135,7 @@ fn idle_fleet_of_512_served_by_a_bounded_thread_count() {
 /// while the live client keeps getting served, before and after.
 #[test]
 fn reactor_reaps_slowloris_and_half_open_peers() {
-    let (server, handle) = spawn_with(NetConfig {
+    let (server, handle) = spawn_fixture(NetConfig {
         idle_timeout: Some(Duration::from_millis(200)),
         ..NetConfig::default()
     });
@@ -238,7 +191,7 @@ fn reactor_reaps_slowloris_and_half_open_peers() {
 /// timeout, unblocks the parked reactor.
 #[test]
 fn reactor_shutdown_drains_idle_fleet_promptly() {
-    let (_server, handle) = spawn_with(NetConfig::default());
+    let (_server, handle) = spawn_fixture(NetConfig::default());
     let addr = handle.addr();
     let mut clients = Vec::new();
     for _ in 0..32 {

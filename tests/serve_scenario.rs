@@ -1,79 +1,48 @@
-//! Scenario-engine correctness: derived products served over the wire
-//! must be bit-identical to in-process `Server::handle_batch` answers —
-//! errors included — on both byte-source backends and at any
-//! `EXACLIM_THREADS` (the CI matrix runs this suite under several legs);
-//! a stampede on one product descriptor must compute it exactly once;
-//! and ensemble fan-out must equal per-realization emulation with the
-//! published decorrelated seeds.
+//! Scenario-engine semantics: a stampede on one product descriptor must
+//! compute it exactly once, ensemble fan-out must equal per-realization
+//! emulation with the published decorrelated seeds, and the derived
+//! statistics must match ground truth; and every product source ×
+//! statistic, windowed or not, error paths included, is served exactly
+//! as in process on every backend and over the wire.
 
-use exaclim::{ClimateEmulator, EmulatorConfig};
-use exaclim_climate::{SyntheticEra5, SyntheticEra5Config};
+mod common;
+
+use common::conformance::Front;
+use common::*;
 use exaclim_serve::scenario::realization_seed;
 use exaclim_serve::{
-    Catalog, Client, NetConfig, NetServer, ProductDescriptor, ProductSource, ProductStat, Request,
-    Response, ScenarioSpec, ServeConfig, Server, SliceRequest,
+    ProductData, ProductDescriptor, ProductSource, ProductStat, Request, Response, ServeConfig,
+    Server,
 };
 use exaclim_stats::trend::{fit_location, TrendConfig};
 use exaclim_stats::ForcingSeries;
-use exaclim_store::{open_file_source, ArchiveWriter, Codec, FieldMeta};
-use std::io::Cursor;
-use std::sync::{Arc, Barrier};
+use std::sync::Barrier;
 
-const VPS: usize = 10;
-const T_MAX: u64 = 64;
-const CHUNK_T: usize = 9;
-
-/// Two same-shaped field members (so one can baseline the other), with
-/// real time metadata (`tau`, `start_year`) so trend products are
-/// well-posed over the archive too.
-fn archive_bytes() -> Vec<u8> {
-    let meta = FieldMeta {
-        ntheta: 2,
-        nphi: 5,
-        start_year: 2000,
-        tau: 365,
-    };
-    let mut w = ArchiveWriter::new(Cursor::new(Vec::new())).unwrap();
-    for (name, phase, codec) in [("t2m", 0.0, Codec::F32Shuffle), ("u10", 2.3, Codec::Raw64)] {
-        let data: Vec<f64> = (0..VPS * T_MAX as usize)
-            .map(|i| 260.0 + 25.0 * (i as f64 * 0.017 + phase).sin())
-            .collect();
-        w.add_field(name, codec, meta, VPS, CHUNK_T, &data).unwrap();
-    }
-    w.finish().unwrap().0.into_inner()
+/// The conformance table's mixed-batch in-process and `NetServer` rows:
+/// every product in the workload, on every backend and over the wire,
+/// equals the oracle's.
+#[test]
+fn derived_products_bit_identical_network_vs_in_process() {
+    conformance::run(|row| {
+        matches!(row.front, Front::InProcess | Front::Net(_)) && !row.warm_slices && !row.chaos
+    });
 }
 
-fn train_emulator() -> exaclim::TrainedEmulator {
-    let generator = SyntheticEra5::new(SyntheticEra5Config::small_daily(12));
-    let training = generator.generate_member(0, 2 * 365);
-    ClimateEmulator::train(&training, EmulatorConfig::small(8)).unwrap()
+fn fixture_server() -> Server {
+    Server::new(catalog(), ServeConfig::default())
 }
 
-fn server_over(bytes: Vec<u8>) -> Server {
-    let mut catalog = Catalog::new();
-    catalog.open_archive_bytes("a", bytes).unwrap();
-    catalog.register_emulator("em", train_emulator()).unwrap();
-    Server::new(catalog, ServeConfig::default())
-}
-
-fn spec(seed: u64, t_max: u64, realizations: u32) -> ScenarioSpec {
-    ScenarioSpec {
-        emulator: "em".to_string(),
-        t_max,
-        seed,
-        realizations,
+fn product(server: &Server, request: Request) -> ProductData {
+    match server.handle(&request) {
+        Ok(Response::Product(data)) => data,
+        other => panic!("{request:?}: {other:?}"),
     }
 }
 
-fn member_product(member: &str, stat: ProductStat) -> ProductDescriptor {
-    ProductDescriptor {
-        source: ProductSource::Member {
-            archive: "a".to_string(),
-            member: member.to_string(),
-        },
-        stat,
-        time: None,
-        space: None,
+fn slice_values(server: &Server, range: std::ops::Range<u64>) -> Vec<f64> {
+    match server.handle(&slice("t2m", range)) {
+        Ok(Response::Slice(data)) => data.values,
+        other => panic!("{other:?}"),
     }
 }
 
@@ -84,7 +53,7 @@ fn member_product(member: &str, stat: ProductStat) -> ProductDescriptor {
 #[test]
 fn stampeded_product_computes_exactly_once() {
     const THREADS: usize = 8;
-    let server = server_over(archive_bytes());
+    let server = fixture_server();
     let descriptor = ProductDescriptor {
         source: ProductSource::Ensemble(spec(9, 40, 4)),
         stat: ProductStat::MeanStd,
@@ -127,111 +96,18 @@ fn stampeded_product_computes_exactly_once() {
     );
 }
 
-/// Every new op — ensemble fan-out and each derived statistic, over both
-/// archive members and fresh ensemble output, with and without windows,
-/// plus the validation error paths — must round-trip the wire
-/// bit-identically to the in-process answer, on both byte-source
-/// backends.
-#[test]
-fn derived_products_bit_identical_network_vs_in_process() {
-    let bytes = archive_bytes();
-    let path = std::env::temp_dir().join(format!(
-        "exaclim_serve_scenario_{}.eca1",
-        std::process::id()
-    ));
-    std::fs::write(&path, &bytes).unwrap();
-
-    let batch: Vec<Request> = vec![
-        Request::Ensemble(spec(3, 48, 4)),
-        Request::Product(member_product("t2m", ProductStat::Raw)),
-        Request::Product(ProductDescriptor {
-            time: Some(5..37),
-            space: Some(2..8),
-            ..member_product("t2m", ProductStat::Raw)
-        }),
-        Request::Product(member_product("t2m", ProductStat::MeanStd)),
-        Request::Product(member_product(
-            "t2m",
-            ProductStat::Anomaly {
-                archive: "a".to_string(),
-                member: "u10".to_string(),
-            },
-        )),
-        Request::Product(member_product("t2m", ProductStat::Trend)),
-        Request::Product(member_product("u10", ProductStat::Persistence { order: 2 })),
-        Request::Product(ProductDescriptor {
-            source: ProductSource::Ensemble(spec(3, 48, 4)),
-            stat: ProductStat::TukeyExtremes { tail_per_mille: 25 },
-            time: None,
-            space: None,
-        }),
-        Request::Product(ProductDescriptor {
-            source: ProductSource::Ensemble(spec(3, 48, 4)),
-            stat: ProductStat::Trend,
-            time: Some(8..48),
-            space: None,
-        }),
-        // Error paths travel inside the response frame, bit-identically.
-        Request::Product(member_product("missing", ProductStat::Raw)),
-        Request::Product(ProductDescriptor {
-            source: ProductSource::Member {
-                archive: "nope".to_string(),
-                member: "t2m".to_string(),
-            },
-            stat: ProductStat::Raw,
-            time: None,
-            space: None,
-        }),
-        Request::Product(ProductDescriptor {
-            time: Some(0..9999),
-            ..member_product("t2m", ProductStat::Raw)
-        }),
-        Request::Product(member_product("t2m", ProductStat::Persistence { order: 0 })),
-        Request::Product(member_product(
-            "t2m",
-            ProductStat::TukeyExtremes { tail_per_mille: 0 },
-        )),
-        Request::Ensemble(spec(1, 10, 0)),
-        Request::Ensemble(ScenarioSpec {
-            emulator: "nope".to_string(),
-            ..spec(1, 10, 2)
-        }),
-    ];
-
-    for use_mmap in [false, true] {
-        let mut catalog = Catalog::new();
-        catalog
-            .open_archive_source("a", open_file_source(&path, use_mmap).unwrap())
-            .unwrap();
-        catalog.register_emulator("em", train_emulator()).unwrap();
-        let server = Arc::new(Server::new(catalog, ServeConfig::default()));
-        let expected = server.handle_batch(&batch);
-        assert!(expected.iter().take(9).all(|r| r.is_ok()));
-        assert!(expected.iter().skip(9).all(|r| r.is_err()));
-
-        let handle = NetServer::bind("127.0.0.1:0", Arc::clone(&server), NetConfig::default())
-            .unwrap()
-            .spawn();
-        let mut client = Client::connect(handle.addr()).unwrap();
-        assert_eq!(client.batch(&batch).unwrap(), expected, "mmap={use_mmap}");
-        handle.shutdown();
-    }
-    std::fs::remove_file(&path).ok();
-}
-
 /// The ensemble block is exactly `realizations` independent emulator
 /// runs with the published per-realization seed schedule — so a client
 /// can reproduce (or shard) any member of the ensemble with plain
 /// `Request::Emulate` calls.
 #[test]
 fn ensemble_equals_per_realization_emulation() {
-    let server = server_over(archive_bytes());
+    let server = fixture_server();
     let (t_max, base_seed, realizations) = (32u64, 77u64, 3u32);
-    let Ok(Response::Product(ensemble)) =
-        server.handle(&Request::Ensemble(spec(base_seed, t_max, realizations)))
-    else {
-        panic!("ensemble failed");
-    };
+    let ensemble = product(
+        &server,
+        Request::Ensemble(spec(base_seed, t_max, realizations)),
+    );
     assert_eq!(ensemble.realizations, realizations);
     assert_eq!(ensemble.rows, t_max);
 
@@ -244,7 +120,7 @@ fn ensemble_equals_per_realization_emulation() {
     );
     for (k, seed) in seeds.iter().enumerate() {
         let Ok(Response::Emulate(ds)) = server.handle(&Request::Emulate {
-            emulator: "em".to_string(),
+            emulator: EMULATOR.to_string(),
             t_max: t_max as usize,
             seed: *seed,
         }) else {
@@ -264,63 +140,46 @@ fn ensemble_equals_per_realization_emulation() {
 /// reduction of the served values.
 #[test]
 fn derived_statistics_match_ground_truth() {
-    let server = server_over(archive_bytes());
+    let server = fixture_server();
 
     // Raw with a time and space window == the windowed slice response.
     let (time, space) = (7..29u64, 3..9u64);
-    let Ok(Response::Slice(slice)) = server.handle(&Request::Slice(SliceRequest {
-        archive: "a".to_string(),
-        member: "t2m".to_string(),
-        range: time.clone(),
-    })) else {
-        panic!("slice failed");
-    };
-    let Ok(Response::Product(raw)) = server.handle(&Request::Product(ProductDescriptor {
-        time: Some(time.clone()),
-        space: Some(space.clone()),
-        ..member_product("t2m", ProductStat::Raw)
-    })) else {
-        panic!("raw product failed");
-    };
+    let slice = slice_values(&server, time.clone());
+    let raw = product(
+        &server,
+        Request::Product(ProductDescriptor {
+            time: Some(time.clone()),
+            space: Some(space.clone()),
+            ..member_product("t2m", ProductStat::Raw)
+        }),
+    );
     let s_len = (space.end - space.start) as usize;
     assert_eq!(raw.rows, time.end - time.start);
     assert_eq!(raw.values_per_row, s_len as u64);
     for (t, row) in raw.values.chunks_exact(s_len).enumerate() {
-        let full = &slice.values[t * VPS..(t + 1) * VPS];
+        let full = &slice[t * VPS..(t + 1) * VPS];
         assert_eq!(row, &full[space.start as usize..space.end as usize]);
     }
 
     // Self-anomaly is identically zero.
-    let Ok(Response::Product(anomaly)) = server.handle(&Request::Product(member_product(
-        "t2m",
-        ProductStat::Anomaly {
-            archive: "a".to_string(),
-            member: "t2m".to_string(),
-        },
-    ))) else {
-        panic!("anomaly failed");
+    let stat = ProductStat::Anomaly {
+        archive: ARCHIVE.to_string(),
+        member: "t2m".to_string(),
     };
+    let anomaly = product(&server, Request::Product(member_product("t2m", stat)));
     assert!(anomaly.values.iter().all(|v| *v == 0.0));
 
     // Mean/std agree with a direct per-location reduction of the raw data.
-    let Ok(Response::Product(ms)) = server.handle(&Request::Product(member_product(
-        "t2m",
-        ProductStat::MeanStd,
-    ))) else {
-        panic!("mean/std failed");
-    };
+    let ms = product(
+        &server,
+        Request::Product(member_product("t2m", ProductStat::MeanStd)),
+    );
     assert_eq!((ms.rows, ms.values_per_row), (2, VPS as u64));
-    let Ok(Response::Slice(full)) = server.handle(&Request::Slice(SliceRequest {
-        archive: "a".to_string(),
-        member: "t2m".to_string(),
-        range: 0..T_MAX,
-    })) else {
-        panic!("full slice failed");
-    };
+    let full = slice_values(&server, 0..T_MAX);
+    let series =
+        |j: usize| -> Vec<f64> { (0..T_MAX as usize).map(|t| full[t * VPS + j]).collect() };
     for j in 0..VPS {
-        let samples: Vec<f64> = (0..T_MAX as usize)
-            .map(|t| full.values[t * VPS + j])
-            .collect();
+        let samples = series(j);
         let mean = exaclim_mathkit::stats::mean(&samples);
         let std = exaclim_mathkit::stats::variance(&samples).sqrt();
         assert_eq!(ms.row(0, 0)[j], mean, "mean at location {j}");
@@ -330,11 +189,10 @@ fn derived_statistics_match_ground_truth() {
     // The trend product's one shared plan gives, bit for bit, what a
     // per-location `fit_location` under the protocol's fixed regression
     // (2 harmonic pairs, ρ ∈ {0, 0.4, 0.8}) gives.
-    let Ok(Response::Product(trend)) =
-        server.handle(&Request::Product(member_product("t2m", ProductStat::Trend)))
-    else {
-        panic!("trend failed");
-    };
+    let trend = product(
+        &server,
+        Request::Product(member_product("t2m", ProductStat::Trend)),
+    );
     assert_eq!((trend.rows, trend.values_per_row), (5, VPS as u64));
     let cfg = TrendConfig {
         k_harmonics: 2,
@@ -344,10 +202,7 @@ fn derived_statistics_match_ground_truth() {
     };
     let forcing = ForcingSeries::historical_like(2000, cfg.year_of(T_MAX as usize), 30);
     for j in 0..VPS {
-        let samples: Vec<f64> = (0..T_MAX as usize)
-            .map(|t| full.values[t * VPS + j])
-            .collect();
-        let fit = fit_location(&samples, &cfg, &forcing);
+        let fit = fit_location(&series(j), &cfg, &forcing);
         let want = [fit.beta0, fit.beta1, fit.beta2, fit.rho, fit.sigma];
         for (plane, w) in want.iter().enumerate() {
             assert_eq!(

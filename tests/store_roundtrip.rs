@@ -64,8 +64,9 @@ fn eca1_sliced_reads_match_full_reads() {
 /// Property sweep over the same seeded fixtures: for every codec, a
 /// memory-mapped open, a buffered (mutex-fallback) file open, and an
 /// in-memory stream (`Archive::from_reader`) must produce bit-identical
-/// full reads, sliced reads, and snapshot payloads. This is the guarantee that lets `EXACLIM_MMAP`
-/// switch backends without anyone noticing values change.
+/// full reads, sliced reads, and snapshot payloads. This is the guarantee
+/// that lets `Archive::open` pick its backend per platform without anyone
+/// noticing values change.
 #[test]
 fn mmap_and_buffered_reads_are_bit_identical_across_codecs() {
     for case in 0..Codec::ALL.len() as u64 {
@@ -89,8 +90,10 @@ fn mmap_and_buffered_reads_are_bit_identical_across_codecs() {
             std::process::id()
         ));
         std::fs::write(&path, &raw).unwrap();
-        let mapped = Archive::open_with(&path, true).unwrap();
-        let buffered = Archive::open_with(&path, false).unwrap();
+        let mapped = Archive::open(&path).unwrap();
+        let buffered =
+            Archive::from_reader(std::io::BufReader::new(std::fs::File::open(&path).unwrap()))
+                .unwrap();
         let reader = Archive::from_reader(Cursor::new(raw)).unwrap();
         assert_eq!(buffered.backend(), "stream");
         if exaclim_store::MMAP_SUPPORTED {
@@ -147,7 +150,7 @@ fn mapped_reads_still_verify_checksums() {
     raw[chunk0.offset as usize + 1] ^= 0x04;
     let path = std::env::temp_dir().join(format!("exaclim_mapped_crc_{}.eca1", std::process::id()));
     std::fs::write(&path, &raw).unwrap();
-    let mapped = Archive::open_with(&path, true).unwrap();
+    let mapped = Archive::open(&path).unwrap();
     match mapped.read_field_all("field").unwrap_err() {
         ArchiveError::ChecksumMismatch { member, chunk } => {
             assert_eq!((member.as_str(), chunk), ("field", 0));
