@@ -37,7 +37,7 @@
 use crate::error::ServeError;
 use parking_lot::{Condvar, Mutex};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 /// A cache key: small, copyable, and reducible to a well-mixed `u64` for
@@ -93,28 +93,34 @@ struct Shard<K> {
     tick: u64,
 }
 
-/// Point-in-time counters of one [`ValueCache`] instance. The chunk and
-/// product caches each keep their own, so chunk traffic and product
-/// traffic never mix in one set of counters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct CacheStats {
-    /// Lookups that found the entry.
-    pub hits: u64,
-    /// Lookups that missed.
-    pub misses: u64,
-    /// Entries evicted to make room.
-    pub evictions: u64,
-    /// Inserts rejected because the value alone exceeds a shard budget.
-    pub oversize_rejects: u64,
-    /// Decoded bytes currently resident.
-    pub resident_bytes: u64,
-    /// Entries currently resident.
-    pub resident_chunks: u64,
-    /// Misses that became single-flight leaders (computed the value).
-    pub flight_leads: u64,
-    /// Misses that coalesced onto an in-flight computation instead of
-    /// recomputing — cross-batch stampede work the reservation map saved.
-    pub flight_waits: u64,
+crate::metrics::counters! {
+    /// Point-in-time counters of one [`ValueCache`] instance. The chunk and
+    /// product caches each keep their own, so chunk traffic and product
+    /// traffic never mix in one set of counters.
+    pub struct CacheStats {
+        /// Lookups that found the entry.
+        pub hits: u64,
+        /// Lookups that missed.
+        pub misses: u64,
+        /// Entries evicted to make room.
+        pub evictions: u64,
+        /// Inserts rejected because the value alone exceeds a shard budget.
+        pub oversize_rejects: u64,
+        /// Decoded bytes currently resident.
+        pub resident_bytes: u64,
+        /// Entries currently resident.
+        pub resident_chunks: u64,
+        /// Misses that became single-flight leaders (computed the value).
+        pub flight_leads: u64,
+        /// Misses that coalesced onto an in-flight computation instead of
+        /// recomputing — cross-batch stampede work the reservation map saved.
+        pub flight_waits: u64,
+    }
+
+    /// The live counters of one [`ValueCache`]. `resident_bytes` and
+    /// `resident_chunks` stay zero here: [`ValueCache::stats`] reads them
+    /// off the shards.
+    pub(crate) struct CacheCounters;
 }
 
 impl CacheStats {
@@ -153,12 +159,7 @@ pub struct ValueCache<K: CacheKey> {
     /// this lock *after* the cache insert, so post-completion fetchers
     /// always find the cached value.
     inflight: Mutex<HashMap<K, Arc<Flight>>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
-    oversize_rejects: AtomicU64,
-    flight_leads: AtomicU64,
-    flight_waits: AtomicU64,
+    stats: CacheCounters,
 }
 
 /// The cache of decoded field chunks, keyed by [`ChunkKey`].
@@ -310,12 +311,7 @@ impl<K: CacheKey> ValueCache<K> {
                 .collect(),
             shard_budget: budget_bytes / shards,
             inflight: Mutex::new(HashMap::new()),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-            oversize_rejects: AtomicU64::new(0),
-            flight_leads: AtomicU64::new(0),
-            flight_waits: AtomicU64::new(0),
+            stats: CacheCounters::default(),
         }
     }
 
@@ -330,9 +326,9 @@ impl<K: CacheKey> ValueCache<K> {
     pub fn get(&self, key: K) -> Option<Arc<[f64]>> {
         let found = self.touch(key);
         let counter = if found.is_some() {
-            &self.hits
+            &self.stats.hits
         } else {
-            &self.misses
+            &self.stats.misses
         };
         counter.fetch_add(1, Ordering::Relaxed);
         found
@@ -357,7 +353,9 @@ impl<K: CacheKey> ValueCache<K> {
             .iter()
             .map(|&key| self.touch(key))
             .collect::<Option<Vec<_>>>()?;
-        self.hits.fetch_add(values.len() as u64, Ordering::Relaxed);
+        self.stats
+            .hits
+            .fetch_add(values.len() as u64, Ordering::Relaxed);
         Some(values)
     }
 
@@ -392,18 +390,18 @@ impl<K: CacheKey> ValueCache<K> {
         // Double-check: a leader may have completed between the miss
         // above and taking the reservation lock.
         if let Some(values) = self.peek(key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
+            self.stats.hits.fetch_add(1, Ordering::Relaxed);
             // The first lookup counted a miss for what is now a hit;
             // leave both counts — they describe what each lookup saw.
             return Fetch::Ready(values);
         }
         if let Some(flight) = inflight.get(&key) {
-            self.flight_waits.fetch_add(1, Ordering::Relaxed);
+            self.stats.flight_waits.fetch_add(1, Ordering::Relaxed);
             return Fetch::Wait(Arc::clone(flight));
         }
         let flight = Flight::new();
         inflight.insert(key, Arc::clone(&flight));
-        self.flight_leads.fetch_add(1, Ordering::Relaxed);
+        self.stats.flight_leads.fetch_add(1, Ordering::Relaxed);
         Fetch::Lead(FlightLead {
             cache: self,
             key,
@@ -441,7 +439,7 @@ impl<K: CacheKey> ValueCache<K> {
     pub fn insert(&self, key: K, values: Arc<[f64]>) {
         let cost = std::mem::size_of_val(values.as_ref());
         if cost > self.shard_budget {
-            self.oversize_rejects.fetch_add(1, Ordering::Relaxed);
+            self.stats.oversize_rejects.fetch_add(1, Ordering::Relaxed);
             return;
         }
         let mut evicted = 0u64;
@@ -467,7 +465,7 @@ impl<K: CacheKey> ValueCache<K> {
             shard.map.insert(key, Entry { values, stamp });
         }
         if evicted > 0 {
-            self.evictions.fetch_add(evicted, Ordering::Relaxed);
+            self.stats.evictions.fetch_add(evicted, Ordering::Relaxed);
         }
     }
 
@@ -481,14 +479,9 @@ impl<K: CacheKey> ValueCache<K> {
             resident_chunks += s.map.len() as u64;
         }
         CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-            oversize_rejects: self.oversize_rejects.load(Ordering::Relaxed),
             resident_bytes,
             resident_chunks,
-            flight_leads: self.flight_leads.load(Ordering::Relaxed),
-            flight_waits: self.flight_waits.load(Ordering::Relaxed),
+            ..self.stats.snapshot()
         }
     }
 }

@@ -116,6 +116,7 @@ pub mod batch;
 pub mod cache;
 pub mod catalog;
 pub mod error;
+mod metrics;
 pub mod net;
 pub mod product;
 pub mod router;

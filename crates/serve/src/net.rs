@@ -119,7 +119,7 @@ use {
     crate::server::{ServeBackend, Server},
     exaclim_runtime::reactor::{Reactor, Waker},
     std::net::TcpListener,
-    std::sync::atomic::{AtomicBool, AtomicU64, Ordering},
+    std::sync::atomic::{AtomicBool, Ordering},
     std::sync::Arc,
 };
 
@@ -179,89 +179,74 @@ impl Default for NetConfig {
     }
 }
 
-/// Point-in-time transport counters of a [`NetServer`] (see
-/// [`NetServerHandle::net_stats`]). Complements [`ServeStats`], which
-/// counts requests; these count connections, frames, and bytes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct NetStats {
-    /// Connections admitted over the server's lifetime.
-    pub connections: u64,
-    /// Connections open right now (gauge).
-    pub open_connections: u64,
-    /// High-water mark of concurrently open connections.
-    pub peak_connections: u64,
-    /// Request frames successfully read and decoded.
-    pub frames_in: u64,
-    /// Response frames written.
-    pub frames_out: u64,
-    /// Bytes received (headers + payloads of well-formed frames).
-    pub bytes_in: u64,
-    /// Bytes sent (headers + payloads).
-    pub bytes_out: u64,
-    /// Requests decoded out of request frames.
-    pub requests: u64,
-    /// Transport-level failures observed (malformed frames, socket
-    /// errors); each also closed its connection.
-    pub wire_errors: u64,
-    /// Cross-thread reactor wakeups consumed (batch completions and
-    /// shutdown nudges delivered through the wakeup fd). Batches the
-    /// reactor answers itself — cache-resident slice batches, see the
-    /// module docs — never wake it.
-    pub reactor_wakeups: u64,
-    /// Connections reaped by the [`NetConfig::idle_timeout`] deadline
-    /// (idle keep-alives, half-open peers, slowloris dribblers).
-    pub reaped_idle: u64,
-    /// Accept errors (fd exhaustion, a reset mid-handshake) plus accepted
-    /// connections that could not be made nonblocking or registered with
-    /// the reactor; each is dropped and the listener keeps serving.
-    pub rejected: u64,
-    /// Responses that left as a sequence of stream fragments instead of
-    /// one monolithic frame (see [`NetConfig::stream_chunk_bytes`]).
-    pub streamed_responses: u64,
-    /// Stream fragments written across all streamed responses.
-    pub stream_frames_out: u64,
-    /// High-water mark of bytes a single connection *owned*: its
-    /// unparsed request bytes (at most one 64 KiB socket read plus the
-    /// partial frame it completes), or while a response drained, frame
-    /// header + copied metadata, excluding shared chunk-cache
-    /// references. The streaming wire path bounds the latter by roughly
-    /// one stream fragment regardless of response size.
-    pub peak_conn_buffered_bytes: u64,
-    /// Histogram of frames per completed response, bucketed 1, 2, 3–4,
-    /// 5–8, 9–16, 17–32, 33–64, 65+.
-    pub frames_per_response: [u64; 8],
-    /// Requests shed by overload protection: answered
-    /// [`ServeError::Overloaded`] because the dispatch backlog was over
-    /// [`NetConfig::max_dispatch_backlog`] when their frame arrived.
-    pub shed: u64,
-    /// Faults injected process-wide since start
-    /// ([`exaclim_runtime::faults::injected`]); zero unless a fault plan
-    /// is armed. Snapshotted here so chaos harnesses can assert the
-    /// schedule actually fired from the same place they read transport
-    /// counters.
-    pub faults_injected: u64,
-}
+crate::metrics::counters! {
+    /// Point-in-time transport counters of a [`NetServer`] (see
+    /// [`NetServerHandle::net_stats`]). Complements [`ServeStats`], which
+    /// counts requests; these count connections, frames, and bytes.
+    pub struct NetStats {
+        /// Connections admitted over the server's lifetime.
+        pub connections: u64,
+        /// Connections open right now (gauge).
+        pub open_connections: u64,
+        /// High-water mark of concurrently open connections.
+        pub peak_connections: u64,
+        /// Request frames successfully read and decoded.
+        pub frames_in: u64,
+        /// Response frames written.
+        pub frames_out: u64,
+        /// Bytes received (headers + payloads of well-formed frames).
+        pub bytes_in: u64,
+        /// Bytes sent (headers + payloads).
+        pub bytes_out: u64,
+        /// Requests decoded out of request frames.
+        pub requests: u64,
+        /// Transport-level failures observed (malformed frames, socket
+        /// errors); each also closed its connection.
+        pub wire_errors: u64,
+        /// Cross-thread reactor wakeups consumed (batch completions and
+        /// shutdown nudges delivered through the wakeup fd). Batches the
+        /// reactor answers itself — cache-resident slice batches, see the
+        /// module docs — never wake it.
+        pub reactor_wakeups: u64,
+        /// Connections reaped by the [`NetConfig::idle_timeout`] deadline
+        /// (idle keep-alives, half-open peers, slowloris dribblers).
+        pub reaped_idle: u64,
+        /// Accept errors (fd exhaustion, a reset mid-handshake) plus accepted
+        /// connections that could not be made nonblocking or registered with
+        /// the reactor; each is dropped and the listener keeps serving.
+        pub rejected: u64,
+        /// Responses that left as a sequence of stream fragments instead of
+        /// one monolithic frame (see [`NetConfig::stream_chunk_bytes`]).
+        pub streamed_responses: u64,
+        /// Stream fragments written across all streamed responses.
+        pub stream_frames_out: u64,
+        /// High-water mark of bytes a single connection *owned*: its
+        /// unparsed request bytes (at most one 64 KiB socket read plus the
+        /// partial frame it completes), or while a response drained, frame
+        /// header + copied metadata, excluding shared chunk-cache
+        /// references. The streaming wire path bounds the latter by roughly
+        /// one stream fragment regardless of response size.
+        pub peak_conn_buffered_bytes: u64,
+        /// Histogram of frames per completed response, bucketed 1, 2, 3–4,
+        /// 5–8, 9–16, 17–32, 33–64, 65+.
+        pub frames_per_response: [u64; 8],
+        /// Requests shed by overload protection: answered
+        /// [`ServeError::Overloaded`] because the dispatch backlog was over
+        /// [`NetConfig::max_dispatch_backlog`] when their frame arrived.
+        pub shed: u64,
+        /// Faults injected process-wide since start
+        /// ([`exaclim_runtime::faults::injected`]); zero unless a fault plan
+        /// is armed. Snapshotted here so chaos harnesses can assert the
+        /// schedule actually fired from the same place they read transport
+        /// counters.
+        pub faults_injected: u64,
+    }
 
-#[cfg(unix)]
-#[derive(Default)]
-struct NetStatCells {
-    connections: AtomicU64,
-    open_connections: AtomicU64,
-    peak_connections: AtomicU64,
-    frames_in: AtomicU64,
-    frames_out: AtomicU64,
-    bytes_in: AtomicU64,
-    bytes_out: AtomicU64,
-    requests: AtomicU64,
-    wire_errors: AtomicU64,
-    reactor_wakeups: AtomicU64,
-    reaped_idle: AtomicU64,
-    rejected: AtomicU64,
-    streamed_responses: AtomicU64,
-    stream_frames_out: AtomicU64,
-    peak_conn_buffered_bytes: AtomicU64,
-    frames_per_response: [AtomicU64; 8],
-    shed: AtomicU64,
+    /// The live counters behind [`NetServerHandle::net_stats`].
+    /// `faults_injected` stays zero here: the snapshot reads it from
+    /// [`exaclim_runtime::faults::injected`].
+    #[cfg(unix)]
+    pub(crate) struct NetCounters;
 }
 
 /// Histogram bucket of a frames-per-response count: 1, 2, 3–4, 5–8,
@@ -280,34 +265,6 @@ fn frames_bucket(frames: u32) -> usize {
     }
 }
 
-#[cfg(unix)]
-impl NetStatCells {
-    fn snapshot(&self) -> NetStats {
-        NetStats {
-            connections: self.connections.load(Ordering::Relaxed),
-            open_connections: self.open_connections.load(Ordering::Relaxed),
-            peak_connections: self.peak_connections.load(Ordering::Relaxed),
-            frames_in: self.frames_in.load(Ordering::Relaxed),
-            frames_out: self.frames_out.load(Ordering::Relaxed),
-            bytes_in: self.bytes_in.load(Ordering::Relaxed),
-            bytes_out: self.bytes_out.load(Ordering::Relaxed),
-            requests: self.requests.load(Ordering::Relaxed),
-            wire_errors: self.wire_errors.load(Ordering::Relaxed),
-            reactor_wakeups: self.reactor_wakeups.load(Ordering::Relaxed),
-            reaped_idle: self.reaped_idle.load(Ordering::Relaxed),
-            rejected: self.rejected.load(Ordering::Relaxed),
-            streamed_responses: self.streamed_responses.load(Ordering::Relaxed),
-            stream_frames_out: self.stream_frames_out.load(Ordering::Relaxed),
-            peak_conn_buffered_bytes: self.peak_conn_buffered_bytes.load(Ordering::Relaxed),
-            frames_per_response: std::array::from_fn(|i| {
-                self.frames_per_response[i].load(Ordering::Relaxed)
-            }),
-            shed: self.shed.load(Ordering::Relaxed),
-            faults_injected: exaclim_runtime::faults::injected(),
-        }
-    }
-}
-
 /// State shared between the serving threads (reactor + dispatch workers)
 /// and the [`NetServerHandle`].
 #[cfg(unix)]
@@ -319,7 +276,7 @@ struct NetShared {
     /// The in-process server when this front end is server-backed
     /// (`None` behind [`NetServer::bind_router`]).
     server: Option<Arc<Server>>,
-    stats: NetStatCells,
+    stats: NetCounters,
     /// Set when shutdown begins; the reactor observes it on the wakeup
     /// that [`NetServerHandle::shutdown`] sends right after.
     shutdown: AtomicBool,
@@ -400,7 +357,7 @@ impl NetServer {
             shared: Arc::new(NetShared {
                 backend,
                 server,
-                stats: NetStatCells::default(),
+                stats: NetCounters::default(),
                 shutdown: AtomicBool::new(false),
             }),
             config,
@@ -461,7 +418,10 @@ impl NetServerHandle {
 
     /// Current transport counters.
     pub fn net_stats(&self) -> NetStats {
-        self.shared.stats.snapshot()
+        NetStats {
+            faults_injected: exaclim_runtime::faults::injected(),
+            ..self.shared.stats.snapshot()
+        }
     }
 
     /// Stop accepting, drain every open connection, and join all
@@ -1487,7 +1447,7 @@ mod event {
     /// cleanly from the event loop so the counting/bookkeeping above
     /// stays free of byte-level detail. Counts `frames_in`/`bytes_in`
     /// itself, on complete, checksum-valid request frames.
-    fn parse_head(conn: &mut Conn, stats: &NetStatCells) -> Parsed {
+    fn parse_head(conn: &mut Conn, stats: &NetCounters) -> Parsed {
         // A bad header is rejected as soon as its 24 bytes are here,
         // before any payload is buffered.
         let total = match conn.buf.get(..HEADER_LEN) {
@@ -2006,6 +1966,36 @@ impl Client {
                 "ensemble request answered with {other:?}"
             ))),
             Err(e) => Err(WireError::Remote(e.to_string())),
+        }
+    }
+}
+
+#[cfg(test)]
+#[cfg(unix)]
+mod tests {
+    use super::frames_bucket;
+
+    #[test]
+    fn frames_bucket_boundaries() {
+        let table = [
+            (0, 0),
+            (1, 0),
+            (2, 1),
+            (3, 2),
+            (4, 2),
+            (5, 3),
+            (8, 3),
+            (9, 4),
+            (16, 4),
+            (17, 5),
+            (32, 5),
+            (33, 6),
+            (64, 6),
+            (65, 7),
+            (u32::MAX, 7),
+        ];
+        for (frames, bucket) in table {
+            assert_eq!(frames_bucket(frames), bucket, "{frames} frames");
         }
     }
 }

@@ -38,12 +38,13 @@
 //! counters are a separate [`RouterStats`] ([`Router::router_stats`]).
 
 use crate::error::{ServeError, WireError};
+use crate::metrics::Counters;
 use crate::net::{Client, ClientConfig, RetryPolicy};
 use crate::product::ProductSource;
 use crate::server::{CatalogQuery, Reply, Request, Response, ServeBackend, ServeStats};
 use parking_lot::Mutex;
 use std::net::SocketAddr;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 /// One backend shard a [`Router`] fronts.
@@ -132,22 +133,19 @@ impl Default for RouterConfig {
     }
 }
 
-/// Point-in-time router counters ([`Router::router_stats`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct RouterStats {
-    /// Requests routed to shards (fan-out ops count once per request).
-    pub routed: u64,
-    /// Batches that split across more than one shard.
-    pub fanout_batches: u64,
-    /// Sub-batches re-routed to a replica after a shard call failed.
-    pub failovers: u64,
-}
+crate::metrics::counters! {
+    /// Point-in-time router counters ([`Router::router_stats`]).
+    pub struct RouterStats {
+        /// Requests routed to shards (fan-out ops count once per request).
+        pub routed: u64,
+        /// Batches that split across more than one shard.
+        pub fanout_batches: u64,
+        /// Sub-batches re-routed to a replica after a shard call failed.
+        pub failovers: u64,
+    }
 
-#[derive(Default)]
-struct RouterStatCells {
-    routed: AtomicU64,
-    fanout_batches: AtomicU64,
-    failovers: AtomicU64,
+    /// The live counters behind [`Router::router_stats`].
+    pub(crate) struct RouterCounters;
 }
 
 /// The seeded consistent-hash ring: `shards × virtual_nodes` points
@@ -322,28 +320,12 @@ fn route_of(request: &Request) -> Route<'_> {
     }
 }
 
-/// Field-wise sum of two [`ServeStats`] snapshots (stats fan-out).
-fn add_stats(a: &mut ServeStats, b: &ServeStats) {
-    a.slices += b.slices;
-    a.emulations += b.emulations;
-    a.catalog_queries += b.catalog_queries;
-    a.errors += b.errors;
-    a.batches += b.batches;
-    a.chunk_touches += b.chunk_touches;
-    a.chunk_fetches += b.chunk_fetches;
-    a.chunk_decodes += b.chunk_decodes;
-    a.products += b.products;
-    a.product_computes += b.product_computes;
-    a.busy_nanos += b.busy_nanos;
-    a.deadline_expired += b.deadline_expired;
-}
-
 /// The consistent-hash scatter-gather front end (module docs above).
 pub struct Router {
     shards: Vec<Shard>,
     ring: Ring,
     config: RouterConfig,
-    stats: RouterStatCells,
+    stats: RouterCounters,
 }
 
 impl std::fmt::Debug for Router {
@@ -404,7 +386,7 @@ impl Router {
             shards,
             ring,
             config,
-            stats: RouterStatCells::default(),
+            stats: RouterCounters::default(),
         })
     }
 
@@ -422,11 +404,7 @@ impl Router {
 
     /// The router's own counters.
     pub fn router_stats(&self) -> RouterStats {
-        RouterStats {
-            routed: self.stats.routed.load(Ordering::Relaxed),
-            fanout_batches: self.stats.fanout_batches.load(Ordering::Relaxed),
-            failovers: self.stats.failovers.load(Ordering::Relaxed),
-        }
+        self.stats.snapshot()
     }
 
     /// Answer one request (a 1-element batch) through the cluster.
@@ -585,7 +563,7 @@ impl Router {
             match outcome {
                 Ok(mut responses) => match responses.pop() {
                     Some(Ok(Response::Stats(s))) => {
-                        add_stats(agg.get_or_insert_with(ServeStats::default), &s);
+                        agg.get_or_insert_with(ServeStats::default).merge(&s);
                     }
                     Some(Ok(other)) => {
                         return Err(ServeError::Internal(format!(

@@ -35,7 +35,7 @@ use crate::product::{ProductData, ProductDescriptor, ScenarioSpec};
 use exaclim_climate::Dataset;
 use exaclim_store::{Codec, MemberKind};
 use std::ops::Range;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 /// Tuning knobs of a [`Server`].
@@ -221,43 +221,48 @@ pub enum Response {
     Product(ProductData),
 }
 
-/// Point-in-time serving counters (see [`Server::stats`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ServeStats {
-    /// Slice requests answered successfully.
-    pub slices: u64,
-    /// Emulation requests answered successfully.
-    pub emulations: u64,
-    /// Catalog queries answered successfully.
-    pub catalog_queries: u64,
-    /// Requests that returned an error.
-    pub errors: u64,
-    /// Batches processed (single `handle` calls count as 1-batches).
-    pub batches: u64,
-    /// Chunk touches across all slice requests, before coalescing.
-    pub chunk_touches: u64,
-    /// Unique chunks actually resolved after coalescing; the difference
-    /// to [`ServeStats::chunk_touches`] is work the batcher saved.
-    pub chunk_fetches: u64,
-    /// Chunks actually read and decoded from an archive — what remains
-    /// after the cache absorbs hits and the single-flight reservation map
-    /// collapses cross-batch stampedes. Under a hot-chunk stampede this
-    /// counts exactly one decode per distinct chunk.
-    pub chunk_decodes: u64,
-    /// Derived-product requests answered successfully
-    /// ([`Request::Product`] and [`Request::Ensemble`]).
-    pub products: u64,
-    /// Products actually evaluated — what remains after the product
-    /// cache absorbs hits and its single-flight map collapses stampedes.
-    /// A stampede on one descriptor counts exactly one compute.
-    pub product_computes: u64,
-    /// Wall-clock nanoseconds spent inside `handle_batch`.
-    pub busy_nanos: u64,
-    /// Requests skipped because their [`Request::WithDeadline`] budget
-    /// had already expired when the batch started executing. Each also
-    /// counts in [`ServeStats::errors`] (the request drew
-    /// [`ServeError::DeadlineExpired`]).
-    pub deadline_expired: u64,
+crate::metrics::counters! {
+    /// Point-in-time serving counters (see [`Server::stats`]).
+    pub struct ServeStats {
+        /// Slice requests answered successfully.
+        pub slices: u64,
+        /// Emulation requests answered successfully.
+        pub emulations: u64,
+        /// Catalog queries and [`Request::Stats`] snapshots answered
+        /// successfully.
+        pub catalog_queries: u64,
+        /// Requests that returned an error.
+        pub errors: u64,
+        /// Batches processed (single `handle` calls count as 1-batches).
+        pub batches: u64,
+        /// Chunk touches across all slice requests, before coalescing.
+        pub chunk_touches: u64,
+        /// Unique chunks actually resolved after coalescing; the difference
+        /// to [`ServeStats::chunk_touches`] is work the batcher saved.
+        pub chunk_fetches: u64,
+        /// Chunks actually read and decoded from an archive — what remains
+        /// after the cache absorbs hits and the single-flight reservation map
+        /// collapses cross-batch stampedes. Under a hot-chunk stampede this
+        /// counts exactly one decode per distinct chunk.
+        pub chunk_decodes: u64,
+        /// Derived-product requests answered successfully
+        /// ([`Request::Product`] and [`Request::Ensemble`]).
+        pub products: u64,
+        /// Products actually evaluated — what remains after the product
+        /// cache absorbs hits and its single-flight map collapses stampedes.
+        /// A stampede on one descriptor counts exactly one compute.
+        pub product_computes: u64,
+        /// Wall-clock nanoseconds spent inside `handle_batch`.
+        pub busy_nanos: u64,
+        /// Requests skipped because their [`Request::WithDeadline`] budget
+        /// had already expired when the batch started executing. Each also
+        /// counts in [`ServeStats::errors`] (the request drew
+        /// [`ServeError::DeadlineExpired`]).
+        pub deadline_expired: u64,
+    }
+
+    /// The live counters behind [`Server::stats`].
+    pub(crate) struct ServeCounters;
 }
 
 /// One request's answer before materialization: either a finished
@@ -361,22 +366,6 @@ impl ServeBackend for Server {
     }
 }
 
-#[derive(Default)]
-pub(crate) struct StatCells {
-    slices: AtomicU64,
-    emulations: AtomicU64,
-    catalog_queries: AtomicU64,
-    errors: AtomicU64,
-    batches: AtomicU64,
-    chunk_touches: AtomicU64,
-    chunk_fetches: AtomicU64,
-    chunk_decodes: AtomicU64,
-    products: AtomicU64,
-    pub(crate) product_computes: AtomicU64,
-    busy_nanos: AtomicU64,
-    deadline_expired: AtomicU64,
-}
-
 /// A serving instance: an immutable [`Catalog`] fronted by a
 /// [`ChunkCache`], answering requests concurrently on the shared worker
 /// pool.
@@ -409,7 +398,7 @@ pub struct Server {
     pub(crate) catalog: Catalog,
     pub(crate) cache: ChunkCache,
     pub(crate) product_cache: ProductCache,
-    pub(crate) stats: StatCells,
+    pub(crate) stats: ServeCounters,
 }
 
 impl std::fmt::Debug for Server {
@@ -429,7 +418,7 @@ impl Server {
             catalog,
             cache: ChunkCache::new(config.cache_bytes, config.cache_shards),
             product_cache: ProductCache::new(config.product_cache_bytes, config.cache_shards),
-            stats: StatCells::default(),
+            stats: ServeCounters::default(),
         }
     }
 
@@ -451,20 +440,7 @@ impl Server {
 
     /// Current serving counters.
     pub fn stats(&self) -> ServeStats {
-        ServeStats {
-            slices: self.stats.slices.load(Ordering::Relaxed),
-            emulations: self.stats.emulations.load(Ordering::Relaxed),
-            catalog_queries: self.stats.catalog_queries.load(Ordering::Relaxed),
-            errors: self.stats.errors.load(Ordering::Relaxed),
-            batches: self.stats.batches.load(Ordering::Relaxed),
-            chunk_touches: self.stats.chunk_touches.load(Ordering::Relaxed),
-            chunk_fetches: self.stats.chunk_fetches.load(Ordering::Relaxed),
-            chunk_decodes: self.stats.chunk_decodes.load(Ordering::Relaxed),
-            products: self.stats.products.load(Ordering::Relaxed),
-            product_computes: self.stats.product_computes.load(Ordering::Relaxed),
-            busy_nanos: self.stats.busy_nanos.load(Ordering::Relaxed),
-            deadline_expired: self.stats.deadline_expired.load(Ordering::Relaxed),
-        }
+        self.stats.snapshot()
     }
 
     /// Answer one request (a 1-element batch).

@@ -89,6 +89,7 @@
 //! ```
 
 use crate::error::{ServeError, WireError};
+use crate::metrics::Counters;
 use crate::product::{ProductData, ProductDescriptor, ProductSource, ProductStat, ScenarioSpec};
 use crate::server::{
     ArchiveInfo, CatalogAnswer, CatalogQuery, EmulatorInfo, MemberInfo, Request, Response,
@@ -1451,18 +1452,11 @@ fn encode_response(e: &mut Enc, resp: Response) {
         }
         Response::Stats(s) => {
             e.u8(RESP_STATS);
-            e.u64(s.slices);
-            e.u64(s.emulations);
-            e.u64(s.catalog_queries);
-            e.u64(s.errors);
-            e.u64(s.batches);
-            e.u64(s.chunk_touches);
-            e.u64(s.chunk_fetches);
-            e.u64(s.chunk_decodes);
-            e.u64(s.products);
-            e.u64(s.product_computes);
-            e.u64(s.busy_nanos);
-            e.u64(s.deadline_expired);
+            for (_, words) in s.fields() {
+                for &w in words {
+                    e.u64(w);
+                }
+            }
         }
         Response::Product(p) => {
             e.u8(RESP_PRODUCT);
@@ -1579,20 +1573,15 @@ fn decode_response(d: &mut Dec) -> Result<Response, WireError> {
             };
             Ok(Response::Catalog(answer))
         }
-        RESP_STATS => Ok(Response::Stats(ServeStats {
-            slices: d.u64("stats slices")?,
-            emulations: d.u64("stats emulations")?,
-            catalog_queries: d.u64("stats catalog_queries")?,
-            errors: d.u64("stats errors")?,
-            batches: d.u64("stats batches")?,
-            chunk_touches: d.u64("stats chunk_touches")?,
-            chunk_fetches: d.u64("stats chunk_fetches")?,
-            chunk_decodes: d.u64("stats chunk_decodes")?,
-            products: d.u64("stats products")?,
-            product_computes: d.u64("stats product_computes")?,
-            busy_nanos: d.u64("stats busy_nanos")?,
-            deadline_expired: d.u64("stats deadline_expired")?,
-        })),
+        RESP_STATS => {
+            let mut stats = ServeStats::default();
+            for (name, words) in stats.fields_mut() {
+                for w in words {
+                    *w = d.u64(&format!("stats {name}"))?;
+                }
+            }
+            Ok(Response::Stats(stats))
+        }
         RESP_PRODUCT => {
             let realizations = d.u32("product realizations")?;
             let rows = d.u64("product rows")?;
@@ -2296,6 +2285,16 @@ mod tests {
                 matches!(err, WireError::Truncated { .. }),
                 "cut at {cut}: {err:?}"
             );
+        }
+    }
+
+    #[test]
+    fn truncated_stats_response_names_the_missing_field() {
+        let payload = encode_response_batch(&[Ok(Response::Stats(ServeStats::default()))]);
+        for (cut, field) in [(8, "deadline_expired"), (8 * 12, "slices")] {
+            let err = decode_response_batch(&payload[..payload.len() - cut]).unwrap_err();
+            let want = format!("stats {field}: need 8 bytes, 0 remain");
+            assert_eq!(err, WireError::Malformed(want));
         }
     }
 
