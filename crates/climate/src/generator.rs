@@ -2,16 +2,22 @@
 //!
 //! Fields are built from the same ingredients the emulator models (eq. 1–2):
 //! a deterministic mean (climatology + seasonal/diurnal harmonics +
-//! forcing-driven trend) plus a stochastic component with genuine
-//! spatio-temporal structure — AR(1) in time on spherical-harmonic
-//! coefficients with a power-law spectrum, land/ocean variance modulation in
-//! grid space. Every code path the emulator trains on is therefore
-//! exercised: periodic terms, trend response, temporal dependence, and
-//! longitude-anisotropic spatial covariance.
+//! forcing-driven trend) plus a stochastic component — AR(1) in time on
+//! spherical-harmonic coefficients with a power-law spectrum, scaled in
+//! grid space by a land/ocean standard deviation. Periodic terms, trend
+//! response and temporal dependence are all exercised; covariance between
+//! coefficients is not. The land/ocean modulation is a per-location σ,
+//! which the trend fit's standardization divides out exactly, so the field
+//! the emulator sees is isotropic and its coefficients are uncorrelated.
+//!
+//! A member's AR(1) states are drawn one step at a time and synthesized
+//! in batches (`exaclim_sht::synthesis_batch`) on the shared pool, a
+//! bounded chunk of steps per call.
 
 use crate::landsea::land_fraction;
 use exaclim_mathkit::rng::StandardNormal;
-use exaclim_sht::{HarmonicCoeffs, ShtPlan};
+use exaclim_sht::batch::pass_len;
+use exaclim_sht::{synthesis_batch, HarmonicCoeffs, ShtPlan};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -31,6 +37,10 @@ mod exaclim_stats_shim {
         }
     }
 }
+
+/// Slice blocks (`exaclim_fft::LANES` slices each) every pool lane
+/// synthesizes per chunk of [`SyntheticEra5::generate_member`].
+const SYNTH_BLOCKS_PER_LANE: usize = 2;
 
 /// Configuration of the synthetic generator.
 #[derive(Debug, Clone)]
@@ -198,7 +208,9 @@ impl SyntheticEra5 {
         out
     }
 
-    /// Generate one ensemble member of `t_max` steps.
+    /// Generate one ensemble member of `t_max` steps. The AR(1) states are
+    /// drawn in time order and synthesized a chunk of steps at a time, so
+    /// the member's coefficient sets never exist whole.
     pub fn generate_member(&self, member: u64, t_max: usize) -> Dataset {
         let cfg = &self.cfg;
         let mut rng = StdRng::seed_from_u64(cfg.seed.wrapping_add(member));
@@ -210,21 +222,31 @@ impl SyntheticEra5 {
         self.draw_innovation(&mut coeffs, 1.0, &mut sn, &mut rng);
         let phi = cfg.ar_phi;
         let innov_scale = (1.0 - phi * phi).sqrt();
-        for t in 0..t_max {
-            if t > 0 {
-                // f_t = φ f_{t−1} + √(1−φ²) ξ_t — stationary unit marginal.
-                let mut next = HarmonicCoeffs::zeros(cfg.lmax);
-                self.draw_innovation(&mut next, innov_scale, &mut sn, &mut rng);
-                for (c, n) in coeffs.as_mut_slice().iter_mut().zip(next.as_slice()) {
-                    *c = c.scale(phi) + *n;
+        let sigma: Vec<f64> = self
+            .land
+            .iter()
+            .map(|lf| cfg.sigma_ocean * (1.0 + (cfg.land_sigma_factor - 1.0) * lf))
+            .collect();
+        let chunk = pass_len(SYNTH_BLOCKS_PER_LANE);
+        let mut states = Vec::with_capacity(chunk.min(t_max));
+        for (t0, rows) in (0..).step_by(chunk).zip(data.chunks_mut(chunk * np)) {
+            states.clear();
+            for t in t0..t0 + rows.len() / np {
+                if t > 0 {
+                    // f_t = φ f_{t−1} + √(1−φ²) ξ_t — stationary unit marginal.
+                    let mut next = HarmonicCoeffs::zeros(cfg.lmax);
+                    self.draw_innovation(&mut next, innov_scale, &mut sn, &mut rng);
+                    for (c, n) in coeffs.as_mut_slice().iter_mut().zip(next.as_slice()) {
+                        *c = c.scale(phi) + *n;
+                    }
                 }
+                states.push(coeffs.clone());
             }
-            let z = self.plan.synthesis(&coeffs);
-            let mean = self.mean_field(t);
-            let row = &mut data[t * np..(t + 1) * np];
-            for p in 0..np {
-                let sigma = cfg.sigma_ocean * (1.0 + (cfg.land_sigma_factor - 1.0) * self.land[p]);
-                row[p] = mean[p] + sigma * z[p];
+            let z = synthesis_batch(&self.plan, &states);
+            for (t, (row, z)) in (t0..).zip(rows.chunks_exact_mut(np).zip(z.chunks_exact(np))) {
+                for (((v, m), s), z) in row.iter_mut().zip(self.mean_field(t)).zip(&sigma).zip(z) {
+                    *v = m + s * z;
+                }
             }
         }
         Dataset {

@@ -2,13 +2,13 @@
 
 use crate::config::EmulatorConfig;
 use exaclim_climate::generator::Dataset;
-use exaclim_fft::LANES;
 use exaclim_linalg::cholesky::CholeskyStats;
 use exaclim_linalg::dense::Matrix;
 use exaclim_linalg::precision::PrecisionPolicy;
 use exaclim_linalg::tiled::TiledMatrix;
 use exaclim_mathkit::rng::{ScannedNormals, StandardNormal};
 use exaclim_runtime::{parallel_tile_cholesky, pool, SchedulerKind, TaskFailure, TraceReport};
+use exaclim_sht::batch::pass_len;
 use exaclim_sht::{analysis_batch, synthesis_batch, HarmonicCoeffs, ShtPlan};
 use exaclim_stats::covariance::{empirical_covariance, JitterLadder, MAX_RUNGS};
 use exaclim_stats::emulate::CoefficientSampler;
@@ -108,7 +108,7 @@ fn add_truncation_residuals(
     residuals: &[f64],
     v2: &mut [f64],
 ) {
-    let chunk = RECON_BLOCKS_PER_LANE * LANES * pool::global().threads();
+    let chunk = pass_len(RECON_BLOCKS_PER_LANE);
     let npoints = v2.len();
     for (coeffs, z) in coeff_sets
         .chunks(chunk)

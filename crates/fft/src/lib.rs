@@ -32,11 +32,6 @@ pub fn fft_forward(data: &mut [Complex64]) {
     Fft::new(data.len()).forward(data);
 }
 
-/// One-shot inverse FFT with 1/n scaling.
-pub fn fft_inverse(data: &mut [Complex64]) {
-    Fft::new(data.len()).inverse(data);
-}
-
 /// Naive O(n²) DFT — the reference oracle for tests and a correct fallback
 /// for tiny sizes.
 pub fn dft_naive(input: &[Complex64], inverse: bool) -> Vec<Complex64> {

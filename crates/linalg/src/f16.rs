@@ -24,8 +24,6 @@ impl Half {
     pub const ONE: Half = Half(0x3C00);
     /// Largest finite value, 65504.
     pub const MAX: Half = Half(0x7BFF);
-    /// Smallest positive subnormal, 2⁻²⁴.
-    pub const MIN_POSITIVE_SUBNORMAL: Half = Half(0x0001);
     /// Positive infinity.
     pub const INFINITY: Half = Half(0x7C00);
 

@@ -72,12 +72,6 @@ impl TiledMatrix {
         &self.tiles[self.tidx(i, j)]
     }
 
-    /// Mutably borrow tile `(i, j)`.
-    pub fn tile_mut(&mut self, i: usize, j: usize) -> &mut Tile {
-        let k = self.tidx(i, j);
-        &mut self.tiles[k]
-    }
-
     /// All tiles, packed as described on the struct.
     pub(crate) fn tiles_mut(&mut self) -> &mut [Tile] {
         &mut self.tiles

@@ -108,11 +108,6 @@ pub fn neg_one_pow(k: i64) -> f64 {
     }
 }
 
-/// Standard normal probability density.
-pub fn normal_pdf(x: f64) -> f64 {
-    (-0.5 * x * x).exp() / (2.0 * std::f64::consts::PI).sqrt()
-}
-
 /// Standard normal CDF via the complementary error function (Abramowitz &
 /// Stegun 7.1.26-style rational approximation refined with one Newton step;
 /// absolute error < 1e-12).

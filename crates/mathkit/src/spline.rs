@@ -75,11 +75,6 @@ impl CubicSpline {
             + ((a * a * a - a) * self.y2[lo] + (b * b * b - b) * self.y2[hi]) * (h * h) / 6.0
     }
 
-    /// Evaluate at many points.
-    pub fn eval_many(&self, xs: &[f64]) -> Vec<f64> {
-        xs.iter().map(|&x| self.eval(x)).collect()
-    }
-
     /// Number of knots.
     pub fn len(&self) -> usize {
         self.xs.len()

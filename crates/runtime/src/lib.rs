@@ -45,7 +45,7 @@ pub use graph::{cholesky_graph, TaskGraph, TaskId};
 pub use pool::WorkerPool;
 #[cfg(unix)]
 pub use reactor::{Backend, Reactor, Waker};
-pub use reactor::{Event, Interest, Mode, Token};
+pub use reactor::{Event, Interest, Token};
 pub use trace::TraceReport;
 
 /// A barrier of `parties` threads with a deadline, for the tests that

@@ -12,9 +12,9 @@
 //! FFI surface instead of depending on `mio`:
 //!
 //! * on Linux, `epoll_create1`/`epoll_ctl`/`epoll_wait` (O(ready)
-//!   scaling, optional edge-triggered mode),
+//!   scaling),
 //! * on every other unix, `poll(2)` over the registration table
-//!   (O(registered) per call, level-triggered only),
+//!   (O(registered) per call),
 //!
 //! selected automatically by [`Reactor::new`] or pinned explicitly with
 //! [`Reactor::with_backend`] (CI exercises the `poll` backend on Linux
@@ -36,7 +36,7 @@
 //!
 //! The serving layer's `NetServer` runs on this reactor and has no other
 //! server path, so it is unix-only because this module is. Off unix only
-//! the portable types ([`Token`], [`Interest`], [`Mode`], [`Event`])
+//! the portable types ([`Token`], [`Interest`], [`Event`])
 //! exist.
 
 /// Caller-chosen identity of one registered file descriptor; returned in
@@ -66,11 +66,6 @@ impl Interest {
         readable: false,
         writable: true,
     };
-    /// Both directions.
-    pub const BOTH: Self = Self {
-        readable: true,
-        writable: true,
-    };
     /// Neither direction — the fd stays registered (hangup/error still
     /// reported) but readiness is muted; used while a connection's
     /// request is executing (back-pressure).
@@ -78,19 +73,6 @@ impl Interest {
         readable: false,
         writable: false,
     };
-}
-
-/// Readiness delivery mode of one registration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Mode {
-    /// Report readiness on every poll while the condition holds
-    /// (`epoll` default; the only mode `poll(2)` has).
-    Level,
-    /// Report each readiness transition once (`EPOLLET`); the caller
-    /// must drain to `WouldBlock`. On the `poll` backend this degrades
-    /// to [`Mode::Level`] — correct for drain-to-`WouldBlock` callers,
-    /// just chattier.
-    Edge,
 }
 
 /// One readiness report from [`Reactor::poll`].
@@ -113,7 +95,7 @@ pub use unix::{Backend, Reactor, Waker};
 
 #[cfg(unix)]
 mod unix {
-    use super::{Event, Interest, Mode, Token};
+    use super::{Event, Interest, Token};
     use std::collections::{BTreeSet, HashMap};
     use std::io;
     use std::os::unix::io::RawFd;
@@ -222,20 +204,19 @@ mod unix {
         }
     }
 
-    /// One registration: the fd plus its current interest and mode.
+    /// One registration: the fd plus its current interest.
     struct Reg {
         fd: RawFd,
         interest: Interest,
-        mode: Mode,
     }
 
     /// Which readiness syscall backs a [`Reactor`].
     #[derive(Debug, Clone, Copy, PartialEq, Eq)]
     pub enum Backend {
-        /// `epoll` (Linux only): O(ready) waits, edge-triggered capable.
+        /// `epoll` (Linux only): O(ready) waits.
         Epoll,
         /// `poll(2)` (any unix): the pollfd array is rebuilt from the
-        /// registration table each call — O(registered), level-only.
+        /// registration table each call — O(registered).
         Poll,
     }
 
@@ -269,7 +250,6 @@ mod unix {
         pub const EPOLLOUT: u32 = 0x4;
         pub const EPOLLERR: u32 = 0x8;
         pub const EPOLLHUP: u32 = 0x10;
-        pub const EPOLLET: u32 = 1 << 31;
 
         /// The kernel's `struct epoll_event`; packed on x86-64, where the
         /// ABI ships the u64 payload unaligned after the u32 mask.
@@ -417,7 +397,7 @@ mod unix {
         }
 
         #[cfg(target_os = "linux")]
-        fn epoll_mask(interest: Interest, mode: Mode) -> u32 {
+        fn epoll_mask(interest: Interest) -> u32 {
             let mut mask = 0u32;
             if interest.readable {
                 mask |= epoll::EPOLLIN;
@@ -425,22 +405,13 @@ mod unix {
             if interest.writable {
                 mask |= epoll::EPOLLOUT;
             }
-            if matches!(mode, Mode::Edge) {
-                mask |= epoll::EPOLLET;
-            }
             mask
         }
 
         /// Watch `fd` under `token`. The token must be unique among live
         /// registrations and not the reserved wake token; the fd stays
         /// owned by the caller (deregister before closing it).
-        pub fn register(
-            &mut self,
-            fd: RawFd,
-            token: Token,
-            interest: Interest,
-            mode: Mode,
-        ) -> io::Result<()> {
+        pub fn register(&mut self, fd: RawFd, token: Token, interest: Interest) -> io::Result<()> {
             if token.0 == WAKE {
                 return Err(io::Error::new(
                     io::ErrorKind::InvalidInput,
@@ -459,16 +430,15 @@ mod unix {
                     epfd,
                     epoll::EPOLL_CTL_ADD,
                     fd,
-                    Self::epoll_mask(interest, mode),
+                    Self::epoll_mask(interest),
                     token.0,
                 )?;
             }
-            self.regs.insert(token.0, Reg { fd, interest, mode });
+            self.regs.insert(token.0, Reg { fd, interest });
             Ok(())
         }
 
-        /// Replace the interest of a live registration (the delivery
-        /// mode is fixed at registration).
+        /// Replace the interest of a live registration.
         pub fn modify(&mut self, token: Token, interest: Interest) -> io::Result<()> {
             let reg = self.regs.get_mut(&token.0).ok_or_else(|| {
                 io::Error::new(
@@ -479,13 +449,13 @@ mod unix {
             reg.interest = interest;
             #[cfg(target_os = "linux")]
             {
-                let (fd, mode) = (reg.fd, reg.mode);
+                let fd = reg.fd;
                 if let BackendImpl::Epoll { epfd, .. } = self.backend {
                     self.epoll_ctl(
                         epfd,
                         epoll::EPOLL_CTL_MOD,
                         fd,
-                        Self::epoll_mask(interest, mode),
+                        Self::epoll_mask(interest),
                         token.0,
                     )?;
                 }
@@ -724,10 +694,6 @@ mod unix {
                 let b = 7u8;
                 assert_eq!(unsafe { write(self.tx, (&b as *const u8).cast(), 1) }, 1);
             }
-            fn read_all(&self) {
-                let mut buf = [0u8; 64];
-                while unsafe { read(self.rx, buf.as_mut_ptr().cast(), buf.len()) } > 0 {}
-            }
         }
 
         impl Drop for TestPipe {
@@ -755,8 +721,7 @@ mod unix {
             for backend in backends() {
                 let mut r = Reactor::with_backend(backend).unwrap();
                 let p = TestPipe::new();
-                r.register(p.rx, Token(1), Interest::READABLE, Mode::Level)
-                    .unwrap();
+                r.register(p.rx, Token(1), Interest::READABLE).unwrap();
                 assert_eq!(r.registered(), 1);
 
                 // Quiet pipe: no events, just a timeout.
@@ -771,11 +736,9 @@ mod unix {
                 assert!(events[0].readable && !events[0].writable);
 
                 // Duplicate and reserved tokens are rejected.
+                assert!(r.register(p.tx, Token(1), Interest::WRITABLE).is_err());
                 assert!(r
-                    .register(p.tx, Token(1), Interest::WRITABLE, Mode::Level)
-                    .is_err());
-                assert!(r
-                    .register(p.tx, Token(u64::MAX), Interest::WRITABLE, Mode::Level)
+                    .register(p.tx, Token(u64::MAX), Interest::WRITABLE)
                     .is_err());
 
                 // Deregistered: the still-readable pipe no longer fires.
@@ -793,8 +756,7 @@ mod unix {
                 let mut r = Reactor::with_backend(backend).unwrap();
                 let p = TestPipe::new();
                 // An empty pipe's write end is immediately writable…
-                r.register(p.tx, Token(3), Interest::WRITABLE, Mode::Level)
-                    .unwrap();
+                r.register(p.tx, Token(3), Interest::WRITABLE).unwrap();
                 let (events, _, _) = poll_once(&mut r, 1000);
                 assert_eq!(events.len(), 1);
                 assert!(events[0].writable);
@@ -858,26 +820,6 @@ mod unix {
                     assert!(!woken, "wake pipe should be drained");
                 }
             }
-        }
-
-        #[cfg(target_os = "linux")]
-        #[test]
-        fn edge_mode_reports_each_transition_once() {
-            let mut r = Reactor::with_backend(Backend::Epoll).unwrap();
-            let p = TestPipe::new();
-            r.register(p.rx, Token(5), Interest::READABLE, Mode::Edge)
-                .unwrap();
-            p.write_byte();
-            let (events, _, _) = poll_once(&mut r, 1000);
-            assert_eq!(events.len(), 1);
-            // Not drained, but edge-triggered: no repeat report…
-            let (events, _, _) = poll_once(&mut r, 20);
-            assert!(events.is_empty());
-            // …until the next transition.
-            p.read_all();
-            p.write_byte();
-            let (events, _, _) = poll_once(&mut r, 1000);
-            assert_eq!(events.len(), 1);
         }
     }
 }

@@ -454,7 +454,7 @@ impl Drop for NetServerHandle {
 mod event {
     use super::*;
     use crate::wire::HEADER_LEN;
-    use exaclim_runtime::reactor::{Interest, Mode, Token};
+    use exaclim_runtime::reactor::{Interest, Token};
     use exaclim_runtime::FaultAction;
     use parking_lot::{Condvar, Mutex};
     use std::collections::HashMap;
@@ -468,12 +468,7 @@ mod event {
 
     /// Arm (or re-arm) the listener's level-triggered read interest.
     pub(super) fn listen(reactor: &mut Reactor, listener: &TcpListener) -> std::io::Result<()> {
-        reactor.register(
-            listener.as_raw_fd(),
-            LISTENER,
-            Interest::READABLE,
-            Mode::Level,
-        )
+        reactor.register(listener.as_raw_fd(), LISTENER, Interest::READABLE)
     }
 
     /// A decoded request batch on its way to a dispatch worker.
@@ -940,12 +935,7 @@ mod event {
                         self.next_token += 1;
                         if self
                             .reactor
-                            .register(
-                                stream.as_raw_fd(),
-                                Token(token),
-                                Interest::READABLE,
-                                Mode::Level,
-                            )
+                            .register(stream.as_raw_fd(), Token(token), Interest::READABLE)
                             .is_err()
                         {
                             self.shared.stats.rejected.fetch_add(1, Ordering::Relaxed);

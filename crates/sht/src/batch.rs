@@ -1,21 +1,25 @@
-//! Batched transforms over time slices, parallel on the shared pool.
+//! The transforms: every SHT runs here, in blocks of time slices on
+//! vector lanes, parallel on the shared pool.
 //!
 //! The paper notes (§III.A.2) that the SHT "offers a linear computational
 //! complexity of O(L) for computing SHT for different time points
 //! simultaneously" — i.e. time slices are embarrassingly parallel. The plan
 //! is `Sync`, so workers share the precomputed tables.
 //!
-//! Each pool lane takes blocks of [`LANES`] consecutive slices. Ring `i` of
-//! a block's slices is one lane group (`exaclim_fft::lanes`): it goes
-//! through the longitude FFT once for all of them, then through the
-//! θ-stage — the operator rows `A_m[ℓ−m, ·] · G_m` summed over rings in
-//! ascending order (analysis) or the Legendre sums `Σ_ℓ c_ℓm λ_ℓm(θ_i)`
-//! in ascending `ℓ` (synthesis) — with one accumulator per slice. Every
-//! lane runs the chain of [`ShtPlan::analysis_into`] or
-//! [`ShtPlan::synthesis_into`] on its slice: same operands, same order, no
-//! FMA, so a batch equals the per-slice transforms bit for bit. The last
-//! `t mod LANES` slices run the per-slice code, one work item each in the
-//! same parallel pass as the blocks.
+//! A batch is cut into blocks of [`LANES`] consecutive slices, and each
+//! pool lane takes a run of blocks. Ring `i` of a block's slices is one
+//! lane group (`exaclim_fft::lanes`): it goes through the longitude FFT
+//! once for all of them, then through the θ-stage — the operator rows
+//! `A_m[ℓ−m, ·] · G_m` summed over rings in ascending order (analysis) or
+//! the Legendre sums `Σ_ℓ c_ℓm λ_ℓm(θ_i)` in ascending `ℓ` (synthesis) —
+//! with one accumulator per slice. A batch's last block may hold fewer
+//! slices: its idle lanes hold zeros and their outputs are never written.
+//! [`ShtPlan::analysis`] and [`ShtPlan::synthesis`] are a block of one.
+//!
+//! Lanes never mix, and every lane runs one slice's per-slice chain — same
+//! operands, same order, no FMA — so a slice's bits do not depend on its
+//! lane, its block-mates or the batch size. The per-slice chain is the test
+//! oracle (`plan::reference`).
 
 use crate::coeffs::HarmonicCoeffs;
 use crate::plan::ShtPlan;
@@ -28,18 +32,9 @@ pub fn analysis_batch(plan: &ShtPlan, data: &[f64], t: usize) -> Vec<HarmonicCoe
     let n = plan.field_len();
     assert_eq!(data.len(), n * t, "expected {t} fields of {n} values");
     let mut out = vec![HarmonicCoeffs::zeros(plan.lmax()); t];
-    per_lane(work_items(&mut out, 1, data, n), |items| {
-        let (mut scratch, mut block) = (plan.scratch(), None);
-        for (coeffs, fields) in items {
-            match coeffs {
-                [c] => plan.analysis_into(fields, c, &mut scratch),
-                _ => plan.analysis_block(
-                    fields,
-                    coeffs,
-                    block.get_or_insert_with(|| BlockScratch::new(plan)),
-                ),
-            }
-        }
+    let blocks = out.chunks_mut(LANES).zip(data.chunks(LANES * n));
+    per_lane(plan, blocks.collect(), |(coeffs, fields), scratch| {
+        plan.analysis_block(fields, coeffs, scratch)
     });
     out
 }
@@ -48,51 +43,37 @@ pub fn analysis_batch(plan: &ShtPlan, data: &[f64], t: usize) -> Vec<HarmonicCoe
 pub fn synthesis_batch(plan: &ShtPlan, coeffs: &[HarmonicCoeffs]) -> Vec<f64> {
     let n = plan.field_len();
     let mut out = vec![0.0f64; n * coeffs.len()];
-    per_lane(work_items(&mut out, n, coeffs, 1), |items| {
-        let (mut scratch, mut block) = (plan.scratch(), None);
-        for (fields, c) in items {
-            match c {
-                [c] => plan.synthesis_into(c, fields, &mut scratch),
-                _ => plan.synthesis_block(
-                    c,
-                    fields,
-                    block.get_or_insert_with(|| BlockScratch::new(plan)),
-                ),
-            }
-        }
+    let blocks = out.chunks_mut(LANES * n).zip(coeffs.chunks(LANES));
+    per_lane(plan, blocks.collect(), |(fields, c), scratch| {
+        plan.synthesis_block(c, fields, scratch)
     });
     out
 }
 
-/// Run `body` on contiguous runs of `items`, at most one run per pool lane,
-/// so each lane makes its working memory once: the per-slice scratch, and
-/// the block scratch at its first block (a batch of fewer than [`LANES`]
-/// slices never needs one). A run holds `⌈len / threads⌉` items, the
-/// longest share `parallel_for` gives a lane.
-fn per_lane<T: Send>(mut items: Vec<T>, body: impl Fn(&mut [T]) + Sync) {
-    let pool = rayon::pool::global();
-    let run = items.len().div_ceil(pool.threads()).max(1);
-    pool.parallel_chunks_mut(&mut items, run, |_, items| body(items));
+/// Slices in a batch that gives every pool lane `blocks` blocks of
+/// [`LANES`]: the chunk for a caller that transforms a long series piece
+/// by piece to keep its memory bounded.
+pub fn pass_len(blocks: usize) -> usize {
+    blocks * LANES * rayon::pool::global().threads()
 }
 
-/// One batch's work items, each the output and input of some slices
-/// (`out_per` and `in_per` values per slice): blocks of [`LANES`] slices,
-/// then the last `t mod LANES` slices one by one, so every item of the
-/// batch can run on its own pool lane.
-fn work_items<'a, O, I>(
-    out: &'a mut [O],
-    out_per: usize,
-    input: &'a [I],
-    in_per: usize,
-) -> Vec<(&'a mut [O], &'a [I])> {
-    let blocked = input.len() / in_per / LANES * LANES;
-    let (out_head, out_tail) = out.split_at_mut(blocked * out_per);
-    let (in_head, in_tail) = input.split_at(blocked * in_per);
-    out_head
-        .chunks_mut(LANES * out_per)
-        .zip(in_head.chunks(LANES * in_per))
-        .chain(out_tail.chunks_mut(out_per).zip(in_tail.chunks(in_per)))
-        .collect()
+/// Run `body` on every block, in contiguous runs of at most one per pool
+/// lane, so each lane makes one block scratch. A run holds
+/// `⌈blocks / threads⌉` blocks, the longest share `parallel_for` gives a
+/// lane.
+fn per_lane<T: Send>(
+    plan: &ShtPlan,
+    mut blocks: Vec<T>,
+    body: impl Fn(&mut T, &mut BlockScratch) + Sync,
+) {
+    let pool = rayon::pool::global();
+    let run = blocks.len().div_ceil(pool.threads()).max(1);
+    pool.parallel_chunks_mut(&mut blocks, run, |_, blocks| {
+        let mut scratch = BlockScratch::new(plan);
+        for block in blocks {
+            body(block, &mut scratch);
+        }
+    });
 }
 
 /// Working memory of one block of [`LANES`] slices on one plan.
@@ -122,14 +103,41 @@ impl BlockScratch {
 }
 
 impl ShtPlan {
-    /// [`ShtPlan::analysis_into`] on the [`LANES`] fields stored back to
-    /// back in `fields`.
+    /// Forward transform (analysis): field → coefficients.
+    pub fn analysis(&self, field: &[f64]) -> HarmonicCoeffs {
+        let mut out = [HarmonicCoeffs::zeros(self.lmax())];
+        self.analysis_block(field, &mut out, &mut BlockScratch::new(self));
+        let [coeffs] = out;
+        coeffs
+    }
+
+    /// Inverse transform (synthesis): coefficients → field (row-major
+    /// `Nθ × Nϕ`).
+    pub fn synthesis(&self, coeffs: &HarmonicCoeffs) -> Vec<f64> {
+        let mut out = vec![0.0f64; self.field_len()];
+        let coeffs = std::slice::from_ref(coeffs);
+        self.synthesis_block(coeffs, &mut out, &mut BlockScratch::new(self));
+        out
+    }
+
+    /// The paper's exact equiangular analysis (eqs. 4–8) of the `k ≤`
+    /// [`LANES`] fields stored back to back in `fields`, into `out[..k]`
+    /// (overwritten). Past the longitude FFT every step — parity extension
+    /// and FFT along θ, the `I(q)` convolution, the Wigner contraction — is
+    /// linear in `G_m` and the same for every field, so the plan holds their
+    /// product `A_m` and a field costs one `(L−m) × Nθ` matrix–vector
+    /// product per order.
     fn analysis_block(
         &self,
         fields: &[f64],
         out: &mut [HarmonicCoeffs],
         scratch: &mut BlockScratch,
     ) {
+        assert_eq!(
+            fields.len(),
+            out.len() * self.field_len(),
+            "field size mismatch"
+        );
         self.longitude_spectra_block(fields, scratch);
         let nt = self.grid().ntheta();
         // `z_{ℓm} = 0 + Σ_i A_m[ℓ−m, i] · G_m(θ_i)`, ascending `i`.
@@ -154,19 +162,22 @@ impl ShtPlan {
         }
     }
 
-    /// `G_m(θ_i)` of every field in the block, into `scratch.gm`: one lane
-    /// group per ring through the longitude FFT, `· Δϕ`.
+    /// Step 1 of analysis, `G_m(θ_i) = ∫ Z e^{-imφ} dφ` for `m < L`, of
+    /// every field in the block into `scratch.gm`: one lane group per ring
+    /// through the longitude FFT, `· Δϕ`. Idle lanes read zeros.
     fn longitude_spectra_block(&self, fields: &[f64], scratch: &mut BlockScratch) {
         let n = self.field_len();
-        assert_eq!(fields.len(), LANES * n, "field size mismatch");
         let g = self.grid();
         let (nt, np) = (g.ntheta(), g.nphi());
         let dphi = 2.0 * std::f64::consts::PI / np as f64;
         let bins = self.lmax().min(scratch.half.len());
         scratch.gm.fill(Lanes::ZERO);
+        scratch.ring.fill([0.0; LANES]);
         for i in 0..nt {
-            for (j, x) in scratch.ring.iter_mut().enumerate() {
-                *x = std::array::from_fn(|l| fields[l * n + i * np + j]);
+            for (l, field) in fields.chunks_exact(n).enumerate() {
+                for (x, v) in scratch.ring.iter_mut().zip(&field[i * np..][..np]) {
+                    x[l] = *v;
+                }
             }
             let spec = &mut scratch.half[..bins];
             rfft_lanes(&self.fft_phi, &scratch.ring, spec, &mut scratch.fft);
@@ -176,8 +187,9 @@ impl ShtPlan {
         }
     }
 
-    /// [`ShtPlan::synthesis_into`] of [`LANES`] coefficient sets into the
-    /// fields stored back to back in `out`.
+    /// Synthesis of the `k ≤` [`LANES`] coefficient sets `coeffs` into the
+    /// fields stored back to back in `out` (overwritten). Idle lanes
+    /// synthesize zeros.
     fn synthesis_block(
         &self,
         coeffs: &[HarmonicCoeffs],
@@ -185,7 +197,8 @@ impl ShtPlan {
         scratch: &mut BlockScratch,
     ) {
         let n = self.field_len();
-        assert_eq!(out.len(), LANES * n, "field size mismatch");
+        assert_eq!(out.len(), coeffs.len() * n, "field size mismatch");
+        scratch.coeffs.fill(Lanes::ZERO);
         for (l, c) in coeffs.iter().enumerate() {
             assert_eq!(c.lmax(), self.lmax(), "band-limit mismatch");
             for (z, v) in scratch.coeffs.iter_mut().zip(c.as_slice()) {
@@ -215,9 +228,9 @@ impl ShtPlan {
                 &mut scratch.ring,
                 &mut scratch.fft,
             );
-            for (j, x) in scratch.ring.iter().enumerate() {
-                for (l, v) in x.iter().enumerate() {
-                    out[l * n + i * np + j] = *v;
+            for (l, field) in out.chunks_exact_mut(n).enumerate() {
+                for (v, x) in field[i * np..][..np].iter_mut().zip(&scratch.ring) {
+                    *v = x[l];
                 }
             }
         }
@@ -227,7 +240,9 @@ impl ShtPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::plan::reference;
     use exaclim_mathkit::Complex64;
+    use rand::{rngs::StdRng, Rng, SeedableRng};
 
     #[test]
     fn batch_matches_sequential() {
@@ -259,61 +274,144 @@ mod tests {
         }
     }
 
-    /// Block-edge batch sizes on direct and Bluestein `Nϕ` (12, 33 = the
-    /// benchmark's grid, 41 prime): every slice of a batch equals the
-    /// per-slice transform bit for bit.
-    #[test]
-    fn blocked_batches_equal_the_per_slice_transforms_bit_for_bit() {
-        use rand::{rngs::StdRng, Rng, SeedableRng};
-        let plans = [
+    /// Residual-like values salted with ±0 and subnormals.
+    fn salted(rng: &mut StdRng, len: usize) -> Vec<f64> {
+        (0..len)
+            .map(|_| match rng.gen_range(0..16u32) {
+                0 => 0.0,
+                1 => -0.0,
+                2 => -5e-324,
+                _ => rng.gen_range(-3.0..3.0),
+            })
+            .collect()
+    }
+
+    fn coeff_bits(c: &HarmonicCoeffs) -> Vec<u64> {
+        c.as_slice()
+            .iter()
+            .flat_map(|z| [z.re.to_bits(), z.im.to_bits()])
+            .collect()
+    }
+
+    fn field_bits(f: &[f64]) -> Vec<u64> {
+        f.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// Direct and Bluestein `Nϕ`: 12, 33 (the benchmark's grid), 41 prime.
+    fn plans() -> [ShtPlan; 3] {
+        [
             ShtPlan::equiangular(6, 8, 12),
             ShtPlan::equiangular(16, 18, 33),
             ShtPlan::equiangular(8, 10, 41),
-        ];
+        ]
+    }
+
+    fn case(plan: &ShtPlan, t: usize) -> String {
+        let g = plan.grid();
+        format!("L={} {}x{}, t={t}", plan.lmax(), g.ntheta(), g.nphi())
+    }
+
+    /// Block-edge batch sizes: every slice of a batch equals the per-slice
+    /// oracle (`plan::reference`) bit for bit.
+    #[test]
+    fn blocked_batches_equal_the_per_slice_transforms_bit_for_bit() {
         let mut rng = StdRng::seed_from_u64(32);
-        for plan in &plans {
+        for plan in &plans() {
             let n = plan.field_len();
-            let case = format!(
-                "L={} {}x{}",
-                plan.lmax(),
-                plan.grid().ntheta(),
-                plan.grid().nphi()
-            );
             for t in [0, 1, LANES - 1, LANES, LANES + 1, 730] {
-                // Residual-like values salted with ±0 and subnormals.
-                let data: Vec<f64> = (0..n * t)
-                    .map(|_| match rng.gen_range(0..16u32) {
-                        0 => 0.0,
-                        1 => -0.0,
-                        2 => -5e-324,
-                        _ => rng.gen_range(-3.0..3.0),
-                    })
-                    .collect();
+                let case = case(plan, t);
+                let data = salted(&mut rng, n * t);
                 let coeffs = analysis_batch(plan, &data, t);
                 let fields = synthesis_batch(plan, &coeffs);
                 assert_eq!((coeffs.len(), fields.len()), (t, n * t));
-                let mut scratch = plan.scratch();
+                let mut scratch = reference::scratch(plan);
                 let mut want_c = HarmonicCoeffs::zeros(plan.lmax());
                 let mut want_f = vec![0.0; n];
                 for s in 0..t {
-                    plan.analysis_into(&data[s * n..][..n], &mut want_c, &mut scratch);
-                    for (k, (g, w)) in coeffs[s]
-                        .as_slice()
-                        .iter()
-                        .zip(want_c.as_slice())
-                        .enumerate()
-                    {
-                        assert!(
-                            g.re.to_bits() == w.re.to_bits() && g.im.to_bits() == w.im.to_bits(),
-                            "{case}, t={t}: analysis slice {s} coefficient {k}: {g:?} vs {w:?}"
-                        );
+                    reference::analysis_into(plan, &data[s * n..][..n], &mut want_c, &mut scratch);
+                    assert!(
+                        coeff_bits(&coeffs[s]) == coeff_bits(&want_c),
+                        "{case}: analysis slice {s}: {:?} vs {:?}",
+                        coeffs[s],
+                        want_c
+                    );
+                    reference::synthesis_into(plan, &coeffs[s], &mut want_f, &mut scratch);
+                    assert!(
+                        field_bits(&fields[s * n..][..n]) == field_bits(&want_f),
+                        "{case}: synthesis slice {s}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// Lane isolation at the SHT level: every slice of a batch has the bits
+    /// it has transformed alone, and at every lane position of a full block
+    /// whose other lanes hold NaN and ±∞.
+    #[test]
+    fn slices_keep_their_bits_alone_and_at_every_lane_beside_non_finite_mates() {
+        let mut rng = StdRng::seed_from_u64(43);
+        for plan in &plans() {
+            let n = plan.field_len();
+            // Block-mates: noise with every fourth value NaN, +∞ or −∞.
+            let mates: Vec<(Vec<f64>, HarmonicCoeffs)> =
+                [f64::NAN, f64::INFINITY, f64::NEG_INFINITY]
+                    .into_iter()
+                    .map(|bad| {
+                        let mut field = salted(&mut rng, n);
+                        field.iter_mut().step_by(4).for_each(|v| *v = bad);
+                        let mut c = plan.analysis(&salted(&mut rng, n));
+                        c.as_mut_slice()
+                            .iter_mut()
+                            .step_by(4)
+                            .for_each(|z| *z = Complex64::new(bad, -bad));
+                        (field, c)
+                    })
+                    .collect();
+            for t in (1..=9).chain([730]) {
+                let case = case(plan, t);
+                let data = salted(&mut rng, n * t);
+                let coeffs = analysis_batch(plan, &data, t);
+                let fields = synthesis_batch(plan, &coeffs);
+                for s in 0..t {
+                    let slice = &data[s * n..][..n];
+                    assert!(
+                        coeff_bits(&coeffs[s]) == coeff_bits(&plan.analysis(slice)),
+                        "{case}: analysis slice {s} differs from the slice alone"
+                    );
+                    assert!(
+                        field_bits(&fields[s * n..][..n])
+                            == field_bits(&plan.synthesis(&coeffs[s])),
+                        "{case}: synthesis slice {s} differs from the slice alone"
+                    );
+                }
+                // Block `s` holds slice `s` at lane `p` and mates elsewhere.
+                for p in 0..LANES {
+                    let mate = |s: usize, l: usize| &mates[(s + l) % mates.len()];
+                    let mut blocked = Vec::with_capacity(LANES * n * t);
+                    let mut blocked_c = Vec::with_capacity(LANES * t);
+                    for s in 0..t {
+                        for l in 0..LANES {
+                            if l == p {
+                                blocked.extend_from_slice(&data[s * n..][..n]);
+                                blocked_c.push(coeffs[s].clone());
+                            } else {
+                                blocked.extend_from_slice(&mate(s, l).0);
+                                blocked_c.push(mate(s, l).1.clone());
+                            }
+                        }
                     }
-                    plan.synthesis_into(&coeffs[s], &mut want_f, &mut scratch);
-                    for (k, (g, w)) in fields[s * n..][..n].iter().zip(&want_f).enumerate() {
-                        assert_eq!(
-                            g.to_bits(),
-                            w.to_bits(),
-                            "{case}, t={t}: synthesis slice {s} value {k}"
+                    let got_c = analysis_batch(plan, &blocked, LANES * t);
+                    let got_f = synthesis_batch(plan, &blocked_c);
+                    for s in 0..t {
+                        let k = s * LANES + p;
+                        assert!(
+                            coeff_bits(&got_c[k]) == coeff_bits(&coeffs[s]),
+                            "{case}: analysis slice {s} at lane {p}"
+                        );
+                        assert!(
+                            field_bits(&got_f[k * n..][..n]) == field_bits(&fields[s * n..][..n]),
+                            "{case}: synthesis slice {s} at lane {p}"
                         );
                     }
                 }

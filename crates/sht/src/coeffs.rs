@@ -135,11 +135,6 @@ impl HarmonicCoeffs {
         }
         c
     }
-
-    /// Real-packed length for a band-limit.
-    pub fn real_len(lmax: usize) -> usize {
-        lmax * lmax
-    }
 }
 
 #[cfg(test)]

@@ -12,15 +12,18 @@
 //! `Nϕ ≥ 2L−1`, where plain ring-weight quadrature is *not*.
 //!
 //! Synthesis (inverse) is Legendre recombination per ring plus an inverse
-//! real FFT along longitude. All plans are `Send + Sync`; batched entry
-//! points parallelize over time slices on the shared worker pool
-//! (`exaclim_runtime::pool`), reproducing the paper's
-//! "O(L) parallel time for T slices" claim at CPU scale. A batch runs in
-//! blocks of `exaclim_fft::LANES` consecutive slices: each ring of a block
-//! is one lane group through the longitude FFT and the θ-stage, every lane
-//! running its slice's per-slice chain, so a batch equals
-//! [`ShtPlan::analysis_into`] / [`ShtPlan::synthesis_into`] slice by slice,
-//! bit for bit (one scratch per pool lane, no allocation per block).
+//! real FFT along longitude. All plans are `Send + Sync`. Every transform
+//! runs in blocks of `exaclim_fft::LANES` consecutive time slices: each
+//! ring of a block is one lane group through the longitude FFT and the
+//! θ-stage, every lane running its slice's per-slice chain. The batched
+//! entry points spread the blocks over the shared worker pool
+//! (`exaclim_runtime::pool`), reproducing the paper's "O(L) parallel time
+//! for T slices" claim at CPU scale; a batch's short last block and a
+//! single field ([`ShtPlan::analysis`], [`ShtPlan::synthesis`]) run as a
+//! block with zeros in its idle lanes. A slice's bits are the same
+//! whatever its lane, block-mates or batch, and equal the per-slice chain
+//! kept as the test oracle. Each pool lane makes one block scratch; no
+//! block allocates.
 
 pub mod batch;
 pub mod coeffs;
@@ -28,7 +31,7 @@ pub mod plan;
 
 pub use batch::{analysis_batch, synthesis_batch};
 pub use coeffs::HarmonicCoeffs;
-pub use plan::{ShtPlan, ShtScratch};
+pub use plan::ShtPlan;
 
 #[cfg(test)]
 mod tests {

@@ -1,26 +1,13 @@
-//! SHT plans: precomputation and the forward/inverse transform kernels.
+//! SHT plans: the per-grid precomputation every transform shares. The
+//! transforms themselves run in `sht::batch`, in blocks of time slices.
 
-use crate::coeffs::HarmonicCoeffs;
-use exaclim_fft::{irfft_into, real_scratch_len, rfft_into, Fft};
+use exaclim_fft::Fft;
 use exaclim_mathkit::Complex64;
 use exaclim_sphere::grid::EquiangularGrid;
 use exaclim_sphere::harmonics::integral_iq;
-use exaclim_sphere::legendre::{idx, packed_len, LegendreTable};
+use exaclim_sphere::legendre::{packed_len, LegendreTable};
 use exaclim_sphere::wigner::WignerPiHalf;
 use std::sync::OnceLock;
-
-/// Caller-owned working memory of one transform at a time on one plan
-/// ([`ShtPlan::scratch`]); reusing it across fields keeps
-/// [`ShtPlan::analysis_into`] and [`ShtPlan::synthesis_into`] free of
-/// allocation.
-pub struct ShtScratch {
-    /// Half spectrum of one ring, `Nϕ/2 + 1` bins.
-    half: Vec<Complex64>,
-    /// Working memory of the real longitude FFT.
-    fft: Vec<Complex64>,
-    /// `G_m(θ_i)` of one field, order-major (`m · Nθ + i`).
-    gm: Vec<Complex64>,
-}
 
 /// A reusable spherical-harmonic transform plan for one equiangular grid
 /// and band-limit.
@@ -79,105 +66,6 @@ impl ShtPlan {
     /// Number of real values in one field on this plan's grid.
     pub fn field_len(&self) -> usize {
         self.grid().len()
-    }
-
-    /// Working memory for this plan's `*_into` transforms.
-    pub fn scratch(&self) -> ShtScratch {
-        let g = self.grid();
-        ShtScratch {
-            half: vec![Complex64::ZERO; g.nphi() / 2 + 1],
-            fft: vec![Complex64::ZERO; real_scratch_len(&self.fft_phi)],
-            gm: vec![Complex64::ZERO; g.ntheta() * self.lmax],
-        }
-    }
-
-    /// Forward transform (analysis): field → coefficients.
-    pub fn analysis(&self, field: &[f64]) -> HarmonicCoeffs {
-        let mut coeffs = HarmonicCoeffs::zeros(self.lmax);
-        self.analysis_into(field, &mut coeffs, &mut self.scratch());
-        coeffs
-    }
-
-    /// [`ShtPlan::analysis`] into existing coefficients (overwritten),
-    /// working in `scratch`: the paper's exact equiangular analysis
-    /// (eqs. 4–8). Past the longitude FFT every step — parity extension and
-    /// FFT along θ, the `I(q)` convolution, the Wigner contraction — is
-    /// linear in `G_m` and the same for every field, so the plan holds their
-    /// product `A_m` and a field costs one `(L−m) × Nθ` matrix–vector
-    /// product per order.
-    pub fn analysis_into(
-        &self,
-        field: &[f64],
-        coeffs: &mut HarmonicCoeffs,
-        scratch: &mut ShtScratch,
-    ) {
-        assert_eq!(coeffs.lmax(), self.lmax, "band-limit mismatch");
-        self.longitude_spectra(field, scratch);
-        let nt = self.grid().ntheta();
-        let data = coeffs.as_mut_slice();
-        for (m, a_m) in self.theta_operators().iter().enumerate() {
-            let g_m = &scratch.gm[m * nt..(m + 1) * nt];
-            for (k, row) in a_m.chunks_exact(nt).enumerate() {
-                let mut acc = Complex64::ZERO;
-                for (a, g) in row.iter().zip(g_m) {
-                    acc += *a * *g;
-                }
-                data[idx(m + k, m)] = acc;
-            }
-        }
-    }
-
-    /// Inverse transform (synthesis): coefficients → field (row-major
-    /// `Nθ × Nϕ`).
-    pub fn synthesis(&self, coeffs: &HarmonicCoeffs) -> Vec<f64> {
-        let mut out = vec![0.0f64; self.field_len()];
-        self.synthesis_into(coeffs, &mut out, &mut self.scratch());
-        out
-    }
-
-    /// [`ShtPlan::synthesis`] into an existing field buffer (overwritten),
-    /// working in `scratch`.
-    pub fn synthesis_into(
-        &self,
-        coeffs: &HarmonicCoeffs,
-        out: &mut [f64],
-        scratch: &mut ShtScratch,
-    ) {
-        assert_eq!(coeffs.lmax(), self.lmax, "band-limit mismatch");
-        assert_eq!(out.len(), self.field_len(), "field size mismatch");
-        let np = self.grid().nphi();
-        let half = &mut scratch.half;
-        for (lam, row) in self.legendre.iter().zip(out.chunks_exact_mut(np)) {
-            for z in half.iter_mut() {
-                *z = Complex64::ZERO;
-            }
-            for m in 0..self.lmax.min(half.len()) {
-                let mut acc = Complex64::ZERO;
-                for l in m..self.lmax {
-                    acc += coeffs.as_slice()[idx(l, m)] * lam[idx(l, m)];
-                }
-                half[m] = acc * np as f64;
-            }
-            irfft_into(&self.fft_phi, half, row, &mut scratch.fft);
-        }
-    }
-
-    /// Step 1 of analysis: `G_m(θ_i) = ∫ Z e^{-imφ} dφ` for `m < L` via
-    /// the longitude FFT of every ring, into `scratch.gm`.
-    fn longitude_spectra(&self, field: &[f64], scratch: &mut ShtScratch) {
-        assert_eq!(field.len(), self.field_len(), "field size mismatch");
-        let g = self.grid();
-        let (nt, np) = (g.ntheta(), g.nphi());
-        let dphi = 2.0 * std::f64::consts::PI / np as f64;
-        let bins = self.lmax.min(scratch.half.len());
-        scratch.gm.fill(Complex64::ZERO);
-        for (i, ring) in field.chunks_exact(np).enumerate() {
-            let spec = &mut scratch.half[..bins];
-            rfft_into(&self.fft_phi, ring, spec, &mut scratch.fft);
-            for (m, z) in spec.iter().enumerate() {
-                scratch.gm[m * nt + i] = *z * dphi;
-            }
-        }
     }
 
     /// The co-latitude operators `A_m`, built on first use.
@@ -280,22 +168,114 @@ fn ring_legendre(grid: &EquiangularGrid, lmax: usize) -> Vec<Vec<f64>> {
         .collect()
 }
 
-/// The per-field θ-stage the operators `A_m` replaced — eqs. 4–8 step by
-/// step, for every field and order: parity extension, FFT along θ, `I(q)`
-/// convolution, Wigner contraction. Kept as the oracle the operator
-/// analysis is checked against, next to the plain ring-weight quadrature
-/// the paper's method improves on.
+/// The test oracles: the per-slice transform chain every lane of a block
+/// runs (`analysis_into`/`synthesis_into`, one field at a time in
+/// caller-owned scratch), the per-field θ-stage the operators `A_m`
+/// replaced — eqs. 4–8 step by step, for every field and order: parity
+/// extension, FFT along θ, `I(q)` convolution, Wigner contraction — and the
+/// plain ring-weight quadrature the paper's method improves on.
 #[cfg(test)]
 pub(crate) mod reference {
     use super::*;
-    use exaclim_fft::rfft;
+    use crate::coeffs::HarmonicCoeffs;
+    use exaclim_fft::{irfft_into, real_scratch_len, rfft, rfft_into};
+    use exaclim_sphere::legendre::idx;
+
+    /// Working memory of one per-slice transform at a time on one plan;
+    /// reusing it across fields keeps [`analysis_into`] and
+    /// [`synthesis_into`] free of allocation.
+    pub struct ShtScratch {
+        /// Half spectrum of one ring, `Nϕ/2 + 1` bins.
+        half: Vec<Complex64>,
+        /// Working memory of the real longitude FFT.
+        fft: Vec<Complex64>,
+        /// `G_m(θ_i)` of one field, order-major (`m · Nθ + i`).
+        gm: Vec<Complex64>,
+    }
+
+    /// Working memory for `plan`'s per-slice transforms.
+    pub fn scratch(plan: &ShtPlan) -> ShtScratch {
+        let g = plan.grid();
+        ShtScratch {
+            half: vec![Complex64::ZERO; g.nphi() / 2 + 1],
+            fft: vec![Complex64::ZERO; real_scratch_len(&plan.fft_phi)],
+            gm: vec![Complex64::ZERO; g.ntheta() * plan.lmax],
+        }
+    }
+
+    /// Analysis of one field into existing coefficients (overwritten).
+    pub fn analysis_into(
+        plan: &ShtPlan,
+        field: &[f64],
+        coeffs: &mut HarmonicCoeffs,
+        scratch: &mut ShtScratch,
+    ) {
+        assert_eq!(coeffs.lmax(), plan.lmax, "band-limit mismatch");
+        longitude_spectra(plan, field, scratch);
+        let nt = plan.grid().ntheta();
+        let data = coeffs.as_mut_slice();
+        for (m, a_m) in plan.theta_operators().iter().enumerate() {
+            let g_m = &scratch.gm[m * nt..(m + 1) * nt];
+            for (k, row) in a_m.chunks_exact(nt).enumerate() {
+                let mut acc = Complex64::ZERO;
+                for (a, g) in row.iter().zip(g_m) {
+                    acc += *a * *g;
+                }
+                data[idx(m + k, m)] = acc;
+            }
+        }
+    }
+
+    /// Synthesis of one field into an existing buffer (overwritten).
+    pub fn synthesis_into(
+        plan: &ShtPlan,
+        coeffs: &HarmonicCoeffs,
+        out: &mut [f64],
+        scratch: &mut ShtScratch,
+    ) {
+        assert_eq!(coeffs.lmax(), plan.lmax, "band-limit mismatch");
+        assert_eq!(out.len(), plan.field_len(), "field size mismatch");
+        let np = plan.grid().nphi();
+        let half = &mut scratch.half;
+        for (lam, row) in plan.legendre.iter().zip(out.chunks_exact_mut(np)) {
+            for z in half.iter_mut() {
+                *z = Complex64::ZERO;
+            }
+            for m in 0..plan.lmax.min(half.len()) {
+                let mut acc = Complex64::ZERO;
+                for l in m..plan.lmax {
+                    acc += coeffs.as_slice()[idx(l, m)] * lam[idx(l, m)];
+                }
+                half[m] = acc * np as f64;
+            }
+            irfft_into(&plan.fft_phi, half, row, &mut scratch.fft);
+        }
+    }
+
+    /// Step 1 of analysis: `G_m(θ_i) = ∫ Z e^{-imφ} dφ` for `m < L` via
+    /// the longitude FFT of every ring, into `scratch.gm`.
+    fn longitude_spectra(plan: &ShtPlan, field: &[f64], scratch: &mut ShtScratch) {
+        assert_eq!(field.len(), plan.field_len(), "field size mismatch");
+        let g = plan.grid();
+        let (nt, np) = (g.ntheta(), g.nphi());
+        let dphi = 2.0 * std::f64::consts::PI / np as f64;
+        let bins = plan.lmax.min(scratch.half.len());
+        scratch.gm.fill(Complex64::ZERO);
+        for (i, ring) in field.chunks_exact(np).enumerate() {
+            let spec = &mut scratch.half[..bins];
+            rfft_into(&plan.fft_phi, ring, spec, &mut scratch.fft);
+            for (m, z) in spec.iter().enumerate() {
+                scratch.gm[m * nt + i] = *z * dphi;
+            }
+        }
+    }
 
     /// Forward transform by plain ring-weight quadrature,
     /// `z_{ℓm} = Σ_i w_i λ_ℓ^m(θ_i) G_m(θ_i)`. On equiangular grids near
     /// critical sampling this is *inexact*.
     pub fn analysis_quadrature(plan: &ShtPlan, field: &[f64]) -> HarmonicCoeffs {
-        let mut scratch = plan.scratch();
-        plan.longitude_spectra(field, &mut scratch);
+        let mut scratch = scratch(plan);
+        longitude_spectra(plan, field, &mut scratch);
         let g = plan.grid();
         let nt = g.ntheta();
         let mut coeffs = HarmonicCoeffs::zeros(plan.lmax);
@@ -397,6 +377,7 @@ pub(crate) mod reference {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::coeffs::HarmonicCoeffs;
     use rand::{rngs::StdRng, Rng, SeedableRng};
 
     #[test]
@@ -506,9 +487,10 @@ mod tests {
 
     #[test]
     fn into_transforms_reuse_scratch_without_carrying_state() {
-        // One scratch across different fields gives what fresh calls give.
+        // The oracle's one scratch across different fields gives what
+        // fresh transforms give.
         let plan = ShtPlan::equiangular(6, 8, 12);
-        let mut scratch = plan.scratch();
+        let mut scratch = reference::scratch(&plan);
         let mut rng = StdRng::seed_from_u64(4);
         let mut coeffs = HarmonicCoeffs::zeros(6);
         let mut field = vec![0.0; plan.field_len()];
@@ -516,9 +498,9 @@ mod tests {
             let noise: Vec<f64> = (0..plan.field_len())
                 .map(|_| rng.gen_range(-1.0..1.0))
                 .collect();
-            plan.analysis_into(&noise, &mut coeffs, &mut scratch);
+            reference::analysis_into(&plan, &noise, &mut coeffs, &mut scratch);
             assert_eq!(coeffs, plan.analysis(&noise));
-            plan.synthesis_into(&coeffs, &mut field, &mut scratch);
+            reference::synthesis_into(&plan, &coeffs, &mut field, &mut scratch);
             assert_eq!(field, plan.synthesis(&coeffs));
         }
     }

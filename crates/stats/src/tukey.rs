@@ -75,20 +75,6 @@ impl TukeyGH {
         }
         z
     }
-
-    /// Warp a slice in place.
-    pub fn forward_slice(&self, zs: &mut [f64]) {
-        for z in zs.iter_mut() {
-            *z = self.forward(*z);
-        }
-    }
-
-    /// De-warp a slice in place.
-    pub fn inverse_slice(&self, ys: &mut [f64]) {
-        for y in ys.iter_mut() {
-            *y = self.inverse(*y);
-        }
-    }
 }
 
 /// Fit `(ξ, ω, g, h)` by quantile matching (Hoaglin's letter-value method):
