@@ -399,7 +399,7 @@ impl TrainedEmulator {
         let cfg = &self.config;
         let dim = cfg.coeff_dim();
         let plan = ShtPlan::equiangular(cfg.lmax, self.ntheta, self.nphi);
-        let sampler = CoefficientSampler::new(self.var.clone(), self.factor.clone(), dim);
+        let sampler = CoefficientSampler::new(self.var.clone(), &self.factor, dim);
         let path = sampler.sample_path(t_max, rng);
         let coeff_sets = pool::global().map(path.len(), |t| {
             HarmonicCoeffs::from_real_vector(cfg.lmax, &path[t])

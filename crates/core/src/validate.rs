@@ -6,7 +6,8 @@
 //! weather realizations point for point. This module quantifies that.
 
 use exaclim_climate::generator::Dataset;
-use exaclim_mathkit::stats::{acf, correlation, quantiles, variance};
+use exaclim_mathkit::stats::{acf, correlation, quantiles_streamed, variance, variance_streamed};
+use exaclim_runtime::pool;
 use serde::{Deserialize, Serialize};
 
 /// Summary of simulation-vs-emulation statistical agreement.
@@ -71,7 +72,44 @@ fn global_mean_series(d: &Dataset) -> Vec<f64> {
     (0..d.t_max).map(|t| d.field_mean(t)).collect()
 }
 
+/// The quantiles of the pooled anomaly Q-Q check.
+const QS: [f64; 7] = [0.01, 0.05, 0.25, 0.5, 0.75, 0.95, 0.99];
+
+/// Every location's anomaly `v − mₚ` from its own time mean, time-major:
+/// pooled, their quantiles measure variability shape, not geography.
+/// Computed as read, so no T·npoints vector of them ever exists.
+fn anomalies<'a>(d: &'a Dataset, means: &'a [f64]) -> impl Iterator<Item = f64> + 'a {
+    (0..d.t_max).flat_map(move |t| d.field(t).iter().zip(means).map(|(v, m)| v - m))
+}
+
+/// What [`validate_consistency`] reads of one dataset.
+struct Summary {
+    means: Vec<f64>,
+    stds: Vec<f64>,
+    global_means: Vec<f64>,
+    /// The pooled anomalies' quantiles at [`QS`].
+    quantiles: Vec<f64>,
+}
+
+impl Summary {
+    fn of(d: &Dataset) -> Self {
+        let (means, stds) = location_moments(d);
+        let quantiles = quantiles_streamed(|| anomalies(d, &means), &QS);
+        Self {
+            global_means: global_mean_series(d),
+            means,
+            stds,
+            quantiles,
+        }
+    }
+}
+
 /// Compare an emulation against its training simulation.
+///
+/// The two datasets are summarized at once, one on each side of a pool
+/// `join`; the simulation's side also measures the anomaly scale. Each
+/// number is the one the summaries computed one after the other would
+/// give: every sum runs over the same values in the same order.
 ///
 /// Non-finite input does not panic: NaN or ±∞ anywhere in either dataset
 /// propagates into the report's fields, and [`ConsistencyReport::passes`]
@@ -82,15 +120,23 @@ pub fn validate_consistency(simulation: &Dataset, emulation: &Dataset) -> Consis
         simulation.t_max >= 2 && emulation.t_max >= 2,
         "need at least two time steps per dataset"
     );
-    let (sim_means, sim_stds) = location_moments(simulation);
-    let (emu_means, emu_stds) = location_moments(emulation);
+    let ((sim, anom_scale), emu) = pool::global().join(
+        || {
+            let sim = Summary::of(simulation);
+            let len = simulation.t_max * simulation.npoints;
+            let var = variance_streamed(|| anomalies(simulation, &sim.means), len);
+            (sim, var.sqrt().max(1e-12))
+        },
+        || Summary::of(emulation),
+    );
 
-    let spatial_scale = variance(&sim_means).sqrt().max(1e-12);
-    let mean_rmse = exaclim_mathkit::stats::rmse(&sim_means, &emu_means);
+    let spatial_scale = variance(&sim.means).sqrt().max(1e-12);
+    let mean_rmse = exaclim_mathkit::stats::rmse(&sim.means, &emu.means);
 
-    let mut ratios: Vec<f64> = sim_stds
+    let mut ratios: Vec<f64> = sim
+        .stds
         .iter()
-        .zip(&emu_stds)
+        .zip(&emu.stds)
         .filter(|(s, _)| **s > 1e-9)
         .map(|(s, e)| e / s)
         .collect();
@@ -101,31 +147,12 @@ pub fn validate_consistency(simulation: &Dataset, emulation: &Dataset) -> Consis
         *ratios.select_nth_unstable_by(mid, f64::total_cmp).1
     };
 
-    let gs = global_mean_series(simulation);
-    let ge = global_mean_series(emulation);
     let lag = 1usize;
-    let a_s = acf(&gs, lag)[1];
-    let a_e = acf(&ge, lag)[1];
+    let a_s = acf(&sim.global_means, lag)[1];
+    let a_e = acf(&emu.global_means, lag)[1];
 
-    // Pooled anomaly Q-Q check: subtract each location's own time mean so
-    // quantiles measure variability shape, not geography.
-    let anomalies = |d: &Dataset, means: &[f64]| -> Vec<f64> {
-        let mut a = Vec::with_capacity(d.data.len());
-        for t in 0..d.t_max {
-            a.extend(d.field(t).iter().zip(means).map(|(v, m)| v - m));
-        }
-        a
-    };
-    // One selection per pooled vector finds the order statistics all seven
-    // quantiles interpolate; one vector is alive at a time.
-    const QS: [f64; 7] = [0.01, 0.05, 0.25, 0.5, 0.75, 0.95, 0.99];
-    let mut sim_anom = anomalies(simulation, &sim_means);
-    let anom_scale = variance(&sim_anom).sqrt().max(1e-12);
-    let sim_q = quantiles(&mut sim_anom, &QS);
-    drop(sim_anom);
-    let emu_q = quantiles(&mut anomalies(emulation, &emu_means), &QS);
     let mut max_gap = 0.0f64;
-    for (s, e) in sim_q.iter().zip(&emu_q) {
+    for (s, e) in sim.quantiles.iter().zip(&emu.quantiles) {
         let gap = (s - e).abs() / anom_scale;
         if gap > max_gap || gap.is_nan() {
             max_gap = gap;
@@ -135,8 +162,8 @@ pub fn validate_consistency(simulation: &Dataset, emulation: &Dataset) -> Consis
     ConsistencyReport {
         mean_nrmse: mean_rmse / spatial_scale,
         std_ratio_median,
-        mean_field_correlation: correlation(&sim_means, &emu_means),
-        std_field_correlation: correlation(&sim_stds, &emu_stds),
+        mean_field_correlation: correlation(&sim.means, &emu.means),
+        std_field_correlation: correlation(&sim.stds, &emu.stds),
         acf1_abs_diff: (a_s - a_e).abs(),
         max_quantile_gap: max_gap,
     }
@@ -148,6 +175,104 @@ mod tests {
     use crate::config::EmulatorConfig;
     use crate::emulator::ClimateEmulator;
     use exaclim_climate::{SyntheticEra5, SyntheticEra5Config};
+    use exaclim_mathkit::stats::quantiles;
+
+    /// `validate_consistency` as it ran before its summaries were streamed
+    /// and joined: both summaries one after the other, and each pooled
+    /// anomaly vector materialized for its variance and its quantiles.
+    /// The oracle of the streamed one.
+    fn reference_consistency(simulation: &Dataset, emulation: &Dataset) -> ConsistencyReport {
+        let (sim_means, sim_stds) = location_moments(simulation);
+        let (emu_means, emu_stds) = location_moments(emulation);
+
+        let spatial_scale = variance(&sim_means).sqrt().max(1e-12);
+        let mean_rmse = exaclim_mathkit::stats::rmse(&sim_means, &emu_means);
+
+        let mut ratios: Vec<f64> = sim_stds
+            .iter()
+            .zip(&emu_stds)
+            .filter(|(s, _)| **s > 1e-9)
+            .map(|(s, e)| e / s)
+            .collect();
+        let std_ratio_median = if ratios.is_empty() {
+            1.0
+        } else {
+            let mid = ratios.len() / 2;
+            *ratios.select_nth_unstable_by(mid, f64::total_cmp).1
+        };
+
+        let gs = global_mean_series(simulation);
+        let ge = global_mean_series(emulation);
+        let a_s = acf(&gs, 1)[1];
+        let a_e = acf(&ge, 1)[1];
+
+        let anomalies = |d: &Dataset, means: &[f64]| -> Vec<f64> {
+            let mut a = Vec::with_capacity(d.data.len());
+            for t in 0..d.t_max {
+                a.extend(d.field(t).iter().zip(means).map(|(v, m)| v - m));
+            }
+            a
+        };
+        let mut sim_anom = anomalies(simulation, &sim_means);
+        let anom_scale = variance(&sim_anom).sqrt().max(1e-12);
+        let sim_q = quantiles(&mut sim_anom, &QS);
+        drop(sim_anom);
+        let emu_q = quantiles(&mut anomalies(emulation, &emu_means), &QS);
+        let mut max_gap = 0.0f64;
+        for (s, e) in sim_q.iter().zip(&emu_q) {
+            let gap = (s - e).abs() / anom_scale;
+            if gap > max_gap || gap.is_nan() {
+                max_gap = gap;
+            }
+        }
+
+        ConsistencyReport {
+            mean_nrmse: mean_rmse / spatial_scale,
+            std_ratio_median,
+            mean_field_correlation: correlation(&sim_means, &emu_means),
+            std_field_correlation: correlation(&sim_stds, &emu_stds),
+            acf1_abs_diff: (a_s - a_e).abs(),
+            max_quantile_gap: max_gap,
+        }
+    }
+
+    /// Every field of `validate_consistency(a, b)` has the oracle's bits.
+    fn assert_matches_reference(a: &Dataset, b: &Dataset, what: &str) {
+        let (got, want) = (validate_consistency(a, b), reference_consistency(a, b));
+        let bits = |r: &ConsistencyReport| {
+            [
+                r.mean_nrmse,
+                r.std_ratio_median,
+                r.mean_field_correlation,
+                r.std_field_correlation,
+                r.acf1_abs_diff,
+                r.max_quantile_gap,
+            ]
+            .map(f64::to_bits)
+        };
+        assert_eq!(bits(&got), bits(&want), "{what}: {got:?} vs {want:?}");
+    }
+
+    #[test]
+    fn streamed_summaries_match_the_materialised_oracle_bit_for_bit() {
+        for lmax in [8, 12, 16] {
+            let gen = SyntheticEra5::new(SyntheticEra5Config::small_daily(lmax));
+            let training = gen.generate_member(0, 365);
+            let em = ClimateEmulator::train(&training, EmulatorConfig::small(lmax)).unwrap();
+            let emulation = em.emulate(365, 5).unwrap();
+            assert_matches_reference(&training, &emulation, &format!("L = {lmax}"));
+        }
+        // The poisoned datasets of `non_finite_data_fails_without_panicking`.
+        let gen = SyntheticEra5::new(SyntheticEra5Config::small_daily(12));
+        let d = gen.generate_member(0, 120);
+        for poison in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut bad = d.clone();
+            bad.data[37 * d.npoints + 5] = poison;
+            assert_matches_reference(&d, &bad, &format!("{poison} in the emulation"));
+            assert_matches_reference(&bad, &d, &format!("{poison} in the simulation"));
+            assert_matches_reference(&bad, &bad, &format!("{poison} in both"));
+        }
+    }
 
     #[test]
     fn emulation_is_statistically_consistent_with_simulation() {

@@ -571,6 +571,11 @@ impl PackedLower {
         Self { n, data }
     }
 
+    /// Rows of `h` that [`PackedLower::mul_rows`] multiplies at a time:
+    /// splitting `h` at multiples of this leaves no padded row in any part
+    /// but the last.
+    pub const ROW_BLOCK: usize = NR64;
+
     /// Side `n` of the factor.
     pub fn dim(&self) -> usize {
         self.n

@@ -106,11 +106,22 @@ pub fn mean(xs: &[f64]) -> f64 {
 
 /// Batch sample variance (n-1 denominator).
 pub fn variance(xs: &[f64]) -> f64 {
-    if xs.len() < 2 {
+    variance_streamed(|| xs.iter().copied(), xs.len())
+}
+
+/// [`variance`] of the `len` values `values()` yields, without holding
+/// them: every call must yield the same values in the same order. Two
+/// passes sum them, then their squared deviations, in that order — the
+/// sums [`variance`] of the collected values forms, so the same bits.
+pub fn variance_streamed<I>(values: impl Fn() -> I, len: usize) -> f64
+where
+    I: Iterator<Item = f64>,
+{
+    if len < 2 {
         return 0.0;
     }
-    let m = mean(xs);
-    xs.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / (xs.len() - 1) as f64
+    let m = values().sum::<f64>() / len as f64;
+    values().map(|x| (x - m) * (x - m)).sum::<f64>() / (len - 1) as f64
 }
 
 /// Sample autocorrelation function up to `max_lag` (inclusive); `acf[0] = 1`.
@@ -165,36 +176,29 @@ pub fn correlation(xs: &[f64], ys: &[f64]) -> f64 {
 /// any value.
 ///
 /// Only the order statistics the quantiles interpolate are found, by a
-/// radix select on the total-order bits; `xs` is left permuted. Read every
-/// quantile of one sample through one call.
+/// radix select on the total-order bits; `xs` may be left permuted. Read
+/// every quantile of one sample through one call.
 pub fn quantiles(xs: &mut [f64], qs: &[f64]) -> Vec<f64> {
-    assert!(!xs.is_empty(), "quantiles of an empty sample");
-    let last = (xs.len() - 1) as f64;
-    let spans: Vec<(usize, usize, f64)> = qs
-        .iter()
-        .map(|&q| {
-            assert!((0.0..=1.0).contains(&q), "quantile {q} outside [0, 1]");
-            let pos = q * last;
-            let lo = pos.floor() as usize;
-            (lo, pos.ceil() as usize, pos - lo as f64)
-        })
-        .collect();
-    let mut ranks: Vec<usize> = spans.iter().flat_map(|&(lo, hi, _)| [lo, hi]).collect();
-    ranks.sort_unstable();
-    ranks.dedup();
-    let mut values = Vec::with_capacity(ranks.len());
-    select_ranks(xs, &ranks, 0, &mut values);
-    let at = |r: usize| values[ranks.binary_search(&r).expect("rank was selected")];
-    spans
-        .iter()
-        .map(|&(lo, hi, w)| {
-            if lo == hi {
-                at(lo)
-            } else {
-                at(lo) * (1.0 - w) + at(hi) * w
-            }
-        })
-        .collect()
+    let spans = QuantileSpans::new(xs.len(), qs);
+    let mut found = Vec::with_capacity(spans.ranks.len());
+    select_ranks(xs, &spans.ranks, 0, &mut found);
+    spans.interpolate(&found)
+}
+
+/// [`quantiles`] of the values `values()` yields, without holding them:
+/// every call must yield the same values in the same order. Two passes
+/// read them — one histograms their top radix digit, one copies out only
+/// the buckets that hold a wanted rank — and the select finishes inside
+/// those buckets. The bits are [`quantiles`]' on the collected values.
+pub fn quantiles_streamed<I>(values: impl Fn() -> I, qs: &[f64]) -> Vec<f64>
+where
+    I: Iterator<Item = f64>,
+{
+    let (counts, len) = histogram(values(), 0);
+    let spans = QuantileSpans::new(len, qs);
+    let mut found = Vec::with_capacity(spans.ranks.len());
+    gather_and_select(values(), counts, &spans.ranks, 0, &mut found);
+    spans.interpolate(&found)
 }
 
 /// One quantile of a sample ([`quantiles`] of a copy, `q ∈ [0,1]`).
@@ -202,12 +206,56 @@ pub fn quantile(xs: &[f64], q: f64) -> f64 {
     quantiles(&mut xs.to_vec(), &[q])[0]
 }
 
+/// Where each quantile of an `n`-value sample sits among its order
+/// statistics, and the distinct ranks they interpolate, ascending.
+struct QuantileSpans {
+    /// Per quantile: `(lo, hi, w)`.
+    spans: Vec<(usize, usize, f64)>,
+    ranks: Vec<usize>,
+}
+
+impl QuantileSpans {
+    fn new(n: usize, qs: &[f64]) -> Self {
+        assert!(n > 0, "quantiles of an empty sample");
+        let last = (n - 1) as f64;
+        let spans: Vec<(usize, usize, f64)> = qs
+            .iter()
+            .map(|&q| {
+                assert!((0.0..=1.0).contains(&q), "quantile {q} outside [0, 1]");
+                let pos = q * last;
+                let lo = pos.floor() as usize;
+                (lo, pos.ceil() as usize, pos - lo as f64)
+            })
+            .collect();
+        let mut ranks: Vec<usize> = spans.iter().flat_map(|&(lo, hi, _)| [lo, hi]).collect();
+        ranks.sort_unstable();
+        ranks.dedup();
+        Self { spans, ranks }
+    }
+
+    /// The quantiles, given the order statistic of each rank in `ranks`.
+    fn interpolate(&self, found: &[f64]) -> Vec<f64> {
+        let at = |r: usize| found[self.ranks.binary_search(&r).expect("rank was selected")];
+        self.spans
+            .iter()
+            .map(|&(lo, hi, w)| {
+                if lo == hi {
+                    at(lo)
+                } else {
+                    at(lo) * (1.0 - w) + at(hi) * w
+                }
+            })
+            .collect()
+    }
+}
+
 /// Bits of the radix digit one selection pass buckets by.
 const BUCKET_BITS: u32 = 16;
 
-/// Up to this many values are sorted whole: cheaper than clearing and
-/// scanning a `2^BUCKET_BITS`-bucket histogram.
-const SORT_WHOLE_MAX: usize = 1 << 12;
+/// Up to this many values are selected from directly, one wanted rank
+/// after another ([`slice::select_nth_unstable_by`]): cheaper than
+/// clearing and scanning another `2^BUCKET_BITS`-bucket histogram.
+const SELECT_DIRECT_MAX: usize = 1 << 14;
 
 /// [`f64::total_cmp`]'s key with its sign bit flipped: ascending as an
 /// unsigned integer exactly when the values ascend in the total order, and
@@ -217,35 +265,65 @@ fn total_order_key(x: f64) -> u64 {
     bits ^ ((((bits as i64) >> 63) as u64) >> 1) ^ (1 << 63)
 }
 
+/// The radix digit of `x` below the top `level` ones (`level < 4`).
+#[inline]
+fn digit(x: f64, level: u32) -> usize {
+    ((total_order_key(x) << (level * BUCKET_BITS)) >> (64 - BUCKET_BITS)) as usize
+}
+
+/// Per digit at `level`, how many of `values` have it; and how many
+/// values there are.
+fn histogram(values: impl Iterator<Item = f64>, level: u32) -> (Vec<u32>, usize) {
+    let mut counts = vec![0u32; 1 << BUCKET_BITS];
+    let mut len = 0usize;
+    values.for_each(|x| {
+        counts[digit(x, level)] += 1;
+        len += 1;
+    });
+    u32::try_from(len).expect("sample too long for 32-bit bucket counts");
+    (counts, len)
+}
+
 /// Append to `out` the values of rank `ranks[i]` (ascending, distinct,
 /// each `< xs.len()`) in `xs` under [`f64::total_cmp`]. That order tells
 /// values apart by their bits, so each is the very element a total-order
-/// sort puts at that index. `xs` is left permuted.
+/// sort puts at that index. `xs` may be left permuted.
 ///
 /// A most-significant-digit radix select over [`total_order_key`], whose
-/// top `level` digits every value in `xs` shares. One pass counts the
-/// values per digit; the running counts name the buckets that hold a
-/// wanted rank (at most `ranks.len()` of them); a second pass moves their
-/// members to the front of `xs`, and a third groups them there by bucket.
-/// Each wanted bucket is then selected from alone, by the next digit,
-/// until it is short enough to sort.
+/// top `level` digits every value in `xs` shares: one pass counts the
+/// values per digit, and [`gather_and_select`] goes on from the counts.
+/// A sample short enough, or past the last digit, is selected from
+/// directly: each rank in the values above the previous one.
 fn select_ranks(xs: &mut [f64], ranks: &[usize], level: u32, out: &mut Vec<f64>) {
     if ranks.is_empty() {
         return;
     }
     // Below the last digit every value in `xs` has the same bits.
-    if xs.len() <= SORT_WHOLE_MAX || level * BUCKET_BITS == 64 {
-        xs.sort_unstable_by(f64::total_cmp);
-        out.extend(ranks.iter().map(|&r| xs[r]));
+    if xs.len() <= SELECT_DIRECT_MAX || level * BUCKET_BITS == 64 {
+        let mut from = 0;
+        for &r in ranks {
+            let (_, v, _) = xs[from..].select_nth_unstable_by(r - from, f64::total_cmp);
+            out.push(*v);
+            from = r + 1;
+        }
         return;
     }
-    let digit =
-        |x: f64| ((total_order_key(x) << (level * BUCKET_BITS)) >> (64 - BUCKET_BITS)) as usize;
-    u32::try_from(xs.len()).expect("sample too long for 32-bit bucket counts");
-    let mut counts = vec![0u32; 1 << BUCKET_BITS];
-    for &x in xs.iter() {
-        counts[digit(x)] += 1;
-    }
+    let (counts, _) = histogram(xs.iter().copied(), level);
+    gather_and_select(xs.iter().copied(), counts, ranks, level, out);
+}
+
+/// The rest of one [`select_ranks`] level, given `counts`, the histogram
+/// of `values` at `level`. The running counts name the buckets that hold
+/// a wanted rank (at most `ranks.len()` of them); one pass copies their
+/// members out, each bucket into its own range, in the order met; and each
+/// wanted bucket is selected from alone, by the next digit.
+fn gather_and_select(
+    values: impl Iterator<Item = f64>,
+    mut counts: Vec<u32>,
+    ranks: &[usize],
+    level: u32,
+    out: &mut Vec<f64>,
+) {
     // Per wanted bucket: (digit, rank of its first member, size).
     let mut wanted: Vec<(usize, usize, usize)> = Vec::with_capacity(ranks.len());
     let mut next = ranks.iter().peekable();
@@ -267,39 +345,31 @@ fn select_ranks(xs: &mut [f64], ranks: &[usize], level: u32, out: &mut Vec<f64>)
     for (j, &(d, _, _)) in wanted.iter().enumerate() {
         counts[d] = j as u32 + 1;
     }
-    let group = |x: f64| counts[digit(x)] as usize;
-    let mut front = 0;
-    for i in 0..xs.len() {
-        if group(xs[i]) != 0 {
-            xs.swap(front, i);
-            front += 1;
-        }
-    }
-    // Group the front by bucket, in bucket order, in place: each swap puts
-    // one value in its bucket's range for good.
-    let ends: Vec<usize> = wanted
+    // `heads[j]` is where wanted bucket `j`'s next member goes.
+    let mut heads: Vec<usize> = wanted
         .iter()
-        .scan(0, |end, w| {
-            *end += w.2;
-            Some(*end)
+        .scan(0, |start, w| {
+            let head = *start;
+            *start += w.2;
+            Some(head)
         })
         .collect();
-    let mut heads: Vec<usize> = wanted.iter().zip(&ends).map(|(w, e)| e - w.2).collect();
-    for j in 0..wanted.len() {
-        while heads[j] < ends[j] {
-            let g = group(xs[heads[j]]) - 1;
-            if g != j {
-                xs.swap(heads[j], heads[g]);
-            }
-            heads[g] += 1;
+    let mut buf = vec![0.0f64; wanted.iter().map(|w| w.2).sum()];
+    values.for_each(|x| {
+        // Most values are in no wanted bucket: a predicted branch is
+        // cheaper than a store for each of them.
+        let g = counts[digit(x, level)] as usize;
+        if g != 0 {
+            buf[heads[g - 1]] = x;
+            heads[g - 1] += 1;
         }
-    }
+    });
     drop(counts);
     let mut rest = ranks;
-    for (&(_, first, size), end) in wanted.iter().zip(ends) {
+    for (&(_, first, size), &end) in wanted.iter().zip(&heads) {
         let inside = rest.iter().take_while(|&&r| r < first + size).count();
         let local: Vec<usize> = rest[..inside].iter().map(|r| r - first).collect();
-        select_ranks(&mut xs[end - size..end], &local, level + 1, out);
+        select_ranks(&mut buf[end - size..end], &local, level + 1, out);
         rest = &rest[inside..];
     }
 }
@@ -445,28 +515,32 @@ mod tests {
 
     const QS: [f64; 9] = [0.0, 0.01, 0.05, 0.25, 0.5, 0.75, 0.95, 0.99, 1.0];
 
-    /// `quantiles(xs, QS)` against the sort oracle, bit for bit, and the
-    /// permuted `xs` still holds the same multiset of bit patterns.
+    /// `quantiles(xs, QS)`, and `quantiles_streamed` over `xs` in rows of
+    /// 7, against the sort oracle, bit for bit; and the permuted `xs`
+    /// still holds the same multiset of bit patterns.
     fn assert_selection_matches_sort(xs: &[f64], what: &str) {
         let mut sorted = xs.to_vec();
         sort_for_quantiles(&mut sorted);
         let mut work = xs.to_vec();
         let got = quantiles(&mut work, &QS);
-        for (q, g) in QS.iter().zip(&got) {
+        let streamed = quantiles_streamed(|| xs.chunks(7).flat_map(|r| r.iter().copied()), &QS);
+        for ((q, g), s) in QS.iter().zip(&got).zip(&streamed) {
             let want = quantile_sorted(&sorted, *q);
             // Rust leaves unspecified which payload an operation on two
             // NaNs returns (the compiler may commute the operands), so
             // where arithmetic meets NaNs only NaN-ness is the contract.
             let pos = q * (xs.len() - 1) as f64;
-            if pos.fract() != 0.0 && g.is_nan() && want.is_nan() {
-                continue;
+            for (g, form) in [(g, "in place"), (s, "streamed")] {
+                if pos.fract() != 0.0 && g.is_nan() && want.is_nan() {
+                    continue;
+                }
+                assert_eq!(
+                    g.to_bits(),
+                    want.to_bits(),
+                    "{what} (n = {}, {form}), q = {q}: {g} vs {want}",
+                    xs.len()
+                );
             }
-            assert_eq!(
-                g.to_bits(),
-                want.to_bits(),
-                "{what} (n = {}), q = {q}: {g} vs {want}",
-                xs.len()
-            );
         }
         sort_for_quantiles(&mut work);
         assert!(
@@ -507,7 +581,7 @@ mod tests {
 
     #[test]
     fn selection_matches_sort_on_non_finite_and_signed_zero_input() {
-        for (n, seed) in [(57, 1), (4096, 2), (4097, 3), (20_000, 4), (70_001, 5)] {
+        for (n, seed) in [(57, 1), (16_384, 2), (16_385, 3), (20_000, 4), (70_001, 5)] {
             assert_selection_matches_sort(&hostile(n, seed), "hostile");
         }
     }
@@ -540,6 +614,79 @@ mod tests {
             vec![-0.0, 5.0, 0.0],
         ] {
             assert_selection_matches_sort(&xs, "short");
+        }
+    }
+
+    #[test]
+    fn streamed_selection_matches_sort() {
+        // ±0, subnormals of both signs, ±∞ and NaNs of both signs (and a
+        // payload), alone and in every pair: n = 1 and 2.
+        let specials = [
+            0.0,
+            -0.0,
+            f64::MIN_POSITIVE / 4.0,
+            -f64::MIN_POSITIVE / 4.0,
+            f64::from_bits(1),
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            -f64::NAN,
+            f64::from_bits(0xfff0_0000_0000_0042),
+            1.5,
+        ];
+        for &a in &specials {
+            assert_selection_matches_sort(&[a], "one value");
+            for &b in &specials {
+                assert_selection_matches_sort(&[a, b], "two values");
+            }
+        }
+        // Past the length selected from directly: ties that span the two
+        // ranks one quantile interpolates — one value on both sides, −0
+        // below and +0 above, a NaN of each sign — in a shuffled order.
+        let n = 20_002;
+        let order = lcg_noise(n, 51);
+        for (below, above) in [
+            (2.0, 2.0),
+            (-0.0, 0.0),
+            (f64::MIN_POSITIVE / 2.0, f64::MIN_POSITIVE / 2.0),
+            (-f64::NAN, f64::NAN),
+        ] {
+            // Ranks ≤ 5 000 hold `below`, the rest `above`: q = 0.25
+            // (pos 5 000.25) interpolates rank 5 000 with rank 5 001, across
+            // the boundary, and every other quantile two ties on one side.
+            let mut ranked: Vec<(f64, f64)> = (0..n)
+                .map(|i| (order[i], if i <= 5_000 { below } else { above }))
+                .collect();
+            ranked.sort_by(|a, b| a.0.total_cmp(&b.0));
+            let xs: Vec<f64> = ranked.iter().map(|&(_, v)| v).collect();
+            assert_selection_matches_sort(&xs, "ties at a rank boundary");
+        }
+        // One bucket holds everything, at every digit.
+        for v in [7.0, -0.0, f64::NAN, -f64::NAN, f64::NEG_INFINITY] {
+            assert_selection_matches_sort(&vec![v; 20_000], "all equal");
+        }
+        // A mixed sample past the length selected from directly.
+        assert_selection_matches_sort(&hostile(19_999, 52), "hostile");
+    }
+
+    #[test]
+    fn streamed_variance_matches_the_slice_formula() {
+        for xs in [
+            hostile(1_000, 61),
+            lcg_noise(1_000, 62),
+            vec![-0.0; 9],
+            vec![3.0],
+        ] {
+            let want = if xs.len() < 2 {
+                0.0
+            } else {
+                let m = mean(&xs);
+                xs.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / (xs.len() - 1) as f64
+            };
+            let rows = || xs.chunks(7).flat_map(|r| r.iter().copied());
+            for got in [variance(&xs), variance_streamed(rows, xs.len())] {
+                assert!(got.to_bits() == want.to_bits() || (got.is_nan() && want.is_nan()));
+            }
         }
     }
 
@@ -635,8 +782,8 @@ mod tests {
 
     #[test]
     fn sorted_quantiles_equal_one_shot_quantiles() {
-        // Below and above the length that is sorted whole.
-        for n in [1001, 10_001] {
+        // Below and above the length selected from directly.
+        for n in [1001, 20_001] {
             let xs: Vec<f64> = lcg_noise(n, 5).iter().map(|u| u - 0.3).collect();
             let mut s = xs.clone();
             sort_for_quantiles(&mut s);

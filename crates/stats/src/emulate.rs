@@ -11,15 +11,18 @@
 //! lower-triangular product ([`PackedLower::mul_rows`]) whose elements sum
 //! the same terms in the same order as the per-step dot products did:
 //! every path is bit-identical to the step-at-a-time sampler
-//! (ARCHITECTURE.md, "Sampler block contract").
+//! (ARCHITECTURE.md, "Sampler block contract"). The caller runs the
+//! block's acceptance scan, in stream order; the pool lanes then transform
+//! and multiply disjoint runs of its steps, and the caller runs the
+//! recursion over them.
 
 use crate::var::DiagonalVar;
 use exaclim_linalg::kernels::PackedLower;
-use exaclim_mathkit::rng::StandardNormal;
+use exaclim_mathkit::rng::{ScannedNormals, StandardNormal};
 use rand::Rng;
 
 /// Steps whose innovations are drawn and multiplied by `V` together: 64 KiB
-/// of η and of ξ at `L = 16`.
+/// of ξ at `L = 16`.
 const BLOCK: usize = 32;
 
 /// Sampler of coefficient paths given the fitted temporal model and the
@@ -35,13 +38,15 @@ pub struct CoefficientSampler {
 
 impl CoefficientSampler {
     /// Build from a fitted VAR and the dense row-major `dim × dim` lower
-    /// factor (entries above the diagonal are ignored).
-    pub fn new(var: DiagonalVar, factor: Vec<f64>, dim: usize) -> Self {
+    /// factor (entries above the diagonal are ignored), which is packed and
+    /// not kept: a borrowed factor is never copied whole.
+    pub fn new(var: DiagonalVar, factor: impl AsRef<[f64]>, dim: usize) -> Self {
+        let factor = factor.as_ref();
         assert_eq!(var.dim(), dim, "VAR dimension mismatch");
         assert_eq!(factor.len(), dim * dim, "factor must be dim²");
         Self {
             var,
-            factor: PackedLower::new(&factor, dim),
+            factor: PackedLower::new(factor, dim),
             burn_in: 50,
         }
     }
@@ -52,19 +57,35 @@ impl CoefficientSampler {
     }
 
     /// Sample a coefficient path of length `t_max` (after burn-in).
+    ///
+    /// Per block of `BLOCK` steps, the caller scans the block's η
+    /// ([`StandardNormal::scan`]); the pool lanes take its steps in runs of
+    /// whole [`PackedLower::ROW_BLOCK`]s, one run each, and transform and
+    /// multiply their own; the caller then runs the VAR recursion over the
+    /// block. Every ξ element is its own ascending-`k` chain, so the split
+    /// changes no bit.
     pub fn sample_path<R: Rng + ?Sized>(&self, t_max: usize, rng: &mut R) -> Vec<Vec<f64>> {
         let (p, dim) = (self.var.order, self.dim());
         let total = t_max + self.burn_in + p;
+        let pool = rayon::pool::global();
         let mut sn = StandardNormal::new();
+        let mut eta = ScannedNormals::default();
         let mut series: Vec<Vec<f64>> = Vec::with_capacity(total);
         series.resize(p, vec![0.0; dim]);
-        let mut eta = vec![0.0; BLOCK * dim];
         let mut xi = vec![0.0; BLOCK * dim];
         for t0 in (p..total).step_by(BLOCK) {
             let steps = BLOCK.min(total - t0);
             let len = steps * dim;
-            sn.fill(rng, &mut eta[..len]);
-            self.factor.mul_rows(&eta[..len], &mut xi[..len]);
+            sn.scan(rng, len, &mut eta);
+            let run = steps
+                .div_ceil(pool.threads())
+                .next_multiple_of(PackedLower::ROW_BLOCK)
+                * dim;
+            pool.parallel_chunks_mut(&mut xi[..len], run.max(1), |i, xi| {
+                let mut h = vec![0.0; xi.len()];
+                eta.transform_into(i * run, &mut h);
+                self.factor.mul_rows(&h, xi);
+            });
             for t in t0..t0 + steps {
                 let hist: Vec<&[f64]> = (1..=p).map(|k| series[t - k].as_slice()).collect();
                 let mut f = self.var.predict(&hist);
