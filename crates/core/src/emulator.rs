@@ -13,7 +13,7 @@ use exaclim_sht::{analysis_batch, synthesis_batch, HarmonicCoeffs, ShtPlan};
 use exaclim_stats::covariance::{empirical_covariance, JitterLadder, MAX_RUNGS};
 use exaclim_stats::emulate::CoefficientSampler;
 use exaclim_stats::forcing::ForcingSeries;
-use exaclim_stats::trend::{fit_grid, standardize, MeanBasis, TrendConfig, TrendFit, TrendModel};
+use exaclim_stats::trend::{fit_grid, MeanBasis, TrendConfig, TrendFit, TrendModel};
 use exaclim_stats::var::{fit_diagonal_var_multi, DiagonalVar};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -76,16 +76,23 @@ fn check_geometry(data: &Dataset, config: &EmulatorConfig) -> Result<(), Emulati
 
 /// Reject training data holding ±∞ or NaN, naming where: one bad value
 /// would otherwise reach the trend fit's normal equations and panic there.
+/// Each time row is tested without a branch per value (the test
+/// vectorizes); only the first row that fails is searched.
 fn check_finite(data: &Dataset, member: usize) -> Result<(), EmulationError> {
-    match data.data.iter().position(|v| !v.is_finite()) {
-        None => Ok(()),
-        Some(at) => Err(EmulationError::Data(format!(
-            "member {member} holds {} at time step {}, location {}",
-            data.data[at],
-            at / data.npoints,
-            at % data.npoints
-        ))),
+    for (t, row) in data.data.chunks(data.npoints.max(1)).enumerate() {
+        if row.iter().fold(true, |ok, v| ok & v.is_finite()) {
+            continue;
+        }
+        let p = row
+            .iter()
+            .position(|v| !v.is_finite())
+            .expect("a row that failed holds a non-finite value");
+        return Err(EmulationError::Data(format!(
+            "member {member} holds {} at time step {t}, location {p}",
+            row[p]
+        )));
     }
+    Ok(())
 }
 
 /// Time rows of an emulation assembled per pool pass: their ε is scanned
@@ -255,7 +262,7 @@ impl ClimateEmulator {
         // stacked OLS equals OLS on the ensemble-mean series; σ is then
         // re-estimated from the pooled residuals of all members. One member
         // is its own mean (borrowed, not copied), and the fit's own σ and
-        // standardized residuals are the pooled ones: its means go at once.
+        // standardized residuals are the pooled ones.
         let mean_data: Cow<'_, [f64]> = if r_members == 1 {
             Cow::Borrowed(&first.data)
         } else {
@@ -280,30 +287,37 @@ impl ClimateEmulator {
         };
         let TrendFit {
             mut models,
-            mut means,
             residuals,
         } = fit_grid(&mean_data, t_max, npoints, &trend_cfg, &forcing);
         drop(mean_data);
-        let mut fitted_residuals = if r_members == 1 {
-            means = Vec::new();
-            Some(residuals)
-        } else {
-            drop(residuals);
-            let mut sig2 = vec![0.0f64; npoints];
-            for m in members {
-                for t in 0..t_max {
-                    let row = &m.data[t * npoints..(t + 1) * npoints];
-                    for (p, (v, s)) in row.iter().zip(sig2.iter_mut()).enumerate() {
-                        let d = v - means[p * t_max + t];
-                        *s += d * d;
+        // R > 1: σ from every member's residuals, against the fitted means
+        // a time row at a time; each member is standardized the same way in
+        // stage 2.
+        let basis = (r_members > 1)
+            .then(|| MeanBasis::new(&trend_cfg, &forcing, t_max, models.iter().map(|m| m.rho)));
+        let mean_rows = basis.as_ref().map(|b| b.rows(&models));
+        let mut fitted_residuals = match &mean_rows {
+            None => Some(residuals),
+            Some(rows) => {
+                drop(residuals);
+                let mut sig2 = vec![0.0f64; npoints];
+                let mut mean = vec![0.0f64; npoints];
+                for m in members {
+                    for (t, row) in m.data.chunks_exact(npoints).enumerate() {
+                        rows.row_into(t, &mut mean);
+                        for ((s, v), mu) in sig2.iter_mut().zip(row).zip(&mean) {
+                            let d = v - mu;
+                            *s += d * d;
+                        }
                     }
                 }
+                for (model, s) in models.iter_mut().zip(&sig2) {
+                    model.sigma = (s / denom).sqrt().max(1e-12);
+                }
+                None
             }
-            for (model, s) in models.iter_mut().zip(&sig2) {
-                model.sigma = (s / denom).sqrt().max(1e-12);
-            }
-            None
         };
+        let sigma: Vec<f64> = models.iter().map(|m| m.sigma).collect();
 
         // Stage 2: SHT of each member's standardized residuals, and the
         // truncation residual variance v² per location.
@@ -311,15 +325,15 @@ impl ClimateEmulator {
         let mut all_series: Vec<Vec<Vec<f64>>> = Vec::with_capacity(r_members);
         let mut v2 = vec![0.0f64; npoints];
         for m in members {
-            let residuals = fitted_residuals
-                .take()
-                .unwrap_or_else(|| standardize(&m.data, &means, &models, t_max));
+            let residuals = fitted_residuals.take().unwrap_or_else(|| {
+                let rows = mean_rows.as_ref().expect("R > 1 keeps the mean rows");
+                rows.residuals(&m.data, &sigma)
+            });
             let coeff_sets = analysis_batch(&plan, &residuals, t_max);
             all_series
                 .push(pool::global().map(coeff_sets.len(), |t| coeff_sets[t].to_real_vector()));
             add_truncation_residuals(&plan, &coeff_sets, &residuals, &mut v2);
         }
-        drop(means);
         for v in v2.iter_mut() {
             *v /= denom;
         }
@@ -847,6 +861,10 @@ mod tests {
         for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
             let mut data = clean.clone();
             data.data[t * data.npoints + p] = bad;
+            // Later bad values, in its row and in the next: the first one
+            // is named.
+            data.data[t * data.npoints + p + 3] = f64::NAN;
+            data.data[(t + 1) * data.npoints] = f64::INFINITY;
             let err = ClimateEmulator::train(&data, EmulatorConfig::small(8)).unwrap_err();
             let EmulationError::Data(msg) = &err else {
                 panic!("{bad}: {err}");

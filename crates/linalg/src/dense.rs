@@ -189,7 +189,13 @@ impl Matrix {
 /// design alone, so callers fitting many responses against one design
 /// factor once and reuse it.
 pub fn normal_equations_factor(xt: &Matrix, x: &Matrix) -> Matrix {
-    let mut xtx = xt.matmul(x);
+    normal_matrix_factor(xt.matmul(x))
+}
+
+/// Lower Cholesky factor of a normal matrix `xtx = XᵀX` formed by the
+/// caller, with [`normal_equations_factor`]'s ridge fallback: when `xtx`
+/// does not factor, `1e-10·max(‖xtx‖_F, 1)` is added to its diagonal.
+pub fn normal_matrix_factor(mut xtx: Matrix) -> Matrix {
     match xtx.cholesky_lower() {
         Ok(l) => l,
         Err(_) => {

@@ -62,11 +62,13 @@ impl CoefficientSampler {
     /// ([`StandardNormal::scan`]); the pool lanes take its steps in runs of
     /// whole [`PackedLower::ROW_BLOCK`]s, one run each, and transform and
     /// multiply their own; the caller then runs the VAR recursion over the
-    /// block. Every ξ element is its own ascending-`k` chain, so the split
-    /// changes no bit.
+    /// block, one step per row through the lag-major `Φ` that
+    /// [`DiagonalVar::predict`] steps with. Every ξ element is its own
+    /// ascending-`k` chain, so the split changes no bit.
     pub fn sample_path<R: Rng + ?Sized>(&self, t_max: usize, rng: &mut R) -> Vec<Vec<f64>> {
         let (p, dim) = (self.var.order, self.dim());
         let total = t_max + self.burn_in + p;
+        let step = self.var.lag_major();
         let pool = rayon::pool::global();
         let mut sn = StandardNormal::new();
         let mut eta = ScannedNormals::default();
@@ -87,8 +89,8 @@ impl CoefficientSampler {
                 self.factor.mul_rows(&h, xi);
             });
             for t in t0..t0 + steps {
-                let hist: Vec<&[f64]> = (1..=p).map(|k| series[t - k].as_slice()).collect();
-                let mut f = self.var.predict(&hist);
+                let mut f = vec![0.0; dim];
+                step.predict_into(|k| &series[t - 1 - k], &mut f);
                 for (v, x) in f.iter_mut().zip(&xi[(t - t0) * dim..]) {
                     *v += x;
                 }

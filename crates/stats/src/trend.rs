@@ -14,10 +14,12 @@
 //! per `ρ`. Locations are independent: the grid fit takes blocks of
 //! adjacent locations in parallel on the shared pool and fits each block
 //! in lanes, one location per lane, reading the time-major rows directly.
-//! A single location ([`fit_location`], [`TrendModel::mean_series`]) is a
-//! block of one lane — there is no second code path, and the per-location
-//! arithmetic (every sum in ascending `t`, `c` or `k`, started from `−0.0`
-//! like `Iterator::sum`) is the contract that keeps fits bit-reproducible.
+//! A single location ([`fit_location`]) is a block of one lane — there is
+//! no second code path, and the per-location arithmetic (every sum in
+//! ascending `t`, `c` or `k`, started from `−0.0` like `Iterator::sum`) is
+//! the contract that keeps fits bit-reproducible. The standardized
+//! residuals are written a time row at a time against the means of
+//! [`MeanRows::row_into`], which are [`MeanBasis::mean_into`]'s to the bit.
 
 use crate::forcing::ForcingSeries;
 use exaclim_linalg::dense::{normal_equations_factor, Matrix};
@@ -170,52 +172,23 @@ impl MeanBasis {
     }
 
     /// Write `m_t` of `model` for `t = 1..=out.len()` (at most
-    /// [`MeanBasis::t_max`] steps).
+    /// [`MeanBasis::t_max`] steps): `β₀ + β₁x + β₂x_lag`, then
+    /// `+= a·cos + b·sin` in ascending `k`.
     pub fn mean_into(&self, model: &TrendModel, out: &mut [f64]) {
-        self.means_into_lanes([model], [out]);
-    }
-
-    /// [`MeanBasis::mean_into`] for `W` models at once, one lane each; every
-    /// `out` has the same length, every model the same number of harmonic
-    /// pairs. Per lane the operations and their order are `mean_into`'s.
-    fn means_into_lanes<const W: usize>(
-        &self,
-        models: [&TrendModel; W],
-        mut outs: [&mut [f64]; W],
-    ) {
-        let n = outs[0].len();
-        assert!(outs.iter().all(|o| o.len() == n), "lanes of unequal length");
-        assert!(n <= self.t_max(), "basis covers too few steps");
-        let k = models[0].harmonics.len();
+        assert!(out.len() <= self.t_max(), "basis covers too few steps");
         assert!(
-            models.iter().all(|m| m.harmonics.len() == k),
-            "lanes with unequal harmonic counts"
-        );
-        assert!(
-            k <= self.k_harmonics,
+            model.harmonics.len() <= self.k_harmonics,
             "model has more harmonic pairs than the basis"
         );
-        let lags = models.map(|m| &self.lag(m.rho)[..n]);
-        let (beta0, beta1, beta2) = (
-            models.map(|m| m.beta0),
-            models.map(|m| m.beta1),
-            models.map(|m| m.beta2),
-        );
-        let ab: Vec<[(f64, f64); W]> = (0..k).map(|j| models.map(|m| m.harmonics[j])).collect();
+        let lag = self.lag(model.rho);
         let width = 2 * self.k_harmonics;
-        for t in 0..n {
-            let x = self.x_year[t];
-            let mut acc: [f64; W] =
-                std::array::from_fn(|l| beta0[l] + beta1[l] * x + beta2[l] * lags[l][t]);
+        for (t, out) in out.iter_mut().enumerate() {
+            let mut acc = model.beta0 + model.beta1 * self.x_year[t] + model.beta2 * lag[t];
             let cs = &self.harmonics[t * width..(t + 1) * width];
-            for (cs, ab) in cs.chunks_exact(2).zip(&ab) {
-                for (acc, &(a, b)) in acc.iter_mut().zip(ab) {
-                    *acc += a * cs[0] + b * cs[1];
-                }
+            for (cs, &(a, b)) in cs.chunks_exact(2).zip(&model.harmonics) {
+                acc += a * cs[0] + b * cs[1];
             }
-            for (out, acc) in outs.iter_mut().zip(acc) {
-                out[t] = acc;
-            }
+            *out = acc;
         }
     }
 }
@@ -319,6 +292,37 @@ impl MeanRows<'_> {
                 *m += a * cs[0] + b * cs[1];
             }
         }
+    }
+
+    /// The standardized residuals `Z_t = (y_t − m_t)/σ` of time-major
+    /// `data` (`t · npoints + p`, one row per basis step), with one `σ`
+    /// per location. The pool lanes take contiguous runs of rows; a lane
+    /// evaluates each row's means into its own one-row scratch
+    /// ([`MeanRows::row_into`]) and writes the row, so every read and
+    /// write is unit-stride.
+    pub fn residuals(&self, data: &[f64], sigma: &[f64]) -> Vec<f64> {
+        let (t_max, npoints) = (self.basis.t_max(), self.lag_of.len());
+        assert_eq!(sigma.len(), npoints, "one σ per location");
+        assert_eq!(data.len(), t_max * npoints, "one row per basis step");
+        let mut residuals = vec![0.0f64; t_max * npoints];
+        if npoints == 0 {
+            return residuals;
+        }
+        let pool = rayon::pool::global();
+        let run = t_max.div_ceil(pool.threads());
+        pool.parallel_chunks_mut(&mut residuals, run * npoints, |i, out| {
+            let mut m = vec![0.0f64; npoints];
+            let rows = out
+                .chunks_exact_mut(npoints)
+                .zip(data[i * run * npoints..].chunks_exact(npoints));
+            for (t, (z, y)) in (i * run..).zip(rows) {
+                self.row_into(t, &mut m);
+                for (((z, &y), &m), &s) in z.iter_mut().zip(y).zip(&m).zip(sigma) {
+                    *z = (y - m) / s;
+                }
+            }
+        });
+        residuals
     }
 }
 
@@ -513,15 +517,11 @@ pub fn fit_location(y: &[f64], cfg: &TrendConfig, forcing: &ForcingSeries) -> Tr
     TrendPlan::new(cfg, forcing, y.len()).fit(y)
 }
 
-/// Trend models for every grid point plus their means and the standardized
-/// residuals.
+/// Trend models for every grid point and the standardized residuals.
 #[derive(Debug, Clone)]
 pub struct TrendFit {
     /// One model per location.
     pub models: Vec<TrendModel>,
-    /// Fitted mean `m_t` of every location, location-major
-    /// (`p · t_max + t`).
-    pub means: Vec<f64>,
     /// Standardized stochastic component `Z_t = (y_t − m_t)/σ`, time-major
     /// (`t · npoints + p`).
     pub residuals: Vec<f64>,
@@ -530,7 +530,8 @@ pub struct TrendFit {
 /// Fit the whole grid. `data` is time-major: `data[t·npoints + p]` for
 /// `t = 0..t_max`, location `p`. Blocks of adjacent locations are fitted in
 /// parallel through one [`TrendPlan`], each block reading the rows it
-/// spans in lanes.
+/// spans in lanes; the residuals are then written row by row against the
+/// fitted means ([`MeanRows::residuals`]).
 pub fn fit_grid(
     data: &[f64],
     t_max: usize,
@@ -540,53 +541,24 @@ pub fn fit_grid(
 ) -> TrendFit {
     assert_eq!(data.len(), t_max * npoints);
     let plan = TrendPlan::new(cfg, forcing, t_max);
-    let mut means = vec![0.0f64; npoints * t_max];
-    // One item per block: its rows of `means` and the models fitted there.
-    let mut blocks: Vec<(&mut [f64], Vec<TrendModel>)> = means
-        .chunks_mut(LANES * t_max)
-        .map(|block| (block, Vec::new()))
-        .collect();
-    rayon::pool::global().parallel_chunks_mut(&mut blocks, 1, |b, item| {
-        let (block, models) = &mut item[0];
+    let blocks = rayon::pool::global().map(npoints.div_ceil(LANES), |b| {
         let p0 = b * LANES;
-        if block.len() == LANES * t_max {
-            let lanes = plan.fit_lanes::<LANES>(&data[p0..], npoints);
-            let mut rows = block.chunks_exact_mut(t_max);
-            let outs = std::array::from_fn(|_| rows.next().expect("a full block"));
-            plan.basis.means_into_lanes(lanes.each_ref(), outs);
-            *models = Vec::from(lanes);
+        if p0 + LANES <= npoints {
+            Vec::from(plan.fit_lanes::<LANES>(&data[p0..], npoints))
         } else {
             // The last block, narrower than the lanes: one at a time.
-            for (mean, p) in block.chunks_exact_mut(t_max).zip(p0..) {
-                let [model] = plan.fit_lanes::<1>(&data[p..], npoints);
-                plan.basis.mean_into(&model, mean);
-                models.push(model);
-            }
+            (p0..npoints)
+                .map(|p| {
+                    let [model] = plan.fit_lanes::<1>(&data[p..], npoints);
+                    model
+                })
+                .collect()
         }
     });
-    let models: Vec<TrendModel> = blocks.into_iter().flat_map(|(_, m)| m).collect();
-    let residuals = standardize(data, &means, &models, t_max);
-    TrendFit {
-        models,
-        means,
-        residuals,
-    }
-}
-
-/// Standardized residuals `Z_t = (y_t − m_t)/σ` of time-major `data`
-/// (`t · npoints + p`) against location-major `means` (`p · t_max + t`),
-/// with one σ per model, time-major, rows in parallel.
-pub fn standardize(data: &[f64], means: &[f64], models: &[TrendModel], t_max: usize) -> Vec<f64> {
-    let npoints = models.len();
-    assert_eq!(data.len(), t_max * npoints);
-    assert_eq!(means.len(), t_max * npoints);
-    let mut residuals = vec![0.0f64; t_max * npoints];
-    rayon::pool::global().parallel_chunks_mut(&mut residuals, npoints, |t, row| {
-        for (p, r) in row.iter_mut().enumerate() {
-            *r = (data[t * npoints + p] - means[p * t_max + t]) / models[p].sigma;
-        }
-    });
-    residuals
+    let models: Vec<TrendModel> = blocks.into_iter().flatten().collect();
+    let sigma: Vec<f64> = models.iter().map(|m| m.sigma).collect();
+    let residuals = plan.basis.rows(&models).residuals(data, &sigma);
+    TrendFit { models, residuals }
 }
 
 #[cfg(test)]
@@ -641,32 +613,12 @@ mod tests {
         }
     }
 
-    /// The per-location mean before the lanes.
-    fn mean_reference(
-        cfg: &TrendConfig,
-        forcing: &ForcingSeries,
-        model: &TrendModel,
-        t_max: usize,
-    ) -> Vec<f64> {
-        let basis = MeanBasis::new(cfg, forcing, t_max, [model.rho]);
-        let lag = basis.lag(model.rho);
-        let width = 2 * basis.k_harmonics;
-        (0..t_max)
-            .map(|t| {
-                let mut acc = model.beta0 + model.beta1 * basis.x_year[t] + model.beta2 * lag[t];
-                let cs = &basis.harmonics[t * width..(t + 1) * width];
-                for (k, (a, b)) in model.harmonics.iter().enumerate() {
-                    acc += a * cs[2 * k] + b * cs[2 * k + 1];
-                }
-                acc
-            })
-            .collect()
-    }
-
     /// Sequential reference for [`fit_grid`]: every location gathered
-    /// and fitted alone by the reference loops. The lanes on the shared
-    /// pool must reproduce this bit for bit, whatever the thread count and
-    /// wherever a location falls in its block.
+    /// and fitted alone by the reference loop, its residuals
+    /// `(y − TrendModel::mean_series)/σ`, the single-location mean. The
+    /// lanes and the row-wise residual pass on the shared pool must
+    /// reproduce this bit for bit, whatever the thread count and wherever a
+    /// location falls in its block.
     fn fit_grid_sequential(
         data: &[f64],
         t_max: usize,
@@ -680,22 +632,20 @@ mod tests {
                 fit_location_reference(&series, cfg, forcing)
             })
             .collect();
-        let means: Vec<f64> = models
-            .iter()
-            .flat_map(|m| mean_reference(cfg, forcing, m, t_max))
-            .collect();
         let mut residuals = vec![0.0f64; t_max * npoints];
-        for t in 0..t_max {
-            for p in 0..npoints {
-                residuals[t * npoints + p] =
-                    (data[t * npoints + p] - means[p * t_max + t]) / models[p].sigma;
+        for (p, model) in models.iter().enumerate() {
+            let mean = model.mean_series(cfg, forcing, t_max);
+            for (t, m) in mean.iter().enumerate() {
+                residuals[t * npoints + p] = (data[t * npoints + p] - m) / model.sigma;
             }
         }
-        TrendFit {
-            models,
-            means,
-            residuals,
-        }
+        TrendFit { models, residuals }
+    }
+
+    fn model_bits(m: &TrendModel) -> Vec<f64> {
+        let mut v = vec![m.beta0, m.beta1, m.beta2, m.rho, m.sigma];
+        v.extend(m.harmonics.iter().flat_map(|&(a, b)| [a, b]));
+        v
     }
 
     fn assert_same_bits(a: &[f64], b: &[f64], what: &str) {
@@ -709,8 +659,10 @@ mod tests {
     fn parallel_fit_grid_is_bit_identical_to_sequential() {
         let cfg = cfg();
         let forcing = ForcingSeries::historical_like(1950, 1970, 30);
-        let t_max = 8 * cfg.tau;
-        for npoints in [1, LANES - 1, LANES, LANES + 1, 594] {
+        // A row count the pool's lanes do not split evenly, and every
+        // width of the last lane block: npoints ≡ 0..7 (mod 8).
+        let t_max = 8 * cfg.tau + 3;
+        for npoints in (1..=2 * LANES + 1).chain([594]) {
             let mut data = vec![0.0f64; t_max * npoints];
             let mut state = 0x5eed_u64 + npoints as u64;
             for (i, v) in data.iter_mut().enumerate() {
@@ -734,17 +686,15 @@ mod tests {
             let seq = fit_grid_sequential(&data, t_max, npoints, &cfg, &forcing);
             assert_eq!(par.models.len(), npoints);
             for (p, (a, b)) in par.models.iter().zip(&seq.models).enumerate() {
-                let bits = |m: &TrendModel| {
-                    let mut v = vec![m.beta0, m.beta1, m.beta2, m.rho, m.sigma];
-                    v.extend(m.harmonics.iter().flat_map(|&(a, b)| [a, b]));
-                    v
-                };
-                assert_same_bits(&bits(a), &bits(b), &format!("model {p} of {npoints}"));
+                assert_same_bits(
+                    &model_bits(a),
+                    &model_bits(b),
+                    &format!("model {p} of {npoints}"),
+                );
                 if p % 11 == 1 || p % 11 == 3 {
                     assert_eq!(a.rho, cfg.rho_grid[0], "the first ρ wins a tie");
                 }
             }
-            assert_same_bits(&par.means, &seq.means, &format!("means of {npoints}"));
             assert_same_bits(
                 &par.residuals,
                 &seq.residuals,
@@ -761,11 +711,7 @@ mod tests {
         let y: Vec<f64> = (0..8 * cfg.tau).map(|_| 3.0 * lcg(&mut state)).collect();
         let a = fit_location(&y, &cfg, &forcing);
         let b = fit_location_reference(&y, &cfg, &forcing);
-        assert_eq!(a.rho.to_bits(), b.rho.to_bits());
-        assert_eq!(a.sigma.to_bits(), b.sigma.to_bits());
-        assert_eq!(a.beta2.to_bits(), b.beta2.to_bits());
-        let m = a.mean_series(&cfg, &forcing, y.len());
-        assert_same_bits(&m, &mean_reference(&cfg, &forcing, &b, y.len()), "mean");
+        assert_same_bits(&model_bits(&a), &model_bits(&b), "model");
     }
 
     #[test]

@@ -112,9 +112,10 @@ fn fit_grid_models_and_residuals_keep_their_bits() {
         0x77e2_91d6_e995_2a61,
         "standardized residuals moved"
     );
-    // The means are what the residuals were standardized against.
+    // The single-location mean is what the residuals were standardized
+    // against.
     let (p, t) = (297, 411);
-    let mean = fit.means[p * T_MAX + t];
+    let mean = fit.models[p].mean_series(&trend_cfg, &forcing, T_MAX)[t];
     let z = (data.data[t * data.npoints + p] - mean) / fit.models[p].sigma;
     assert_eq!(z.to_bits(), fit.residuals[t * data.npoints + p].to_bits());
 }

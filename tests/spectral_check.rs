@@ -26,7 +26,7 @@ use exaclim::{ClimateEmulator, EmulatorConfig};
 use exaclim_climate::{Dataset, SyntheticEra5, SyntheticEra5Config};
 use exaclim_linalg::precision::PrecisionPolicy;
 use exaclim_sht::{analysis_batch, HarmonicCoeffs, ShtPlan};
-use exaclim_stats::trend::{fit_grid, TrendConfig};
+use exaclim_stats::trend::{fit_grid, MeanBasis, TrendConfig};
 use exaclim_stats::ForcingSeries;
 
 const LMAX: usize = 8;
@@ -93,6 +93,15 @@ fn emulated_power_spectra_match_training_for_every_policy() {
     };
     let fit = fit_grid(&data.data, T_MAX, np, &trend_cfg, &forcing);
     let train = spectra(&plan, &fit.residuals, T_MAX);
+    // The training means, a time row at a time.
+    let basis = MeanBasis::new(
+        &trend_cfg,
+        &forcing,
+        T_MAX,
+        fit.models.iter().map(|m| m.rho),
+    );
+    let means = basis.rows(&fit.models);
+    let mut mean = vec![0.0; np];
 
     for (name, policy) in [
         ("DP", PrecisionPolicy::dp()),
@@ -103,17 +112,16 @@ fn emulated_power_spectra_match_training_for_every_policy() {
         cfg.precision = policy;
         let em = ClimateEmulator::train(&data, cfg).expect("R(T−P) = 728 > L² = 64 factors");
         let out = em.emulate(T_MAX, 20_261_017).expect("emulates");
-        let emulated: Vec<f64> = out
-            .data
-            .chunks_exact(np)
-            .enumerate()
-            .flat_map(|(t, row)| {
-                let (means, trend) = (&fit.means, &em.trend);
+        let mut emulated = Vec::with_capacity(out.data.len());
+        for (t, row) in out.data.chunks_exact(np).enumerate() {
+            means.row_into(t, &mut mean);
+            emulated.extend(
                 row.iter()
-                    .enumerate()
-                    .map(move |(p, y)| (y - means[p * T_MAX + t]) / trend[p].sigma)
-            })
-            .collect();
+                    .zip(&mean)
+                    .zip(&em.trend)
+                    .map(|((y, m), model)| (y - m) / model.sigma),
+            );
+        }
         // b_ℓ: the nugget's expected power, one unit field per location.
         let mut units = vec![0.0; np * np];
         for p in 0..np {
