@@ -8,7 +8,8 @@
 //! the plan's own `Split`/`Base` tables as a loop over levels — base cases
 //! first, then the combines from the innermost split out — rather than
 //! recursing, so the whole transform inlines into one body that
-//! `crate::isa` compiles twice (baseline and AVX2, never FMA).
+//! `exaclim_mathkit::avx2_dispatch!` compiles twice (baseline and AVX2,
+//! never FMA).
 //!
 //! **Contract.** Every lane runs exactly the chain the scalar plan runs for
 //! its signal — same operands, same order, each element's sum starting at
@@ -38,8 +39,8 @@
 //! Bluestein lengths (a prime factor above the direct radices) and the
 //! trivial lengths 0 and 1 run the scalar code lane by lane.
 
-use crate::isa::Isa;
 use crate::plan::{Base, Fft, Kind, Split};
+use exaclim_mathkit::isa::Isa;
 use exaclim_mathkit::Complex64;
 
 /// Signals per lane group: four f64 lanes fill one 256-bit register.
@@ -232,7 +233,7 @@ fn inner_levels<S: Source + ?Sized, const REAL_IN: bool>(
 
 /// The first `out.len()` bins of the real signals `input` (length `n`).
 #[inline(always)]
-pub(crate) fn rfft_body(
+fn rfft_body(
     splits: &[Split],
     base: &Base,
     input: &[[f64; LANES]],
@@ -252,7 +253,7 @@ pub(crate) fn rfft_body(
 /// The real signals (length `n`) whose `n/2 + 1` bins are `half`; `spec`,
 /// `work` and `tmp` are `n` long.
 #[inline(always)]
-pub(crate) fn irfft_body(
+fn irfft_body(
     splits: &[Split],
     base: &Base,
     half: &[Lanes],
@@ -290,6 +291,25 @@ pub(crate) fn irfft_body(
             o[l] = z.re[l] * s;
         }
     }
+}
+
+// The two bodies on the compilation `isa` selects (baseline or AVX2).
+exaclim_mathkit::avx2_dispatch! {
+    fn rfft_mixed(
+        splits: &[Split],
+        base: &Base,
+        input: &[[f64; LANES]],
+        out: &mut [Lanes],
+        work: &mut [Lanes],
+        tmp: &mut [Lanes],
+    ) = rfft_body;
+    fn irfft_mixed(
+        splits: &[Split],
+        base: &Base,
+        half: &[Lanes],
+        out: &mut [[f64; LANES]],
+        bufs: (&mut [Lanes], &mut [Lanes], &mut [Lanes]),
+    ) = irfft_body;
 }
 
 /// Caller-owned working memory of the lane transforms on one plan
@@ -361,7 +381,7 @@ pub(crate) fn rfft_lanes_with(
     match &plan.kind {
         Kind::MixedRadix { splits, base } => {
             let (_, work, tmp) = scratch.three(n);
-            isa.rfft_lanes(splits, base, input, out, work, tmp);
+            rfft_mixed(isa, splits, base, input, out, work, tmp);
         }
         _ => {
             // `rfft_into`, lane by lane.
@@ -391,7 +411,7 @@ pub(crate) fn irfft_lanes_with(
     assert_eq!(out.len(), n);
     match &plan.kind {
         Kind::MixedRadix { splits, base } => {
-            isa.irfft_lanes(splits, base, half, out, scratch.three(n));
+            irfft_mixed(isa, splits, base, half, out, scratch.three(n));
         }
         _ => {
             // `irfft_into`, lane by lane.

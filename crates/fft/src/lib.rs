@@ -10,13 +10,13 @@
 //! * lane groups ([`lanes`]): one plan run on [`LANES`] signals at once,
 //!   structure-of-arrays, bit-identical per lane to the scalar transforms;
 //!   the executor is compiled a second time for AVX2 (no FMA) and chosen at
-//!   run time in the private `isa` module, the crate's only `unsafe`.
+//!   run time through `exaclim_mathkit::avx2_dispatch!`; the crate has no
+//!   `unsafe` of its own.
 //!
 //! Conventions: `forward` computes `X_k = Σ_j x_j e^{-2πi jk/n}` (no
 //! scaling); `inverse` computes `x_j = (1/n) Σ_k X_k e^{+2πi jk/n}` so that
 //! `inverse(forward(x)) == x`.
 
-mod isa;
 pub mod lanes;
 pub mod plan;
 pub mod real;

@@ -173,16 +173,6 @@ pub(crate) fn narrow_f64_into(src: &[f64], dst: &mut [u16]) {
     }
 }
 
-/// Quantize a whole slice to binary16 and back — the "stored at HP" view of
-/// data used when a tile is demoted.
-pub fn quantize_slice(xs: &[f64]) -> Vec<f64> {
-    let mut h = vec![0u16; xs.len()];
-    narrow_f64_into(xs, &mut h);
-    let mut out = vec![0.0; xs.len()];
-    widen_f64_into(&h, &mut out);
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -265,7 +255,10 @@ mod tests {
         // … but x as f32 is the tie 1 + 2⁻¹¹, which rounds to even.
         assert_eq!(x as f32, 1.0 + (-11f32).exp2());
         assert_eq!(Half::from_f64(x).0, 0x3C00);
-        assert_eq!(quantize_slice(&[x]), [1.0]);
+        let (mut h, mut back) = ([0u16], [0.0f64]);
+        narrow_f64_into(&[x], &mut h);
+        widen_f64_into(&h, &mut back);
+        assert_eq!(back, [1.0]);
     }
 
     #[test]
@@ -328,14 +321,6 @@ mod tests {
                 assert_eq!(h, f32_to_f16_bits(x), "{:#010x}", x.to_bits());
             }
         }
-    }
-
-    #[test]
-    fn quantize_slice_idempotent() {
-        let xs = [0.1, -3.7, 1024.5, 1e-6];
-        let q1 = quantize_slice(&xs);
-        let q2 = quantize_slice(&q1);
-        assert_eq!(q1, q2);
     }
 
     proptest! {

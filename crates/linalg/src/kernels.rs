@@ -13,12 +13,12 @@
 //! are kept as the `#[cfg(test)]` reference and must agree bit for bit.
 //! ARCHITECTURE.md ("Tile kernels") states the contract.
 //!
-//! The bodies are compiled twice: for the baseline target and, behind a
-//! runtime AVX2 check in `crate::isa`, for 256-bit lanes without FMA. Both
+//! The bodies are compiled twice: for the baseline target and, where
+//! `Isa::avx2` holds, for 256-bit lanes without FMA (`crate::isa`). Both
 //! run the same chains, so both give the same bits.
 
 use crate::f16::{narrow_f64_into, narrow_into, widen_f64_into, widen_into};
-use crate::isa::Isa;
+use crate::isa::{self, Isa};
 use crate::precision::Precision;
 use crate::tile::{Tile, TileData};
 
@@ -309,8 +309,8 @@ fn gemm_with(isa: Isa, a: &PackedTile, bt: &PackedTile, c: &mut Tile) {
     let b = c.b();
     update(
         c,
-        |cw| isa.gemm::<f64, NR64>(a.f64s(), bt.f64s(), cw, b, false),
-        |cw| isa.gemm::<f32, NR32>(a.f32s(), bt.f32s(), cw, b, false),
+        |cw| isa::gemm::<f64, NR64>(isa, a.f64s(), bt.f64s(), cw, b, false),
+        |cw| isa::gemm::<f32, NR32>(isa, a.f32s(), bt.f32s(), cw, b, false),
     );
 }
 
@@ -342,8 +342,8 @@ fn syrk_with(isa: Isa, a: &PackedTile, c: &mut Tile) {
     let b = c.b();
     update(
         c,
-        |cw| isa.syrk::<f64, NR64>(a.f64s(), cw, b),
-        |cw| isa.syrk::<f32, NR32>(a.f32s(), cw, b),
+        |cw| isa::syrk::<f64, NR64>(isa, a.f64s(), cw, b),
+        |cw| isa::syrk::<f32, NR32>(isa, a.f32s(), cw, b),
     );
 }
 
@@ -458,8 +458,8 @@ fn trsm_with(isa: Isa, l: &PackedTile, bt: &mut Tile) {
     let b = bt.b();
     update(
         bt,
-        |x| isa.trsm::<f64, NR64>(l.f64s(), x, b),
-        |x| isa.trsm::<f32, NR32>(l.f32s(), x, b),
+        |x| isa::trsm::<f64, NR64>(isa, l.f64s(), x, b),
+        |x| isa::trsm::<f32, NR32>(isa, l.f32s(), x, b),
     );
 }
 
@@ -538,8 +538,8 @@ fn potrf_with(isa: Isa, a: &mut Tile) -> Result<(), NotPositiveDefinite> {
     let b = a.b();
     update(
         a,
-        |w| isa.potrf::<f64, NR64>(w, b),
-        |w| isa.potrf::<f32, NR32>(w, b),
+        |w| isa::potrf::<f64, NR64>(isa, w, b),
+        |w| isa::potrf::<f32, NR32>(isa, w, b),
     )
 }
 
@@ -598,7 +598,7 @@ impl PackedLower {
         }
         assert_eq!(h.len() % n, 0, "rows of length n");
         let hp = pack(h, n, NR64, each(|x| x));
-        isa.mul_rows(&self.data, n, &hp, out);
+        isa::mul_rows(isa, &self.data, n, &hp, out);
     }
 }
 
@@ -678,7 +678,7 @@ impl GramPanels {
         assert!(p < self.panels(), "panel {p} of {}", self.panels());
         let height = MR.min(self.dim - MR * p);
         assert_eq!(rows.len(), height * self.dim, "one row per panel row");
-        isa.gram_rows(&self.data, (self.count, self.dim), p, rows);
+        isa::gram_rows(isa, &self.data, (self.count, self.dim), p, rows);
     }
 }
 

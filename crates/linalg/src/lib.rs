@@ -26,7 +26,7 @@
 pub mod cholesky;
 pub mod dense;
 pub mod f16;
-mod isa;
+pub mod isa;
 pub mod kernels;
 pub mod precision;
 pub mod tile;

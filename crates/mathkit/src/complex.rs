@@ -93,16 +93,6 @@ impl Complex64 {
         }
     }
 
-    /// Fused multiply-add: `self * b + c` (not hardware-fused; a single
-    /// expression the optimizer can vectorize).
-    #[inline(always)]
-    pub fn mul_add(self, b: Self, c: Self) -> Self {
-        Self {
-            re: self.re * b.re - self.im * b.im + c.re,
-            im: self.re * b.im + self.im * b.re + c.im,
-        }
-    }
-
     /// Multiplicative inverse.
     #[inline]
     pub fn inv(self) -> Self {
@@ -339,14 +329,6 @@ mod tests {
             assert!((back - z).abs() < 1e-10, "sqrt({z:?})^2 = {back:?}");
             assert!(s.re >= 0.0, "principal branch");
         }
-    }
-
-    #[test]
-    fn mul_add_matches_separate_ops() {
-        let a = Complex64::new(1.25, -0.5);
-        let b = Complex64::new(-2.0, 0.75);
-        let c = Complex64::new(0.1, 0.2);
-        assert_eq!(a.mul_add(b, c), a * b + c);
     }
 
     #[test]

@@ -46,7 +46,7 @@ pub fn integral_iq(q: i64) -> Complex64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use exaclim_mathkit::GaussLegendre;
+    use crate::quadrature::GaussLegendre;
 
     #[test]
     fn iq_matches_quadrature() {

@@ -97,7 +97,7 @@ impl LegendreTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use exaclim_mathkit::GaussLegendre;
+    use crate::quadrature::GaussLegendre;
 
     const FOUR_PI: f64 = 4.0 * std::f64::consts::PI;
 

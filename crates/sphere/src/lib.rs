@@ -16,6 +16,8 @@
 pub mod grid;
 pub mod harmonics;
 pub mod legendre;
+#[cfg(test)]
+mod quadrature;
 pub mod wigner;
 
 pub use grid::EquiangularGrid;

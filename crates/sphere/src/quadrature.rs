@@ -1,9 +1,7 @@
-//! Gauss–Legendre quadrature nodes and weights.
-//!
-//! The Gauss–Legendre grid is one of the two spherical grids supported by the
-//! SHT crate: an `n`-point rule integrates polynomials of degree `2n-1`
-//! exactly, which makes the forward transform exact for band-limited fields
-//! with `n >= L` latitude rings.
+//! Gauss–Legendre quadrature nodes and weights: the test oracle that
+//! integrates the Legendre functions' and harmonics' closed forms
+//! independently of the equiangular grid. An `n`-point rule integrates
+//! polynomials of degree `2n-1` exactly.
 
 /// Nodes and weights of an `n`-point Gauss–Legendre rule on `[-1, 1]`.
 #[derive(Debug, Clone)]
@@ -50,16 +48,6 @@ impl GaussLegendre {
             weights[m - 1] = 2.0 / (d * d);
         }
         Self { nodes, weights }
-    }
-
-    /// Number of points in the rule.
-    pub fn len(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// True iff the rule is empty (never, by construction).
-    pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
     }
 
     /// Integrate `f` over `[-1, 1]`.

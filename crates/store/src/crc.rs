@@ -20,9 +20,12 @@
 //! keeps the remainder. The constants are recomputed from P by a test.
 //!
 //! Every `unsafe` block below either calls the `#[target_feature]` kernel,
-//! relying on features detected at run time, or is an unaligned 16-byte
-//! load, relying on the length of the array it reads. Off x86-64 only the
-//! portable loop is compiled.
+//! relying on [`Isa::pclmul`] (`exaclim_mathkit::isa`, the workspace's one
+//! feature detection, re-exported by `exaclim_linalg`), or is an unaligned
+//! 16-byte load, relying on the length of the array it reads. Off x86-64
+//! only the portable loop is compiled.
+
+use exaclim_linalg::isa::Isa;
 
 /// The reflected CRC-32 polynomial.
 const POLY: u32 = 0xEDB8_8320;
@@ -51,51 +54,12 @@ pub fn crc32_update(state: u32, bytes: &[u8]) -> u32 {
 #[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))]
 fn update_with(isa: Isa, state: u32, bytes: &[u8]) -> u32 {
     #[cfg(target_arch = "x86_64")]
-    if isa.pclmul && bytes.len() >= FOLD_MIN_LEN {
-        // SAFETY: `isa.pclmul` is set only when PCLMULQDQ and SSE4.1 were
+    if isa.pclmul() && bytes.len() >= FOLD_MIN_LEN {
+        // SAFETY: `Isa::pclmul` holds only where PCLMULQDQ and SSE4.1 were
         // detected.
         return unsafe { x86::update_pclmul(state, bytes) };
     }
     slice_by_8(state, bytes)
-}
-
-/// Which CRC kernel runs. Its field is private and only `Isa::detected`
-/// (and the tests' `Isa::all`) set it, so an `Isa` that selects folding
-/// proves PCLMULQDQ and SSE4.1 were detected.
-#[derive(Debug, Clone, Copy)]
-struct Isa {
-    #[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
-    pclmul: bool,
-}
-
-impl Isa {
-    /// The fastest kernel this CPU runs.
-    fn detected() -> Self {
-        Self { pclmul: pclmul() }
-    }
-
-    /// Every kernel this CPU runs: slice-by-8 always, folding where
-    /// detected — so the equality tests cover both on such a machine.
-    #[cfg(test)]
-    fn all() -> Vec<Self> {
-        let mut v = vec![Self { pclmul: false }];
-        if pclmul() {
-            v.push(Self { pclmul: true });
-        }
-        v
-    }
-}
-
-/// PCLMULQDQ and SSE4.1 are usable on this CPU (std caches the answer).
-#[cfg(target_arch = "x86_64")]
-fn pclmul() -> bool {
-    std::arch::is_x86_feature_detected!("pclmulqdq")
-        && std::arch::is_x86_feature_detected!("sse4.1")
-}
-
-#[cfg(not(target_arch = "x86_64"))]
-fn pclmul() -> bool {
-    false
 }
 
 /// The eight lookup tables of the slice-by-8 kernel, built at compile
