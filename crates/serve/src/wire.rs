@@ -1960,6 +1960,15 @@ mod tests {
                 budget_ms: 0,
                 request: Box::new(Request::Stats),
             },
+            Request::Product(ProductDescriptor {
+                source: ProductSource::Member {
+                    archive: "era5".to_string(),
+                    member: "u10".to_string(),
+                },
+                stat: ProductStat::Raw,
+                time: Some(5..6),
+                space: Some(0..1),
+            }),
         ]
     }
 
@@ -2039,7 +2048,62 @@ mod tests {
             Err(ServeError::Overloaded { retry_after_ms: 40 }),
             Err(ServeError::DeadlineExpired),
             Err(ServeError::Internal("worker panicked".to_string())),
+            // Appended after the list `fixed_fragment_stream_bytes_are_pinned`
+            // pins (the first 15): every variant the list above misses.
+            Ok(Response::Catalog(CatalogAnswer::Members(vec![
+                MemberInfo {
+                    name: "t2m".to_string(),
+                    kind: MemberKind::Field,
+                    codec: 1,
+                    t_max: 100,
+                    values_per_slice: 64,
+                    chunks: 7,
+                    snapshot_version: 0,
+                },
+                MemberInfo {
+                    name: "emulator".to_string(),
+                    kind: MemberKind::Snapshot,
+                    codec: 0,
+                    t_max: 0,
+                    values_per_slice: 0,
+                    chunks: 2,
+                    snapshot_version: 3,
+                },
+            ]))),
+            Err(ServeError::UnknownEmulator("sst-model".to_string())),
+            Err(ServeError::Archive(ArchiveError::Io(
+                "disk gone".to_string(),
+            ))),
+            Err(ServeError::Archive(ArchiveError::BadMagic)),
+            Err(ServeError::Archive(ArchiveError::BadVersion(0xBEEF))),
+            Err(ServeError::Archive(ArchiveError::Corrupt(
+                "directory".to_string(),
+            ))),
+            Err(ServeError::Archive(ArchiveError::TruncatedChunk {
+                member: "u10".to_string(),
+                chunk: 11,
+            })),
+            Err(ServeError::Archive(ArchiveError::UnknownCodec(200))),
+            Err(ServeError::Archive(ArchiveError::MemberNotFound(
+                "v".to_string(),
+            ))),
+            Err(ServeError::Archive(ArchiveError::DuplicateMember(
+                "t2m".to_string(),
+            ))),
+            Err(ServeError::Archive(ArchiveError::BadRequest(
+                "range".to_string(),
+            ))),
         ]
+    }
+
+    /// The sample batches' encodings, pinned: the wire bytes of every
+    /// variant of every message type.
+    #[test]
+    fn sample_batch_bytes_are_pinned() {
+        let requests = encode_request_batch(&sample_requests());
+        let responses = encode_response_batch(&sample_responses());
+        assert_eq!((requests.len(), crc32(&requests)), (459, 4_144_623_140));
+        assert_eq!((responses.len(), crc32(&responses)), (1_252, 363_167_480));
     }
 
     #[test]
@@ -2514,6 +2578,7 @@ mod tests {
     #[test]
     fn fixed_fragment_stream_bytes_are_pinned() {
         let mut batch = sample_responses();
+        batch.truncate(15);
         batch.push(Ok(Response::Slice(SliceData {
             archive: "era5".to_string(),
             member: "u10".to_string(),

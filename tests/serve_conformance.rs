@@ -8,6 +8,7 @@ mod common;
 
 use common::*;
 use exaclim_serve::{wire, NetConfig, Request, Response};
+use exaclim_store::crc32;
 use std::collections::BTreeSet;
 
 /// The matrix, every row of it.
@@ -43,4 +44,32 @@ fn workload_covers_every_request_kind() {
         assert!(bytes <= fragment, "seed {seed}: {bytes} response bytes");
     }
     assert_eq!(seen, op_kinds());
+}
+
+/// The wire bytes of three seeded batches and of the oracle's answers to
+/// them, pinned by length and CRC32: a codec change that moves one byte of
+/// any request or answer the generator makes fails here, at every thread
+/// count.
+#[test]
+fn workload_wire_bytes_are_pinned() {
+    let _faults = fault_lock();
+    // (seed, (request bytes, CRC32), (answer bytes, CRC32))
+    let pins: [(u64, _, _); 3] = [
+        (0, (1_498, 4_005_389_480), (204_836, 276_245_745)),
+        (1, (1_498, 2_517_486_197), (210_116, 3_235_103_562)),
+        (2, (1_498, 3_047_800_824), (224_908, 3_483_000_621)),
+    ];
+    for (seed, request_pin, answer_pin) in pins {
+        let batch = workload(seed);
+        let requests = wire::encode_request_batch(&batch);
+        let answers = wire::encode_response_batch(&oracle().handle_batch(&batch));
+        assert_eq!(
+            (
+                (requests.len(), crc32(&requests)),
+                (answers.len(), crc32(&answers))
+            ),
+            (request_pin, answer_pin),
+            "seed {seed}"
+        );
+    }
 }
