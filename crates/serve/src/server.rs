@@ -275,15 +275,10 @@ crate::metrics::counters! {
 pub(crate) enum Reply {
     /// A fully materialized answer.
     Full(Result<Response, ServeError>),
-    /// A slice answer as `(decoded chunk, value range)` parts whose
-    /// in-order concatenation is the response's `values`.
-    Slice {
-        archive: String,
-        member: String,
-        range: Range<u64>,
-        values_per_slice: u64,
-        parts: Vec<(Arc<[f64]>, Range<usize>)>,
-    },
+    /// A slice answer with its `values` left empty, and the
+    /// `(decoded chunk, value range)` parts whose in-order concatenation
+    /// they are.
+    Slice(SliceData, Vec<(Arc<[f64]>, Range<usize>)>),
 }
 
 impl Reply {
@@ -291,25 +286,13 @@ impl Reply {
     pub(crate) fn into_response(self) -> Result<Response, ServeError> {
         match self {
             Reply::Full(r) => r,
-            Reply::Slice {
-                archive,
-                member,
-                range,
-                values_per_slice,
-                parts,
-            } => {
+            Reply::Slice(mut data, parts) => {
                 let total: usize = parts.iter().map(|(_, r)| r.len()).sum();
-                let mut values = Vec::with_capacity(total);
+                data.values.reserve_exact(total);
                 for (chunk, r) in parts {
-                    values.extend_from_slice(&chunk[r]);
+                    data.values.extend_from_slice(&chunk[r]);
                 }
-                Ok(Response::Slice(SliceData {
-                    archive,
-                    member,
-                    range,
-                    values_per_slice,
-                    values,
-                }))
+                Ok(Response::Slice(data))
             }
         }
     }
@@ -579,7 +562,7 @@ impl Server {
         // Bookkeeping.
         for r in &replies {
             let cell = match r {
-                Reply::Slice { .. } | Reply::Full(Ok(Response::Slice(_))) => &self.stats.slices,
+                Reply::Slice(..) | Reply::Full(Ok(Response::Slice(_))) => &self.stats.slices,
                 Reply::Full(Ok(Response::Emulate(_))) => &self.stats.emulations,
                 Reply::Full(Ok(Response::Catalog(_))) | Reply::Full(Ok(Response::Stats(_))) => {
                     &self.stats.catalog_queries
@@ -750,13 +733,14 @@ impl Server {
                 (Arc::clone(chunk), r)
             })
             .collect();
-        Reply::Slice {
+        let data = SliceData {
             archive: req.archive.clone(),
             member: req.member.clone(),
             range: sp.range.clone(),
             values_per_slice: sp.values_per_slice,
-            parts,
-        }
+            values: Vec::new(),
+        };
+        Reply::Slice(data, parts)
     }
 
     /// Run a registered emulator forward.

@@ -822,19 +822,7 @@ impl ResponseBody {
     /// moved into segments, not copied).
     pub fn from_responses(responses: Vec<Result<Response, ServeError>>) -> Self {
         let mut e = Enc::new();
-        e.u32(responses.len() as u32);
-        for r in responses {
-            match r {
-                Ok(resp) => {
-                    e.u8(1);
-                    encode_response(&mut e, resp);
-                }
-                Err(err) => {
-                    e.u8(0);
-                    encode_serve_error(&mut e, &err);
-                }
-            }
-        }
+        responses.put_owned(&mut e);
         e.into_body()
     }
 
@@ -936,11 +924,22 @@ impl Enc {
         self.u64(range.len() as u64);
         self.values_run(buf, range);
     }
-    /// One un-prefixed run of values — several runs after a single
-    /// count prefix concatenate into one on-wire array (the chunk-parts
-    /// form of a slice response). Bit-identical to copying the values
-    /// byte by byte: the wire encoding of an f64 is its little-endian
-    /// bit pattern either way.
+    /// Append chunk parts to the value array just written, an empty one
+    /// whose zero count ends the owned run: the count becomes the parts'
+    /// total and each part one run of the array (the chunk-parts form of
+    /// a slice response).
+    fn extend_values(&mut self, parts: Vec<(Arc<[f64]>, Range<usize>)>) {
+        let count = self.cur.len() - 8;
+        debug_assert_eq!(self.cur[count..], [0; 8]);
+        let total: usize = parts.iter().map(|(_, r)| r.len()).sum();
+        self.cur[count..].copy_from_slice(&(total as u64).to_le_bytes());
+        for (chunk, r) in parts {
+            self.values_run(ValuesBuf::Arc(chunk), r);
+        }
+    }
+    /// One un-prefixed run of values. Bit-identical to copying the values
+    /// byte by byte: the wire encoding of an f64 is its little-endian bit
+    /// pattern either way.
     fn values_run(&mut self, buf: ValuesBuf, range: Range<usize>) {
         if cfg!(target_endian = "big") || range.len() * 8 <= SMALL_VALUES_BYTES {
             for v in &buf.as_slice()[range] {
@@ -969,12 +968,17 @@ impl<'a> Dec<'a> {
         self.buf.len() - self.pos
     }
 
+    /// The error for a read of `n` bytes past the end of the payload.
+    fn short(&self, n: usize, context: &str) -> WireError {
+        WireError::Malformed(format!(
+            "{context}: need {n} bytes, {} remain",
+            self.remaining()
+        ))
+    }
+
     fn take(&mut self, n: usize, context: &str) -> Result<&'a [u8], WireError> {
         if self.remaining() < n {
-            return Err(WireError::Malformed(format!(
-                "{context}: need {n} bytes, {} remain",
-                self.remaining()
-            )));
+            return Err(self.short(n, context));
         }
         let s = &self.buf[self.pos..self.pos + n];
         self.pos += n;
@@ -1061,761 +1065,375 @@ impl<'a> Dec<'a> {
 }
 
 // ---------------------------------------------------------------------------
-// Requests
+// Message codecs
 // ---------------------------------------------------------------------------
 
-const REQ_SLICE: u8 = 1;
-const REQ_EMULATE: u8 = 2;
-const REQ_CATALOG: u8 = 3;
-const REQ_STATS: u8 = 4;
-const REQ_PRODUCT: u8 = 5;
-const REQ_ENSEMBLE: u8 = 6;
-const REQ_DEADLINE: u8 = 7;
-
-const CQ_LIST_ARCHIVES: u8 = 1;
-const CQ_LIST_MEMBERS: u8 = 2;
-const CQ_MEMBER_INFO: u8 = 3;
-const CQ_LIST_EMULATORS: u8 = 4;
-
-// Scenario-engine tags: product sources and statistics.
-const PS_MEMBER: u8 = 1;
-const PS_ENSEMBLE: u8 = 2;
-
-const ST_RAW: u8 = 1;
-const ST_ANOMALY: u8 = 2;
-const ST_MEAN_STD: u8 = 3;
-const ST_TREND: u8 = 4;
-const ST_PERSISTENCE: u8 = 5;
-const ST_TUKEY: u8 = 6;
-
-fn encode_scenario_spec(e: &mut Enc, spec: &ScenarioSpec) {
-    e.str(&spec.emulator);
-    e.u64(spec.t_max);
-    e.u64(spec.seed);
-    e.u32(spec.realizations);
+/// A type's wire form. Each message type is declared once with [`wire!`],
+/// which writes its impl; its field types' impls follow the declarations.
+trait Wire: Sized {
+    /// A lower bound on any value's encoded size, which guards list counts.
+    const MIN: usize;
+    fn put(&self, e: &mut Enc);
+    /// [`Wire::put`] by value: value arrays move into borrowed segments.
+    fn put_owned(self, e: &mut Enc) {
+        self.put(e);
+    }
+    fn get(d: &mut Dec, context: &'static str) -> Result<Self, WireError>;
 }
 
-fn decode_scenario_spec(d: &mut Dec) -> Result<ScenarioSpec, WireError> {
-    Ok(ScenarioSpec {
-        emulator: d.str("scenario emulator")?,
-        t_max: d.u64("scenario t_max")?,
-        seed: d.u64("scenario seed")?,
-        realizations: d.u32("scenario realizations")?,
-    })
-}
-
-/// Optional half-open window: a presence byte, then `start`/`end` when
-/// present. The presence byte must be exactly 0 or 1 so every descriptor
-/// has one canonical wire form.
-fn encode_window(e: &mut Enc, window: &Option<std::ops::Range<u64>>) {
-    match window {
-        Some(r) => {
-            e.u8(1);
-            e.u64(r.start);
-            e.u64(r.end);
+/// Declare a type's wire form once: a struct's fields, or an enum's tags,
+/// variants and fields, in wire order and with their types. This writes
+/// the type's [`Wire`] impl: encoders whose `match` has no catch-all, so an
+/// undeclared variant does not compile; a decoder whose contexts name the
+/// type, variant and field, whose undeclared tags are [`unknown_tag`], and
+/// which runs `check` on each value; and `MIN`, the fields' sum for a
+/// struct and the tag byte for an enum.
+macro_rules! wire {
+    (enum $ty:ident $(<$($g:ident),*>)? { $(
+        $tag:literal => $var:ident $(($x:ident: $xty:ty))? $({ $($f:ident: $fty:ty),* })?,
+    )* } $(check $check:expr)?) => {
+        impl$(<$($g: Wire),*>)? Wire for $ty$(<$($g),*>)? {
+            const MIN: usize = 1;
+            fn put(&self, e: &mut Enc) {
+                match self {$($ty::$var $(($x))? $({ $($f),* })? => {
+                    e.u8($tag);
+                    $(Wire::put($x, e);)? $($(Wire::put($f, e);)*)?
+                })*}
+            }
+            fn put_owned(self, e: &mut Enc) {
+                match self {$($ty::$var $(($x))? $({ $($f),* })? => {
+                    e.u8($tag);
+                    $(Wire::put_owned($x, e);)? $($(Wire::put_owned($f, e);)*)?
+                })*}
+            }
+            fn get(d: &mut Dec, _: &'static str) -> Result<Self, WireError> {
+                let value = match d.u8(stringify!($ty tag))? {
+                    $($tag => $ty::$var
+                        $((<$xty as Wire>::get(d, stringify!($ty $var))?))?
+                        $({ $($f: <$fty as Wire>::get(d, stringify!($ty $var $f))?),* })?,)*
+                    other => return Err(unknown_tag(stringify!($ty), other)),
+                };
+                $(($check)(&value)?;)?
+                Ok(value)
+            }
         }
-        None => e.u8(0),
+    };
+    (struct $ty:ident { $($f:ident: $fty:ty),* $(,)? } $(check $check:expr)?) => {
+        impl Wire for $ty {
+            const MIN: usize = 0 $(+ <$fty as Wire>::MIN)*;
+            fn put(&self, e: &mut Enc) {
+                $(<$fty as Wire>::put(&self.$f, e);)*
+            }
+            fn put_owned(self, e: &mut Enc) {
+                $(<$fty as Wire>::put_owned(self.$f, e);)*
+            }
+            fn get(d: &mut Dec, _: &'static str) -> Result<Self, WireError> {
+                let value = $ty { $($f: <$fty as Wire>::get(d, stringify!($ty $f))?,)* };
+                $(($check)(&value)?;)?
+                Ok(value)
+            }
+        }
+    };
+}
+
+/// The one error for a tag that no declaration lists.
+fn unknown_tag(ty: &str, tag: u8) -> WireError {
+    WireError::Malformed(format!("unknown {ty} tag {tag}"))
+}
+
+// Requests.
+wire! { enum Request {
+    1 => Slice(slice: SliceRequest),
+    2 => Emulate { emulator: String, t_max: usize, seed: u64 },
+    3 => Catalog(query: CatalogQuery),
+    4 => Stats,
+    5 => Product(descriptor: ProductDescriptor),
+    6 => Ensemble(spec: ScenarioSpec),
+    7 => WithDeadline { budget_ms: u32, request: Box<Request> },
+} check one_deadline_level }
+wire! { enum CatalogQuery {
+    1 => ListArchives,
+    2 => ListMembers { archive: String },
+    3 => MemberInfo { archive: String, member: String },
+    4 => ListEmulators,
+} }
+wire! { struct SliceRequest { archive: String, member: String, range: Range<u64> } }
+wire! { struct ScenarioSpec { emulator: String, t_max: u64, seed: u64, realizations: u32 } }
+wire! { struct ProductDescriptor {
+    source: ProductSource, stat: ProductStat, time: Option<Range<u64>>, space: Option<Range<u64>>,
+} }
+wire! { enum ProductSource {
+    1 => Member { archive: String, member: String },
+    2 => Ensemble(spec: ScenarioSpec),
+} }
+wire! { enum ProductStat {
+    1 => Raw,
+    2 => Anomaly { archive: String, member: String },
+    3 => MeanStd,
+    4 => Trend,
+    5 => Persistence { order: u32 },
+    6 => TukeyExtremes { tail_per_mille: u32 },
+} }
+
+// Answers: one `Result<Response, ServeError>` per request.
+wire! { enum Result<T, E> { 0 => Err(error: E), 1 => Ok(value: T), } }
+wire! { enum Response {
+    1 => Slice(data: SliceData),
+    2 => Emulate(dataset: Dataset),
+    3 => Catalog(answer: CatalogAnswer),
+    4 => Stats(stats: ServeStats),
+    5 => Product(data: ProductData),
+} }
+wire! { struct SliceData {
+    archive: String, member: String, range: Range<u64>, values_per_slice: u64, values: Vec<f64>,
+} }
+wire! { struct Dataset {
+    t_max: usize, npoints: usize, ntheta: usize, nphi: usize, start_year: i64, tau: usize,
+    data: Vec<f64>,
+} check |ds: &Dataset| geometry("dataset", &[ds.t_max as u64, ds.npoints as u64], &ds.data) }
+wire! { struct ProductData {
+    realizations: u32, rows: u64, values_per_row: u64, values: Vec<f64>,
+} check |p: &ProductData| {
+    geometry("product", &[p.realizations.into(), p.rows, p.values_per_row], &p.values)
+} }
+wire! { enum CatalogAnswer {
+    1 => Archives(list: Vec<ArchiveInfo>),
+    2 => Members(list: Vec<MemberInfo>),
+    3 => Member(info: MemberInfo),
+    4 => Emulators(list: Vec<EmulatorInfo>),
+} }
+wire! { struct ArchiveInfo { name: String, members: usize, total_len: u64 } }
+wire! { struct MemberInfo {
+    name: String, kind: MemberKind, codec: u8, t_max: u64, values_per_slice: u64, chunks: usize,
+    snapshot_version: u32,
+} }
+wire! { enum MemberKind { 0 => Field, 1 => Snapshot, } }
+wire! { struct EmulatorInfo {
+    name: String, lmax: usize, grid: (usize, usize), parameter_bytes: usize,
+} }
+wire! { enum ServeError {
+    1 => Archive(error: ArchiveError),
+    2 => Emulation(message: String),
+    3 => UnknownArchive(name: String),
+    4 => UnknownEmulator(name: String),
+    5 => BadRequest(message: String),
+    6 => Overloaded { retry_after_ms: u32 },
+    7 => DeadlineExpired,
+    8 => Internal(message: String),
+} }
+wire! { enum ArchiveError {
+    1 => Io(message: String),
+    2 => BadMagic,
+    3 => BadVersion(version: u16),
+    4 => Corrupt(message: String),
+    5 => TrailingBytes { expected: u64, actual: u64 },
+    6 => TruncatedChunk { member: String, chunk: usize },
+    7 => ChecksumMismatch { member: String, chunk: usize },
+    8 => UnknownCodec(id: u8),
+    9 => MemberNotFound(name: String),
+    10 => DuplicateMember(name: String),
+    11 => BadRequest(message: String),
+} }
+
+/// A deadline wraps one request, never another deadline: a nested wrapper
+/// has no meaning, so it is malformed rather than flattened.
+fn one_deadline_level(request: &Request) -> Result<(), WireError> {
+    match request {
+        Request::WithDeadline { request, .. }
+            if matches!(**request, Request::WithDeadline { .. }) =>
+        {
+            Err(WireError::Malformed("nested deadline wrapper".to_string()))
+        }
+        _ => Ok(()),
     }
 }
 
-fn decode_window(d: &mut Dec, context: &str) -> Result<Option<std::ops::Range<u64>>, WireError> {
-    match d.u8(context)? {
-        0 => Ok(None),
-        1 => {
-            let start = d.u64(context)?;
-            let end = d.u64(context)?;
-            Ok(Some(start..end))
-        }
-        other => Err(WireError::Malformed(format!(
-            "{context}: presence byte is {other}, want 0 or 1"
+/// A value array holds exactly the product of its geometry's sizes.
+fn geometry(what: &str, dims: &[u64], values: &[f64]) -> Result<(), WireError> {
+    let n = values.len();
+    match dims.iter().try_fold(1u64, |acc, &dim| acc.checked_mul(dim)) {
+        Some(want) if want == n as u64 => Ok(()),
+        Some(_) => Err(WireError::Malformed(format!(
+            "{what} carries {n} values for {dims:?} geometry"
+        ))),
+        None => Err(WireError::Malformed(format!(
+            "{what} geometry {dims:?} overflows"
         ))),
     }
 }
 
-fn encode_product_descriptor(e: &mut Enc, desc: &ProductDescriptor) {
-    match &desc.source {
-        ProductSource::Member { archive, member } => {
-            e.u8(PS_MEMBER);
-            e.str(archive);
-            e.str(member);
-        }
-        ProductSource::Ensemble(spec) => {
-            e.u8(PS_ENSEMBLE);
-            encode_scenario_spec(e, spec);
-        }
-    }
-    match &desc.stat {
-        ProductStat::Raw => e.u8(ST_RAW),
-        ProductStat::Anomaly { archive, member } => {
-            e.u8(ST_ANOMALY);
-            e.str(archive);
-            e.str(member);
-        }
-        ProductStat::MeanStd => e.u8(ST_MEAN_STD),
-        ProductStat::Trend => e.u8(ST_TREND),
-        ProductStat::Persistence { order } => {
-            e.u8(ST_PERSISTENCE);
-            e.u32(*order);
-        }
-        ProductStat::TukeyExtremes { tail_per_mille } => {
-            e.u8(ST_TUKEY);
-            e.u32(*tail_per_mille);
-        }
-    }
-    encode_window(e, &desc.time);
-    encode_window(e, &desc.space);
-}
-
-fn decode_product_descriptor(d: &mut Dec) -> Result<ProductDescriptor, WireError> {
-    let source = match d.u8("product source tag")? {
-        PS_MEMBER => ProductSource::Member {
-            archive: d.str("product archive")?,
-            member: d.str("product member")?,
-        },
-        PS_ENSEMBLE => ProductSource::Ensemble(decode_scenario_spec(d)?),
-        other => {
-            return Err(WireError::Malformed(format!(
-                "unknown product source tag {other}"
-            )))
-        }
-    };
-    let stat = match d.u8("product stat tag")? {
-        ST_RAW => ProductStat::Raw,
-        ST_ANOMALY => ProductStat::Anomaly {
-            archive: d.str("anomaly baseline archive")?,
-            member: d.str("anomaly baseline member")?,
-        },
-        ST_MEAN_STD => ProductStat::MeanStd,
-        ST_TREND => ProductStat::Trend,
-        ST_PERSISTENCE => ProductStat::Persistence {
-            order: d.u32("persistence order")?,
-        },
-        ST_TUKEY => ProductStat::TukeyExtremes {
-            tail_per_mille: d.u32("tukey tail_per_mille")?,
-        },
-        other => {
-            return Err(WireError::Malformed(format!(
-                "unknown product stat tag {other}"
-            )))
-        }
-    };
-    let time = decode_window(d, "product time window")?;
-    let space = decode_window(d, "product space window")?;
-    Ok(ProductDescriptor {
-        source,
-        stat,
-        time,
-        space,
-    })
-}
-
-fn encode_request(e: &mut Enc, req: &Request) {
-    match req {
-        Request::Slice(s) => {
-            e.u8(REQ_SLICE);
-            e.str(&s.archive);
-            e.str(&s.member);
-            e.u64(s.range.start);
-            e.u64(s.range.end);
-        }
-        Request::Emulate {
-            emulator,
-            t_max,
-            seed,
-        } => {
-            e.u8(REQ_EMULATE);
-            e.str(emulator);
-            e.u64(*t_max as u64);
-            e.u64(*seed);
-        }
-        Request::Catalog(q) => {
-            e.u8(REQ_CATALOG);
-            match q {
-                CatalogQuery::ListArchives => e.u8(CQ_LIST_ARCHIVES),
-                CatalogQuery::ListMembers { archive } => {
-                    e.u8(CQ_LIST_MEMBERS);
-                    e.str(archive);
-                }
-                CatalogQuery::MemberInfo { archive, member } => {
-                    e.u8(CQ_MEMBER_INFO);
-                    e.str(archive);
-                    e.str(member);
-                }
-                CatalogQuery::ListEmulators => e.u8(CQ_LIST_EMULATORS),
+/// The field types: little-endian integers, and `usize` as a `u64` that
+/// must fit this target's address space. Each gives its `MIN`, then how a
+/// value is put and got.
+macro_rules! leaf_wire {
+    ($($t:ty = $min:expr, |$v:ident, $e:ident| $put:expr, |$d:ident, $cx:ident| $get:expr;)*) => {$(
+        impl Wire for $t {
+            const MIN: usize = $min;
+            fn put(&self, $e: &mut Enc) {
+                let $v = self;
+                $put;
+            }
+            fn get($d: &mut Dec, $cx: &'static str) -> Result<Self, WireError> {
+                $get
             }
         }
-        Request::Stats => e.u8(REQ_STATS),
-        Request::Product(desc) => {
-            e.u8(REQ_PRODUCT);
-            encode_product_descriptor(e, desc);
-        }
-        Request::Ensemble(spec) => {
-            e.u8(REQ_ENSEMBLE);
-            encode_scenario_spec(e, spec);
-        }
-        Request::WithDeadline { budget_ms, request } => {
-            e.u8(REQ_DEADLINE);
-            e.u32(*budget_ms);
-            encode_request(e, request);
+    )*};
+}
+leaf_wire! {
+    u8 = 1, |v, e| e.u8(*v), |d, cx| d.u8(cx);
+    u16 = 2, |v, e| e.u16(*v), |d, cx| d.u16(cx);
+    u32 = 4, |v, e| e.u32(*v), |d, cx| d.u32(cx);
+    u64 = 8, |v, e| e.u64(*v), |d, cx| d.u64(cx);
+    i64 = 8, |v, e| e.i64(*v), |d, cx| d.i64(cx);
+    usize = 8, |v, e| e.u64(*v as u64), |d, cx| d.usize(cx);
+    // A `u32` byte length, then UTF-8, clipped to `MAX_STR_LEN` (`Enc::str`).
+    String = 4, |v, e| e.str(v), |d, cx| d.str(cx);
+    Range<u64> = 16, |v, e| (e.u64(v.start), e.u64(v.end)), |d, cx| Ok(d.u64(cx)?..d.u64(cx)?);
+    (usize, usize) = 16, |v, e| (v.0.put(e), v.1.put(e)), |d, cx| Ok((d.usize(cx)?, d.usize(cx)?));
+    Box<Request> = Request::MIN, |v, e| (**v).put(e), |d, cx| Request::get(d, cx).map(Box::new);
+}
+
+/// A presence byte, then the value when it is 1. The byte must be exactly
+/// 0 or 1, so every value has one canonical wire form.
+impl<T: Wire> Wire for Option<T> {
+    const MIN: usize = 1;
+    fn put(&self, e: &mut Enc) {
+        e.u8(self.is_some().into());
+        self.iter().for_each(|v| v.put(e));
+    }
+    fn get(d: &mut Dec, context: &'static str) -> Result<Self, WireError> {
+        match d.u8(context)? {
+            0 => Ok(None),
+            1 => T::get(d, context).map(Some),
+            other => Err(WireError::Malformed(format!(
+                "{context}: presence byte is {other}, want 0 or 1"
+            ))),
         }
     }
 }
 
-fn decode_request(d: &mut Dec) -> Result<Request, WireError> {
-    match d.u8("request tag")? {
-        REQ_SLICE => Ok(Request::Slice(SliceRequest {
-            archive: d.str("slice archive")?,
-            member: d.str("slice member")?,
-            range: {
-                let start = d.u64("slice range start")?;
-                let end = d.u64("slice range end")?;
-                start..end
-            },
-        })),
-        REQ_EMULATE => Ok(Request::Emulate {
-            emulator: d.str("emulate name")?,
-            t_max: d.usize("emulate t_max")?,
-            seed: d.u64("emulate seed")?,
-        }),
-        REQ_CATALOG => {
-            let q = match d.u8("catalog query tag")? {
-                CQ_LIST_ARCHIVES => CatalogQuery::ListArchives,
-                CQ_LIST_MEMBERS => CatalogQuery::ListMembers {
-                    archive: d.str("list-members archive")?,
-                },
-                CQ_MEMBER_INFO => CatalogQuery::MemberInfo {
-                    archive: d.str("member-info archive")?,
-                    member: d.str("member-info member")?,
-                },
-                CQ_LIST_EMULATORS => CatalogQuery::ListEmulators,
-                other => {
-                    return Err(WireError::Malformed(format!(
-                        "unknown catalog query tag {other}"
-                    )))
-                }
-            };
-            Ok(Request::Catalog(q))
-        }
-        REQ_STATS => Ok(Request::Stats),
-        REQ_PRODUCT => Ok(Request::Product(decode_product_descriptor(d)?)),
-        REQ_ENSEMBLE => Ok(Request::Ensemble(decode_scenario_spec(d)?)),
-        REQ_DEADLINE => {
-            let budget_ms = d.u32("deadline budget_ms")?;
-            let request = decode_request(d)?;
-            // One level only: a deadline wrapping a deadline has no
-            // meaning, so a nested wrapper is a protocol violation, not
-            // something to silently flatten.
-            if matches!(request, Request::WithDeadline { .. }) {
-                return Err(WireError::Malformed("nested deadline wrapper".to_string()));
-            }
-            Ok(Request::WithDeadline {
-                budget_ms,
-                request: Box::new(request),
-            })
-        }
-        other => Err(WireError::Malformed(format!("unknown request tag {other}"))),
+/// A list: a `u32` count, then the elements. A count that `T::MIN`-byte
+/// elements could not fit in the bytes left is rejected before anything
+/// is sized from it.
+impl<T: Wire> Wire for Vec<T> {
+    const MIN: usize = 4;
+    fn put(&self, e: &mut Enc) {
+        put_list(self, e);
     }
+    fn put_owned(self, e: &mut Enc) {
+        e.u32(self.len() as u32);
+        self.into_iter().for_each(|v| v.put_owned(e));
+    }
+    fn get(d: &mut Dec, context: &'static str) -> Result<Self, WireError> {
+        let count = d.u32(context)?;
+        if u64::from(count) * T::MIN as u64 > d.remaining() as u64 {
+            let left = d.remaining();
+            return Err(WireError::Malformed(format!(
+                "{context}: {count} elements claimed, {left} bytes remain"
+            )));
+        }
+        (0..count).map(|_| T::get(d, context)).collect()
+    }
+}
+
+/// A value array: a `u64` count, then each value's IEEE 754 bits. It is not
+/// a list (`f64` is no [`Wire`] type): [`Dec::f64s`] guards its count, and
+/// an owned array becomes a borrowed segment ([`Enc::values`]).
+impl Wire for Vec<f64> {
+    const MIN: usize = 8;
+    fn put(&self, e: &mut Enc) {
+        e.u64(self.len() as u64);
+        e.cur.reserve(8 * self.len());
+        self.iter()
+            .for_each(|v| e.cur.extend_from_slice(&v.to_le_bytes()));
+    }
+    fn put_owned(self, e: &mut Enc) {
+        let n = self.len();
+        e.values(ValuesBuf::Vec(self), 0..n);
+    }
+    fn get(d: &mut Dec, context: &'static str) -> Result<Self, WireError> {
+        d.f64s(context)
+    }
+}
+
+/// Every counter word as a `u64`, in declaration order ([`Counters`]).
+impl Wire for ServeStats {
+    // Every field is made of `u64` words, so the struct is its wire size.
+    const MIN: usize = std::mem::size_of::<ServeStats>();
+    fn put(&self, e: &mut Enc) {
+        self.fields()
+            .flat_map(|(_, words)| words)
+            .for_each(|&w| e.u64(w));
+    }
+    fn get(d: &mut Dec, _: &'static str) -> Result<Self, WireError> {
+        let mut stats = ServeStats::default();
+        for (name, words) in stats.fields_mut() {
+            for w in words {
+                // The context names the field, formatted only on failure.
+                *w = d
+                    .u64("")
+                    .map_err(|_| d.short(8, &format!("stats {name}")))?;
+            }
+        }
+        Ok(stats)
+    }
+}
+
+/// A list's wire form from a borrowed slice.
+fn put_list<T: Wire>(items: &[T], e: &mut Enc) {
+    e.u32(items.len() as u32);
+    items.iter().for_each(|item| item.put(e));
+}
+
+/// A borrowed list as a whole payload.
+fn list_payload<T: Wire>(items: &[T]) -> Vec<u8> {
+    let mut e = Enc::new();
+    put_list(items, &mut e);
+    e.into_payload()
+}
+
+/// Decode one `T` that must fill `payload` exactly: trailing bytes are
+/// malformed, mirroring the container's no-trailing-garbage rule.
+fn decode_whole<T: Wire>(payload: &[u8], context: &'static str) -> Result<T, WireError> {
+    let mut d = Dec::new(payload);
+    let value = T::get(&mut d, context)?;
+    d.finish(context)?;
+    Ok(value)
 }
 
 /// Encode a batch of requests as a request-frame payload.
 pub fn encode_request_batch(requests: &[Request]) -> Vec<u8> {
-    let mut e = Enc::new();
-    e.u32(requests.len() as u32);
-    for r in requests {
-        encode_request(&mut e, r);
-    }
-    e.into_payload()
+    list_payload(requests)
 }
 
-/// Decode a request-frame payload. The whole payload must be consumed —
-/// trailing bytes are malformed, mirroring the container's
-/// no-trailing-garbage rule.
+/// Decode a request-frame payload; the whole payload must be consumed.
 pub fn decode_request_batch(payload: &[u8]) -> Result<Vec<Request>, WireError> {
-    let mut d = Dec::new(payload);
-    let count = d.u32("request count")? as usize;
-    // Every request is at least one tag byte; a count beyond the
-    // remaining bytes is a lie and is rejected before any allocation
-    // is sized from it.
-    if count > d.remaining() {
-        return Err(WireError::Malformed(format!(
-            "{count} requests claimed in a {}-byte payload",
-            d.remaining()
-        )));
-    }
-    let mut requests = Vec::with_capacity(count);
-    for _ in 0..count {
-        requests.push(decode_request(&mut d)?);
-    }
-    d.finish("request batch")?;
-    Ok(requests)
-}
-
-// ---------------------------------------------------------------------------
-// Responses
-// ---------------------------------------------------------------------------
-
-const RESP_SLICE: u8 = 1;
-const RESP_EMULATE: u8 = 2;
-const RESP_CATALOG: u8 = 3;
-const RESP_STATS: u8 = 4;
-const RESP_PRODUCT: u8 = 5;
-
-const CA_ARCHIVES: u8 = 1;
-const CA_MEMBERS: u8 = 2;
-const CA_MEMBER: u8 = 3;
-const CA_EMULATORS: u8 = 4;
-
-fn encode_member_info(e: &mut Enc, m: &MemberInfo) {
-    e.str(&m.name);
-    e.u8(m.kind.id());
-    e.u8(m.codec);
-    e.u64(m.t_max);
-    e.u64(m.values_per_slice);
-    e.u64(m.chunks as u64);
-    e.u32(m.snapshot_version);
-}
-
-fn decode_member_info(d: &mut Dec) -> Result<MemberInfo, WireError> {
-    Ok(MemberInfo {
-        name: d.str("member name")?,
-        kind: match d.u8("member kind")? {
-            0 => MemberKind::Field,
-            1 => MemberKind::Snapshot,
-            other => return Err(WireError::Malformed(format!("unknown member kind {other}"))),
-        },
-        codec: d.u8("member codec")?,
-        t_max: d.u64("member t_max")?,
-        values_per_slice: d.u64("member values_per_slice")?,
-        chunks: d.usize("member chunk count")?,
-        snapshot_version: d.u32("member snapshot version")?,
-    })
-}
-
-fn encode_response(e: &mut Enc, resp: Response) {
-    match resp {
-        Response::Slice(s) => {
-            e.u8(RESP_SLICE);
-            e.str(&s.archive);
-            e.str(&s.member);
-            e.u64(s.range.start);
-            e.u64(s.range.end);
-            e.u64(s.values_per_slice);
-            let n = s.values.len();
-            e.values(ValuesBuf::Vec(s.values), 0..n);
-        }
-        Response::Emulate(ds) => {
-            e.u8(RESP_EMULATE);
-            e.u64(ds.t_max as u64);
-            e.u64(ds.npoints as u64);
-            e.u64(ds.ntheta as u64);
-            e.u64(ds.nphi as u64);
-            e.i64(ds.start_year);
-            e.u64(ds.tau as u64);
-            let n = ds.data.len();
-            e.values(ValuesBuf::Vec(ds.data), 0..n);
-        }
-        Response::Catalog(a) => {
-            e.u8(RESP_CATALOG);
-            match &a {
-                CatalogAnswer::Archives(list) => {
-                    e.u8(CA_ARCHIVES);
-                    e.u32(list.len() as u32);
-                    for a in list {
-                        e.str(&a.name);
-                        e.u64(a.members as u64);
-                        e.u64(a.total_len);
-                    }
-                }
-                CatalogAnswer::Members(list) => {
-                    e.u8(CA_MEMBERS);
-                    e.u32(list.len() as u32);
-                    for m in list {
-                        encode_member_info(e, m);
-                    }
-                }
-                CatalogAnswer::Member(m) => {
-                    e.u8(CA_MEMBER);
-                    encode_member_info(e, m);
-                }
-                CatalogAnswer::Emulators(list) => {
-                    e.u8(CA_EMULATORS);
-                    e.u32(list.len() as u32);
-                    for em in list {
-                        e.str(&em.name);
-                        e.u64(em.lmax as u64);
-                        e.u64(em.grid.0 as u64);
-                        e.u64(em.grid.1 as u64);
-                        e.u64(em.parameter_bytes as u64);
-                    }
-                }
-            }
-        }
-        Response::Stats(s) => {
-            e.u8(RESP_STATS);
-            for (_, words) in s.fields() {
-                for &w in words {
-                    e.u64(w);
-                }
-            }
-        }
-        Response::Product(p) => {
-            e.u8(RESP_PRODUCT);
-            e.u32(p.realizations);
-            e.u64(p.rows);
-            e.u64(p.values_per_row);
-            let n = p.values.len();
-            e.values(ValuesBuf::Vec(p.values), 0..n);
-        }
-    }
-}
-
-/// Guard a `u32` element count against the bytes remaining: each element
-/// encodes to at least `min_bytes`, so any larger claim is hostile.
-fn check_count(d: &Dec, count: u32, min_bytes: usize, context: &str) -> Result<usize, WireError> {
-    let need = (count as u64).saturating_mul(min_bytes as u64);
-    if need > d.remaining() as u64 {
-        return Err(WireError::Malformed(format!(
-            "{context}: {count} elements claimed, {} bytes remain",
-            d.remaining()
-        )));
-    }
-    Ok(count as usize)
-}
-
-fn decode_response(d: &mut Dec) -> Result<Response, WireError> {
-    match d.u8("response tag")? {
-        RESP_SLICE => {
-            let archive = d.str("slice archive")?;
-            let member = d.str("slice member")?;
-            let start = d.u64("slice range start")?;
-            let end = d.u64("slice range end")?;
-            let values_per_slice = d.u64("slice values_per_slice")?;
-            let values = d.f64s("slice values")?;
-            Ok(Response::Slice(SliceData {
-                archive,
-                member,
-                range: start..end,
-                values_per_slice,
-                values,
-            }))
-        }
-        RESP_EMULATE => {
-            let t_max = d.usize("dataset t_max")?;
-            let npoints = d.usize("dataset npoints")?;
-            let ntheta = d.usize("dataset ntheta")?;
-            let nphi = d.usize("dataset nphi")?;
-            let start_year = d.i64("dataset start_year")?;
-            let tau = d.usize("dataset tau")?;
-            let data = d.f64s("dataset values")?;
-            let expect = t_max
-                .checked_mul(npoints)
-                .ok_or_else(|| WireError::Malformed("dataset geometry overflows".to_string()))?;
-            if data.len() != expect {
-                return Err(WireError::Malformed(format!(
-                    "dataset carries {} values for {t_max}×{npoints} geometry",
-                    data.len()
-                )));
-            }
-            Ok(Response::Emulate(Dataset {
-                data,
-                t_max,
-                npoints,
-                ntheta,
-                nphi,
-                start_year,
-                tau,
-            }))
-        }
-        RESP_CATALOG => {
-            let answer = match d.u8("catalog answer tag")? {
-                CA_ARCHIVES => {
-                    let count = d.u32("archive count")?;
-                    let count = check_count(d, count, 4 + 8 + 8, "archive list")?;
-                    let mut list = Vec::with_capacity(count);
-                    for _ in 0..count {
-                        list.push(ArchiveInfo {
-                            name: d.str("archive name")?,
-                            members: d.usize("archive member count")?,
-                            total_len: d.u64("archive total_len")?,
-                        });
-                    }
-                    CatalogAnswer::Archives(list)
-                }
-                CA_MEMBERS => {
-                    let count = d.u32("member count")?;
-                    let count = check_count(d, count, 4 + 2 + 8 * 3 + 4, "member list")?;
-                    let mut list = Vec::with_capacity(count);
-                    for _ in 0..count {
-                        list.push(decode_member_info(d)?);
-                    }
-                    CatalogAnswer::Members(list)
-                }
-                CA_MEMBER => CatalogAnswer::Member(decode_member_info(d)?),
-                CA_EMULATORS => {
-                    let count = d.u32("emulator count")?;
-                    let count = check_count(d, count, 4 + 8 * 4, "emulator list")?;
-                    let mut list = Vec::with_capacity(count);
-                    for _ in 0..count {
-                        list.push(EmulatorInfo {
-                            name: d.str("emulator name")?,
-                            lmax: d.usize("emulator lmax")?,
-                            grid: (d.usize("emulator ntheta")?, d.usize("emulator nphi")?),
-                            parameter_bytes: d.usize("emulator parameter bytes")?,
-                        });
-                    }
-                    CatalogAnswer::Emulators(list)
-                }
-                other => {
-                    return Err(WireError::Malformed(format!(
-                        "unknown catalog answer tag {other}"
-                    )))
-                }
-            };
-            Ok(Response::Catalog(answer))
-        }
-        RESP_STATS => {
-            let mut stats = ServeStats::default();
-            for (name, words) in stats.fields_mut() {
-                for w in words {
-                    *w = d.u64(&format!("stats {name}"))?;
-                }
-            }
-            Ok(Response::Stats(stats))
-        }
-        RESP_PRODUCT => {
-            let realizations = d.u32("product realizations")?;
-            let rows = d.u64("product rows")?;
-            let values_per_row = d.u64("product values_per_row")?;
-            let values = d.f64s("product values")?;
-            let expect = u64::from(realizations)
-                .checked_mul(rows)
-                .and_then(|v| v.checked_mul(values_per_row))
-                .ok_or_else(|| WireError::Malformed("product geometry overflows".to_string()))?;
-            if values.len() as u64 != expect {
-                return Err(WireError::Malformed(format!(
-                    "product carries {} values for {realizations}×{rows}×{values_per_row} geometry",
-                    values.len()
-                )));
-            }
-            Ok(Response::Product(ProductData {
-                realizations,
-                rows,
-                values_per_row,
-                values,
-            }))
-        }
-        other => Err(WireError::Malformed(format!(
-            "unknown response tag {other}"
-        ))),
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Errors on the wire
-// ---------------------------------------------------------------------------
-
-const SE_ARCHIVE: u8 = 1;
-const SE_EMULATION: u8 = 2;
-const SE_UNKNOWN_ARCHIVE: u8 = 3;
-const SE_UNKNOWN_EMULATOR: u8 = 4;
-const SE_BAD_REQUEST: u8 = 5;
-const SE_OVERLOADED: u8 = 6;
-const SE_DEADLINE_EXPIRED: u8 = 7;
-const SE_INTERNAL: u8 = 8;
-
-const AE_IO: u8 = 1;
-const AE_BAD_MAGIC: u8 = 2;
-const AE_BAD_VERSION: u8 = 3;
-const AE_CORRUPT: u8 = 4;
-const AE_TRAILING: u8 = 5;
-const AE_TRUNCATED_CHUNK: u8 = 6;
-const AE_CHECKSUM: u8 = 7;
-const AE_UNKNOWN_CODEC: u8 = 8;
-const AE_MEMBER_NOT_FOUND: u8 = 9;
-const AE_DUPLICATE_MEMBER: u8 = 10;
-const AE_BAD_REQUEST: u8 = 11;
-
-fn encode_archive_error(e: &mut Enc, err: &ArchiveError) {
-    match err {
-        ArchiveError::Io(m) => {
-            e.u8(AE_IO);
-            e.str(m);
-        }
-        ArchiveError::BadMagic => e.u8(AE_BAD_MAGIC),
-        ArchiveError::BadVersion(v) => {
-            e.u8(AE_BAD_VERSION);
-            e.u16(*v);
-        }
-        ArchiveError::Corrupt(m) => {
-            e.u8(AE_CORRUPT);
-            e.str(m);
-        }
-        ArchiveError::TrailingBytes { expected, actual } => {
-            e.u8(AE_TRAILING);
-            e.u64(*expected);
-            e.u64(*actual);
-        }
-        ArchiveError::TruncatedChunk { member, chunk } => {
-            e.u8(AE_TRUNCATED_CHUNK);
-            e.str(member);
-            e.u64(*chunk as u64);
-        }
-        ArchiveError::ChecksumMismatch { member, chunk } => {
-            e.u8(AE_CHECKSUM);
-            e.str(member);
-            e.u64(*chunk as u64);
-        }
-        ArchiveError::UnknownCodec(id) => {
-            e.u8(AE_UNKNOWN_CODEC);
-            e.u8(*id);
-        }
-        ArchiveError::MemberNotFound(n) => {
-            e.u8(AE_MEMBER_NOT_FOUND);
-            e.str(n);
-        }
-        ArchiveError::DuplicateMember(n) => {
-            e.u8(AE_DUPLICATE_MEMBER);
-            e.str(n);
-        }
-        ArchiveError::BadRequest(m) => {
-            e.u8(AE_BAD_REQUEST);
-            e.str(m);
-        }
-    }
-}
-
-fn decode_archive_error(d: &mut Dec) -> Result<ArchiveError, WireError> {
-    Ok(match d.u8("archive error tag")? {
-        AE_IO => ArchiveError::Io(d.str("io message")?),
-        AE_BAD_MAGIC => ArchiveError::BadMagic,
-        AE_BAD_VERSION => ArchiveError::BadVersion(d.u16("bad version")?),
-        AE_CORRUPT => ArchiveError::Corrupt(d.str("corrupt message")?),
-        AE_TRAILING => ArchiveError::TrailingBytes {
-            expected: d.u64("trailing expected")?,
-            actual: d.u64("trailing actual")?,
-        },
-        AE_TRUNCATED_CHUNK => ArchiveError::TruncatedChunk {
-            member: d.str("truncated member")?,
-            chunk: d.usize("truncated chunk")?,
-        },
-        AE_CHECKSUM => ArchiveError::ChecksumMismatch {
-            member: d.str("checksum member")?,
-            chunk: d.usize("checksum chunk")?,
-        },
-        AE_UNKNOWN_CODEC => ArchiveError::UnknownCodec(d.u8("codec id")?),
-        AE_MEMBER_NOT_FOUND => ArchiveError::MemberNotFound(d.str("missing member")?),
-        AE_DUPLICATE_MEMBER => ArchiveError::DuplicateMember(d.str("duplicate member")?),
-        AE_BAD_REQUEST => ArchiveError::BadRequest(d.str("bad request message")?),
-        other => {
-            return Err(WireError::Malformed(format!(
-                "unknown archive error tag {other}"
-            )))
-        }
-    })
-}
-
-fn encode_serve_error(e: &mut Enc, err: &ServeError) {
-    match err {
-        ServeError::Archive(inner) => {
-            e.u8(SE_ARCHIVE);
-            encode_archive_error(e, inner);
-        }
-        ServeError::Emulation(m) => {
-            e.u8(SE_EMULATION);
-            e.str(m);
-        }
-        ServeError::UnknownArchive(n) => {
-            e.u8(SE_UNKNOWN_ARCHIVE);
-            e.str(n);
-        }
-        ServeError::UnknownEmulator(n) => {
-            e.u8(SE_UNKNOWN_EMULATOR);
-            e.str(n);
-        }
-        ServeError::BadRequest(m) => {
-            e.u8(SE_BAD_REQUEST);
-            e.str(m);
-        }
-        ServeError::Overloaded { retry_after_ms } => {
-            e.u8(SE_OVERLOADED);
-            e.u32(*retry_after_ms);
-        }
-        ServeError::DeadlineExpired => e.u8(SE_DEADLINE_EXPIRED),
-        ServeError::Internal(m) => {
-            e.u8(SE_INTERNAL);
-            e.str(m);
-        }
-    }
-}
-
-fn decode_serve_error(d: &mut Dec) -> Result<ServeError, WireError> {
-    Ok(match d.u8("serve error tag")? {
-        SE_ARCHIVE => ServeError::Archive(decode_archive_error(d)?),
-        SE_EMULATION => ServeError::Emulation(d.str("emulation message")?),
-        SE_UNKNOWN_ARCHIVE => ServeError::UnknownArchive(d.str("unknown archive")?),
-        SE_UNKNOWN_EMULATOR => ServeError::UnknownEmulator(d.str("unknown emulator")?),
-        SE_BAD_REQUEST => ServeError::BadRequest(d.str("bad request message")?),
-        SE_OVERLOADED => ServeError::Overloaded {
-            retry_after_ms: d.u32("overloaded retry_after_ms")?,
-        },
-        SE_DEADLINE_EXPIRED => ServeError::DeadlineExpired,
-        SE_INTERNAL => ServeError::Internal(d.str("internal message")?),
-        other => {
-            return Err(WireError::Malformed(format!(
-                "unknown serve error tag {other}"
-            )))
-        }
-    })
+    decode_whole(payload, "request batch")
 }
 
 /// Encode a batch's responses as a response-frame payload: one
-/// `Result<Response, ServeError>` per request, in request order.
-///
-/// Convenience over [`ResponseBody::from_responses`] — both paths run
-/// the same encoder, so a streamed body reassembles to exactly these
-/// bytes.
+/// `Result<Response, ServeError>` per request, in request order. The
+/// by-reference twin of [`ResponseBody::from_responses`], from the same
+/// declarations, so a streamed body reassembles to exactly these bytes.
 pub fn encode_response_batch(responses: &[Result<Response, ServeError>]) -> Vec<u8> {
-    ResponseBody::from_responses(responses.to_vec()).to_payload()
+    list_payload(responses)
 }
 
-/// Encode a batch of server [`Reply`](crate::server::Reply)s. The slice
-/// variant writes the same bytes a materialized [`Response::Slice`]
-/// would — metadata, one total value count, then each chunk part as a
-/// borrowed segment referencing the decoded chunk's `Arc` directly, so
-/// slice payloads are never copied out of the chunk cache.
+/// Encode a batch of server [`Reply`](crate::server::Reply)s. A slice
+/// reply writes the bytes its materialized [`Response::Slice`] would: the
+/// declared answer, whose value array is then the chunk parts, each a
+/// borrowed segment of the decoded chunk's `Arc`, so slice payloads are
+/// never copied out of the chunk cache.
 pub(crate) fn encode_reply_batch(replies: Vec<crate::server::Reply>) -> ResponseBody {
     use crate::server::Reply;
     let mut e = Enc::new();
     e.u32(replies.len() as u32);
-    for r in replies {
-        match r {
-            Reply::Full(Ok(resp)) => {
-                e.u8(1);
-                encode_response(&mut e, resp);
-            }
-            Reply::Full(Err(err)) => {
-                e.u8(0);
-                encode_serve_error(&mut e, &err);
-            }
-            Reply::Slice {
-                archive,
-                member,
-                range,
-                values_per_slice,
-                parts,
-            } => {
-                e.u8(1);
-                e.u8(RESP_SLICE);
-                e.str(&archive);
-                e.str(&member);
-                e.u64(range.start);
-                e.u64(range.end);
-                e.u64(values_per_slice);
-                let total: usize = parts.iter().map(|(_, r)| r.len()).sum();
-                e.u64(total as u64);
-                for (chunk, r) in parts {
-                    e.values_run(ValuesBuf::Arc(chunk), r);
-                }
+    for reply in replies {
+        match reply {
+            Reply::Full(result) => result.put_owned(&mut e),
+            Reply::Slice(data, parts) => {
+                Ok::<_, ServeError>(Response::Slice(data)).put_owned(&mut e);
+                e.extend_values(parts);
             }
         }
     }
@@ -1828,24 +1446,7 @@ pub(crate) fn encode_reply_batch(replies: Vec<crate::server::Reply>) -> Response
 pub fn decode_response_batch(
     payload: &[u8],
 ) -> Result<Vec<Result<Response, ServeError>>, WireError> {
-    let mut d = Dec::new(payload);
-    let count = d.u32("response count")? as usize;
-    if count > d.remaining() {
-        return Err(WireError::Malformed(format!(
-            "{count} responses claimed in a {}-byte payload",
-            d.remaining()
-        )));
-    }
-    let mut responses = Vec::with_capacity(count);
-    for _ in 0..count {
-        match d.u8("result tag")? {
-            1 => responses.push(Ok(decode_response(&mut d)?)),
-            0 => responses.push(Err(decode_serve_error(&mut d)?)),
-            other => return Err(WireError::Malformed(format!("unknown result tag {other}"))),
-        }
-    }
-    d.finish("response batch")?;
-    Ok(responses)
+    decode_whole(payload, "response batch")
 }
 
 /// Encode an error-frame payload: the transport failure's display text
@@ -1858,15 +1459,25 @@ pub fn encode_error_payload(message: &str) -> Vec<u8> {
 
 /// Decode an error-frame payload back to its message.
 pub fn decode_error_payload(payload: &[u8]) -> Result<String, WireError> {
-    let mut d = Dec::new(payload);
-    let msg = d.str("error message")?;
-    d.finish("error payload")?;
-    Ok(msg)
+    decode_whole(payload, "error message")
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    // The tags the hand-assembled payloads below write, stated apart from
+    // the declarations so these tests pin the wire.
+    const REQ_PRODUCT: u8 = 5;
+    const PS_MEMBER: u8 = 1;
+    const ST_RAW: u8 = 1;
+    const RESP_SLICE: u8 = 1;
+    const RESP_EMULATE: u8 = 2;
+    const RESP_PRODUCT: u8 = 5;
+
+    fn decode_response(d: &mut Dec) -> Result<Response, WireError> {
+        Response::get(d, "response")
+    }
 
     fn sample_requests() -> Vec<Request> {
         vec![
@@ -2481,22 +2092,47 @@ mod tests {
         assert!(matches!(err, WireError::Malformed(_)), "{err:?}");
     }
 
+    /// Every tagged type's first undeclared tag, one past its last, is
+    /// the one typed error naming the type; its last declared tag is not.
     #[test]
     fn unknown_product_tags_are_typed_errors() {
-        for (source_tag, stat_tag) in [(9, ST_RAW), (PS_MEMBER, 9)] {
-            let mut e = Enc::new();
-            e.u32(1);
-            e.u8(REQ_PRODUCT);
-            e.u8(source_tag);
-            e.str("a");
-            e.str("m");
-            e.u8(stat_tag);
-            e.u8(0);
-            e.u8(0);
-            assert!(matches!(
-                decode_request_batch(&e.into_payload()),
-                Err(WireError::Malformed(_))
-            ));
+        let s = |x: &str| [&(x.len() as u32).to_le_bytes()[..], x.as_bytes()].concat();
+        // (type, request batch?, the bytes after the batch count up to
+        // and including the type's tag)
+        let cases = [
+            ("Request", true, vec![8]),
+            ("CatalogQuery", true, vec![3, 5]),
+            ("ProductSource", true, vec![REQ_PRODUCT, 3]),
+            (
+                "ProductStat",
+                true,
+                [&[REQ_PRODUCT, PS_MEMBER][..], &s("a"), &s("m"), &[7]].concat(),
+            ),
+            ("Result", false, vec![2]),
+            ("Response", false, vec![1, 6]),
+            ("CatalogAnswer", false, vec![1, 3, 5]),
+            (
+                "MemberKind",
+                false,
+                [&[1, 3, 3][..], &s("t2m"), &[2]].concat(),
+            ),
+            ("ServeError", false, vec![0, 9]),
+            ("ArchiveError", false, vec![0, 1, 12]),
+        ];
+        for (ty, request, body) in cases {
+            let tag = *body.last().unwrap();
+            for t in [tag, tag - 1] {
+                let mut payload = [&1u32.to_le_bytes()[..], &body].concat();
+                *payload.last_mut().unwrap() = t;
+                let err = if request {
+                    decode_request_batch(&payload).map(drop)
+                } else {
+                    decode_response_batch(&payload).map(drop)
+                }
+                .err();
+                let unknown = WireError::Malformed(format!("unknown {ty} tag {t}"));
+                assert_eq!(err == Some(unknown), t == tag, "{ty} tag {t}: {err:?}");
+            }
         }
     }
 
