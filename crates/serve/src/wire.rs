@@ -1332,20 +1332,22 @@ impl<T: Wire> Wire for Vec<T> {
                 "{context}: {count} elements claimed, {left} bytes remain"
             )));
         }
-        (0..count).map(|_| T::get(d, context)).collect()
+        let mut list = Vec::with_capacity(count as usize);
+        for _ in 0..count {
+            list.push(T::get(d, context)?);
+        }
+        Ok(list)
     }
 }
 
 /// A value array: a `u64` count, then each value's IEEE 754 bits. It is not
 /// a list (`f64` is no [`Wire`] type): [`Dec::f64s`] guards its count, and
-/// an owned array becomes a borrowed segment ([`Enc::values`]).
+/// the values go into the body as one run ([`Enc::values`]), borrowed when
+/// owned; by reference, a clone takes the owned path.
 impl Wire for Vec<f64> {
     const MIN: usize = 8;
     fn put(&self, e: &mut Enc) {
-        e.u64(self.len() as u64);
-        e.cur.reserve(8 * self.len());
-        self.iter()
-            .for_each(|v| e.cur.extend_from_slice(&v.to_le_bytes()));
+        self.clone().put_owned(e);
     }
     fn put_owned(self, e: &mut Enc) {
         let n = self.len();
