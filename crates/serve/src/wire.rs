@@ -930,7 +930,11 @@ impl Enc {
     /// a slice response).
     fn extend_values(&mut self, parts: Vec<(Arc<[f64]>, Range<usize>)>) {
         let count = self.cur.len() - 8;
-        debug_assert_eq!(self.cur[count..], [0; 8]);
+        assert_eq!(
+            self.cur[count..],
+            [0; 8],
+            "an empty value array ends the run"
+        );
         let total: usize = parts.iter().map(|(_, r)| r.len()).sum();
         self.cur[count..].copy_from_slice(&(total as u64).to_le_bytes());
         for (chunk, r) in parts {
