@@ -71,11 +71,6 @@ impl StorageModel {
         (self.ensemble_bytes() - self.emulator_bytes()).max(0.0)
     }
 
-    /// Annual storage cost of the raw ensemble in dollars.
-    pub fn ensemble_cost_per_year(&self) -> f64 {
-        self.ensemble_bytes() / TB * DOLLARS_PER_TB_YEAR
-    }
-
     /// Annual dollars saved.
     pub fn dollars_saved_per_year(&self) -> f64 {
         self.bytes_saved() / TB * DOLLARS_PER_TB_YEAR
@@ -142,8 +137,7 @@ mod tests {
         assert_eq!(e, (5u64 * 365 * 30 * 721 * 1440 * 4) as f64);
         assert!(m.emulator_bytes() < e, "emulator must be smaller");
         assert!(m.savings_ratio() > 100.0, "ratio {}", m.savings_ratio());
-        assert!(m.ensemble_cost_per_year() > 0.0);
-        assert!(m.dollars_saved_per_year() <= m.ensemble_cost_per_year());
+        assert!(m.dollars_saved_per_year() > 0.0);
     }
 
     #[test]

@@ -27,11 +27,6 @@ pub use real::{irfft, irfft_into, real_scratch_len, rfft, rfft_into};
 
 use exaclim_mathkit::Complex64;
 
-/// One-shot forward FFT (plans and reuses nothing; prefer [`Fft`] in loops).
-pub fn fft_forward(data: &mut [Complex64]) {
-    Fft::new(data.len()).forward(data);
-}
-
 /// Naive O(n²) DFT — the reference oracle for tests and a correct fallback
 /// for tiny sizes.
 pub fn dft_naive(input: &[Complex64], inverse: bool) -> Vec<Complex64> {
@@ -78,7 +73,7 @@ mod tests {
         ] {
             let x = random_signal(n, n as u64);
             let mut y = x.clone();
-            fft_forward(&mut y);
+            Fft::new(n).forward(&mut y);
             let expect = dft_naive(&x, false);
             let err = max_err(&y, &expect);
             assert!(err < 1e-9 * (n as f64).max(1.0), "n={n}: err={err}");
@@ -102,7 +97,7 @@ mod tests {
         let n = 48;
         let mut x = vec![Complex64::ZERO; n];
         x[0] = Complex64::ONE;
-        fft_forward(&mut x);
+        Fft::new(n).forward(&mut x);
         for z in &x {
             assert!((*z - Complex64::ONE).abs() < 1e-12);
         }
@@ -112,7 +107,7 @@ mod tests {
     fn constant_transforms_to_delta() {
         let n = 60;
         let mut x = vec![Complex64::ONE; n];
-        fft_forward(&mut x);
+        Fft::new(n).forward(&mut x);
         assert!((x[0] - Complex64::real(n as f64)).abs() < 1e-10);
         for z in &x[1..] {
             assert!(z.abs() < 1e-9);
@@ -127,7 +122,7 @@ mod tests {
             .map(|j| Complex64::cis(2.0 * std::f64::consts::PI * (j * k0) as f64 / n as f64))
             .collect();
         let mut y = x.clone();
-        fft_forward(&mut y);
+        Fft::new(n).forward(&mut y);
         for (k, z) in y.iter().enumerate() {
             if k == k0 {
                 assert!((*z - Complex64::real(n as f64)).abs() < 1e-9);
@@ -142,7 +137,7 @@ mod tests {
         for &n in &[33usize, 128, 250] {
             let x = random_signal(n, 5 + n as u64);
             let mut y = x.clone();
-            fft_forward(&mut y);
+            Fft::new(n).forward(&mut y);
             let ex: f64 = x.iter().map(|z| z.norm_sqr()).sum();
             let ey: f64 = y.iter().map(|z| z.norm_sqr()).sum::<f64>() / n as f64;
             assert!((ex - ey).abs() < 1e-9 * ex.max(1.0), "n={n}");

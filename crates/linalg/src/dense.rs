@@ -29,15 +29,6 @@ impl Matrix {
         Self { rows, cols, data }
     }
 
-    /// Identity matrix.
-    pub fn identity(n: usize) -> Self {
-        let mut m = Self::zeros(n, n);
-        for i in 0..n {
-            m.data[i * n + i] = 1.0;
-        }
-        m
-    }
-
     /// Row count.
     pub fn rows(&self) -> usize {
         self.rows
@@ -220,12 +211,20 @@ pub fn ols_solve(x: &Matrix, y: &[f64]) -> Vec<f64> {
 mod tests {
     use super::*;
 
+    fn identity(n: usize) -> Matrix {
+        let mut m = Matrix::zeros(n, n);
+        for i in 0..n {
+            m.data[i * n + i] = 1.0;
+        }
+        m
+    }
+
     #[test]
     fn matmul_identity() {
         let a = Matrix::from_vec(2, 3, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
-        let i3 = Matrix::identity(3);
+        let i3 = identity(3);
         assert_eq!(a.matmul(&i3), a);
-        let i2 = Matrix::identity(2);
+        let i2 = identity(2);
         assert_eq!(i2.matmul(&a), a);
     }
 

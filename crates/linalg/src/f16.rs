@@ -56,11 +56,6 @@ impl Half {
         self.to_f32() as f64
     }
 
-    /// True for ±∞.
-    pub fn is_infinite(self) -> bool {
-        (self.0 & 0x7FFF) == 0x7C00
-    }
-
     /// True for NaN payloads.
     pub fn is_nan(self) -> bool {
         (self.0 & 0x7C00) == 0x7C00 && (self.0 & 0x03FF) != 0

@@ -1,6 +1,6 @@
 //! Square matrix tiles in one of three storage precisions.
 
-use crate::f16::{narrow_f64_into, narrow_into, widen_f64_into, widen_into, Half};
+use crate::f16::{narrow_f64_into, widen_f64_into, widen_into, Half};
 use crate::precision::Precision;
 
 /// Payload of a tile, in its storage precision.
@@ -122,35 +122,6 @@ impl Tile {
         }
     }
 
-    /// Overwrite the payload from f64 values, rounding to this tile's
-    /// precision.
-    pub fn store_f64(&mut self, values: &[f64]) {
-        assert_eq!(values.len(), self.b * self.b);
-        match &mut self.data {
-            TileData::F64(v) => v.copy_from_slice(values),
-            TileData::F32(v) => {
-                for (d, &s) in v.iter_mut().zip(values) {
-                    *d = s as f32;
-                }
-            }
-            TileData::F16(v) => narrow_f64_into(values, v),
-        }
-    }
-
-    /// Overwrite the payload from f32 values.
-    pub fn store_f32(&mut self, values: &[f32]) {
-        assert_eq!(values.len(), self.b * self.b);
-        match &mut self.data {
-            TileData::F64(v) => {
-                for (d, &s) in v.iter_mut().zip(values) {
-                    *d = s as f64;
-                }
-            }
-            TileData::F32(v) => v.copy_from_slice(values),
-            TileData::F16(v) => narrow_into(values, v),
-        }
-    }
-
     /// Widen the first `out.len()` elements of row `r` into `out`.
     pub fn widen_row(&self, r: usize, out: &mut [f64]) {
         assert!(r < self.b && out.len() <= self.b);
@@ -188,6 +159,40 @@ impl Tile {
     /// Frobenius norm of the tile (computed in f64).
     pub fn frobenius_norm(&self) -> f64 {
         self.to_f64().iter().map(|x| x * x).sum::<f64>().sqrt()
+    }
+}
+
+/// Payload writes for the reference kernels in `kernels.rs`' tests, which
+/// compute in f64 or f32 and store back at the tile's precision.
+#[cfg(test)]
+impl Tile {
+    /// Overwrite the payload from f64 values, rounding to this tile's
+    /// precision.
+    pub(crate) fn store_f64(&mut self, values: &[f64]) {
+        assert_eq!(values.len(), self.b * self.b);
+        match &mut self.data {
+            TileData::F64(v) => v.copy_from_slice(values),
+            TileData::F32(v) => {
+                for (d, &s) in v.iter_mut().zip(values) {
+                    *d = s as f32;
+                }
+            }
+            TileData::F16(v) => narrow_f64_into(values, v),
+        }
+    }
+
+    /// Overwrite the payload from f32 values.
+    pub(crate) fn store_f32(&mut self, values: &[f32]) {
+        assert_eq!(values.len(), self.b * self.b);
+        match &mut self.data {
+            TileData::F64(v) => {
+                for (d, &s) in v.iter_mut().zip(values) {
+                    *d = s as f64;
+                }
+            }
+            TileData::F32(v) => v.copy_from_slice(values),
+            TileData::F16(v) => crate::f16::narrow_into(values, v),
+        }
     }
 }
 

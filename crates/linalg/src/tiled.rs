@@ -77,19 +77,6 @@ impl TiledMatrix {
         &mut self.tiles
     }
 
-    /// Reassemble the full symmetric dense matrix (upper mirrored from
-    /// lower).
-    pub fn to_dense(&self) -> Vec<f64> {
-        let n = self.n;
-        let mut out = self.to_dense_lower();
-        for gr in 0..n {
-            for gc in 0..gr {
-                out[gc * n + gr] = out[gr * n + gc];
-            }
-        }
-        out
-    }
-
     /// Reassemble only the lower triangle (upper zero) — the factor `L`
     /// after a Cholesky.
     pub fn to_dense_lower(&self) -> Vec<f64> {
@@ -187,9 +174,11 @@ mod tests {
         let a = exp_covariance(n, 3.0, 0.01);
         let tm = TiledMatrix::from_dense(&a, n, 4, &PrecisionPolicy::dp());
         assert_eq!(tm.nt(), 3);
-        let back = tm.to_dense();
-        for (x, y) in a.iter().zip(&back) {
-            assert_eq!(x, y, "DP tiling must be lossless");
+        let back = tm.to_dense_lower();
+        for r in 0..n {
+            for c in 0..=r {
+                assert_eq!(a[r * n + c], back[r * n + c], "DP tiling must be lossless");
+            }
         }
     }
 
@@ -204,15 +193,13 @@ mod tests {
         let mut tm = TiledMatrix::from_dense(&a, n, b, &policy);
         assert_eq!(tm.precision_census(), [1, 2, 3]);
         // Factoring zeroes the upper half of the diagonal tiles, so the
-        // second pass also shows `to_dense` mirrors the lower triangle.
+        // second pass also shows `to_dense_lower` leaves the upper zero.
         for pass in 0..2 {
-            let (lower, full) = (tm.to_dense_lower(), tm.to_dense());
+            let lower = tm.to_dense_lower();
             for gr in 0..n {
                 for gc in 0..=gr {
                     let v = tm.tile(gr / b, gc / b).get(gr % b, gc % b);
                     assert_eq!(lower[gr * n + gc].to_bits(), v.to_bits(), "pass {pass}");
-                    assert_eq!(full[gr * n + gc].to_bits(), v.to_bits(), "pass {pass}");
-                    assert_eq!(full[gc * n + gr].to_bits(), v.to_bits(), "pass {pass}");
                     if gc < gr {
                         assert_eq!(lower[gc * n + gr], 0.0, "pass {pass}");
                     }

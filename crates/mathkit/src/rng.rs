@@ -219,18 +219,10 @@ impl MultivariateNormal {
     }
 }
 
-/// Chi-squared-free sample-vs-theory check utility: returns `(mean, var)` of
-/// a slice. Used in tests of the samplers and of emulated fields.
-pub fn sample_moments(xs: &[f64]) -> (f64, f64) {
-    let n = xs.len() as f64;
-    let mean = xs.iter().sum::<f64>() / n;
-    let var = xs.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / (n - 1.0);
-    (mean, var)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stats::{mean, variance};
     use rand::rngs::StdRng;
     use rand::{RngCore, SeedableRng};
 
@@ -239,7 +231,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(42);
         let mut sn = StandardNormal::new();
         let xs = sn.sample_vec(&mut rng, 200_000);
-        let (m, v) = sample_moments(&xs);
+        let (m, v) = (mean(&xs), variance(&xs));
         assert!(m.abs() < 0.01, "mean {m}");
         assert!((v - 1.0).abs() < 0.02, "var {v}");
         // Skewness near zero, kurtosis near 3.
@@ -292,7 +284,7 @@ mod tests {
         let mut mvn = MultivariateNormal::from_lower_factor(vec![0.0], &[3.0], 1);
         let mut rng = StdRng::seed_from_u64(99);
         let xs: Vec<f64> = (0..50_000).map(|_| mvn.sample(&mut rng)[0]).collect();
-        let (m, v) = sample_moments(&xs);
+        let (m, v) = (mean(&xs), variance(&xs));
         assert!(m.abs() < 0.05);
         assert!((v - 9.0).abs() < 0.2);
     }

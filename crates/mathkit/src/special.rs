@@ -1,8 +1,8 @@
 //! Special functions needed by the spherical-harmonic machinery.
 //!
-//! Log-gamma (Lanczos), exact small factorials, and numerically safe ratios
-//! of factorials such as `sqrt((l-m)!/(l+m)!)` which underflow catastrophically
-//! if evaluated naively at the band-limits used by the emulator (L ≈ 5,000).
+//! Log-gamma (Lanczos) and log-factorials, from which the Wigner-d seeds
+//! form factorial ratios that would underflow catastrophically if evaluated
+//! naively at the band-limits used by the emulator (L ≈ 5,000).
 
 /// Lanczos coefficients (g = 7, n = 9), giving ~15 significant digits.
 const LANCZOS_G: f64 = 7.0;
@@ -72,32 +72,6 @@ pub fn ln_factorial(n: u64) -> f64 {
     }
 }
 
-/// Exact `n!` as f64 for `n <= 170` (beyond that f64 overflows).
-pub fn factorial(n: u64) -> f64 {
-    assert!(n <= 170, "factorial({n}) overflows f64");
-    let mut acc = 1.0f64;
-    for k in 2..=n {
-        acc *= k as f64;
-    }
-    acc
-}
-
-/// `sqrt((l-m)! / (l+m)!)` computed in log space — the normalization factor
-/// of associated Legendre functions. Stable for any `l` up to ~10⁶.
-pub fn sqrt_factorial_ratio(l: u64, m: u64) -> f64 {
-    assert!(m <= l);
-    (0.5 * (ln_factorial(l - m) - ln_factorial(l + m))).exp()
-}
-
-/// Binomial coefficient `C(n, k)` as f64 via log-gamma (exact to f64 rounding
-/// for moderate n).
-pub fn binomial(n: u64, k: u64) -> f64 {
-    if k > n {
-        return 0.0;
-    }
-    (ln_factorial(n) - ln_factorial(k) - ln_factorial(n - k)).exp()
-}
-
 /// `(-1)^k` without a branch on float parity.
 #[inline(always)]
 pub fn neg_one_pow(k: i64) -> f64 {
@@ -108,38 +82,20 @@ pub fn neg_one_pow(k: i64) -> f64 {
     }
 }
 
-/// Standard normal CDF via the complementary error function (Abramowitz &
-/// Stegun 7.1.26-style rational approximation refined with one Newton step;
-/// absolute error < 1e-12).
-pub fn normal_cdf(x: f64) -> f64 {
-    0.5 * erfc(-x * std::f64::consts::FRAC_1_SQRT_2)
-}
-
-/// Complementary error function, |error| < 1.2e-7 (Numerical Recipes
-/// Chebyshev fit) — ample for the tail-probability diagnostics it backs.
-pub fn erfc(x: f64) -> f64 {
-    let z = x.abs();
-    let t = 1.0 / (1.0 + 0.5 * z);
-    let ans = t
-        * (-z * z - 1.26551223
-            + t * (1.00002368
-                + t * (0.37409196
-                    + t * (0.09678418
-                        + t * (-0.18628806
-                            + t * (0.27886807
-                                + t * (-1.13520398
-                                    + t * (1.48851587 + t * (-0.82215223 + t * 0.17087277)))))))))
-            .exp();
-    if x >= 0.0 {
-        ans
-    } else {
-        2.0 - ans
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Exact `n!` as f64 for `n <= 170` (beyond that f64 overflows): the
+    /// oracle of `ln_factorial`'s table.
+    fn factorial(n: u64) -> f64 {
+        assert!(n <= 170, "factorial({n}) overflows f64");
+        let mut acc = 1.0f64;
+        for k in 2..=n {
+            acc *= k as f64;
+        }
+        acc
+    }
 
     #[test]
     fn ln_gamma_matches_factorials() {
@@ -165,30 +121,13 @@ mod tests {
         assert_eq!(factorial(0), 1.0);
         assert_eq!(factorial(5), 120.0);
         assert_eq!(factorial(10), 3_628_800.0);
-    }
-
-    #[test]
-    fn sqrt_ratio_stable_at_large_l() {
-        // For l = 5000, m = 50 the naive ratio underflows; log-space must not.
-        let r = sqrt_factorial_ratio(5000, 50);
-        assert!(r > 0.0 && r.is_finite());
-        // Check against the product form for a modest case.
-        let l = 30u64;
-        let m = 7u64;
-        let mut prod = 1.0f64;
-        for k in (l - m + 1)..=(l + m) {
-            prod *= k as f64;
+        for n in 0..=20 {
+            let want = factorial(n).ln();
+            assert!(
+                (ln_factorial(n) - want).abs() <= 1e-15 * want.max(1.0),
+                "n={n}"
+            );
         }
-        let expect = (1.0 / prod).sqrt();
-        let got = sqrt_factorial_ratio(l, m);
-        assert!((got - expect).abs() / expect < 1e-12);
-    }
-
-    #[test]
-    fn binomial_rows() {
-        assert_eq!(binomial(5, 0), 1.0);
-        assert!((binomial(10, 5) - 252.0).abs() < 1e-9);
-        assert_eq!(binomial(4, 7), 0.0);
     }
 
     #[test]
@@ -197,25 +136,5 @@ mod tests {
         assert_eq!(neg_one_pow(1), -1.0);
         assert_eq!(neg_one_pow(-3), -1.0);
         assert_eq!(neg_one_pow(8), 1.0);
-    }
-
-    #[test]
-    fn normal_cdf_symmetry_and_known_values() {
-        assert!((normal_cdf(0.0) - 0.5).abs() < 1e-6);
-        for &x in &[0.5, 1.0, 1.96, 3.0] {
-            let s = normal_cdf(x) + normal_cdf(-x);
-            assert!((s - 1.0).abs() < 1e-9, "symmetry at {x}: {s}");
-        }
-        // Phi(1.96) ≈ 0.9750021
-        assert!((normal_cdf(1.96) - 0.975_002_1).abs() < 1e-5);
-        // Phi(1) ≈ 0.8413447
-        assert!((normal_cdf(1.0) - 0.841_344_7).abs() < 1e-5);
-    }
-
-    #[test]
-    fn erfc_limits() {
-        assert!((erfc(0.0) - 1.0).abs() < 1e-7);
-        assert!(erfc(6.0) < 1e-15);
-        assert!((erfc(-6.0) - 2.0).abs() < 1e-15);
     }
 }

@@ -107,21 +107,6 @@ impl TaskGraph {
             .collect()
     }
 
-    /// Length (in tasks) of the longest dependence chain — the abstract
-    /// critical path.
-    pub fn critical_path_len(&self) -> usize {
-        let mut depth = vec![0usize; self.nodes.len()];
-        let mut best = 0;
-        for id in 0..self.nodes.len() {
-            let d = depth[id] + 1;
-            best = best.max(d);
-            for &s in &self.nodes[id].successors {
-                depth[s] = depth[s].max(d);
-            }
-        }
-        best
-    }
-
     /// Verify the graph is acyclic and indegrees are consistent (debug aid;
     /// `add` cannot create cycles because deps must precede).
     pub fn validate(&self) -> bool {
@@ -190,9 +175,30 @@ pub fn cholesky_graph(nt: usize) -> TaskGraph {
     g
 }
 
-/// Expected task count of [`cholesky_graph`]: `nt` POTRF,
-/// `nt(nt−1)/2` TRSM + SYRK each, `nt(nt−1)(nt−2)/6` GEMM.
-pub fn cholesky_task_count(nt: usize) -> usize {
+/// The oracle of `cholesky_graph`'s dependence depth in the tests below.
+#[cfg(test)]
+impl TaskGraph {
+    /// Length (in tasks) of the longest dependence chain — the abstract
+    /// critical path.
+    fn critical_path_len(&self) -> usize {
+        let mut depth = vec![0usize; self.nodes.len()];
+        let mut best = 0;
+        for id in 0..self.nodes.len() {
+            let d = depth[id] + 1;
+            best = best.max(d);
+            for &s in &self.nodes[id].successors {
+                depth[s] = depth[s].max(d);
+            }
+        }
+        best
+    }
+}
+
+/// Expected task count of `cholesky_graph`: `nt` POTRF,
+/// `nt(nt−1)/2` TRSM + SYRK each, `nt(nt−1)(nt−2)/6` GEMM. The oracle of
+/// the tests below and in `cholesky_par`.
+#[cfg(test)]
+pub(crate) fn cholesky_task_count(nt: usize) -> usize {
     let gemms = if nt >= 3 {
         nt * (nt - 1) * (nt - 2) / 6
     } else {

@@ -1,4 +1,5 @@
-//! Execution traces: per-task spans, utilization, kernel histograms.
+//! Execution traces: per-task spans, utilization, load imbalance and the
+//! observed critical path.
 
 use crate::graph::{TaskId, TaskKind};
 
@@ -60,31 +61,6 @@ impl TraceReport {
         v
     }
 
-    /// Count of executed tasks per kernel kind label.
-    pub fn kind_histogram(&self) -> Vec<(&'static str, usize)> {
-        let mut potrf = 0;
-        let mut trsm = 0;
-        let mut syrk = 0;
-        let mut gemm = 0;
-        let mut generic = 0;
-        for s in &self.spans {
-            match s.kind {
-                TaskKind::Potrf { .. } => potrf += 1,
-                TaskKind::Trsm { .. } => trsm += 1,
-                TaskKind::Syrk { .. } => syrk += 1,
-                TaskKind::Gemm { .. } => gemm += 1,
-                TaskKind::Generic(_) => generic += 1,
-            }
-        }
-        vec![
-            ("potrf", potrf),
-            ("trsm", trsm),
-            ("syrk", syrk),
-            ("gemm", gemm),
-            ("generic", generic),
-        ]
-    }
-
     /// Load-imbalance ratio: max worker busy time over mean busy time
     /// (1.0 = perfectly balanced).
     pub fn imbalance(&self) -> f64 {
@@ -121,23 +97,6 @@ impl TraceReport {
         }
         longest
     }
-
-    /// Compact per-worker timeline summary (for logs): worker id, busy
-    /// seconds, utilization percent.
-    pub fn timeline_summary(&self) -> Vec<(usize, f64, f64)> {
-        self.per_worker_busy()
-            .into_iter()
-            .enumerate()
-            .map(|(w, busy)| {
-                let util = if self.wall > 0.0 {
-                    100.0 * busy / self.wall
-                } else {
-                    0.0
-                };
-                (w, busy, util)
-            })
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -169,38 +128,6 @@ mod tests {
         let r = TraceReport::new(spans, 1.0, 2);
         assert!((r.utilization() - 0.5).abs() < 1e-12);
         assert!((r.imbalance() - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn histogram_counts_kinds() {
-        let spans = vec![
-            TaskSpan {
-                task: 0,
-                kind: TaskKind::Potrf { k: 0 },
-                worker: 0,
-                start: 0.0,
-                end: 0.1,
-            },
-            TaskSpan {
-                task: 1,
-                kind: TaskKind::Gemm { i: 2, j: 1, k: 0 },
-                worker: 0,
-                start: 0.1,
-                end: 0.2,
-            },
-            TaskSpan {
-                task: 2,
-                kind: TaskKind::Gemm { i: 3, j: 1, k: 0 },
-                worker: 0,
-                start: 0.2,
-                end: 0.3,
-            },
-        ];
-        let r = TraceReport::new(spans, 0.3, 1);
-        let h = r.kind_histogram();
-        assert!(h.contains(&("potrf", 1)));
-        assert!(h.contains(&("gemm", 2)));
-        assert!(h.contains(&("trsm", 0)));
     }
 
     #[test]
@@ -286,16 +213,5 @@ mod tests {
         let r = TraceReport::new(spans, 0.7, 2);
         // 0.1 + 0.5 + 0.1 through the long branch.
         assert!((r.critical_path_seconds(&g) - 0.7).abs() < 1e-12);
-    }
-
-    #[test]
-    fn timeline_summary_reports_each_worker() {
-        let spans = vec![span(0, 0.0, 0.5), span(1, 0.0, 1.0)];
-        let r = TraceReport::new(spans, 1.0, 2);
-        let tl = r.timeline_summary();
-        assert_eq!(tl.len(), 2);
-        assert!((tl[0].1 - 0.5).abs() < 1e-12);
-        assert!((tl[0].2 - 50.0).abs() < 1e-9);
-        assert!((tl[1].2 - 100.0).abs() < 1e-9);
     }
 }

@@ -11,7 +11,7 @@
 //!   [`exaclim_store::Archive::read_field_chunk`] produces, keyed
 //!   by `(archive, member, chunk)` indices ([`ChunkKey`]),
 //! * [`ProductCache`] — evaluated derived products of the scenario
-//!   engine, keyed by the canonical descriptor hash
+//!   engine, keyed by the descriptor's derived hash
 //!   ([`crate::product::ProductKey`]).
 //!
 //! **Eviction** is byte-budgeted LRU per shard: the configured budget is

@@ -102,17 +102,6 @@ impl ServedArchive {
         Ok(self.archive.read_chunk_stored(member_idx, chunk_idx)?)
     }
 
-    /// Fetch **and decode** one field chunk — the sequential-baseline
-    /// convenience; the serving hot path goes through
-    /// [`ServedArchive::fetch_chunk_stored`] + cache + single-flight.
-    pub fn fetch_field_chunk(
-        &self,
-        member_idx: usize,
-        chunk_idx: usize,
-    ) -> Result<Vec<f64>, ServeError> {
-        Ok(self.archive.read_field_chunk(member_idx, chunk_idx)?)
-    }
-
     /// Read a snapshot member `(schema_version, payload)` (snapshot reads
     /// are rare: catalog/emulator loading, not the per-request path).
     pub fn read_snapshot(&self, member: &str) -> Result<(u32, Vec<u8>), ServeError> {
@@ -296,6 +285,21 @@ impl Catalog {
             }
         }
         out
+    }
+}
+
+/// The sequential baseline of the tests here and in `batch.rs`.
+#[cfg(test)]
+impl ServedArchive {
+    /// Fetch **and decode** one field chunk; the serving hot path goes
+    /// through [`ServedArchive::fetch_chunk_stored`] + cache +
+    /// single-flight.
+    pub(crate) fn fetch_field_chunk(
+        &self,
+        member_idx: usize,
+        chunk_idx: usize,
+    ) -> Result<Vec<f64>, ServeError> {
+        Ok(self.archive.read_field_chunk(member_idx, chunk_idx)?)
     }
 }
 

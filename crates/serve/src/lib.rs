@@ -30,7 +30,7 @@
 //!   one decode,
 //! * [`batch`] — request coalescing: a batch's slice requests are planned
 //!   together and each distinct chunk is fetched and decoded once,
-//! * [`product`] / [`scenario`] — the scenario engine: canonical
+//! * [`product`] / [`scenario`] — the scenario engine:
 //!   [`ProductDescriptor`]s hash to [`ProductKey`]s, and evaluation
 //!   (ensemble fan-out with decorrelated per-realization seeds, then a
 //!   statistic kernel) flows through a product-level single-flight cache

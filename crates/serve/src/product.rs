@@ -5,11 +5,11 @@
 //! realizations), a **statistic** over that source (raw values, anomaly
 //! against a baseline member, mean/spread, trend fit, persistence fit,
 //! Tukey tail extremes), and optional **time/space windows**. Descriptors
-//! contain no floats, so they are `Eq + Hash` and have a canonical byte
-//! encoding ([`ProductDescriptor::canonical_bytes`]) from which the
-//! product cache derives its [`ProductKey`]: two requests describe the
-//! same product if and only if they hash to the same key, which is what
-//! lets a stampede on a popular product compute it exactly once.
+//! contain no floats, so they derive `Eq + Hash`, and the product cache
+//! keys them by that derived hash ([`ProductDescriptor::key`], a
+//! [`ProductKey`]): two requests describe the same product if and only if
+//! they hash to the same key, which is what lets a stampede on a popular
+//! product compute it exactly once.
 //!
 //! The result of evaluating a descriptor is a [`ProductData`]: a dense
 //! realization-major `realizations × rows × values_per_row` block of
@@ -17,6 +17,7 @@
 //! descriptor — the cache stores only the flat values and the shape is
 //! re-derived on every hit.
 
+use std::hash::{Hash, Hasher};
 use std::ops::Range;
 
 /// An ensemble scenario: `realizations` stochastic runs of a registered
@@ -111,64 +112,12 @@ pub struct ProductDescriptor {
 }
 
 impl ProductDescriptor {
-    /// The canonical, versioned byte encoding this descriptor hashes
-    /// under. Every field is written little-endian in a fixed order, so
-    /// equal descriptors — and only equal descriptors, up to 128-bit
-    /// hash collision — produce equal [`ProductKey`]s.
-    pub fn canonical_bytes(&self) -> Vec<u8> {
-        let mut b = Vec::with_capacity(64);
-        b.push(1u8); // encoding version
-        let put_str = |b: &mut Vec<u8>, s: &str| {
-            b.extend_from_slice(&(s.len() as u64).to_le_bytes());
-            b.extend_from_slice(s.as_bytes());
-        };
-        match &self.source {
-            ProductSource::Member { archive, member } => {
-                b.push(1);
-                put_str(&mut b, archive);
-                put_str(&mut b, member);
-            }
-            ProductSource::Ensemble(spec) => {
-                b.push(2);
-                put_str(&mut b, &spec.emulator);
-                b.extend_from_slice(&spec.t_max.to_le_bytes());
-                b.extend_from_slice(&spec.seed.to_le_bytes());
-                b.extend_from_slice(&spec.realizations.to_le_bytes());
-            }
-        }
-        match &self.stat {
-            ProductStat::Raw => b.push(1),
-            ProductStat::Anomaly { archive, member } => {
-                b.push(2);
-                put_str(&mut b, archive);
-                put_str(&mut b, member);
-            }
-            ProductStat::MeanStd => b.push(3),
-            ProductStat::Trend => b.push(4),
-            ProductStat::Persistence { order } => {
-                b.push(5);
-                b.extend_from_slice(&order.to_le_bytes());
-            }
-            ProductStat::TukeyExtremes { tail_per_mille } => {
-                b.push(6);
-                b.extend_from_slice(&tail_per_mille.to_le_bytes());
-            }
-        }
-        let put_window = |b: &mut Vec<u8>, w: &Option<Range<u64>>| match w {
-            Some(r) => {
-                b.push(1);
-                b.extend_from_slice(&r.start.to_le_bytes());
-                b.extend_from_slice(&r.end.to_le_bytes());
-            }
-            None => b.push(0),
-        };
-        put_window(&mut b, &self.time);
-        put_window(&mut b, &self.space);
-        b
-    }
-
-    /// The 128-bit cache key of this descriptor: two independent FNV-1a
-    /// hashes of [`ProductDescriptor::canonical_bytes`].
+    /// The 128-bit cache key of this descriptor: its derived [`Hash`]
+    /// fed to two FNV-1a lanes with different offsets. Every field feeds
+    /// it, strings whole and self-delimited (bytes then `0xff`), so equal
+    /// descriptors — and only equal descriptors, up to 128-bit hash
+    /// collision — produce equal keys. The key lives only in memory: it
+    /// is never sent or stored.
     ///
     /// ```
     /// use exaclim_serve::{ProductDescriptor, ProductSource, ProductStat};
@@ -188,19 +137,31 @@ impl ProductDescriptor {
     /// assert_ne!(d.key(), other.key());
     /// ```
     pub fn key(&self) -> ProductKey {
-        let bytes = self.canonical_bytes();
-        let fnv = |seed: u64| {
-            let mut h = seed;
-            for &byte in &bytes {
-                h ^= u64::from(byte);
-                h = h.wrapping_mul(0x100_0000_01b3);
-            }
-            h
+        let mut h = Fnv2 {
+            hi: 0xcbf2_9ce4_8422_2325,
+            lo: 0xcbf2_9ce4_8422_2325 ^ 0x9E37_79B9_7F4A_7C15,
         };
-        ProductKey {
-            hi: fnv(0xcbf2_9ce4_8422_2325),
-            lo: fnv(0xcbf2_9ce4_8422_2325 ^ 0x9E37_79B9_7F4A_7C15),
+        self.hash(&mut h);
+        ProductKey { hi: h.hi, lo: h.lo }
+    }
+}
+
+/// Two FNV-1a lanes over the same bytes, differing only in their offset.
+struct Fnv2 {
+    hi: u64,
+    lo: u64,
+}
+
+impl Hasher for Fnv2 {
+    fn write(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.hi = (self.hi ^ u64::from(byte)).wrapping_mul(0x100_0000_01b3);
+            self.lo = (self.lo ^ u64::from(byte)).wrapping_mul(0x100_0000_01b3);
         }
+    }
+
+    fn finish(&self) -> u64 {
+        self.hi
     }
 }
 
@@ -288,7 +249,13 @@ mod tests {
             space: Some(0..5),
         };
         assert_eq!(e.key(), e.clone().key());
-        assert_eq!(e.canonical_bytes(), e.clone().canonical_bytes());
+        let f = ProductDescriptor {
+            source: ProductSource::Ensemble(spec),
+            stat: ProductStat::MeanStd,
+            time: Some(3..9),
+            space: Some(0..5),
+        };
+        assert_eq!(e.key(), f.key());
     }
 
     #[test]
@@ -376,7 +343,7 @@ mod tests {
 
     #[test]
     fn ambiguous_string_pairs_hash_apart() {
-        // Length-prefixed strings: ("ab", "c") must not collide with
+        // Self-delimited strings: ("ab", "c") must not collide with
         // ("a", "bc").
         let d1 = ProductDescriptor {
             source: ProductSource::Member {
@@ -392,8 +359,17 @@ mod tests {
             },
             ..member_raw()
         };
-        assert_ne!(d1.canonical_bytes(), d2.canonical_bytes());
         assert_ne!(d1.key(), d2.key());
+        // The wire clips strings to `MAX_STR_LEN` bytes; the key must not.
+        let long = "a".repeat(crate::wire::MAX_STR_LEN as usize);
+        let named = |tail: &str| ProductDescriptor {
+            source: ProductSource::Member {
+                archive: format!("{long}{tail}"),
+                member: "m".to_string(),
+            },
+            ..member_raw()
+        };
+        assert_ne!(named("x").key(), named("y").key());
     }
 
     #[test]

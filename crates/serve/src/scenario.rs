@@ -13,8 +13,8 @@
 //!    is resolved against the catalog and every stat precondition is
 //!    checked *before* touching the product cache, so invalid requests
 //!    fail fast with a [`ServeError`] and never occupy a flight.
-//! 2. **Product cache** — the descriptor's canonical hash
-//!    ([`ProductDescriptor::key`]) is looked up in the server's
+//! 2. **Product cache** — the descriptor's key, its derived hash
+//!    ([`ProductDescriptor::key`]), is looked up in the server's
 //!    [`crate::cache::ProductCache`], which reuses the chunk cache's
 //!    single-flight reservation machinery: a stampede on one popular
 //!    product elects exactly one leader to compute it while every racer
@@ -47,9 +47,11 @@ use std::sync::Arc;
 /// Most realizations one ensemble request may ask for.
 pub const MAX_REALIZATIONS: u32 = 512;
 
-/// Cap on both the working-set and the output size of one product, in
-/// `f64` values (1 GiB of floats). Requests above it are rejected as
-/// [`ServeError::BadRequest`] instead of exhausting server memory.
+/// Cap on the working set and the output size of one product, and on the
+/// dataset of one emulation (an `Emulate` request, or one realization of
+/// an ensemble), in `f64` values (1 GiB of floats). Requests above it are
+/// rejected as [`ServeError::BadRequest`] instead of exhausting server
+/// memory.
 pub const MAX_PRODUCT_VALUES: u64 = 1 << 27;
 
 /// Highest AR order [`ProductStat::Persistence`] accepts.
@@ -164,11 +166,26 @@ fn bad(msg: impl Into<String>) -> ServeError {
     ServeError::BadRequest(msg.into())
 }
 
+/// Refuse one emulation of `t_max` steps over `npoints` grid points whose
+/// dataset would exceed [`MAX_PRODUCT_VALUES`]: an allocation that large
+/// aborts the process, which no worker can catch.
+pub(crate) fn check_emulation_size(t_max: u64, npoints: usize) -> Result<(), ServeError> {
+    t_max
+        .checked_mul(npoints as u64)
+        .filter(|&v| v <= MAX_PRODUCT_VALUES)
+        .map(|_| ())
+        .ok_or_else(|| {
+            bad(format!(
+                "emulation of {t_max} steps × {npoints} points exceeds the value budget"
+            ))
+        })
+}
+
 impl Server {
     /// Evaluate a derived product, serving it from the product cache when
     /// possible. On a miss, exactly one caller computes the product
     /// (single-flight, even across racing batches and connections) and
-    /// the result is cached under the descriptor's canonical hash;
+    /// the result is cached under the descriptor's key;
     /// computation errors propagate to every waiter and are never cached.
     pub(crate) fn answer_product(
         &self,
@@ -235,6 +252,9 @@ impl Server {
                 }
                 usize::try_from(spec.t_max).map_err(|_| bad("ensemble t_max overflows"))?;
                 let em = &served.emulator;
+                // Every realization is emulated whole before its window is
+                // cut, so each run is held to the budget on its own.
+                check_emulation_size(spec.t_max, em.npoints())?;
                 (
                     None,
                     Some(spec.clone()),

@@ -84,8 +84,8 @@ pub enum Request {
     /// Evaluate a derived climate product server-side (scenario engine):
     /// windowed raw values, anomalies, ensemble mean/spread, trend,
     /// persistence, or Tukey tail extremes over an archive member or a
-    /// fresh emulated ensemble. Results are cached by canonical
-    /// descriptor hash with single-flight stampede protection.
+    /// fresh emulated ensemble. Results are cached by the descriptor's
+    /// hash with single-flight stampede protection.
     Product(ProductDescriptor),
     /// Emulate an ensemble of stochastic realizations in one request,
     /// fanned over the worker pool with per-realization seeds. Sugar for
@@ -743,7 +743,8 @@ impl Server {
         Reply::Slice(data, parts)
     }
 
-    /// Run a registered emulator forward.
+    /// Run a registered emulator forward; a run above the value budget
+    /// is a bad request.
     fn answer_emulate(
         &self,
         emulator: &str,
@@ -751,6 +752,7 @@ impl Server {
         seed: u64,
     ) -> Result<Response, ServeError> {
         let served = self.catalog.emulator(emulator)?;
+        crate::scenario::check_emulation_size(t_max as u64, served.emulator.npoints())?;
         let dataset = served.emulator.emulate(t_max, seed)?;
         Ok(Response::Emulate(dataset))
     }

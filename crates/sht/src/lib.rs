@@ -117,11 +117,12 @@ mod tests {
         let c = random_coeffs(l, 21);
         let field = plan.synthesis(&c);
         let g = plan.grid();
+        let dphi = 2.0 * std::f64::consts::PI / g.nphi() as f64;
         let mut integral = 0.0;
         for i in 0..g.ntheta() {
             for j in 0..g.nphi() {
                 let v = field[i * g.nphi() + j];
-                integral += v * v * g.point_weight(i);
+                integral += v * v * g.ring_weight(i) * dphi;
             }
         }
         let spec: f64 = c.total_power();

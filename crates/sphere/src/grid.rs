@@ -28,22 +28,6 @@ impl EquiangularGrid {
         }
     }
 
-    /// The ERA5 0.25° layout: 721 × 1440, `L = 720`.
-    pub fn era5_quarter_degree() -> Self {
-        Self::new(721, 1440)
-    }
-
-    /// Grid resolution in degrees along latitude.
-    pub fn dlat_degrees(&self) -> f64 {
-        180.0 / (self.ntheta - 1) as f64
-    }
-
-    /// Equivalent grid spacing in kilometers at the equator
-    /// (Earth radius 6371 km).
-    pub fn dx_km(&self) -> f64 {
-        2.0 * std::f64::consts::PI * 6371.0 / self.nphi as f64
-    }
-
     /// Number of co-latitude rings.
     pub fn ntheta(&self) -> usize {
         self.ntheta
@@ -78,11 +62,6 @@ impl EquiangularGrid {
     /// `Σ_i w_i f(θ_i) ≈ ∫₀^π f(θ) sinθ dθ` for smooth `f`.
     pub fn ring_weight(&self, i: usize) -> f64 {
         self.weights[i]
-    }
-
-    /// Solid-angle weight of point `(i, j)`: `ring_weight · 2π/Nϕ`.
-    pub fn point_weight(&self, i: usize) -> f64 {
-        self.ring_weight(i) * 2.0 * std::f64::consts::PI / self.nphi as f64
     }
 
     /// Maximum band-limit `L` for which the forward transform on this grid
@@ -190,24 +169,20 @@ mod tests {
 
     #[test]
     fn era5_layout() {
-        let g = EquiangularGrid::era5_quarter_degree();
-        assert_eq!(g.ntheta(), 721);
-        assert_eq!(g.nphi(), 1440);
+        // ERA5's 0.25° layout.
+        let g = EquiangularGrid::new(721, 1440);
+        assert_eq!(g.len(), 721 * 1440);
         assert_eq!(g.max_bandlimit(), 720);
-        assert!((g.dlat_degrees() - 0.25).abs() < 1e-12);
-        assert!((g.dx_km() - 27.8).abs() < 0.5);
     }
 
     #[test]
     fn point_weights_cover_sphere() {
-        // Σ_{ij} point_weight = 4π, with the poles and without a ring at
-        // the equator.
-        let fourpi = 4.0 * std::f64::consts::PI;
+        // Σ_{ij} ring_weight(i)·2π/Nϕ = Σ_i ring_weight(i)·2π = 4π, with
+        // the poles and without a ring at the equator.
+        let (twopi, fourpi) = (2.0 * std::f64::consts::PI, 4.0 * std::f64::consts::PI);
         for (ntheta, nphi) in [(19usize, 36usize), (24, 47)] {
             let g = EquiangularGrid::new(ntheta, nphi);
-            let s: f64 = (0..g.ntheta())
-                .map(|i| g.point_weight(i) * g.nphi() as f64)
-                .sum();
+            let s: f64 = (0..g.ntheta()).map(|i| g.ring_weight(i) * twopi).sum();
             assert!((s - fourpi).abs() < 1e-9, "{ntheta}x{nphi}: {s}");
         }
     }

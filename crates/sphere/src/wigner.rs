@@ -82,15 +82,6 @@ impl WignerPiHalf {
     pub fn matrix(&self, l: usize) -> &[f64] {
         &self.data[l]
     }
-
-    /// Approximate heap footprint in bytes (the paper tracks the O(L³)
-    /// precomputation storage explicitly).
-    pub fn storage_bytes(&self) -> usize {
-        self.data
-            .iter()
-            .map(|v| v.len() * std::mem::size_of::<f64>())
-            .sum()
-    }
 }
 
 fn set(data: &mut [Vec<f64>], l: i64, mp: i64, m: i64, v: f64) {
@@ -264,10 +255,12 @@ mod tests {
 
     #[test]
     fn storage_matches_l_cubed_scaling() {
-        let w8 = WignerPiHalf::new(8);
-        let w16 = WignerPiHalf::new(16);
-        // Σ (2ℓ+1)² ≈ (4/3)(L+1)³; doubling L scales bytes by ~8.
-        let ratio = w16.storage_bytes() as f64 / w8.storage_bytes() as f64;
+        let values = |lmax: usize| {
+            let w = WignerPiHalf::new(lmax);
+            (0..=lmax).map(|l| w.matrix(l).len()).sum::<usize>()
+        };
+        // Σ (2ℓ+1)² ≈ (4/3)(L+1)³; doubling L scales the table by ~8.
+        let ratio = values(16) as f64 / values(8) as f64;
         assert!(ratio > 6.0 && ratio < 9.0, "ratio={ratio}");
     }
 

@@ -63,7 +63,7 @@ impl CoefficientSampler {
     /// whole [`PackedLower::ROW_BLOCK`]s, one run each, and transform and
     /// multiply their own; the caller then runs the VAR recursion over the
     /// block, one step per row through the lag-major `Φ` that
-    /// [`DiagonalVar::predict`] steps with. Every ξ element is its own
+    /// [`DiagonalVar::innovations`] steps with. Every ξ element is its own
     /// ascending-`k` chain, so the split changes no bit.
     pub fn sample_path<R: Rng + ?Sized>(&self, t_max: usize, rng: &mut R) -> Vec<Vec<f64>> {
         let (p, dim) = (self.var.order, self.dim());

@@ -61,21 +61,10 @@ impl ForcingSeries {
         self.values[idx as usize]
     }
 
-    /// The exponentially lagged regressor of eq. (2):
-    /// `Lag_ρ(y) = Σ_{s≥1} ρ^{s−1} x_{y−s}`, evaluated by the recursion
-    /// `Lag(y) = x_{y−1} + ρ·Lag(y−1)` over the available history.
-    pub fn lagged(&self, year: i64, rho: f64) -> f64 {
-        assert!((0.0..1.0).contains(&rho), "ρ must be in [0,1)");
-        let mut lag = 0.0;
-        let from = self.start_year + 1;
-        for y in from..=year {
-            lag = self.at(y - 1) + rho * lag;
-        }
-        lag
-    }
-
-    /// Precompute `Lag_ρ` for every year of a range (recursion shared across
-    /// calls; O(range) total).
+    /// The exponentially lagged regressor of eq. (2),
+    /// `Lag_ρ(y) = Σ_{s≥1} ρ^{s−1} x_{y−s}`, for every year of
+    /// `start..=end`: one pass of the recursion `Lag(y) = x_{y−1} +
+    /// ρ·Lag(y−1)` over the available history.
     pub fn lagged_series(&self, start: i64, end: i64, rho: f64) -> Vec<f64> {
         assert!(end >= start);
         let mut out = Vec::with_capacity((end - start + 1) as usize);
@@ -91,6 +80,21 @@ impl ForcingSeries {
             out.insert(0, 0.0);
         }
         out
+    }
+}
+
+/// `Lag_ρ` at one year, recomputed from the series start: the pointwise
+/// oracle of `lagged_series`.
+#[cfg(test)]
+impl ForcingSeries {
+    fn lagged(&self, year: i64, rho: f64) -> f64 {
+        assert!((0.0..1.0).contains(&rho), "ρ must be in [0,1)");
+        let mut lag = 0.0;
+        let from = self.start_year + 1;
+        for y in from..=year {
+            lag = self.at(y - 1) + rho * lag;
+        }
+        lag
     }
 }
 

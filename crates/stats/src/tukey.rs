@@ -24,16 +24,6 @@ pub struct TukeyGH {
 }
 
 impl TukeyGH {
-    /// The identity transform (standard Gaussian marginal).
-    pub fn gaussian() -> Self {
-        Self {
-            xi: 0.0,
-            omega: 1.0,
-            g: 0.0,
-            h: 0.0,
-        }
-    }
-
     /// Forward warp: Gaussian core `z` → g-and-h variate.
     pub fn forward(&self, z: f64) -> f64 {
         assert!(self.h >= 0.0, "h must be non-negative");
@@ -196,7 +186,12 @@ mod tests {
 
     #[test]
     fn identity_when_g_h_zero() {
-        let t = TukeyGH::gaussian();
+        let t = TukeyGH {
+            xi: 0.0,
+            omega: 1.0,
+            g: 0.0,
+            h: 0.0,
+        };
         for z in [-3.0, -0.5, 0.0, 1.7] {
             assert!((t.forward(z) - z).abs() < 1e-14);
             assert!((t.inverse(z) - z).abs() < 1e-10);

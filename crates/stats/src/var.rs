@@ -10,8 +10,8 @@
 //! Both directions read the time-major series in time order. The fit is
 //! one sweep of lag moments `XᵀX`, `Xᵀy` per channel over the steps of
 //! every member, then a `P × P` solve per channel; the one-step prediction
-//! (`predict`, `innovations`, the sampler's recursion) is one loop over a
-//! lag-major copy of `Φ` (`LagMajor`). Each number is the one a
+//! (`innovations`, the sampler's recursion, and the tests' allocating
+//! `predict`) is one loop over a lag-major copy of `Φ` (`LagMajor`). Each number is the one a
 //! per-channel gather of the design and `ols_solve` compute, by the same
 //! operations in the same order (ARCHITECTURE.md, "VAR sweep contract").
 
@@ -32,15 +32,6 @@ impl DiagonalVar {
     /// Number of channels (`L²` for the emulator).
     pub fn dim(&self) -> usize {
         self.phi.len()
-    }
-
-    /// One-step prediction `Σ_p Φ_p f_{t−p}` from `history`, where
-    /// `history[0]` is `f_{t−1}`, `history[1]` is `f_{t−2}`, …
-    pub fn predict(&self, history: &[&[f64]]) -> Vec<f64> {
-        assert!(history.len() >= self.order, "need {} lags", self.order);
-        let mut out = vec![0.0; self.dim()];
-        self.lag_major().predict_into(|p| history[p], &mut out);
-        out
     }
 
     /// Innovations `ξ_t = f_t − Σ_p Φ_p f_{t−p}` for `t = P..T`, time-major
@@ -76,15 +67,6 @@ impl DiagonalVar {
             dim,
             coeffs,
         }
-    }
-
-    /// Largest absolute AR coefficient — a cheap stationarity proxy used by
-    /// validation (`< 1` for each channel under AR(1)).
-    pub fn max_abs_coefficient(&self) -> f64 {
-        self.phi
-            .iter()
-            .flat_map(|row| row.iter().map(|c| c.abs()))
-            .fold(0.0, f64::max)
     }
 }
 
@@ -190,6 +172,20 @@ fn fit_channels(members: &[&[Vec<f64>]], order: usize, c0: usize, phi: &mut [Vec
 /// OLS: the ensemble fit of one member.
 pub fn fit_diagonal_var(series: &[Vec<f64>], order: usize) -> DiagonalVar {
     fit_diagonal_var_multi(&[series], order)
+}
+
+/// The allocating one-step prediction: the oracle of `innovations` and of
+/// the sampler's recursion in this crate's tests.
+#[cfg(test)]
+impl DiagonalVar {
+    /// One-step prediction `Σ_p Φ_p f_{t−p}` from `history`, where
+    /// `history[0]` is `f_{t−1}`, `history[1]` is `f_{t−2}`, …
+    pub(crate) fn predict(&self, history: &[&[f64]]) -> Vec<f64> {
+        assert!(history.len() >= self.order, "need {} lags", self.order);
+        let mut out = vec![0.0; self.dim()];
+        self.lag_major().predict_into(|p| history[p], &mut out);
+        out
+    }
 }
 
 #[cfg(test)]
@@ -388,7 +384,6 @@ mod tests {
                 t[0]
             );
         }
-        assert!(fit.max_abs_coefficient() < 1.0);
     }
 
     #[test]

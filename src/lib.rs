@@ -1,20 +1,7 @@
 //! # exaclim-repro
 //!
 //! Umbrella package of the `exaclim` workspace: hosts the runnable examples
-//! (`examples/`) and the cross-crate integration tests (`tests/`). The
-//! public API lives in [`exaclim`] (crate `exaclim-core`); this crate simply
-//! re-exports the workspace members for convenience.
-
-pub use exaclim_climate as climate;
-pub use exaclim_cluster as cluster;
-pub use exaclim_fft as fft;
-pub use exaclim_linalg as linalg;
-pub use exaclim_mathkit as mathkit;
-pub use exaclim_runtime as runtime;
-pub use exaclim_serve as serve;
-pub use exaclim_sht as sht;
-pub use exaclim_sphere as sphere;
-pub use exaclim_stats as stats;
-pub use exaclim_store as store;
-
-pub use exaclim;
+//! (`examples/`) and the cross-crate integration tests (`tests/`), which
+//! import the workspace crates by their own names. The public API lives in
+//! [`exaclim`] (crate `exaclim-core`); this library exports nothing of its
+//! own.

@@ -9,10 +9,10 @@ mod common;
 
 use common::conformance::Front;
 use common::*;
-use exaclim_serve::scenario::realization_seed;
+use exaclim_serve::scenario::{realization_seed, MAX_PRODUCT_VALUES};
 use exaclim_serve::{
-    ProductData, ProductDescriptor, ProductSource, ProductStat, Request, Response, ServeConfig,
-    Server,
+    Client, NetConfig, ProductData, ProductDescriptor, ProductSource, ProductStat, Request,
+    Response, ServeConfig, ServeError, Server,
 };
 use exaclim_stats::trend::{fit_location, TrendConfig};
 use exaclim_stats::ForcingSeries;
@@ -44,6 +44,51 @@ fn slice_values(server: &Server, range: std::ops::Range<u64>) -> Vec<f64> {
         Ok(Response::Slice(data)) => data.values,
         other => panic!("{other:?}"),
     }
+}
+
+/// Requests over the value budget are bad requests, refused before
+/// anything is allocated: an `Emulate` run at the first step count past
+/// the budget and at one whose size overflows, an `Ensemble` whose runs
+/// fit one by one but not together, and a one-value window of an
+/// ensemble whose run alone is past the budget. Checked in process and
+/// over one loopback connection, which then goes on serving.
+#[test]
+fn requests_over_the_value_budget_are_bad_requests() {
+    let past = MAX_PRODUCT_VALUES / emulator().npoints() as u64 + 1;
+    let emulate = |t_max: u64| Request::Emulate {
+        emulator: EMULATOR.to_string(),
+        t_max: t_max as usize,
+        seed: 1,
+    };
+    let oversized = [
+        emulate(past),
+        emulate(1 << 40),
+        Request::Ensemble(spec(1, past / 2, 4)),
+        Request::Product(ProductDescriptor {
+            source: ProductSource::Ensemble(spec(1, past, 1)),
+            stat: ProductStat::Raw,
+            time: Some(0..1),
+            space: Some(0..1),
+        }),
+    ];
+    let (server, handle) = spawn_fixture(NetConfig::default());
+    let mut client = Client::connect(handle.addr()).unwrap();
+    for answers in [
+        server.handle_batch(&oversized),
+        client.batch(&oversized).unwrap(),
+    ] {
+        for (request, answer) in oversized.iter().zip(&answers) {
+            assert!(
+                matches!(answer, Err(ServeError::BadRequest(_))),
+                "{request:?}: {answer:?}"
+            );
+        }
+    }
+    let next = [emulate(8), slice("t2m", 0..10)];
+    let served = client.batch(&next).unwrap();
+    assert!(served.iter().all(Result::is_ok), "{served:?}");
+    assert_eq!(served, server.handle_batch(&next));
+    handle.shutdown();
 }
 
 /// Eight threads release on a barrier into the same product descriptor:
