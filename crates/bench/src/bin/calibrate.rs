@@ -3,7 +3,8 @@
 
 use exaclim_cluster::machines::{Machine, MachineSpec};
 use exaclim_cluster::scaling::strong_scaling;
-use exaclim_cluster::sim::{simulate_cholesky, SimConfig, Variant};
+use exaclim_cluster::sim::{simulate_cholesky, SimConfig};
+use exaclim_linalg::precision::Variant;
 
 fn main() {
     let summit = MachineSpec::of(Machine::Summit);

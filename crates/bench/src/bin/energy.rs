@@ -8,7 +8,8 @@
 
 use exaclim_cluster::energy::{simulate_energy, EnergyModel};
 use exaclim_cluster::machines::{Machine, MachineSpec};
-use exaclim_cluster::sim::{SimConfig, Variant};
+use exaclim_cluster::sim::SimConfig;
+use exaclim_linalg::precision::Variant;
 
 fn main() {
     let spec = MachineSpec::of(Machine::Summit);

@@ -8,7 +8,7 @@
 
 use exaclim::{validate_consistency, ClimateEmulator, EmulatorConfig};
 use exaclim_climate::{SyntheticEra5, SyntheticEra5Config};
-use exaclim_linalg::precision::PrecisionPolicy;
+use exaclim_linalg::precision::Variant;
 
 fn main() {
     let generator = SyntheticEra5::new(SyntheticEra5Config::small_daily(12));
@@ -20,23 +20,17 @@ fn main() {
         "variant", "mean nRMSE", "std ratio", "mean corr", "|Δ acf1|", "passes"
     );
     let nt = 64 / 16;
-    let policies = [
-        ("DP", PrecisionPolicy::dp()),
-        ("DP/SP", PrecisionPolicy::dp_sp()),
-        ("DP/SP/HP", PrecisionPolicy::dp_sp_hp(nt)),
-        ("DP/HP", PrecisionPolicy::dp_hp()),
-    ];
     let mut all_pass = true;
-    for (label, policy) in policies {
+    for v in Variant::all() {
         let mut cfg = EmulatorConfig::small(8);
-        cfg.precision = policy;
+        cfg.precision = v.policy(nt);
         cfg.tile = 16; // 4×4 tiles over the 64×64 covariance
         let emulator = ClimateEmulator::train(&training, cfg).expect("training succeeds");
         let emulation = emulator.emulate(3 * 365, 44).expect("emulation succeeds");
         let r = validate_consistency(&training, &emulation);
         println!(
             "{:<10} {:>12.4} {:>12.4} {:>12.4} {:>12.4} {:>10}",
-            label,
+            v.label(),
             r.mean_nrmse,
             r.std_ratio_median,
             r.mean_field_correlation,

@@ -13,8 +13,8 @@
 
 use exaclim_cluster::distsim::{simulate_distribution, ConversionSide, DistConfig};
 use exaclim_cluster::machines::{Machine, MachineSpec};
-use exaclim_cluster::sim::{simulate_cholesky, SimConfig, Variant};
-use exaclim_linalg::precision::PrecisionPolicy;
+use exaclim_cluster::sim::{simulate_cholesky, SimConfig};
+use exaclim_linalg::precision::Variant;
 
 fn main() {
     let spec = MachineSpec::of(Machine::Summit);
@@ -25,17 +25,18 @@ fn main() {
         "variant", "matrix", "new PF", "old PF", "speedup"
     );
     let sizes = [660_000usize, 860_000, 1_060_000, 1_270_000];
-    let paper = [("DP", 1.15), ("DP/SP", 1.06), ("DP/HP", 1.53)];
-    for (v, (label, paper_speedup)) in [Variant::Dp, Variant::DpSp, Variant::DpHp]
-        .into_iter()
-        .zip(paper)
-    {
+    let paper = [
+        (Variant::Dp, 1.15),
+        (Variant::DpSp, 1.06),
+        (Variant::DpHp, 1.53),
+    ];
+    for (v, paper_speedup) in paper {
         for &n in &sizes {
             let new = simulate_cholesky(&spec, &SimConfig::new(n, nodes, v));
             let old = simulate_cholesky(&spec, &SimConfig::legacy(n, nodes, v));
             println!(
                 "{:<10} {:>9.2}M {:>12.2} {:>12.2} {:>8.2}x",
-                label,
+                v.label(),
                 n as f64 / 1e6,
                 new.pflops,
                 old.pflops,
@@ -58,11 +59,8 @@ fn main() {
         q: 16,
         conversion: side,
     };
-    for (label, policy) in [
-        ("DP", PrecisionPolicy::dp()),
-        ("DP/SP", PrecisionPolicy::dp_sp()),
-        ("DP/HP", PrecisionPolicy::dp_hp()),
-    ] {
+    for (v, _) in paper {
+        let (label, policy) = (v.label(), v.policy(nt));
         let recv = simulate_distribution(nt, b, &policy, &grid(ConversionSide::Receiver));
         let send = simulate_distribution(nt, b, &policy, &grid(ConversionSide::Sender));
         for (place, l) in [("receiver", recv), ("sender", send)] {

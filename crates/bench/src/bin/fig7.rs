@@ -11,7 +11,7 @@
 
 use exaclim_cluster::machines::{Machine, MachineSpec};
 use exaclim_cluster::scaling::{strong_scaling, weak_scaling};
-use exaclim_cluster::sim::Variant;
+use exaclim_linalg::precision::Variant;
 
 fn main() {
     let spec = MachineSpec::of(Machine::Summit);

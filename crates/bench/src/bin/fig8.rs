@@ -6,7 +6,8 @@
 //! ```
 
 use exaclim_cluster::machines::{Machine, MachineSpec};
-use exaclim_cluster::sim::{simulate_cholesky, SimConfig, Variant};
+use exaclim_cluster::sim::{simulate_cholesky, SimConfig};
+use exaclim_linalg::precision::Variant;
 
 fn main() {
     println!("== Figure 8: largest runs (DP/HP variant) ==");

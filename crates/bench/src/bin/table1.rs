@@ -6,7 +6,8 @@
 //! ```
 
 use exaclim_cluster::machines::{Machine, MachineSpec};
-use exaclim_cluster::sim::{avg_bytes_per_element, simulate_cholesky, SimConfig, Variant};
+use exaclim_cluster::sim::{avg_bytes_per_element, simulate_cholesky, SimConfig};
+use exaclim_linalg::precision::Variant;
 
 fn main() {
     println!("== Table I: DP/HP on 1,024 nodes ==");

@@ -6,8 +6,6 @@
 //! module quantifies both sides plus the $/TB/yr carrying cost quoted for
 //! NCAR, and carries the CMIP/DYAMOND reference volumes from §I.
 
-use serde::{Deserialize, Serialize};
-
 /// Bytes per stored sample in the archive (ERA5-style f32).
 pub const ARCHIVE_BYTES_PER_VALUE: u64 = 4;
 /// NCAR's quoted archival cost, $ per TB per year (§I).
@@ -27,7 +25,7 @@ pub const TB: f64 = 1e12;
 pub const PB: f64 = 1e15;
 
 /// Storage model of one emulator deployment.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct StorageModel {
     /// Ensemble members the archive would hold.
     pub ensemble_size: u64,

@@ -8,13 +8,11 @@
 //! literature emulators shown in the figure, and the headline resolution
 //! factor (245,280×).
 
-use serde::{Deserialize, Serialize};
-
 /// Mean Earth radius, km.
 pub const EARTH_RADIUS_KM: f64 = 6371.0;
 
 /// Emulator model class, by spatial-covariance assumption.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EmulatorClass {
     /// Stationary in longitude (diagonal/sparse covariance).
     AxiallySymmetric,
@@ -54,7 +52,7 @@ impl CostModel {
 }
 
 /// One emulator from the literature review of Figure 1.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct LiteratureEmulator {
     /// Citation tag.
     pub reference: &'static str,

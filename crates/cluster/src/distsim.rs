@@ -16,10 +16,9 @@
 //! simulate in microseconds.
 
 use exaclim_linalg::precision::{Precision, PrecisionPolicy};
-use serde::{Deserialize, Serialize};
 
 /// Where precision conversion happens relative to communication.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ConversionSide {
     /// Convert at the sender; messages travel at the consumer precision
     /// (the optimization introduced in §V.A).
@@ -119,22 +118,19 @@ pub fn simulate_distribution(
             ConversionSide::Sender => {
                 // Group consumers by (node, wire precision = consumer tile
                 // precision); convert once per distinct wire precision.
+                // Down-conversions shrink traffic; up-conversions never
+                // happen on the wire (the receiver widens for free).
                 let mut seen = vec![[false; 3]; cfg.nodes()];
                 let mut converted = [false; 3];
-                let pidx = |p: Precision| match p {
-                    Precision::Half => 0usize,
-                    Precision::Single => 1,
-                    Precision::Double => 2,
-                };
                 for &(ci, cj) in consumers {
-                    let wire = prec(ci, cj).max(Precision::Half).min_wire(src_p);
+                    let wire = prec(ci, cj).min(src_p);
                     let dst = cfg.owner(ci, cj);
-                    if wire != src_p && !converted[pidx(wire)] {
-                        converted[pidx(wire)] = true;
+                    if wire != src_p && !converted[wire as usize] {
+                        converted[wire as usize] = true;
                         ledger.conversions += 1;
                     }
-                    if dst != src_owner && !seen[dst][pidx(wire)] {
-                        seen[dst][pidx(wire)] = true;
+                    if dst != src_owner && !seen[dst][wire as usize] {
+                        seen[dst][wire as usize] = true;
                         ledger.add_message(tile_bytes(wire));
                     }
                 }
@@ -155,24 +151,6 @@ pub fn simulate_distribution(
         }
     }
     ledger
-}
-
-/// Helper: the precision actually sent on the wire for a consumer that
-/// computes at `self` when the producer stores at `src`. Down-conversions
-/// shrink traffic; up-conversions never happen on the wire (the receiver
-/// widens for free).
-trait WirePrecision {
-    fn min_wire(self, src: Precision) -> Precision;
-}
-
-impl WirePrecision for Precision {
-    fn min_wire(self, src: Precision) -> Precision {
-        if self <= src {
-            self
-        } else {
-            src
-        }
-    }
 }
 
 #[cfg(test)]

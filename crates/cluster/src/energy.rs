@@ -9,10 +9,9 @@
 
 use crate::machines::MachineSpec;
 use crate::sim::{simulate_cholesky, SimConfig, SimResult};
-use serde::{Deserialize, Serialize};
 
 /// Energy price book (order-of-magnitude literature constants).
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct EnergyModel {
     /// Dynamic energy per DP flop, picojoules (FMA + register traffic).
     pub pj_per_dp_flop: f64,
@@ -39,7 +38,7 @@ impl Default for EnergyModel {
 }
 
 /// Energy report of one simulated run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct EnergyReport {
     /// Dynamic compute energy, joules.
     pub compute_joules: f64,
@@ -67,7 +66,7 @@ pub fn energy_of_run(
     cfg: &SimConfig,
     result: &SimResult,
 ) -> EnergyReport {
-    let [hp, sp, dp] = result.flops_by_bucket;
+    let [hp, sp, dp] = result.flops_by_precision;
     let compute =
         (hp * model.pj_per_hp_flop + sp * model.pj_per_sp_flop + dp * model.pj_per_dp_flop) * 1e-12;
     let wire = result.wire_bytes * model.pj_per_wire_byte * 1e-12;
@@ -75,7 +74,7 @@ pub fn energy_of_run(
     let idle = model.idle_watts_per_gpu * gpus * result.seconds;
     let total = compute + wire + idle;
     let watts = total / result.seconds;
-    let total_flops: f64 = result.flops_by_bucket.iter().sum();
+    let total_flops: f64 = result.flops_by_precision.iter().sum();
     EnergyReport {
         compute_joules: compute,
         wire_joules: wire,
@@ -100,7 +99,7 @@ pub fn simulate_energy(
 mod tests {
     use super::*;
     use crate::machines::{Machine, MachineSpec};
-    use crate::sim::Variant;
+    use exaclim_linalg::precision::Variant;
 
     fn summit_run(v: Variant) -> (SimResult, EnergyReport) {
         let spec = MachineSpec::of(Machine::Summit);

@@ -18,6 +18,10 @@
 //! * [`costmodel`] — the emulator-design cost model of Figure 1
 //!   (`O(L³T + L⁴)` axisymmetric vs `O(L⁴T + L⁶)` anisotropic).
 //!
+//! Tile precisions are never restated here: the model reads the paper's four
+//! variants as `exaclim_linalg::precision::Variant` and each tile's
+//! precision, byte width and label through its `PrecisionPolicy`.
+//!
 //! Absolute numbers are calibrated to the published machine peaks; the
 //! claims reproduced are the *relative* ones — variant speedups, scaling
 //! efficiencies, who wins where (the `calibrate` bin of `exaclim-bench`
@@ -34,4 +38,4 @@ pub use costmodel::{CostModel, EmulatorClass};
 pub use distsim::{simulate_distribution, ConversionSide, DistConfig, MessageLedger};
 pub use energy::{simulate_energy, EnergyModel, EnergyReport};
 pub use machines::{Machine, MachineSpec};
-pub use sim::{simulate_cholesky, CollectiveOrder, SimConfig, SimResult, Variant};
+pub use sim::{simulate_cholesky, CollectiveOrder, SimConfig, SimResult};

@@ -8,10 +8,10 @@
 //! bin of `exaclim-bench` prints the model against the paper's anchors they
 //! are tuned to.
 
-use serde::{Deserialize, Serialize};
+use exaclim_linalg::precision::Precision;
 
 /// The four evaluation systems.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Machine {
     /// ORNL Frontier — AMD MI250X (counted per MCM as in the paper).
     Frontier,
@@ -24,7 +24,7 @@ pub enum Machine {
 }
 
 /// Hardware description used by the simulator.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct MachineSpec {
     /// Human-readable name.
     pub name: &'static str,
@@ -115,13 +115,13 @@ impl MachineSpec {
         }
     }
 
-    /// Effective per-GPU tile-kernel rate in TFlop/s for a precision bucket
-    /// (`0` = HP, `1` = SP, `2` = DP — matching `exaclim_linalg` bucketing).
-    pub fn rate_tf(&self, bucket: usize) -> f64 {
-        match bucket {
-            0 => self.hp_peak_tf * self.eff_hp,
-            1 => self.sp_peak_tf * self.eff_sp,
-            _ => self.dp_peak_tf * self.eff_dp,
+    /// Effective per-GPU tile-kernel rate in TFlop/s for tiles of precision
+    /// `p`.
+    pub fn rate_tf(&self, p: Precision) -> f64 {
+        match p {
+            Precision::Half => self.hp_peak_tf * self.eff_hp,
+            Precision::Single => self.sp_peak_tf * self.eff_sp,
+            Precision::Double => self.dp_peak_tf * self.eff_dp,
         }
     }
 
@@ -179,8 +179,10 @@ mod tests {
             Machine::Summit,
         ] {
             let spec = MachineSpec::of(m);
-            assert!(spec.rate_tf(0) > spec.rate_tf(2), "{}", spec.name);
-            assert!(spec.rate_tf(1) >= spec.rate_tf(2) * 0.9, "{}", spec.name);
+            let [hp, sp, dp] =
+                [Precision::Half, Precision::Single, Precision::Double].map(|p| spec.rate_tf(p));
+            assert!(hp > dp, "{}", spec.name);
+            assert!(sp >= dp * 0.9, "{}", spec.name);
         }
     }
 

@@ -1,11 +1,11 @@
 //! Weak- and strong-scaling drivers (Figure 7).
 
 use crate::machines::MachineSpec;
-use crate::sim::{simulate_cholesky, SimConfig, Variant};
-use serde::{Deserialize, Serialize};
+use crate::sim::{simulate_cholesky, SimConfig};
+use exaclim_linalg::precision::Variant;
 
 /// One scaling data point.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ScalingPoint {
     /// GPUs used.
     pub gpus: usize,

@@ -2,11 +2,12 @@
 //!
 //! For each panel `k` of the `nt × nt` tile matrix the model accounts:
 //!
-//! * POTRF on the diagonal tile (always DP),
+//! * POTRF on the diagonal tile (DP in every variant),
 //! * the panel TRSMs, parallel over the `√G` process-grid rows only,
 //! * the trailing SYRK/GEMM update, parallel over all `G` GPUs, with flops
-//!   split by precision from the band policy (closed-form per-distance tile
-//!   counts, so a 27M-size matrix simulates in microseconds),
+//!   split by precision from the variant's [`PrecisionPolicy`] (closed-form
+//!   tile counts over the runs of band distances the policy gives one
+//!   precision, so a 27M-size matrix simulates in microseconds),
 //! * broadcast traffic: every panel tile travels to `~(pg + qg)` nodes;
 //!   wire precision follows the conversion placement — the legacy runtime
 //!   moved tiles at canonical DP and reshaped at the receiver, the new one
@@ -21,72 +22,10 @@
 
 use crate::distsim::ConversionSide;
 use crate::machines::MachineSpec;
-use serde::{Deserialize, Serialize};
-
-/// The paper's four precision variants (§IV.B).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum Variant {
-    /// Full double precision.
-    Dp,
-    /// DP diagonal band, SP elsewhere.
-    DpSp,
-    /// DP band, ~5% SP, rest HP.
-    DpSpHp,
-    /// DP band, HP elsewhere.
-    DpHp,
-}
-
-impl Variant {
-    /// Legend label as in the paper's figures.
-    pub fn label(self) -> &'static str {
-        match self {
-            Variant::Dp => "DP",
-            Variant::DpSp => "DP/SP",
-            Variant::DpSpHp => "DP/SP/HP",
-            Variant::DpHp => "DP/HP",
-        }
-    }
-
-    /// Precision bucket (0 = HP, 1 = SP, 2 = DP) of a tile at band distance
-    /// `d` (in tiles) for a matrix with `nt` tiles per side.
-    pub fn bucket(self, d: usize, nt: usize) -> usize {
-        match self {
-            Variant::Dp => 2,
-            Variant::DpSp => {
-                if d < 1 {
-                    2
-                } else {
-                    1
-                }
-            }
-            Variant::DpSpHp => {
-                let sp_band = (nt / 20).max(1);
-                if d < 1 {
-                    2
-                } else if d < 1 + sp_band {
-                    1
-                } else {
-                    0
-                }
-            }
-            Variant::DpHp => {
-                if d < 1 {
-                    2
-                } else {
-                    0
-                }
-            }
-        }
-    }
-
-    /// All four variants, figure order.
-    pub fn all() -> [Variant; 4] {
-        [Variant::Dp, Variant::DpSp, Variant::DpSpHp, Variant::DpHp]
-    }
-}
+use exaclim_linalg::precision::{Precision, PrecisionPolicy, Variant};
 
 /// Collective-communication ordering (§III.C).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CollectiveOrder {
     /// Prioritize individual broadcast latency (the realigned strategy).
     LatencyFirst,
@@ -95,7 +34,7 @@ pub enum CollectiveOrder {
 }
 
 /// Simulation input.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SimConfig {
     /// Matrix dimension.
     pub n: usize,
@@ -138,14 +77,15 @@ impl SimConfig {
 }
 
 /// Simulation output.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SimResult {
     /// Makespan, seconds.
     pub seconds: f64,
     /// Achieved rate, PFlop/s (n³/3 over makespan).
     pub pflops: f64,
-    /// Total flops by precision bucket `[hp, sp, dp]`.
-    pub flops_by_bucket: [f64; 3],
+    /// Total flops by precision `[hp, sp, dp]`, indexed by `Precision as
+    /// usize`.
+    pub flops_by_precision: [f64; 3],
     /// Aggregate update-compute seconds (critical-path share).
     pub comp_seconds: f64,
     /// Aggregate broadcast-bandwidth seconds.
@@ -197,21 +137,29 @@ fn tiles_at_distances(m: usize, lo: usize, hi: usize) -> f64 {
     count * mf - (lof + hif) * count / 2.0
 }
 
+/// Maximal runs `(precision, lo, hi)` of the band distances `1..nt` to
+/// which `policy` gives one precision, nearest the diagonal first.
+fn distance_runs(policy: &PrecisionPolicy, nt: usize) -> Vec<(Precision, usize, usize)> {
+    let mut runs: Vec<(Precision, usize, usize)> = Vec::new();
+    for d in 1..nt {
+        let p = policy.assign(d, 0, 1.0);
+        match runs.last_mut() {
+            Some((q, _, hi)) if *q == p => *hi = d,
+            _ => runs.push((p, d, d)),
+        }
+    }
+    runs
+}
+
 /// Average storage bytes per matrix element under a variant's band policy
 /// for an `nt × nt` tile matrix (lower triangle).
 pub fn avg_bytes_per_element(variant: Variant, nt: usize) -> f64 {
+    let policy = variant.policy(nt);
     let total = (nt * (nt + 1) / 2) as f64;
-    let mut weighted = 0.0f64;
-    // Diagonal (distance 0) plus distances 1..nt-1 with count nt - d.
-    weighted += nt as f64 * 8.0;
-    for d in 1..nt {
-        let bytes = match variant.bucket(d, nt) {
-            0 => 2.0,
-            1 => 4.0,
-            _ => 8.0,
-        };
-        weighted += (nt - d) as f64 * bytes;
-    }
+    // Distances 0..nt-1 with count nt - d.
+    let weighted: f64 = (0..nt)
+        .map(|d| (nt - d) as f64 * policy.assign(d, 0, 1.0).bytes() as f64)
+        .sum();
     weighted / total
 }
 
@@ -241,22 +189,14 @@ pub fn simulate_cholesky(spec: &MachineSpec, cfg: &SimConfig) -> SimResult {
             CollectiveOrder::BandwidthFirst => BW_FIRST_BANDWIDTH_BONUS,
         }
         / contention;
-    let rate = |bucket: usize| spec.rate_tf(bucket) * 1e12;
-    let dp_rate = rate(2);
-    let bucket_bytes = [2.0f64, 4.0, 8.0];
+    let rate = |p: Precision| spec.rate_tf(p) * 1e12;
+    let policy = cfg.variant.policy(nt);
+    // Precision of the diagonal tiles: POTRF, SYRK and the POTRF broadcast.
+    let diag = policy.assign(0, 0, 1.0);
+    let diag_rate = rate(diag);
+    let runs = distance_runs(&policy, nt);
 
-    // Band-policy bucket boundaries as distance intervals [lo, hi].
-    let intervals: Vec<(usize, usize, usize)> = match cfg.variant {
-        Variant::Dp => vec![(2, 1, nt)],
-        Variant::DpSp => vec![(1, 1, nt)],
-        Variant::DpSpHp => {
-            let sp = (nt / 20).max(1);
-            vec![(1, 1, sp), (0, sp + 1, nt)]
-        }
-        Variant::DpHp => vec![(0, 1, nt)],
-    };
-
-    let mut flops_by_bucket = [0.0f64; 3];
+    let mut flops_by_precision = [0.0f64; 3];
     let mut comp = 0.0f64;
     let mut comm = 0.0f64;
     let mut panel = 0.0f64;
@@ -266,48 +206,41 @@ pub fn simulate_cholesky(spec: &MachineSpec, cfg: &SimConfig) -> SimResult {
 
     for k in 0..nt {
         let m = nt - 1 - k; // trailing tiles per dimension
-                            // POTRF (DP always).
-        let t_potrf = (b * b * b / 3.0) / dp_rate;
-        flops_by_bucket[2] += b * b * b / 3.0;
-        // Panel TRSMs: m tiles spread over pg grid rows.
+        let t_potrf = (b * b * b / 3.0) / diag_rate;
+        flops_by_precision[diag as usize] += b * b * b / 3.0;
+        // Panel TRSMs: m tiles spread over pg grid rows. Broadcast traffic:
+        // every panel tile reaches ~(pg + qg) nodes.
         let mut t_trsm = 0.0;
-        for &(bkt, lo, hi) in &intervals {
-            let tiles = (hi.min(m)).saturating_sub(lo.saturating_sub(1)) as f64;
-            if tiles <= 0.0 || lo > m {
+        let mut panel_bytes = 0.0;
+        for &(p, lo, hi) in &runs {
+            let tiles = (hi.min(m) + 1).saturating_sub(lo) as f64;
+            if tiles == 0.0 {
                 continue;
             }
             let fl = tiles * b * b * b;
-            flops_by_bucket[bkt] += fl;
-            t_trsm += fl / pg / rate(bkt);
-        }
-        // Trailing update: SYRK on the m diagonal tiles (DP band) + GEMMs.
-        let syrk_fl = m as f64 * b * b * b;
-        flops_by_bucket[2] += syrk_fl;
-        let mut t_update = syrk_fl / g / dp_rate;
-        for &(bkt, lo, hi) in &intervals {
-            let tiles = tiles_at_distances(m, lo, hi);
-            let fl = tiles * 2.0 * b * b * b;
-            flops_by_bucket[bkt] += fl;
-            t_update += fl / g / rate(bkt);
-        }
-        // Broadcast traffic: every panel tile reaches ~(pg + qg) nodes.
-        let mut panel_bytes = 0.0;
-        for &(bkt, lo, hi) in &intervals {
-            let tiles = (hi.min(m)).saturating_sub(lo.saturating_sub(1)) as f64;
-            if tiles <= 0.0 || lo > m {
-                continue;
-            }
+            flops_by_precision[p as usize] += fl;
+            t_trsm += fl / pg / rate(p);
             let wire = match cfg.conversion {
-                ConversionSide::Sender => bucket_bytes[bkt],
+                ConversionSide::Sender => p,
                 // Legacy runtime: no half-precision wire datatype — HP
                 // tiles travel widened to SP; conversion happens at each
                 // receiver.
-                ConversionSide::Receiver => bucket_bytes[bkt].max(4.0),
+                ConversionSide::Receiver => p.max(Precision::Single),
             };
-            panel_bytes += tiles * b * b * wire;
+            panel_bytes += tiles * b * b * wire.bytes() as f64;
         }
-        // POTRF tile down the panel (DP wire unless all consumers narrower).
-        panel_bytes += b * b * 8.0;
+        // POTRF tile down the panel, at its own precision.
+        panel_bytes += b * b * diag.bytes() as f64;
+        // Trailing update: SYRK on the m diagonal tiles + GEMMs.
+        let syrk_fl = m as f64 * b * b * b;
+        flops_by_precision[diag as usize] += syrk_fl;
+        let mut t_update = syrk_fl / g / diag_rate;
+        for &(p, lo, hi) in &runs {
+            let tiles = tiles_at_distances(m, lo, hi);
+            let fl = tiles * 2.0 * b * b * b;
+            flops_by_precision[p as usize] += fl;
+            t_update += fl / g / rate(p);
+        }
         let per_node_bytes = panel_bytes * (pg + qg) / cfg.nodes as f64 * WIRE_OVERHEAD;
         let t_comm = per_node_bytes / bw;
         let t_lat = 2.0 * depth * lat;
@@ -329,7 +262,7 @@ pub fn simulate_cholesky(spec: &MachineSpec, cfg: &SimConfig) -> SimResult {
     SimResult {
         seconds: makespan,
         pflops: total_flops / makespan / 1e15,
-        flops_by_bucket,
+        flops_by_precision,
         comp_seconds: comp,
         comm_seconds: comm,
         panel_seconds: panel,
@@ -468,16 +401,57 @@ mod tests {
     #[test]
     fn flops_accounting_matches_n_cubed_over_three() {
         let spec = summit();
-        let cfg = SimConfig::new(4_194_304, 512, Variant::DpSpHp);
-        let r = simulate_cholesky(&spec, &cfg);
-        let total: f64 = r.flops_by_bucket.iter().sum();
-        let expect = (cfg.n as f64).powi(3) / 3.0;
-        assert!(
-            (total - expect).abs() / expect < 0.05,
-            "{total:.3e} vs {expect:.3e}"
-        );
-        // Mixed variant uses all three precisions.
-        assert!(r.flops_by_bucket.iter().all(|&f| f > 0.0));
+        for v in Variant::all() {
+            let cfg = SimConfig::new(4_194_304, 512, v);
+            let r = simulate_cholesky(&spec, &cfg);
+            let total: f64 = r.flops_by_precision.iter().sum();
+            let expect = (cfg.n as f64).powi(3) / 3.0;
+            assert!(
+                (total - expect).abs() / expect < 0.05,
+                "{}: {total:.3e} vs {expect:.3e}",
+                v.label()
+            );
+            // Flops land in exactly the precisions the policy gives a tile
+            // (the mixed variant uses all three).
+            let nt = cfg.n / cfg.tile;
+            let policy = v.policy(nt);
+            for p in [Precision::Half, Precision::Single, Precision::Double] {
+                let used = (0..nt).any(|d| policy.assign(d, 0, 1.0) == p);
+                assert_eq!(
+                    r.flops_by_precision[p as usize] > 0.0,
+                    used,
+                    "{} {p:?}",
+                    v.label()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn closed_form_counts_equal_a_count_over_every_tile() {
+        for v in Variant::all() {
+            for nt in [1, 2, 19, 20, 21, 40, 41] {
+                let policy = v.policy(nt);
+                let (mut tiles, mut bytes) = ([0.0f64; 3], 0.0f64);
+                for i in 0..nt {
+                    for j in 0..=i {
+                        let p = policy.assign(i, j, 1.0);
+                        tiles[p as usize] += 1.0;
+                        bytes += p.bytes() as f64;
+                    }
+                }
+                // The model's diagonal is its own term; the runs count the rest.
+                let mut closed = [0.0f64; 3];
+                closed[policy.assign(0, 0, 1.0) as usize] += nt as f64;
+                for (p, lo, hi) in distance_runs(&policy, nt) {
+                    closed[p as usize] += tiles_at_distances(nt, lo, hi);
+                }
+                let case = format!("{} nt={nt}", v.label());
+                assert_eq!(closed, tiles, "{case}");
+                let total = (nt * (nt + 1) / 2) as f64;
+                assert_eq!(avg_bytes_per_element(v, nt), bytes / total, "{case}");
+            }
+        }
     }
 
     #[test]

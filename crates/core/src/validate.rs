@@ -8,10 +8,9 @@
 use exaclim_climate::generator::Dataset;
 use exaclim_mathkit::stats::{acf, correlation, quantiles_streamed, variance, variance_streamed};
 use exaclim_runtime::pool;
-use serde::{Deserialize, Serialize};
 
 /// Summary of simulation-vs-emulation statistical agreement.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ConsistencyReport {
     /// RMSE of per-location time means, normalized by the simulation's
     /// spatial standard deviation of means.

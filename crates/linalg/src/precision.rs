@@ -2,10 +2,12 @@
 //!
 //! The paper evaluates four variants of the covariance Cholesky (§IV.B):
 //! full DP; a diagonal DP band with the rest SP (DP/SP); DP band, 5% SP,
-//! rest HP (DP/SP/HP); and DP band with the rest HP (DP/HP). Assignment is
-//! by band distance from the diagonal — tiles near the diagonal carry the
-//! strongest correlations — or adaptively from tile norms (the tile-centric
-//! approach of ref. \[47\]).
+//! rest HP (DP/SP/HP); and DP band with the rest HP (DP/HP): the
+//! [`Variant`]s, each a [`PrecisionPolicy`] at a given tile count. This is
+//! the one place their band rule, byte widths and labels are written.
+//! Assignment is by band distance from the diagonal — tiles near the
+//! diagonal carry the strongest correlations — or adaptively from tile
+//! norms (the tile-centric approach of ref. \[47\]).
 
 use serde::{Deserialize, Serialize};
 
@@ -47,14 +49,42 @@ impl Precision {
             Precision::Double => "DP",
         }
     }
+}
 
-    /// The wider of two precisions.
-    pub fn max(self, other: Self) -> Self {
-        if self >= other {
-            self
-        } else {
-            other
+/// The paper's four precision variants (§IV.B), independent of the matrix
+/// size; [`Variant::policy`] gives a variant's tile assignment at `nt`
+/// tiles per side.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Variant {
+    /// Full double precision.
+    Dp,
+    /// DP diagonal band, SP elsewhere.
+    DpSp,
+    /// DP band, ~5% SP, rest HP.
+    DpSpHp,
+    /// DP band, HP elsewhere.
+    DpHp,
+}
+
+impl Variant {
+    /// All four variants, figure order.
+    pub fn all() -> [Variant; 4] {
+        [Variant::Dp, Variant::DpSp, Variant::DpSpHp, Variant::DpHp]
+    }
+
+    /// The variant's tile assignment for a matrix of `nt` tiles per side.
+    pub fn policy(self, nt: usize) -> PrecisionPolicy {
+        match self {
+            Variant::Dp => PrecisionPolicy::dp(),
+            Variant::DpSp => PrecisionPolicy::dp_sp(),
+            Variant::DpSpHp => PrecisionPolicy::dp_sp_hp(nt),
+            Variant::DpHp => PrecisionPolicy::dp_hp(),
         }
+    }
+
+    /// Legend label as in the paper's figures.
+    pub fn label(self) -> &'static str {
+        self.policy(1).label()
     }
 }
 
@@ -145,16 +175,16 @@ impl PrecisionPolicy {
     }
 
     /// Report label matching the paper's figure legends.
-    pub fn label(&self) -> String {
+    pub fn label(&self) -> &'static str {
         match *self {
-            PrecisionPolicy::Uniform(p) => p.label().to_string(),
+            PrecisionPolicy::Uniform(p) => p.label(),
             PrecisionPolicy::Band {
                 sp_band: usize::MAX,
                 ..
-            } => "DP/SP".to_string(),
-            PrecisionPolicy::Band { sp_band: 0, .. } => "DP/HP".to_string(),
-            PrecisionPolicy::Band { .. } => "DP/SP/HP".to_string(),
-            PrecisionPolicy::Adaptive { .. } => "adaptive".to_string(),
+            } => "DP/SP",
+            PrecisionPolicy::Band { sp_band: 0, .. } => "DP/HP",
+            PrecisionPolicy::Band { .. } => "DP/SP/HP",
+            PrecisionPolicy::Adaptive { .. } => "adaptive",
         }
     }
 }
@@ -238,5 +268,24 @@ mod tests {
     #[test]
     fn uniform_label() {
         assert_eq!(PrecisionPolicy::dp().label(), "DP");
+    }
+
+    #[test]
+    fn variants_are_the_paper_policies_and_labels() {
+        let labels = Variant::all().map(Variant::label);
+        assert_eq!(labels, ["DP", "DP/SP", "DP/SP/HP", "DP/HP"]);
+        for nt in [1, 19, 20, 40, 41] {
+            let policies = Variant::all().map(|v| v.policy(nt));
+            assert_eq!(
+                policies,
+                [
+                    PrecisionPolicy::dp(),
+                    PrecisionPolicy::dp_sp(),
+                    PrecisionPolicy::dp_sp_hp(nt),
+                    PrecisionPolicy::dp_hp(),
+                ]
+            );
+            assert_eq!(policies.map(|p| p.label()), labels, "nt={nt}");
+        }
     }
 }

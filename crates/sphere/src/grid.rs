@@ -11,7 +11,6 @@
 pub struct EquiangularGrid {
     ntheta: usize,
     nphi: usize,
-    weights: Vec<f64>,
 }
 
 impl EquiangularGrid {
@@ -20,12 +19,7 @@ impl EquiangularGrid {
     pub fn new(ntheta: usize, nphi: usize) -> Self {
         assert!(ntheta >= 2, "equiangular grid needs both poles");
         assert!(nphi >= 1);
-        let weights = clenshaw_curtis_sin_weights(ntheta);
-        Self {
-            ntheta,
-            nphi,
-            weights,
-        }
+        Self { ntheta, nphi }
     }
 
     /// Number of co-latitude rings.
@@ -59,9 +53,27 @@ impl EquiangularGrid {
     }
 
     /// Quadrature weight of ring `i` such that
-    /// `Σ_i w_i f(θ_i) ≈ ∫₀^π f(θ) sinθ dθ` for smooth `f`.
+    /// `Σ_i w_i f(θ_i) ≈ ∫₀^π f(θ) sinθ dθ` for smooth `f`, exact for `f` a
+    /// trigonometric polynomial of degree < `ntheta` (Clenshaw–Curtis-type
+    /// rule derived from the exact moments `I(q)` of eq. 8 restricted to
+    /// real even part). Computed on each call (`Nθ/2 + 1` cosines): the
+    /// transforms do not use ring quadrature.
     pub fn ring_weight(&self, i: usize) -> f64 {
-        self.weights[i]
+        assert!(i < self.ntheta, "ring {i} out of range");
+        let n = self.ntheta - 1; // number of intervals
+        let theta = self.theta(i);
+        // Express f by its cosine series on θ ∈ [0, π]:
+        // ∫ cos(kθ) sinθ dθ = 2/(1-k²) for even k, 0 for odd k (k ≠ 1), 0 at k=1.
+        // Discrete cosine quadrature: w_i = (2/n) Σ_k'' c_k cos(kθ_i) m_k, with
+        // trapezoid end-point halving.
+        let mut acc = 0.0;
+        for k in (0..=n).step_by(2) {
+            let mk = 2.0 / (1.0 - (k * k) as f64); // moment of cos(kθ)
+            let ck = if k == 0 || k == n { 0.5 } else { 1.0 };
+            acc += ck * mk * (k as f64 * theta).cos();
+        }
+        let endpoint = if i == 0 || i == n { 0.5 } else { 1.0 };
+        acc * 2.0 / n as f64 * endpoint
     }
 
     /// Maximum band-limit `L` for which the forward transform on this grid
@@ -70,31 +82,6 @@ impl EquiangularGrid {
     pub fn max_bandlimit(&self) -> usize {
         (self.ntheta - 1).min(self.nphi.div_ceil(2))
     }
-}
-
-/// Quadrature weights `w_i` for `∫₀^π f(θ) sinθ dθ ≈ Σ w_i f(θ_i)` on the
-/// closed equiangular grid, exact for `f` a trigonometric polynomial of
-/// degree < `ntheta` (Clenshaw–Curtis-type rule derived from the exact
-/// moments `I(q)` of eq. 8 restricted to real even part).
-fn clenshaw_curtis_sin_weights(ntheta: usize) -> Vec<f64> {
-    let n = ntheta - 1; // number of intervals
-    let mut w = vec![0.0f64; ntheta];
-    // Express f by its cosine series on θ ∈ [0, π]:
-    // ∫ cos(kθ) sinθ dθ = 2/(1-k²) for even k, 0 for odd k (k ≠ 1), 0 at k=1.
-    // Discrete cosine quadrature: w_i = (2/n) Σ_k'' c_k cos(kθ_i) m_k, with
-    // trapezoid end-point halving.
-    for (i, wi) in w.iter_mut().enumerate() {
-        let theta = std::f64::consts::PI * i as f64 / n as f64;
-        let mut acc = 0.0;
-        for k in (0..=n).step_by(2) {
-            let mk = 2.0 / (1.0 - (k * k) as f64); // moment of cos(kθ)
-            let ck = if k == 0 || k == n { 0.5 } else { 1.0 };
-            acc += ck * mk * (k as f64 * theta).cos();
-        }
-        let endpoint = if i == 0 || i == n { 0.5 } else { 1.0 };
-        *wi = acc * 2.0 / n as f64 * endpoint;
-    }
-    w
 }
 
 #[cfg(test)]

@@ -26,7 +26,7 @@ use exaclim_linalg::dense::{normal_equations_factor, Matrix};
 use serde::{Deserialize, Serialize};
 
 /// Configuration of the trend model.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TrendConfig {
     /// Number of harmonic pairs `K` (the paper uses 5).
     pub k_harmonics: usize,

@@ -8,10 +8,8 @@
 //! emulators"): fit `g, h` on the standardized residuals, de-warp to a
 //! Gaussian core, run the usual spectral pipeline, re-warp on emulation.
 
-use serde::{Deserialize, Serialize};
-
 /// A Tukey g-and-h transformation with location/scale.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TukeyGH {
     /// Location ξ.
     pub xi: f64,

@@ -7,7 +7,7 @@
 //! ```
 
 use exaclim_linalg::cholesky::factorization_residual;
-use exaclim_linalg::precision::PrecisionPolicy;
+use exaclim_linalg::precision::Variant;
 use exaclim_linalg::tiled::{exp_covariance, TiledMatrix};
 use exaclim_runtime::{parallel_tile_cholesky, SchedulerKind};
 
@@ -36,15 +36,10 @@ fn main() {
     );
 
     let nt = n / b;
-    let policies = [
-        PrecisionPolicy::dp(),
-        PrecisionPolicy::dp_sp(),
-        PrecisionPolicy::dp_sp_hp(nt),
-        PrecisionPolicy::dp_hp(),
-    ];
     let mut dp_seconds = None;
     let mut sp_speedup = None;
-    for policy in policies {
+    for v in Variant::all() {
+        let policy = v.policy(nt);
         let (stats, lanes, tm) = (0..RUNS)
             .map(|_| {
                 let mut tm = TiledMatrix::from_dense(&a, n, b, &policy);
@@ -63,7 +58,7 @@ fn main() {
         let speedup = dp / stats.seconds;
         println!(
             "{:<10} {:>10} {:>14.3e} {:>12.4} {:>10.2} {:>6.2}× {:>6} {:>4}/{}/{}",
-            policy.label(),
+            v.label(),
             tm.payload_bytes(),
             res,
             stats.seconds,
@@ -74,12 +69,12 @@ fn main() {
             census[1],
             census[2],
         );
-        if policy == PrecisionPolicy::dp_sp() {
+        if v == Variant::DpSp {
             sp_speedup = Some(speedup);
         }
         // Accuracy envelope: HP-heavy variants still factor a
         // well-conditioned covariance to percent-level residual.
-        assert!(res < 0.05, "{}: residual {res}", policy.label());
+        assert!(res < 0.05, "{}: residual {res}", v.label());
     }
     println!(
         "(DP reference time: {:.4}s; DP/SP ran {:.2}× as fast here. SP and HP tiles\n\

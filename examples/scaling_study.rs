@@ -9,7 +9,8 @@
 
 use exaclim_cluster::machines::{Machine, MachineSpec};
 use exaclim_cluster::scaling::{strong_scaling, weak_scaling};
-use exaclim_cluster::sim::{simulate_cholesky, SimConfig, Variant};
+use exaclim_cluster::sim::{simulate_cholesky, SimConfig};
+use exaclim_linalg::precision::Variant;
 
 fn main() {
     println!("== Largest-scale DP/HP runs (Figure 8 scenario) ==");
