@@ -57,7 +57,7 @@ fn measured_ledger() {
     let _ = TrainedEmulator::load(&path).expect("snapshot reloads");
     std::fs::remove_file(&path).ok();
     println!(
-        "{:<28} {:>12} bytes {:>7.2}×  (modeled parameter bytes: {})",
+        "{:<28} {:>12} bytes {:>7.2}×  (payload: {} bytes)",
         "emulator snapshot (ECA1)",
         snapshot_bytes,
         raw64 as f64 / snapshot_bytes as f64,

@@ -487,14 +487,11 @@ impl TrainedEmulator {
         }
     }
 
-    /// Bytes this trained model occupies when serialized as raw f64
-    /// parameters (the "emulator side" of the storage-savings ledger).
+    /// Bytes this trained model occupies as a snapshot: the length of
+    /// [`TrainedEmulator::to_snapshot`]'s payload (the "emulator side" of
+    /// the storage-savings ledger), computed without encoding it.
     pub fn parameter_bytes(&self) -> usize {
-        let trend = self.npoints() * (6 + 2 * self.config.k_harmonics);
-        let var = self.var.dim() * self.config.var_order;
-        let factor = self.factor.len();
-        let v2 = self.v2.len();
-        (trend + var + factor + v2) * 8
+        crate::snapshot::encoded_len(self)
     }
 
     /// Storage model comparing an `ensemble_size × t_max` archive at this
@@ -510,25 +507,20 @@ impl TrainedEmulator {
         }
     }
 
-    /// Serialize to JSON.
-    pub fn to_json(&self) -> String {
-        serde_json::to_string(self).expect("trained emulator serializes")
-    }
-
-    /// Deserialize from JSON.
-    pub fn from_json(s: &str) -> Result<Self, EmulationError> {
-        serde_json::from_str(s).map_err(|e| EmulationError::Data(e.to_string()))
-    }
-
     /// Member name of the emulator snapshot inside an ECA1 archive.
     pub const SNAPSHOT_MEMBER: &'static str = "trained_emulator";
-    /// Schema version written by [`TrainedEmulator::save`]. Bump on any
-    /// incompatible change to the serialized model.
-    pub const SNAPSHOT_VERSION: u32 = 1;
+    /// Schema version written by [`TrainedEmulator::to_snapshot`]: 2, the
+    /// binary layout of `core::snapshot` (the README's "On-disk formats"
+    /// spells it out). [`TrainedEmulator::from_snapshot`] also reads the
+    /// version 1 JSON payload, for one more release.
+    pub const SNAPSHOT_VERSION: u32 = 2;
 
     /// Package this model as an ECA1 snapshot (member
     /// [`TrainedEmulator::SNAPSHOT_MEMBER`], schema
-    /// [`TrainedEmulator::SNAPSHOT_VERSION`]).
+    /// [`TrainedEmulator::SNAPSHOT_VERSION`]): one little-endian blob with
+    /// the factor as its lower tiles, each at the narrowest of binary16,
+    /// `f32` and `f64` that holds it bit for bit, so the reloaded model
+    /// emulates bit-identically.
     ///
     /// The returned [`exaclim_store::Snapshot`] can be written to its own
     /// archive via [`exaclim_store::write_snapshot_file`] (what
@@ -536,28 +528,34 @@ impl TrainedEmulator {
     /// a larger archive via [`exaclim_store::ArchiveWriter::add_snapshot`],
     /// which is how a serving catalog ships an emulator alongside the data
     /// it was trained on.
+    ///
+    /// # Panics
+    ///
+    /// If the model's shapes disagree with its configuration, which
+    /// `emulate` needs as well: `L² × L²` factor values, a tile dividing
+    /// `L²`, one trend model with `K` harmonic pairs and one `v²` per
+    /// point, and `L²` VAR channels of order `P`.
     pub fn to_snapshot(&self) -> exaclim_store::Snapshot {
         exaclim_store::Snapshot::new(
             Self::SNAPSHOT_MEMBER,
             Self::SNAPSHOT_VERSION,
-            self.to_json().into_bytes(),
+            crate::snapshot::encode(self),
         )
     }
 
     /// Reconstruct a model from a snapshot produced by
-    /// [`TrainedEmulator::to_snapshot`], wherever it was stored. Rejects
-    /// unknown schema versions before touching the payload.
+    /// [`TrainedEmulator::to_snapshot`], wherever it was stored: schema 2,
+    /// or the JSON of schema 1. Rejects other versions before touching
+    /// the payload, and a damaged payload as [`EmulationError::Data`].
     pub fn from_snapshot(snapshot: &exaclim_store::Snapshot) -> Result<Self, EmulationError> {
-        if snapshot.version != Self::SNAPSHOT_VERSION {
-            return Err(EmulationError::Data(format!(
-                "snapshot schema version {} is not supported (expected {})",
-                snapshot.version,
+        match snapshot.version {
+            Self::SNAPSHOT_VERSION => crate::snapshot::decode(&snapshot.payload),
+            1 => from_json(&snapshot.payload),
+            other => Err(EmulationError::Data(format!(
+                "snapshot schema version {other} is not supported (expected 1 or {})",
                 Self::SNAPSHOT_VERSION
-            )));
+            ))),
         }
-        let json = std::str::from_utf8(&snapshot.payload)
-            .map_err(|_| EmulationError::Data("snapshot payload is not UTF-8".to_string()))?;
-        Self::from_json(json)
     }
 
     /// Persist to an ECA1 snapshot archive at `path` (compressed,
@@ -574,6 +572,13 @@ impl TrainedEmulator {
             .map_err(|e| EmulationError::Data(e.to_string()))?;
         Self::from_snapshot(&snapshot)
     }
+}
+
+/// The schema 1 payload: the model as JSON text.
+fn from_json(payload: &[u8]) -> Result<TrainedEmulator, EmulationError> {
+    let json = std::str::from_utf8(payload)
+        .map_err(|_| EmulationError::Data("snapshot payload is not UTF-8".to_string()))?;
+    serde_json::from_str(json).map_err(|e| EmulationError::Data(e.to_string()))
 }
 
 #[cfg(test)]
@@ -754,13 +759,26 @@ mod tests {
     }
 
     #[test]
-    fn json_roundtrip_preserves_behaviour() {
+    fn v1_json_snapshots_still_load() {
+        // Schema 1 was the model's serde JSON; it reloads for one more
+        // release, to the same emulations.
         let (em, _) = train_small();
-        let json = em.to_json();
-        let back = TrainedEmulator::from_json(&json).unwrap();
-        let a = em.emulate(30, 9).unwrap();
-        let b = back.emulate(30, 9).unwrap();
-        assert_eq!(a.data, b.data);
+        let v1 = exaclim_store::Snapshot::new(
+            TrainedEmulator::SNAPSHOT_MEMBER,
+            1,
+            serde_json::to_string(&em).unwrap().into_bytes(),
+        );
+        let back = TrainedEmulator::from_snapshot(&v1).unwrap();
+        assert_eq!(field_bits(&em), field_bits(&back));
+        assert_eq!(
+            em.emulate(30, 9).unwrap().data,
+            back.emulate(30, 9).unwrap().data
+        );
+        let not_utf8 = exaclim_store::Snapshot::new("x", 1, vec![0xff, 0xfe]);
+        assert!(matches!(
+            TrainedEmulator::from_snapshot(&not_utf8),
+            Err(EmulationError::Data(_))
+        ));
     }
 
     #[test]

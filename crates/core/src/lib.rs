@@ -31,6 +31,7 @@
 
 pub mod config;
 pub mod emulator;
+mod snapshot;
 pub mod validate;
 
 pub use config::EmulatorConfig;

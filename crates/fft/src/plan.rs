@@ -166,6 +166,12 @@ impl Fft {
         self.n == 0
     }
 
+    /// True when the length has a prime factor above the mixed-radix
+    /// path's largest, so the plan runs Bluestein's chirp-z convolution.
+    pub fn is_bluestein(&self) -> bool {
+        matches!(self.kind, Kind::Bluestein { .. })
+    }
+
     /// Forward transform in place (no scaling).
     pub fn forward(&self, data: &mut [Complex64]) {
         assert_eq!(data.len(), self.n, "data length must match the plan");
@@ -502,9 +508,11 @@ mod tests {
     #[test]
     fn bluestein_is_selected_for_large_primes() {
         let plan = Fft::new(1009); // prime > MAX_DIRECT_PRIME
-        assert!(matches!(plan.kind, Kind::Bluestein { .. }));
+        assert!(matches!(plan.kind, Kind::Bluestein { .. }) && plan.is_bluestein());
         let plan = Fft::new(1024);
-        assert!(matches!(plan.kind, Kind::MixedRadix { .. }));
+        assert!(matches!(plan.kind, Kind::MixedRadix { .. }) && !plan.is_bluestein());
+        // The SHT's longitude lengths 2L + 1: L = 62 direct, L = 64 not.
+        assert!(!Fft::new(125).is_bluestein() && Fft::new(129).is_bluestein());
     }
 
     /// Every length the oracle test covers: all of 1..=130 (every split

@@ -116,6 +116,9 @@ pub struct ServedEmulator {
     pub name: String,
     /// The model, shared across worker threads.
     pub emulator: Arc<TrainedEmulator>,
+    /// [`TrainedEmulator::parameter_bytes`], taken once at registration:
+    /// it scans the whole factor, and the model does not change after.
+    pub parameter_bytes: usize,
 }
 
 /// Name space of archives and emulators a [`crate::Server`] serves from.
@@ -219,6 +222,7 @@ impl Catalog {
         }
         self.emulators.push(ServedEmulator {
             name,
+            parameter_bytes: emulator.parameter_bytes(),
             emulator: Arc::new(emulator),
         });
         Ok(())

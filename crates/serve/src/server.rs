@@ -188,7 +188,8 @@ pub struct EmulatorInfo {
     pub lmax: usize,
     /// Grid rows × columns the model emulates.
     pub grid: (usize, usize),
-    /// Serialized parameter footprint in bytes.
+    /// Bytes of the model's snapshot payload
+    /// ([`exaclim::TrainedEmulator::parameter_bytes`]).
     pub parameter_bytes: usize,
 }
 
@@ -797,7 +798,7 @@ impl Server {
                         name: e.name.clone(),
                         lmax: e.emulator.config.lmax,
                         grid: (e.emulator.ntheta, e.emulator.nphi),
-                        parameter_bytes: e.emulator.parameter_bytes(),
+                        parameter_bytes: e.parameter_bytes,
                     })
                     .collect(),
             ),

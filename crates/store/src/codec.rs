@@ -202,7 +202,9 @@ impl Codec {
 pub enum ByteCodec {
     /// Stored verbatim.
     Raw,
-    /// Run-length encoded with varint lengths (JSON blobs compress well).
+    /// Run-length encoded with varint lengths: runs of equal bytes (zeros,
+    /// repeated values) shrink, anything else costs at most a few bytes
+    /// per literal run.
     Rle,
 }
 

@@ -1,11 +1,11 @@
 //! Versioned snapshots of trained models.
 //!
-//! A snapshot is an opaque payload (typically a serialized
-//! `TrainedEmulator`) stored as an ECA1 snapshot member together with a
-//! schema version. The version is the *payload's* schema, independent of
-//! the container version: readers accept a container they understand and
-//! then decide whether they can interpret the payload, so old snapshots
-//! stay loadable as the model evolves.
+//! A snapshot is an opaque payload (typically a trained emulator in the
+//! binary layout its crate defines) stored as an ECA1 snapshot member
+//! together with a schema version. The version is the *payload's* schema,
+//! independent of the container version: readers accept a container they
+//! understand and then decide whether they can interpret the payload, so
+//! old snapshots stay loadable as the model evolves.
 
 use crate::archive::Archive;
 use crate::codec::ByteCodec;
@@ -82,13 +82,13 @@ mod tests {
     #[test]
     fn file_snapshot_roundtrips_and_compresses() {
         let path = std::env::temp_dir().join("exaclim_store_snapshot_test.eca1");
-        // JSON-like payload with plenty of byte runs.
+        // A payload with plenty of byte runs.
         let payload = format!("{{\"mask\":\"{}\"}}", "0".repeat(20_000)).into_bytes();
         let snap = Snapshot::new("trained_emulator", 2, payload.clone());
         let total = write_snapshot_file(&path, &snap).unwrap();
         assert!(
             (total as usize) < payload.len(),
-            "RLE snapshot should compress repetitive JSON: {total} vs {}",
+            "RLE snapshot should compress repetitive bytes: {total} vs {}",
             payload.len()
         );
         let back = read_snapshot_file(&path, "trained_emulator").unwrap();

@@ -53,9 +53,9 @@ fn full_pipeline_mixed_precision_covariance() {
 fn persistence_roundtrip_through_disk() {
     let training = daily_training(12, 2);
     let em = ClimateEmulator::train(&training, EmulatorConfig::small(8)).unwrap();
-    let path = std::env::temp_dir().join("exaclim_model_test.json");
-    std::fs::write(&path, em.to_json()).unwrap();
-    let loaded = TrainedEmulator::from_json(&std::fs::read_to_string(&path).unwrap()).unwrap();
+    let path = std::env::temp_dir().join(format!("exaclim_model_test_{}.eca1", std::process::id()));
+    em.save(&path).unwrap();
+    let loaded = TrainedEmulator::load(&path).unwrap();
     std::fs::remove_file(&path).ok();
     assert_eq!(
         em.emulate(60, 3).unwrap().data,

@@ -9,13 +9,15 @@ mod common;
 
 use common::conformance::Front;
 use common::*;
+use exaclim::TrainedEmulator;
 use exaclim_serve::scenario::{realization_seed, MAX_PRODUCT_VALUES};
 use exaclim_serve::{
-    Client, NetConfig, ProductData, ProductDescriptor, ProductSource, ProductStat, Request,
-    Response, ServeConfig, ServeError, Server,
+    CatalogAnswer, CatalogQuery, Client, NetConfig, ProductData, ProductDescriptor, ProductSource,
+    ProductStat, Request, Response, ServeConfig, ServeError, Server,
 };
 use exaclim_stats::trend::{fit_location, TrendConfig};
 use exaclim_stats::ForcingSeries;
+use exaclim_store::{ArchiveWriter, ByteCodec, Codec, FieldMeta};
 use std::sync::Barrier;
 
 /// The conformance table's mixed-batch in-process and `NetServer` rows:
@@ -44,6 +46,94 @@ fn slice_values(server: &Server, range: std::ops::Range<u64>) -> Vec<f64> {
         Ok(Response::Slice(data)) => data.values,
         other => panic!("{other:?}"),
     }
+}
+
+/// An archive that ships its emulator as a snapshot member beside its
+/// field members: the catalog loads the model out of it, and it emulates
+/// bit-identically to the model it was saved from. A truncated copy of
+/// the member is a typed error that registers nothing, and the server
+/// built from that catalog serves fields, the loaded model and its
+/// parameter bytes.
+#[test]
+fn emulator_snapshot_members_load_beside_fields() {
+    let em = emulator();
+    let snap = em.to_snapshot();
+    assert_eq!(snap.version, TrainedEmulator::SNAPSHOT_VERSION);
+    let field: Vec<f64> = (0..VPS * T_MAX as usize)
+        .map(|i| 250.0 + (i as f64 * 0.1).cos())
+        .collect();
+    let meta = FieldMeta {
+        ntheta: 2,
+        nphi: VPS / 2,
+        start_year: 2000,
+        tau: 365,
+    };
+    let mut w = ArchiveWriter::new(std::io::Cursor::new(Vec::new())).unwrap();
+    w.add_field("t2m", Codec::F32, meta, VPS, CHUNK_T, &field)
+        .unwrap();
+    let cut = &snap.payload[..snap.payload.len() / 2];
+    for (name, payload) in [(snap.name.as_str(), &snap.payload[..]), ("cut", cut)] {
+        w.add_snapshot(name, snap.version, ByteCodec::Rle, payload, 1 << 12)
+            .unwrap();
+    }
+    w.add_field("u10", Codec::Raw64, meta, VPS, CHUNK_T, &field)
+        .unwrap();
+    let bytes = w.finish().unwrap().0.into_inner();
+
+    let mut catalog = exaclim_serve::Catalog::new();
+    catalog.open_archive_bytes(ARCHIVE, bytes).unwrap();
+    let err = catalog
+        .load_emulator_from_archive("cut", ARCHIVE, "cut")
+        .unwrap_err();
+    assert!(
+        matches!(&err, ServeError::Emulation(msg) if msg.contains("snapshot v2")),
+        "{err:?}"
+    );
+    catalog
+        .load_emulator_from_archive(EMULATOR, ARCHIVE, TrainedEmulator::SNAPSHOT_MEMBER)
+        .unwrap();
+    assert!(matches!(
+        catalog.emulator("cut"),
+        Err(ServeError::UnknownEmulator(_))
+    ));
+
+    let server = Server::new(catalog, ServeConfig::default());
+    let emulate = |emulator: &str| Request::Emulate {
+        emulator: emulator.to_string(),
+        t_max: 30,
+        seed: 5,
+    };
+    let requests = [
+        emulate(EMULATOR),
+        slice("t2m", 0..10),
+        emulate("cut"),
+        Request::Catalog(CatalogQuery::ListEmulators),
+        slice("u10", 3..20),
+    ];
+    let answers = server.handle_batch(&requests);
+    let want = em.emulate(30, 5).unwrap().data;
+    match &answers[0] {
+        Ok(Response::Emulate(data)) => assert_eq!(
+            data.data.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+            want.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+        ),
+        other => panic!("{other:?}"),
+    }
+    let values = |answer: &Result<Response, ServeError>| match answer {
+        Ok(Response::Slice(data)) => data.values.clone(),
+        other => panic!("{other:?}"),
+    };
+    let as_f32 = |v: &[f64]| v.iter().map(|&x| x as f32 as f64).collect::<Vec<_>>();
+    assert_eq!(values(&answers[1]), as_f32(&field[..10 * VPS]));
+    assert!(matches!(answers[2], Err(ServeError::UnknownEmulator(_))));
+    match &answers[3] {
+        Ok(Response::Catalog(CatalogAnswer::Emulators(list))) => {
+            assert_eq!(list.len(), 1);
+            assert_eq!(list[0].parameter_bytes, snap.payload.len());
+        }
+        other => panic!("{other:?}"),
+    }
+    assert_eq!(values(&answers[4]), &field[3 * VPS..20 * VPS]);
 }
 
 /// Requests over the value budget are bad requests, refused before
