@@ -423,7 +423,7 @@ fn run(points: &[Point], repeats: usize, meminfo: Option<&str>) -> (usize, bool)
             runs.push(spawn_child(p));
         }
     }
-    println!("== scale: {repeats} process(es) per point, one at a time; times are median [IQR] ==",);
+    println!("== scale: {repeats} process(es) per point, one at a time; times are median [IQR] ==");
     for (p, runs) in admitted.iter().zip(&runs) {
         report(p, runs);
     }
@@ -459,16 +459,19 @@ fn run(points: &[Point], repeats: usize, meminfo: Option<&str>) -> (usize, bool)
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    if let [flag, spec] = &args[..] {
+        if flag == "--child" {
+            let p = Point::parse(spec).expect("the parent passes a parsed point");
+            run_child(&p);
+            return ExitCode::SUCCESS;
+        }
+    }
     let mut points = Vec::new();
     let mut repeats = 5usize;
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         let value = it.next();
         let parsed = match (arg.as_str(), value) {
-            ("--child", Some(spec)) => Point::parse(spec).map(|p| {
-                run_child(&p);
-                std::process::exit(0)
-            }),
             ("--point", Some(spec)) => Point::parse(spec).map(|p| points.push(p)),
             ("--repeats", Some(n)) => n
                 .parse()
