@@ -6,8 +6,8 @@
 //! [`f32_to_f16_bits`]/[`f16_bits_to_f32`] are the scalar reference and the
 //! single-value path; the slice converters [`widen_into`]/[`narrow_into`]
 //! run 8 lanes per F16C instruction where the CPU has it and give the same
-//! bits for every input. Every binary16 conversion of a tile goes through
-//! the slice pair.
+//! bits for every input. Every binary16 conversion of a tile, and of an
+//! `F16` archive chunk, goes through the slice pair.
 //! Arithmetic is *not* implemented on `Half` itself: kernels widen to `f32`,
 //! accumulate there, and round once on store — exactly the tensor-core MMA
 //! contract the paper's DP/HP variant relies on.
@@ -142,7 +142,7 @@ pub fn narrow_into(src: &[f32], dst: &mut [u16]) {
 const CHUNK: usize = 128;
 
 /// `dst[i] = Half(src[i]).to_f64()`, through an f32 stack buffer.
-pub(crate) fn widen_f64_into(src: &[u16], dst: &mut [f64]) {
+pub fn widen_f64_into(src: &[u16], dst: &mut [f64]) {
     assert_eq!(src.len(), dst.len(), "one output per binary16 value");
     let mut buf = [0.0f32; CHUNK];
     for (s, d) in src.chunks(CHUNK).zip(dst.chunks_mut(CHUNK)) {
@@ -156,7 +156,7 @@ pub(crate) fn widen_f64_into(src: &[u16], dst: &mut [f64]) {
 
 /// `dst[i] = Half::from_f64(src[i]).0` (`as f32`, then to nearest binary16),
 /// through an f32 stack buffer.
-pub(crate) fn narrow_f64_into(src: &[f64], dst: &mut [u16]) {
+pub fn narrow_f64_into(src: &[f64], dst: &mut [u16]) {
     assert_eq!(src.len(), dst.len(), "one binary16 value per input");
     let mut buf = [0.0f32; CHUNK];
     for (s, d) in src.chunks(CHUNK).zip(dst.chunks_mut(CHUNK)) {

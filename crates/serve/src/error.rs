@@ -156,9 +156,8 @@ pub enum WireError {
     /// The peer closed the connection cleanly between frames.
     ConnectionClosed {
         /// Which peer hung up — `None` until [`WireError::with_peer`]
-        /// attributes the failure (a client labels it with the shard or
-        /// address it was talking to, so multi-backend failures are
-        /// tellable apart in logs and tests).
+        /// attributes the failure (a client labels it with the address
+        /// it was talking to).
         peer: Option<String>,
     },
     /// A stream frame arrived out of order: duplicated, skipped, or not
@@ -202,10 +201,11 @@ impl WireError {
         )
     }
 
-    /// Attribute this error to a named peer: transport failures coming
-    /// out of a multi-backend client are useless in logs unless they say
-    /// *which* connection died. Labels [`WireError::Io`] (message
-    /// prefix) and [`WireError::ConnectionClosed`]; idempotent — an
+    /// Attribute this error to a named peer: a transport failure is
+    /// useless in logs unless it says *which* connection died (a
+    /// [`crate::Client`] labels with the address it connected to).
+    /// Labels [`WireError::Io`] (message prefix) and
+    /// [`WireError::ConnectionClosed`]; idempotent — an
     /// already-attributed error keeps its first label. Protocol errors
     /// pass through untouched (they name frame contents, not peers).
     #[must_use]
@@ -280,5 +280,32 @@ impl From<std::io::Error> for WireError {
         } else {
             WireError::Io(e.to_string())
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::WireError;
+
+    #[test]
+    fn with_peer_labels_transport_errors_once_and_passes_protocol_errors() {
+        let io = WireError::Io("reset".to_string()).with_peer("a:1");
+        assert_eq!(io, WireError::Io("[a:1] reset".to_string()));
+        let closed = WireError::ConnectionClosed { peer: None }.with_peer("a:1");
+        assert_eq!(
+            closed,
+            WireError::ConnectionClosed {
+                peer: Some("a:1".to_string())
+            }
+        );
+        assert_eq!(closed.to_string(), "connection closed by peer [a:1]");
+        // A second label does not replace the first.
+        assert_eq!(io.clone().with_peer("b:2"), io);
+        assert_eq!(closed.clone().with_peer("b:2"), closed);
+        let crc = WireError::ChecksumMismatch {
+            expected: 1,
+            actual: 2,
+        };
+        assert_eq!(crc.clone().with_peer("a:1"), crc);
     }
 }

@@ -52,15 +52,7 @@
 //!   by about one stream fragment, idle reaping, graceful drain via the
 //!   wakeup fd; unix-only, like the reactor), and a blocking, portable
 //!   [`net::Client`] with connection reuse, pipelining, and transparent
-//!   stream reassembly,
-//! * [`router`] — the scale-out front end: a [`router::Router`] speaks
-//!   ECN1 on both sides, placing `(archive, member)` keys on N backend
-//!   [`net::NetServer`] shards via a seeded consistent-hash ring with
-//!   configurable replication, scatter-gathering each batch over pooled
-//!   self-healing clients and reassembling responses bit-identical to a
-//!   single server — a dead shard fails over to its keys' replicas; the
-//!   ring is the one its [`router::RouterConfig`] describes, fixed for
-//!   the router's life.
+//!   stream reassembly.
 //!
 //! The serving stack is built to **survive chaos**: a seeded fault plan
 //! ([`exaclim_runtime::faults`], armed via `EXACLIM_FAULTS`) injects
@@ -119,7 +111,6 @@ pub mod error;
 mod metrics;
 pub mod net;
 pub mod product;
-pub mod router;
 pub mod scenario;
 pub mod server;
 pub mod wire;
@@ -136,7 +127,6 @@ pub use net::{NetServer, NetServerHandle};
 pub use product::{
     ProductData, ProductDescriptor, ProductKey, ProductSource, ProductStat, ScenarioSpec,
 };
-pub use router::{Router, RouterConfig, RouterStats, ShardHealth, ShardSpec};
 pub use server::{
     ArchiveInfo, CatalogAnswer, CatalogQuery, EmulatorInfo, MemberInfo, Request, Response,
     ServeConfig, ServeStats, Server, SliceData,

@@ -5,10 +5,10 @@
 //! `u64` field, an array of them per `[u64; N]` histogram, each bumped in
 //! place under its field's name. The mirror's `snapshot()` loads it
 //! (`Relaxed`), and the [`Counters`] visitor walks a snapshot's fields in
-//! declaration order, which the stats wire codec and [`Counters::merge`]
-//! use. A field that is not a counter keeps a mirror slot that stays zero,
-//! and its accessor fills it by struct update, as in
-//! `NetStats { faults_injected, ..cells.snapshot() }`.
+//! declaration order, which the stats wire codec uses. A field that is not
+//! a counter keeps a mirror slot that stays zero, and its accessor fills
+//! it by struct update, as in `NetStats { faults_injected,
+//! ..cells.snapshot() }`.
 
 /// A snapshot struct declared with [`counters!`]: a visitor over its
 /// fields in declaration order, which is also their wire order.
@@ -17,15 +17,6 @@ pub(crate) trait Counters {
     fn fields(&self) -> impl Iterator<Item = (&'static str, &[u64])>;
     /// Each field's name and words, for writing.
     fn fields_mut(&mut self) -> impl Iterator<Item = (&'static str, &mut [u64])>;
-
-    /// Field-wise sum: `self += other`.
-    fn merge(&mut self, other: &Self) {
-        for ((_, mine), (_, theirs)) in self.fields_mut().zip(other.fields()) {
-            for (a, b) in mine.iter_mut().zip(theirs) {
-                *a += b;
-            }
-        }
-    }
 }
 
 /// Declare a counter set once (module docs above): the snapshot struct
@@ -92,17 +83,8 @@ mod tests {
     use super::Counters;
     use crate::{NetStats, ServeStats};
 
-    /// `a` with word `k` (in visitor order) set to `2^(k + shift)`.
-    fn powers<T: Counters>(mut a: T, shift: u32) -> T {
-        let words = a.fields_mut().flat_map(|(_, w)| w.iter_mut());
-        for (k, w) in words.enumerate() {
-            *w = 1 << (k as u32 + shift);
-        }
-        a
-    }
-
     #[test]
-    fn serve_stats_visit_in_declaration_order_and_merge_field_wise() {
+    fn serve_stats_visit_in_declaration_order() {
         let names: Vec<_> = ServeStats::default().fields().map(|(n, _)| n).collect();
         assert_eq!(
             names,
@@ -121,46 +103,22 @@ mod tests {
                 "deadline_expired",
             ]
         );
-        let mut sum = powers(ServeStats::default(), 0);
-        sum.merge(&powers(ServeStats::default(), 32));
-        let both = |k: u32| (1 << k) | (1 << (k + 32));
-        assert_eq!(
-            sum,
-            ServeStats {
-                slices: both(0),
-                emulations: both(1),
-                catalog_queries: both(2),
-                errors: both(3),
-                batches: both(4),
-                chunk_touches: both(5),
-                chunk_fetches: both(6),
-                chunk_decodes: both(7),
-                products: both(8),
-                product_computes: both(9),
-                busy_nanos: both(10),
-                deadline_expired: both(11),
-            }
-        );
     }
 
     #[test]
-    fn net_stats_histogram_buckets_merge_one_by_one() {
-        let words =
-            |s: &NetStats| -> Vec<u64> { s.fields().flat_map(|(_, w)| w.to_vec()).collect() };
-        let a = powers(NetStats::default(), 0);
-        let b = powers(NetStats::default(), 32);
-        let mut sum = a;
-        sum.merge(&b);
-        assert_eq!(words(&a).len(), 25);
-        for ((s, x), y) in words(&sum).into_iter().zip(words(&a)).zip(words(&b)) {
-            assert_eq!(s, x + y);
+    fn net_stats_histogram_buckets_visit_after_the_scalars() {
+        // Word `k` (in visitor order) set to `k`.
+        let mut stats = NetStats::default();
+        let words = stats.fields_mut().flat_map(|(_, w)| w.iter_mut());
+        for (k, w) in words.enumerate() {
+            *w = k as u64;
         }
+        assert_eq!(stats.fields().map(|(_, w)| w.len()).sum::<usize>(), 25);
         // The histogram sits after the 15 scalars before it.
-        let bucket = |i: u32| (1 << (15 + i)) | (1 << (47 + i));
         assert_eq!(
-            sum.frames_per_response,
-            std::array::from_fn(|i| bucket(i as u32))
+            stats.frames_per_response,
+            std::array::from_fn(|i| 15 + i as u64)
         );
-        assert_eq!(sum.shed, (1 << 23) | (1 << 55));
+        assert_eq!(stats.shed, 23);
     }
 }

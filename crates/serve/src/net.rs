@@ -21,10 +21,10 @@
 //!   the reactor thread, from the chunks the residency check took and
 //!   without entering the worker pool: a cache hit costs microseconds,
 //!   less than the hand-off to a worker and back. Every other batch —
-//!   cache misses, products, emulations, catalog and stats queries,
-//!   every batch behind a [`crate::router::Router`], and any batch that
-//!   drew a `dispatch` fault — is queued to a small fixed set of dispatch workers
-//!   ([`NetConfig::dispatch_threads`]) that run the in-process batch
+//!   cache misses, products, emulations, catalog and stats queries, and
+//!   any batch that drew a `dispatch` fault — is queued to a small fixed
+//!   set of dispatch workers ([`NetConfig::dispatch_threads`]) that run
+//!   the in-process batch
 //!   (which fans out over the shared worker pool — `EXACLIM_THREADS`
 //!   still bounds *compute*) and hand the encoded response **body** —
 //!   segments referencing the chunk cache, not a copied frame — back
@@ -115,8 +115,7 @@ use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::time::Duration;
 #[cfg(unix)]
 use {
-    crate::router::Router,
-    crate::server::{ServeBackend, Server},
+    crate::server::Server,
     exaclim_runtime::reactor::{Reactor, Waker},
     std::net::TcpListener,
     std::sync::atomic::{AtomicBool, Ordering},
@@ -269,13 +268,8 @@ fn frames_bucket(frames: u32) -> usize {
 /// and the [`NetServerHandle`].
 #[cfg(unix)]
 struct NetShared {
-    /// What decoded batches execute on: an in-process [`Server`]
-    /// ([`NetServer::bind`]) or a [`Router`] scatter-gathering over
-    /// backend shards ([`NetServer::bind_router`]).
-    backend: Arc<dyn ServeBackend>,
-    /// The in-process server when this front end is server-backed
-    /// (`None` behind [`NetServer::bind_router`]).
-    server: Option<Arc<Server>>,
+    /// The in-process server every decoded batch executes on.
+    server: Arc<Server>,
     stats: NetCounters,
     /// Set when shutdown begins; the reactor observes it on the wakeup
     /// that [`NetServerHandle::shutdown`] sends right after.
@@ -307,42 +301,12 @@ impl std::fmt::Debug for NetServer {
 #[cfg(unix)]
 impl NetServer {
     /// Bind a listener on `addr` (use port 0 for an ephemeral port) over
-    /// an existing in-process server.
+    /// an existing in-process server: open it, make it nonblocking and
+    /// register it with a fresh reactor. Any failure is an error from
+    /// `bind`, so a server that cannot accept never hands out a handle.
     pub fn bind(
         addr: impl ToSocketAddrs,
         server: Arc<Server>,
-        config: NetConfig,
-    ) -> std::io::Result<Self> {
-        Self::bind_backend(
-            addr,
-            Arc::clone(&server) as Arc<dyn ServeBackend>,
-            Some(server),
-            config,
-        )
-    }
-
-    /// Bind a listener over a [`Router`]: the same ECN1 wire front end,
-    /// but every decoded batch scatter-gathers over the router's backend
-    /// shards instead of executing in-process. Clients cannot tell the
-    /// difference — responses are bit-identical to a single server over
-    /// the same catalog. [`NetServerHandle::server`] has no in-process
-    /// server to return for a router-backed front end and panics;
-    /// inspect the router you passed in instead.
-    pub fn bind_router(
-        addr: impl ToSocketAddrs,
-        router: Arc<Router>,
-        config: NetConfig,
-    ) -> std::io::Result<Self> {
-        Self::bind_backend(addr, router, None, config)
-    }
-
-    /// Open the listener, make it nonblocking and register it with a
-    /// fresh reactor. Any failure is an error from `bind`, so a server
-    /// that cannot accept never hands out a handle.
-    fn bind_backend(
-        addr: impl ToSocketAddrs,
-        backend: Arc<dyn ServeBackend>,
-        server: Option<Arc<Server>>,
         config: NetConfig,
     ) -> std::io::Result<Self> {
         let listener = TcpListener::bind(addr)?;
@@ -355,7 +319,6 @@ impl NetServer {
             reactor,
             addr,
             shared: Arc::new(NetShared {
-                backend,
                 server,
                 stats: NetCounters::default(),
                 shutdown: AtomicBool::new(false),
@@ -405,15 +368,8 @@ impl NetServerHandle {
     }
 
     /// The in-process server behind the wire.
-    ///
-    /// # Panics
-    /// For a router-backed front end ([`NetServer::bind_router`]) there
-    /// is no in-process server; inspect the [`Router`] instead.
     pub fn server(&self) -> &Arc<Server> {
-        self.shared
-            .server
-            .as_ref()
-            .expect("router-backed NetServer has no in-process Server")
+        &self.shared.server
     }
 
     /// Current transport counters.
@@ -573,8 +529,8 @@ mod event {
             };
             let body = execute(job.requests.len(), job.fault, || {
                 d.shared
-                    .backend
-                    .batch_replies_from(&job.requests, job.received)
+                    .server
+                    .handle_batch_replies_from(&job.requests, job.received)
             });
             d.completions.lock().push(Completion {
                 token: job.token,
@@ -1129,10 +1085,10 @@ mod event {
             });
         }
 
-        /// Answer a batch here on the reactor thread, if it qualifies: on
-        /// a server-backed front end, slice requests whose chunks are all
-        /// cache-resident and whose response fits one default stream
-        /// fragment ([`Server::resident_batch`]). That is microseconds of
+        /// Answer a batch here on the reactor thread, if it qualifies:
+        /// slice requests whose chunks are all cache-resident and whose
+        /// response fits one default stream fragment
+        /// ([`Server::resident_batch`]). That is microseconds of
         /// work, less than the hand-off to a dispatch worker and back. The
         /// reactor answers from the chunks the check took, on its own
         /// thread: it never fetches, decodes, waits on another batch's
@@ -1145,7 +1101,7 @@ mod event {
             requests: &[Request],
             received: Instant,
         ) -> Option<wire::ResponseBody> {
-            let server = self.shared.server.as_deref()?;
+            let server = &self.shared.server;
             // A panic while planning is left to a worker, which contains
             // it; the reactor must survive.
             let resident = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -1543,12 +1499,6 @@ pub struct ClientConfig {
     /// Socket write timeout, same rationale as
     /// [`ClientConfig::read_timeout`].
     pub write_timeout: Option<Duration>,
-    /// Label this connection's peer in transport errors
-    /// ([`WireError::with_peer`]): a router pooling clients to N shards
-    /// names each one (`shard-2@127.0.0.1:4042`), so a dead backend is
-    /// attributable in logs and tests. `None` (the default) labels with
-    /// the first resolved address.
-    pub peer: Option<String>,
     /// Self-healing: `Some` arms transport-level reconnect-with-replay
     /// (every serving op is read-only, so replaying in-flight pipelined
     /// requests is safe) and batch-level retry of retryable per-request
@@ -1591,8 +1541,8 @@ pub struct ClientStats {
 pub struct Client {
     addrs: Vec<SocketAddr>,
     config: ClientConfig,
-    /// Label stamped onto transport errors ([`ClientConfig::peer`], or
-    /// the first resolved address).
+    /// Label stamped onto transport errors ([`WireError::with_peer`]):
+    /// the first resolved address.
     peer: String,
     reader: BufReader<TcpStream>,
     writer: BufWriter<TcpStream>,
@@ -1632,7 +1582,7 @@ impl Client {
         if addrs.is_empty() {
             return Err(WireError::Io("address resolved to nothing".to_string()));
         }
-        let peer = config.peer.clone().unwrap_or_else(|| addrs[0].to_string());
+        let peer = addrs[0].to_string();
         let stream = Self::open_stream(&addrs, &config).map_err(|e| e.with_peer(&peer))?;
         let reader_stream = stream.try_clone().map_err(WireError::from)?;
         let rng = config.retry.as_ref().map_or(1, |p| p.seed | 1);
@@ -1653,12 +1603,6 @@ impl Client {
     /// This client's resilience counters so far.
     pub fn client_stats(&self) -> ClientStats {
         self.stats
-    }
-
-    /// The peer label stamped onto this client's transport errors
-    /// ([`ClientConfig::peer`], defaulting to the connected address).
-    pub fn peer(&self) -> &str {
-        &self.peer
     }
 
     /// Open one TCP connection to the first answering resolved address,

@@ -334,22 +334,6 @@ fn fill<T: Send>(n: usize, serial: bool, f: impl Fn(usize) -> T + Sync) -> Vec<T
         .collect()
 }
 
-/// What the network front end dispatches decoded batches to: an
-/// in-process [`Server`], or a [`crate::router::Router`] scatter-
-/// gathering over backend shards. Both answer in [`Reply`] form so the
-/// wire encoder keeps its zero-copy slice path regardless of backend.
-pub(crate) trait ServeBackend: Send + Sync {
-    /// Answer a batch with an explicit receipt time (deadline budgets
-    /// cover queue time — see [`Server::handle_batch_replies_from`]).
-    fn batch_replies_from(&self, requests: &[Request], received: std::time::Instant) -> Vec<Reply>;
-}
-
-impl ServeBackend for Server {
-    fn batch_replies_from(&self, requests: &[Request], received: std::time::Instant) -> Vec<Reply> {
-        self.handle_batch_replies_from(requests, received)
-    }
-}
-
 /// A serving instance: an immutable [`Catalog`] fronted by a
 /// [`ChunkCache`], answering requests concurrently on the shared worker
 /// pool.
@@ -455,7 +439,7 @@ impl Server {
 
     /// [`Server::handle_batch_replies`] with an explicit receipt time:
     /// `received` is when the batch *arrived* (for the network front
-    /// ends, when its request frame was read off the socket), so
+    /// end, when its request frame was read off the socket), so
     /// [`Request::WithDeadline`] budgets cover dispatch-queue time, not
     /// just execution. Expired requests are answered
     /// [`ServeError::DeadlineExpired`] without planning, fetching, or

@@ -11,7 +11,10 @@
 //! bit-identically to `(x as f32) as f64`.
 
 use crate::format::ArchiveError;
-use exaclim_linalg::f16::Half;
+use exaclim_linalg::f16::{narrow_f64_into, widen_f64_into, Half};
+
+/// Values per stack buffer of the binary16 slice conversions.
+const F16_CHUNK: usize = 256;
 
 /// Precision/compression codec of a field member.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -110,8 +113,11 @@ impl Codec {
             }
             Codec::F16 => {
                 let mut out = Vec::with_capacity(values.len() * 2);
-                for &v in values {
-                    out.extend_from_slice(&Half::from_f64(v).0.to_le_bytes());
+                let mut bits = [0u16; F16_CHUNK];
+                for v in values.chunks(F16_CHUNK) {
+                    let bits = &mut bits[..v.len()];
+                    narrow_f64_into(v, bits);
+                    out.extend(bits.iter().flat_map(|h| h.to_le_bytes()));
                 }
                 return out;
             }
@@ -168,8 +174,14 @@ impl Codec {
                         }
                     }
                     _ => {
-                        for c in bytes.chunks_exact(2) {
-                            out.push(Half(u16::from_le_bytes(c.try_into().unwrap())).to_f64());
+                        out.resize(n_values, 0.0);
+                        let mut bits = [0u16; F16_CHUNK];
+                        for (c, o) in bytes.chunks(2 * F16_CHUNK).zip(out.chunks_mut(F16_CHUNK)) {
+                            let bits = &mut bits[..o.len()];
+                            for (h, c) in bits.iter_mut().zip(c.chunks_exact(2)) {
+                                *h = u16::from_le_bytes([c[0], c[1]]);
+                            }
+                            widen_f64_into(bits, o);
                         }
                     }
                 }
@@ -451,6 +463,25 @@ mod tests {
             let enc2 = codec.encode(&dec);
             assert_eq!(codec.decode(&enc2, xs.len()).unwrap(), dec);
         }
+    }
+
+    #[test]
+    fn f16_slice_conversions_match_the_scalar_half_loop() {
+        // Every binary16 pattern (NaN payloads, subnormals, signed zeros,
+        // infinities) widened, then narrowed back from f64 with four more
+        // values, which leave the last buffer ragged.
+        let bytes: Vec<u8> = (0..=u16::MAX).flat_map(u16::to_le_bytes).collect();
+        let got = Codec::F16.decode(&bytes, 1 << 16).unwrap();
+        for (h, v) in (0..=u16::MAX).zip(&got) {
+            assert_eq!(v.to_bits(), Half(h).to_f64().to_bits(), "{h:#06x}");
+        }
+        let mut xs = got;
+        xs.extend([1.0 + 2f64.powi(-11) + 2f64.powi(-40), 1e-300, -1e300, 7.0]);
+        let want: Vec<u8> = xs
+            .iter()
+            .flat_map(|&v| Half::from_f64(v).0.to_le_bytes())
+            .collect();
+        assert_eq!(Codec::F16.encode(&xs), want);
     }
 
     #[test]

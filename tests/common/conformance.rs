@@ -1,9 +1,8 @@
 //! The serve conformance runner: one table of configurations
 //! (byte-source backend × cache, transport and fragment size,
-//! reactor-resident or dispatched batches, router shard count and shard
-//! kills, fault plan), each row running the seeded [`super::workload`]
-//! batches and comparing whole answers, typed per-request errors
-//! included, with `assert_eq!` against the oracle, in-process
+//! reactor-resident or dispatched batches, fault plan), each row running
+//! the seeded [`super::workload`] batches and comparing whole answers,
+//! typed per-request errors included, with `assert_eq!` against the oracle, in-process
 //! `Server::handle_batch` over the same stored bytes.
 //! `serve_conformance` runs every row; a suite test runs the rows of the
 //! configurations it is about through [`run`].
@@ -11,8 +10,8 @@
 use super::*;
 use exaclim_runtime::{faults, FaultAction, FaultPlan};
 use exaclim_serve::{
-    Client, ClientConfig, NetConfig, NetServer, NetServerHandle, NetStats, Request, RetryPolicy,
-    Router, RouterConfig, ServeConfig, Server,
+    Client, ClientConfig, NetConfig, NetServerHandle, NetStats, Request, RetryPolicy, ServeConfig,
+    Server,
 };
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -21,7 +20,7 @@ use std::time::Duration;
 
 /// Seeds each row runs; row `i` runs seeds `1000 i ..`.
 const SEEDS: u64 = 3;
-/// Concurrent callers of every row but the shard kills.
+/// Concurrent callers of every row.
 const CLIENTS: usize = 4;
 
 #[derive(Clone, Copy)]
@@ -30,11 +29,6 @@ pub enum Front {
     InProcess,
     /// A `NetServer` with this stream fragment size (`None`: default).
     Net(Option<usize>),
-    /// A `Router` over this many shards, called directly or through
-    /// `NetServer::bind_router`.
-    Router { shards: usize, wire: bool },
-    /// A 4-shard router that loses a seeded shard after a warm batch.
-    ShardKill(u64),
 }
 
 pub struct Row {
@@ -56,10 +50,6 @@ impl Row {
             Front::InProcess => "in-process".to_string(),
             Front::Net(None) => "net".to_string(),
             Front::Net(Some(bytes)) => format!("net-{bytes}B-fragments"),
-            Front::Router { shards, wire } => {
-                format!("router-{shards}{}", ["", "-wire"][wire as usize])
-            }
-            Front::ShardKill(seed) => format!("router-4-kill-{seed:#x}"),
         };
         let cache = ["off", "on"][self.cache as usize];
         let batches = ["mixed", "warm-slices"][self.warm_slices as usize];
@@ -91,12 +81,6 @@ fn table() -> Vec<Row> {
         ("bytes", Some(64), true),
     ] {
         rows.push(row(backend, true, Front::Net(fragment), warm));
-    }
-    for (shards, wire) in [(1, false), (4, false), (1, true), (4, true)] {
-        rows.push(row("bytes", true, Front::Router { shards, wire }, false));
-    }
-    for seed in [0xDEAD, 1, 2, 3] {
-        rows.push(row("bytes", true, Front::ShardKill(seed), false));
     }
     // Last: when it is done no plan is armed, an ambient one included.
     rows.push(Row {
@@ -290,74 +274,6 @@ fn run_net(
     handle.shutdown();
 }
 
-fn run_router(name: &str, shards: usize, wire: bool, cases: &[Arc<Case>]) {
-    let (handles, specs) = spawn_cluster(shards);
-    let router = Arc::new(Router::connect(specs, RouterConfig::default()).unwrap());
-    if wire {
-        let front =
-            NetServer::bind_router("127.0.0.1:0", Arc::clone(&router), NetConfig::default())
-                .unwrap()
-                .spawn();
-        over_wire(name, front.addr(), cases);
-        front.shutdown();
-    } else {
-        concurrently(
-            cases,
-            || (),
-            |_, case| check(name, case, &router.handle_batch(&case.batch)),
-        );
-    }
-    let stats = router.router_stats();
-    let requests: usize = cases.iter().map(|c| c.batch.len()).sum();
-    assert!(
-        stats.routed >= (CLIENTS * requests) as u64,
-        "{name}: {stats:?}"
-    );
-    if shards > 1 {
-        let split = stats.fanout_batches >= 1;
-        assert!(
-            split,
-            "{name}: a workload batch must split across shards: {stats:?}"
-        );
-    }
-    handles.into_iter().for_each(NetServerHandle::shutdown);
-}
-
-/// With replication 2, a killed shard's keys fail over to their replicas
-/// and every answer stays the oracle's. The victim is a seeded pick among
-/// the shards the warm batch reached, so some key always fails over. The
-/// cooldown outlasts the row, so the victim reads as down at the end
-/// however slowly the host ran the batches.
-fn run_shard_kill(name: &str, kill_seed: u64, cases: &[Arc<Case>]) {
-    let (mut handles, specs) = spawn_cluster(4);
-    let config = RouterConfig {
-        down_cooldown: Duration::from_secs(600),
-        ..RouterConfig::default()
-    };
-    let router = Router::connect(specs, config).unwrap();
-    check(name, &cases[0], &router.handle_batch(&cases[0].batch));
-    let reached: Vec<usize> = (0..handles.len())
-        .filter(|&i| handles[i].server().stats().batches > 0)
-        .collect();
-    let pick = kill_seed
-        .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-        .rotate_left(17);
-    let victim = reached[(pick % reached.len() as u64) as usize];
-    handles.remove(victim).shutdown();
-    for case in cases {
-        check(name, case, &router.handle_batch(&case.batch));
-    }
-    let stats = router.router_stats();
-    let failed_over = stats.failovers >= 1;
-    assert!(
-        failed_over,
-        "{name}: killing shard {victim} must record a failover: {stats:?}"
-    );
-    let down = router.shard_health().iter().filter(|h| !h.alive).count();
-    assert!(down >= 1, "{name}: shard {victim} must be marked down");
-    handles.into_iter().for_each(NetServerHandle::shutdown);
-}
-
 /// `serve_chaos`'s plan: short reads, EINTR, resets, read/write delays,
 /// dispatch-queue delays, decode corruption, product failures and
 /// exactly one worker panic. Clients that retry absorb all of it; the
@@ -396,7 +312,6 @@ fn run_chaos(name: &str, server: &Arc<Server>, cases: &[Arc<Case>]) {
                     read_timeout: timeout,
                     write_timeout: timeout,
                     retry,
-                    ..ClientConfig::default()
                 };
                 let mut client = Client::connect_with(handle.addr(), config).unwrap();
                 for case in cases.iter().chain(cases) {
@@ -438,8 +353,6 @@ fn run_row(index: usize, row: &Row, oracle: &Oracle, file: &TempArchive) {
         }
         Front::Net(_) if row.chaos => run_chaos(&name, &server_for(row, file), &cases),
         Front::Net(fragment) => run_net(row, &name, fragment, &server_for(row, file), &cases),
-        Front::Router { shards, wire } => run_router(&name, shards, wire, &cases),
-        Front::ShardKill(seed) => run_shard_kill(&name, seed, &cases),
     }
 }
 

@@ -12,7 +12,7 @@ use exaclim_serve::wire;
 use exaclim_serve::{
     Catalog, CatalogQuery, NetConfig, NetServer, NetServerHandle, ProductDescriptor, ProductSource,
     ProductStat, Request, Response, ScenarioSpec, ServeConfig, ServeError, ServedArchive, Server,
-    ShardSpec, SliceRequest,
+    SliceRequest,
 };
 use exaclim_store::{ArchiveWriter, Codec, FieldMeta};
 use rand::rngs::StdRng;
@@ -106,20 +106,6 @@ pub fn spawn_fixture(config: NetConfig) -> (Arc<Server>, NetServerHandle) {
     let server = Arc::new(Server::new(catalog(), ServeConfig::default()));
     let handle = spawn(&server, config);
     (server, handle)
-}
-
-/// `shards` identical fixture shards on loopback and their specs: the
-/// data plane is replicated, the ring partitions cache affinity.
-pub fn spawn_cluster(shards: usize) -> (Vec<NetServerHandle>, Vec<ShardSpec>) {
-    let handles: Vec<_> = (0..shards)
-        .map(|_| spawn_fixture(NetConfig::default()).1)
-        .collect();
-    let specs = handles
-        .iter()
-        .enumerate()
-        .map(|(i, h)| ShardSpec::numbered(i, h.addr()))
-        .collect();
-    (handles, specs)
 }
 
 /// The fixture archive written to a temporary file, removed on drop.
